@@ -31,10 +31,44 @@ using core::EstablishRequest;
 using core::Fabric;
 using core::FabricOptions;
 
+/// The establish benches call MimicController::establish back to back in
+/// zero simulated time, so the per-tenant token buckets never refill: with
+/// admission on, all but the first burst would be shed as Busy and the
+/// bench would time the shedding fast path.  Admission is switched off,
+/// which cannot saturate, and every iteration must establish.
+FabricOptions establish_options(int k) {
+  FabricOptions options;
+  options.k = k;
+  options.mic.admission.enabled = false;
+  return options;
+}
+
+/// Establish `request` (timed), assert it succeeded, tear it down
+/// (untimed) and count the success.
+void establish_once(benchmark::State& state, Fabric& fabric,
+                    const EstablishRequest& request,
+                    std::int64_t& established) {
+  const auto result = fabric.mc().establish(request);
+  MIC_ASSERT_MSG(result.ok, "establish bench iteration did not establish");
+  ++established;
+  state.PauseTiming();
+  fabric.mc().teardown(result.channel);
+  state.ResumeTiming();
+}
+
+void report_established(benchmark::State& state, std::int64_t established) {
+  state.counters["established"] = static_cast<double>(established);
+  state.counters["established_ratio"] =
+      static_cast<double>(established) /
+      static_cast<double>(std::max<benchmark::IterationCount>(
+          state.iterations(), 1));
+}
+
 void BM_EstablishByFlowCount(benchmark::State& state) {
-  Fabric fabric;
+  Fabric fabric(establish_options(4));
   const int flows = static_cast<int>(state.range(0));
   int sport = 20000;
+  std::int64_t established = 0;
   for (auto _ : state) {
     EstablishRequest request;
     request.initiator_ip = fabric.ip(0);
@@ -46,20 +80,18 @@ void BM_EstablishByFlowCount(benchmark::State& state) {
       request.initiator_sports.push_back(static_cast<net::L4Port>(sport++));
       if (sport > 64000) sport = 20000;
     }
-    const auto result = fabric.mc().establish(request);
-    benchmark::DoNotOptimize(result.ok);
-    state.PauseTiming();
-    fabric.mc().teardown(result.channel);
-    state.ResumeTiming();
+    establish_once(state, fabric, request, established);
   }
   state.SetItemsProcessed(state.iterations() * flows);
+  report_established(state, established);
 }
 BENCHMARK(BM_EstablishByFlowCount)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
 void BM_EstablishByMnCount(benchmark::State& state) {
-  Fabric fabric;
+  Fabric fabric(establish_options(4));
   const int mn_count = static_cast<int>(state.range(0));
   int sport = 20000;
+  std::int64_t established = 0;
   for (auto _ : state) {
     EstablishRequest request;
     request.initiator_ip = fabric.ip(0);
@@ -69,21 +101,17 @@ void BM_EstablishByMnCount(benchmark::State& state) {
     request.mn_count = mn_count;
     request.initiator_sports = {static_cast<net::L4Port>(sport++)};
     if (sport > 64000) sport = 20000;
-    const auto result = fabric.mc().establish(request);
-    benchmark::DoNotOptimize(result.ok);
-    state.PauseTiming();
-    fabric.mc().teardown(result.channel);
-    state.ResumeTiming();
+    establish_once(state, fabric, request, established);
   }
+  report_established(state, established);
 }
 BENCHMARK(BM_EstablishByMnCount)->Arg(1)->Arg(3)->Arg(5);
 
 void BM_EstablishByTopologySize(benchmark::State& state) {
-  FabricOptions options;
-  options.k = static_cast<int>(state.range(0));
-  Fabric fabric(options);
+  Fabric fabric(establish_options(static_cast<int>(state.range(0))));
   const std::size_t last = fabric.host_count() - 1;
   int sport = 20000;
+  std::int64_t established = 0;
   for (auto _ : state) {
     EstablishRequest request;
     request.initiator_ip = fabric.ip(0);
@@ -93,12 +121,9 @@ void BM_EstablishByTopologySize(benchmark::State& state) {
     request.mn_count = 3;
     request.initiator_sports = {static_cast<net::L4Port>(sport++)};
     if (sport > 64000) sport = 20000;
-    const auto result = fabric.mc().establish(request);
-    benchmark::DoNotOptimize(result.ok);
-    state.PauseTiming();
-    fabric.mc().teardown(result.channel);
-    state.ResumeTiming();
+    establish_once(state, fabric, request, established);
   }
+  report_established(state, established);
 }
 BENCHMARK(BM_EstablishByTopologySize)->Arg(4)->Arg(6)->Arg(8);
 

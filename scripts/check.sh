@@ -36,8 +36,11 @@ echo "== perf-regression guards =="
 # headroom for scheduler noise on loaded single-core CI boxes (the real
 # parallel speedup needs cores; BENCH_parallel.json records the honest
 # sweep) -- a true regression (accidental serialization, coordination on
-# the hot path) lands far below them.
+# the hot path) lands far below them.  A flow-rule install must not grow
+# with the table: per-rule exact-install cost in a table of 4096 rules may
+# be at most 2x the cost at 64 (an O(table) install is ~20-60x).
 ./build/bench/micro_sim --min_speedup 1.0
+./build/bench/micro_flowtable --max_install_growth 2.0
 ./build/bench/macro_dataplane --k 4 --flows 4 --mb 2 --reps 3 --min_speedup 0.7
 
 echo "== admission flood guard =="

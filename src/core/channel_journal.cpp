@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "core/journal_store.hpp"
@@ -101,19 +102,51 @@ JournalImage ChannelJournal::replay() const {
 }
 
 void ChannelJournal::compact() {
-  JournalImage image = replay();
-  records_.clear();
-  for (auto& [id, state] : image.channels) {
-    JournalRecord record;
-    record.type = JournalRecordType::kSnapshot;
-    record.channel = id;
-    record.state = std::move(state);
-    record.next_channel = image.next_channel;
-    record.next_group = image.next_group;
-    record.seq = next_seq_++;
-    record.epoch = epoch_;
-    records_.push_back(std::move(record));
+  // The same fold replay() performs, done on the log itself: each
+  // channel's latest record survives unless it is a tombstone, and its
+  // state moves into the snapshot instead of being copied.  The allocator
+  // marks are the maxima over every state record, torn-down channels
+  // included, exactly as in replay().
+  ChannelId next_channel = 0;
+  std::uint32_t next_group = 0;
+  // (channel, position) of every record; sorted, each channel's run ends
+  // at its latest record.
+  std::vector<std::pair<ChannelId, std::size_t>> order;
+  order.reserve(records_.size());
+  for (std::size_t pos = 0; pos < records_.size(); ++pos) {
+    const JournalRecord& record = records_[pos];
+    order.emplace_back(record.channel, pos);
+    if (record.type != JournalRecordType::kTeardown) {
+      next_channel = std::max(next_channel, record.next_channel);
+      next_group = std::max(next_group, record.next_group);
+    }
   }
+  // A log that was compacted before is the previous snapshots, already in
+  // id order, plus the few records appended since: sort only that tail and
+  // merge it in.
+  const auto tail = std::ranges::is_sorted_until(order);
+  std::ranges::sort(tail, order.end());
+  std::ranges::inplace_merge(order, tail);
+
+  std::vector<JournalRecord> snapshots;
+  snapshots.reserve(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    if (i + 1 < order.size() && order[i + 1].first == order[i].first) {
+      continue;  // superseded by a later record of the same channel
+    }
+    JournalRecord& latest = records_[order[i].second];
+    if (latest.type == JournalRecordType::kTeardown) continue;
+    latest.type = JournalRecordType::kSnapshot;
+    latest.seq = next_seq_++;
+    latest.epoch = epoch_;
+    latest.next_channel = next_channel;
+    latest.next_group = next_group;
+    // Idle bookkeeping is soft state, reset as replay() resets it.
+    latest.state.idle = false;
+    latest.state.idle_since = 0;
+    snapshots.push_back(std::move(latest));
+  }
+  records_ = std::move(snapshots);
   ++compactions_;
   if (store_ != nullptr) {
     store_->compact(records_);
@@ -175,15 +208,18 @@ void ChannelJournal::maybe_ship() {
 void ChannelJournal::append(JournalRecord record) {
   record.seq = next_seq_++;
   record.epoch = epoch_;
-  records_.push_back(record);
   ++real_appends_;
   if (store_ != nullptr) {
     store_->append(record);
-    unshipped_.push_back(std::move(record));
+    unshipped_.push_back(record);
+    records_.push_back(std::move(record));
     maybe_ship();
-  } else if (listener_) {
-    ++shipped_;
-    listener_(record);
+  } else {
+    records_.push_back(std::move(record));
+    if (listener_) {
+      ++shipped_;
+      listener_(records_.back());
+    }
   }
   if (compaction_threshold_ != 0 && records_.size() > compaction_threshold_) {
     compact();

@@ -94,9 +94,12 @@ class ChannelJournal {
   /// Fold the log into the image a recovering MC adopts.
   JournalImage replay() const;
 
-  /// Rewrite the log as one kSnapshot record per live channel (id order).
-  /// Sequence numbers keep increasing: a snapshot is an append that
-  /// obsoletes the prefix, not a history rewrite.
+  /// Rewrite the log as one kSnapshot record per live channel (id order),
+  /// carrying the state replay() would give it.  The log is folded in
+  /// place: each channel's latest record is re-stamped and moved, so the
+  /// cost is a sort of the log plus a move per live channel, with no
+  /// per-channel copies.  Sequence numbers keep increasing: a snapshot is
+  /// an append that obsoletes the prefix, not a history rewrite.
   void compact();
 
   /// Drop the last `n` records, as if the process died before they hit

@@ -174,14 +174,7 @@ AuditReport audit_orphan_rules(MimicController& mc) {
   for (const ChannelId id : live) {
     const ChannelState* state = mc.channel(id);
     for (const topo::NodeId sw : state->touched_switches) {
-      bool found = false;
-      for (const auto& rule : mc.switch_at(sw)->table().rules()) {
-        if (rule.cookie == id) {
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
+      if (!mc.switch_at(sw)->table().has_cookie(id)) {
         report.ok = false;
         report.violations.push_back(
             "channel " + std::to_string(id) + ": no rules on switch " +

@@ -183,10 +183,7 @@ std::uint64_t install_switch_rules(
 /// True when `sw` holds at least one L3-cookie rule (a rebooted switch's
 /// empty table must be refilled even if its signature never changed).
 bool has_l3_rules(Controller& controller, topo::NodeId sw) {
-  for (const switchd::FlowRule& rule : controller.switch_at(sw)->table().rules()) {
-    if (rule.cookie == kL3Cookie) return true;
-  }
-  return false;
+  return controller.switch_at(sw)->table().has_cookie(kL3Cookie);
 }
 
 }  // namespace

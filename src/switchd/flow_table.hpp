@@ -7,16 +7,20 @@
 // sport, dport, and the label state) -- every MN rewrite and decoy-drop
 // rule the Mimic Controller installs -- live in an exact-match hash index;
 // only rules with at least one wildcard field (L3 transit routes, ARP-style
-// punts, `require_no_mpls` classifiers) stay on the priority-ordered scan
-// path.  Priority semantics are preserved exactly: an indexed hit still
-// loses to any higher-precedence wildcard rule, with ties broken by install
-// order just like the plain scan.  `reference_lookup()` keeps the original
-// linear scan alive as the oracle for the differential tests (invariant
-// FT-1 in DESIGN.md).
+// punts, `require_no_mpls` classifiers) stay on the rank-ordered scan
+// path.  A rule's precedence is its rank, (priority desc, install order),
+// so an indexed hit still loses to any higher-precedence wildcard rule,
+// with ties broken by install order just like a plain scan.  Rules sit in
+// stable slots and every mutation touches only the rules it adds or
+// removes, so an install or a cookie removal costs O(change), not
+// O(table).  `reference_lookup()` keeps a linear scan over every rule alive
+// as the oracle for the differential tests (invariant FT-1 in DESIGN.md).
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
+#include <ranges>
 #include <string>
 #include <unordered_map>
 #include <variant>
@@ -142,8 +146,9 @@ struct TableStats {
 
 class FlowTable {
  public:
-  /// Insert a rule.  Duplicate (priority, match) pairs are rejected --
-  /// this is the data-plane half of the collision avoidance story, and the
+  /// Insert a rule behind every installed rule of equal or higher
+  /// priority.  Duplicate (priority, match) pairs are rejected -- this is
+  /// the data-plane half of the collision avoidance story, and the
   /// collision audit in mic/collision_audit.hpp checks it globally.
   /// Returns false (and installs nothing) on duplicates or when the table
   /// is at capacity (OFPFMFC_TABLE_FULL).
@@ -160,7 +165,14 @@ class FlowTable {
   void clear();
 
   /// Remove all rules with the given cookie; returns how many were removed.
+  /// Touches only that cookie's rules: a removed index winner hands its
+  /// key to the best same-key rule it shadowed.
   std::size_t remove_by_cookie(std::uint64_t cookie);
+
+  /// True when at least one rule carries `cookie`.
+  bool has_cookie(std::uint64_t cookie) const noexcept {
+    return cookie_heads_.contains(cookie);
+  }
 
   /// Highest-priority matching rule, or nullptr on table miss.  Counters
   /// (per-rule and table stats, including misses) are updated.  Served by
@@ -169,37 +181,94 @@ class FlowTable {
   FlowRule* lookup(const net::Packet& packet, topo::PortId in_port,
                    std::uint32_t wire_bytes);
 
-  /// The original priority-ordered linear scan over every rule, retained
-  /// verbatim as the differential-testing oracle.  Touches no counters.
-  /// For every packet, `lookup()` must return this exact rule (FT-1).
+  /// A linear scan over every rule that keeps the highest-precedence
+  /// match, retained as the differential-testing oracle: it consults
+  /// neither tier.  Touches no counters.  For every packet, `lookup()`
+  /// must return this exact rule (FT-1).
   const FlowRule* reference_lookup(const net::Packet& packet,
                                    topo::PortId in_port) const noexcept;
 
   /// Runtime audit of FT-1 (registered as "FT-1" in audit::Registry).
-  /// Structural half: every rule is covered by exactly one tier and every
-  /// index entry points at the highest-precedence exact rule for its key.
-  /// Behavioural half: for a probe packet synthesized from each rule's
-  /// match (wildcards filled with fixed off-path values), the counter-free
-  /// two-tier winner equals reference_lookup()'s.  Appends one message per
-  /// violation to `violations`; returns the number of probes checked.
+  /// Structural half: every rule is covered by exactly one tier (the
+  /// index, a same-key shadow list, or the rank-sorted scan tier), every
+  /// index entry points at the highest-precedence exact rule for its key,
+  /// and every rule sits on its cookie's removal list.  Behavioural half:
+  /// for a probe packet synthesized from each rule's match (wildcards
+  /// filled with fixed off-path values), the counter-free two-tier winner
+  /// equals reference_lookup()'s.  Appends one message per violation to
+  /// `violations`; returns the number of probes checked.
   std::size_t self_check(std::vector<std::string>& violations) const;
 
   bool add_group(GroupEntry group);
   std::size_t remove_groups_by_cookie(std::uint64_t cookie);
   const GroupEntry* group(std::uint32_t group_id) const noexcept;
 
-  std::size_t rule_count() const noexcept { return rules_.size(); }
+  std::size_t rule_count() const noexcept { return rule_count_; }
   std::size_t group_count() const noexcept { return groups_.size(); }
   std::uint64_t miss_count() const noexcept { return stats_.misses; }
 
   const TableStats& stats() const noexcept { return stats_; }
-  /// Rules currently served by the exact-match index (the rest scan).
+  /// Rules currently served by the exact-match index: one per distinct
+  /// exact key (shadowed same-key rules and wildcard rules excluded).
   std::size_t indexed_rule_count() const noexcept { return index_.size(); }
 
-  const std::vector<FlowRule>& rules() const noexcept { return rules_; }
+  /// Every rule in precedence order (priority desc, then install order) --
+  /// the order a plain scan would try them.  A cold path for flow dumps,
+  /// the audits and tests: each call gathers and sorts the slots.  The
+  /// view holds references into the table, so it must not outlive the
+  /// next mutation.
+  auto rules() const {
+    return std::views::transform(live_slots(), RuleOf{this});
+  }
+  /// The rules carrying `cookie`, in precedence order.  Walks only that
+  /// cookie's list, so a per-channel dump costs O(the channel's rules).
+  auto rules_with_cookie(std::uint64_t cookie) const {
+    return std::views::transform(cookie_slots(cookie), RuleOf{this});
+  }
   const std::vector<GroupEntry>& groups() const noexcept { return groups_; }
 
  private:
+  static constexpr std::uint32_t kNoSlot =
+      std::numeric_limits<std::uint32_t>::max();
+
+  /// A rule in its stable home.  Slots freed by remove_by_cookie() are
+  /// reused, so a slot index names a rule only while it is installed.
+  struct Slot {
+    /// Install order within the table, from 1; 0 marks a free slot.  Kept
+    /// beside the rule's priority and match, so reading a rule's rank
+    /// touches the cache line the lookup reads anyway.
+    std::uint32_t seq = 0;
+    /// Next slot holding a rule with the same cookie (kNoSlot ends it).
+    std::uint32_t next_in_cookie = kNoSlot;
+    FlowRule rule;
+  };
+
+  /// A rule's precedence packed so that the smaller rank wins: priority
+  /// descending, then install order.  Ranks are unique within a table.
+  using Rank = std::uint64_t;
+  static constexpr Rank kNoRank = std::numeric_limits<Rank>::max();
+  static Rank rank_of(std::uint16_t priority, std::uint32_t seq) noexcept {
+    return (Rank{0xFFFFu - priority} << 32) | seq;
+  }
+  static Rank rank_of(const Slot& slot) noexcept {
+    return rank_of(slot.rule.priority, slot.seq);
+  }
+
+  /// An index entry: the winning rule's slot plus its rank, so a lookup
+  /// weighs the indexed candidate against the wildcard tier without
+  /// touching the rule.  The rank is kept as (priority, seq) rather than a
+  /// 64-bit Rank to keep the map node small.
+  struct Winner {
+    std::uint32_t slot = kNoSlot;
+    std::uint32_t seq = 0;
+    std::uint16_t priority = 0;
+
+    Rank rank() const noexcept { return rank_of(priority, seq); }
+  };
+  Winner winner_at(std::uint32_t slot) const noexcept {
+    return {slot, slots_[slot].seq, slots_[slot].rule.priority};
+  }
+
   /// Concrete values of every indexable field: the hash-index key.  A
   /// packet's key equals an exact rule's key iff the rule matches it.
   struct ExactKey {
@@ -218,30 +287,59 @@ class FlowTable {
 
   static ExactKey key_of(const net::Packet& packet,
                          topo::PortId in_port) noexcept;
+  /// The key of an exact match (`m.is_exact()` must hold).
+  static ExactKey key_of(const Match& m) noexcept;
 
-  /// The two-tier winner's position in rules_ (rules_.size() on miss) and
-  /// which tier resolved it.  Pure -- no counters -- so lookup() and the
-  /// FT-1 self_check() share one implementation.
+  /// The two-tier winner's slot (kNoSlot on miss) and which tier resolved
+  /// it.  Pure -- no counters -- so lookup() and the FT-1 self_check()
+  /// share one implementation.
   struct TierHit {
-    std::size_t pos;
+    std::uint32_t slot;
     bool from_index;
   };
   TierHit two_tier_find(const net::Packet& packet,
                         topo::PortId in_port) const noexcept;
 
-  /// Recompute the index and the wildcard scan list after any mutation.
-  /// Positions are into rules_, so both survive vector reallocation.
-  void rebuild_index();
+  /// Move `rule` into a free slot, stamp its install seq and link it onto
+  /// its cookie's list.  Tier placement is the caller's job.
+  std::uint32_t place(FlowRule rule);
+  /// Detach an exact rule from the index or its key's shadow list,
+  /// promoting the best shadowed rule when the index winner leaves.
+  void unlink_exact(std::uint32_t slot);
+  /// Recompute scan_front_rank_ after the scan tier changed.
+  void refresh_scan_front() noexcept;
+  /// Every live slot / the slots on `cookie`'s list, sorted by rank.
+  std::vector<std::uint32_t> live_slots() const;
+  std::vector<std::uint32_t> cookie_slots(std::uint64_t cookie) const;
+  void sort_by_rank(std::vector<std::uint32_t>& slots) const;
+  /// Slot index -> its rule: the projection behind the rules() views.
+  struct RuleOf {
+    const FlowTable* table;
+    const FlowRule& operator()(std::uint32_t slot) const noexcept {
+      return table->slots_[slot].rule;
+    }
+  };
 
-  // Sorted by descending priority; stable within equal priority
-  // (first-installed wins, like OVS).
-  std::vector<FlowRule> rules_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  std::size_t rule_count_ = 0;
+  std::uint32_t next_seq_ = 1;
   std::size_t capacity_ = 0;  // 0 = unlimited
   std::vector<GroupEntry> groups_;
-  // key -> position of the highest-precedence exact rule with that key.
-  std::unordered_map<ExactKey, std::size_t, ExactKeyHash> index_;
-  // Positions of non-exact rules, ascending (i.e. in precedence order).
-  std::vector<std::size_t> scan_rules_;
+  // key -> the highest-precedence exact rule with that key.
+  std::unordered_map<ExactKey, Winner, ExactKeyHash> index_;
+  // key -> slots of the other exact rules with that key (unordered).  They
+  // lose to the index entry and wait to be promoted when it is removed;
+  // MIC never installs two exact rules with one key, so this stays empty.
+  std::unordered_map<ExactKey, std::vector<std::uint32_t>, ExactKeyHash>
+      shadowed_;
+  // Slots of non-exact rules, sorted by rank (i.e. in precedence order).
+  std::vector<std::uint32_t> scan_rules_;
+  // Rank of scan_rules_.front() (kNoRank when empty): an indexed hit that
+  // outranks it skips the scan without touching the tier.
+  Rank scan_front_rank_ = kNoRank;
+  // cookie -> first slot of that cookie's list (linked via next_in_cookie).
+  std::unordered_map<std::uint64_t, std::uint32_t> cookie_heads_;
   TableStats stats_;
 };
 

@@ -78,8 +78,15 @@ bool SdnSwitch::try_install_group(GroupEntry group) {
 FlowDump SdnSwitch::dump(const DumpFilter& filter) const {
   ++dumps_served_;
   FlowDump out;
-  for (const FlowRule& rule : table_.rules()) {
-    if (filter.admits(rule.cookie)) out.rules.push_back(rule);
+  const auto take = [&filter, &out](const auto& rules) {
+    for (const FlowRule& rule : rules) {
+      if (filter.admits(rule.cookie)) out.rules.push_back(rule);
+    }
+  };
+  if (filter.cookie) {
+    take(table_.rules_with_cookie(*filter.cookie));
+  } else {
+    take(table_.rules());
   }
   for (const GroupEntry& group : table_.groups()) {
     if (filter.admits(group.cookie)) out.groups.push_back(group);

@@ -8,7 +8,19 @@
 // stream) pairs mixing exact rules, partial wildcards, overlapping
 // priorities, duplicate match keys at different priorities, and mid-stream
 // rule removal, asserting pointer-identical results throughout.
+//
+// The table is maintained incrementally (stable slots, rank order, an
+// in-place index with shadowed same-key rules), so the second half of this
+// file also checks it from outside against a naive model that knows only
+// install order: duplicate rejection, the rules() order, every lookup's
+// winner, slot reuse after mass removal, promotion of shadowed rules,
+// clear() and capacity rejection.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <functional>
+#include <set>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "switchd/flow_table.hpp"
@@ -200,6 +212,353 @@ TEST(FlowTableDifferential, SameKeyDifferentPriorityKeepsBestIndexed) {
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->cookie, 1u);
   EXPECT_EQ(hit, table.reference_lookup(p, in));
+}
+
+// --- the incremental structure, checked against a naive model -------------
+
+/// Every accepted rule in install order, with the identity tag its single
+/// GroupAction carries.  Duplicate detection and lookup are plain scans
+/// over (priority, match); the model has no ranks, slots or index.
+struct NaiveTable {
+  struct Entry {
+    std::uint16_t priority;
+    Match match;
+    std::uint64_t cookie;
+    std::uint32_t tag;
+  };
+  std::vector<Entry> installed;
+  std::size_t capacity = 0;
+
+  bool accepts(const FlowRule& rule) const {
+    if (capacity != 0 && installed.size() >= capacity) return false;
+    return std::ranges::none_of(installed, [&rule](const Entry& e) {
+      return e.priority == rule.priority && e.match == rule.match;
+    });
+  }
+  /// Precedence order: a stable sort by priority, highest first, so equal
+  /// priorities keep install order.
+  std::vector<std::uint32_t> order() const {
+    std::vector<Entry> sorted = installed;
+    std::ranges::stable_sort(sorted, std::greater<>{}, &Entry::priority);
+    std::vector<std::uint32_t> tags;
+    for (const Entry& e : sorted) tags.push_back(e.tag);
+    return tags;
+  }
+  /// Tag of the earliest-installed highest-priority match; 0 on a miss.
+  std::uint32_t winner(const net::Packet& p, topo::PortId in) const {
+    const Entry* best = nullptr;
+    for (const Entry& e : installed) {
+      if (e.match.matches(p, in) &&
+          (best == nullptr || e.priority > best->priority)) {
+        best = &e;
+      }
+    }
+    return best == nullptr ? 0 : best->tag;
+  }
+};
+
+std::uint32_t tag_of(const FlowRule* rule) {
+  return rule == nullptr ? 0 : std::get<GroupAction>(rule->actions[0]).group_id;
+}
+
+/// A FlowTable driven in lock-step with the naive model.
+struct ModelBed {
+  FlowTable table;
+  NaiveTable model;
+  std::uint32_t next_tag = 1;
+
+  bool add(FlowRule rule) {
+    rule.actions = {GroupAction{next_tag}};
+    const bool expected = model.accepts(rule);
+    const bool installed = table.add_rule(rule);
+    EXPECT_EQ(installed, expected)
+        << "add_rule disagrees with a naive (priority, match) scan";
+    if (installed) {
+      model.installed.push_back(
+          {rule.priority, rule.match, rule.cookie, next_tag});
+    }
+    ++next_tag;
+    return installed;
+  }
+
+  void remove(std::uint64_t cookie) {
+    const std::size_t expected = std::erase_if(
+        model.installed,
+        [cookie](const NaiveTable::Entry& e) { return e.cookie == cookie; });
+    EXPECT_EQ(table.remove_by_cookie(cookie), expected);
+    EXPECT_FALSE(table.has_cookie(cookie));
+  }
+
+  void set_capacity(std::size_t n) {
+    table.set_capacity(n);
+    model.capacity = n;
+  }
+
+  void clear() {
+    table.clear();
+    model.installed.clear();
+  }
+
+  /// rules() is a stable sort by (priority desc, install order), and the
+  /// table's counts agree with the model.
+  void check_order() {
+    std::vector<std::uint32_t> tags;
+    for (const FlowRule& rule : table.rules()) tags.push_back(tag_of(&rule));
+    EXPECT_EQ(tags, model.order());
+    EXPECT_EQ(table.rule_count(), model.installed.size());
+  }
+
+  /// Each lookup equals both the reference scan and the model's winner.
+  void check_lookup(const net::Packet& packet, topo::PortId in_port) {
+    const FlowRule* expected = table.reference_lookup(packet, in_port);
+    FlowRule* actual = table.lookup(packet, in_port, packet.wire_bytes());
+    EXPECT_EQ(actual, expected);
+    EXPECT_EQ(tag_of(actual), model.winner(packet, in_port));
+  }
+
+  void check_structure() {
+    std::vector<std::string> violations;
+    EXPECT_EQ(table.self_check(violations), model.installed.size());
+    EXPECT_TRUE(violations.empty()) << violations.front();
+  }
+};
+
+/// Exact matches over wider pools than random_exact_match(), so tables
+/// reach thousands of rules, with every label-state spelling: explicit
+/// label 0, require_no_mpls, both, or a real label.  The first three share
+/// one index key, so equal-priority same-key ties occur.
+Match wide_exact_match(Rng& rng) {
+  Match m;
+  m.in_port = static_cast<topo::PortId>(rng.below(4));
+  m.src = net::Ipv4(10, 0, static_cast<std::uint8_t>(rng.below(8)),
+                    static_cast<std::uint8_t>(rng.below(8)));
+  m.dst = net::Ipv4(10, 1, static_cast<std::uint8_t>(rng.below(8)),
+                    static_cast<std::uint8_t>(rng.below(8)));
+  m.sport = pick(rng, kPorts);
+  m.dport = pick(rng, kPorts);
+  switch (rng.below(4)) {
+    case 0: m.mpls = net::kNoMpls; break;
+    case 1: m.require_no_mpls = true; break;
+    case 2: m.mpls = net::kNoMpls; m.require_no_mpls = true; break;
+    default: m.mpls = pick(rng, kLabels); break;
+  }
+  return m;
+}
+
+FlowRule wide_rule(Rng& rng) {
+  FlowRule rule;
+  rule.priority = pick(rng, kPriorities);
+  rule.match = rng.chance(0.85) ? wide_exact_match(rng)
+                                : random_wildcard_match(rng);
+  rule.cookie = rng.range(1, 8);
+  return rule;
+}
+
+/// A packet aimed at `m`: its pinned fields, wildcards filled at random,
+/// and now and then one field nudged so the probe just misses.
+net::Packet probe_for(const Match& m, Rng& rng, topo::PortId* in_port) {
+  net::Packet p = random_packet(rng);
+  if (m.src) p.src = *m.src;
+  if (m.dst) p.dst = *m.dst;
+  if (m.sport) p.sport = *m.sport;
+  if (m.dport) p.dport = *m.dport;
+  if (m.mpls) p.mpls = *m.mpls;
+  if (m.require_no_mpls) p.mpls = net::kNoMpls;
+  *in_port = m.in_port.value_or(pick(rng, kInPorts));
+  if (rng.chance(0.1)) p.dport = static_cast<net::L4Port>(p.dport + 1);
+  return p;
+}
+
+void check_lookups(ModelBed& bed, Rng& rng, int count) {
+  for (int i = 0; i < count && !bed.model.installed.empty(); ++i) {
+    const auto& target =
+        bed.model.installed[rng.below(bed.model.installed.size())];
+    topo::PortId in_port = 0;
+    const net::Packet p = probe_for(target.match, rng, &in_port);
+    bed.check_lookup(p, in_port);
+  }
+}
+
+TEST(FlowTableIncremental, LargeTablesReuseSlotsAfterMassRemoval) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed * 0x2545f491ULL + 11);
+    ModelBed bed;
+    const std::size_t target = rng.range(512, 4096);
+    while (bed.model.installed.size() < target) bed.add(wide_rule(rng));
+    bed.check_order();
+    check_lookups(bed, rng, 256);
+
+    // Mass removal: about half the cookies at once.
+    std::set<const FlowRule*> homes;
+    for (const FlowRule& rule : bed.table.rules()) homes.insert(&rule);
+    for (std::uint64_t cookie = 1; cookie <= 8; ++cookie) {
+      if (rng.chance(0.5) || cookie == 1) bed.remove(cookie);
+    }
+    const std::size_t freed = target - bed.model.installed.size();
+    ASSERT_GT(freed, 0u);
+    bed.check_order();
+    check_lookups(bed, rng, 256);
+
+    // Refill no more than was freed: every rule, old or new, lives in one
+    // of the slots the table already had.
+    std::size_t refilled = 0;
+    while (refilled < freed) refilled += bed.add(wide_rule(rng)) ? 1 : 0;
+    for (const FlowRule& rule : bed.table.rules()) {
+      EXPECT_TRUE(homes.contains(&rule)) << "reinstall grew the slot array";
+    }
+    bed.check_order();
+    check_lookups(bed, rng, 256);
+    bed.check_structure();
+  }
+}
+
+TEST(FlowTableIncremental, EqualPrioritySameKeyTiesGoToTheFirstInstall) {
+  // Three spellings of "label 0" share one index key at one priority; none
+  // is a duplicate of another, and install order decides the winner.
+  Rng rng(21);
+  Match base = wide_exact_match(rng);
+  base.mpls.reset();
+  base.require_no_mpls = false;
+  Match explicit_zero = base;
+  explicit_zero.mpls = net::kNoMpls;
+  Match untagged = base;
+  untagged.require_no_mpls = true;
+  Match both = explicit_zero;
+  both.require_no_mpls = true;
+
+  net::Packet p;
+  p.src = *base.src;
+  p.dst = *base.dst;
+  p.sport = *base.sport;
+  p.dport = *base.dport;
+  const topo::PortId in = *base.in_port;
+
+  ModelBed bed;
+  const std::vector<Match> spellings = {untagged, both, explicit_zero};
+  for (std::size_t i = 0; i < spellings.size(); ++i) {
+    FlowRule rule;
+    rule.priority = 100;
+    rule.match = spellings[i];
+    rule.cookie = 10 + i;
+    ASSERT_TRUE(bed.add(rule));
+  }
+  EXPECT_EQ(bed.table.indexed_rule_count(), 1u);
+  bed.check_lookup(p, in);
+  EXPECT_EQ(tag_of(bed.table.reference_lookup(p, in)), 1u);  // untagged
+
+  // Removing the winner promotes the next install, not the last.
+  bed.remove(10);
+  bed.check_lookup(p, in);
+  EXPECT_EQ(tag_of(bed.table.reference_lookup(p, in)), 2u);  // both
+  // A re-added spelling is the newest install and stays behind.
+  FlowRule again;
+  again.priority = 100;
+  again.match = untagged;
+  again.cookie = 10;
+  ASSERT_TRUE(bed.add(again));
+  bed.check_lookup(p, in);
+  EXPECT_EQ(tag_of(bed.table.reference_lookup(p, in)), 2u);
+  bed.check_order();
+  bed.check_structure();
+}
+
+TEST(FlowTableIncremental, RemovingTheWinnerPromotesAShadowedRule) {
+  Rng rng(22);
+  const Match key = wide_exact_match(rng);
+  net::Packet p;
+  p.src = *key.src;
+  p.dst = *key.dst;
+  p.sport = *key.sport;
+  p.dport = *key.dport;
+  p.mpls = key.mpls.value_or(net::kNoMpls);
+  const topo::PortId in = *key.in_port;
+
+  ModelBed bed;
+  // Installed out of priority order, each under its own cookie.
+  for (const auto& [priority, cookie] :
+       std::vector<std::pair<std::uint16_t, std::uint64_t>>{
+           {50, 1}, {120, 2}, {80, 3}, {80, 4}}) {
+    FlowRule rule;
+    rule.priority = priority;
+    rule.match = key;
+    rule.cookie = cookie;
+    // {80, 4} repeats {80, 3}'s (priority, match): rejected.
+    EXPECT_EQ(bed.add(rule), cookie != 4);
+  }
+  EXPECT_EQ(bed.table.indexed_rule_count(), 1u);
+  const auto winner_cookie = [&bed, &p, in] {
+    bed.check_lookup(p, in);
+    const FlowRule* hit = bed.table.reference_lookup(p, in);
+    return hit == nullptr ? 0 : hit->cookie;
+  };
+  EXPECT_EQ(winner_cookie(), 2u);
+  bed.remove(2);
+  EXPECT_EQ(winner_cookie(), 3u);
+  bed.check_structure();
+  bed.remove(3);
+  EXPECT_EQ(winner_cookie(), 1u);
+  bed.remove(1);
+  EXPECT_EQ(winner_cookie(), 0u);
+  EXPECT_EQ(bed.table.indexed_rule_count(), 0u);
+  bed.check_structure();
+}
+
+TEST(FlowTableIncremental, ClearAndCapacityRejection) {
+  Rng rng(23);
+  ModelBed bed;
+  bed.set_capacity(48);
+  for (int i = 0; i < 200; ++i) bed.add(wide_rule(rng));
+  EXPECT_EQ(bed.table.rule_count(), 48u);
+  FlowRule extra = wide_rule(rng);
+  EXPECT_FALSE(bed.add(extra));  // full, whatever the rule
+  bed.check_order();
+  check_lookups(bed, rng, 64);
+
+  // Room frees up by cookie and is used again, up to the same bound.
+  bed.remove(3);
+  for (int i = 0; i < 200; ++i) bed.add(wide_rule(rng));
+  EXPECT_EQ(bed.table.rule_count(), 48u);
+  bed.check_structure();
+
+  bed.clear();
+  EXPECT_EQ(bed.table.rule_count(), 0u);
+  EXPECT_EQ(bed.table.indexed_rule_count(), 0u);
+  EXPECT_TRUE(bed.table.rules().empty());
+  for (std::uint64_t cookie = 1; cookie <= 8; ++cookie) {
+    EXPECT_FALSE(bed.table.has_cookie(cookie));
+  }
+  for (int i = 0; i < 32; ++i) {
+    const net::Packet p = random_packet(rng);
+    bed.check_lookup(p, pick(rng, kInPorts));
+  }
+  // The cleared table takes rules again, still capped.
+  for (int i = 0; i < 200; ++i) bed.add(wide_rule(rng));
+  EXPECT_EQ(bed.table.rule_count(), 48u);
+  bed.check_order();
+  check_lookups(bed, rng, 64);
+  bed.check_structure();
+}
+
+TEST(FlowTableIncremental, DuplicateRejectionMatchesANaiveScan) {
+  // Small pools make (priority, match) repeats common in both tiers.
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed * 0x7f4a7c15ULL);
+    ModelBed bed;
+    std::size_t rejected = 0;
+    for (int i = 0; i < 600; ++i) {
+      FlowRule rule;
+      rule.priority = pick(rng, kPriorities);
+      rule.match = rng.chance(0.6) ? random_exact_match(rng)
+                                   : random_wildcard_match(rng);
+      rule.cookie = rng.range(1, 4);
+      rejected += bed.add(rule) ? 0 : 1;
+      if (i % 150 == 149) bed.remove(rng.range(1, 4));
+    }
+    EXPECT_GT(rejected, 0u);
+    bed.check_order();
+    check_lookups(bed, rng, 128);
+    bed.check_structure();
+  }
 }
 
 }  // namespace
