@@ -13,10 +13,8 @@
 # the suite constructs its PathEngine through the multi-threaded warm-up
 # path (ControllerConfig::effective_warmup_threads honours the override),
 # putting the rows_mu_-guarded cache under real contention instead of only
-# in the handful of tests that opt in.  It also exports MIC_SIM_SHARDS=4 so
-# every default-constructed Fabric runs the pod-sharded engine (serial-exact
-# regime), and the sharded-window tests exercise the worker pool under the
-# race detector.
+# in the handful of tests that opt in.  That warm-up pool is the only
+# thread the simulator starts.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,17 +29,14 @@ echo "== plain =="
 run_suite build
 
 echo "== perf-regression guards =="
-# The timing wheel must beat the frozen heap engine, and the pod-sharded
-# engine must not regress against the single engine.  Thresholds leave
-# headroom for scheduler noise on loaded single-core CI boxes (the real
-# parallel speedup needs cores; BENCH_parallel.json records the honest
-# sweep) -- a true regression (accidental serialization, coordination on
-# the hot path) lands far below them.  A flow-rule install must not grow
-# with the table: per-rule exact-install cost in a table of 4096 rules may
-# be at most 2x the cost at 64 (an O(table) install is ~20-60x).
+# The timing wheel must beat the frozen heap engine.  A flow-rule install
+# must not grow with the table: per-rule exact-install cost in a table of
+# 4096 rules may be at most 2x the cost at 64 (an O(table) install is
+# ~20-60x).  The dataplane smoke's measured bulk phase must run on recycled
+# payload buffers only (zero arena allocations after warm-up).
 ./build/bench/micro_sim --min_speedup 1.0
 ./build/bench/micro_flowtable --max_install_growth 2.0
-./build/bench/macro_dataplane --k 4 --flows 4 --mb 2 --reps 3 --min_speedup 0.7
+./build/bench/macro_dataplane --smoke
 
 echo "== admission flood guard =="
 # Honest establishment p99 under a 10x flood + slowloris trickle must stay
@@ -55,25 +50,17 @@ echo "== recovery + failover smoke (audit-gated) =="
 # the latency numbers look fine.
 (cd build && ./bench/controller_recovery --smoke)
 
-echo "== soak trace-hash replay (single + 4 shards) =="
+echo "== soak trace-hash replay =="
 # Every seeded chaos / MC-crash / failover soak fingerprint must replay
-# bit-identically against the recorded golden file, on both engines.
+# bit-identically against the recorded golden file.
 scripts/record_trace_hashes.sh verify build
 
 if [[ "${1:-}" != "--fast" ]]; then
   echo "== sanitized (address,undefined) =="
   run_suite build-asan -DMIC_SANITIZE=address
 
-  echo "== sanitized (thread, warm-up threads >= 4, 4 sim shards) =="
-  MIC_PATH_WARMUP_THREADS=4 MIC_SIM_SHARDS=4 run_suite build-tsan \
-    -DMIC_SANITIZE=thread
-
-  echo "== flood soak under TSan (sharded attack replay) =="
-  # The admission flood + slowloris soak on the sharded engine under the
-  # race detector: the attack schedule draws all randomness at arm() time,
-  # so the shard pool must replay it bit-identically.
-  MIC_PATH_WARMUP_THREADS=4 MIC_SIM_SHARDS=4 ./build-tsan/tests/mic_tests \
-    --gtest_filter='FloodSoak.*'
+  echo "== sanitized (thread, warm-up threads >= 4) =="
+  MIC_PATH_WARMUP_THREADS=4 run_suite build-tsan -DMIC_SANITIZE=thread
 
   echo "== scheduler differential, deep (SIM-2 oracle x20k ops/seed) =="
   # The default suite already fuzzes >10k ops; the instrumented tier is

@@ -4,18 +4,16 @@
 #
 # The chaos, MC-crash and failover soaks fingerprint every packet on every
 # link into an event-trace hash (see net::TraceHash); identical seeds must
-# produce identical hashes on any engine configuration.  This script
-# replaces the manual two-command recipe that used to live in
-# EXPERIMENTS.md:
+# produce identical hashes.  This script replaces the manual two-command
+# recipe that used to live in EXPERIMENTS.md:
 #
 #   scripts/record_trace_hashes.sh record [build-dir]
-#       Run all soaks single-engine and write the sorted fingerprints to
+#       Run all soaks and write the sorted fingerprints to
 #       tests/golden_trace_hashes.txt (checked into the repo).
 #
 #   scripts/record_trace_hashes.sh verify [build-dir]
-#       Re-run the soaks twice -- single-engine and pod-sharded
-#       (MIC_SIM_SHARDS=4) -- and diff both against the recorded file.
-#       Exits non-zero on any divergence.  scripts/check.sh runs this
+#       Re-run the soaks and diff the fingerprints against the recorded
+#       file.  Exits non-zero on any divergence.  scripts/check.sh runs this
 #       after the plain tier when the golden file exists.
 #
 # The golden file is a *machine-local* baseline unless the whole fleet
@@ -34,12 +32,12 @@ if [[ ! -x "$tests_bin" ]]; then
   exit 2
 fi
 
-collect() {  # collect [VAR=val ...]
+collect() {
   # The soaks print one "TRACE_HASH <label> seed=... hash=... n=..." line
   # per schedule on stderr; everything else is noise here.  A failing soak
   # fails the pipeline (pipefail), which fails the script.
-  env "$@" MIC_PRINT_TRACE_HASH=1 "$tests_bin" --gtest_filter="$filter" \
-    2>&1 | grep '^TRACE_HASH' | sort
+  MIC_PRINT_TRACE_HASH=1 "$tests_bin" --gtest_filter="$filter" 2>&1 \
+    | grep '^TRACE_HASH' | sort
 }
 
 case "$mode" in
@@ -52,21 +50,14 @@ case "$mode" in
       echo "error: $golden missing -- run '$0 record $build_dir' first" >&2
       exit 2
     fi
-    tmp_single="$(mktemp)"
-    tmp_sharded="$(mktemp)"
-    trap 'rm -f "$tmp_single" "$tmp_sharded"' EXIT
-    collect > "$tmp_single"
-    if ! diff -u "$golden" "$tmp_single"; then
-      echo "FAIL: single-engine trace hashes diverged from $golden" >&2
+    tmp="$(mktemp)"
+    trap 'rm -f "$tmp"' EXIT
+    collect > "$tmp"
+    if ! diff -u "$golden" "$tmp"; then
+      echo "FAIL: trace hashes diverged from $golden" >&2
       exit 1
     fi
-    collect MIC_SIM_SHARDS=4 > "$tmp_sharded"
-    if ! diff -u "$golden" "$tmp_sharded"; then
-      echo "FAIL: MIC_SIM_SHARDS=4 trace hashes diverged from $golden" >&2
-      exit 1
-    fi
-    echo "OK: $(wc -l < "$golden") fingerprints replay bit-identically" \
-         "(single engine and MIC_SIM_SHARDS=4)"
+    echo "OK: $(wc -l < "$golden") fingerprints replay bit-identically"
     ;;
   *)
     echo "usage: $0 {record|verify} [build-dir]" >&2

@@ -168,8 +168,8 @@ void FaultInjector::arm() {
   // Control-plane attack traffic, drawn after every fault draw above (the
   // same append-only rule as the MC crashes): enabling the flood or the
   // slow-client trickle never perturbs an existing seed's fault schedule.
-  // All randomness is drawn here at arm() time -- the scheduled callbacks
-  // touch no rng, so the attack replays bit-identically under sharding.
+  // All randomness is drawn here at arm() time; the scheduled callbacks
+  // touch no rng.
   if (options_.establish_floods > 0 || options_.slow_client_sessions > 0) {
     std::vector<topo::NodeId> hosts = graph.hosts();
     MIC_ASSERT(!hosts.empty());

@@ -1,22 +1,17 @@
 #include "net/network.hpp"
 
-#include <algorithm>
-
-#include "sim/sharded_simulator.hpp"
-
 namespace mic::net {
 
 void Device::attach(Network* network, topo::NodeId node) {
   network_ = network;
   node_ = node;
-  local_sim_ = &network->node_simulator(node);
+  sim_ = &network->simulator();
 }
 
 Network::Network(sim::Simulator& simulator, const topo::Graph& graph,
                  LinkConfig default_link, std::uint64_t loss_seed)
     : sim_(simulator), graph_(graph), loss_rng_(loss_seed) {
   devices_.resize(graph.size());
-  node_sim_.assign(graph.size(), &sim_);
   directions_.resize(2 * graph.link_count());
 
   // Discover both directions of every link from the adjacency lists.
@@ -31,50 +26,8 @@ Network::Network(sim::Simulator& simulator, const topo::Graph& graph,
       dir.to = adj.peer;
       dir.to_port = adj.peer_port;
       dir.config = default_link;
-      dir.deliver_sim = &sim_;
     }
   }
-}
-
-Network::Network(sim::ShardedSimulator& sharded, const topo::Graph& graph,
-                 LinkConfig default_link, std::uint64_t loss_seed)
-    : Network(sharded.global(), graph, default_link, loss_seed) {
-  sharded_ = &sharded;
-}
-
-void Network::set_shard_map(const std::vector<int>& node_shard) {
-  MIC_ASSERT_MSG(sharded_ != nullptr,
-                 "set_shard_map needs the sharded constructor");
-  MIC_ASSERT(node_shard.size() == devices_.size());
-  sim::ShardedSimulator& sharded = *sharded_;
-  if (!sharded.coordinated()) return;  // one shard: the classic single engine
-  for (std::size_t n = 0; n < node_sim_.size(); ++n) {
-    const int shard = node_shard[n];
-    MIC_ASSERT(shard >= 0 && shard < sharded.shards());
-    node_sim_[n] = &sharded.engine(shard);
-  }
-  for (auto& dir : directions_) {
-    dir.deliver_sim = node_sim_[dir.to];
-    dir.remote = node_shard[dir.from] != node_shard[dir.to];
-  }
-  mailboxes_.assign(static_cast<std::size_t>(sharded.shards()), {});
-  refresh_shard_constraints();
-  sharded.set_parallel_veto(
-      [this] { return tap_count_ > 0 || lossy_dirs_ > 0; });
-  sharded.set_barrier_hook([this] { flush_mailboxes(); });
-}
-
-void Network::refresh_shard_constraints() {
-  if (sharded_ == nullptr || !sharded_->coordinated()) return;
-  sim::SimTime lookahead = sim::kNever;
-  lossy_dirs_ = 0;
-  for (const auto& dir : directions_) {
-    if (dir.config.random_drop_probability > 0.0) ++lossy_dirs_;
-    if (dir.remote) {
-      lookahead = std::min(lookahead, dir.config.propagation_delay);
-    }
-  }
-  sharded_->set_lookahead(lookahead == sim::kNever ? 0 : lookahead);
 }
 
 void Network::set_device(topo::NodeId node, std::unique_ptr<Device> device) {
@@ -84,15 +37,12 @@ void Network::set_device(topo::NodeId node, std::unique_ptr<Device> device) {
 }
 
 void Network::configure_link(topo::LinkId link, LinkConfig config) {
-  sim::ShardedSimulator::assert_serial("configure_link inside a window");
   MIC_ASSERT(2 * link + 1 < directions_.size());
   directions_[2 * link].config = config;
   directions_[2 * link + 1].config = config;
-  refresh_shard_constraints();  // propagation delay shapes the lookahead
 }
 
 void Network::set_link_up(topo::LinkId link, bool up) {
-  sim::ShardedSimulator::assert_serial("set_link_up inside a window");
   MIC_ASSERT(2 * link + 1 < directions_.size());
   if (directions_[2 * link].up == up) return;  // no state change, no event
   directions_[2 * link].up = up;
@@ -110,17 +60,13 @@ void Network::set_link_up(topo::LinkId link, bool up) {
 }
 
 void Network::add_link_tap(topo::LinkId link, Tap tap) {
-  sim::ShardedSimulator::assert_serial("add_link_tap inside a window");
   MIC_ASSERT(2 * link + 1 < directions_.size());
   directions_[2 * link].taps.push_back(tap);
   directions_[2 * link + 1].taps.push_back(std::move(tap));
-  tap_count_ += 2;  // a tapped workload is observed: stay serial-exact
 }
 
 void Network::add_global_tap(Tap tap) {
-  sim::ShardedSimulator::assert_serial("add_global_tap inside a window");
   global_taps_.push_back(std::move(tap));
-  ++tap_count_;
 }
 
 bool Network::transmit(topo::NodeId node, topo::PortId out_port,
@@ -140,22 +86,12 @@ bool Network::transmit(topo::NodeId node, topo::PortId out_port,
     return false;
   }
 
-  // The sender's clock: its shard's engine under sharding (inside a
-  // parallel window the global clock lags), otherwise the one engine.
-  const sim::SimTime now = node_sim_[node]->now();
+  const sim::SimTime now = sim_.now();
 
   // Lazily retire bytes whose serialization finished: this replaces the
   // per-packet tx_done event the pre-wheel engine scheduled.  Occupancy is
   // only ever read right here, so draining the released prefix before the
   // capacity check is equivalent to the eager decrement.
-  if (dir.remote) {
-    while (!dir.pending_release.empty() &&
-           dir.pending_release.front().tx_done <= now) {
-      MIC_ASSERT(dir.queued_bytes >= dir.pending_release.front().wire);
-      dir.queued_bytes -= dir.pending_release.front().wire;
-      dir.pending_release.pop_front();
-    }
-  }
   while (dir.released < dir.in_flight.size() &&
          dir.in_flight[dir.released].tx_done <= now) {
     MIC_ASSERT(dir.queued_bytes >= dir.in_flight[dir.released].wire);
@@ -186,36 +122,19 @@ bool Network::transmit(topo::NodeId node, topo::PortId out_port,
   }
 
   const auto index = static_cast<std::size_t>(&dir - directions_.data());
-  if (dir.remote) {
-    // Cross-shard: the sender keeps only what occupancy needs; the packet
-    // goes to the receiver's engine -- staged in this shard's mailbox when
-    // we are inside a parallel window (the barrier hands it over in
-    // canonical order), scheduled directly otherwise.  In serial-exact
-    // mode the direct path assigns the delivery the very same shared seq
-    // the single-engine transmit would have, preserving bit-identity.
-    dir.pending_release.push_back(PendingRelease{tx_done, wire});
-    const int shard = sim::ShardedSimulator::current_shard();
-    if (shard >= 0) {
-      mailboxes_[static_cast<std::size_t>(shard)].push_back(
-          Staged{arrival, index, std::move(packet)});
-    } else {
-      enqueue_remote_arrival(index, arrival, std::move(packet));
-    }
-    return true;
-  }
   dir.in_flight.push_back(InFlight{std::move(packet), tx_done, arrival, wire});
   // One delivery event per packet, scheduled HERE so the insertion
   // sequence -- and with it the firing order among same-nanosecond events
   // anywhere in the simulation -- is exactly what the pre-batching engine
   // produced.  (A single chained event per direction was measured to
   // reorder same-time ties and change drop decisions; see DESIGN.md §3f.)
-  dir.deliver_sim->schedule_at(arrival, [this, index] { deliver(index); });
+  sim_.schedule_at(arrival, [this, index] { deliver(index); });
   return true;
 }
 
 void Network::deliver(std::size_t index) {
   Direction& dir = directions_[index];
-  const sim::SimTime now = dir.deliver_sim->now();
+  const sim::SimTime now = sim_.now();
   // Drain the whole ripe prefix: arrivals are strictly increasing per
   // direction, so normally exactly one packet is ripe per event, but the
   // burst FIFO keeps delivery robust if a callback re-enters transmit().
@@ -231,49 +150,6 @@ void Network::deliver(std::size_t index) {
     Device* device = devices_[dir.to].get();
     MIC_ASSERT_MSG(device != nullptr, "packet arrived at node without device");
     device->receive(entry.packet, dir.to_port);
-  }
-}
-
-void Network::deliver_remote(std::size_t index) {
-  Direction& dir = directions_[index];
-  const sim::SimTime now = dir.deliver_sim->now();
-  while (!dir.remote_in.empty() && dir.remote_in.front().arrival <= now) {
-    const Packet packet = std::move(dir.remote_in.front().packet);
-    dir.remote_in.pop_front();
-    Device* device = devices_[dir.to].get();
-    MIC_ASSERT_MSG(device != nullptr, "packet arrived at node without device");
-    device->receive(packet, dir.to_port);
-  }
-}
-
-void Network::enqueue_remote_arrival(std::size_t index, sim::SimTime arrival,
-                                     Packet packet) {
-  Direction& dir = directions_[index];
-  dir.remote_in.push_back(RemoteInFlight{std::move(packet), arrival});
-  dir.deliver_sim->schedule_at(arrival, [this, index] { deliver_remote(index); });
-}
-
-void Network::flush_mailboxes() {
-  std::size_t total = 0;
-  for (const auto& box : mailboxes_) total += box.size();
-  if (total == 0) return;
-  // Concatenate in shard order, then stable-sort on (arrival, direction):
-  // a direction has exactly one sender shard, so ties inside a direction
-  // stay in that shard's FIFO order -- the canonical exchange order.
-  std::vector<Staged> staged;
-  staged.reserve(total);
-  for (auto& box : mailboxes_) {
-    for (auto& entry : box) staged.push_back(std::move(entry));
-    box.clear();
-  }
-  std::stable_sort(staged.begin(), staged.end(),
-                   [](const Staged& a, const Staged& b) {
-                     if (a.arrival != b.arrival) return a.arrival < b.arrival;
-                     return a.direction < b.direction;
-                   });
-  for (auto& entry : staged) {
-    enqueue_remote_arrival(entry.direction, entry.arrival,
-                           std::move(entry.packet));
   }
 }
 

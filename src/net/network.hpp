@@ -8,7 +8,6 @@
 // which is exactly the adversary's vantage in the paper's threat model.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -20,10 +19,6 @@
 #include "sim/cpu.hpp"
 #include "sim/simulator.hpp"
 #include "topology/graph.hpp"
-
-namespace mic::sim {
-class ShardedSimulator;
-}
 
 namespace mic::net {
 
@@ -49,11 +44,8 @@ class Device {
 
   topo::NodeId node_id() const noexcept { return node_; }
 
-  /// The engine this device's events run on: its shard's engine under a
-  /// sharded simulation, otherwise the one global engine.  Data-path timers
-  /// and CPU charges MUST use this clock -- the global engine is frozen
-  /// while a parallel window executes.
-  sim::Simulator& local_sim() noexcept { return *local_sim_; }
+  /// The fabric's event loop: every device timer and CPU charge runs on it.
+  sim::Simulator& simulator() noexcept { return *sim_; }
 
   sim::CpuMeter& cpu() noexcept { return cpu_; }
   const sim::CpuMeter& cpu() const noexcept { return cpu_; }
@@ -61,7 +53,7 @@ class Device {
  protected:
   Network* network_ = nullptr;
   topo::NodeId node_ = topo::kInvalidNode;
-  sim::Simulator* local_sim_ = nullptr;
+  sim::Simulator* sim_ = nullptr;
   sim::CpuMeter cpu_;
 };
 
@@ -89,27 +81,7 @@ class Network {
   Network(sim::Simulator& simulator, const topo::Graph& graph,
           LinkConfig default_link = {}, std::uint64_t loss_seed = 0x10552EED);
 
-  /// Sharded fabric: devices and links spread over the coordinator's
-  /// engines.  Which device lives where is decided later by
-  /// `set_shard_map`; until then everything runs on the global engine.
-  Network(sim::ShardedSimulator& sharded, const topo::Graph& graph,
-          LinkConfig default_link = {}, std::uint64_t loss_seed = 0x10552EED);
-
-  /// The global/control engine -- the one `run_until` is driven through.
   sim::Simulator& simulator() noexcept { return sim_; }
-  /// The engine `node`'s device runs on (== simulator() unless sharded).
-  sim::Simulator& node_simulator(topo::NodeId node) noexcept {
-    return *node_sim_[node];
-  }
-
-  /// Assign every node to a device shard in [0, sharded.shards()) and wire
-  /// the cross-shard machinery: per-direction delivery engines, the
-  /// conservative lookahead window (min propagation delay over inter-shard
-  /// links), the window veto (taps / lossy links force serial-exact
-  /// execution) and the barrier hook that exchanges staged cross-shard
-  /// packets in canonical (arrival, direction, FIFO) order.  Call before
-  /// `set_device` so devices cache the right engine.
-  void set_shard_map(const std::vector<int>& node_shard);
 
   const topo::Graph& graph() const noexcept { return graph_; }
 
@@ -148,12 +120,8 @@ class Network {
 
   std::uint64_t total_drops() const noexcept;
 
-  /// Fresh packet id for tracing.  Relaxed atomic: ids only need to be
-  /// unique; inside parallel windows several shards mint them concurrently
-  /// (trace hashes never fold the id, so this cannot perturb fingerprints).
-  std::uint64_t next_packet_id() noexcept {
-    return packet_id_.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
+  /// Fresh packet id for tracing.
+  std::uint64_t next_packet_id() noexcept { return ++packet_id_; }
 
  private:
   // One serialized-and-propagating packet on a direction.  Queue occupancy
@@ -164,28 +132,6 @@ class Network {
     sim::SimTime tx_done = 0;
     sim::SimTime arrival = 0;
     std::uint32_t wire = 0;
-  };
-
-  // Cross-shard machinery.  A direction whose endpoints live on different
-  // shards splits the classic in_flight bookkeeping in two: the sender's
-  // shard retires queue occupancy from pending_release (only ever read by
-  // transmit(), so lazy draining there is exact), while the packet itself
-  // travels to the receiver's shard -- directly in serial context, or via a
-  // per-shard mailbox when staged inside a parallel window.
-  struct PendingRelease {
-    sim::SimTime tx_done = 0;
-    std::uint32_t wire = 0;
-  };
-
-  struct RemoteInFlight {
-    Packet packet;
-    sim::SimTime arrival = 0;
-  };
-
-  struct Staged {
-    sim::SimTime arrival = 0;
-    std::size_t direction = 0;
-    Packet packet;
   };
 
   struct Direction {
@@ -206,48 +152,20 @@ class Network {
     // one of them carrying the packet by value.
     std::deque<InFlight> in_flight;
     std::size_t released = 0;  // prefix of in_flight already debited
-    // Sharded fabric only:
-    sim::Simulator* deliver_sim = nullptr;  // receiver's engine
-    bool remote = false;  // endpoints live on different shards
-    std::deque<PendingRelease> pending_release;  // sender-side occupancy
-    std::deque<RemoteInFlight> remote_in;        // receiver-side packets
   };
 
   /// Delivers every in_flight packet whose arrival time has been reached
-  /// on directions_[index], then re-arms the chained delivery event.
+  /// on directions_[index].
   void deliver(std::size_t index);
-
-  /// Same for a cross-shard direction's remote_in queue; runs on the
-  /// receiver's engine.
-  void deliver_remote(std::size_t index);
-
-  /// Serial-context handoff of one cross-shard packet: append to the
-  /// direction's remote_in (arrivals are non-decreasing per direction, so
-  /// order is preserved) and arm delivery on the receiver's engine.
-  void enqueue_remote_arrival(std::size_t index, sim::SimTime arrival,
-                              Packet packet);
-
-  /// Barrier hook: hand every packet staged during the closing parallel
-  /// window to its receiver, in canonical (arrival, direction, FIFO) order.
-  void flush_mailboxes();
-
-  /// Lookahead = min propagation delay over inter-shard directions; the
-  /// window veto counters (taps, lossy links) are refreshed with it.
-  void refresh_shard_constraints();
 
   // directions_[2*link + 0] is endpoint-a -> endpoint-b.
   std::vector<Direction> directions_;
 
   sim::Simulator& sim_;
-  sim::ShardedSimulator* sharded_ = nullptr;
   const topo::Graph& graph_;
   std::vector<std::unique_ptr<Device>> devices_;
-  std::vector<sim::Simulator*> node_sim_;
   std::vector<Tap> global_taps_;
-  std::vector<std::vector<Staged>> mailboxes_;  // one per device shard
-  std::size_t tap_count_ = 0;    // any tap anywhere vetoes windows
-  std::size_t lossy_dirs_ = 0;   // so does any lossy direction
-  std::atomic<std::uint64_t> packet_id_{0};
+  std::uint64_t packet_id_ = 0;
   Rng loss_rng_;
 };
 

@@ -49,7 +49,6 @@
 #include <functional>
 #include <memory>
 #include <new>
-#include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -58,18 +57,6 @@
 #include "sim/time.hpp"
 
 namespace mic::sim {
-
-/// Multi-engine coordinator hook (implemented by sim::ShardedSimulator).
-/// When installed on an engine, run_until()/idle() route through the
-/// coordinator, which interleaves several engines and calls back into the
-/// *_local entry points below.  Engines without a coordinator behave
-/// exactly as before -- single-shard fabrics never pay for this.
-class RunCoordinator {
- public:
-  virtual ~RunCoordinator() = default;
-  virtual std::uint64_t coordinate_run(SimTime deadline) = 0;
-  virtual bool coordinate_idle() const = 0;
-};
 
 /// Opaque event handle.  Internally `(pool_index + 1) << 32 | generation`,
 /// so 0 is never a valid id (callers use 0 as "no timer armed") and a
@@ -106,14 +93,11 @@ class Simulator {
     static_assert(std::is_invocable_r_v<void, std::decay_t<F>&>,
                   "event callbacks take no arguments");
     MIC_ASSERT_MSG(when >= now_, "cannot schedule into the past");
-    MIC_ASSERT_MSG(!frozen_, "schedule on a frozen engine (cross-shard "
-                             "scheduling during a parallel window)");
     Node* node = acquire_node();
     if (callback_of(node).emplace(std::forward<F>(cb))) {
       ++stats_.heap_callbacks;
     }
     node->state = kPending;
-    node->seq = next_seq();
     file(Entry{when, node->index, node->gen});
     ++live_events_;
     ++stats_.scheduled;
@@ -149,86 +133,11 @@ class Simulator {
   std::uint64_t run_until(SimTime deadline = kNever);
 
   /// True if no live (non-cancelled) events remain.
-  bool idle() const noexcept {
-    return coordinator_ != nullptr ? coordinator_->coordinate_idle()
-                                   : live_events_ == 0;
-  }
+  bool idle() const noexcept { return live_events_ == 0; }
 
   std::uint64_t events_executed() const noexcept { return executed_; }
 
   const SchedulerStats& stats() const noexcept { return stats_; }
-
-  // --- multi-engine (ShardedSimulator) surface ------------------------------
-  //
-  // Everything below exists so several engines can be interleaved
-  // deterministically: a coordinator steps the engine event by event (or in
-  // lookahead windows) and merges by the (when, seq) key, where `seq` is a
-  // schedule-order sequence number.  A lone engine assigns seqs from its own
-  // counter and never reads them back, so the classic path is unchanged.
-
-  /// Earliest live event, by (when, seq).  Strictly read-only: unlike
-  /// pop_next it never cascades, so it cannot advance cursor_ past a future
-  /// now_ (the PR-6 cursor-overshoot trap).  O(occupied slots) worst case;
-  /// the coordinator caches the result against change_stamp().
-  struct PeekInfo {
-    SimTime when = 0;
-    std::uint64_t seq = 0;
-  };
-  std::optional<PeekInfo> peek_next() const;
-
-  /// Pop and execute exactly one event with when <= limit; advances now_ to
-  /// its timestamp.  Returns false (clock untouched) when none qualifies.
-  bool fire_next(SimTime limit);
-
-  /// run_until without coordinator delegation: the coordinator's way to run
-  /// this engine over a closed window.  Public for the coordinator and for
-  /// engine-level tests; semantics identical to the documented run_until.
-  std::uint64_t run_until_local(SimTime deadline = kNever);
-
-  bool idle_local() const noexcept { return live_events_ == 0; }
-
-  /// Move the clock forward without firing anything (never backward).  The
-  /// coordinator aligns every engine's now() before each serially fired
-  /// event so callbacks that schedule relative to "now" on *another* engine
-  /// (controller timers, client watchdogs) see the global instant.
-  void advance_clock_to(SimTime t) noexcept {
-    if (t > now_) now_ = t;
-  }
-
-  /// After a coordinated full drain (every engine idle), purge tombstones
-  /// and re-anchor the cursor -- the reset run_until(kNever) performs for a
-  /// lone engine.  Asserts no live events remain.
-  void finish_drain();
-
-  /// Seq source selection.  Serial phases share one counter across engines
-  /// (global schedule order = single-engine insertion order); parallel
-  /// windows give each engine a private strided range so concurrently
-  /// issued seqs are disjoint and deterministic per shard.
-  void use_shared_seq(std::uint64_t* counter) noexcept {
-    seq_shared_ = counter;
-  }
-  void use_local_seq(std::uint64_t start, std::uint64_t stride) noexcept {
-    seq_shared_ = nullptr;
-    seq_next_ = start;
-    seq_stride_ = stride;
-  }
-  std::uint64_t local_seq_cursor() const noexcept { return seq_next_; }
-
-  /// Debug guard: a frozen engine asserts on schedule_at/cancel.  The
-  /// coordinator freezes the global engine while shard threads run, turning
-  /// any cross-shard scheduling race into a deterministic crash.
-  void set_frozen(bool frozen) noexcept { frozen_ = frozen; }
-
-  /// Changes whenever the pending-event set may have changed (schedule,
-  /// cancel or fire); each op increments at least one addend and none
-  /// decrement, so equal stamps imply an unchanged peek_next().
-  std::uint64_t change_stamp() const noexcept {
-    return stats_.scheduled + stats_.cancelled + stats_.fired;
-  }
-
-  void set_coordinator(RunCoordinator* coordinator) noexcept {
-    coordinator_ = coordinator;
-  }
 
  private:
   static constexpr int kSlotBits = 6;
@@ -253,10 +162,8 @@ class Simulator {
     std::uint32_t gen = 0;        // bumped on recycle; low half of the EventId
     std::uint32_t free_next = 0;  // freelist link (pool index) while kFree
     std::uint8_t state = kFree;
-    // Schedule-order sequence number: the multi-engine merge key (cold --
-    // only peek_next reads it; slot entries and the pop path never do).
-    std::uint64_t seq = 0;
   };
+  static_assert(sizeof(Node) == 16, "the hot/cold split assumes 16-byte nodes");
 
   /// What actually sits in a wheel slot: the timestamp plus the (index,
   /// gen) pair naming the pool node.  Cancelling bumps the node's gen and
@@ -346,15 +253,6 @@ class Simulator {
   /// and now_ to its timestamp; returns nullptr (clocks untouched by the
   /// final step) when nothing qualifies.
   Node* pop_next(SimTime limit);
-  /// Executes one already-popped node (shared by run_until_local/fire_next).
-  void fire_node(Node* node);
-
-  std::uint64_t next_seq() noexcept {
-    if (seq_shared_ != nullptr) return (*seq_shared_)++;
-    const std::uint64_t seq = seq_next_;
-    seq_next_ += seq_stride_;
-    return seq;
-  }
 
   SimTime now_ = 0;
   // Wheel reference time: cursor_ <= now_ whenever user code runs, and no
@@ -371,13 +269,6 @@ class Simulator {
   std::vector<std::unique_ptr<Chunk>> chunks_;
   std::uint32_t free_head_ = kNoFreeNode;  // freelist via Node::free_next
   std::uint64_t stale_entries_ = 0;        // tombstones pending collection
-
-  // Multi-engine state; all null/identity defaults for a lone engine.
-  RunCoordinator* coordinator_ = nullptr;
-  std::uint64_t* seq_shared_ = nullptr;
-  std::uint64_t seq_next_ = 0;
-  std::uint64_t seq_stride_ = 1;
-  bool frozen_ = false;
 
   static constexpr std::uint32_t kNoFreeNode = 0xffffffffu;
 };

@@ -9,16 +9,8 @@
 // capacity reused, so steady-state slicing and segmentation allocate
 // nothing.
 //
-// Thread safety: arenas are thread_local, so refills happen only on the
-// owning thread.  Consumers on other shard threads (payload pointers ride
-// packets across shards during parallel windows) interact with a buffer
-// only by reading it and then releasing their reference; the release is an
-// atomic decrement with release ordering, and the owner pairs it with an
-// acquire fence after observing use_count() == 1, ordering the refill
-// after every remote read.  Under ThreadSanitizer the reuse path is
-// disabled outright (the fence/use_count pairing sits outside what the
-// runtime models reliably) and every request takes the fresh-allocation
-// path.
+// Arenas are thread_local and a buffer is only ever touched by the thread
+// that simulates it, so the use_count() check needs no further ordering.
 #pragma once
 
 #include <cstdint>

@@ -74,9 +74,9 @@ void Host::receive(const net::Packet& packet, topo::PortId /*in_port*/) {
   // events fire in insertion order, so the front of the FIFO is always
   // the packet whose event fires.
   const sim::SimTime done =
-      cpu_.charge(local_sim().now(), costs_.tcp_segment_cycles);
+      cpu_.charge(simulator().now(), costs_.tcp_segment_cycles);
   ingress_fifo_.push_back(packet);
-  local_sim().schedule_at(done, [this] {
+  simulator().schedule_at(done, [this] {
     const net::Packet pkt = std::move(ingress_fifo_.front());
     ingress_fifo_.pop_front();
     process_segment(pkt);
@@ -111,7 +111,7 @@ void Host::process_segment(const net::Packet& pkt) {
 void Host::stage_transmit(net::Packet packet) {
   const sim::SimTime done = charge(costs_.tcp_segment_cycles);
   egress_fifo_.push_back(std::move(packet));
-  local_sim().schedule_at(done, [this] {
+  simulator().schedule_at(done, [this] {
     net::Packet pkt = std::move(egress_fifo_.front());
     egress_fifo_.pop_front();
     transmit(std::move(pkt));
@@ -208,7 +208,7 @@ void TcpConnection::emit_segment(std::uint64_t seq, std::uint32_t len,
   if (!retransmit && !rtt_timing_) {
     rtt_timing_ = true;
     rtt_seq_ = seq;
-    rtt_sent_at_ = host_.local_sim().now();
+    rtt_sent_at_ = host_.simulator().now();
   }
 
   host_.stage_transmit(std::move(packet));
@@ -442,9 +442,7 @@ void TcpConnection::enter_recovery() {
 void TcpConnection::arm_rto() {
   disarm_rto();
   rto_armed_ = true;
-  // Local engine: the RTO must tick on the host's shard (arming it on the
-  // frozen global engine inside a parallel window would assert).
-  rto_timer_ = host_.local_sim().schedule_in(rto_, [this] {
+  rto_timer_ = host_.simulator().schedule_in(rto_, [this] {
     rto_armed_ = false;
     on_rto();
   });
@@ -452,7 +450,7 @@ void TcpConnection::arm_rto() {
 
 void TcpConnection::disarm_rto() {
   if (rto_armed_) {
-    host_.local_sim().cancel(rto_timer_);
+    host_.simulator().cancel(rto_timer_);
     rto_armed_ = false;
   }
 }
@@ -507,7 +505,7 @@ void TcpConnection::on_rto() {
 
 void TcpConnection::measure_rtt(sim::SimTime sent_at) {
   const double sample =
-      static_cast<double>(host_.local_sim().now() - sent_at);
+      static_cast<double>(host_.simulator().now() - sent_at);
   if (srtt_ == 0) {
     srtt_ = sample;
     rttvar_ = sample / 2;

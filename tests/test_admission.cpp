@@ -4,8 +4,7 @@
 // client-side shed backoff, and the AC-1 conservation audit -- positive
 // and negative.  The flood soak at the bottom drives the whole pipeline
 // with the FaultInjector's establishment-flood + slow-client schedule and
-// pins determinism: same seed, same decisions, same trace hash, including
-// under the pod-sharded engine.
+// pins determinism: same seed, same decisions, same trace hash.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -525,10 +524,9 @@ FloodOutcome run_flood(Fabric& fabric, std::uint64_t seed) {
   return out;
 }
 
-FabricOptions flood_fabric_options(int sim_shards = 1) {
+FabricOptions flood_fabric_options() {
   FabricOptions fo;
   fo.seed = 4242;
-  fo.sim_shards = sim_shards;
   // Tight enough that a 60-request burst per attacker saturates, generous
   // enough that honest retries land within their backoff budget.
   fo.mic.admission.tenant_rate = 2000.0;
@@ -558,16 +556,6 @@ TEST(FloodSoak, SameSeedSameDecisionsSameTrace) {
   const FloodOutcome b = once();
   EXPECT_EQ(a, b);
   EXPECT_GT(a.trace_packets, 0u);
-}
-
-TEST(FloodSoak, ShardedEngineReplaysIdentically) {
-  // The pod-sharded coordinator must make the same admission decisions in
-  // the same order: the serial-exact interleave is engine-count invariant.
-  Fabric single(flood_fabric_options(1));
-  const FloodOutcome a = run_flood(single, 4);
-  Fabric sharded(flood_fabric_options(4));
-  const FloodOutcome b = run_flood(sharded, 4);
-  EXPECT_EQ(a, b);
 }
 
 }  // namespace

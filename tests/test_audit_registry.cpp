@@ -43,16 +43,14 @@ TEST(AuditRegistry, RunsAllChecksCleanOnHealthyFabric) {
   EXPECT_EQ(report.first_violation(), "");
 
   const auto ids = audit::Registry::instance().ids();
-  ASSERT_EQ(ids.size(), 9u);
+  ASSERT_EQ(ids.size(), 7u);
   EXPECT_EQ(ids[0], "FT-1");
   EXPECT_EQ(ids[1], "CA-1");
   EXPECT_EQ(ids[2], "PE-1");
   EXPECT_EQ(ids[3], "FD-1");
   EXPECT_EQ(ids[4], "RC-1");
   EXPECT_EQ(ids[5], "RC-2");
-  EXPECT_EQ(ids[6], "SIM-2");
-  EXPECT_EQ(ids[7], "SIM-3");
-  EXPECT_EQ(ids[8], "AC-1");
+  EXPECT_EQ(ids[6], "AC-1");
 
   // Every check walked real state.
   EXPECT_GT(report.check("FT-1").items_checked, 0u);
@@ -64,30 +62,11 @@ TEST(AuditRegistry, RunsAllChecksCleanOnHealthyFabric) {
   // The live channel's m-flow rules surface through the FD-1 metric the
   // chaos tests assert on.
   EXPECT_GT(report.check("FD-1").metric("mflow_rules"), 0u);
-  // SIM-2 drove its bounded differential program through both engines.
-  EXPECT_GT(report.check("SIM-2").metric("diff_ops"), 0u);
-  // SIM-3 ran its sharded/single differential AND executed real lookahead
-  // windows in the parallel leg.
-  EXPECT_GT(report.check("SIM-3").metric("diff_ops"), 0u);
-  EXPECT_GT(report.check("SIM-3").metric("parallel_windows"), 0u);
   // AC-1 balanced the admission books; the establish above went through
   // offer_sync and must be accounted as offered + admitted.
   EXPECT_GT(report.check("AC-1").items_checked, 0u);
   EXPECT_GE(report.check("AC-1").metric("offered"), 1u);
   EXPECT_GE(report.check("AC-1").metric("admitted"), 1u);
-}
-
-TEST(AuditRegistry, SchedulerEquivalenceRunsStandalone) {
-  // SIM-2 ignores controller state entirely -- the invariant is about the
-  // scheduler engines, so the single-check entry point must be clean on
-  // any fabric and report the ops it replayed.
-  AuditBed bed;
-  const audit::CheckResult sim =
-      audit::Registry::instance().run("SIM-2", bed.fabric.mc());
-  EXPECT_TRUE(sim.ok) << (sim.violations.empty() ? "" : sim.violations.front());
-  EXPECT_EQ(sim.id, "SIM-2");
-  EXPECT_EQ(sim.metric("diff_ops"), sim.items_checked);
-  EXPECT_GT(sim.items_checked, 0u);
 }
 
 TEST(AuditRegistry, MatchesStandaloneAudits) {

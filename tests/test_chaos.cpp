@@ -681,43 +681,5 @@ TEST(ChaosSoak, SameSeedSameOutcome) {
   EXPECT_EQ(first.reestablishments, second.reestablishments);
 }
 
-TEST(ChaosSoak, ShardedReplayBitIdentical) {
-  // SIM-3 end-to-end: the pod-sharded engine in its serial-exact regime
-  // must reproduce the single-engine chaos run bit for bit -- same event
-  // interleave, same trace fingerprint, same loss/repair tallies.  This is
-  // the property that lets every recorded soak trace_hash replay unchanged
-  // under MIC_SIM_SHARDS=4.
-  auto once = [](int shards) {
-    FabricOptions fo;
-    fo.seed = 107;
-    fo.sim_shards = shards;
-    fo.sim_threads = 1;
-    Fabric fabric(fo);
-    return run_chaos(fabric, 12, {0, 5, 9}, 42);
-  };
-  const ChaosOutcome single = once(1);
-  const ChaosOutcome sharded = once(4);
-  EXPECT_EQ(single, sharded);  // includes trace_hash and trace_packets
-  EXPECT_NE(sharded.trace_hash, 0u);
-}
-
-TEST(McCrashSoak, ShardedReplayBitIdentical) {
-  // The same bit-exactness holds with the controller crashing mid-run:
-  // journal replays, switch resyncs and client heartbeats all ride the
-  // global engine while device events live on the shards.
-  auto once = [](int shards) {
-    FabricOptions fo;
-    fo.seed = 509;
-    fo.sim_shards = shards;
-    fo.sim_threads = 1;
-    Fabric fabric(fo);
-    return run_mc_crash_chaos(fabric, 21, /*truncate_records=*/1);
-  };
-  const CrashChaosOutcome single = once(1);
-  const CrashChaosOutcome sharded = once(4);
-  EXPECT_EQ(single, sharded);
-  EXPECT_NE(sharded.trace_hash, 0u);
-}
-
 }  // namespace
 }  // namespace mic

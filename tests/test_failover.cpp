@@ -3,8 +3,7 @@
 // ControllerDirectory repointing live clients, id-safety across a chain of
 // failovers, stale-replica takeovers that sweep and re-establish, zombie
 // ex-primary fencing (RC-2), and the seeded failover chaos soak across all
-// four primary-kill modes -- bit-reproducible, including under
-// MIC_SIM_SHARDS=4.
+// four primary-kill modes -- bit-reproducible.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -626,24 +625,6 @@ TEST(FailoverSoak, SameSeedSameOutcome) {
   const FailoverOutcome second = once();
   EXPECT_EQ(first, second);  // includes trace_hash and trace_packets
   EXPECT_NE(first.trace_hash, 0u);
-}
-
-TEST(FailoverSoak, ShardedReplayBitIdentical) {
-  // SIM-3 for the failover path: replication, heartbeats, takeover and the
-  // storage engine all ride the global engine, so the pod-sharded run in
-  // its serial-exact regime reproduces the kill schedule bit for bit.
-  auto once = [](int shards) {
-    FabricOptions fo;
-    fo.seed = 642;
-    fo.sim_shards = shards;
-    fo.sim_threads = 1;
-    Fabric fabric(fo);
-    return run_failover_chaos(fabric, 23, KillMode::kFsyncLapse);
-  };
-  const FailoverOutcome single = once(1);
-  const FailoverOutcome sharded = once(4);
-  EXPECT_EQ(single, sharded);
-  EXPECT_NE(sharded.trace_hash, 0u);
 }
 
 // --- non-invasiveness ---------------------------------------------------------
