@@ -1,14 +1,11 @@
 // Macro dataplane benchmark: end-to-end packet-hops per second of
 // wall-clock time on a fat-tree carrying MIC channels.
 //
-// Channels are established, warm-up transfers fill TCP windows and the
-// payload arena, then the measured bulk phase runs.  Warm-up repeats until
-// a whole round allocates no arena buffer (at most kMaxWarmupRounds), so
-// the measured phase starts in steady state.  The bench reports the arena
-// counters across the measured phase; `--smoke` requires them to show no
-// allocation and some reuse.
+// Channels are established, one warm-up transfer of the measured size
+// fills TCP windows, then the measured bulk phase runs.  A run fails
+// unless every channel comes up and every byte is delivered.
 //
-//   --smoke               tiny k=4 run + steady-state check (CI)
+//   --smoke               tiny k=4 run (CI)
 //   --k N                 fat-tree arity (default 8)
 //   --flows N             concurrent MIC channels (default 8)
 //   --mb N                MiB per flow in the measured phase (default 4)
@@ -21,12 +18,12 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/fabric.hpp"
 #include "core/mic_client.hpp"
-#include "transport/arena.hpp"
 
 namespace {
 
@@ -36,9 +33,6 @@ using mic::core::MicChannel;
 using mic::core::MicChannelOptions;
 using mic::core::MicServer;
 using mic::transport::Chunk;
-using mic::transport::PayloadArena;
-
-constexpr int kMaxWarmupRounds = 8;
 
 struct RunConfig {
   int k = 8;
@@ -53,9 +47,6 @@ struct RunResult {
   double pps = 0.0;            // packet-hops per wall-clock second
   std::uint64_t packets = 0;   // packet-hops in the measured phase
   std::uint64_t sim_ns = 0;    // simulated time the phase covered
-  int warmup_rounds = 0;
-  std::uint64_t arena_allocs = 0;  // heap allocations in the measured phase
-  std::uint64_t arena_reuses = 0;  // arena refills in the measured phase
 };
 
 std::uint64_t total_link_packets(mic::net::Network& network) {
@@ -114,23 +105,13 @@ RunResult run_one(const RunConfig& config) {
     }
   }
 
-  // Warm-up: rounds the size of the measured phase fill TCP windows, fault
-  // in server channels and grow the payload arena, until a round reaches
-  // the in-flight high-water mark without allocating.
-  PayloadArena& arena = PayloadArena::local();
-  std::uint64_t sent_per_flow = 0;
-  while (result.warmup_rounds < kMaxWarmupRounds) {
-    const std::uint64_t allocs_before = arena.stats().allocations;
-    for (const auto& channel : channels) {
-      channel->send(Chunk::virtual_bytes(config.bytes_per_flow));
-    }
-    sent_per_flow += config.bytes_per_flow;
-    simulator.run_until();
-    ++result.warmup_rounds;
-    if (arena.stats().allocations == allocs_before) break;
+  // Warm-up: one round the size of the measured phase fills TCP windows
+  // and faults in the server channels.
+  for (const auto& channel : channels) {
+    channel->send(Chunk::virtual_bytes(config.bytes_per_flow));
   }
+  simulator.run_until();
 
-  const PayloadArena::Stats arena_before = arena.stats();
   const std::uint64_t packets_before = total_link_packets(fabric.network());
   const std::uint64_t sim_before = simulator.now();
 
@@ -140,10 +121,9 @@ RunResult run_one(const RunConfig& config) {
   }
   simulator.run_until();
   const auto wall_end = std::chrono::steady_clock::now();
-  sent_per_flow += config.bytes_per_flow;
 
   const std::uint64_t expected =
-      sent_per_flow * static_cast<std::uint64_t>(config.flows);
+      2 * config.bytes_per_flow * static_cast<std::uint64_t>(config.flows);
   if (accepted != static_cast<std::size_t>(config.flows) ||
       delivered != expected) {
     std::fprintf(stderr,
@@ -162,26 +142,19 @@ RunResult run_one(const RunConfig& config) {
   result.pps = result.wall_s > 0
                    ? static_cast<double>(result.packets) / result.wall_s
                    : 0.0;
-  result.arena_allocs = arena.stats().allocations - arena_before.allocations;
-  result.arena_reuses = arena.stats().reuses - arena_before.reuses;
   result.ok = true;
   return result;
 }
 
 void print_result(const RunConfig& config, const RunResult& result) {
-  std::printf(
-      "k=%d flows=%d  pps=%.0f  packets=%llu  wall=%.3fs  warmup_rounds=%d  "
-      "arena_allocs=%llu  arena_reuses=%llu\n",
-      config.k, config.flows, result.pps,
-      static_cast<unsigned long long>(result.packets), result.wall_s,
-      result.warmup_rounds,
-      static_cast<unsigned long long>(result.arena_allocs),
-      static_cast<unsigned long long>(result.arena_reuses));
+  std::printf("k=%d flows=%d  pps=%.0f  packets=%llu  wall=%.3fs\n",
+              config.k, config.flows, result.pps,
+              static_cast<unsigned long long>(result.packets), result.wall_s);
 }
 
 int run_smoke() {
-  // Tiny but complete: a k=4 fabric whose measured phase must run entirely
-  // on recycled arena buffers.
+  // Tiny but complete: a k=4 fabric whose channels must all come up and
+  // deliver every byte.
   RunConfig config;
   config.k = 4;
   config.flows = 4;
@@ -189,13 +162,6 @@ int run_smoke() {
   const RunResult result = run_one(config);
   print_result(config, result);
   if (!result.ok) return 1;
-  if (result.arena_allocs != 0 || result.arena_reuses == 0) {
-    std::fprintf(stderr,
-                 "smoke: steady state allocated (%llu allocs, %llu reuses)\n",
-                 static_cast<unsigned long long>(result.arena_allocs),
-                 static_cast<unsigned long long>(result.arena_reuses));
-    return 1;
-  }
   std::printf("smoke OK\n");
   return 0;
 }
@@ -260,20 +226,17 @@ int main(int argc, char** argv) {
                  config.flows);
     std::fprintf(f, "  \"bytes_per_flow\": %llu,\n",
                  static_cast<unsigned long long>(config.bytes_per_flow));
-    std::fprintf(f, "  \"hardware_concurrency\": %u,\n",
-                 std::thread::hardware_concurrency());
+    std::fprintf(f, "  \"hardware_concurrency\": %ld,\n",
+                 sysconf(_SC_NPROCESSORS_ONLN));
     std::fprintf(f, "  \"runs\": [\n");
     for (std::size_t i = 0; i < runs.size(); ++i) {
       const RunResult& run = runs[i];
       std::fprintf(
           f,
           "    {\"pps\": %.0f, \"packets\": %llu, \"wall_s\": %.6f, "
-          "\"sim_ns\": %llu, \"warmup_rounds\": %d, \"arena_allocs\": %llu, "
-          "\"arena_reuses\": %llu}%s\n",
+          "\"sim_ns\": %llu}%s\n",
           run.pps, static_cast<unsigned long long>(run.packets), run.wall_s,
-          static_cast<unsigned long long>(run.sim_ns), run.warmup_rounds,
-          static_cast<unsigned long long>(run.arena_allocs),
-          static_cast<unsigned long long>(run.arena_reuses),
+          static_cast<unsigned long long>(run.sim_ns),
           i + 1 < runs.size() ? "," : "");
     }
     std::fprintf(f, "  ],\n");

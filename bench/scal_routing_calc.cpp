@@ -4,7 +4,7 @@
 // size, plus the route-table story behind it: eager all-pairs
 // precomputation (the retained AllPairsPaths oracle -- the seed behaviour)
 // versus the lazy PathEngine (per-destination BFS rows on demand, epoch
-// invalidation on failure, optional parallel warm-up).
+// invalidation on failure).
 //
 //   scal_routing_calc               # google-benchmark tables
 //   scal_routing_calc --sweep_json  # machine-readable fat-tree sweep for
@@ -18,6 +18,8 @@
 #include <string>
 #include <unordered_set>
 #include <vector>
+
+#include <unistd.h>
 
 #include "core/fabric.hpp"
 #include "topology/fattree.hpp"
@@ -158,35 +160,28 @@ void BM_PathEngineLazyRouteSetup(benchmark::State& state) {
 }
 BENCHMARK(BM_PathEngineLazyRouteSetup)->Arg(4)->Arg(8)->Arg(16);
 
-void BM_PathEngineWarmUp(benchmark::State& state) {
-  // Full warm-up of every host row, threaded: Arg is the thread count on a
-  // k=16 fat-tree (1024 host rows).
-  topo::FatTree ft(16);
-  const auto hosts = ft.graph().hosts();
-  for (auto _ : state) {
-    topo::PathEngine engine(ft.graph());
-    engine.warm_up(hosts, static_cast<unsigned>(state.range(0)));
-    benchmark::DoNotOptimize(engine.cached_rows());
-  }
-}
-BENCHMARK(BM_PathEngineWarmUp)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
-
-void BM_McConfigWarmUp(benchmark::State& state) {
-  // The production path to the same warm-up: ControllerConfig's
-  // path_warmup_threads (Arg), exercised through full Fabric construction
-  // rather than a bare engine -- this is what an operator actually tunes.
+void BM_McConstruction(benchmark::State& state) {
+  // Full Fabric construction per fat-tree k: the MC, its lazy path engine
+  // and L3 default routing, which queries every host row.  k=8 is the
+  // largest fabric an MC can drive (MAGA's 255-S_ID limit).
   FabricOptions options;
-  options.k = 8;
-  options.controller.path_warmup_threads =
-      static_cast<unsigned>(state.range(0));
+  options.k = static_cast<int>(state.range(0));
   for (auto _ : state) {
     Fabric fabric(options);
     benchmark::DoNotOptimize(fabric.mc().paths().cached_rows());
   }
-  state.counters["rows_precomputed"] = static_cast<double>(
+  state.counters["rows_cached"] = static_cast<double>(
       Fabric(options).mc().paths().cached_rows());
 }
-BENCHMARK(BM_McConfigWarmUp)->Arg(0)->Arg(1)->Arg(4);
+BENCHMARK(BM_McConstruction)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+
+/// Cache every host row by querying it.
+void query_host_rows(const topo::PathEngine& engine,
+                     const topo::FatTree& ft) {
+  for (const topo::NodeId host : ft.hosts()) {
+    benchmark::DoNotOptimize(engine.distance(host, host));
+  }
+}
 
 topo::LinkId interior_link(const topo::FatTree& ft) {
   // An edge->aggregation link: on many shortest paths, so its failure
@@ -234,7 +229,7 @@ void BM_PathEngineFailureReroute(benchmark::State& state) {
   // compare BM_AllPairsFailureRebuild).
   topo::FatTree ft(static_cast<int>(state.range(0)));
   topo::PathEngine engine(ft.graph());
-  engine.warm_up(ft.graph().hosts(), 4);
+  query_host_rows(engine, ft);
   const topo::LinkId victim = interior_link(ft);
   const auto flow_dsts = active_flow_dsts(ft, 32);
   std::uint64_t recomputed = 0;
@@ -245,7 +240,7 @@ void BM_PathEngineFailureReroute(benchmark::State& state) {
     recomputed += engine.stats().rows_computed - before;
     state.PauseTiming();
     engine.link_restored(victim);
-    engine.warm_up(ft.graph().hosts(), 4);  // re-warm outside the timer
+    query_host_rows(engine, ft);  // refill outside the timer
     state.ResumeTiming();
   }
   state.counters["rows_recomputed_per_fail"] =
@@ -327,7 +322,9 @@ int run_sweep_json() {
         .count();
   };
 
-  std::printf("{\"bench\":\"scal_routing_calc\",\"series\":[");
+  std::printf("{\"bench\":\"scal_routing_calc\",\"hardware_concurrency\":%ld,"
+              "\"series\":[",
+              sysconf(_SC_NPROCESSORS_ONLN));
   bool first = true;
   for (const int k : {4, 8, 16}) {
     const topo::FatTree ft(k);
@@ -352,47 +349,20 @@ int run_sweep_json() {
     const double lazy_setup_ms = ms_since(t0);
     benchmark::DoNotOptimize(sink);
 
-    // Warm-up, single- vs multi-threaded.
-    t0 = clock::now();
-    topo::PathEngine warm1(ft.graph());
-    warm1.warm_up(hosts, 1);
-    const double warmup_t1_ms = ms_since(t0);
-    t0 = clock::now();
-    topo::PathEngine warm4(ft.graph());
-    warm4.warm_up(hosts, 4);
-    const double warmup_t4_ms = ms_since(t0);
-
-    // The same warm-up driven the production way: through
-    // ControllerConfig::path_warmup_threads on a full Fabric.  Lazy (0)
-    // anchors the construction baseline so the warm-up cost is the delta.
+    // Full MC construction (default routing queries every host row).
     // Gated to k <= 8: a k=16 fabric has 320 switches, past MAGA's 255
     // S_ID limit, so no full MC exists at that scale (only bare engines).
     std::string mc_fields;
     if (k <= 8) {
-      const auto fabric_construct_ms = [&](unsigned threads,
-                                           std::size_t* rows) {
-        FabricOptions options;
-        options.k = k;
-        options.controller.path_warmup_threads = threads;
-        const auto start = clock::now();
-        Fabric fabric(options);
-        const double ms = ms_since(start);
-        *rows = fabric.mc().paths().cached_rows();
-        return ms;
-      };
-      std::size_t rows_lazy = 0, rows_warm1 = 0, rows_warm4 = 0;
-      const double mc_lazy_ms = fabric_construct_ms(0, &rows_lazy);
-      const double mc_warm1_ms = fabric_construct_ms(1, &rows_warm1);
-      const double mc_warm4_ms = fabric_construct_ms(4, &rows_warm4);
-      MIC_ASSERT(rows_warm1 == rows_warm4);  // PE-1: thread count invisible
-      char buf[256];
+      FabricOptions options;
+      options.k = k;
+      t0 = clock::now();
+      Fabric fabric(options);
+      const double mc_construct_ms = ms_since(t0);
+      char buf[128];
       std::snprintf(buf, sizeof(buf),
-                    "\"mc_construct_lazy_ms\":%.3f,"
-                    "\"mc_construct_warm1_ms\":%.3f,"
-                    "\"mc_construct_warm4_ms\":%.3f,"
-                    "\"mc_rows_lazy\":%zu,\"mc_rows_warm\":%zu,",
-                    mc_lazy_ms, mc_warm1_ms, mc_warm4_ms, rows_lazy,
-                    rows_warm4);
+                    "\"mc_construct_ms\":%.3f,\"mc_rows_cached\":%zu,",
+                    mc_construct_ms, fabric.mc().paths().cached_rows());
       mc_fields = buf;
     }
 
@@ -401,7 +371,7 @@ int run_sweep_json() {
     // full rebuild (one BFS per node plus the O(n^2) matrix).
     const topo::LinkId victim = interior_link(ft);
     topo::PathEngine engine(ft.graph());
-    engine.warm_up(hosts, 4);
+    query_host_rows(engine, ft);
     const auto flow_dsts = active_flow_dsts(ft, 32);
     const std::uint64_t computed_before = engine.stats().rows_computed;
     t0 = clock::now();
@@ -427,7 +397,7 @@ int run_sweep_json() {
     for (const auto& adj : ft.graph().neighbors(dead_edge)) {
       if (ft.graph().is_switch(adj.peer)) clustered.link_failed(adj.link);
     }
-    clustered.warm_up(hosts, 4);
+    query_host_rows(clustered, ft);
     const auto before_local = clustered.stats();
     clustered.link_failed(ft.graph().neighbors(hosts[0])[0].link);
     const std::uint64_t local_invalidated =
@@ -438,8 +408,7 @@ int run_sweep_json() {
     std::printf(
         "%s{\"k\":%d,\"nodes\":%zu,\"hosts\":%zu,"
         "\"eager_construct_ms\":%.3f,\"lazy_setup8_ms\":%.3f,"
-        "\"construct_speedup\":%.1f,"
-        "\"warmup_ms_threads1\":%.3f,\"warmup_ms_threads4\":%.3f,%s"
+        "\"construct_speedup\":%.1f,%s"
         "\"reroute_lazy_ms\":%.3f,\"reroute_eager_ms\":%.3f,"
         "\"reroute_speedup\":%.1f,"
         "\"reroute_rows_recomputed\":%llu,\"reroute_recompute_fraction\":%.3f,"
@@ -447,8 +416,8 @@ int run_sweep_json() {
         "\"local_fail_retained_fraction\":%.3f}",
         first ? "" : ",", k, ft.graph().size(), hosts.size(),
         eager_construct_ms, lazy_setup_ms,
-        eager_construct_ms / lazy_setup_ms, warmup_t1_ms, warmup_t4_ms,
-        mc_fields.c_str(), reroute_lazy_ms, reroute_eager_ms,
+        eager_construct_ms / lazy_setup_ms, mc_fields.c_str(),
+        reroute_lazy_ms, reroute_eager_ms,
         reroute_eager_ms / reroute_lazy_ms,
         static_cast<unsigned long long>(recomputed),
         static_cast<double>(recomputed) /

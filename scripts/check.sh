@@ -8,13 +8,6 @@
 #   build/       plain            (the tier-1 command from ROADMAP.md)
 #   build-asan/  MIC_SANITIZE=address   -> -fsanitize=address,undefined
 #   build-tsan/  MIC_SANITIZE=thread    -> -fsanitize=thread
-#
-# The TSan tier exports MIC_PATH_WARMUP_THREADS=4 so every controller in
-# the suite constructs its PathEngine through the multi-threaded warm-up
-# path (ControllerConfig::effective_warmup_threads honours the override),
-# putting the rows_mu_-guarded cache under real contention instead of only
-# in the handful of tests that opt in.  That warm-up pool is the only
-# thread the simulator starts.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -32,8 +25,8 @@ echo "== perf-regression guards =="
 # The timing wheel must beat the frozen heap engine.  A flow-rule install
 # must not grow with the table: per-rule exact-install cost in a table of
 # 4096 rules may be at most 2x the cost at 64 (an O(table) install is
-# ~20-60x).  The dataplane smoke's measured bulk phase must run on recycled
-# payload buffers only (zero arena allocations after warm-up).
+# ~20-60x).  The dataplane smoke must bring up every channel and deliver
+# every byte.
 ./build/bench/micro_sim --min_speedup 1.0
 ./build/bench/micro_flowtable --max_install_growth 2.0
 ./build/bench/macro_dataplane --smoke
@@ -59,8 +52,8 @@ if [[ "${1:-}" != "--fast" ]]; then
   echo "== sanitized (address,undefined) =="
   run_suite build-asan -DMIC_SANITIZE=address
 
-  echo "== sanitized (thread, warm-up threads >= 4) =="
-  MIC_PATH_WARMUP_THREADS=4 run_suite build-tsan -DMIC_SANITIZE=thread
+  echo "== sanitized (thread) =="
+  run_suite build-tsan -DMIC_SANITIZE=thread
 
   echo "== scheduler differential, deep (SIM-2 oracle x20k ops/seed) =="
   # The default suite already fuzzes >10k ops; the instrumented tier is

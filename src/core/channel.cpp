@@ -1,6 +1,5 @@
 #include "core/channel.hpp"
 
-#include "common/assert.hpp"
 #include "common/bits.hpp"
 
 namespace mic::core {
@@ -17,17 +16,23 @@ void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
   put_u16(out, static_cast<std::uint16_t>(v));
 }
 
-std::uint16_t get_u16(const std::vector<std::uint8_t>& in, std::size_t& at) {
-  MIC_ASSERT(at + 2 <= in.size());
-  const std::uint16_t v = static_cast<std::uint16_t>(
-      (static_cast<std::uint16_t>(in[at]) << 8) | in[at + 1]);
+/// Bounds-checked big-endian reads: false when fewer than the needed bytes
+/// remain.
+bool get_u16(const std::vector<std::uint8_t>& in, std::size_t& at,
+             std::uint16_t& v) {
+  if (in.size() - at < 2) return false;
+  v = static_cast<std::uint16_t>((static_cast<std::uint16_t>(in[at]) << 8) |
+                                 in[at + 1]);
   at += 2;
-  return v;
+  return true;
 }
 
-std::uint32_t get_u32(const std::vector<std::uint8_t>& in, std::size_t& at) {
-  const std::uint32_t hi = get_u16(in, at);
-  return (hi << 16) | get_u16(in, at);
+bool get_u32(const std::vector<std::uint8_t>& in, std::size_t& at,
+             std::uint32_t& v) {
+  std::uint16_t hi = 0, lo = 0;
+  if (!get_u16(in, at, hi) || !get_u16(in, at, lo)) return false;
+  v = (static_cast<std::uint32_t>(hi) << 16) | lo;
+  return true;
 }
 
 }  // namespace
@@ -47,26 +52,29 @@ std::vector<std::uint8_t> serialize_request(const EstablishRequest& req) {
   return out;
 }
 
-EstablishRequest deserialize_request(const std::vector<std::uint8_t>& bytes) {
+std::optional<EstablishRequest> deserialize_request(
+    const std::vector<std::uint8_t>& bytes) {
   EstablishRequest req;
   std::size_t at = 0;
-  req.initiator_ip = net::Ipv4{get_u32(bytes, at)};
-  req.responder_ip = net::Ipv4{get_u32(bytes, at)};
-  req.responder_port = get_u16(bytes, at);
-  MIC_ASSERT(at + 4 <= bytes.size());
+  if (!get_u32(bytes, at, req.initiator_ip.value) ||
+      !get_u32(bytes, at, req.responder_ip.value) ||
+      !get_u16(bytes, at, req.responder_port) || bytes.size() - at < 4) {
+    return std::nullopt;
+  }
   req.flow_count = bytes[at++];
   req.mn_count = bytes[at++];
   req.multicast_decoys = bytes[at++];
   const std::size_t name_len = bytes[at++];
-  MIC_ASSERT(at + name_len <= bytes.size());
+  if (bytes.size() - at < name_len) return std::nullopt;
   req.service_name.assign(bytes.begin() + static_cast<long>(at),
                           bytes.begin() + static_cast<long>(at + name_len));
   at += name_len;
-  const std::size_t n_ports = get_u16(bytes, at);
-  req.initiator_sports.reserve(n_ports);
-  for (std::size_t i = 0; i < n_ports; ++i) {
-    req.initiator_sports.push_back(get_u16(bytes, at));
+  std::uint16_t n_ports = 0;
+  if (!get_u16(bytes, at, n_ports) || bytes.size() - at != 2u * n_ports) {
+    return std::nullopt;  // short, or trailing garbage
   }
+  req.initiator_sports.resize(n_ports);
+  for (auto& port : req.initiator_sports) get_u16(bytes, at, port);
   return req;
 }
 

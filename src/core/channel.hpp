@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -115,7 +116,10 @@ inline EstablishResult busy_result(sim::SimTime retry_after) {
 // request packet).
 
 std::vector<std::uint8_t> serialize_request(const EstablishRequest& req);
-EstablishRequest deserialize_request(const std::vector<std::uint8_t>& bytes);
+/// Parse a decrypted request; nullopt when the bytes are short, or longer
+/// than the fields they declare.
+std::optional<EstablishRequest> deserialize_request(
+    const std::vector<std::uint8_t>& bytes);
 
 /// In-place CTR encryption/decryption with a per-message IV derived from a
 /// message counter.

@@ -44,9 +44,7 @@ inline std::vector<std::uint8_t> serialize_slice_header(
   return out;
 }
 
-/// The header as an arena-backed chunk: serialized into a stack scratch and
-/// copied through the thread's PayloadArena, so steady-state slicing does
-/// not heap-allocate per slice.
+/// The header as a chunk, serialized through a stack scratch.
 inline transport::Chunk slice_header_chunk(const SliceHeader& header) {
   std::array<std::uint8_t, kSliceHeaderBytes> scratch;
   write_slice_header(scratch.data(), header);

@@ -781,11 +781,16 @@ void MimicController::service_establish(
     net::Ipv4 client, std::vector<std::uint8_t> bytes,
     std::uint64_t message_counter,
     std::function<void(EstablishResult)> on_result) {
+  // An unregistered client or a request that does not parse is answered
+  // with an error through the same reply path as a planning failure.
   const auto key_it = client_keys_.find(client.value);
-  MIC_ASSERT_MSG(key_it != client_keys_.end(),
-                 "client must register_client() before establishing");
-  crypt_control_message(key_it->second, message_counter, bytes);
-  const EstablishRequest request = deserialize_request(bytes);
+  std::optional<EstablishRequest> request;
+  const char* reject = "unknown client; register before establishing";
+  if (key_it != client_keys_.end()) {
+    crypt_control_message(key_it->second, message_counter, bytes);
+    request = deserialize_request(bytes);
+    reject = "malformed request";
+  }
   // The admission service slot is held until the ack (or error) leaves:
   // in-service covers the whole plan/install pipeline.  The epoch guard
   // keeps a completion that straddles a crash from corrupting the books
@@ -797,15 +802,22 @@ void MimicController::service_establish(
   const double cycles =
       costs.mic_request_fixed_cycles +
       costs.aes_crypt_cycles(bytes.size()) +
-      costs.mic_route_calc_cycles_per_flow * request.flow_count;
+      costs.mic_route_calc_cycles_per_flow *
+          (request ? request->flow_count : 0);
   const sim::SimTime done =
       mc_cpu_.charge(network().simulator().now(), cycles);
 
-  network().simulator().schedule_at(done, [this, client, request, admit_epoch,
-                                           cb = std::move(cb)] {
+  network().simulator().schedule_at(done, [this, client, reject,
+                                           request = std::move(request),
+                                           admit_epoch, cb = std::move(cb)] {
     if (crashed_) return;
     std::vector<InstallOp> ops;
-    EstablishResult result = plan_channel(request, ops);
+    EstablishResult result;
+    if (request) {
+      result = plan_channel(*request, ops);
+    } else {
+      result.error = reject;
+    }
     if (!result.ok) {
       admission_.finish(client, admit_epoch);
       network().simulator().schedule_in(

@@ -1,23 +1,8 @@
 #include "ctrl/controller.hpp"
 
-#include <cstdlib>
-
 #include "common/log.hpp"
 
 namespace mic::ctrl {
-
-unsigned ControllerConfig::effective_warmup_threads() const {
-  // The TSan tier (scripts/check.sh) exports MIC_PATH_WARMUP_THREADS to
-  // force every controller in the suite through the multi-threaded warm-up
-  // path; an explicit config still composes (the override only raises).
-  if (const char* env = std::getenv("MIC_PATH_WARMUP_THREADS")) {
-    const long forced = std::strtol(env, nullptr, 10);
-    if (forced > 0 && static_cast<unsigned>(forced) > path_warmup_threads) {
-      return static_cast<unsigned>(forced);
-    }
-  }
-  return path_warmup_threads;
-}
 
 Controller::Controller(net::Network& network, HostAddressing addressing,
                        ControllerConfig config)
@@ -26,14 +11,9 @@ Controller::Controller(net::Network& network, HostAddressing addressing,
       config_(config),
       paths_(network.graph()) {
   paths_.set_max_rows(config_.path_cache_max_rows);
-  if (const unsigned threads = config_.effective_warmup_threads();
-      threads > 0) {
-    paths_.warm_up(network.graph().hosts(), threads);
-  }
 }
 
 bool Controller::roll_control_drop() {
-  MutexLock lock(counters_mu_);
   if (control_drop_probability_ <= 0.0 ||
       !control_drop_rng_.chance(control_drop_probability_)) {
     return false;

@@ -13,8 +13,6 @@
 #include <cstdint>
 #include <unordered_map>
 
-#include "common/mutex.hpp"
-#include "common/thread_annotations.hpp"
 #include "net/network.hpp"
 #include "switchd/sdn_switch.hpp"
 #include "topology/path_engine.hpp"
@@ -59,19 +57,6 @@ struct ControllerConfig {
   /// switch raises the async notification.
   sim::SimTime detection_latency = sim::microseconds(500);
 
-  /// Opt-in parallel warm-up of the path engine: when > 0, the controller
-  /// precomputes one BFS row per host destination at construction, fanned
-  /// across this many threads.  0 (the default) stays fully lazy -- rows
-  /// are computed on first use.  Warm-up runs before the single-threaded
-  /// event loop starts and is deterministic for any thread count (PE-1).
-  unsigned path_warmup_threads = 0;
-
-  /// path_warmup_threads after applying the MIC_PATH_WARMUP_THREADS
-  /// environment override (scripts/check.sh exports it in the TSan tier so
-  /// the *entire* test suite constructs every controller through the
-  /// multi-threaded warm-up path; bench configs set the field directly).
-  unsigned effective_warmup_threads() const;
-
   /// Cap on the path engine's cached per-destination BFS rows
   /// (0 = unbounded).  Rows are O(network size) each, so at million-host
   /// scale the lazy cache needs a bound; when full, the least-recently-
@@ -91,7 +76,7 @@ class Controller {
   const topo::Graph& graph() const noexcept { return network_.graph(); }
   const topo::PathEngine& paths() const noexcept { return paths_; }
   /// Mutable engine access for failure-epoch maintenance (link_failed /
-  /// link_restored) and explicit warm-up.
+  /// link_restored).
   topo::PathEngine& path_engine() noexcept { return paths_; }
   const HostAddressing& addressing() const noexcept { return addressing_; }
   const ControllerConfig& config() const noexcept { return config_; }
@@ -129,12 +114,10 @@ class Controller {
 
   /// Drop this fraction of checked-install control messages (request and
   /// reply legs independently).  Chaos-harness knob; 0 disables.
-  void set_control_drop_probability(double p) MIC_EXCLUDES(counters_mu_) {
-    MutexLock lock(counters_mu_);
+  void set_control_drop_probability(double p) noexcept {
     control_drop_probability_ = p;
   }
-  std::uint64_t control_messages_dropped() const MIC_EXCLUDES(counters_mu_) {
-    MutexLock lock(counters_mu_);
+  std::uint64_t control_messages_dropped() const noexcept {
     return control_drops_;
   }
 
@@ -180,10 +163,7 @@ class Controller {
   /// port going down or coming back up.  Default ignores it.
   virtual void on_port_status(topo::NodeId sw, topo::PortId port, bool up);
 
-  std::uint64_t rules_installed() const MIC_EXCLUDES(counters_mu_) {
-    MutexLock lock(counters_mu_);
-    return rules_installed_;
-  }
+  std::uint64_t rules_installed() const noexcept { return rules_installed_; }
 
   /// Per-switch signatures of the last installed L3 rule set.  Owned by
   /// L3RoutingApp: install() fills it, reroute_around() diffs against it
@@ -205,15 +185,11 @@ class Controller {
                : sim::SimTime{0};
   }
 
-  void count_rule_install() MIC_EXCLUDES(counters_mu_) {
-    MutexLock lock(counters_mu_);
-    ++rules_installed_;
-  }
+  void count_rule_install() noexcept { ++rules_installed_; }
 
   /// One chaos-knob dice roll for a checked-install control message;
-  /// counts the drop when it happens.  The RNG lives under the counters
-  /// lock so concurrent checked installs cannot corrupt its stream.
-  bool roll_control_drop() MIC_EXCLUDES(counters_mu_);
+  /// counts the drop when it happens.
+  bool roll_control_drop();
 
   net::Network& network_;
   HostAddressing addressing_;
@@ -223,15 +199,11 @@ class Controller {
   std::uint64_t fence_epoch_ = 0;
   std::uint64_t fenced_ops_ = 0;
 
-  // Install accounting and the chaos drop knob.  Installs are issued from
-  // the single-threaded event loop today, but introspection (benchmarks,
-  // the audit registry) may read the counters from other threads, so the
-  // whole block is guarded; the lock is uncontended on the hot path.
-  mutable Mutex counters_mu_;
-  std::uint64_t rules_installed_ MIC_GUARDED_BY(counters_mu_) = 0;
-  double control_drop_probability_ MIC_GUARDED_BY(counters_mu_) = 0.0;
-  std::uint64_t control_drops_ MIC_GUARDED_BY(counters_mu_) = 0;
-  Rng control_drop_rng_ MIC_GUARDED_BY(counters_mu_){0xC0117801DD};
+  // Install accounting and the chaos drop knob.
+  std::uint64_t rules_installed_ = 0;
+  double control_drop_probability_ = 0.0;
+  std::uint64_t control_drops_ = 0;
+  Rng control_drop_rng_{0xC0117801DD};
 };
 
 }  // namespace mic::ctrl

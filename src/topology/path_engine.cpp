@@ -1,9 +1,7 @@
 #include "topology/path_engine.hpp"
 
-#include <algorithm>
 #include <deque>
 #include <sstream>
-#include <thread>
 
 namespace mic::topo {
 
@@ -12,7 +10,7 @@ PathEngine::PathEngine(const Graph& graph)
 
 PathEngine::Row PathEngine::compute_row(NodeId dst) const {
   Row row;
-  row.epoch = epoch_.load(std::memory_order_relaxed);
+  row.epoch = epoch_;
   row.dist.assign(n_, kUnreachable);
 
   // Reverse BFS from the destination.  Hosts are leaves: they may start or
@@ -62,8 +60,8 @@ void PathEngine::evict_over_cap(NodeId keep) const {
     for (auto it = rows_.begin(); it != rows_.end(); ++it) {
       if (it->first == keep) continue;
       if (victim == rows_.end() ||
-          it->second->last_used < victim->second->last_used ||
-          (it->second->last_used == victim->second->last_used &&
+          it->second.last_used < victim->second.last_used ||
+          (it->second.last_used == victim->second.last_used &&
            it->first < victim->first)) {
         victim = it;
       }
@@ -75,49 +73,34 @@ void PathEngine::evict_over_cap(NodeId keep) const {
 }
 
 void PathEngine::set_max_rows(std::size_t max) {
-  MutexLock lock(rows_mu_);
   max_rows_ = max;
   evict_over_cap(kInvalidNode);
 }
 
-std::shared_ptr<const PathEngine::Row> PathEngine::row(NodeId dst) const {
+const PathEngine::Row& PathEngine::row(NodeId dst) const {
   MIC_ASSERT(dst < n_);
-  {
-    MutexLock lock(rows_mu_);
-    const auto it = rows_.find(dst);
-    if (it != rows_.end()) {
-      ++stats_.row_hits;
-      it->second->last_used = ++use_clock_;
-      return it->second;
-    }
+  const auto [it, inserted] = rows_.try_emplace(dst);
+  if (inserted) {
+    it->second = compute_row(dst);
+    ++stats_.rows_computed;
+  } else {
+    ++stats_.row_hits;
   }
-  // Miss: BFS outside the lock so concurrent queries for other rows make
-  // progress.  Two threads missing the same destination both compute it;
-  // PE-1 makes the results identical, so first-emplace-wins is safe and
-  // the loser's work is merely wasted.  Rows live behind shared_ptrs, so
-  // handing them out unlocked is sound even when the LRU cap (or the
-  // event-loop-exclusive invalidation) erases the map entry underneath a
-  // reader.
-  auto fresh = std::make_shared<Row>(compute_row(dst));
-  MutexLock lock(rows_mu_);
-  const auto [it, inserted] = rows_.emplace(dst, std::move(fresh));
-  inserted ? ++stats_.rows_computed : ++stats_.row_hits;
-  it->second->last_used = ++use_clock_;
-  auto result = it->second;
+  it->second.last_used = ++use_clock_;
   if (inserted) evict_over_cap(dst);
-  return result;
+  return it->second;
 }
 
 Path PathEngine::sample_shortest_path(NodeId src, NodeId dst,
                                       Rng& rng) const {
-  const auto r = row(dst);
-  MIC_ASSERT(r->dist[src] != kUnreachable);
+  const Row& r = row(dst);
+  MIC_ASSERT(r.dist[src] != kUnreachable);
   Path path;
-  path.reserve(r->dist[src] + 1);
+  path.reserve(r.dist[src] + 1);
   NodeId cur = src;
   path.push_back(cur);
   while (cur != dst) {
-    const auto nexts = r->next_of(cur);
+    const auto nexts = r.next_of(cur);
     MIC_ASSERT(!nexts.empty());
     cur = nexts[rng.below(nexts.size())];
     path.push_back(cur);
@@ -146,8 +129,7 @@ std::vector<Path> PathEngine::enumerate_shortest_paths(
   std::vector<Path> out;
   if (limit == 0 || !reachable(src, dst)) return out;
   Path prefix;
-  const auto r = row(dst);  // hold the row across the recursion
-  enumerate_rec(*r, src, dst, prefix, out, limit);
+  enumerate_rec(row(dst), src, dst, prefix, out, limit);
   return out;
 }
 
@@ -200,13 +182,12 @@ std::optional<Path> PathEngine::sample_long_path(NodeId src, NodeId dst,
 
 void PathEngine::invalidate_rows_touching(LinkId link) {
   const auto [a, b] = graph_.link_endpoints(link);
-  const std::uint32_t epoch = epoch_.load(std::memory_order_relaxed);
   for (auto it = rows_.begin(); it != rows_.end();) {
-    if (row_uses_link(*it->second, it->first, a, b)) {
+    if (row_uses_link(it->second, it->first, a, b)) {
       ++stats_.rows_invalidated;
       it = rows_.erase(it);
     } else {
-      it->second->epoch = epoch;
+      it->second.epoch = epoch_;
       ++stats_.rows_retained;
       ++it;
     }
@@ -215,15 +196,13 @@ void PathEngine::invalidate_rows_touching(LinkId link) {
 
 void PathEngine::link_failed(LinkId link) {
   if (!failed_.insert(link).second) return;  // already down
-  epoch_.fetch_add(1, std::memory_order_relaxed);
-  MutexLock lock(rows_mu_);
+  ++epoch_;
   invalidate_rows_touching(link);
 }
 
 void PathEngine::link_restored(LinkId link) {
   if (failed_.erase(link) == 0) return;  // was not down
-  epoch_.fetch_add(1, std::memory_order_relaxed);
-  MutexLock lock(rows_mu_);
+  ++epoch_;
   invalidate_rows_touching(link);
 }
 
@@ -236,83 +215,27 @@ void PathEngine::set_failed_links(const std::unordered_set<LinkId>& failed) {
   for (const LinkId link : failed) link_failed(link);
 }
 
-void PathEngine::warm_up(const std::vector<NodeId>& dsts, unsigned threads) {
-  std::vector<NodeId> missing;
-  {
-    MutexLock lock(rows_mu_);
-    for (const NodeId dst : dsts) {
-      MIC_ASSERT(dst < n_);
-      if (!rows_.contains(dst)) missing.push_back(dst);
-    }
-  }
-  std::sort(missing.begin(), missing.end());
-  missing.erase(std::unique(missing.begin(), missing.end()), missing.end());
-  if (missing.empty()) return;
-
-  const std::size_t workers =
-      std::min<std::size_t>(std::max(1u, threads), missing.size());
-  std::vector<Row> computed(missing.size());
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < missing.size(); ++i) {
-      computed[i] = compute_row(missing[i]);
-    }
-  } else {
-    // Strided partition: worker w owns slots w, w + workers, ...  Each
-    // slot is written by exactly one worker; the shared engine state is
-    // only read (compute_row touches nothing guarded).  Results are
-    // merged under the lock after the join, so cache contents are
-    // identical for any worker count (PE-1).
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t w = 0; w < workers; ++w) {
-      pool.emplace_back([this, w, workers, &missing, &computed] {
-        for (std::size_t i = w; i < missing.size(); i += workers) {
-          computed[i] = compute_row(missing[i]);
-        }
-      });
-    }
-    for (auto& t : pool) t.join();
-  }
-  MutexLock lock(rows_mu_);
-  std::uint64_t merged = 0;
-  for (std::size_t i = 0; i < missing.size(); ++i) {
-    // A concurrent query may have raced a row in; emplace keeps the
-    // incumbent (identical by PE-1) and we only count rows we inserted.
-    const auto [it, inserted] = rows_.emplace(
-        missing[i], std::make_shared<Row>(std::move(computed[i])));
-    if (inserted) {
-      it->second->last_used = ++use_clock_;  // ascending-dst stamp order
-      ++merged;
-    }
-  }
-  stats_.rows_computed += merged;
-  evict_over_cap(kInvalidNode);  // warm-up past the cap evicts oldest
-}
-
 std::size_t PathEngine::self_check(std::vector<std::string>& violations) const {
-  MutexLock lock(rows_mu_);
   for (const auto& [dst, cached] : rows_) {
     const Row fresh = compute_row(dst);
-    if (cached->dist == fresh.dist && cached->offsets == fresh.offsets &&
-        cached->nexts == fresh.nexts) {
+    if (cached.dist == fresh.dist && cached.offsets == fresh.offsets &&
+        cached.nexts == fresh.nexts) {
       continue;
     }
     std::ostringstream out;
     out << "row " << dst << ": cached contents differ from a fresh BFS"
-        << " (epoch " << cached->epoch << ", engine epoch "
-        << epoch_.load(std::memory_order_relaxed) << ")";
+        << " (epoch " << cached.epoch << ", engine epoch " << epoch_ << ")";
     violations.push_back(out.str());
   }
   return rows_.size();
 }
 
 bool PathEngine::debug_corrupt_cached_row(NodeId dst) {
-  MutexLock lock(rows_mu_);
   const auto it = rows_.find(dst);
   if (it == rows_.end()) return false;
   // Flip the destination's own distance (always 0 in a healthy row) so the
   // corruption is unambiguous and cheap to hit.
-  it->second->dist[dst] = it->second->dist[dst] + 1;
+  ++it->second.dist[dst];
   return true;
 }
 

@@ -25,30 +25,21 @@
 // eager rebuilds most expensive.
 //
 // Invariant PE-1: for any fixed graph and failed-link set, a row's contents
-// are a pure function of its destination -- independent of query order,
-// warm-up, and warm-up thread count -- so sampling with a fixed-seed Rng is
-// deterministic regardless of how the cache was populated.  self_check()
-// is the runtime audit of PE-1 (registered as "PE-1" in audit::Registry).
+// are a pure function of its destination -- independent of query order and
+// of the row cap -- so sampling with a fixed-seed Rng is deterministic
+// regardless of how the cache was populated.  self_check() is the runtime
+// audit of PE-1 (registered as "PE-1" in audit::Registry).
 //
-// Thread model.  The row cache and its stats are guarded by rows_mu_, so
-// *queries* (distance / sampling / enumeration, and warm_up itself) are
-// safe from any number of concurrent threads: PE-1 makes duplicated misses
-// converge to identical rows, and rows are handed out as shared_ptrs so
-// LRU eviction (set_max_rows) cannot invalidate a row a concurrent reader
-// is still walking.  *Mutation* of the failure set (link_failed /
-// link_restored / set_failed_links) is event-loop-only and must be
-// externally serialized against all queries -- it erases rows that
-// concurrent readers could be holding references into.  The lock
-// discipline is annotated for Clang's -Wthread-safety (see
-// common/thread_annotations.hpp); GCC compiles the annotations away.
+// The engine is single-threaded, like the event loop that owns it.  Rows
+// live by value in the cache; the private row() hands out a const Row&
+// that stays valid until the next row query (which may evict it under the
+// LRU cap) or the next failure-set change (which may invalidate it).
 //
 // AllPairsPaths remains in the tree as the reference oracle for the
 // differential tests (tests/test_pathengine_diff.cpp).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -56,15 +47,13 @@
 #include <unordered_set>
 #include <vector>
 
-#include "common/mutex.hpp"
 #include "common/rng.hpp"
-#include "common/thread_annotations.hpp"
 #include "topology/graph.hpp"
 
 namespace mic::topo {
 
 struct PathEngineStats {
-  std::uint64_t rows_computed = 0;    // BFS runs (lazy misses + warm-up)
+  std::uint64_t rows_computed = 0;    // BFS runs (cache misses)
   std::uint64_t row_hits = 0;         // queries served from the cache
   std::uint64_t rows_invalidated = 0; // rows dropped by failure epochs
   std::uint64_t rows_retained = 0;    // rows that survived an epoch bump
@@ -79,58 +68,49 @@ class PathEngine {
 
   /// Hop distance (number of links) from src to dst; kUnreachable if
   /// unreachable.  Computes and caches the dst row on first use.
-  std::uint32_t distance(NodeId src, NodeId dst) const
-      MIC_EXCLUDES(rows_mu_) {
-    return row(dst)->dist[src];
+  std::uint32_t distance(NodeId src, NodeId dst) const {
+    return row(dst).dist[src];
   }
 
-  bool reachable(NodeId src, NodeId dst) const MIC_EXCLUDES(rows_mu_) {
+  bool reachable(NodeId src, NodeId dst) const {
     return distance(src, dst) != kUnreachable;
   }
 
   /// Number of switches on a shortest path (path length minus two hosts).
-  std::uint32_t switch_hops(NodeId src, NodeId dst) const
-      MIC_EXCLUDES(rows_mu_) {
+  std::uint32_t switch_hops(NodeId src, NodeId dst) const {
     const auto d = distance(src, dst);
     return d == kUnreachable ? kUnreachable : d - 1;
   }
 
   /// Uniformly-at-each-hop sample of one equal-cost shortest path (node
   /// sequence including both endpoints) via a random successor walk.
-  Path sample_shortest_path(NodeId src, NodeId dst, Rng& rng) const
-      MIC_EXCLUDES(rows_mu_);
+  Path sample_shortest_path(NodeId src, NodeId dst, Rng& rng) const;
 
   /// Enumerate equal-cost shortest paths, up to `limit` of them.
   std::vector<Path> enumerate_shortest_paths(NodeId src, NodeId dst,
-                                             std::size_t limit) const
-      MIC_EXCLUDES(rows_mu_);
+                                             std::size_t limit) const;
 
   /// Find a simple-edged path whose *switch count* is at least
   /// `min_switches` (Sec IV-B2: paths longer than the shortest are spliced
   /// through random switch waypoints; directed edges never repeat).
   std::optional<Path> sample_long_path(NodeId src, NodeId dst,
                                        std::uint32_t min_switches, Rng& rng,
-                                       int attempts = 64) const
-      MIC_EXCLUDES(rows_mu_);
+                                       int attempts = 64) const;
 
   // --- failure epochs ---------------------------------------------------------
-  //
-  // Event-loop-only: these erase cached rows, so no query may run
-  // concurrently (returned row references would dangle).
 
   /// Treat `link` as absent from now on.  Bumps the failure epoch and
   /// invalidates only the cached rows whose BFS tree used the link.
-  void link_failed(LinkId link) MIC_EXCLUDES(rows_mu_);
+  void link_failed(LinkId link);
 
   /// Bring `link` back.  A restored link can create shorter paths for any
   /// row where its endpoints' distances differ, so those rows are dropped.
-  void link_restored(LinkId link) MIC_EXCLUDES(rows_mu_);
+  void link_restored(LinkId link);
 
   /// Diff the engine's excluded set against `failed`: newly failed links
   /// go through link_failed(), newly restored ones through
   /// link_restored().  Used to sync with an externally-owned failure set.
-  void set_failed_links(const std::unordered_set<LinkId>& failed)
-      MIC_EXCLUDES(rows_mu_);
+  void set_failed_links(const std::unordered_set<LinkId>& failed);
 
   const std::unordered_set<LinkId>& failed_links() const noexcept {
     return failed_;
@@ -143,50 +123,28 @@ class PathEngine {
   /// eviction order is deterministic (PE-1 makes recomputation safe: an
   /// evicted row costs one BFS on its next query, nothing else).
   /// Lowering the cap below the current cache size evicts immediately.
-  void set_max_rows(std::size_t max) MIC_EXCLUDES(rows_mu_);
+  void set_max_rows(std::size_t max);
 
-  std::size_t max_rows() const MIC_EXCLUDES(rows_mu_) {
-    MutexLock lock(rows_mu_);
-    return max_rows_;
-  }
+  std::size_t max_rows() const noexcept { return max_rows_; }
 
   /// Monotone counter, bumped by every link_failed()/link_restored().
-  std::uint32_t failure_epoch() const noexcept {
-    return epoch_.load(std::memory_order_relaxed);
-  }
-
-  // --- warm-up ----------------------------------------------------------------
-
-  /// Precompute rows for `dsts` (skipping cached ones), fanning the
-  /// independent per-destination BFS runs across up to `threads` threads.
-  /// Safe concurrently with queries: each row is written by exactly one
-  /// worker into its own slot and merged under the cache lock after the
-  /// join, and PE-1 makes the result identical for any thread count.
-  void warm_up(const std::vector<NodeId>& dsts, unsigned threads = 1)
-      MIC_EXCLUDES(rows_mu_);
+  std::uint32_t failure_epoch() const noexcept { return epoch_; }
 
   // --- introspection / audit --------------------------------------------------
 
-  PathEngineStats stats() const MIC_EXCLUDES(rows_mu_) {
-    MutexLock lock(rows_mu_);
-    return stats_;
-  }
-  std::size_t cached_rows() const MIC_EXCLUDES(rows_mu_) {
-    MutexLock lock(rows_mu_);
-    return rows_.size();
-  }
+  PathEngineStats stats() const noexcept { return stats_; }
+  std::size_t cached_rows() const noexcept { return rows_.size(); }
 
   /// Runtime audit of PE-1: recompute every cached row from scratch and
   /// compare distances, CSR offsets and successor buffers byte for byte.
   /// Appends one message per corrupt row to `violations`; returns the
-  /// number of rows checked.  Event-loop-only (walks the whole cache).
-  std::size_t self_check(std::vector<std::string>& violations) const
-      MIC_EXCLUDES(rows_mu_);
+  /// number of rows checked.
+  std::size_t self_check(std::vector<std::string>& violations) const;
 
   /// Test-only: deliberately corrupt the cached row for `dst` (flips one
   /// distance entry) so negative tests can prove self_check() catches it.
   /// Returns false when the row is not cached.
-  bool debug_corrupt_cached_row(NodeId dst) MIC_EXCLUDES(rows_mu_);
+  bool debug_corrupt_cached_row(NodeId dst);
 
  private:
   /// One destination's view of the fabric: distances from every node plus
@@ -196,7 +154,7 @@ class PathEngine {
   /// graph's deterministic adjacency order.
   struct Row {
     std::uint32_t epoch = 0;
-    std::uint64_t last_used = 0;         // LRU stamp; written under rows_mu_
+    std::uint64_t last_used = 0;         // LRU stamp
     std::vector<std::uint32_t> dist;     // dist[x] = hops x -> dst
     std::vector<std::uint32_t> offsets;  // CSR offsets, size n + 1
     std::vector<NodeId> nexts;           // flat successor buffer
@@ -206,12 +164,11 @@ class PathEngine {
     }
   };
 
-  /// Pure function of (graph_, failed_, dst) -- touches no guarded state,
-  /// so warm-up workers may run it without the lock.
+  /// Pure function of (graph_, failed_, dst).
   Row compute_row(NodeId dst) const;
-  /// Rows are handed out as shared_ptrs so the LRU cap can evict a map
-  /// entry while a concurrent query still walks the row it fetched.
-  std::shared_ptr<const Row> row(NodeId dst) const MIC_EXCLUDES(rows_mu_);
+  /// The cached row for `dst`, computed on a miss.  The reference is valid
+  /// until the next row() call or failure-set change.
+  const Row& row(NodeId dst) const;
 
   /// Does dropping or restoring the link (a, b) change this row?  Only if
   /// a path toward `dst` can cross it: the endpoint nearer dst (or the
@@ -228,12 +185,12 @@ class PathEngine {
     return nearer == dst || graph_.is_switch(nearer);
   }
 
-  void invalidate_rows_touching(LinkId link) MIC_REQUIRES(rows_mu_);
+  void invalidate_rows_touching(LinkId link);
 
   /// Evict least-recently-queried rows until the cache respects max_rows_;
   /// never evicts `keep` (the row the caller just inserted and is about to
   /// hand out).  Pass kInvalidNode to protect nothing.
-  void evict_over_cap(NodeId keep) const MIC_REQUIRES(rows_mu_);
+  void evict_over_cap(NodeId keep) const;
 
   void enumerate_rec(const Row& row, NodeId cur, NodeId dst, Path& prefix,
                      std::vector<Path>& out, std::size_t limit) const;
@@ -242,21 +199,14 @@ class PathEngine {
   std::size_t n_;
   std::vector<NodeId> switches_;  // cached for sample_long_path waypoints
 
-  // Failure state: written only from the event loop (never concurrently
-  // with queries -- see the thread model above), read lock-free by
-  // compute_row.  The epoch is atomic so introspection can read it from
-  // any thread.
   std::unordered_set<LinkId> failed_;
-  std::atomic<std::uint32_t> epoch_{0};
+  std::uint32_t epoch_ = 0;
 
-  // Row cache + stats, guarded for concurrent queries and warm-up.
-  // mutable so const queries can memoize.
-  mutable mic::Mutex rows_mu_;
-  mutable std::unordered_map<NodeId, std::shared_ptr<Row>> rows_
-      MIC_GUARDED_BY(rows_mu_);
-  mutable PathEngineStats stats_ MIC_GUARDED_BY(rows_mu_);
-  std::size_t max_rows_ MIC_GUARDED_BY(rows_mu_) = 0;  // 0 = unbounded
-  mutable std::uint64_t use_clock_ MIC_GUARDED_BY(rows_mu_) = 0;
+  // Row cache + stats; mutable so const queries can memoize.
+  mutable std::unordered_map<NodeId, Row> rows_;
+  mutable PathEngineStats stats_;
+  std::size_t max_rows_ = 0;  // 0 = unbounded
+  mutable std::uint64_t use_clock_ = 0;
 };
 
 }  // namespace mic::topo

@@ -32,10 +32,14 @@ struct Chunk {
     c.data = std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes));
     return c;
   }
-  /// Like real() for bytes that must be copied anyway, but the buffer comes
-  /// from the thread's PayloadArena freelist (arena.hpp): segmentation and
-  /// slicing stop heap-allocating per send.  Defined in arena.cpp.
-  static Chunk copy(std::span<const std::uint8_t> bytes);
+  /// Like real() for bytes that are not already owned in a vector.
+  static Chunk copy(std::span<const std::uint8_t> bytes) {
+    Chunk c;
+    c.length = bytes.size();
+    c.data = std::make_shared<const std::vector<std::uint8_t>>(bytes.begin(),
+                                                               bytes.end());
+    return c;
+  }
   static Chunk virtual_bytes(std::uint64_t n) {
     Chunk c;
     c.length = n;
@@ -223,7 +227,6 @@ class SendBuffer {
         if (!entry.chunk.is_real()) return Chunk::virtual_bytes(len);
         const auto& bytes = *entry.chunk.data;
         const std::uint64_t local = offset - entry.offset;
-        // Arena-backed: (re)transmission is THE per-send hot path.
         return Chunk::copy(
             std::span(bytes.data() + local, static_cast<std::size_t>(len)));
       }

@@ -385,6 +385,60 @@ TEST(Admission, CompletedControlSessionEstablishesReapedOneIsDropped) {
   EXPECT_TRUE(audit::run_all(fabric.mc()).ok);
 }
 
+TEST(Admission, MalformedAndUnregisteredRequestsGetErrorReplies) {
+  // A request that decrypts to a truncated body, or one from an address
+  // that never registered a key, is answered with an error through the
+  // normal reply path: the MC must not abort or leak its admission slot.
+  // Admission is off so every request reaches the decoder instead of some
+  // being shed as Busy.
+  FabricOptions fo;
+  fo.mic.admission.enabled = false;
+  Fabric fabric(fo);
+  const net::Ipv4 client = fabric.ip(0);
+  const auto& key = fabric.mc().register_client(client);
+
+  core::EstablishRequest request;
+  request.initiator_ip = client;
+  request.responder_ip = fabric.ip(12);
+  request.responder_port = 7000;
+  request.initiator_sports = {40001};
+  const std::vector<std::uint8_t> plain = core::serialize_request(request);
+
+  std::vector<core::EstablishResult> replies;
+  std::uint64_t counter = 100;
+  const auto send = [&](net::Ipv4 from, std::size_t length) {
+    std::vector<std::uint8_t> bytes = plain;
+    core::crypt_control_message(key, counter, bytes);
+    bytes.resize(length);
+    fabric.mc().async_establish(
+        from, std::move(bytes), counter++,
+        [&](const core::EstablishResult& r) { replies.push_back(r); });
+  };
+  for (std::size_t length = 0; length < plain.size(); ++length) {
+    send(client, length);
+  }
+  const net::Ipv4 stranger = fabric.ip(5);
+  ASSERT_FALSE(fabric.mc().client_registered(stranger));
+  send(stranger, plain.size());
+  fabric.simulator().run_until();
+
+  ASSERT_EQ(replies.size(), plain.size() + 1);
+  for (const auto& reply : replies) {
+    EXPECT_FALSE(reply.ok);
+    EXPECT_FALSE(reply.busy);
+  }
+  EXPECT_NE(replies.front().error.find("malformed"), std::string::npos);
+  EXPECT_NE(replies.back().error.find("unknown client"), std::string::npos);
+
+  // The MC is alive and still serves: the whole request establishes.
+  EXPECT_FALSE(fabric.mc().crashed());
+  send(client, plain.size());
+  fabric.simulator().run_until();
+  ASSERT_EQ(replies.size(), plain.size() + 2);
+  EXPECT_TRUE(replies.back().ok) << replies.back().error;
+  EXPECT_TRUE(audit::run_all(fabric.mc()).ok);
+}
+
 // --- AC-1 negatives ---------------------------------------------------------------
 
 TEST(Admission, AuditCatchesOverQuotaAdmission) {

@@ -5,9 +5,6 @@
 // that fires on the wrong check (or on none) is worse than no audit.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
-
 #include "core/audit_registry.hpp"
 #include "core/collision_audit.hpp"
 #include "core/fabric.hpp"
@@ -146,7 +143,7 @@ TEST(AuditRegistry, CatchesPoisonedPathRow) {
   const topo::NodeId dst = bed.fabric.host_node(12);
   // Make sure the row is cached (queries during establish likely did, but
   // don't depend on it).
-  bed.fabric.mc().path_engine().warm_up({dst}, 1);
+  bed.fabric.mc().paths().distance(dst, dst);
   ASSERT_TRUE(bed.fabric.mc().path_engine().debug_corrupt_cached_row(dst));
 
   const audit::RunReport report = audit::run_all(bed.fabric);
@@ -164,50 +161,6 @@ TEST(AuditRegistry, CatchesPoisonedPathRow) {
       audit::Registry::instance().run("PE-1", bed.fabric.mc());
   EXPECT_FALSE(pe.ok);
   EXPECT_EQ(pe.id, "PE-1");
-}
-
-TEST(PathEngineConcurrency, QueriesRaceWarmUpSafely) {
-  // The thread model the annotations encode: concurrent read queries and
-  // warm_up are safe together (rows_mu_ guards the row cache).  Under the
-  // TSan tier this test puts that claim in front of the race detector;
-  // plain builds still check PE-1 cleanliness afterwards.
-  topo::FatTree ft(4);
-  topo::PathEngine engine(ft.graph());
-  const auto hosts = ft.graph().hosts();
-
-  std::atomic<bool> go{false};
-  std::atomic<std::uint64_t> sink{0};
-  std::vector<std::thread> workers;
-  for (int t = 0; t < 3; ++t) {
-    workers.emplace_back([&engine, &hosts, &go, &sink, t] {
-      while (!go.load()) {
-      }
-      Rng rng(static_cast<std::uint64_t>(t) + 1);
-      std::uint64_t local = 0;
-      for (int i = 0; i < 200; ++i) {
-        const topo::NodeId src = hosts[rng.below(hosts.size())];
-        const topo::NodeId dst = hosts[rng.below(hosts.size())];
-        local += engine.distance(src, dst);
-        if (src != dst) {
-          local += engine.sample_shortest_path(src, dst, rng).size();
-        }
-      }
-      sink.fetch_add(local);
-    });
-  }
-  workers.emplace_back([&engine, &hosts, &go] {
-    while (!go.load()) {
-    }
-    engine.warm_up(hosts, 4);
-  });
-  go.store(true);
-  for (auto& w : workers) w.join();
-
-  EXPECT_EQ(engine.cached_rows(), hosts.size());
-  std::vector<std::string> violations;
-  EXPECT_EQ(engine.self_check(violations), hosts.size());
-  EXPECT_TRUE(violations.empty()) << violations.front();
-  EXPECT_GT(sink.load(), 0u);
 }
 
 }  // namespace

@@ -685,8 +685,9 @@ TEST(MicWire, LongServiceNamesSurviveSerialization) {
   request.flow_count = 1;
   request.initiator_sports = {40001};
   const auto bytes = serialize_request(request);
-  const EstablishRequest parsed = deserialize_request(bytes);
-  EXPECT_EQ(parsed.service_name, request.service_name);
+  const auto parsed = deserialize_request(bytes);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->service_name, request.service_name);
 }
 
 TEST(MicWire, ReordererIgnoresDuplicates) {
@@ -769,14 +770,15 @@ TEST(MicWire, ControlMessageRoundTrip) {
   crypt_control_message(key, 7, bytes);
   EXPECT_EQ(bytes, plaintext);
 
-  const EstablishRequest parsed = deserialize_request(bytes);
-  EXPECT_EQ(parsed.initiator_ip, request.initiator_ip);
-  EXPECT_EQ(parsed.responder_ip, request.responder_ip);
-  EXPECT_EQ(parsed.flow_count, 3);
-  EXPECT_EQ(parsed.mn_count, 4);
-  EXPECT_EQ(parsed.multicast_decoys, 2);
-  EXPECT_EQ(parsed.service_name, "svc");
-  EXPECT_EQ(parsed.initiator_sports, request.initiator_sports);
+  const auto parsed = deserialize_request(bytes);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->initiator_ip, request.initiator_ip);
+  EXPECT_EQ(parsed->responder_ip, request.responder_ip);
+  EXPECT_EQ(parsed->flow_count, 3);
+  EXPECT_EQ(parsed->mn_count, 4);
+  EXPECT_EQ(parsed->multicast_decoys, 2);
+  EXPECT_EQ(parsed->service_name, "svc");
+  EXPECT_EQ(parsed->initiator_sports, request.initiator_sports);
 }
 
 }  // namespace

@@ -6,11 +6,12 @@
 // paths when sampling, and enumerate exactly the oracle's equal-cost path
 // set.  Failure epochs are exercised both wholesale (set_failed_links) and
 // incrementally (link_failed / link_restored on warm caches, where row
-// retention does the interesting work).  PE-1: warm-up and its thread
-// count must not change anything observable.
+// retention does the interesting work).  PE-1: how the row cache was
+// populated, and its row cap, must not change anything observable.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <set>
 
 #include "topology/bcube.hpp"
@@ -21,6 +22,11 @@
 
 namespace mic::topo {
 namespace {
+
+/// Populate the cache by querying each destination's row, in order.
+void query_rows(const PathEngine& engine, const std::vector<NodeId>& dsts) {
+  for (const NodeId dst : dsts) engine.distance(dst, dst);
+}
 
 struct Topo {
   const char* name;
@@ -149,7 +155,7 @@ TEST(PathEngineDiff, IncrementalFailureEpochsMatchFreshOracle) {
   const FatTree ft(4);
   const Graph& graph = ft.graph();
   PathEngine engine(graph);
-  engine.warm_up(ft.hosts(), 2);  // warm every host row up front
+  query_rows(engine, ft.hosts());  // cache every host row up front
 
   Rng rng(99);
   std::unordered_set<LinkId> failed;
@@ -197,7 +203,7 @@ TEST(PathEngineDiff, ClusteredFailuresRetainUnaffectedRows) {
     if (graph.is_switch(adj.peer)) failed.insert(adj.link);
   }
   engine.set_failed_links(failed);
-  engine.warm_up(ft.hosts(), 1);  // warm all host rows post-partition
+  query_rows(engine, ft.hosts());  // cache all host rows post-partition
 
   // Now fail a host link inside the partition.
   const NodeId local_host = ft.hosts()[0];
@@ -245,32 +251,57 @@ TEST(PathEngineDiff, FailedAccessLinkMatchesOracleUnreachability) {
   EXPECT_FALSE(engine.reachable(ft.hosts()[0], victim_host));
 }
 
-TEST(PathEngineDiff, WarmUpThreadCountIsObservationallyIrrelevant) {
-  // PE-1: for a fixed seed, sampled paths (and distances) are identical
-  // whether rows were computed lazily, warmed on one thread, or warmed on
-  // eight -- the cache contents are a pure function of (graph, failures).
+TEST(PathEngineDiff, CachePopulationIsObservationallyIrrelevant) {
+  // PE-1: for a fixed seed, sampled shortest and long paths and enumerated
+  // path sets are identical whether rows are computed lazily, every host
+  // row is pre-queried in reverse host order, or a one-row cap evicts and
+  // recomputes on nearly every query -- the cache contents are a pure
+  // function of (graph, failures, destination).  The capped engine evicts
+  // the row behind each earlier reference, so under ASan it also checks
+  // that a row is never read past the next query.
   const FatTree ft(6);
   const auto& hosts = ft.hosts();
 
-  auto run = [&](unsigned warmup_threads) {
+  struct Observed {
+    std::vector<Path> shortest;
+    std::vector<std::optional<Path>> longer;
+    std::vector<std::vector<Path>> enumerated;
+  };
+  enum class Cache { kLazy, kPrequeried, kCapped };
+  std::uint64_t capped_evictions = 0;
+  auto run = [&](Cache cache) {
     PathEngine engine(ft.graph());
-    if (warmup_threads > 0) engine.warm_up(hosts, warmup_threads);
+    if (cache == Cache::kPrequeried) {
+      query_rows(engine, {hosts.rbegin(), hosts.rend()});
+    }
+    if (cache == Cache::kCapped) engine.set_max_rows(1);
     Rng rng(777);
-    std::vector<Path> sampled;
+    Observed seen;
     for (int i = 0; i < 200; ++i) {
       const NodeId src = hosts[rng.below(hosts.size())];
       NodeId dst = src;
       while (dst == src) dst = hosts[rng.below(hosts.size())];
-      sampled.push_back(engine.sample_shortest_path(src, dst, rng));
+      seen.shortest.push_back(engine.sample_shortest_path(src, dst, rng));
+      // Six switches is longer than any shortest path in a k=6 fat-tree,
+      // so every call splices through waypoint rows.
+      seen.longer.push_back(engine.sample_long_path(src, dst, 6, rng));
+      seen.enumerated.push_back(engine.enumerate_shortest_paths(src, dst, 16));
     }
-    return sampled;
+    if (cache == Cache::kCapped) {
+      capped_evictions = engine.stats().rows_evicted;
+      EXPECT_EQ(engine.cached_rows(), 1u);
+    }
+    return seen;
   };
 
-  const auto lazy = run(0);
-  const auto warm1 = run(1);
-  const auto warm8 = run(8);
-  EXPECT_EQ(lazy, warm1);
-  EXPECT_EQ(lazy, warm8);
+  const Observed lazy = run(Cache::kLazy);
+  for (const Cache cache : {Cache::kPrequeried, Cache::kCapped}) {
+    const Observed seen = run(cache);
+    EXPECT_EQ(seen.shortest, lazy.shortest);
+    EXPECT_EQ(seen.longer, lazy.longer);
+    EXPECT_EQ(seen.enumerated, lazy.enumerated);
+  }
+  EXPECT_GT(capped_evictions, 0u);
 }
 
 TEST(PathEngineDiff, LongPathPropertiesHold) {
