@@ -17,18 +17,19 @@ int main() {
   std::printf("%-4s %12s %12s %12s %12s\n", "N", "setup_ms", "rtt_us",
               "goodput_Mb", "cpu_cores");
 
+  Runs runs;
   for (int n = 1; n <= 5; ++n) {
     SessionConfig latency_config;
     latency_config.system = System::kMicTcp;
     latency_config.route_len = n;
     latency_config.ping_rounds = 30;
-    const RunResult lat = run_session(latency_config);
+    const RunResult lat = runs.session(latency_config);
 
     SessionConfig bulk_config;
     bulk_config.system = System::kMicTcp;
     bulk_config.route_len = n;
     bulk_config.bulk_bytes = kBytes;
-    const RunResult bulk = run_session(bulk_config);
+    const RunResult bulk = runs.session(bulk_config);
 
     std::printf("%-4d %12.3f %12.1f %12.1f %12.3f\n", n, lat.setup_ms,
                 lat.latency_us, bulk.mbps, bulk.cpu_cores);
@@ -36,5 +37,5 @@ int main() {
   std::printf("# Privacy scales with N (an adversary must compromise all\n");
   std::printf("# N+1 path segments to trace the flow); overhead barely "
               "moves.\n");
-  return 0;
+  return runs.exit_code();
 }

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/fabric.hpp"
@@ -401,5 +402,46 @@ inline RunResult run_multi_flow(const MultiFlowConfig& config) {
   result.ok = true;
   return result;
 }
+
+/// The runners the figure benches call, counting failures.  A failed run
+/// returns zeros, which print like data, so each failure is named on
+/// stderr and exit_code() turns non-zero; stdout is left to the bench.
+class Runs {
+ public:
+  RunResult session(const SessionConfig& config) {
+    RunResult result = run_session(config);
+    if (!result.ok) {
+      fail(std::string(system_name(config.system)) + " session: route_len " +
+           std::to_string(config.route_len) + ", flows " +
+           std::to_string(config.flows) + ", ping_rounds " +
+           std::to_string(config.ping_rounds) + ", bulk_bytes " +
+           std::to_string(config.bulk_bytes) + ", seed " +
+           std::to_string(config.seed));
+    }
+    return result;
+  }
+
+  RunResult multi_flow(const MultiFlowConfig& config) {
+    RunResult result = run_multi_flow(config);
+    if (!result.ok) {
+      fail(std::string(system_name(config.system)) + " multi-flow: flows " +
+           std::to_string(config.flows) + ", bytes_per_flow " +
+           std::to_string(config.bytes_per_flow) + ", seed " +
+           std::to_string(config.seed));
+    }
+    return result;
+  }
+
+  /// The bench's exit status: 0 when every run succeeded.
+  int exit_code() const noexcept { return failed_ == 0 ? 0 : 1; }
+
+ private:
+  void fail(const std::string& config) {
+    ++failed_;
+    std::fprintf(stderr, "run failed: %s\n", config.c_str());
+  }
+
+  int failed_ = 0;
+};
 
 }  // namespace mic::bench

@@ -17,17 +17,18 @@ int main() {
   std::printf("%-10s %10s %10s %10s %10s\n", "route_len", "MIC", "Tor", "TCP",
               "SSL");
 
+  Runs runs;
   for (int len = 1; len <= 5; ++len) {
     SessionConfig mic_config{System::kMicTcp, len};
     SessionConfig tor_config{System::kTor, len};
     SessionConfig tcp_config{System::kTcp, len};
     SessionConfig ssl_config{System::kSsl, len};
-    const RunResult mic = run_session(mic_config);
-    const RunResult tor = run_session(tor_config);
-    const RunResult tcp = run_session(tcp_config);
-    const RunResult ssl = run_session(ssl_config);
+    const RunResult mic = runs.session(mic_config);
+    const RunResult tor = runs.session(tor_config);
+    const RunResult tcp = runs.session(tcp_config);
+    const RunResult ssl = runs.session(ssl_config);
     std::printf("%-10d %10.3f %10.3f %10.3f %10.3f\n", len, mic.setup_ms,
                 tor.setup_ms, tcp.setup_ms, ssl.setup_ms);
   }
-  return 0;
+  return runs.exit_code();
 }

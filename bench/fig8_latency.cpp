@@ -20,16 +20,17 @@ int main() {
   const System systems[] = {System::kTcp, System::kSsl, System::kMicTcp,
                             System::kMicSsl, System::kTor};
   double tcp_latency = 0.0;
+  Runs runs;
   for (const System system : systems) {
     SessionConfig config;
     config.system = system;
     config.route_len = 3;
     config.ping_rounds = kRounds;
-    const RunResult result = run_session(config);
+    const RunResult result = runs.session(config);
     if (system == System::kTcp) tcp_latency = result.latency_us;
     std::printf("%-10s %12.1f %11.2fx\n", system_name(system),
                 result.latency_us,
                 tcp_latency > 0 ? result.latency_us / tcp_latency : 0.0);
   }
-  return 0;
+  return runs.exit_code();
 }

@@ -18,17 +18,18 @@ int main() {
   std::printf("%-10s %10s %10s %10s %10s %10s\n", "path_len", "MIC-TCP",
               "MIC-SSL", "Tor", "TCP", "SSL");
 
+  Runs runs;
   for (int len = 1; len <= 5; ++len) {
     auto run = [&](System system) {
       SessionConfig config;
       config.system = system;
       config.route_len = len;
       config.bulk_bytes = kBytes;
-      return run_session(config).mbps;
+      return runs.session(config).mbps;
     };
     std::printf("%-10d %10.1f %10.1f %10.1f %10.1f %10.1f\n", len,
                 run(System::kMicTcp), run(System::kMicSsl), run(System::kTor),
                 run(System::kTcp), run(System::kSsl));
   }
-  return 0;
+  return runs.exit_code();
 }

@@ -23,6 +23,7 @@ int main() {
   // Each cell averages several seeded runs: with drop-tail queues and no
   // SACK a single run's retransmission timing is noisy.
   constexpr int kSeeds = 3;
+  Runs runs;
   for (const int flows : {1, 2, 4, 8, 16}) {
     auto run = [&](System system) {
       double sum = 0.0;
@@ -32,7 +33,7 @@ int main() {
         config.flows = flows;
         config.bytes_per_flow = kBytesPerFlow;
         config.seed = 42 + static_cast<std::uint64_t>(s);
-        sum += run_multi_flow(config).mbps;
+        sum += runs.multi_flow(config).mbps;
       }
       return sum / kSeeds;
     };
@@ -40,5 +41,5 @@ int main() {
                 run(System::kMicTcp), run(System::kMicSsl), run(System::kTor),
                 run(System::kTcp), run(System::kSsl));
   }
-  return 0;
+  return runs.exit_code();
 }

@@ -23,16 +23,17 @@ int main() {
   const System systems[] = {System::kTcp, System::kSsl, System::kMicTcp,
                             System::kMicSsl, System::kTor};
   double tcp_cpu = 0.0;
+  Runs runs;
   for (const System system : systems) {
     SessionConfig config;
     config.system = system;
     config.route_len = 3;
     config.bulk_bytes = kBytes;
-    const RunResult result = run_session(config);
+    const RunResult result = runs.session(config);
     if (system == System::kTcp) tcp_cpu = result.cpu_cores;
     std::printf("%-10s %12.3f %11.2fx\n", system_name(system),
                 result.cpu_cores,
                 tcp_cpu > 0 ? result.cpu_cores / tcp_cpu : 0.0);
   }
-  return 0;
+  return runs.exit_code();
 }

@@ -1,23 +1,28 @@
-// Micro-benchmark: flow-table lookup cost vs rule count, two-tier
-// exact-match index vs the reference linear scan, and the install / remove
-// cost of the table's mutation path (google-benchmark).
+// Micro-benchmark: flow-table lookup cost vs rule count, tuple-space
+// lookup vs the reference linear scan, and the install / remove cost of
+// the table's mutation path (google-benchmark).
 //
-// Rules are shaped like the Mimic Controller's m-flow rewrites: fully
-// specified <in_port, src, dst, sport, dport, mpls> matches, the load that
-// scales with channel count, plus a low-priority wildcard catch-all like
-// the L3 tier.  Lookups cycle over packets that hit distinct rules, so the
-// scan pays its average-depth cost instead of always winning on rule 0.
-// The install series add the same exact rules (four per cookie, like one
-// channel's rules at a switch) and L3-shaped wildcard rules (a transit
-// route per destination plus per-host ingress classifiers).
+// Two rule mixes.  The exact mix is shaped like the Mimic Controller's
+// m-flow rewrites: fully specified <in_port, src, dst, sport, dport, mpls>
+// matches, the load that scales with channel count, plus a low-priority
+// catch-all.  The L3 mix is what the default routing installs on an edge
+// switch: a transit route per destination plus per-host-port ingress
+// classifiers.  Lookups cycle over packets that hit distinct rules, so the
+// scan pays its average-depth cost instead of always winning on rule 0;
+// the L3 lookups send every destination one untagged packet from a host
+// port and one CF-tagged packet from an uplink, as common flows cross an
+// edge switch.  The install series add the same exact rules (four per
+// cookie, like one channel's rules at a switch) and the L3 rules.
 //
 //   micro_flowtable               # google-benchmark tables
 //   micro_flowtable --sweep_json  # machine-readable sweep for the bench
 //                                 # trajectory: one JSON object on stdout
 //   micro_flowtable --max_install_growth X
-//                                 # guard: exit 1 when the per-rule exact
-//                                 # install cost at 4096 rules exceeds X
-//                                 # times the cost at 64 rules
+//                                 # guard: exit 1 when, at 4096 rules, the
+//                                 # per-rule exact install cost, the
+//                                 # per-rule L3 fill cost or the L3 lookup
+//                                 # cost exceeds X times its cost at 64
+//                                 # rules
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -26,6 +31,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -318,26 +324,117 @@ double measure_l3_fill(int size, int trials) {
   return best;
 }
 
+/// An L3 table of `rules` rules from l3_rules() plus the common-flow
+/// packets that cross it: for every destination an untagged packet from a
+/// host port and a CF-tagged packet from an uplink.
+struct L3Bench {
+  FlowTable table;
+  std::vector<std::pair<mic::net::Packet, mic::topo::PortId>> packets;
+};
+
+L3Bench build_l3_table(int rules) {
+  L3Bench bench;
+  std::vector<mic::net::Ipv4> destinations;
+  for (FlowRule& rule : l3_rules(rules)) {
+    if (!rule.match.in_port) destinations.push_back(*rule.match.dst);
+    install_or_die(bench.table, std::move(rule));
+  }
+  for (std::size_t i = 0; i < destinations.size(); ++i) {
+    mic::net::Packet packet;
+    packet.src = mic::net::Ipv4(10, 255, 0, 1);
+    packet.dst = destinations[i];
+    packet.sport = static_cast<mic::net::L4Port>(40000 + i);
+    packet.dport = 80;
+    packet.tcp.payload_len = 64;
+    const auto host_port = static_cast<mic::topo::PortId>(i % 4);
+    bench.packets.emplace_back(packet, host_port);
+    packet.mpls = 7;
+    bench.packets.emplace_back(packet,
+                               static_cast<mic::topo::PortId>(4 + host_port));
+  }
+  return bench;
+}
+
+void BM_FlowTableLookupL3(benchmark::State& state) {
+  L3Bench bench = build_l3_table(static_cast<int>(state.range(0)));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [packet, in_port] = bench.packets[i++ % bench.packets.size()];
+    benchmark::DoNotOptimize(
+        bench.table.lookup(packet, in_port, packet.wire_bytes()));
+  }
+  state.counters["misses"] =
+      static_cast<double>(bench.table.stats().misses);
+}
+BENCHMARK(BM_FlowTableLookupL3)->Arg(64)->Arg(256)->Arg(1024)->Arg(4096);
+
+/// Mean cost of one lookup in `bench`'s table over `lookups` lookups that
+/// cycle through its packets, through lookup() or the reference scan.
+/// Best of `trials`.
+double measure_l3_lookup(L3Bench& bench, int lookups, int trials,
+                         bool reference) {
+  double best = 1e300;
+  for (int trial = 0; trial < trials; ++trial) {
+    std::size_t next = 0;
+    const auto t0 = Clock::now();
+    for (int i = 0; i < lookups; ++i) {
+      const auto& [packet, in_port] = bench.packets[next];
+      if (reference) {
+        benchmark::DoNotOptimize(
+            bench.table.reference_lookup(packet, in_port));
+      } else {
+        benchmark::DoNotOptimize(
+            bench.table.lookup(packet, in_port, packet.wire_bytes()));
+      }
+      if (++next == bench.packets.size()) next = 0;
+    }
+    best = std::min(best, ns_between(t0, Clock::now()) / lookups);
+  }
+  return best;
+}
+
 constexpr int kMutationSizes[] = {64, 256, 1024, 4096};
 
-/// Perf-regression guard for scripts/check.sh: an exact-rule install must
-/// not grow with the table.  The per-rule install cost in a table of 4096
-/// rules may be at most `max_growth` times the cost at 64 rules (an
-/// O(table) install makes it ~64x).
+/// Perf-regression guard for scripts/check.sh: no per-rule cost may grow
+/// with the table.  At 4096 rules, the per-rule exact install cost (under
+/// steady cookie churn), the per-rule cost of filling an L3 table and the
+/// cost of an L3 lookup may each be at most `max_growth` times its cost at
+/// 64 rules.  An O(table) install or lookup makes it ~20-64x.
 int run_max_install_growth(double max_growth) {
   constexpr int kTrials = 5;
-  const double small = measure_churn(kMutationSizes[0], kTrials).install_ns;
-  const double large = measure_churn(kMutationSizes[3], kTrials).install_ns;
-  const double growth = large / small;
-  std::printf("exact install: %.1f ns/rule at %d rules, %.1f ns/rule at %d "
-              "rules: %.2fx\n",
-              small, kMutationSizes[0], large, kMutationSizes[3], growth);
-  if (growth > max_growth) {
-    std::fprintf(stderr, "install cost growth %.2fx above allowed %.2fx\n",
-                 growth, max_growth);
-    return 1;
+  constexpr int kLookups = 200000;
+  const int small = kMutationSizes[0];
+  const int large = kMutationSizes[3];
+  L3Bench small_l3 = build_l3_table(small);
+  L3Bench large_l3 = build_l3_table(large);
+  struct Guard {
+    const char* what;
+    const char* unit;
+    double small_ns;
+    double large_ns;
+  };
+  const Guard guards[] = {
+      {"exact install", "ns/rule", measure_churn(small, kTrials).install_ns,
+       measure_churn(large, kTrials).install_ns},
+      {"L3 fill", "ns/rule", measure_l3_fill(small, kTrials),
+       measure_l3_fill(large, kTrials)},
+      {"L3 lookup", "ns/lookup",
+       measure_l3_lookup(small_l3, kLookups, kTrials, false),
+       measure_l3_lookup(large_l3, kLookups, kTrials, false)},
+  };
+  int status = 0;
+  for (const Guard& guard : guards) {
+    const double growth = guard.large_ns / guard.small_ns;
+    std::printf("%s: %.1f %s at %d rules, %.1f %s at %d rules: %.2fx\n",
+                guard.what, guard.small_ns, guard.unit, small, guard.large_ns,
+                guard.unit, large, growth);
+    if (growth > max_growth) {
+      std::fprintf(stderr, "%s cost growth %.2fx above allowed %.2fx\n",
+                   guard.what, growth, max_growth);
+      status = 1;
+    }
   }
-  return 0;
+  return status;
 }
 
 /// Self-timed sweep, one JSON object on stdout: rule-count trajectory of
@@ -406,6 +503,27 @@ int run_sweep_json() {
                 "\"wildcard_install_ns_per_rule\":%.2f}",
                 first ? "" : ",", rules, exact.install_ns, exact.remove_ns,
                 measure_l3_fill(rules, 3));
+    first = false;
+  }
+  // L3 path: common-flow lookups over L3-shaped tables, tuple space vs the
+  // reference scan.  A flat ns_per_lookup column means lookups do not grow
+  // with the rule count.
+  std::printf("],\"l3_series\":[");
+  first = true;
+  for (const int rules : kMutationSizes) {
+    L3Bench bench = build_l3_table(rules);
+    const double ref_ns = measure_l3_lookup(bench, kLookups / 10, 1, true);
+    const double ns = measure_l3_lookup(bench, kLookups, 3, false);
+    const TableStats& stats = bench.table.stats();
+    std::printf("%s{\"rules\":%d,\"packets\":%zu,"
+                "\"reference_ns_per_lookup\":%.2f,\"ns_per_lookup\":%.2f,"
+                "\"speedup\":%.2f,\"lookups\":%llu,\"index_hits\":%llu,"
+                "\"scan_fallbacks\":%llu,\"misses\":%llu}",
+                first ? "" : ",", rules, bench.packets.size(), ref_ns, ns,
+                ref_ns / ns, static_cast<unsigned long long>(stats.lookups),
+                static_cast<unsigned long long>(stats.index_hits),
+                static_cast<unsigned long long>(stats.scan_fallbacks),
+                static_cast<unsigned long long>(stats.misses));
     first = false;
   }
   std::printf("]}\n");

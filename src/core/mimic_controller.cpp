@@ -781,8 +781,10 @@ void MimicController::service_establish(
     net::Ipv4 client, std::vector<std::uint8_t> bytes,
     std::uint64_t message_counter,
     std::function<void(EstablishResult)> on_result) {
-  // An unregistered client or a request that does not parse is answered
-  // with an error through the same reply path as a planning failure.
+  // An unregistered client, a request that does not parse, or one that
+  // names another host as its initiator is answered with an error through
+  // the same reply path as a planning failure.  Planning trusts
+  // initiator_ip, so a client may only establish in its own name.
   const auto key_it = client_keys_.find(client.value);
   std::optional<EstablishRequest> request;
   const char* reject = "unknown client; register before establishing";
@@ -790,6 +792,10 @@ void MimicController::service_establish(
     crypt_control_message(key_it->second, message_counter, bytes);
     request = deserialize_request(bytes);
     reject = "malformed request";
+    if (request && request->initiator_ip != client) {
+      request.reset();
+      reject = "initiator address is not the requesting client";
+    }
   }
   // The admission service slot is held until the ack (or error) leaves:
   // in-service covers the whole plan/install pipeline.  The epoch guard

@@ -1,7 +1,9 @@
 #include "switchd/flow_table.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
+#include <map>
 #include <string>
 #include <utility>
 
@@ -9,21 +11,6 @@
 #include "common/rng.hpp"
 
 namespace mic::switchd {
-
-std::size_t count_set_fields(const std::vector<Action>& actions) noexcept {
-  std::size_t n = 0;
-  for (const auto& action : actions) {
-    if (std::holds_alternative<SetSrc>(action) ||
-        std::holds_alternative<SetDst>(action) ||
-        std::holds_alternative<SetSport>(action) ||
-        std::holds_alternative<SetDport>(action) ||
-        std::holds_alternative<SetMpls>(action) ||
-        std::holds_alternative<PopMpls>(action)) {
-      ++n;
-    }
-  }
-  return n;
-}
 
 std::size_t select_bucket(const net::Packet& packet, std::size_t bucket_count,
                           std::uint64_t salt) noexcept {
@@ -43,25 +30,144 @@ std::size_t select_bucket(const net::Packet& packet, std::size_t bucket_count,
   return static_cast<std::size_t>(splitmix64(state) % bucket_count);
 }
 
-std::size_t FlowTable::ExactKeyHash::operator()(
-    const ExactKey& k) const noexcept {
-  std::uint64_t state = (static_cast<std::uint64_t>(k.src.value) << 32) |
-                        k.dst.value;
-  state ^= (static_cast<std::uint64_t>(k.sport) << 48) |
-           (static_cast<std::uint64_t>(k.dport) << 32) | k.mpls;
-  state ^= static_cast<std::uint64_t>(k.in_port) << 16;
-  return static_cast<std::size_t>(splitmix64(state));
+FlowTable::Shape FlowTable::shape_of(const Match& m) noexcept {
+  if (m.require_no_mpls && m.mpls.value_or(net::kNoMpls) != net::kNoMpls) {
+    return kNeverMatches;
+  }
+  return static_cast<Shape>((m.in_port ? kPinsInPort : 0) |
+                            (m.src ? kPinsSrc : 0) | (m.dst ? kPinsDst : 0) |
+                            (m.sport ? kPinsSport : 0) |
+                            (m.dport ? kPinsDport : 0) |
+                            (m.mpls || m.require_no_mpls ? kPinsLabel : 0));
 }
 
-FlowTable::ExactKey FlowTable::key_of(const net::Packet& packet,
-                                      topo::PortId in_port) noexcept {
-  return ExactKey{in_port, packet.src,  packet.dst,
-                  packet.sport, packet.dport, packet.mpls};
+FlowTable::Key FlowTable::key_of(const net::Packet& packet,
+                                 topo::PortId in_port) noexcept {
+  return {(std::uint64_t{packet.src.value} << 32) | packet.dst.value,
+          (std::uint64_t{packet.sport} << 48) |
+              (std::uint64_t{packet.dport} << 32) | packet.mpls,
+          in_port};
 }
 
-FlowTable::ExactKey FlowTable::key_of(const Match& m) noexcept {
-  return ExactKey{*m.in_port, *m.src,  *m.dst,
-                  *m.sport,   *m.dport, m.mpls.value_or(net::kNoMpls)};
+FlowTable::Key FlowTable::key_of(const Match& m) noexcept {
+  return {(std::uint64_t{m.src.value_or(net::Ipv4{}).value} << 32) |
+              m.dst.value_or(net::Ipv4{}).value,
+          (std::uint64_t{m.sport.value_or(0)} << 48) |
+              (std::uint64_t{m.dport.value_or(0)} << 32) |
+              m.mpls.value_or(net::kNoMpls),
+          m.in_port.value_or(0)};
+}
+
+FlowTable::Key FlowTable::mask_of(Shape shape) noexcept {
+  constexpr std::uint64_t kHigh = 0xFFFFFFFF00000000ULL;
+  constexpr std::uint64_t kLow = 0xFFFFFFFFULL;
+  Key mask;
+  if (shape & kPinsSrc) mask.addrs |= kHigh;
+  if (shape & kPinsDst) mask.addrs |= kLow;
+  if (shape & kPinsSport) mask.ports |= 0xFFFFULL << 48;
+  if (shape & kPinsDport) mask.ports |= 0xFFFFULL << 32;
+  if (shape & kPinsLabel) mask.ports |= kLow;
+  if (shape & kPinsInPort) mask.in_port = ~0ULL;
+  return mask;
+}
+
+std::uint64_t FlowTable::hash_of(const Key& key) noexcept {
+  std::uint64_t state = key.addrs ^ (key.ports * 0x9e3779b97f4a7c15ULL) ^
+                        (key.in_port * 0xc2b2ae3d27d4eb4fULL);
+  return splitmix64(state);
+}
+
+std::size_t FlowTable::probe(const Subtable& table,
+                             const Key& key) const noexcept {
+  const std::size_t mask = table.cells.size() - 1;
+  std::size_t cell = hash_of(key) & mask;
+  while (table.cells[cell] != kNoSlot &&
+         !(key_of(slots_[table.cells[cell]].rule.match) == key)) {
+    cell = (cell + 1) & mask;
+  }
+  return cell;
+}
+
+void FlowTable::insert_head(Subtable& table, std::size_t cell,
+                            std::uint32_t slot) {
+  if ((table.keys + 1) * 2 > table.cells.size()) {
+    std::vector<std::uint32_t> old(
+        std::max<std::size_t>(8, 2 * table.cells.size()), kNoSlot);
+    old.swap(table.cells);
+    for (const std::uint32_t head : old) {
+      if (head != kNoSlot) {
+        table.cells[probe(table, key_of(slots_[head].rule.match))] = head;
+      }
+    }
+    cell = probe(table, key_of(slots_[slot].rule.match));
+  }
+  table.cells[cell] = slot;
+  ++table.keys;
+}
+
+void FlowTable::erase_cell(Subtable& table, std::size_t hole) noexcept {
+  const std::size_t mask = table.cells.size() - 1;
+  for (std::size_t cell = (hole + 1) & mask; table.cells[cell] != kNoSlot;
+       cell = (cell + 1) & mask) {
+    const std::size_t home =
+        hash_of(key_of(slots_[table.cells[cell]].rule.match)) & mask;
+    // The entry may fill the hole only if the hole lies on its probe path,
+    // between its home cell and the cell it sits in.
+    if (((cell - home) & mask) >= ((cell - hole) & mask)) {
+      table.cells[hole] = table.cells[cell];
+      hole = cell;
+    }
+  }
+  table.cells[hole] = kNoSlot;
+  --table.keys;
+}
+
+std::size_t FlowTable::subtable_index(Shape shape) const noexcept {
+  std::size_t index = 0;
+  while (index < subtables_.size() && subtables_[index].shape != shape) {
+    ++index;
+  }
+  return index;
+}
+
+void FlowTable::count_priority(std::size_t index, std::uint16_t priority,
+                               int delta) {
+  auto& counts = subtables_[index].priorities;
+  const auto at = std::ranges::find_if(counts, [priority](const auto& c) {
+    return c.priority <= priority;
+  });
+  const bool present = at != counts.end() && at->priority == priority;
+  if (delta > 0) {
+    if (present) {
+      ++at->rules;
+    } else {
+      counts.insert(at, {priority, 1});
+    }
+  } else {
+    MIC_ASSERT(present);
+    if (--at->rules == 0) counts.erase(at);
+  }
+  if (counts.empty()) {
+    subtables_.erase(subtables_.begin() + static_cast<std::ptrdiff_t>(index));
+    return;
+  }
+  subtables_[index].max_priority = counts.front().priority;
+  // Move the subtable to its place in max-priority order: a few swaps of
+  // a few subtables at most.
+  const auto above = [this](std::size_t i) {
+    return subtables_[i].max_priority > subtables_[i - 1].max_priority;
+  };
+  for (; index > 0 && above(index); --index) {
+    std::swap(subtables_[index], subtables_[index - 1]);
+  }
+  for (; index + 1 < subtables_.size() && above(index + 1); ++index) {
+    std::swap(subtables_[index], subtables_[index + 1]);
+  }
+}
+
+std::size_t FlowTable::indexed_rule_count() const noexcept {
+  const std::size_t index = subtable_index(kAllFields);
+  return index == subtables_.size() ? 0 : subtables_[index].keys;
 }
 
 void FlowTable::clear() {
@@ -69,10 +175,9 @@ void FlowTable::clear() {
   free_slots_.clear();
   rule_count_ = 0;
   groups_.clear();
-  index_.clear();
-  shadowed_.clear();
-  scan_rules_.clear();
-  scan_front_rank_ = kNoRank;
+  group_at_.clear();
+  subtables_.clear();
+  never_matching_ = kNoSlot;
   cookie_heads_.clear();
 }
 
@@ -100,96 +205,85 @@ std::uint32_t FlowTable::place(FlowRule rule) {
 bool FlowTable::add_rule(FlowRule rule) {
   if (capacity_ != 0 && rule_count_ >= capacity_) return false;
 
-  if (rule.match.is_exact()) {
-    // A duplicate (priority, match) shares the key, so only the key's own
-    // rules need checking.
-    const ExactKey key = key_of(rule.match);
-    const auto [winner, fresh] = index_.try_emplace(key);
-    if (fresh) {
-      winner->second = winner_at(place(std::move(rule)));
-      return true;
+  // One probe finds the chain of the rule's shape and key (a never-matching
+  // rule's chain has no subtable).
+  const Shape shape = shape_of(rule.match);
+  const bool matchable = shape != kNeverMatches;
+  std::size_t index = subtables_.size();
+  std::size_t cell = 0;
+  std::uint32_t head = never_matching_;
+  if (matchable) {
+    index = subtable_index(shape);
+    head = kNoSlot;
+    if (index != subtables_.size()) {
+      cell = probe(subtables_[index], key_of(rule.match));
+      head = subtables_[index].cells[cell];
     }
-    const auto same = [this, &rule](std::uint32_t slot) {
-      const FlowRule& r = slots_[slot].rule;
-      return r.priority == rule.priority && r.match == rule.match;
-    };
-    const auto shadows = shadowed_.find(key);
-    if (same(winner->second.slot) ||
-        (shadows != shadowed_.end() &&
-         std::ranges::any_of(shadows->second, same))) {
-      return false;
-    }
-    // The newcomer is the latest install, so it takes the key only with a
-    // strictly higher priority; the loser waits in the shadow list.
-    const bool wins = rule.priority > winner->second.priority;
-    const std::uint32_t slot = place(std::move(rule));
-    shadowed_[key].push_back(
-        wins ? std::exchange(winner->second, winner_at(slot)).slot : slot);
-    return true;
+  }
+  // A duplicate (priority, match) can only sit on this chain, and the
+  // newcomer, the latest install, goes behind every rule of equal or
+  // higher priority.
+  std::uint32_t before = kNoSlot;
+  for (std::uint32_t at = head; at != kNoSlot; at = slots_[at].next_in_key) {
+    const FlowRule& r = slots_[at].rule;
+    if (r.priority < rule.priority) break;
+    if (r.priority == rule.priority && r.match == rule.match) return false;
+    before = at;
   }
 
-  // Wildcard tier: the newcomer goes behind every rule of equal or higher
-  // priority, and a duplicate can only sit among the equal-priority ones.
   const std::uint16_t priority = rule.priority;
-  const auto priority_above = [this, priority](std::uint32_t slot) {
-    return slots_[slot].rule.priority > priority;
-  };
-  const auto band = std::ranges::partition_point(scan_rules_, priority_above);
-  auto behind = band;
-  for (; behind != scan_rules_.end() &&
-         slots_[*behind].rule.priority == priority;
-       ++behind) {
-    if (slots_[*behind].rule.match == rule.match) return false;
+  const std::uint32_t slot = place(std::move(rule));
+  if (before != kNoSlot) {
+    slots_[slot].next_in_key = std::exchange(slots_[before].next_in_key, slot);
+  } else if (!matchable) {
+    slots_[slot].next_in_key = std::exchange(never_matching_, slot);
+  } else if (head != kNoSlot) {
+    slots_[slot].next_in_key =
+        std::exchange(subtables_[index].cells[cell], slot);
+  } else {
+    if (index == subtables_.size()) {
+      Subtable& fresh = subtables_.emplace_back();
+      fresh.shape = shape;
+      fresh.mask = mask_of(shape);
+    }
+    insert_head(subtables_[index], cell, slot);
   }
-  scan_rules_.insert(behind, place(std::move(rule)));
-  refresh_scan_front();
+  if (matchable) count_priority(index, priority, +1);
   return true;
 }
 
-void FlowTable::refresh_scan_front() noexcept {
-  scan_front_rank_ =
-      scan_rules_.empty() ? kNoRank : rank_of(slots_[scan_rules_.front()]);
-}
-
-void FlowTable::unlink_exact(std::uint32_t slot) {
-  // index_.find() is left to the lookup path alone, which keeps it inlined
-  // there; erase(key) and at() reach the entry without it.
-  const ExactKey key = key_of(slots_[slot].rule.match);
-  const auto shadows =
-      shadowed_.empty() ? shadowed_.end() : shadowed_.find(key);
-  if (shadows == shadowed_.end()) {
-    // Alone on its key, so the rule is the index entry.
-    const std::size_t erased = index_.erase(key);
-    MIC_ASSERT(erased == 1);
-    return;
+void FlowTable::unlink(std::uint32_t slot) {
+  const FlowRule& rule = slots_[slot].rule;
+  const Shape shape = shape_of(rule.match);
+  const bool matchable = shape != kNeverMatches;
+  std::size_t index = subtables_.size();
+  std::size_t cell = 0;
+  std::uint32_t* link = &never_matching_;
+  if (matchable) {
+    index = subtable_index(shape);
+    MIC_ASSERT(index != subtables_.size());
+    cell = probe(subtables_[index], key_of(rule.match));
+    link = &subtables_[index].cells[cell];
   }
-  Winner& winner = index_.at(key);
-  std::vector<std::uint32_t>& losers = shadows->second;
-  if (winner.slot == slot) {
-    const auto best = std::ranges::min_element(
-        losers, {}, [this](std::uint32_t s) { return rank_of(slots_[s]); });
-    winner = winner_at(*best);
-    losers.erase(best);
+  if (matchable && *link == slot && slots_[slot].next_in_key == kNoSlot) {
+    erase_cell(subtables_[index], cell);  // the key's last rule
   } else {
-    const auto it = std::ranges::find(losers, slot);
-    MIC_ASSERT(it != losers.end());
-    losers.erase(it);
+    while (*link != slot) {
+      MIC_ASSERT(*link != kNoSlot);
+      link = &slots_[*link].next_in_key;
+    }
+    *link = slots_[slot].next_in_key;
   }
-  if (losers.empty()) shadowed_.erase(shadows);
+  if (matchable) count_priority(index, rule.priority, -1);
 }
 
 std::size_t FlowTable::remove_by_cookie(std::uint64_t cookie) {
   const auto head = cookie_heads_.find(cookie);
   if (head == cookie_heads_.end()) return 0;
   std::size_t removed = 0;
-  bool wildcard_removed = false;
   for (std::uint32_t slot = head->second; slot != kNoSlot;) {
+    unlink(slot);
     Slot& s = slots_[slot];
-    if (s.rule.match.is_exact()) {
-      unlink_exact(slot);
-    } else {
-      wildcard_removed = true;
-    }
     const std::uint32_t next = s.next_in_cookie;
     s = Slot{};  // frees the actions and marks the slot free
     free_slots_.push_back(slot);
@@ -198,55 +292,43 @@ std::size_t FlowTable::remove_by_cookie(std::uint64_t cookie) {
   }
   cookie_heads_.erase(head);
   rule_count_ -= removed;
-  // One pass drops every freed wildcard slot; the survivors keep their
-  // rank order.
-  if (wildcard_removed) {
-    std::erase_if(scan_rules_,
-                  [this](std::uint32_t slot) { return slots_[slot].seq == 0; });
-    refresh_scan_front();
-  }
   return removed;
 }
 
-FlowTable::TierHit FlowTable::two_tier_find(
-    const net::Packet& packet, topo::PortId in_port) const noexcept {
-  // Tier 1: the exact-match index.  A hit pins the best fully-specified
-  // candidate; key equality guarantees the rule matches the packet.
-  if (!index_.empty()) {
-    const auto it = index_.find(key_of(packet, in_port));
-    if (it != index_.end()) {
-      // Only a wildcard rule ranked ahead of the candidate can still win:
-      // the first match before the candidate's rank, if any.  The cached
-      // front rank settles the common case without touching the tier.
-      const Winner& winner = it->second;
-      const Rank rank = winner.rank();
-      if (scan_front_rank_ < rank) {
-        for (const std::uint32_t slot : scan_rules_) {
-          const Slot& s = slots_[slot];
-          if (rank_of(s) >= rank) break;
-          if (s.rule.match.matches(packet, in_port)) return {slot, false};
-        }
-      }
-      return {winner.slot, true};
+FlowTable::Hit FlowTable::find(const net::Packet& packet,
+                               topo::PortId in_port) const noexcept {
+  const Key key = key_of(packet, in_port);
+  Hit best{kNoSlot, false};
+  Rank best_rank = kNoRank;
+  int best_priority = -1;
+  for (const Subtable& table : subtables_) {
+    // Subtables come in max-priority order, so once one cannot reach the
+    // best match's priority, no later one can.  An equal maximum can still
+    // win on install order.
+    if (table.max_priority < best_priority) break;
+    const std::uint32_t head = table.cells[probe(table, key & table.mask)];
+    if (head == kNoSlot) continue;
+    // The head is its chain's best rule, and every rule of the chain
+    // matches the packet.
+    const Slot& s = slots_[head];
+    if (rank_of(s) < best_rank) {
+      best = {head, table.shape == kAllFields};
+      best_rank = rank_of(s);
+      best_priority = s.rule.priority;
     }
   }
-  // Tier 2 alone: the first wildcard match in rank order wins.  Kept free
-  // of rank checks -- this is the per-packet path of every common flow.
-  for (const std::uint32_t slot : scan_rules_) {
-    if (slots_[slot].rule.match.matches(packet, in_port)) return {slot, false};
-  }
-  return {kNoSlot, false};
+  return best;
 }
 
 FlowRule* FlowTable::lookup(const net::Packet& packet, topo::PortId in_port,
                             std::uint32_t wire_bytes) {
   ++stats_.lookups;
-  const TierHit hit = two_tier_find(packet, in_port);
+  const Hit hit = find(packet, in_port);
   if (hit.slot == kNoSlot) {
     ++stats_.misses;
     return nullptr;
   }
-  hit.from_index ? ++stats_.index_hits : ++stats_.scan_fallbacks;
+  hit.exact ? ++stats_.index_hits : ++stats_.scan_fallbacks;
   FlowRule& rule = slots_[hit.slot].rule;
   MIC_ASSERT(rule.match.matches(packet, in_port));
   ++rule.packet_count;
@@ -303,76 +385,90 @@ std::size_t FlowTable::self_check(std::vector<std::string>& violations) const {
     return slot < slots_.size() && slots_[slot].seq != 0;
   };
 
-  // Structural: the index, the shadow lists and the scan tier together
-  // name every live rule exactly once; each index entry is the
-  // highest-precedence exact rule of its key; the scan tier is in rank
-  // order; the cookie lists partition the live rules.
+  // Structural: the subtables' chains and the never-matching chain name
+  // every live rule exactly once, each rule under its own shape and (in a
+  // subtable) its chain head's key, in rank order.  walk() returns false
+  // when a chain leaves the live slots or loops: probing would then read
+  // garbage.
   std::vector<std::uint8_t> named(slots_.size(), 0);
-  for (std::size_t i = 0; i < scan_rules_.size(); ++i) {
-    const std::uint32_t slot = scan_rules_[i];
-    if (!live(slot)) {
-      complain(slot, "scan tier names a free or missing slot");
-      return 0;  // slots untrustworthy; probing would read garbage
+  using Counts = std::map<std::uint16_t, std::uint32_t, std::greater<>>;
+  const auto walk = [&](std::uint32_t head, Shape shape, Counts& counts) {
+    for (std::uint32_t slot = head, prev = kNoSlot; slot != kNoSlot;
+         prev = slot, slot = slots_[slot].next_in_key) {
+      if (!live(slot) || named[slot] != 0) {
+        complain(slot, "chain names a free, missing or already named slot");
+        return false;
+      }
+      ++named[slot];
+      const Slot& s = slots_[slot];
+      ++counts[s.rule.priority];
+      if (shape_of(s.rule.match) != shape) {
+        complain(slot, "rule filed under a foreign shape");
+      } else if (shape != kNeverMatches &&
+                 !(key_of(s.rule.match) == key_of(slots_[head].rule.match))) {
+        complain(slot, "rule chained under a foreign key");
+      }
+      if (prev != kNoSlot && rank_of(s) <= rank_of(slots_[prev])) {
+        complain(slot, "chain out of precedence order");
+      }
     }
-    if (i > 0 && rank_of(slots_[slot]) <= rank_of(slots_[scan_rules_[i - 1]])) {
-      complain(slot, "scan tier out of precedence order");
-    }
-    if (slots_[slot].rule.match.is_exact()) {
-      complain(slot, "fully-specified rule left on the scan tier");
-    }
-    ++named[slot];
-  }
-  const Rank front =
-      scan_rules_.empty() ? kNoRank : rank_of(slots_[scan_rules_.front()]);
-  if (scan_front_rank_ != front) {
-    violations.push_back("cached scan-tier front rank is stale");
-  }
-  // An exact-tier entry must name an exact rule filed under its own key.
-  const auto check_exact = [&](const ExactKey& key, std::uint32_t slot) {
-    ++named[slot];
-    const Match& m = slots_[slot].rule.match;
-    if (!m.is_exact()) {
-      complain(slot, "exact tier names a wildcard rule");
-    } else if (!(key_of(m) == key)) {
-      complain(slot, "exact rule filed under a foreign key");
-    }
+    return true;
   };
-  std::size_t shadow_lists = 0;
-  for (const auto& [key, winner] : index_) {
-    if (!live(winner.slot)) {
-      complain(winner.slot, "index names a free or missing slot");
+  Counts never_counts;
+  if (!walk(never_matching_, kNeverMatches, never_counts)) return 0;
+
+  for (std::size_t i = 0; i < subtables_.size(); ++i) {
+    const Subtable& table = subtables_[i];
+    const std::string name = "subtable of shape " + std::to_string(table.shape);
+    const std::size_t size = table.cells.size();
+    if (size < 2 || (size & (size - 1)) != 0 || 2 * table.keys > size) {
+      violations.push_back(name + ": array not a power of two at most half "
+                                  "full");
       return 0;
     }
-    check_exact(key, winner.slot);
-    if (winner.rank() != rank_of(slots_[winner.slot])) {
-      complain(winner.slot, "index entry carries a stale rank");
+    if (table.shape == kNeverMatches || subtable_index(table.shape) != i ||
+        !(table.mask == mask_of(table.shape))) {
+      violations.push_back(name + ": shape never matches, repeats or has a "
+                                  "stale mask");
     }
-    const auto shadows = shadowed_.find(key);
-    if (shadows == shadowed_.end()) continue;
-    ++shadow_lists;
-    if (shadows->second.empty()) complain(winner.slot, "empty shadow list");
-    for (const std::uint32_t slot : shadows->second) {
-      if (!live(slot)) {
-        complain(slot, "shadow list names a free or missing slot");
+    if (i > 0 && table.max_priority > subtables_[i - 1].max_priority) {
+      violations.push_back(name + ": out of max-priority order");
+    }
+    for (const std::uint32_t head : table.cells) {
+      if (head != kNoSlot && !live(head)) {
+        complain(head, "subtable names a free or missing slot");
         return 0;
       }
-      check_exact(key, slot);
-      if (rank_of(slots_[slot]) < winner.rank()) {
-        complain(slot, "shadowed rule outranks its key's index entry");
-      }
     }
-  }
-  if (shadow_lists != shadowed_.size()) {
-    violations.push_back("shadow list for a key with no index entry");
+    std::uint32_t keys = 0;
+    Counts counts;
+    for (std::size_t cell = 0; cell < size; ++cell) {
+      const std::uint32_t head = table.cells[cell];
+      if (head == kNoSlot) continue;
+      ++keys;
+      if (probe(table, key_of(slots_[head].rule.match)) != cell) {
+        complain(head, "chain head unreachable by probing its own key");
+      }
+      if (!walk(head, table.shape, counts)) return 0;
+    }
+    if (keys != table.keys) violations.push_back(name + ": stale key count");
+    if (keys == 0) violations.push_back(name + ": empty subtable left behind");
+    const bool fresh =
+        counts.size() == table.priorities.size() &&
+        std::ranges::equal(counts, table.priorities, [](const auto& c,
+                                                        const auto& p) {
+          return c.first == p.priority && c.second == p.rules;
+        });
+    if (!fresh || counts.empty() ||
+        counts.begin()->first != table.max_priority) {
+      violations.push_back(name + ": stale priority counts or maximum");
+    }
   }
   std::size_t live_rules = 0;
   for (std::uint32_t slot = 0; slot < slots_.size(); ++slot) {
     if (!live(slot)) continue;
     ++live_rules;
-    if (named[slot] != 1) {
-      complain(slot, named[slot] == 0 ? "rule reachable from no tier"
-                                      : "rule named by more than one tier");
-    }
+    if (named[slot] == 0) complain(slot, "rule reachable from no bucket");
   }
   std::size_t listed = 0;
   for (const auto& [cookie, head] : cookie_heads_) {
@@ -392,7 +488,7 @@ std::size_t FlowTable::self_check(std::vector<std::string>& violations) const {
                          " cookie-listed rules");
   }
 
-  // Behavioural: for a probe synthesized from each rule, the two-tier
+  // Behavioural: for a probe synthesized from each rule, the tuple-space
   // winner must be the reference scan's winner.  Wildcard fields take
   // fixed off-path values so the probe exercises this rule's shape rather
   // than colliding with a random exact rule.
@@ -409,36 +505,44 @@ std::size_t FlowTable::self_check(std::vector<std::string>& violations) const {
                                    : m.mpls.value_or(net::kNoMpls);
     const topo::PortId in_port = m.in_port.value_or(0);
     const FlowRule* expected = reference_lookup(probe, in_port);
-    const TierHit hit = two_tier_find(probe, in_port);
+    const Hit hit = find(probe, in_port);
     const FlowRule* actual =
         hit.slot == kNoSlot ? nullptr : &slots_[hit.slot].rule;
     ++probes;
     if (expected != actual) {
-      complain(slot, "two-tier winner differs from the reference scan");
+      complain(slot, "tuple-space winner differs from the reference scan");
     }
   }
   return probes;
 }
 
 bool FlowTable::add_group(GroupEntry group) {
-  if (this->group(group.group_id) != nullptr) return false;
+  const auto [at, fresh] = group_at_.try_emplace(
+      group.group_id, static_cast<std::uint32_t>(groups_.size()));
+  if (!fresh) return false;
   groups_.push_back(std::move(group));
   return true;
 }
 
 std::size_t FlowTable::remove_groups_by_cookie(std::uint64_t cookie) {
-  const auto before = groups_.size();
-  std::erase_if(groups_, [cookie](const GroupEntry& g) {
-    return g.cookie == cookie;
-  });
-  return before - groups_.size();
-}
-
-const GroupEntry* FlowTable::group(std::uint32_t group_id) const noexcept {
-  for (const auto& g : groups_) {
-    if (g.group_id == group_id) return &g;
+  // Compact in place, keeping install order; only the groups that move
+  // get their map entry rewritten.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < groups_.size(); ++i) {
+    if (groups_[i].cookie == cookie) {
+      group_at_.erase(groups_[i].group_id);
+      continue;
+    }
+    if (kept != i) {
+      groups_[kept] = std::move(groups_[i]);
+      group_at_.find(groups_[kept].group_id)->second =
+          static_cast<std::uint32_t>(kept);
+    }
+    ++kept;
   }
-  return nullptr;
+  const std::size_t removed = groups_.size() - kept;
+  groups_.resize(kept);
+  return removed;
 }
 
 }  // namespace mic::switchd

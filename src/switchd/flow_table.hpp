@@ -3,25 +3,30 @@
 // MIC relies on -- the paper's MNs "can only modify the header of packets",
 // i.e. execute set-field actions from rules the Mimic Controller installed.
 //
-// Lookup is two-tier.  Rules that pin every match field (in_port, src, dst,
-// sport, dport, and the label state) -- every MN rewrite and decoy-drop
-// rule the Mimic Controller installs -- live in an exact-match hash index;
-// only rules with at least one wildcard field (L3 transit routes, ARP-style
-// punts, `require_no_mpls` classifiers) stay on the rank-ordered scan
-// path.  A rule's precedence is its rank, (priority desc, install order),
-// so an indexed hit still loses to any higher-precedence wildcard rule,
-// with ties broken by install order just like a plain scan.  Rules sit in
-// stable slots and every mutation touches only the rules it adds or
-// removes, so an install or a cookie removal costs O(change), not
-// O(table).  `reference_lookup()` keeps a linear scan over every rule alive
-// as the oracle for the differential tests (invariant FT-1 in DESIGN.md).
+// Lookup is tuple space search, the classifier of Open vSwitch.  A rule's
+// shape is the set of fields it pins among in_port, src, dst, sport, dport
+// and the label (`require_no_mpls` pins label 0).  Each distinct shape owns
+// one subtable, a hash table keyed by the pinned values.  Rules that share
+// a shape and a key match exactly the same packets; they form one chain in
+// precedence order and the subtable names the chain's head.  A rule's
+// precedence is its rank, (priority desc, install order).  A lookup probes
+// the subtables in order of their highest priority and stops once no
+// remaining subtable can beat the best match found, so the handful of
+// shapes MIC installs (exact m-flow rewrites and decoy drops, dst-only L3
+// routes, in_port+dst+untagged ingress tagging) cost a few hash probes per
+// packet.  Rules sit in stable slots; an install is one probe plus a walk
+// of its key's chain, and a cookie removal touches only that cookie's
+// rules.  `reference_lookup()` keeps a linear scan over every rule alive as
+// the oracle for the differential tests (invariant FT-1 in DESIGN.md).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <optional>
 #include <ranges>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <variant>
 #include <vector>
@@ -59,10 +64,10 @@ struct Match {
 
   /// True when the match pins every field the lookup key covers: all five
   /// header fields plus the label state (an explicit label value or
-  /// `require_no_mpls`).  Such a rule matches exactly one packet header, so
-  /// it can be served from the exact-match index.  A contradictory match
+  /// `require_no_mpls`).  Such a rule matches exactly one packet header and
+  /// lives in the all-fields subtable.  A contradictory match
   /// (`require_no_mpls` with a non-zero label) is not exact -- it matches
-  /// nothing and is left to the scan tier, which agrees.
+  /// nothing and sits in no subtable.
   bool is_exact() const noexcept {
     if (!in_port || !src || !dst || !sport || !dport) return false;
     if (mpls) return !require_no_mpls || *mpls == net::kNoMpls;
@@ -83,12 +88,29 @@ struct GroupAction { std::uint32_t group_id; bool operator==(const GroupAction&)
 struct ToController { bool operator==(const ToController&) const = default; };
 struct DropAction { bool operator==(const DropAction&) const = default; };
 
+/// The six header-rewriting set-field actions lead the variant, so
+/// `index() <= kLastSetField` tells them apart from the rest.
 using Action = std::variant<SetSrc, SetDst, SetSport, SetDport, SetMpls,
                             PopMpls, Output, GroupAction, ToController,
                             DropAction>;
+inline constexpr std::size_t kLastSetField = 5;
+static_assert(std::is_same_v<std::variant_alternative_t<0, Action>, SetSrc> &&
+              std::is_same_v<std::variant_alternative_t<1, Action>, SetDst> &&
+              std::is_same_v<std::variant_alternative_t<2, Action>, SetSport> &&
+              std::is_same_v<std::variant_alternative_t<3, Action>, SetDport> &&
+              std::is_same_v<std::variant_alternative_t<4, Action>, SetMpls> &&
+              std::is_same_v<std::variant_alternative_t<kLastSetField, Action>,
+                             PopMpls>,
+              "set-field actions must lead the Action variant");
 
 /// Number of header-rewriting set-field actions in a list (for CPU cost).
-std::size_t count_set_fields(const std::vector<Action>& actions) noexcept;
+inline std::size_t count_set_fields(
+    const std::vector<Action>& actions) noexcept {
+  return static_cast<std::size_t>(
+      std::ranges::count_if(actions, [](const Action& action) {
+        return action.index() <= kLastSetField;
+      }));
+}
 
 struct FlowRule {
   std::uint16_t priority = 0;
@@ -130,8 +152,8 @@ std::size_t select_bucket(const net::Packet& packet, std::size_t bucket_count,
 /// per-rule hit counts are the rules' own `packet_count` fields.
 struct TableStats {
   std::uint64_t lookups = 0;          // total lookup() calls
-  std::uint64_t index_hits = 0;       // resolved by the exact-match index
-  std::uint64_t scan_fallbacks = 0;   // resolved by the wildcard scan tier
+  std::uint64_t index_hits = 0;       // won by a rule pinning every field
+  std::uint64_t scan_fallbacks = 0;   // won by a rule of any other shape
   std::uint64_t misses = 0;           // no rule matched
 
   TableStats& operator+=(const TableStats& o) noexcept {
@@ -165,8 +187,8 @@ class FlowTable {
   void clear();
 
   /// Remove all rules with the given cookie; returns how many were removed.
-  /// Touches only that cookie's rules: a removed index winner hands its
-  /// key to the best same-key rule it shadowed.
+  /// Touches only that cookie's rules: each leaves its key's chain, and a
+  /// removed chain head hands its cell to the next rule of the chain.
   std::size_t remove_by_cookie(std::uint64_t cookie);
 
   /// True when at least one rule carries `cookie`.
@@ -174,43 +196,46 @@ class FlowTable {
     return cookie_heads_.contains(cookie);
   }
 
-  /// Highest-priority matching rule, or nullptr on table miss.  Counters
-  /// (per-rule and table stats, including misses) are updated.  Served by
-  /// the exact-match index when the winner is a fully-specified rule, by
-  /// the wildcard scan otherwise.
+  /// Highest-precedence matching rule, or nullptr on table miss.  Counters
+  /// (per-rule and table stats, including misses) are updated.
   FlowRule* lookup(const net::Packet& packet, topo::PortId in_port,
                    std::uint32_t wire_bytes);
 
   /// A linear scan over every rule that keeps the highest-precedence
-  /// match, retained as the differential-testing oracle: it consults
-  /// neither tier.  Touches no counters.  For every packet, `lookup()`
-  /// must return this exact rule (FT-1).
+  /// match, retained as the differential-testing oracle: it consults no
+  /// subtable.  Touches no counters.  For every packet, `lookup()` must
+  /// return this exact rule (FT-1).
   const FlowRule* reference_lookup(const net::Packet& packet,
                                    topo::PortId in_port) const noexcept;
 
   /// Runtime audit of FT-1 (registered as "FT-1" in audit::Registry).
-  /// Structural half: every rule is covered by exactly one tier (the
-  /// index, a same-key shadow list, or the rank-sorted scan tier), every
-  /// index entry points at the highest-precedence exact rule for its key,
-  /// and every rule sits on its cookie's removal list.  Behavioural half:
-  /// for a probe packet synthesized from each rule's match (wildcards
-  /// filled with fixed off-path values), the counter-free two-tier winner
-  /// equals reference_lookup()'s.  Appends one message per violation to
+  /// Structural half: every live rule is reachable from exactly one bucket
+  /// by probing its own key (never-matching rules from none), each chain is
+  /// in precedence order, each subtable's key count and maximum priority
+  /// are fresh, its array is at most half full and no subtable is empty,
+  /// the subtables are sorted by maximum priority, and every rule sits on
+  /// its cookie's removal list.  Behavioural half: for a probe packet
+  /// synthesized from each rule's match (wildcards filled with fixed
+  /// off-path values), the counter-free tuple-space winner equals
+  /// reference_lookup()'s.  Appends one message per violation to
   /// `violations`; returns the number of probes checked.
   std::size_t self_check(std::vector<std::string>& violations) const;
 
   bool add_group(GroupEntry group);
   std::size_t remove_groups_by_cookie(std::uint64_t cookie);
-  const GroupEntry* group(std::uint32_t group_id) const noexcept;
+  const GroupEntry* group(std::uint32_t group_id) const noexcept {
+    const auto at = group_at_.find(group_id);
+    return at == group_at_.end() ? nullptr : &groups_[at->second];
+  }
 
   std::size_t rule_count() const noexcept { return rule_count_; }
   std::size_t group_count() const noexcept { return groups_.size(); }
   std::uint64_t miss_count() const noexcept { return stats_.misses; }
 
   const TableStats& stats() const noexcept { return stats_; }
-  /// Rules currently served by the exact-match index: one per distinct
-  /// exact key (shadowed same-key rules and wildcard rules excluded).
-  std::size_t indexed_rule_count() const noexcept { return index_.size(); }
+  /// Distinct keys among the rules that pin every field: one per chain of
+  /// the all-fields subtable (same-key rules and other shapes excluded).
+  std::size_t indexed_rule_count() const noexcept;
 
   /// Every rule in precedence order (priority desc, then install order) --
   /// the order a plain scan would try them.  A cold path for flow dumps,
@@ -225,6 +250,7 @@ class FlowTable {
   auto rules_with_cookie(std::uint64_t cookie) const {
     return std::views::transform(cookie_slots(cookie), RuleOf{this});
   }
+  /// Groups in install order.
   const std::vector<GroupEntry>& groups() const noexcept { return groups_; }
 
  private:
@@ -240,6 +266,9 @@ class FlowTable {
     std::uint32_t seq = 0;
     /// Next slot holding a rule with the same cookie (kNoSlot ends it).
     std::uint32_t next_in_cookie = kNoSlot;
+    /// Next slot of the same shape and key, in rank order (kNoSlot ends
+    /// it).
+    std::uint32_t next_in_key = kNoSlot;
     FlowRule rule;
   };
 
@@ -247,67 +276,92 @@ class FlowTable {
   /// descending, then install order.  Ranks are unique within a table.
   using Rank = std::uint64_t;
   static constexpr Rank kNoRank = std::numeric_limits<Rank>::max();
-  static Rank rank_of(std::uint16_t priority, std::uint32_t seq) noexcept {
-    return (Rank{0xFFFFu - priority} << 32) | seq;
-  }
   static Rank rank_of(const Slot& slot) noexcept {
-    return rank_of(slot.rule.priority, slot.seq);
+    return (Rank{0xFFFFu - slot.rule.priority} << 32) | slot.seq;
   }
 
-  /// An index entry: the winning rule's slot plus its rank, so a lookup
-  /// weighs the indexed candidate against the wildcard tier without
-  /// touching the rule.  The rank is kept as (priority, seq) rather than a
-  /// 64-bit Rank to keep the map node small.
-  struct Winner {
-    std::uint32_t slot = kNoSlot;
-    std::uint32_t seq = 0;
-    std::uint16_t priority = 0;
+  /// The fields a rule pins, one bit each.
+  using Shape = std::uint8_t;
+  static constexpr Shape kPinsInPort = 1 << 0;
+  static constexpr Shape kPinsSrc = 1 << 1;
+  static constexpr Shape kPinsDst = 1 << 2;
+  static constexpr Shape kPinsSport = 1 << 3;
+  static constexpr Shape kPinsDport = 1 << 4;
+  static constexpr Shape kPinsLabel = 1 << 5;
+  static constexpr Shape kAllFields = (1 << 6) - 1;
+  /// The shape of a rule that can never match (`require_no_mpls` with a
+  /// non-zero label).  Such rules sit in no subtable, only on the
+  /// never_matching_ chain.
+  static constexpr Shape kNeverMatches = 0xFF;
+  static Shape shape_of(const Match& m) noexcept;
 
-    Rank rank() const noexcept { return rank_of(priority, seq); }
+  /// Header values packed into three words.  A rule's key holds its pinned
+  /// values and zero elsewhere; a packet's key masked to a shape equals the
+  /// key of a rule of that shape iff the rule matches the packet.
+  struct Key {
+    std::uint64_t addrs = 0;  // src << 32 | dst
+    std::uint64_t ports = 0;  // sport << 48 | dport << 32 | label
+    std::uint64_t in_port = 0;
+
+    bool operator==(const Key&) const noexcept = default;
+    Key operator&(const Key& mask) const noexcept {
+      return {addrs & mask.addrs, ports & mask.ports, in_port & mask.in_port};
+    }
   };
-  Winner winner_at(std::uint32_t slot) const noexcept {
-    return {slot, slots_[slot].seq, slots_[slot].rule.priority};
-  }
+  static Key key_of(const net::Packet& packet, topo::PortId in_port) noexcept;
+  static Key key_of(const Match& m) noexcept;
+  /// All ones over the fields `shape` pins.
+  static Key mask_of(Shape shape) noexcept;
+  static std::uint64_t hash_of(const Key& key) noexcept;
 
-  /// Concrete values of every indexable field: the hash-index key.  A
-  /// packet's key equals an exact rule's key iff the rule matches it.
-  struct ExactKey {
-    topo::PortId in_port = 0;
-    net::Ipv4 src;
-    net::Ipv4 dst;
-    net::L4Port sport = 0;
-    net::L4Port dport = 0;
-    net::MplsLabel mpls = net::kNoMpls;
-
-    bool operator==(const ExactKey&) const noexcept = default;
+  /// The rules of one shape.  `cells` is a power-of-two open-addressing
+  /// array (linear probing, at most half full) of chain-head slots; a
+  /// cell's key is read from its head rule.  `priorities` counts the rules
+  /// per distinct priority, highest first, so the maximum stays fresh as
+  /// rules leave.
+  struct Subtable {
+    struct PriorityCount {
+      std::uint16_t priority;
+      std::uint32_t rules;
+    };
+    Shape shape = 0;
+    std::uint16_t max_priority = 0;  // priorities.front(), for the lookup
+    std::uint32_t keys = 0;          // occupied cells
+    Key mask;                        // mask_of(shape)
+    std::vector<std::uint32_t> cells;
+    std::vector<PriorityCount> priorities;
   };
-  struct ExactKeyHash {
-    std::size_t operator()(const ExactKey& k) const noexcept;
-  };
 
-  static ExactKey key_of(const net::Packet& packet,
-                         topo::PortId in_port) noexcept;
-  /// The key of an exact match (`m.is_exact()` must hold).
-  static ExactKey key_of(const Match& m) noexcept;
+  /// The cell holding `key`'s chain head, or the empty cell that ends its
+  /// probe run.
+  std::size_t probe(const Subtable& table, const Key& key) const noexcept;
+  /// Put a new chain head into `cell`, the empty cell that ended its key's
+  /// probe; when the array would pass half full, double it first and probe
+  /// again.
+  void insert_head(Subtable& table, std::size_t cell, std::uint32_t slot);
+  /// Empty `cell` by backward shift, so no tombstones are left.
+  void erase_cell(Subtable& table, std::size_t cell) noexcept;
+  /// Account one rule of `priority` in subtable `index` (delta +1 or -1),
+  /// then restore the order of subtables_, dropping an emptied subtable.
+  void count_priority(std::size_t index, std::uint16_t priority, int delta);
+  /// Position in subtables_ of `shape`'s subtable, or subtables_.size().
+  std::size_t subtable_index(Shape shape) const noexcept;
 
-  /// The two-tier winner's slot (kNoSlot on miss) and which tier resolved
-  /// it.  Pure -- no counters -- so lookup() and the FT-1 self_check()
-  /// share one implementation.
-  struct TierHit {
+  /// The tuple-space winner's slot (kNoSlot on miss) and whether it pins
+  /// every field.  Pure -- no counters -- so lookup() and the FT-1
+  /// self_check() share one implementation.
+  struct Hit {
     std::uint32_t slot;
-    bool from_index;
+    bool exact;
   };
-  TierHit two_tier_find(const net::Packet& packet,
-                        topo::PortId in_port) const noexcept;
+  Hit find(const net::Packet& packet, topo::PortId in_port) const noexcept;
 
   /// Move `rule` into a free slot, stamp its install seq and link it onto
-  /// its cookie's list.  Tier placement is the caller's job.
+  /// its cookie's list.  Chain placement is the caller's job.
   std::uint32_t place(FlowRule rule);
-  /// Detach an exact rule from the index or its key's shadow list,
-  /// promoting the best shadowed rule when the index winner leaves.
-  void unlink_exact(std::uint32_t slot);
-  /// Recompute scan_front_rank_ after the scan tier changed.
-  void refresh_scan_front() noexcept;
+  /// Detach a rule from its key's chain, and its chain from the subtable
+  /// when it was the last rule with that key.
+  void unlink(std::uint32_t slot);
   /// Every live slot / the slots on `cookie`'s list, sorted by rank.
   std::vector<std::uint32_t> live_slots() const;
   std::vector<std::uint32_t> cookie_slots(std::uint64_t cookie) const;
@@ -326,18 +380,14 @@ class FlowTable {
   std::uint32_t next_seq_ = 1;
   std::size_t capacity_ = 0;  // 0 = unlimited
   std::vector<GroupEntry> groups_;
-  // key -> the highest-precedence exact rule with that key.
-  std::unordered_map<ExactKey, Winner, ExactKeyHash> index_;
-  // key -> slots of the other exact rules with that key (unordered).  They
-  // lose to the index entry and wait to be promoted when it is removed;
-  // MIC never installs two exact rules with one key, so this stays empty.
-  std::unordered_map<ExactKey, std::vector<std::uint32_t>, ExactKeyHash>
-      shadowed_;
-  // Slots of non-exact rules, sorted by rank (i.e. in precedence order).
-  std::vector<std::uint32_t> scan_rules_;
-  // Rank of scan_rules_.front() (kNoRank when empty): an indexed hit that
-  // outranks it skips the scan without touching the tier.
-  Rank scan_front_rank_ = kNoRank;
+  // group id -> position in groups_.
+  std::unordered_map<std::uint32_t, std::uint32_t> group_at_;
+  // One subtable per shape in use, sorted by max_priority, highest first.
+  std::vector<Subtable> subtables_;
+  // Head of the chain of rules that can never match, in rank order.  A
+  // lookup never reads it; it exists so duplicate detection and removal
+  // treat these rules like any other.
+  std::uint32_t never_matching_ = kNoSlot;
   // cookie -> first slot of that cookie's list (linked via next_in_cookie).
   std::unordered_map<std::uint64_t, std::uint32_t> cookie_heads_;
   TableStats stats_;

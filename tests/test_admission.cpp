@@ -386,9 +386,10 @@ TEST(Admission, CompletedControlSessionEstablishesReapedOneIsDropped) {
 }
 
 TEST(Admission, MalformedAndUnregisteredRequestsGetErrorReplies) {
-  // A request that decrypts to a truncated body, or one from an address
-  // that never registered a key, is answered with an error through the
-  // normal reply path: the MC must not abort or leak its admission slot.
+  // A request that decrypts to a truncated body, one that names another
+  // host as its initiator, or one from an address that never registered a
+  // key, is answered with an error through the normal reply path: the MC
+  // must not abort, leak its admission slot or install anything.
   // Admission is off so every request reaches the decoder instead of some
   // being shed as Busy.
   FabricOptions fo;
@@ -414,27 +415,50 @@ TEST(Admission, MalformedAndUnregisteredRequestsGetErrorReplies) {
         from, std::move(bytes), counter++,
         [&](const core::EstablishResult& r) { replies.push_back(r); });
   };
+  const auto count_rules = [&fabric] {
+    std::size_t rules = 0;
+    for (const topo::NodeId sw : fabric.network().graph().switches()) {
+      rules += fabric.mc().switch_at(sw)->table().rule_count();
+    }
+    return rules;
+  };
+  const std::size_t rules_before = count_rules();
   for (std::size_t length = 0; length < plain.size(); ++length) {
     send(client, length);
   }
+  // Correctly encrypted by `client`, but naming another registered host
+  // as the initiator: the channel would be built in that host's name.
+  const net::Ipv4 victim = fabric.ip(3);
+  fabric.mc().register_client(victim);
+  core::EstablishRequest spoofed = request;
+  spoofed.initiator_ip = victim;
+  std::vector<std::uint8_t> spoofed_bytes = core::serialize_request(spoofed);
+  core::crypt_control_message(key, counter, spoofed_bytes);
+  fabric.mc().async_establish(
+      client, std::move(spoofed_bytes), counter++,
+      [&](const core::EstablishResult& r) { replies.push_back(r); });
   const net::Ipv4 stranger = fabric.ip(5);
   ASSERT_FALSE(fabric.mc().client_registered(stranger));
   send(stranger, plain.size());
   fabric.simulator().run_until();
 
-  ASSERT_EQ(replies.size(), plain.size() + 1);
+  ASSERT_EQ(replies.size(), plain.size() + 2);
   for (const auto& reply : replies) {
     EXPECT_FALSE(reply.ok);
     EXPECT_FALSE(reply.busy);
   }
   EXPECT_NE(replies.front().error.find("malformed"), std::string::npos);
+  EXPECT_NE(replies[plain.size()].error.find("initiator"), std::string::npos);
   EXPECT_NE(replies.back().error.find("unknown client"), std::string::npos);
+  EXPECT_EQ(fabric.mc().active_channel_count(), 0u);
+  EXPECT_EQ(count_rules(), rules_before);
+  EXPECT_TRUE(audit::run_all(fabric.mc()).ok);
 
   // The MC is alive and still serves: the whole request establishes.
   EXPECT_FALSE(fabric.mc().crashed());
   send(client, plain.size());
   fabric.simulator().run_until();
-  ASSERT_EQ(replies.size(), plain.size() + 2);
+  ASSERT_EQ(replies.size(), plain.size() + 3);
   EXPECT_TRUE(replies.back().ok) << replies.back().error;
   EXPECT_TRUE(audit::run_all(fabric.mc()).ok);
 }

@@ -1,20 +1,21 @@
-// Differential harness for the two-tier flow table (invariant FT-1).
+// Differential harness for the tuple-space flow table (invariant FT-1).
 //
-// The exact-match index is a pure optimization: for every packet the
-// two-tier lookup() must return the identical rule object as the retained
-// reference linear scan.  A subtly wrong fast path would not crash -- it
-// would silently re-route m-flows and corrupt every anonymity measurement
-// downstream -- so we fuzz it: thousands of seeded random (rule set, packet
-// stream) pairs mixing exact rules, partial wildcards, overlapping
-// priorities, duplicate match keys at different priorities, and mid-stream
-// rule removal, asserting pointer-identical results throughout.
+// The per-shape subtables are a pure optimization: for every packet the
+// tuple-space lookup() must return the identical rule object as the
+// retained reference linear scan.  A subtly wrong fast path would not
+// crash -- it would silently re-route m-flows and corrupt every anonymity
+// measurement downstream -- so we fuzz it: thousands of seeded random (rule
+// set, packet stream) pairs mixing exact rules, partial wildcards,
+// overlapping priorities, duplicate match keys at different priorities, and
+// mid-stream rule removal, asserting pointer-identical results throughout.
 //
-// The table is maintained incrementally (stable slots, rank order, an
-// in-place index with shadowed same-key rules), so the second half of this
-// file also checks it from outside against a naive model that knows only
+// The table is maintained incrementally (stable slots, rank order, one
+// rank-ordered chain per shape and key), so the second half of this file
+// also checks it from outside against a naive model that knows only
 // install order: duplicate rejection, the rules() order, every lookup's
-// winner, slot reuse after mass removal, promotion of shadowed rules,
-// clear() and capacity rejection.
+// winner, slot reuse after mass removal, promotion of same-key rules,
+// clear() and capacity rejection -- on random tables and on tables shaped
+// like the ones the default routing and the Mimic Controller install.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -558,6 +559,249 @@ TEST(FlowTableIncremental, DuplicateRejectionMatchesANaiveScan) {
     bed.check_order();
     check_lookups(bed, rng, 128);
     bed.check_structure();
+  }
+}
+
+// --- tables shaped like the ones MIC installs ------------------------------
+
+/// Host addresses of a k=8 fat-tree: 128 hosts, four per edge switch.
+net::Ipv4 l3_host(std::uint32_t host) {
+  return net::Ipv4(10, static_cast<int>(host / 16),
+                   static_cast<int>(host / 4 % 4),
+                   static_cast<int>(2 + host % 4));
+}
+
+constexpr std::uint64_t kL3Cookie = 1;
+constexpr std::uint64_t kCatchAllCookie = 2;
+constexpr std::uint64_t kNeverCookie = 3;
+constexpr std::uint64_t kFirstChannelCookie = 10;
+constexpr topo::PortId kHostPorts = 4;  // 0-3 face hosts, 4-7 uplinks
+constexpr net::MplsLabel kCfLabel = 0x00070001;
+
+/// Installs a k=8 edge switch's rules the way the default routing does:
+/// per destination either a dst-only egress rule at 30 (the four attached
+/// hosts) or a dst-only transit rule at 20 plus one in_port + dst +
+/// untagged ingress-tag rule at 25 per host port.
+void fill_l3_edge(ModelBed& bed) {
+  for (std::uint32_t host = 0; host < 128; ++host) {
+    FlowRule route;
+    route.cookie = kL3Cookie;
+    route.match.dst = l3_host(host);
+    route.priority = host < kHostPorts ? 30 : 20;
+    ASSERT_TRUE(bed.add(route));
+    if (host < kHostPorts) continue;
+    for (topo::PortId port = 0; port < kHostPorts; ++port) {
+      FlowRule ingress;
+      ingress.cookie = kL3Cookie;
+      ingress.priority = 25;
+      ingress.match.in_port = port;
+      ingress.match.dst = l3_host(host);
+      ingress.match.require_no_mpls = true;
+      ASSERT_TRUE(bed.add(ingress));
+    }
+  }
+}
+
+/// One channel's rules at the switch: exact m-flow rewrites at 100 and a
+/// decoy drop at 110, each pinning every field; the first MN's rule
+/// matches the untagged packet, the others a channel label.
+void add_channel(ModelBed& bed, Rng& rng, std::uint64_t cookie) {
+  for (int i = 0; i < 3; ++i) {
+    FlowRule rule;
+    rule.cookie = cookie;
+    rule.priority = i == 2 ? 110 : 100;
+    rule.match.in_port = static_cast<topo::PortId>(rng.below(8));
+    rule.match.src = l3_host(static_cast<std::uint32_t>(rng.below(128)));
+    rule.match.dst = l3_host(static_cast<std::uint32_t>(rng.below(128)));
+    rule.match.sport = static_cast<net::L4Port>(40000 + rng.below(64));
+    rule.match.dport = pick(rng, kPorts);
+    if (i == 0) {
+      rule.match.require_no_mpls = true;
+    } else {
+      rule.match.mpls =
+          static_cast<net::MplsLabel>(0x00100000 + rng.below(4096));
+    }
+    bed.add(rule);
+  }
+}
+
+/// A catch-all punt under everything, and a rule that can never match
+/// (untagged *and* labelled) that would otherwise beat every L3 rule.
+void add_catch_all_and_never(ModelBed& bed) {
+  FlowRule punt;
+  punt.cookie = kCatchAllCookie;
+  punt.priority = 0;
+  ASSERT_TRUE(bed.add(punt));
+  FlowRule never;
+  never.cookie = kNeverCookie;
+  never.priority = 40;
+  never.match.dst = l3_host(9);
+  never.match.require_no_mpls = true;
+  never.match.mpls = kCfLabel;
+  ASSERT_TRUE(bed.add(never));
+}
+
+/// Common-flow and m-flow traffic as an edge switch sees it: untagged
+/// packets from host ports, CF-tagged packets from uplinks, packets aimed
+/// at installed rules, and packets to addresses no route covers.
+void check_l3_traffic(ModelBed& bed, Rng& rng, int count) {
+  for (int i = 0; i < count; ++i) {
+    net::Packet p;
+    p.src = l3_host(static_cast<std::uint32_t>(rng.below(128)));
+    p.dst = l3_host(static_cast<std::uint32_t>(rng.below(128)));
+    p.sport = static_cast<net::L4Port>(40000 + rng.below(64));
+    p.dport = pick(rng, kPorts);
+    topo::PortId in_port = 0;
+    std::uint64_t kind = rng.below(4);
+    if (kind == 2 && bed.model.installed.empty()) kind = 3;
+    switch (kind) {
+      case 0:  // untagged, fresh from an attached host
+        in_port = static_cast<topo::PortId>(rng.below(kHostPorts));
+        break;
+      case 1:  // CF-tagged, from an uplink
+        in_port = static_cast<topo::PortId>(kHostPorts + rng.below(4));
+        p.mpls = kCfLabel;
+        break;
+      case 2: {  // aimed at an installed rule (m-flows dominate by count)
+        const auto& target =
+            bed.model.installed[rng.below(bed.model.installed.size())];
+        p = probe_for(target.match, rng, &in_port);
+        break;
+      }
+      default:  // no route covers it: the catch-all or a miss
+        p.dst = net::Ipv4(192, 0, 2, static_cast<int>(rng.below(256)));
+        in_port = static_cast<topo::PortId>(rng.below(8));
+        break;
+    }
+    bed.check_lookup(p, in_port);
+  }
+}
+
+TEST(FlowTableL3Shapes, EdgeSwitchTablesAgreeWithTheModel) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed * 0x1b873593ULL + 5);
+    ModelBed bed;
+    fill_l3_edge(bed);
+    add_catch_all_and_never(bed);
+    std::uint64_t next_channel = kFirstChannelCookie;
+    for (int c = 0; c < 200; ++c) add_channel(bed, rng, next_channel++);
+    bed.check_order();
+    check_lookups(bed, rng, 256);
+    check_l3_traffic(bed, rng, 1024);
+    bed.check_structure();
+
+    // Channel churn: the oldest channels leave, fresh ones arrive.
+    for (std::uint64_t cookie = kFirstChannelCookie;
+         cookie < kFirstChannelCookie + 120; ++cookie) {
+      bed.remove(cookie);
+      add_channel(bed, rng, next_channel++);
+    }
+    bed.check_order();
+    check_l3_traffic(bed, rng, 1024);
+    bed.check_structure();
+
+    // Common flows are served by the L3 shapes, m-flows by the all-fields
+    // one, and nothing is left to miss while the catch-all is in.
+    const TableStats& stats = bed.table.stats();
+    EXPECT_GT(stats.index_hits, 0u);
+    EXPECT_GT(stats.scan_fallbacks, 0u);
+    EXPECT_EQ(stats.misses, 0u);
+  }
+}
+
+TEST(FlowTableL3Shapes, RemovingTheLastRuleOfAShape) {
+  Rng rng(31);
+  ModelBed bed;
+  fill_l3_edge(bed);
+  add_catch_all_and_never(bed);
+  for (std::uint64_t cookie = kFirstChannelCookie;
+       cookie < kFirstChannelCookie + 16; ++cookie) {
+    add_channel(bed, rng, cookie);
+  }
+  check_l3_traffic(bed, rng, 256);
+
+  // The catch-all's shape empties: unrouted packets now miss.
+  bed.remove(kCatchAllCookie);
+  bed.check_structure();
+  const std::uint64_t misses = bed.table.stats().misses;
+  check_l3_traffic(bed, rng, 256);
+  EXPECT_GT(bed.table.stats().misses, misses);
+
+  // The never-matching rule and every channel leave: the all-fields
+  // subtable empties and lookups fall to the L3 shapes alone.
+  bed.remove(kNeverCookie);
+  for (std::uint64_t cookie = kFirstChannelCookie;
+       cookie < kFirstChannelCookie + 16; ++cookie) {
+    bed.remove(cookie);
+  }
+  EXPECT_EQ(bed.table.indexed_rule_count(), 0u);
+  bed.check_order();
+  bed.check_structure();
+  const std::uint64_t index_hits = bed.table.stats().index_hits;
+  check_l3_traffic(bed, rng, 256);
+  EXPECT_EQ(bed.table.stats().index_hits, index_hits);
+
+  // The L3 rules leave too; the table is empty and takes rules again.
+  bed.remove(kL3Cookie);
+  EXPECT_EQ(bed.table.rule_count(), 0u);
+  bed.check_structure();
+  const std::uint64_t before_empty = bed.table.stats().misses;
+  check_l3_traffic(bed, rng, 64);
+  EXPECT_EQ(bed.table.stats().misses, before_empty + 64);
+  fill_l3_edge(bed);
+  add_channel(bed, rng, kFirstChannelCookie);
+  bed.check_order();
+  check_l3_traffic(bed, rng, 256);
+  bed.check_structure();
+}
+
+TEST(FlowTableL3Shapes, EqualPriorityTiesAcrossShapesGoToTheFirstInstall) {
+  // Two rules of different shapes at one priority both match the probe;
+  // the earlier install wins whichever subtable a lookup visits first.  A
+  // third, higher rule in one of the shapes decides that visiting order.
+  const net::Ipv4 dst = l3_host(40);
+  FlowRule ingress;  // in_port + dst + untagged
+  ingress.priority = 25;
+  ingress.cookie = 1;
+  ingress.match.in_port = 1;
+  ingress.match.dst = dst;
+  ingress.match.require_no_mpls = true;
+  FlowRule transit;  // dst only
+  transit.priority = 25;
+  transit.cookie = 1;
+  transit.match.dst = dst;
+  FlowRule raise;  // dst only, another destination, above both
+  raise.priority = 30;
+  raise.cookie = 2;
+  raise.match.dst = l3_host(41);
+
+  net::Packet p;
+  p.src = l3_host(0);
+  p.dst = dst;
+  for (const bool ingress_first : {true, false}) {
+    for (const bool raise_dst_shape : {true, false}) {
+      ModelBed bed;
+      FlowRule above = raise;
+      if (!raise_dst_shape) {
+        above.match.in_port = 2;
+        above.match.require_no_mpls = true;
+      }
+      FlowRule later = ingress_first ? transit : ingress;
+      later.cookie = 3;
+      ASSERT_TRUE(bed.add(ingress_first ? ingress : transit));
+      ASSERT_TRUE(bed.add(above));
+      ASSERT_TRUE(bed.add(later));
+      bed.check_lookup(p, 1);
+      EXPECT_EQ(tag_of(bed.table.reference_lookup(p, 1)), 1u)
+          << "ingress first: " << ingress_first
+          << ", raised shape is dst-only: " << raise_dst_shape;
+      bed.check_structure();
+      // The first install leaves: the other shape's rule takes over.
+      bed.remove(1);
+      bed.check_lookup(p, 1);
+      EXPECT_EQ(tag_of(bed.table.reference_lookup(p, 1)), 3u);
+      bed.check_structure();
+    }
   }
 }
 
