@@ -24,8 +24,8 @@
 #include <cstring>
 
 #include "common/rng.hpp"
-#include "sim/reference_simulator.hpp"
 #include "sim/simulator.hpp"
+#include "support/reference_simulator.hpp"
 
 namespace {
 

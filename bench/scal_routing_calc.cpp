@@ -22,9 +22,9 @@
 #include <unistd.h>
 
 #include "core/fabric.hpp"
+#include "support/paths.hpp"
 #include "topology/fattree.hpp"
 #include "topology/path_engine.hpp"
-#include "topology/paths.hpp"
 
 namespace {
 
@@ -261,60 +261,10 @@ void BM_AllPairsFailureRebuild(benchmark::State& state) {
 }
 BENCHMARK(BM_AllPairsFailureRebuild)->Arg(8)->Arg(16);
 
-/// Destination-batched establishment (MimicController::establish_batch)
-/// versus naive request-order establishment under a tight LRU row cap
-/// (ControllerConfig::path_cache_max_rows): the batch stable-sorts by
-/// destination, so each destination's row is computed once and serves its
-/// whole group, while interleaved naive requests evict and recompute rows
-/// as they thrash the capped cache.
-struct EstablishBurst {
-  double wall_ms = 0.0;
-  std::uint64_t rows_computed = 0;
-  std::uint64_t rows_evicted = 0;
-};
-
-EstablishBurst run_establish_burst(bool batched, std::size_t cache_cap) {
-  using clock = std::chrono::steady_clock;
-  FabricOptions options;
-  options.seed = 42;
-  options.controller.path_cache_max_rows = cache_cap;
-  Fabric fabric(options);
-  // 32 requests interleaving 4 destinations (hosts 8..11) from 8 sources.
-  std::vector<EstablishRequest> requests;
-  for (int i = 0; i < 32; ++i) {
-    EstablishRequest request;
-    request.initiator_ip = fabric.ip(static_cast<std::size_t>(i % 8));
-    request.responder_ip = fabric.ip(8 + static_cast<std::size_t>(i % 4));
-    request.responder_port = static_cast<net::L4Port>(7000 + i % 4);
-    request.flow_count = 1;
-    request.initiator_sports = {static_cast<net::L4Port>(30000 + i)};
-    requests.push_back(request);
-  }
-  const auto before = fabric.mc().paths().stats();
-  const auto t0 = clock::now();
-  if (batched) {
-    for (const auto& result : fabric.mc().establish_batch(requests)) {
-      MIC_ASSERT(result.ok);
-    }
-  } else {
-    for (const auto& request : requests) {
-      MIC_ASSERT(fabric.mc().establish(request).ok);
-    }
-  }
-  EstablishBurst burst;
-  burst.wall_ms =
-      std::chrono::duration<double, std::milli>(clock::now() - t0).count();
-  const auto after = fabric.mc().paths().stats();
-  burst.rows_computed = after.rows_computed - before.rows_computed;
-  burst.rows_evicted = after.rows_evicted - before.rows_evicted;
-  return burst;
-}
-
 /// Self-timed sweep, one JSON object on stdout: eager (seed baseline)
 /// versus lazy construction and failure-reroute cost over growing
 /// fat-trees, plus the engine's own row accounting so the sub-linear
-/// invalidation is auditable, and the destination-batched establishment
-/// burst under a tight row cap.
+/// invalidation is auditable.
 int run_sweep_json() {
   using clock = std::chrono::steady_clock;
   const auto ms_since = [](clock::time_point t0) {
@@ -428,29 +378,7 @@ int run_sweep_json() {
             static_cast<double>(local_invalidated + local_retained));
     first = false;
   }
-  std::printf("]");
-
-  // Establish burst: 32 requests over 4 interleaved destinations, row cap
-  // 2 -- small enough that naive request order must thrash.  Uncapped
-  // naive anchors the no-pressure baseline.
-  constexpr std::size_t kCap = 2;
-  const EstablishBurst naive = run_establish_burst(false, kCap);
-  const EstablishBurst batched = run_establish_burst(true, kCap);
-  const EstablishBurst uncapped = run_establish_burst(false, 0);
-  std::printf(
-      ",\"establish_batch\":{\"burst\":32,\"destinations\":4,"
-      "\"cache_cap\":%zu,"
-      "\"naive_ms\":%.3f,\"batched_ms\":%.3f,\"uncapped_ms\":%.3f,"
-      "\"naive_rows_computed\":%llu,\"batched_rows_computed\":%llu,"
-      "\"uncapped_rows_computed\":%llu,"
-      "\"naive_rows_evicted\":%llu,\"batched_rows_evicted\":%llu}",
-      kCap, naive.wall_ms, batched.wall_ms, uncapped.wall_ms,
-      static_cast<unsigned long long>(naive.rows_computed),
-      static_cast<unsigned long long>(batched.rows_computed),
-      static_cast<unsigned long long>(uncapped.rows_computed),
-      static_cast<unsigned long long>(naive.rows_evicted),
-      static_cast<unsigned long long>(batched.rows_evicted));
-  std::printf("}\n");
+  std::printf("]}\n");
   return 0;
 }
 

@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 verification across the sanitizer matrix.
 #
-#   scripts/check.sh          # plain, then ASan/UBSan, then TSan
+#   scripts/check.sh          # plain, then ASan/UBSan
 #   scripts/check.sh --fast   # plain only
 #
 # Tiers build into separate trees so they cache independently:
 #   build/       plain            (the tier-1 command from ROADMAP.md)
 #   build-asan/  MIC_SANITIZE=address   -> -fsanitize=address,undefined
-#   build-tsan/  MIC_SANITIZE=thread    -> -fsanitize=thread
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -53,14 +52,11 @@ if [[ "${1:-}" != "--fast" ]]; then
   echo "== sanitized (address,undefined) =="
   run_suite build-asan -DMIC_SANITIZE=address
 
-  echo "== sanitized (thread) =="
-  run_suite build-tsan -DMIC_SANITIZE=thread
-
   echo "== scheduler differential, deep (SIM-2 oracle x20k ops/seed) =="
-  # The default suite already fuzzes >10k ops; the instrumented tier is
-  # the cheapest place to go deeper, so rerun the wheel-vs-reference
-  # oracle with the per-seed op count raised an order of magnitude.
-  MIC_SIM_DIFF_CASES=20000 ./build-tsan/tests/mic_tests \
+  # The default suite already fuzzes >10k ops; rerun the wheel-vs-reference
+  # oracle instrumented, with the per-seed op count raised an order of
+  # magnitude.
+  MIC_SIM_DIFF_CASES=20000 ./build-asan/tests/mic_tests \
     --gtest_filter='SimulatorDiff.*'
 fi
 

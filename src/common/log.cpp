@@ -40,9 +40,7 @@ void vlog(LogLevel level, const char* fmt, std::va_list args) {
   }
 
 MIC_DEFINE_LOG_FN(log_debug, LogLevel::kDebug)
-MIC_DEFINE_LOG_FN(log_info, LogLevel::kInfo)
 MIC_DEFINE_LOG_FN(log_warn, LogLevel::kWarn)
-MIC_DEFINE_LOG_FN(log_error, LogLevel::kError)
 
 #undef MIC_DEFINE_LOG_FN
 

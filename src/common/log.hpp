@@ -22,8 +22,6 @@ void vlog(LogLevel level, const char* fmt, std::va_list args);
 
 // printf-style logging entry points.
 void log_debug(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-void log_info(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 void log_warn(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-void log_error(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 }  // namespace mic

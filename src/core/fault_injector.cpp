@@ -1,21 +1,12 @@
 #include "core/fault_injector.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <unordered_set>
 
 #include "core/journal_store.hpp"
 #include "ctrl/standby.hpp"
 
 namespace mic::core {
-
-namespace {
-
-std::string us(sim::SimTime t) {
-  return std::to_string(t / 1000) + "us";
-}
-
-}  // namespace
 
 FaultInjector::FaultInjector(net::Network& network, MimicController& mc,
                              FaultInjectorOptions options)
@@ -53,15 +44,12 @@ void FaultInjector::arm() {
     const topo::NodeId sw = switches[i];
     const sim::SimTime down_at = fault_time();
     const sim::SimTime up_at = down_at + outage_time();
-    schedule_log_.push_back("crash switch " + std::to_string(sw) + " @" +
-                            us(down_at) + " until " + us(up_at));
     sim.schedule_in(down_at, [this, sw, &graph] {
       crashed_now_.insert(sw);
       for (const auto& adj : graph.neighbors(sw)) {
         network_.set_link_up(adj.link, false);
       }
       mc_.fail_switch(sw);
-      ++switches_crashed_;
     });
     sim.schedule_in(up_at, [this, sw, &graph] {
       crashed_now_.erase(sw);
@@ -96,12 +84,8 @@ void FaultInjector::arm() {
     const topo::LinkId link = candidates[i];
     const sim::SimTime down_at = fault_time();
     const sim::SimTime up_at = down_at + outage_time();
-    schedule_log_.push_back("flap link " + std::to_string(link) + " @" +
-                            us(down_at) + " until " + us(up_at));
-    sim.schedule_in(down_at, [this, link] {
-      network_.set_link_up(link, false);
-      ++links_flapped_;
-    });
+    sim.schedule_in(down_at,
+                    [this, link] { network_.set_link_up(link, false); });
     sim.schedule_in(up_at,
                     [this, link] { network_.set_link_up(link, true); });
   }
@@ -113,13 +97,9 @@ void FaultInjector::arm() {
         switches[rng_.below(static_cast<std::uint64_t>(switches.size()))];
     const sim::SimTime at = fault_time();
     const std::uint64_t fault_seed = rng_.next();
-    schedule_log_.push_back("install faults on switch " + std::to_string(sw) +
-                            " @" + us(at) + " for " +
-                            us(options_.install_fault_duration));
     sim.schedule_in(at, [this, sw, fault_seed] {
       mc_.switch_at(sw)->inject_install_faults(
           options_.install_fault_probability, fault_seed);
-      ++bursts_fired_;
     });
     sim.schedule_in(at + options_.install_fault_duration, [this, sw] {
       mc_.switch_at(sw)->clear_install_faults();
@@ -129,11 +109,8 @@ void FaultInjector::arm() {
   // Control-message drop bursts (controller-wide).
   for (int i = 0; i < options_.control_drop_bursts; ++i) {
     const sim::SimTime at = fault_time();
-    schedule_log_.push_back("control drops @" + us(at) + " for " +
-                            us(options_.control_drop_duration));
     sim.schedule_in(at, [this] {
       mc_.set_control_drop_probability(options_.control_drop_probability);
-      ++bursts_fired_;
     });
     sim.schedule_in(at + options_.control_drop_duration, [this] {
       mc_.set_control_drop_probability(0.0);
@@ -145,8 +122,6 @@ void FaultInjector::arm() {
   for (int i = 0; i < options_.mc_crashes; ++i) {
     const sim::SimTime down_at = fault_time();
     const sim::SimTime up_at = down_at + outage_time();
-    schedule_log_.push_back("crash MC @" + us(down_at) + " until " +
-                            us(up_at));
     sim.schedule_in(down_at, [this] {
       if (mc_.crashed()) return;  // an earlier cycle is still down
       mc_.crash();
@@ -186,10 +161,6 @@ void FaultInjector::arm() {
         // keys survive MC crashes), so the flood itself spends no MC rng.
         mc_.register_client(attacker);
         attacker_ips_.push_back(attacker);
-        schedule_log_.push_back(
-            "flood " + std::to_string(options_.flood_requests) +
-            " establishes from host " + std::to_string(attacker_host) +
-            " @" + us(burst_at) + " over " + us(options_.flood_duration));
         for (int r = 0; r < options_.flood_requests; ++r) {
           const sim::SimTime at =
               burst_at +
@@ -206,11 +177,6 @@ void FaultInjector::arm() {
       const topo::NodeId host = pick_host();
       const net::Ipv4 client = mc_.addressing().ip_of(host);
       const sim::SimTime open_at = fault_time();
-      schedule_log_.push_back("slow-client session from host " +
-                              std::to_string(host) + " @" + us(open_at) +
-                              ", " +
-                              std::to_string(options_.slow_client_touches) +
-                              " touches, abandoned");
       // The id is only known once the open fires; the touch events share it.
       auto id = std::make_shared<MimicController::ControlSessionId>(0);
       sim.schedule_in(open_at, [this, client, id] {
@@ -238,20 +204,12 @@ void FaultInjector::arm() {
   for (int i = 0; i < options_.storage_bit_flips; ++i) {
     const sim::SimTime at = fault_time();
     const std::uint64_t which = rng_.next();
-    schedule_log_.push_back("flip journal bit @" + us(at));
-    sim.schedule_in(at, [this, which] {
-      backend_->flip_bit(which);
-      ++storage_faults_fired_;
-    });
+    sim.schedule_in(at, [this, which] { backend_->flip_bit(which); });
   }
   for (int i = 0; i < options_.fsync_lapse_windows; ++i) {
     const sim::SimTime at = fault_time();
-    schedule_log_.push_back(
-        "fsync lapse x" + std::to_string(options_.fsync_lapse_count) + " @" +
-        us(at));
     sim.schedule_in(at, [this] {
       backend_->lapse_fsyncs(options_.fsync_lapse_count);
-      ++storage_faults_fired_;
     });
   }
 
@@ -265,15 +223,6 @@ void FaultInjector::arm() {
     // Drawn unconditionally so every mode shares one draw sequence: the
     // same seed produces kills at the same instants in all four modes.
     const std::uint64_t torn_bytes = 1 + rng_.below(48);
-    const char* mode = "clean";
-    switch (options_.primary_kill_mode) {
-      case KillMode::kClean: break;
-      case KillMode::kTornTail: mode = "torn-tail"; break;
-      case KillMode::kFsyncLapse: mode = "fsync-lapse"; break;
-      case KillMode::kZombie: mode = "zombie"; break;
-    }
-    schedule_log_.push_back("kill primary MC (" + std::string(mode) + ") @" +
-                            us(kill_at));
     if (options_.primary_kill_mode == KillMode::kFsyncLapse) {
       // Open the lapse window shortly before the kill: the final commits
       // look durable to the primary but never ship to the standby.

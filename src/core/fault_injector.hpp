@@ -150,15 +150,9 @@ class FaultInjector {
     standby_ = standby;
   }
 
-  std::size_t links_flapped() const noexcept { return links_flapped_; }
-  std::size_t switches_crashed() const noexcept { return switches_crashed_; }
-  std::size_t bursts_fired() const noexcept { return bursts_fired_; }
   std::size_t mc_crashes_fired() const noexcept { return mc_crashes_fired_; }
   std::size_t primary_kills_fired() const noexcept {
     return primary_kills_fired_;
-  }
-  std::size_t storage_faults_fired() const noexcept {
-    return storage_faults_fired_;
   }
   /// Flood-attack outcome: requests sent, answers seen, and how many of
   /// those answers were admission sheds (Busy replies).  Dropped requests
@@ -180,11 +174,6 @@ class FaultInjector {
       const noexcept {
     return recoveries_;
   }
-  /// Human-readable schedule, in injection order (diagnostics; also handy
-  /// as determinism evidence -- same seed, same log).
-  const std::vector<std::string>& schedule_log() const noexcept {
-    return schedule_log_;
-  }
 
  private:
   net::Network& network_;
@@ -200,19 +189,14 @@ class FaultInjector {
   /// Fire one encrypted chaff establish and count its (possible) answer.
   void send_flood_request(net::Ipv4 attacker, std::uint64_t counter);
 
-  std::size_t links_flapped_ = 0;
-  std::size_t switches_crashed_ = 0;
-  std::size_t bursts_fired_ = 0;
   std::size_t mc_crashes_fired_ = 0;
   std::size_t primary_kills_fired_ = 0;
-  std::size_t storage_faults_fired_ = 0;
   std::uint64_t flood_sent_ = 0;
   std::uint64_t flood_answered_ = 0;
   std::uint64_t flood_shed_ = 0;
   std::uint64_t slow_sessions_opened_ = 0;
   std::vector<net::Ipv4> attacker_ips_;
   std::vector<MimicController::RecoveryReport> recoveries_;
-  std::vector<std::string> schedule_log_;
 };
 
 }  // namespace mic::core

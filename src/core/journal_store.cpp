@@ -551,7 +551,6 @@ void JournalStore::append(const JournalRecord& record) {
   std::copy(payload.begin(), payload.end(), frame.begin() + kFrameHeaderBytes);
   backend_.append(segments_.back(), frame.data(), frame.size());
   active_bytes_ += frame.size();
-  bytes_appended_ += frame.size();
   ++records_appended_;
   ++unsynced_records_;
   switch (options_.fsync_policy) {

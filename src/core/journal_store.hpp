@@ -237,8 +237,6 @@ class JournalStore {
   /// frontier the journal uses to ship only committed records.
   std::uint64_t records_durable() const noexcept { return records_durable_; }
 
-  std::uint64_t records_appended() const noexcept { return records_appended_; }
-  std::uint64_t bytes_appended() const noexcept { return bytes_appended_; }
   std::uint64_t syncs_requested() const noexcept { return syncs_requested_; }
   std::uint64_t segments_rotated() const noexcept { return segments_rotated_; }
   std::uint64_t compactions() const noexcept { return compactions_; }
@@ -260,7 +258,6 @@ class JournalStore {
   std::size_t unsynced_records_ = 0;
   std::uint64_t records_durable_ = 0;
   std::uint64_t records_appended_ = 0;
-  std::uint64_t bytes_appended_ = 0;
   std::uint64_t syncs_requested_ = 0;
   std::uint64_t segments_rotated_ = 0;
   std::uint64_t compactions_ = 0;

@@ -51,10 +51,10 @@ FlowId MagaRegistry::allocate_flow_id() {
     id = free_flow_ids_.back();
     free_flow_ids_.pop_back();
   } else {
-    MIC_ASSERT_MSG(
-        next_flow_id_ < flow_ids_.base + flow_ids_.size &&
-            next_flow_id_ >= flow_ids_.base,
-        "this controller's m-flow ID range is exhausted");
+    if (next_flow_id_ >= flow_ids_.base + flow_ids_.size ||
+        next_flow_id_ < flow_ids_.base) {
+      return kInvalidFlowId;  // this controller's range is used up
+    }
     id = next_flow_id_++;
   }
   active_ids_.insert(id);

@@ -64,6 +64,8 @@ class MagaRegistry {
 
   /// Allocate a fresh m-flow ID ("monotonically increase the ID when a new
   /// m-flow arrives, and recover the expired ID when an m-flow is closed").
+  /// Returns kInvalidFlowId when every ID of this controller's range is
+  /// active.
   FlowId allocate_flow_id();
   void release_flow_id(FlowId id);
   std::size_t active_flow_count() const noexcept { return active_ids_.size(); }

@@ -18,6 +18,8 @@ transport::ChunkView view_of(const transport::Chunk& chunk) {
 MicChannel::MicChannel(transport::Host& host, MimicController& mc,
                        MicChannelOptions options, Rng& rng)
     : host_(host), mc_fixed_(&mc), options_(std::move(options)), rng_(rng) {
+  MIC_ASSERT_MSG(options_.max_slice <= kMaxSliceBytes,
+                 "max_slice exceeds the slice wire limit");
   started_at_ = host_.simulator().now();
   start_establish();
 }
@@ -28,6 +30,8 @@ MicChannel::MicChannel(transport::Host& host, ControllerDirectory& directory,
       directory_(&directory),
       options_(std::move(options)),
       rng_(rng) {
+  MIC_ASSERT_MSG(options_.max_slice <= kMaxSliceBytes,
+                 "max_slice exceeds the slice wire limit");
   started_at_ = host_.simulator().now();
   start_establish();
 }
@@ -318,7 +322,7 @@ void MicChannel::on_established(const EstablishResult& result) {
       }
     });
     flow.stream->set_on_data([this, i, gen](const transport::ChunkView& view) {
-      if (gen != generation_) return;
+      if (gen != generation_ || flows_[i].parser.failed()) return;
       flows_[i].parser.feed(view, [this](const SliceHeader& header,
                                          transport::Chunk payload) {
         reorderer_.push(header.seq, std::move(payload),
@@ -326,6 +330,9 @@ void MicChannel::on_established(const EstablishResult& result) {
                           notify_data(view_of(chunk));
                         });
       });
+      if (flows_[i].parser.failed()) {
+        fail_with("malformed slice header on m-flow " + std::to_string(i));
+      }
     });
     flow.stream->set_on_closed([this, gen] {
       if (gen != generation_) return;
@@ -508,6 +515,7 @@ void MicServer::on_accept(transport::TcpConnection& conn) {
 }
 
 void MicServer::on_flow_data(FlowCtx& flow, const transport::ChunkView& view) {
+  if (flow.parser.failed()) return;  // dropped already
   flow.parser.feed(view, [this, &flow](const SliceHeader& header,
                                        transport::Chunk payload) {
     if (flow.channel == nullptr) {
@@ -523,6 +531,12 @@ void MicServer::on_flow_data(FlowCtx& flow, const transport::ChunkView& view) {
     }
     flow.channel->deliver(header.seq, std::move(payload));
   });
+  if (flow.parser.failed()) {
+    // No MIC client wrote that header: drop this connection and keep
+    // serving the others.
+    ++malformed_flows_;
+    flow.stream->close();
+  }
 }
 
 }  // namespace mic::core

@@ -32,7 +32,8 @@ struct MicChannelOptions {
   int multicast_decoys = 0; // partial multicast replicas at the first MN
   bool use_ssl = false;     // MIC-SSL: SSL inside each m-flow
 
-  /// Slice sizing for the striping (uniform in [min, max]).
+  /// Slice sizing for the striping (uniform in [min, max]); max_slice may
+  /// not exceed kMaxSliceBytes.
   std::uint32_t min_slice = 8 * 1024;
   std::uint32_t max_slice = 32 * 1024;
 
@@ -297,6 +298,8 @@ class MicServer {
   }
 
   std::size_t channel_count() const noexcept { return channels_.size(); }
+  /// Connections closed because they sent a malformed slice header.
+  std::uint64_t malformed_flows() const noexcept { return malformed_flows_; }
 
  private:
   struct FlowCtx {
@@ -317,6 +320,7 @@ class MicServer {
   std::unordered_map<std::uint32_t, std::unique_ptr<MicServerChannel>>
       channels_;
   ChannelHandler on_channel_;
+  std::uint64_t malformed_flows_ = 0;
 };
 
 }  // namespace mic::core

@@ -9,6 +9,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <optional>
 
 #include "common/assert.hpp"
 #include "common/bits.hpp"
@@ -18,6 +19,9 @@ namespace mic::core {
 
 inline constexpr std::uint16_t kSliceMagic = 0x4D43;  // "MC"
 inline constexpr std::uint32_t kSliceHeaderBytes = 16;
+/// Largest slice payload a receiver accepts: twice the largest slice that
+/// MicChannel and MicServer cut (32 KiB).
+inline constexpr std::uint32_t kMaxSliceBytes = 64 * 1024;
 
 struct SliceHeader {
   std::uint32_t channel = 0;
@@ -51,7 +55,10 @@ inline transport::Chunk slice_header_chunk(const SliceHeader& header) {
   return transport::Chunk::copy(scratch);
 }
 
-inline SliceHeader parse_slice_header(const std::vector<std::uint8_t>& bytes) {
+/// nullopt for a header no MIC endpoint writes: a wrong magic, or a length
+/// above kMaxSliceBytes.
+inline std::optional<SliceHeader> parse_slice_header(
+    const std::vector<std::uint8_t>& bytes) {
   MIC_ASSERT(bytes.size() == kSliceHeaderBytes);
   SliceHeader header;
   header.channel = load_be32(bytes.data());
@@ -59,7 +66,9 @@ inline SliceHeader parse_slice_header(const std::vector<std::uint8_t>& bytes) {
   header.length = load_be32(bytes.data() + 8);
   header.flow = static_cast<std::uint16_t>((bytes[12] << 8) | bytes[13]);
   header.magic = static_cast<std::uint16_t>((bytes[14] << 8) | bytes[15]);
-  MIC_ASSERT_MSG(header.magic == kSliceMagic, "bad slice magic");
+  if (header.magic != kSliceMagic || header.length > kMaxSliceBytes) {
+    return std::nullopt;
+  }
   return header;
 }
 
@@ -67,14 +76,26 @@ inline SliceHeader parse_slice_header(const std::vector<std::uint8_t>& bytes) {
 class SliceParser {
  public:
   /// Feed stream data; `on_slice(header, payload)` fires per whole slice.
+  /// A malformed header (see parse_slice_header), or header bytes the
+  /// stream holds as virtual, fails the parser for good: it drops what it
+  /// buffered and everything fed after.
   template <typename OnSlice>
   void feed(const transport::ChunkView& view, OnSlice&& on_slice) {
+    if (failed_) return;
     reader_.append(view);
     for (;;) {
       if (!have_header_) {
-        auto raw = reader_.read_real(kSliceHeaderBytes);
-        if (!raw) return;
-        header_ = parse_slice_header(*raw);
+        if (reader_.available() < kSliceHeaderBytes) return;
+        std::optional<SliceHeader> header;
+        if (reader_.real_prefix(kSliceHeaderBytes)) {
+          header = parse_slice_header(*reader_.read_real(kSliceHeaderBytes));
+        }
+        if (!header) {
+          failed_ = true;
+          reader_ = {};
+          return;
+        }
+        header_ = *header;
         have_header_ = true;
         consumed_ = 0;
         real_bytes_.clear();
@@ -104,8 +125,11 @@ class SliceParser {
     }
   }
 
+  bool failed() const noexcept { return failed_; }
+
  private:
   transport::ByteReader reader_;
+  bool failed_ = false;
   bool have_header_ = false;
   SliceHeader header_{};
   std::uint64_t consumed_ = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 #include <memory>
-#include <tuple>
 
 #include "common/log.hpp"
 
@@ -187,8 +186,9 @@ void MimicController::generate_middle_tuples(const PlanContext& ctx,
   }
 }
 
-void MimicController::generate_decoys(int count, MFlowPlan& plan) {
-  if (count <= 0 || plan.mn_positions.empty()) return;
+bool MimicController::generate_decoys(int count, MFlowPlan& plan,
+                                      std::string& error) {
+  if (count <= 0 || plan.mn_positions.empty()) return true;
   const auto& g = graph();
   const std::size_t first_pos = plan.mn_positions[0];
   const topo::NodeId first_mn = plan.path[first_pos];
@@ -207,13 +207,17 @@ void MimicController::generate_decoys(int count, MFlowPlan& plan) {
   if (decoy_ports.empty()) {
     log_warn("channel: first MN %u has no spare switch ports for decoys",
              first_mn);
-    return;
+    return true;
   }
   for (int d = 0; d < count; ++d) {
     const auto& adj =
         *decoy_ports[static_cast<std::size_t>(d) % decoy_ports.size()];
     DecoyPlan decoy;
     decoy.flow_id = registry_.allocate_flow_id();
+    if (decoy.flow_id == kInvalidFlowId) {
+      error = "m-flow ID range exhausted";
+      return false;
+    }
     decoy.tuple = registry_.generate(
         first_mn, decoy.flow_id,
         restrictions_.allowed_src(first_mn, adj.local_port),
@@ -223,6 +227,7 @@ void MimicController::generate_decoys(int count, MFlowPlan& plan) {
     decoy.next_in_port = adj.peer_port;
     plan.decoys.push_back(decoy);
   }
+  return true;
 }
 
 bool MimicController::plan_mflow(const PlanContext& ctx, int mn_count,
@@ -232,6 +237,10 @@ bool MimicController::plan_mflow(const PlanContext& ctx, int mn_count,
   const std::size_t n = static_cast<std::size_t>(mn_count);
 
   out.flow_id = registry_.allocate_flow_id();
+  if (out.flow_id == kInvalidFlowId) {
+    error = "m-flow ID range exhausted";
+    return false;
+  }
   if (!sample_route_and_positions(ctx, n, out, error)) {
     registry_.release_flow_id(out.flow_id);
     return false;
@@ -264,7 +273,11 @@ bool MimicController::plan_mflow(const PlanContext& ctx, int mn_count,
   net::Ipv4 entry_ip;
   net::L4Port entry_port = 0;
   for (int attempt = 0;; ++attempt) {
-    MIC_ASSERT_MSG(attempt < kMaxEndpointTries, "entry address space exhausted");
+    if (attempt == kMaxEndpointTries) {
+      registry_.release_flow_id(out.flow_id);
+      error = "entry address space exhausted";
+      return false;
+    }
     entry_ip = entry_candidates[rng_.below(entry_candidates.size())];
     entry_port = static_cast<net::L4Port>(rng_.range(1024, 65535));
     if (reserved_endpoints_
@@ -303,8 +316,13 @@ bool MimicController::plan_mflow(const PlanContext& ctx, int mn_count,
     net::Ipv4 presented_ip;
     net::L4Port presented_port = 0;
     for (int attempt = 0;; ++attempt) {
-      MIC_ASSERT_MSG(attempt < kMaxEndpointTries,
-                     "presented address space exhausted");
+      if (attempt == kMaxEndpointTries) {
+        registry_.release_flow_id(out.flow_id);
+        reserved_endpoints_.erase(
+            endpoint_key(ctx.initiator_ip, 0, entry_ip, entry_port));
+        error = "presented address space exhausted";
+        return false;
+      }
       presented_ip =
           presented_candidates[rng_.below(presented_candidates.size())];
       presented_port = static_cast<net::L4Port>(rng_.range(1024, 65535));
@@ -325,7 +343,10 @@ bool MimicController::plan_mflow(const PlanContext& ctx, int mn_count,
                     net::kNoMpls};
 
   generate_middle_tuples(ctx, out);
-  generate_decoys(decoys, out);
+  if (!generate_decoys(decoys, out, error)) {
+    release_plan_resources(out);
+    return false;
+  }
   return true;
 }
 
@@ -363,8 +384,7 @@ bool MimicController::replan_flow(const PlanContext& ctx, MFlowPlan& plan,
 
   if (!sample_route_and_positions(ctx, n, plan, error)) return false;
   generate_middle_tuples(ctx, plan);
-  generate_decoys(decoy_count, plan);
-  return true;
+  return generate_decoys(decoy_count, plan, error);
 }
 
 void MimicController::install_direction(
@@ -711,31 +731,6 @@ EstablishResult MimicController::establish(const EstablishRequest& request) {
   // establish record must be durable before the client hears "ok".
   journal_.commit_boundary();
   return result;
-}
-
-std::vector<EstablishResult> MimicController::establish_batch(
-    const std::vector<EstablishRequest>& requests) {
-  // Group by destination so one warm PathEngine row serves every channel
-  // headed there before the planner moves on; stable so same-destination
-  // requests keep their relative order (and with it the rng_ draw order).
-  // Admission happens per request inside establish(), so a batch spends
-  // tokens exactly like the same requests sent one at a time -- batching
-  // is a planner-cache optimization, not a quota bypass.  Which requests
-  // of an over-budget batch get shed follows this destination-grouped
-  // processing order; the results still come back in request order.
-  std::vector<std::size_t> order(requests.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  const auto dest_key = [](const EstablishRequest& r) {
-    return std::make_tuple(r.service_name, r.responder_ip.value,
-                           r.responder_port);
-  };
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return dest_key(requests[a]) < dest_key(requests[b]);
-                   });
-  std::vector<EstablishResult> results(requests.size());
-  for (const std::size_t i : order) results[i] = establish(requests[i]);
-  return results;
 }
 
 void MimicController::async_establish(

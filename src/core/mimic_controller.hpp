@@ -126,16 +126,6 @@ class MimicController : public ctrl::Controller {
                        ctrl::AdmitPriority priority =
                            ctrl::AdmitPriority::kFresh);
 
-  /// Establish a burst of channels in one call.  Requests are grouped by
-  /// destination so one warm PathEngine row serves every channel headed
-  /// there before the planner moves on -- under an LRU-capped row cache an
-  /// interleaved burst would otherwise recompute rows it just evicted.
-  /// Results come back in request order.  Each request draws its own
-  /// admission token (batching cannot bypass the per-tenant quotas); the
-  /// over-budget tail of a batch comes back busy.
-  std::vector<EstablishResult> establish_batch(
-      const std::vector<EstablishRequest>& requests);
-
   // --- half-open control sessions ----------------------------------------------
   //
   // A client that cannot deliver its whole encrypted request in one
@@ -375,7 +365,9 @@ class MimicController : public ctrl::Controller {
   bool path_avoids_failures(const topo::Path& path) const;
   /// Fill forward[1..n-1] and reverse[1..n-1] from the current route.
   void generate_middle_tuples(const PlanContext& ctx, MFlowPlan& plan);
-  void generate_decoys(int count, MFlowPlan& plan);
+  /// Fails, with `error` set, when the m-flow ID range runs out; the
+  /// decoys allocated so far stay in `plan` for release_plan_resources.
+  bool generate_decoys(int count, MFlowPlan& plan, std::string& error);
   /// Re-route one m-flow around failures, keeping endpoints and flow ID.
   bool replan_flow(const PlanContext& ctx, MFlowPlan& plan,
                    std::string& error);

@@ -59,13 +59,6 @@ std::array<std::uint8_t, Uint2048::kBytes> Uint2048::to_bytes_be()
   return out;
 }
 
-bool Uint2048::is_zero() const noexcept {
-  for (const auto limb : limbs_) {
-    if (limb != 0) return false;
-  }
-  return true;
-}
-
 bool Uint2048::get_bit(std::size_t i) const noexcept {
   return (limbs_[i / 64] >> (i % 64)) & 1;
 }
@@ -88,16 +81,6 @@ int Uint2048::compare(const Uint2048& other) const noexcept {
   return 0;
 }
 
-std::uint64_t Uint2048::add_in_place(const Uint2048& other) noexcept {
-  u64 carry = 0;
-  for (std::size_t i = 0; i < kLimbs; ++i) {
-    const u128 sum = static_cast<u128>(limbs_[i]) + other.limbs_[i] + carry;
-    limbs_[i] = static_cast<u64>(sum);
-    carry = static_cast<u64>(sum >> 64);
-  }
-  return carry;
-}
-
 std::uint64_t Uint2048::sub_in_place(const Uint2048& other) noexcept {
   u64 borrow = 0;
   for (std::size_t i = 0; i < kLimbs; ++i) {
@@ -117,61 +100,6 @@ std::uint64_t Uint2048::shl1_in_place() noexcept {
     carry = next_carry;
   }
   return carry;
-}
-
-std::uint64_t Uint2048::shr1_in_place() noexcept {
-  u64 carry = 0;
-  for (std::size_t i = kLimbs; i-- > 0;) {
-    const u64 next_carry = limbs_[i] & 1;
-    limbs_[i] = (limbs_[i] >> 1) | (carry << 63);
-    carry = next_carry;
-  }
-  return carry;
-}
-
-Uint2048 Uint2048::mul(const Uint2048& a, const Uint2048& b) noexcept {
-  u64 product[2 * kLimbs] = {};
-  for (std::size_t i = 0; i < kLimbs; ++i) {
-    if (a.limbs_[i] == 0) continue;
-    u64 carry = 0;
-    for (std::size_t j = 0; j < kLimbs; ++j) {
-      const u128 sum = static_cast<u128>(a.limbs_[i]) * b.limbs_[j] +
-                       product[i + j] + carry;
-      product[i + j] = static_cast<u64>(sum);
-      carry = static_cast<u64>(sum >> 64);
-    }
-    product[i + kLimbs] += carry;
-  }
-  Uint2048 out;
-  for (std::size_t i = 0; i < kLimbs; ++i) {
-    out.limbs_[i] = product[i];
-    MIC_ASSERT_MSG(product[i + kLimbs] == 0, "Uint2048::mul overflow");
-  }
-  return out;
-}
-
-std::uint64_t Uint2048::mod_u64(std::uint64_t divisor) const noexcept {
-  MIC_ASSERT(divisor != 0);
-  u64 remainder = 0;
-  for (std::size_t i = kLimbs; i-- > 0;) {
-    const u128 cur = (static_cast<u128>(remainder) << 64) | limbs_[i];
-    remainder = static_cast<u64>(cur % divisor);
-  }
-  return remainder;
-}
-
-Uint2048 Uint2048::div_u64(const Uint2048& a, std::uint64_t divisor,
-                           std::uint64_t* remainder) noexcept {
-  MIC_ASSERT(divisor != 0);
-  Uint2048 quotient;
-  u64 rem = 0;
-  for (std::size_t i = kLimbs; i-- > 0;) {
-    const u128 cur = (static_cast<u128>(rem) << 64) | a.limbs_[i];
-    quotient.limbs_[i] = static_cast<u64>(cur / divisor);
-    rem = static_cast<u64>(cur % divisor);
-  }
-  if (remainder != nullptr) *remainder = rem;
-  return quotient;
 }
 
 MontgomeryCtx::MontgomeryCtx(const Uint2048& modulus) : n_(modulus) {

@@ -38,7 +38,6 @@ class Uint2048 {
   /// Serialize to exactly kBytes big-endian bytes.
   std::array<std::uint8_t, kBytes> to_bytes_be() const noexcept;
 
-  bool is_zero() const noexcept;
   bool get_bit(std::size_t i) const noexcept;
   std::size_t bit_length() const noexcept;
 
@@ -49,25 +48,10 @@ class Uint2048 {
   int compare(const Uint2048& other) const noexcept;
   bool operator==(const Uint2048& other) const noexcept = default;
 
-  /// this += other; returns the carry out (0 or 1).
-  std::uint64_t add_in_place(const Uint2048& other) noexcept;
   /// this -= other; returns the borrow out (0 or 1).
   std::uint64_t sub_in_place(const Uint2048& other) noexcept;
   /// this <<= 1; returns the bit shifted out.
   std::uint64_t shl1_in_place() noexcept;
-  /// this >>= 1; returns the bit shifted out.
-  std::uint64_t shr1_in_place() noexcept;
-
-  /// Full product; asserts the result fits in 2048 bits (used by RSA for
-  /// p*q and k*phi, both of which fit by construction).
-  static Uint2048 mul(const Uint2048& a, const Uint2048& b) noexcept;
-
-  /// Remainder of division by a 64-bit value.
-  std::uint64_t mod_u64(std::uint64_t divisor) const noexcept;
-
-  /// Quotient of division by a 64-bit value; stores the remainder.
-  static Uint2048 div_u64(const Uint2048& a, std::uint64_t divisor,
-                          std::uint64_t* remainder) noexcept;
 
  private:
   std::array<std::uint64_t, kLimbs> limbs_;

@@ -22,8 +22,6 @@ struct CostModel {
 
   // Asymmetric operations, cycles per operation.
   double dh_modexp_cycles = 4.0e6;   // 2048-bit modexp, 256-bit exponent
-  double rsa2048_sign_cycles = 6.0e6;
-  double rsa2048_verify_cycles = 2.0e5;
 
   // Protocol-stack costs, cycles.
   double tcp_segment_cycles = 2200.0;   // per segment through a host stack

@@ -105,7 +105,7 @@ class AdmissionController {
              std::function<void()> run,
              std::function<void(sim::SimTime)> shed);
 
-  /// Synchronous admission (establish / establish_batch): the caller
+  /// Synchronous admission (MimicController::establish): the caller
   /// cannot wait, so there is no queueing -- a token is drawn now or the
   /// request is shed.  Service is instantaneous from the admission
   /// controller's view (no finish() call).
@@ -166,7 +166,6 @@ class AdmissionController {
   std::size_t queued_count() const noexcept {
     return repair_queue_.size() + fresh_queue_.size();
   }
-  std::size_t in_service_count() const noexcept { return in_service_; }
   std::size_t half_open_count() const noexcept { return sessions_.size(); }
 
   /// Per-tenant view, sorted by tenant address (deterministic order for

@@ -9,9 +9,7 @@ Controller::Controller(net::Network& network, HostAddressing addressing,
     : network_(network),
       addressing_(std::move(addressing)),
       config_(config),
-      paths_(network.graph()) {
-  paths_.set_max_rows(config_.path_cache_max_rows);
-}
+      paths_(network.graph()) {}
 
 bool Controller::roll_control_drop() {
   if (control_drop_probability_ <= 0.0 ||
@@ -39,38 +37,17 @@ void Controller::on_fenced_out(topo::NodeId sw) {
   log_debug("switch %u refused a stale-epoch op", sw);
 }
 
-void Controller::install_rule(topo::NodeId sw, switchd::FlowRule rule,
-                              bool immediate) {
+void Controller::install_rule(topo::NodeId sw, switchd::FlowRule rule) {
   count_rule_install();
-  if (immediate) {
-    if (!op_admitted(sw, fence_epoch_)) return;
-    const bool ok = switch_at(sw)->table().add_rule(std::move(rule));
-    MIC_ASSERT_MSG(ok, "duplicate rule rejected by flow table");
-    return;
-  }
-  network_.simulator().schedule_in(
-      config_.southbound_latency,
-      [this, sw, epoch = fence_epoch_, r = std::move(rule)]() mutable {
-        if (!op_admitted(sw, epoch)) return;
-        const bool ok = switch_at(sw)->table().add_rule(std::move(r));
-        if (!ok) log_warn("switch %u rejected duplicate rule", sw);
-      });
+  if (!op_admitted(sw, fence_epoch_)) return;
+  const bool ok = switch_at(sw)->table().add_rule(std::move(rule));
+  MIC_ASSERT_MSG(ok, "duplicate rule rejected by flow table");
 }
 
-void Controller::install_group(topo::NodeId sw, switchd::GroupEntry group,
-                               bool immediate) {
-  if (immediate) {
-    if (!op_admitted(sw, fence_epoch_)) return;
-    const bool ok = switch_at(sw)->table().add_group(std::move(group));
-    MIC_ASSERT_MSG(ok, "duplicate group rejected by flow table");
-    return;
-  }
-  network_.simulator().schedule_in(
-      config_.southbound_latency,
-      [this, sw, epoch = fence_epoch_, g = std::move(group)]() mutable {
-        if (!op_admitted(sw, epoch)) return;
-        switch_at(sw)->table().add_group(std::move(g));
-      });
+void Controller::install_group(topo::NodeId sw, switchd::GroupEntry group) {
+  if (!op_admitted(sw, fence_epoch_)) return;
+  const bool ok = switch_at(sw)->table().add_group(std::move(group));
+  MIC_ASSERT_MSG(ok, "duplicate group rejected by flow table");
 }
 
 void Controller::remove_cookie(topo::NodeId sw, std::uint64_t cookie,

@@ -56,13 +56,6 @@ struct ControllerConfig {
   /// subscribe_port_status(): how long a port must stay down before the
   /// switch raises the async notification.
   sim::SimTime detection_latency = sim::microseconds(500);
-
-  /// Cap on the path engine's cached per-destination BFS rows
-  /// (0 = unbounded).  Rows are O(network size) each, so at million-host
-  /// scale the lazy cache needs a bound; when full, the least-recently-
-  /// queried row is evicted (and simply recomputed on the next query --
-  /// correctness is unaffected by PE-1).
-  std::size_t path_cache_max_rows = 0;
 };
 
 class Controller {
@@ -83,12 +76,11 @@ class Controller {
 
   switchd::SdnSwitch* switch_at(topo::NodeId node);
 
-  /// Install a rule.  `immediate` bypasses the southbound latency (used for
-  /// proactive installs at startup).
-  void install_rule(topo::NodeId sw, switchd::FlowRule rule,
-                    bool immediate = false);
-  void install_group(topo::NodeId sw, switchd::GroupEntry group,
-                     bool immediate = false);
+  /// Install a rule or group now, bypassing the southbound latency (the
+  /// proactive routing installs at startup).  Asserts the switch accepted
+  /// it.
+  void install_rule(topo::NodeId sw, switchd::FlowRule rule);
+  void install_group(topo::NodeId sw, switchd::GroupEntry group);
   /// Remove every rule and group tagged with `cookie` on `sw`.
   void remove_cookie(topo::NodeId sw, std::uint64_t cookie,
                      bool immediate = false);

@@ -49,21 +49,15 @@ class L3RoutingApp {
  public:
   /// Supplies the CF label to tag a common flow entering at `ingress_host`.
   /// Must never return kNoMpls.  The Mimic Controller supplies a policy
-  /// backed by its MPLS space partitioning; standalone tests can use
-  /// `fixed_label_policy`.
+  /// backed by its MPLS space partitioning.
   using CfLabelPolicy = std::function<net::MplsLabel(topo::NodeId ingress_host)>;
-
-  static net::MplsLabel fixed_label_policy(topo::NodeId) {
-    return 0xC0FFEE01u;
-  }
 
   /// Install the full proactive rule set on every switch:
   ///  - ingress edge: per (host port, dst) rule tagging with a CF label and
   ///    forwarding,
   ///  - transit: per-dst forwarding,
   ///  - egress edge: per attached host, pop + deliver.
-  static void install(Controller& controller,
-                      CfLabelPolicy policy = fixed_label_policy);
+  static void install(Controller& controller, CfLabelPolicy policy);
 
   /// Adopt rules already installed by a predecessor: fill the controller's
   /// signature map (no-failure next hops) without touching any switch.  A

@@ -28,18 +28,12 @@ void StandbyController::start() {
   // records committed before start() are caught up through the same path.
   primary_.journal().set_commit_listener(
       [this](const core::JournalRecord& record) {
-        if (active_) return;  // deposed generations don't replicate
-        if (partitioned_) {
-          ++records_dropped_partitioned_;
-          return;
-        }
+        // Deposed generations don't replicate, and a partition drops the
+        // record.
+        if (active_ || partitioned_) return;
         mc_->network().simulator().schedule_in(
             options_.replication_lag, [this, record] {
-              if (active_) return;
-              if (partitioned_) {
-                ++records_dropped_partitioned_;
-                return;
-              }
+              if (active_ || partitioned_) return;
               replica_.adopt_record(record);
               ++records_replicated_;
             });
@@ -53,7 +47,6 @@ void StandbyController::schedule_probe() {
     if (active_) return;
     const std::uint64_t seq = ++probe_seq_;
     probe_answered_ = false;
-    ++probes_sent_;
     // probe_channel(0, ...) always answers alive=false from a live MC and
     // stays silent from a crashed one -- any reply at all is proof of life.
     primary_.probe_channel(0, nullptr, [this, seq](bool) {

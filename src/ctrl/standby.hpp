@@ -93,10 +93,6 @@ class StandbyController {
   std::uint64_t records_replicated() const noexcept {
     return records_replicated_;
   }
-  std::uint64_t records_dropped_partitioned() const noexcept {
-    return records_dropped_partitioned_;
-  }
-  std::uint64_t probes_sent() const noexcept { return probes_sent_; }
   std::uint64_t probes_missed() const noexcept { return probes_missed_; }
 
  private:
@@ -116,8 +112,6 @@ class StandbyController {
   std::uint64_t probe_seq_ = 0;
   bool probe_answered_ = false;
   std::uint64_t records_replicated_ = 0;
-  std::uint64_t records_dropped_partitioned_ = 0;
-  std::uint64_t probes_sent_ = 0;
   std::uint64_t probes_missed_ = 0;
   core::MimicController::RecoveryReport takeover_report_;
 };

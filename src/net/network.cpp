@@ -36,12 +36,6 @@ void Network::set_device(topo::NodeId node, std::unique_ptr<Device> device) {
   devices_[node] = std::move(device);
 }
 
-void Network::configure_link(topo::LinkId link, LinkConfig config) {
-  MIC_ASSERT(2 * link + 1 < directions_.size());
-  directions_[2 * link].config = config;
-  directions_[2 * link + 1].config = config;
-}
-
 void Network::set_link_up(topo::LinkId link, bool up) {
   MIC_ASSERT(2 * link + 1 < directions_.size());
   if (directions_[2 * link].up == up) return;  // no state change, no event

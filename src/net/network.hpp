@@ -42,8 +42,6 @@ class Device {
 
   void attach(Network* network, topo::NodeId node);
 
-  topo::NodeId node_id() const noexcept { return node_; }
-
   /// The fabric's event loop: every device timer and CPU charge runs on it.
   sim::Simulator& simulator() noexcept { return *sim_; }
 
@@ -96,9 +94,6 @@ class Network {
   /// Queue a packet for transmission out of `node`'s port `out_port`.
   /// Returns false if the egress queue is full (packet dropped).
   bool transmit(topo::NodeId node, topo::PortId out_port, Packet packet);
-
-  /// Override parameters for one link (both directions).
-  void configure_link(topo::LinkId link, LinkConfig config);
 
   /// Fail or restore a link (both directions).  Packets sent into a failed
   /// link are silently lost, exactly like a yanked cable.  Both endpoint

@@ -37,7 +37,7 @@ class CpuMeter {
   /// Time at which the CPU becomes idle.
   SimTime free_at() const noexcept { return free_at_; }
 
-  /// Total busy nanoseconds since construction (or the last reset).
+  /// Total busy nanoseconds since construction.
   SimTime busy_time() const noexcept { return busy_time_; }
 
   /// Utilization over [window_start, window_end], based on busy time
@@ -49,8 +49,6 @@ class CpuMeter {
     return static_cast<double>(busy_at_window_end - busy_at_window_start) /
            static_cast<double>(window_end - window_start);
   }
-
-  void reset_accounting() noexcept { busy_time_ = 0; }
 
   double frequency_hz() const noexcept { return frequency_hz_; }
 

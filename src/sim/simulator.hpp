@@ -39,8 +39,9 @@
 // cancels) are skipped, and compaction only ever removes entries, so
 // neither changes the relative order of live ones.
 //
-// The original heap engine survives as sim::ReferenceSimulator, the
-// differential oracle (invariant SIM-2, tests/test_simulator_diff.cpp).
+// The original heap engine survives as sim::ReferenceSimulator in
+// tests/support/, the differential oracle (invariant SIM-2,
+// tests/test_simulator_diff.cpp).
 #pragma once
 
 #include <bit>

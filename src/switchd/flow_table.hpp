@@ -229,7 +229,6 @@ class FlowTable {
   }
 
   std::size_t rule_count() const noexcept { return rule_count_; }
-  std::size_t group_count() const noexcept { return groups_.size(); }
   std::uint64_t miss_count() const noexcept { return stats_.misses; }
 
   const TableStats& stats() const noexcept { return stats_; }

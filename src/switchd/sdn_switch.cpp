@@ -71,7 +71,6 @@ bool SdnSwitch::try_install_group(GroupEntry group) {
 }
 
 FlowDump SdnSwitch::dump(const DumpFilter& filter) const {
-  ++dumps_served_;
   FlowDump out;
   const auto take = [&filter, &out](const auto& rules) {
     for (const FlowRule& rule : rules) {

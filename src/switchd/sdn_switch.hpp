@@ -108,8 +108,6 @@ class SdnSwitch : public net::Device {
   /// Entries are returned in the table's stable iteration order.
   FlowDump dump(const DumpFilter& filter = {}) const;
 
-  std::uint64_t dumps_served() const noexcept { return dumps_served_; }
-
   // --- controller fencing ----------------------------------------------------
   //
   // The OpenFlow role-request generation_id analog: every mutating op a
@@ -168,7 +166,6 @@ class SdnSwitch : public net::Device {
   std::uint64_t installs_rejected_ = 0;
   std::uint64_t fence_epoch_ = 0;
   std::uint64_t stale_ops_rejected_ = 0;
-  mutable std::uint64_t dumps_served_ = 0;
   std::uint64_t forwarded_ = 0;
   std::uint64_t dropped_ = 0;
   // Packets waiting for their lookup CPU charge, in completion order:

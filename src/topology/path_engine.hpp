@@ -25,18 +25,18 @@
 // eager rebuilds most expensive.
 //
 // Invariant PE-1: for any fixed graph and failed-link set, a row's contents
-// are a pure function of its destination -- independent of query order and
-// of the row cap -- so sampling with a fixed-seed Rng is deterministic
-// regardless of how the cache was populated.  self_check() is the runtime
+// are a pure function of its destination -- independent of query order --
+// so sampling with a fixed-seed Rng is deterministic regardless of how the
+// cache was populated.  self_check() is the runtime
 // audit of PE-1 (registered as "PE-1" in audit::Registry).
 //
 // The engine is single-threaded, like the event loop that owns it.  Rows
-// live by value in the cache; the private row() hands out a const Row&
-// that stays valid until the next row query (which may evict it under the
-// LRU cap) or the next failure-set change (which may invalidate it).
+// live by value in the cache, which holds every row queried since the last
+// failure-set change; the private row() hands out a const Row& that stays
+// valid until the next failure-set change (which may invalidate it).
 //
-// AllPairsPaths remains in the tree as the reference oracle for the
-// differential tests (tests/test_pathengine_diff.cpp).
+// AllPairsPaths, the eager all-pairs table, is the reference oracle for the
+// differential tests (tests/support/paths.hpp).
 #pragma once
 
 #include <cstdint>
@@ -57,7 +57,6 @@ struct PathEngineStats {
   std::uint64_t row_hits = 0;         // queries served from the cache
   std::uint64_t rows_invalidated = 0; // rows dropped by failure epochs
   std::uint64_t rows_retained = 0;    // rows that survived an epoch bump
-  std::uint64_t rows_evicted = 0;     // rows dropped by the LRU cap
 };
 
 class PathEngine {
@@ -116,20 +115,6 @@ class PathEngine {
     return failed_;
   }
 
-  /// Cap the row cache at `max` entries (0 = unbounded, the default).
-  /// When a fresh row would push the cache over the cap, the
-  /// least-recently-queried row is evicted -- never the one just
-  /// inserted -- with ties broken toward the smallest destination id so
-  /// eviction order is deterministic (PE-1 makes recomputation safe: an
-  /// evicted row costs one BFS on its next query, nothing else).
-  /// Lowering the cap below the current cache size evicts immediately.
-  void set_max_rows(std::size_t max);
-
-  std::size_t max_rows() const noexcept { return max_rows_; }
-
-  /// Monotone counter, bumped by every link_failed()/link_restored().
-  std::uint32_t failure_epoch() const noexcept { return epoch_; }
-
   // --- introspection / audit --------------------------------------------------
 
   PathEngineStats stats() const noexcept { return stats_; }
@@ -154,7 +139,6 @@ class PathEngine {
   /// graph's deterministic adjacency order.
   struct Row {
     std::uint32_t epoch = 0;
-    std::uint64_t last_used = 0;         // LRU stamp
     std::vector<std::uint32_t> dist;     // dist[x] = hops x -> dst
     std::vector<std::uint32_t> offsets;  // CSR offsets, size n + 1
     std::vector<NodeId> nexts;           // flat successor buffer
@@ -167,7 +151,7 @@ class PathEngine {
   /// Pure function of (graph_, failed_, dst).
   Row compute_row(NodeId dst) const;
   /// The cached row for `dst`, computed on a miss.  The reference is valid
-  /// until the next row() call or failure-set change.
+  /// until the next failure-set change.
   const Row& row(NodeId dst) const;
 
   /// Does dropping or restoring the link (a, b) change this row?  Only if
@@ -187,11 +171,6 @@ class PathEngine {
 
   void invalidate_rows_touching(LinkId link);
 
-  /// Evict least-recently-queried rows until the cache respects max_rows_;
-  /// never evicts `keep` (the row the caller just inserted and is about to
-  /// hand out).  Pass kInvalidNode to protect nothing.
-  void evict_over_cap(NodeId keep) const;
-
   void enumerate_rec(const Row& row, NodeId cur, NodeId dst, Path& prefix,
                      std::vector<Path>& out, std::size_t limit) const;
 
@@ -205,8 +184,6 @@ class PathEngine {
   // Row cache + stats; mutable so const queries can memoize.
   mutable std::unordered_map<NodeId, Row> rows_;
   mutable PathEngineStats stats_;
-  std::size_t max_rows_ = 0;  // 0 = unbounded
-  mutable std::uint64_t use_clock_ = 0;
 };
 
 }  // namespace mic::topo

@@ -242,7 +242,6 @@ void SslSession::send_data_record(Chunk chunk) {
         std::min<std::uint64_t>(kMaxRecord, chunk.length - offset));
     host_.charge(host_.costs().ssl_record_fixed_cycles +
                  host_.costs().stream_crypt_cycles(len));
-    ++records_sent_;
 
     if (chunk.is_real()) {
       std::vector<std::uint8_t> ciphertext(

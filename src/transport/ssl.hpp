@@ -34,8 +34,6 @@ class SslSession : public ByteStream {
   void close() override { underlying_.close(); }
   bool ready() const override { return established_; }
 
-  std::uint64_t records_sent() const noexcept { return records_sent_; }
-
  private:
   enum class MsgType : std::uint8_t {
     kClientHello = 1,
@@ -83,7 +81,6 @@ class SslSession : public ByteStream {
   std::array<std::uint8_t, 32> recv_key_{};
   std::uint64_t send_counter_ = 0;
   std::uint64_t recv_counter_ = 0;
-  std::uint64_t records_sent_ = 0;
 };
 
 }  // namespace mic::transport

@@ -141,6 +141,16 @@ class ByteReader {
     return out;
   }
 
+  /// Whether the first n buffered bytes are all real.  Requires
+  /// available() >= n.
+  bool real_prefix(std::uint64_t n) const noexcept {
+    for (auto it = pending_.begin(); n > 0; ++it) {
+      if (it->bytes.empty()) return false;
+      n -= std::min(n, it->length);
+    }
+    return true;
+  }
+
   /// Whether the next buffered byte is real.  Requires available() > 0.
   bool next_is_real() const noexcept {
     MIC_ASSERT(!pending_.empty());

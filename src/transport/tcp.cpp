@@ -168,7 +168,6 @@ void TcpConnection::send_control(net::TcpFlags flags) {
   packet.dst = remote_ip_;
   packet.sport = local_port_;
   packet.dport = remote_port_;
-  packet.mpls = egress_mpls_;
   packet.tcp.seq = snd_nxt_;
   packet.tcp.ack_seq = rcv_nxt_;
   packet.tcp.flags = flags;
@@ -191,7 +190,6 @@ void TcpConnection::emit_segment(std::uint64_t seq, std::uint32_t len,
   packet.dst = remote_ip_;
   packet.sport = local_port_;
   packet.dport = remote_port_;
-  packet.mpls = egress_mpls_;
   packet.tcp.seq = seq;
   packet.tcp.ack_seq = rcv_nxt_;
   packet.tcp.flags = {.syn = false, .ack = true, .fin = false, .rst = false};

@@ -51,23 +51,7 @@ class TcpConnection : public ByteStream {
 
   /// Bytes acknowledged by the peer so far (delivered end to end).
   std::uint64_t bytes_acked() const noexcept { return snd_una_; }
-  std::uint64_t bytes_received() const noexcept { return rcv_nxt_; }
   std::uint32_t retransmissions() const noexcept { return retransmits_; }
-  double cwnd_bytes() const noexcept { return cwnd_; }
-
-  // Diagnostics.
-  std::uint64_t debug_snd_nxt() const noexcept { return snd_nxt_; }
-  std::uint64_t debug_buffer_end() const noexcept {
-    return send_buffer_.end_offset();
-  }
-  sim::SimTime debug_rto() const noexcept { return rto_; }
-  std::uint64_t debug_rcv_nxt() const noexcept { return rcv_nxt_; }
-  std::size_t debug_ooo_size() const noexcept { return out_of_order_.size(); }
-
-  /// When an MPLS label is set, outgoing segments carry it (used by tests
-  /// that inject tagged traffic; normal hosts send untagged and the edge
-  /// switch tags).
-  void set_egress_mpls(net::MplsLabel label) noexcept { egress_mpls_ = label; }
 
  private:
   friend class Host;
@@ -101,7 +85,6 @@ class TcpConnection : public ByteStream {
   net::Ipv4 remote_ip_;
   net::L4Port local_port_;
   net::L4Port remote_port_;
-  net::MplsLabel egress_mpls_ = net::kNoMpls;
 
   State state_ = State::kClosed;
 

@@ -1,4 +1,4 @@
-#include "topology/paths.hpp"
+#include "support/paths.hpp"
 
 #include <algorithm>
 #include <deque>

@@ -1,4 +1,4 @@
-#include "sim/reference_simulator.hpp"
+#include "support/reference_simulator.hpp"
 
 namespace mic::sim {
 

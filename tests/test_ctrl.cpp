@@ -118,15 +118,22 @@ TEST(Controller, SouthboundLatencyDelaysInstall) {
   rule.priority = 200;
   rule.match.src = net::Ipv4(1, 2, 3, 4);
   rule.cookie = 777;
-  fabric.mc().install_rule(sw, rule, /*immediate=*/false);
+  bool confirmed = false;
+  fabric.mc().install_rule_checked(sw, rule,
+                                   [&](bool ok) { confirmed = ok; });
 
   // Not yet installed...
+  const sim::SimTime latency = fabric.mc().config().southbound_latency;
   EXPECT_EQ(fabric.mc().switch_at(sw)->table().rule_count(), before);
-  fabric.simulator().run_until(fabric.mc().config().southbound_latency / 2);
+  fabric.simulator().run_until(latency / 2);
   EXPECT_EQ(fabric.mc().switch_at(sw)->table().rule_count(), before);
-  // ...but installed after the southbound latency.
-  fabric.simulator().run_until();
+  // ...but installed after the southbound latency, and confirmed only
+  // once the reply has travelled back.
+  fabric.simulator().run_until(latency);
   EXPECT_EQ(fabric.mc().switch_at(sw)->table().rule_count(), before + 1);
+  EXPECT_FALSE(confirmed);
+  fabric.simulator().run_until();
+  EXPECT_TRUE(confirmed);
   fabric.mc().remove_cookie(sw, 777, /*immediate=*/true);
 }
 

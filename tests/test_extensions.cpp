@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "anonymity/attacks.hpp"
+#include "core/audit_registry.hpp"
 #include "core/collision_audit.hpp"
 #include "core/fabric.hpp"
 #include "core/mic_client.hpp"
@@ -345,7 +346,54 @@ TEST(DistributedControllers, RangeExhaustionDies) {
   EXPECT_EQ(registry.allocate_flow_id(), 10);
   EXPECT_EQ(registry.allocate_flow_id(), 11);
   EXPECT_EQ(registry.allocate_flow_id(), 12);
-  EXPECT_DEATH(registry.allocate_flow_id(), "exhausted");
+  // An exhausted range answers kInvalidFlowId instead of aborting...
+  EXPECT_EQ(registry.allocate_flow_id(), core::kInvalidFlowId);
+  EXPECT_EQ(registry.active_flow_count(), 3u);
+  // ...and a released ID can be allocated again.
+  registry.release_flow_id(11);
+  EXPECT_EQ(registry.allocate_flow_id(), 11);
+  EXPECT_EQ(registry.allocate_flow_id(), core::kInvalidFlowId);
+}
+
+TEST(DistributedControllers, ExhaustedRangeFailsTheRequestCleanly) {
+  // Eight flow IDs: one F=6 channel fits, a second one from the same
+  // client runs out after two more.
+  FabricOptions options;
+  options.mic.flow_ids = {1, 8};
+  Fabric fabric(options);
+  auto& mc = fabric.mc();
+  core::EstablishRequest request;
+  request.initiator_ip = fabric.ip(0);
+  request.responder_ip = fabric.ip(12);
+  request.responder_port = 7000;
+  request.flow_count = 6;
+  auto use_ports = [&request](int base) {
+    request.initiator_sports.clear();
+    for (int f = 0; f < request.flow_count; ++f) {
+      request.initiator_sports.push_back(static_cast<net::L4Port>(base + f));
+    }
+  };
+  use_ports(41000);
+  const core::EstablishResult first = mc.establish(request);
+  ASSERT_TRUE(first.ok) << first.error;
+
+  const std::uint64_t rules_before = mc.rules_installed();
+  use_ports(41010);
+  const core::EstablishResult second = mc.establish(request);
+  EXPECT_FALSE(second.ok);
+  EXPECT_EQ(second.error, "m-flow ID range exhausted");
+  EXPECT_EQ(mc.rules_installed(), rules_before);
+  EXPECT_EQ(mc.registry().active_flow_count(), 6u);
+  EXPECT_EQ(mc.active_channel_count(), 1u);
+  const audit::RunReport report = audit::run_all(fabric);
+  EXPECT_TRUE(report.ok) << report.first_violation();
+
+  // Tearing the first channel down returns its IDs.
+  mc.teardown(first.channel);
+  const core::EstablishResult third = mc.establish(request);
+  EXPECT_TRUE(third.ok) << third.error;
+  EXPECT_EQ(mc.registry().active_flow_count(), 6u);
+  EXPECT_TRUE(audit::run_all(fabric).ok);
 }
 
 // --- channel pool ----------------------------------------------------------------

@@ -3,6 +3,7 @@
 // services, multiple m-flows, MIC-SSL, partial multicast, teardown, reuse.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 
 #include "anonymity/observer.hpp"
@@ -145,6 +146,61 @@ TEST(MicEndToEnd, DataRoundTripsThroughMimicChannel) {
   EXPECT_EQ(at_client, "ack from hidden side");
   EXPECT_FALSE(channel.failed());
   EXPECT_GT(channel.setup_time(), 0u);
+}
+
+TEST(MicEndToEnd, MalformedSliceHeaderFailsOnlyItsConnection) {
+  MicBed bed;
+  MicServer& server = bed.serve(12);
+  std::uint64_t at_server = 0;
+  server.set_on_channel([&](MicServerChannel& channel) {
+    channel.set_on_data(
+        [&](const transport::ChunkView& view) { at_server += view.length; });
+  });
+
+  // Raw TCP clients skip the MC and open with a header no MIC endpoint
+  // writes: a bad magic, an oversized length, and header bytes held as
+  // virtual.
+  SliceHeader bad_magic;
+  bad_magic.magic = 0xBAD0;
+  SliceHeader too_long;
+  too_long.length = kMaxSliceBytes + 1;
+  const std::vector<transport::Chunk> headers = {
+      slice_header_chunk(bad_magic), slice_header_chunk(too_long),
+      transport::Chunk::virtual_bytes(kSliceHeaderBytes)};
+  int closed = 0;
+  for (std::size_t i = 0; i < headers.size(); ++i) {
+    transport::TcpConnection& conn =
+        bed.fabric.host(1 + i).connect(bed.fabric.ip(12), 7000);
+    conn.set_on_ready([&conn, header = headers[i]] { conn.send(header); });
+    conn.set_on_closed([&closed] { ++closed; });
+  }
+  bed.fabric.simulator().run_until();
+  EXPECT_EQ(closed, 3);
+  EXPECT_EQ(server.malformed_flows(), 3u);
+  EXPECT_EQ(server.channel_count(), 0u);
+
+  // The server still serves a real channel.
+  MicChannel channel(bed.fabric.host(0), bed.fabric.mc(), bed.options_to(12),
+                     bed.fabric.rng());
+  channel.send(transport::Chunk::virtual_bytes(100 * 1024));
+  bed.fabric.simulator().run_until();
+  EXPECT_FALSE(channel.failed());
+  EXPECT_EQ(at_server, 100u * 1024);
+
+  // A responder that answers with a bad header fails the initiator's
+  // channel with a reason.
+  bed.fabric.host(12).listen(
+      7001, [bad_magic](transport::TcpConnection& conn) {
+        conn.send(slice_header_chunk(bad_magic));
+      });
+  MicChannelOptions to_rogue = bed.options_to(12);
+  to_rogue.responder_port = 7001;
+  MicChannel victim(bed.fabric.host(1), bed.fabric.mc(), to_rogue,
+                    bed.fabric.rng());
+  bed.fabric.simulator().run_until();
+  EXPECT_TRUE(victim.failed());
+  EXPECT_NE(victim.error().find("malformed slice header"), std::string::npos);
+  EXPECT_FALSE(channel.failed());
 }
 
 TEST(MicEndToEnd, NoWirePacketLinksInitiatorAndResponder) {
@@ -543,7 +599,7 @@ TEST(CollisionAudit, DetectsForeignMFlowRule) {
   rogue.actions = {switchd::Output{0}};
   rogue.cookie = 0xBAD;
   const topo::NodeId sw = bed.fabric.fattree().core_switches()[0];
-  bed.fabric.mc().install_rule(sw, rogue, /*immediate=*/true);
+  bed.fabric.mc().install_rule(sw, rogue);
 
   const AuditReport report = audit_collisions(bed.fabric.mc());
   EXPECT_FALSE(report.ok);
@@ -576,7 +632,7 @@ TEST(CollisionAudit, DetectsRewriteToInactiveFlow) {
   }
   clone.cookie = 0xC10E;
   clone.priority = static_cast<std::uint16_t>(clone.priority + 1);
-  bed.fabric.mc().install_rule(mn, clone, /*immediate=*/true);
+  bed.fabric.mc().install_rule(mn, clone);
   bed.fabric.mc().teardown(result.channel);
 
   EXPECT_FALSE(audit_collisions(bed.fabric.mc()).ok);
@@ -671,11 +727,21 @@ TEST(MicWire, SliceHeaderRoundTrip) {
   header.flow = 3;
   const auto bytes = serialize_slice_header(header);
   EXPECT_EQ(bytes.size(), kSliceHeaderBytes);
-  const SliceHeader parsed = parse_slice_header(bytes);
-  EXPECT_EQ(parsed.channel, header.channel);
-  EXPECT_EQ(parsed.seq, header.seq);
-  EXPECT_EQ(parsed.length, header.length);
-  EXPECT_EQ(parsed.flow, header.flow);
+  const std::optional<SliceHeader> parsed = parse_slice_header(bytes);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->channel, header.channel);
+  EXPECT_EQ(parsed->seq, header.seq);
+  EXPECT_EQ(parsed->length, header.length);
+  EXPECT_EQ(parsed->flow, header.flow);
+
+  // The longest slice still parses; a longer one or a bad magic does not.
+  header.length = kMaxSliceBytes;
+  EXPECT_TRUE(parse_slice_header(serialize_slice_header(header)).has_value());
+  header.length = kMaxSliceBytes + 1;
+  EXPECT_FALSE(parse_slice_header(serialize_slice_header(header)).has_value());
+  header.length = 4096;
+  header.magic = 0xBAD0;
+  EXPECT_FALSE(parse_slice_header(serialize_slice_header(header)).has_value());
 }
 
 TEST(MicWire, LongServiceNamesSurviveSerialization) {

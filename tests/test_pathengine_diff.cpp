@@ -7,18 +7,18 @@
 // set.  Failure epochs are exercised both wholesale (set_failed_links) and
 // incrementally (link_failed / link_restored on warm caches, where row
 // retention does the interesting work).  PE-1: how the row cache was
-// populated, and its row cap, must not change anything observable.
+// populated must not change anything observable.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <optional>
 #include <set>
 
+#include "support/paths.hpp"
 #include "topology/bcube.hpp"
 #include "topology/fattree.hpp"
 #include "topology/leafspine.hpp"
 #include "topology/path_engine.hpp"
-#include "topology/paths.hpp"
 
 namespace mic::topo {
 namespace {
@@ -253,12 +253,9 @@ TEST(PathEngineDiff, FailedAccessLinkMatchesOracleUnreachability) {
 
 TEST(PathEngineDiff, CachePopulationIsObservationallyIrrelevant) {
   // PE-1: for a fixed seed, sampled shortest and long paths and enumerated
-  // path sets are identical whether rows are computed lazily, every host
-  // row is pre-queried in reverse host order, or a one-row cap evicts and
-  // recomputes on nearly every query -- the cache contents are a pure
-  // function of (graph, failures, destination).  The capped engine evicts
-  // the row behind each earlier reference, so under ASan it also checks
-  // that a row is never read past the next query.
+  // path sets are identical whether rows are computed lazily or every host
+  // row is pre-queried in reverse host order -- the cache contents are a
+  // pure function of (graph, failures, destination).
   const FatTree ft(6);
   const auto& hosts = ft.hosts();
 
@@ -267,14 +264,9 @@ TEST(PathEngineDiff, CachePopulationIsObservationallyIrrelevant) {
     std::vector<std::optional<Path>> longer;
     std::vector<std::vector<Path>> enumerated;
   };
-  enum class Cache { kLazy, kPrequeried, kCapped };
-  std::uint64_t capped_evictions = 0;
-  auto run = [&](Cache cache) {
+  auto run = [&](bool prequeried) {
     PathEngine engine(ft.graph());
-    if (cache == Cache::kPrequeried) {
-      query_rows(engine, {hosts.rbegin(), hosts.rend()});
-    }
-    if (cache == Cache::kCapped) engine.set_max_rows(1);
+    if (prequeried) query_rows(engine, {hosts.rbegin(), hosts.rend()});
     Rng rng(777);
     Observed seen;
     for (int i = 0; i < 200; ++i) {
@@ -287,21 +279,14 @@ TEST(PathEngineDiff, CachePopulationIsObservationallyIrrelevant) {
       seen.longer.push_back(engine.sample_long_path(src, dst, 6, rng));
       seen.enumerated.push_back(engine.enumerate_shortest_paths(src, dst, 16));
     }
-    if (cache == Cache::kCapped) {
-      capped_evictions = engine.stats().rows_evicted;
-      EXPECT_EQ(engine.cached_rows(), 1u);
-    }
     return seen;
   };
 
-  const Observed lazy = run(Cache::kLazy);
-  for (const Cache cache : {Cache::kPrequeried, Cache::kCapped}) {
-    const Observed seen = run(cache);
-    EXPECT_EQ(seen.shortest, lazy.shortest);
-    EXPECT_EQ(seen.longer, lazy.longer);
-    EXPECT_EQ(seen.enumerated, lazy.enumerated);
-  }
-  EXPECT_GT(capped_evictions, 0u);
+  const Observed lazy = run(false);
+  const Observed seen = run(true);
+  EXPECT_EQ(seen.shortest, lazy.shortest);
+  EXPECT_EQ(seen.longer, lazy.longer);
+  EXPECT_EQ(seen.enumerated, lazy.enumerated);
 }
 
 TEST(PathEngineDiff, LongPathPropertiesHold) {

@@ -23,8 +23,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "sim/reference_simulator.hpp"
 #include "sim/simulator.hpp"
+#include "support/reference_simulator.hpp"
 
 namespace mic::sim {
 namespace {

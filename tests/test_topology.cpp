@@ -4,9 +4,9 @@
 
 #include <set>
 
+#include "support/paths.hpp"
 #include "topology/bcube.hpp"
 #include "topology/fattree.hpp"
-#include "topology/paths.hpp"
 
 namespace mic::topo {
 namespace {
