@@ -1,8 +1,8 @@
 // Bench: control-plane admission under an establishment flood.
 //
 // Honest clients establish mimic channels at staggered offsets while the
-// seeded FaultInjector fires a 10x establishment flood (plus a slowloris
-// trickle of half-open control sessions) at the MC.  Measured quantity:
+// seeded FaultInjector fires a 10x establishment flood at the MC.
+// Measured quantity:
 // honest establishment latency (MicChannel::setup_time, simulated time --
 // deterministic, so one rep is exact), unloaded vs under attack, with the
 // attacker/honest breakdown the admission stats expose.  The run fails if
@@ -61,7 +61,6 @@ FabricOptions fabric_options() {
   fo.mic.admission.tenant_pending_quota = 3;
   fo.mic.admission.queue_capacity = 32;
   fo.mic.admission.max_in_service = 16;
-  fo.mic.admission.half_open_timeout = sim::milliseconds(10);
   return fo;
 }
 
@@ -83,8 +82,6 @@ FaultInjectorOptions attack_options(int honest_establishes) {
       12,
       (10 * honest_establishes) / (fo.establish_floods * fo.flood_attackers));
   fo.flood_duration = sim::milliseconds(4);
-  fo.slow_client_sessions = 8;
-  fo.slow_client_touches = 2;
   return fo;
 }
 
@@ -97,8 +94,6 @@ struct Series {
   std::uint64_t flood_sent = 0;
   std::uint64_t flood_answered = 0;
   std::uint64_t flood_shed = 0;
-  std::uint64_t slow_sessions = 0;
-  std::uint64_t sessions_reaped = 0;
   std::uint64_t admitted = 0;
   std::uint64_t shed = 0;
   bool audit_ok = false;
@@ -116,7 +111,7 @@ double percentile(std::vector<double> values, double q) {
 
 /// One deterministic run: `clients` honest hosts x `channels_each`
 /// establishments, staggered across the attack window.  With `flooded`
-/// the injector's 10x flood + slow-client trickle runs on top.
+/// the injector's 10x flood runs on top.
 Series run(int clients, int channels_each, bool flooded) {
   Fabric fabric(fabric_options());
   MicServer server(fabric.host(kServerIdx), 7000, fabric.rng());
@@ -188,9 +183,7 @@ Series run(int clients, int channels_each, bool flooded) {
   series.flood_sent = injector.flood_sent();
   series.flood_answered = injector.flood_answered();
   series.flood_shed = injector.flood_shed();
-  series.slow_sessions = injector.slow_sessions_opened();
   const auto& stats = fabric.mc().admission().stats();
-  series.sessions_reaped = stats.sessions_reaped;
   series.admitted = stats.admitted;
   series.shed = stats.shed;
   const audit::RunReport report = audit::run_all(fabric.mc());
@@ -219,7 +212,7 @@ int main(int argc, char** argv) {
   const int channels_each = smoke ? 2 : 6;
 
   std::printf("# Honest establishment latency, unloaded vs 10x establish\n"
-              "# flood + slowloris trickle (k=4 fat-tree, tight admission;\n"
+              "# flood (k=4 fat-tree, tight admission;\n"
               "# latencies are simulated time in us, exact by SIM-1)\n");
   std::printf("%-9s %8s %12s %9s %10s %10s %11s %10s %6s\n", "mode",
               "offered", "established", "shed_hits", "p50_us", "p99_us",
@@ -258,13 +251,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "flood was never shed: admission inert?\n");
     ok = false;
   }
-  if (flooded.sessions_reaped != flooded.slow_sessions) {
-    std::fprintf(stderr, "slow-client leak: %llu sessions opened, %llu "
-                         "reaped\n",
-                 static_cast<unsigned long long>(flooded.slow_sessions),
-                 static_cast<unsigned long long>(flooded.sessions_reaped));
-    ok = false;
-  }
 
   std::FILE* out = std::fopen("BENCH_flood.json", "w");
   if (out == nullptr) {
@@ -278,15 +264,12 @@ int main(int argc, char** argv) {
         "\"%s\":{\"honest\":{\"offered\":%zu,\"established\":%zu,"
         "\"shed_hits\":%llu,\"p50_us\":%.1f,\"p99_us\":%.1f},"
         "\"attacker\":{\"sent\":%llu,\"answered\":%llu,\"shed\":%llu},"
-        "\"slow_sessions\":%llu,\"sessions_reaped\":%llu,"
         "\"admitted\":%llu,\"shed\":%llu,\"audit_ok\":%s}",
         name, s.offered, s.established,
         static_cast<unsigned long long>(s.times_shed), p50, p99,
         static_cast<unsigned long long>(s.flood_sent),
         static_cast<unsigned long long>(s.flood_answered),
         static_cast<unsigned long long>(s.flood_shed),
-        static_cast<unsigned long long>(s.slow_sessions),
-        static_cast<unsigned long long>(s.sessions_reaped),
         static_cast<unsigned long long>(s.admitted),
         static_cast<unsigned long long>(s.shed),
         s.audit_ok ? "true" : "false");

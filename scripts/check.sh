@@ -32,7 +32,7 @@ echo "== perf-regression guards =="
 ./build/bench/macro_dataplane --smoke
 
 echo "== admission flood guard =="
-# Honest establishment p99 under a 10x flood + slowloris trickle must stay
+# Honest establishment p99 under a 10x establishment flood must stay
 # within a fixed multiple of the unloaded p99 (latencies are simulated
 # time, so this is exact, not a wall-clock threshold).
 ./build/bench/control_flood --smoke

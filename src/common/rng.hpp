@@ -7,6 +7,7 @@
 // seeded through SplitMix64.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -112,5 +113,16 @@ class Rng {
 
   std::uint64_t state_[4]{};
 };
+
+/// Capped exponential backoff with seeded jitter before retry `attempt`
+/// (1-based): min(base * 2^(attempt-1), cap) plus a uniform draw in
+/// [0, base).  The doubling stops after 20 steps; base * 2^20 must not
+/// overflow.  Draws from `rng` exactly once.
+inline std::uint64_t capped_backoff(std::uint64_t base, std::uint64_t cap,
+                                    int attempt, Rng& rng) noexcept {
+  MIC_ASSERT(attempt >= 1);
+  const std::uint64_t backoff = base << std::min(attempt - 1, 20);
+  return std::min(backoff, cap) + rng.below(base);
+}
 
 }  // namespace mic

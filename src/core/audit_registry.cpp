@@ -1,6 +1,7 @@
 #include "core/audit_registry.hpp"
 
 #include <cstdint>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -12,16 +13,6 @@
 namespace mic::audit {
 
 namespace {
-
-CheckResult from_audit_report(const core::AuditReport& report) {
-  CheckResult result;
-  result.ok = report.ok;
-  result.items_checked = report.rules_checked;
-  result.violations = report.violations;
-  result.metrics.emplace_back("mflow_rules",
-                              static_cast<std::uint64_t>(report.mflow_rules));
-  return result;
-}
 
 CheckResult check_flow_tables(core::MimicController& mc) {
   // FT-1: on every switch, the two-tier lookup agrees with the reference
@@ -150,11 +141,8 @@ CheckResult check_admission_conservation(core::MimicController& mc) {
   // AC-1: queued + admitted + shed == offered, and no tenant exceeds its
   // quota.  Concretely: (a) every offered establish is accounted exactly
   // once -- admitted (past or in flight), shed with a Busy reply, or still
-  // queued; (b) the same conservation holds for half-open control sessions
-  // (opened == completed + reaped + live); (c) with limits enabled, no
-  // tenant holds more pending work or half-open sessions than its quota
-  // and no bucket holds more than burst tokens; (d) every half-open
-  // session past its idle deadline has a live reaper timer (no zombies).
+  // queued; (b) with limits enabled, no tenant holds more pending work
+  // than its quota, and no bucket holds more than burst tokens.
   CheckResult result;
   const ctrl::AdmissionController& ac = mc.admission();
   const ctrl::AdmissionController::Stats& stats = ac.stats();
@@ -169,17 +157,6 @@ CheckResult check_admission_conservation(core::MimicController& mc) {
   }
   ++result.items_checked;
 
-  const std::uint64_t sessions_accounted =
-      stats.sessions_completed + stats.sessions_reaped +
-      static_cast<std::uint64_t>(ac.half_open_count());
-  if (stats.sessions_opened != sessions_accounted) {
-    result.violations.push_back(
-        "session conservation broken: opened=" +
-        std::to_string(stats.sessions_opened) +
-        " != completed+reaped+live=" + std::to_string(sessions_accounted));
-  }
-  ++result.items_checked;
-
   for (const auto& tenant : ac.tenant_snapshot()) {
     const std::string who = "tenant " + std::to_string(tenant.tenant);
     if (config.enabled && tenant.pending > config.tenant_pending_quota) {
@@ -187,23 +164,11 @@ CheckResult check_admission_conservation(core::MimicController& mc) {
           who + " exceeds pending quota: " + std::to_string(tenant.pending) +
           " > " + std::to_string(config.tenant_pending_quota));
     }
-    if (config.enabled && tenant.half_open > config.tenant_half_open_quota) {
-      result.violations.push_back(
-          who + " exceeds half-open quota: " +
-          std::to_string(tenant.half_open) + " > " +
-          std::to_string(config.tenant_half_open_quota));
-    }
     if (tenant.tokens < -1e-6 || tenant.tokens > config.tenant_burst + 1e-6) {
       result.violations.push_back(who + " bucket out of range [0, burst]");
     }
     ++result.items_checked;
   }
-
-  for (const std::uint64_t id : ac.zombie_sessions()) {
-    result.violations.push_back("half-open session " + std::to_string(id) +
-                                " is past its deadline with no reaper armed");
-  }
-  ++result.items_checked;
 
   result.metrics.emplace_back("offered", stats.offered);
   result.metrics.emplace_back("admitted", stats.admitted);
@@ -211,9 +176,6 @@ CheckResult check_admission_conservation(core::MimicController& mc) {
   result.metrics.emplace_back("exempt", stats.exempt);
   result.metrics.emplace_back(
       "queued", static_cast<std::uint64_t>(ac.queued_count()));
-  result.metrics.emplace_back(
-      "half_open", static_cast<std::uint64_t>(ac.half_open_count()));
-  result.metrics.emplace_back("sessions_reaped", stats.sessions_reaped);
   result.ok = result.violations.empty();
   return result;
 }
@@ -224,7 +186,7 @@ const CheckResult& RunReport::check(std::string_view id) const {
   for (const auto& c : checks) {
     if (c.id == id) return c;
   }
-  MIC_ASSERT_MSG(false, "audit check id not registered");
+  MIC_ASSERT_MSG(false, "unknown audit check id");
   __builtin_unreachable();
 }
 
@@ -247,73 +209,34 @@ std::string RunReport::summary() const {
   return out;
 }
 
-Registry::Registry() {
-  add("FT-1", "flow-table lookup equivalence", check_flow_tables);
-  add("CA-1", "collision / MAGA label audit",
-      [](core::MimicController& mc) {
-        return from_audit_report(core::audit_collisions(mc));
-      });
-  add("PE-1", "path-row determinism", check_path_rows);
-  add("FD-1", "orphan-rule / live-channel audit",
-      [](core::MimicController& mc) {
-        return from_audit_report(core::audit_orphan_rules(mc));
-      });
-  add("RC-1", "journal / switch-resync consistency",
-      check_recovery_consistency);
-  add("RC-2", "controller-generation (failover) consistency",
-      check_failover_consistency);
-  add("AC-1", "control-plane admission conservation",
-      check_admission_conservation);
-}
-
-Registry& Registry::instance() {
-  static Registry registry;
-  return registry;
-}
-
-void Registry::add(std::string id, std::string name, CheckFn fn) {
-  for (const auto& e : checks_) {
-    MIC_ASSERT_MSG(e.id != id, "duplicate audit check id");
-  }
-  checks_.push_back(Entry{std::move(id), std::move(name), std::move(fn)});
-}
-
-RunReport Registry::run_all(core::MimicController& mc) const {
+RunReport run_all(core::MimicController& mc) {
+  struct Check {
+    const char* id;
+    const char* name;
+    CheckResult (*run)(core::MimicController&);
+  };
+  static constexpr Check kChecks[] = {
+      {"FT-1", "flow-table lookup equivalence", check_flow_tables},
+      {"CA-1", "collision / MAGA label audit", core::audit_collisions},
+      {"PE-1", "path-row determinism", check_path_rows},
+      {"FD-1", "orphan-rule / live-channel audit", core::audit_orphan_rules},
+      {"RC-1", "journal / switch-resync consistency",
+       check_recovery_consistency},
+      {"RC-2", "controller-generation (failover) consistency",
+       check_failover_consistency},
+      {"AC-1", "control-plane admission conservation",
+       check_admission_conservation},
+  };
   RunReport report;
-  report.checks.reserve(checks_.size());
-  for (const auto& e : checks_) {
-    CheckResult result = e.fn(mc);
-    result.id = e.id;
-    result.name = e.name;
+  report.checks.reserve(std::size(kChecks));
+  for (const Check& check : kChecks) {
+    CheckResult result = check.run(mc);
+    result.id = check.id;
+    result.name = check.name;
     report.ok = report.ok && result.ok;
     report.checks.push_back(std::move(result));
   }
   return report;
-}
-
-CheckResult Registry::run(std::string_view id,
-                          core::MimicController& mc) const {
-  for (const auto& e : checks_) {
-    if (e.id == id) {
-      CheckResult result = e.fn(mc);
-      result.id = e.id;
-      result.name = e.name;
-      return result;
-    }
-  }
-  MIC_ASSERT_MSG(false, "audit check id not registered");
-  __builtin_unreachable();
-}
-
-std::vector<std::string> Registry::ids() const {
-  std::vector<std::string> out;
-  out.reserve(checks_.size());
-  for (const auto& e : checks_) out.push_back(e.id);
-  return out;
-}
-
-RunReport run_all(core::MimicController& mc) {
-  return Registry::instance().run_all(mc);
 }
 
 }  // namespace mic::audit

@@ -1,29 +1,23 @@
-// Unified invariant-audit registry (DESIGN.md "Invariant catalog").
+// The invariant-audit checkpoint (DESIGN.md "Invariant catalog").
 //
-// The repo accumulated four executable runtime invariants in four places:
-// FT-1 (two-tier flow-table lookup equivalence), CA-1 (collision audit),
-// PE-1 (path-row determinism) and FD-1 (orphan-rule audit).  Tests, the
-// chaos soak and the examples each grew their own ad-hoc call sites, which
-// meant a new subsystem's invariant had to be wired into every checkpoint
-// by hand -- and usually wasn't.
-//
-// audit::Registry is the single choke point: the built-in invariants
-// register themselves once (in audit_registry.cpp), future subsystems call
-// Registry::instance().add(...) from their own translation unit, and every
-// checkpoint -- a test's quiescence assertion, the chaos soak, an
-// example's exit status -- invokes one run_all(fabric) and gets every
-// registered invariant, including ones that did not exist when the
-// checkpoint was written.
+// The seven executable runtime invariants -- FT-1 (flow-table lookup
+// equivalence), CA-1 (collision audit), PE-1 (path-row determinism), FD-1
+// (orphan-rule audit), RC-1 (journal / switch-resync consistency), RC-2
+// (failover consistency) and AC-1 (admission conservation) -- run from one
+// fixed table behind run_all().  Every checkpoint -- a test's quiescence
+// assertion, the chaos soak, an example's exit status -- invokes one
+// run_all(fabric) and gets all seven; a new invariant is one more row in
+// that table.
 //
 // Checks run on the single-threaded event loop between simulator runs
-// (they walk flow tables and the path-row cache); the registry itself is
-// immutable after static registration.
+// (they walk flow tables and the path-row cache).
 #pragma once
 
+#include <concepts>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace mic::core {
@@ -51,14 +45,13 @@ struct CheckResult {
   }
 };
 
-/// One run_all() checkpoint: every registered invariant, in registration
-/// order.
+/// One run_all() checkpoint: every invariant, in table order.
 struct RunReport {
   bool ok = true;
   std::vector<CheckResult> checks;
 
-  /// The named check; aborts if the id was never registered (a typo in a
-  /// test should fail loudly, not vacuously pass).
+  /// The named check; aborts on an unknown id (a typo in a test should
+  /// fail loudly, not vacuously pass).
   const CheckResult& check(std::string_view id) const;
 
   /// First violation across all checks, prefixed with its invariant id --
@@ -69,39 +62,8 @@ struct RunReport {
   std::string summary() const;
 };
 
-class Registry {
- public:
-  using CheckFn = std::function<CheckResult(core::MimicController&)>;
-
-  /// The process-wide registry, with the seven built-in invariants (FT-1,
-  /// CA-1, PE-1, FD-1, RC-1, RC-2, AC-1) already registered.
-  static Registry& instance();
-
-  /// Register an invariant.  `fn` fills ok/items_checked/violations; id
-  /// and name are stamped by the registry.  Duplicate ids abort: two
-  /// subsystems claiming one identifier is a wiring bug.
-  void add(std::string id, std::string name, CheckFn fn);
-
-  /// Run every registered invariant against the controller's fabric view.
-  RunReport run_all(core::MimicController& mc) const;
-
-  /// Run one invariant by id; aborts on unknown ids.
-  CheckResult run(std::string_view id, core::MimicController& mc) const;
-
-  std::vector<std::string> ids() const;
-
- private:
-  Registry();
-
-  struct Entry {
-    std::string id;
-    std::string name;
-    CheckFn fn;
-  };
-  std::vector<Entry> checks_;  // registration order == report order
-};
-
-/// The one-call checkpoint: run every registered invariant.
+/// The one-call checkpoint: run every invariant, in the order listed above,
+/// each result stamped with its id and name.
 RunReport run_all(core::MimicController& mc);
 
 /// Convenience overload for anything fabric-shaped (core::Fabric,

@@ -17,8 +17,9 @@ std::string describe(topo::NodeId sw, const switchd::FlowRule& rule,
 
 }  // namespace
 
-AuditReport audit_collisions(MimicController& mc) {
-  AuditReport report;
+audit::CheckResult audit_collisions(MimicController& mc) {
+  audit::CheckResult report;
+  std::uint64_t mflow_rules = 0;
   auto& registry = mc.registry();
 
   for (const topo::NodeId sw : mc.graph().switches()) {
@@ -26,11 +27,10 @@ AuditReport audit_collisions(MimicController& mc) {
 
     // 1. No duplicate (priority, match).
     for (std::size_t i = 0; i < rules.size(); ++i) {
-      ++report.rules_checked;
+      ++report.items_checked;
       for (std::size_t j = i + 1; j < rules.size(); ++j) {
         if (rules[i].priority == rules[j].priority &&
             rules[i].match == rules[j].match) {
-          report.ok = false;
           report.violations.push_back(
               describe(sw, rules[i], "duplicate (priority, match) pair"));
         }
@@ -41,18 +41,16 @@ AuditReport audit_collisions(MimicController& mc) {
       // 2. Matched MF tuples must belong to an active flow of the MN that
       //    generated them (identified through the label class).
       if (rule.priority >= ctrl::kPriorityMFlow && rule.match.mpls) {
-        ++report.mflow_rules;
+        ++mflow_rules;
         const net::MplsLabel label = *rule.match.mpls;
         const std::uint8_t cls = registry.class_of_label(label);
         if (cls == registry.c_id()) {
-          report.ok = false;
           report.violations.push_back(
               describe(sw, rule, "m-flow rule matches a CF-class label"));
           continue;
         }
         const topo::NodeId generator = registry.switch_of_class(cls);
         if (generator == topo::kInvalidNode) {
-          report.ok = false;
           report.violations.push_back(
               describe(sw, rule, "MF label class maps to no registered MN"));
           continue;
@@ -61,7 +59,6 @@ AuditReport audit_collisions(MimicController& mc) {
                      *rule.match.dport, label};
         const FlowId flow = registry.flow_id_of(generator, tuple);
         if (!registry.flow_id_active(flow)) {
-          report.ok = false;
           report.violations.push_back(describe(
               sw, rule, "matched m-tuple does not hash to an active flow ID"));
         }
@@ -100,7 +97,6 @@ AuditReport audit_collisions(MimicController& mc) {
         if (!has_set_ips) {
           // Ingress CF tagging: the label must be in the common class.
           if (cls != registry.c_id()) {
-            report.ok = false;
             report.violations.push_back(describe(
                 sw, rule, "CF ingress tag label not in the common class"));
           }
@@ -109,14 +105,12 @@ AuditReport audit_collisions(MimicController& mc) {
         // A full MN rewrite: label class must be this switch's S_ID and the
         // produced tuple must hash to an active flow under this switch.
         if (cls != registry.s_id(sw)) {
-          report.ok = false;
           report.violations.push_back(describe(
               sw, rule, "MN rewrite label not in this switch's class"));
           return;
         }
         const MTuple tuple{new_src, new_dst, new_sport, new_dport, new_label};
         if (!registry.flow_id_active(registry.flow_id_of(sw, tuple))) {
-          report.ok = false;
           report.violations.push_back(describe(
               sw, rule, "MN rewrite tuple does not hash to an active flow"));
         }
@@ -126,7 +120,6 @@ AuditReport audit_collisions(MimicController& mc) {
         if (const auto* grp = std::get_if<switchd::GroupAction>(&action)) {
           const auto* group = mc.switch_at(sw)->table().group(grp->group_id);
           if (group == nullptr) {
-            report.ok = false;
             report.violations.push_back(
                 describe(sw, rule, "dangling group reference"));
             continue;
@@ -136,11 +129,14 @@ AuditReport audit_collisions(MimicController& mc) {
       }
     }
   }
+  report.ok = report.violations.empty();
+  report.metrics.emplace_back("mflow_rules", mflow_rules);
   return report;
 }
 
-AuditReport audit_orphan_rules(MimicController& mc) {
-  AuditReport report;
+audit::CheckResult audit_orphan_rules(MimicController& mc) {
+  audit::CheckResult report;
+  std::uint64_t mflow_rules = 0;
   const std::vector<ChannelId> live = mc.channel_ids();
   const auto is_live = [&live](std::uint64_t cookie) {
     return std::binary_search(live.begin(), live.end(), cookie);
@@ -150,19 +146,17 @@ AuditReport audit_orphan_rules(MimicController& mc) {
   for (const topo::NodeId sw : mc.graph().switches()) {
     const auto& table = mc.switch_at(sw)->table();
     for (const auto& rule : table.rules()) {
-      ++report.rules_checked;
+      ++report.items_checked;
       if (rule.cookie == ctrl::kL3Cookie) continue;
-      ++report.mflow_rules;
+      ++mflow_rules;
       if (!is_live(rule.cookie)) {
-        report.ok = false;
         report.violations.push_back(
             describe(sw, rule, "orphan rule: cookie has no live channel"));
       }
     }
     for (const auto& group : table.groups()) {
-      ++report.rules_checked;
+      ++report.items_checked;
       if (group.cookie == ctrl::kL3Cookie || is_live(group.cookie)) continue;
-      report.ok = false;
       report.violations.push_back(
           "switch " + std::to_string(sw) + " group " +
           std::to_string(group.group_id) +
@@ -175,13 +169,14 @@ AuditReport audit_orphan_rules(MimicController& mc) {
     const ChannelState* state = mc.channel(id);
     for (const topo::NodeId sw : state->touched_switches) {
       if (!mc.switch_at(sw)->table().has_cookie(id)) {
-        report.ok = false;
         report.violations.push_back(
             "channel " + std::to_string(id) + ": no rules on switch " +
             std::to_string(sw) + " despite touching it");
       }
     }
   }
+  report.ok = report.violations.empty();
+  report.metrics.emplace_back("mflow_rules", mflow_rules);
   return report;
 }
 

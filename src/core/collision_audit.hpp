@@ -8,23 +8,17 @@
 //     under the owning switch's MAGA function,
 //  3. every MF label's class equals the switch's S_ID, every CF label's
 //     class equals C_ID, and the two never mix.
+//
+// Both audits count the rules they walk in items_checked and the m-flow
+// rules among them in metric("mflow_rules").
 #pragma once
 
-#include <string>
-#include <vector>
-
+#include "core/audit_registry.hpp"
 #include "core/mimic_controller.hpp"
 
 namespace mic::core {
 
-struct AuditReport {
-  bool ok = true;
-  std::vector<std::string> violations;
-  std::size_t rules_checked = 0;
-  std::size_t mflow_rules = 0;
-};
-
-AuditReport audit_collisions(MimicController& mc);
+audit::CheckResult audit_collisions(MimicController& mc);
 
 /// Orphan-rule audit (DESIGN.md FD-1): after quiescence, the installed
 /// rule set and the live channel set must coincide --
@@ -34,6 +28,6 @@ AuditReport audit_collisions(MimicController& mc);
 ///     says it touches.
 /// Violations mean a teardown/repair/rollback leaked state (1) or a commit
 /// claimed success it never delivered (2).
-AuditReport audit_orphan_rules(MimicController& mc);
+audit::CheckResult audit_orphan_rules(MimicController& mc);
 
 }  // namespace mic::core

@@ -23,39 +23,11 @@ struct FabricOptions {
   bool install_default_routing = true;
 };
 
-class Fabric {
- public:
-  explicit Fabric(FabricOptions options = {});
-
-  sim::Simulator& simulator() noexcept { return sim_; }
-  const topo::FatTree& fattree() const noexcept { return fattree_; }
-  net::Network& network() noexcept { return network_; }
-  MimicController& mc() noexcept { return *mc_; }
-  Rng& rng() noexcept { return rng_; }
-
-  std::size_t host_count() const noexcept { return hosts_.size(); }
-  /// The i-th host (in fat-tree order: pod by pod, edge by edge).
-  transport::Host& host(std::size_t i) noexcept { return *hosts_[i]; }
-  net::Ipv4 ip(std::size_t i) const {
-    return net::Ipv4{fattree_.host_ip(fattree_.hosts()[i])};
-  }
-  topo::NodeId host_node(std::size_t i) const { return fattree_.hosts()[i]; }
-
- private:
-  FabricOptions options_;
-  sim::Simulator sim_;
-  topo::FatTree fattree_;
-  net::Network network_;
-  Rng rng_;
-  std::vector<transport::Host*> hosts_;  // owned by network_
-  std::unique_ptr<MimicController> mc_;
-};
-
 /// MIC on an arbitrary SDN topology.  The caller supplies any graph (which
 /// must outlive the fabric) plus (host node, IP) assignments; everything
-/// else -- SDN switches, hosts, the Mimic Controller, default routing --
-/// is wired identically to the fat-tree Fabric.  Demonstrates that nothing
-/// in MIC is fat-tree specific.
+/// else -- SDN switches, hosts, the Mimic Controller, default routing,
+/// failure detection -- is wired here, for the fat-tree Fabric too.
+/// Demonstrates that nothing in MIC is fat-tree specific.
 class GenericFabric {
  public:
   GenericFabric(const topo::Graph& graph,
@@ -68,6 +40,7 @@ class GenericFabric {
   Rng& rng() noexcept { return rng_; }
 
   std::size_t host_count() const noexcept { return hosts_.size(); }
+  /// The i-th host, in the order `host_addrs` listed it.
   transport::Host& host(std::size_t i) noexcept { return *hosts_[i]; }
   net::Ipv4 ip(std::size_t i) const { return host_addrs_[i].second; }
   topo::NodeId host_node(std::size_t i) const { return host_addrs_[i].first; }
@@ -79,6 +52,24 @@ class GenericFabric {
   Rng rng_;
   std::vector<transport::Host*> hosts_;  // owned by network_
   std::unique_ptr<MimicController> mc_;
+};
+
+namespace detail {
+/// Base-from-member: holds the fat-tree so it is built before the
+/// GenericFabric base that wires it.
+struct FatTreeHolder {
+  explicit FatTreeHolder(int k) : fattree_(k) {}
+  topo::FatTree fattree_;
+};
+}  // namespace detail
+
+/// The k-ary fat-tree testbed.  Hosts are numbered in fat-tree order: pod
+/// by pod, edge by edge.
+class Fabric : private detail::FatTreeHolder, public GenericFabric {
+ public:
+  explicit Fabric(FabricOptions options = {});
+
+  const topo::FatTree& fattree() const noexcept { return fattree_; }
 };
 
 }  // namespace mic::core

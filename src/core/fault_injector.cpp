@@ -8,12 +8,31 @@
 
 namespace mic::core {
 
+namespace {
+/// Every link flap, switch crash and MC crash stays down for a uniform
+/// outage in [kMinOutage, kMaxOutage].
+constexpr sim::SimTime kMinOutage = sim::milliseconds(1);
+constexpr sim::SimTime kMaxOutage = sim::milliseconds(15);
+/// An install-fault burst rejects each install on its switch with this
+/// probability, for this long.
+constexpr double kInstallFaultProbability = 0.5;
+constexpr sim::SimTime kInstallFaultDuration = sim::milliseconds(3);
+/// A control-drop burst drops each checked flow-mod or reply with this
+/// probability, for this long.
+constexpr double kControlDropProbability = 0.25;
+constexpr sim::SimTime kControlDropDuration = sim::milliseconds(3);
+/// kFsyncLapse kill: the next this-many fsyncs lapse, starting this long
+/// before the kill.
+constexpr int kFsyncLapseCount = 4;
+constexpr sim::SimTime kFsyncLapseLead = sim::milliseconds(3);
+/// kTornTail kill: replica records dropped at the kill (in-flight
+/// replication lost with the primary).
+constexpr std::size_t kKillTruncateRecords = 2;
+}  // namespace
+
 FaultInjector::FaultInjector(net::Network& network, MimicController& mc,
                              FaultInjectorOptions options)
-    : network_(network), mc_(mc), options_(options), rng_(options.seed) {
-  MIC_ASSERT(options_.min_outage > 0 &&
-             options_.min_outage <= options_.max_outage);
-}
+    : network_(network), mc_(mc), options_(options), rng_(options.seed) {}
 
 void FaultInjector::arm() {
   MIC_ASSERT_MSG(!armed_, "FaultInjector::arm called twice");
@@ -25,8 +44,7 @@ void FaultInjector::arm() {
     return options_.start + rng_.below(std::max<sim::SimTime>(options_.window, 1));
   };
   auto outage_time = [this] {
-    return options_.min_outage +
-           rng_.below(options_.max_outage - options_.min_outage + 1);
+    return kMinOutage + rng_.below(kMaxOutage - kMinOutage + 1);
   };
 
   // Crash victims first; flap victims then avoid their incident links, so a
@@ -98,10 +116,10 @@ void FaultInjector::arm() {
     const sim::SimTime at = fault_time();
     const std::uint64_t fault_seed = rng_.next();
     sim.schedule_in(at, [this, sw, fault_seed] {
-      mc_.switch_at(sw)->inject_install_faults(
-          options_.install_fault_probability, fault_seed);
+      mc_.switch_at(sw)->inject_install_faults(kInstallFaultProbability,
+                                               fault_seed);
     });
-    sim.schedule_in(at + options_.install_fault_duration, [this, sw] {
+    sim.schedule_in(at + kInstallFaultDuration, [this, sw] {
       mc_.switch_at(sw)->clear_install_faults();
     });
   }
@@ -110,9 +128,9 @@ void FaultInjector::arm() {
   for (int i = 0; i < options_.control_drop_bursts; ++i) {
     const sim::SimTime at = fault_time();
     sim.schedule_in(at, [this] {
-      mc_.set_control_drop_probability(options_.control_drop_probability);
+      mc_.set_control_drop_probability(kControlDropProbability);
     });
-    sim.schedule_in(at + options_.control_drop_duration, [this] {
+    sim.schedule_in(at + kControlDropDuration, [this] {
       mc_.set_control_drop_probability(0.0);
     });
   }
@@ -141,11 +159,10 @@ void FaultInjector::arm() {
   }
 
   // Control-plane attack traffic, drawn after every fault draw above (the
-  // same append-only rule as the MC crashes): enabling the flood or the
-  // slow-client trickle never perturbs an existing seed's fault schedule.
-  // All randomness is drawn here at arm() time; the scheduled callbacks
-  // touch no rng.
-  if (options_.establish_floods > 0 || options_.slow_client_sessions > 0) {
+  // same append-only rule as the MC crashes): enabling the flood never
+  // perturbs an existing seed's fault schedule.  All randomness is drawn
+  // here at arm() time; the scheduled callbacks touch no rng.
+  if (options_.establish_floods > 0) {
     std::vector<topo::NodeId> hosts = graph.hosts();
     MIC_ASSERT(!hosts.empty());
     rng_.shuffle(hosts);
@@ -172,47 +189,12 @@ void FaultInjector::arm() {
         }
       }
     }
-
-    for (int s = 0; s < options_.slow_client_sessions; ++s) {
-      const topo::NodeId host = pick_host();
-      const net::Ipv4 client = mc_.addressing().ip_of(host);
-      const sim::SimTime open_at = fault_time();
-      // The id is only known once the open fires; the touch events share it.
-      auto id = std::make_shared<MimicController::ControlSessionId>(0);
-      sim.schedule_in(open_at, [this, client, id] {
-        *id = mc_.open_control_session(client);
-        if (*id != 0) ++slow_sessions_opened_;
-      });
-      for (int t = 1; t <= options_.slow_client_touches; ++t) {
-        sim.schedule_in(open_at + t * options_.slow_client_touch_gap,
-                        [this, id] {
-                          if (*id != 0) mc_.touch_control_session(*id);
-                        });
-      }
-      // ...and never completed: the half-open reaper must collect it.
-    }
   }
 
-  // Durable-storage faults and primary kills, drawn after every draw above
-  // (the same append-only rule): enabling them never perturbs an existing
-  // seed's fault, flood or slow-client schedule.  All randomness is drawn
-  // here at arm() time; the callbacks touch no rng.
-  if (options_.storage_bit_flips > 0 || options_.fsync_lapse_windows > 0) {
-    MIC_ASSERT_MSG(backend_ != nullptr,
-                   "storage faults need attach_journal_backend()");
-  }
-  for (int i = 0; i < options_.storage_bit_flips; ++i) {
-    const sim::SimTime at = fault_time();
-    const std::uint64_t which = rng_.next();
-    sim.schedule_in(at, [this, which] { backend_->flip_bit(which); });
-  }
-  for (int i = 0; i < options_.fsync_lapse_windows; ++i) {
-    const sim::SimTime at = fault_time();
-    sim.schedule_in(at, [this] {
-      backend_->lapse_fsyncs(options_.fsync_lapse_count);
-    });
-  }
-
+  // Primary kills, drawn after every draw above (the same append-only
+  // rule): enabling them never perturbs an existing seed's fault or flood
+  // schedule.  All randomness is drawn here at arm() time; the callbacks
+  // touch no rng.
   using KillMode = FaultInjectorOptions::PrimaryKillMode;
   if (options_.primary_kills > 0) {
     MIC_ASSERT_MSG(standby_ != nullptr,
@@ -226,13 +208,11 @@ void FaultInjector::arm() {
     if (options_.primary_kill_mode == KillMode::kFsyncLapse) {
       // Open the lapse window shortly before the kill: the final commits
       // look durable to the primary but never ship to the standby.
-      const sim::SimTime lapse_at = kill_at > options_.fsync_lapse_lead
-                                        ? kill_at - options_.fsync_lapse_lead
-                                        : sim::SimTime{0};
+      const sim::SimTime lapse_at =
+          kill_at > kFsyncLapseLead ? kill_at - kFsyncLapseLead
+                                    : sim::SimTime{0};
       sim.schedule_in(lapse_at, [this] {
-        if (backend_ != nullptr) {
-          backend_->lapse_fsyncs(options_.fsync_lapse_count);
-        }
+        if (backend_ != nullptr) backend_->lapse_fsyncs(kFsyncLapseCount);
       });
     }
     sim.schedule_in(kill_at, [this, torn_bytes] {
@@ -246,8 +226,7 @@ void FaultInjector::arm() {
       }
       if (options_.primary_kill_mode == KillMode::kTornTail) {
         if (backend_ != nullptr) backend_->arm_torn_tail(torn_bytes);
-        standby_->drop_replica_tail(
-            static_cast<std::size_t>(options_.kill_truncate_records));
+        standby_->drop_replica_tail(kKillTruncateRecords);
       }
       if (backend_ != nullptr) backend_->crash();
       if (!mc_.crashed()) mc_.crash();

@@ -35,30 +35,23 @@ struct FaultInjectorOptions {
   sim::SimTime window = sim::milliseconds(60);
 
   /// Link flaps: a link goes down, stays down for a uniform outage in
-  /// [min_outage, max_outage], and comes back.  Victims prefer
-  /// switch-switch links when the topology has any (fat-tree, leaf-spine);
-  /// in server-centric topologies (BCube) every link is a host link and
-  /// all are eligible.
+  /// [1 ms, 15 ms], and comes back.  Victims prefer switch-switch links
+  /// when the topology has any (fat-tree, leaf-spine); in server-centric
+  /// topologies (BCube) every link is a host link and all are eligible.
   int link_flaps = 4;
-  sim::SimTime min_outage = sim::milliseconds(1);
-  sim::SimTime max_outage = sim::milliseconds(15);
 
   /// Whole-switch crash/recover cycles (same outage distribution).  Crash
   /// victims and flap victims are kept disjoint so a flap's restore cannot
   /// half-revive a crashed switch.
   int switch_crashes = 1;
 
-  /// Rule-install fault bursts: one random switch rejects each install
-  /// with `install_fault_probability` for `install_fault_duration`.
+  /// Rule-install fault bursts: for 3 ms, one random switch rejects each
+  /// install with probability 0.5.
   int install_fault_bursts = 1;
-  double install_fault_probability = 0.5;
-  sim::SimTime install_fault_duration = sim::milliseconds(3);
 
-  /// Control-message drop bursts: checked flow-mods/replies anywhere in
-  /// the fabric are dropped with `control_drop_probability`.
+  /// Control-message drop bursts: for 3 ms, checked flow-mods/replies
+  /// anywhere in the fabric are dropped with probability 0.25.
   int control_drop_bursts = 1;
-  double control_drop_probability = 0.25;
-  sim::SimTime control_drop_duration = sim::milliseconds(3);
 
   /// Mimic-controller crash/recover cycles (same outage distribution):
   /// crash() wipes the MC's soft state mid-run, recover() replays the
@@ -85,48 +78,23 @@ struct FaultInjectorOptions {
   int flood_requests = 100;
   sim::SimTime flood_duration = sim::milliseconds(5);
 
-  /// Slowloris-style trickle: this many control sessions are opened by
-  /// random hosts at random times, touched `slow_client_touches` times at
-  /// `slow_client_touch_gap` intervals, then abandoned -- never completed.
-  /// The admission reaper must clean every one of them up.
-  int slow_client_sessions = 0;
-  int slow_client_touches = 2;
-  sim::SimTime slow_client_touch_gap = sim::milliseconds(2);
-
-  /// --- durable-storage faults (journal_store.hpp SimBackend) ----------------
-  /// Require attach_journal_backend().  Drawn after the slow-client draws
-  /// (append-only, like every extension before them), so enabling them
-  /// never perturbs an existing seed's schedule.
-
-  /// Latent single-bit corruptions of already-durable journal bytes at
-  /// random times: the live run never notices (nothing re-reads the
-  /// store), but a later load() must degrade to a clean parse error.
-  int storage_bit_flips = 0;
-  /// Windows in which fsync silently does nothing (firmware write-cache
-  /// lie): the MC believes the records committed (they ship to the standby
-  /// -- the lie is undetectable), but the primary's own disk drops them at
-  /// the next power cut, so a reload from that disk is behind the replica.
-  int fsync_lapse_windows = 0;
-  int fsync_lapse_count = 4;
-
   /// --- primary-kill / failover schedule -------------------------------------
   /// Requires attach_standby(); the kill leaves the primary down (or, in
   /// zombie mode, running but partitioned) and the standby's heartbeat
-  /// machinery performs the takeover on its own.
+  /// machinery performs the takeover on its own.  Drawn after the flood
+  /// draws (append-only, like every extension before them), so enabling
+  /// kills never perturbs an existing seed's schedule.
   enum class PrimaryKillMode : std::uint8_t {
     kClean,       // crash the primary, nothing else
     kTornTail,    // partial sector write + replica lag at the kill
-    kFsyncLapse,  // fsyncs lapse shortly before the kill (stale replica)
+    kFsyncLapse,  // fsyncs lapse shortly before the kill: the MC believes
+                  // the final records committed, but the primary's own
+                  // disk drops them at the power cut
     kZombie,      // partition the standby instead: the primary keeps
                   // running until a fenced op forces it to step down
   };
   int primary_kills = 0;
   PrimaryKillMode primary_kill_mode = PrimaryKillMode::kClean;
-  /// kTornTail: replica records dropped at the kill (in-flight replication
-  /// lost with the primary).
-  int kill_truncate_records = 2;
-  /// kFsyncLapse: how long before the kill the lapse window opens.
-  sim::SimTime fsync_lapse_lead = sim::milliseconds(3);
 };
 
 class FaultInjector {
@@ -138,9 +106,8 @@ class FaultInjector {
   /// the simulator.  Call once, before (or while) traffic runs.
   void arm();
 
-  /// Target of the storage-fault schedules (the SimBackend under the MC's
-  /// JournalStore).  Must be attached before arm() when storage_bit_flips,
-  /// fsync_lapse_windows or a storage-kill mode is configured.
+  /// The SimBackend under the MC's JournalStore, if any: a primary kill
+  /// power-cuts it, after kTornTail / kFsyncLapse corrupt it.
   void attach_journal_backend(SimBackend* backend) noexcept {
     backend_ = backend;
   }
@@ -160,10 +127,6 @@ class FaultInjector {
   std::uint64_t flood_sent() const noexcept { return flood_sent_; }
   std::uint64_t flood_answered() const noexcept { return flood_answered_; }
   std::uint64_t flood_shed() const noexcept { return flood_shed_; }
-  /// Slow-client sessions actually opened (quota rejections excluded).
-  std::uint64_t slow_sessions_opened() const noexcept {
-    return slow_sessions_opened_;
-  }
   /// Tenants the flood schedule fires from (known once arm() ran) -- the
   /// flood bench keeps its honest clients disjoint from these.
   const std::vector<net::Ipv4>& attacker_ips() const noexcept {
@@ -194,7 +157,6 @@ class FaultInjector {
   std::uint64_t flood_sent_ = 0;
   std::uint64_t flood_answered_ = 0;
   std::uint64_t flood_shed_ = 0;
-  std::uint64_t slow_sessions_opened_ = 0;
   std::vector<net::Ipv4> attacker_ips_;
   std::vector<MimicController::RecoveryReport> recoveries_;
 };

@@ -471,14 +471,6 @@ void SimBackend::crash() {
   fsync_lapses_ = 0;
 }
 
-void SimBackend::flip_bit(std::uint64_t which) {
-  const auto it = files_.find(last_appended_);
-  if (it == files_.end() || it->second.durable == 0) return;
-  const std::uint64_t bit = which % (it->second.durable * 8u);
-  it->second.bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-  ++bits_flipped_;
-}
-
 std::size_t SimBackend::durable_bytes(const std::string& name) const {
   const auto it = files_.find(name);
   return it == files_.end() ? 0 : it->second.durable;

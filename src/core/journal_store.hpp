@@ -14,8 +14,8 @@
 //                  volatile page cache makes the fsync policy observable:
 //                  appended bytes sit in the cache until sync(), and
 //                  crash() drops everything unsynced.  Seeded fault hooks
-//                  (torn tail, bit flip, fsync lapse) let the chaos
-//                  harness corrupt stable storage deterministically.
+//                  (torn tail, fsync lapse) let the chaos harness
+//                  corrupt stable storage deterministically.
 //
 // Recovery (load()) treats a CRC-failed or torn record as end-of-log: the
 // scan stops cleanly with the offending offset, and the records decoded so
@@ -123,9 +123,9 @@ class FileBackend final : public StorageBackend {
 /// Deterministic in-memory storage with a simulated volatile page cache:
 /// append() lands in the cache, sync() moves the file's bytes to the
 /// durable prefix, crash() drops everything above it.  The fault hooks
-/// model the three classic stable-storage betrayals; all of them are
-/// armed with values the FaultInjector draws at arm() time, so a seeded
-/// schedule replays bit-identically.
+/// model two classic stable-storage betrayals; both are armed with values
+/// the FaultInjector draws at arm() time, so a seeded schedule replays
+/// bit-identically.
 class SimBackend final : public StorageBackend {
  public:
   void create(const std::string& name) override;
@@ -145,9 +145,6 @@ class SimBackend final : public StorageBackend {
 
   /// The next crash() keeps up to `keep_bytes` of the unsynced tail.
   void arm_torn_tail(std::size_t keep_bytes) { torn_tail_bytes_ = keep_bytes; }
-  /// Flip one bit of the last-appended file's durable bytes; `which` is
-  /// reduced modulo the durable size (no-op while nothing is durable).
-  void flip_bit(std::uint64_t which);
   /// The next `count` sync() calls silently do nothing (firmware lies /
   /// write-cache lapse): the caller believes the bytes are durable.
   void lapse_fsyncs(int count) { fsync_lapses_ += count; }
@@ -156,7 +153,6 @@ class SimBackend final : public StorageBackend {
   std::uint64_t syncs() const noexcept { return syncs_; }
   std::uint64_t syncs_lapsed() const noexcept { return syncs_lapsed_; }
   std::uint64_t torn_tails_applied() const noexcept { return torn_applied_; }
-  std::uint64_t bits_flipped() const noexcept { return bits_flipped_; }
   std::uint64_t bytes_dropped() const noexcept { return bytes_dropped_; }
 
   /// Durable prefix length of one file (tests).
@@ -176,7 +172,6 @@ class SimBackend final : public StorageBackend {
   std::uint64_t syncs_ = 0;
   std::uint64_t syncs_lapsed_ = 0;
   std::uint64_t torn_applied_ = 0;
-  std::uint64_t bits_flipped_ = 0;
   std::uint64_t bytes_dropped_ = 0;
 };
 

@@ -6,6 +6,12 @@ namespace mic::core {
 
 namespace {
 
+/// Capped exponential backoff (plus seeded jitter) between automatic
+/// re-establishment attempts, and how many to try before giving up.
+constexpr sim::SimTime kReestablishBackoffBase = sim::milliseconds(2);
+constexpr sim::SimTime kReestablishBackoffCap = sim::milliseconds(50);
+constexpr int kReestablishLimit = 4;
+
 transport::ChunkView view_of(const transport::Chunk& chunk) {
   if (chunk.is_real()) return {chunk.length, *chunk.data};
   return {chunk.length, {}};
@@ -17,21 +23,20 @@ transport::ChunkView view_of(const transport::Chunk& chunk) {
 
 MicChannel::MicChannel(transport::Host& host, MimicController& mc,
                        MicChannelOptions options, Rng& rng)
-    : host_(host), mc_fixed_(&mc), options_(std::move(options)), rng_(rng) {
-  MIC_ASSERT_MSG(options_.max_slice <= kMaxSliceBytes,
-                 "max_slice exceeds the slice wire limit");
-  started_at_ = host_.simulator().now();
-  start_establish();
-}
+    : MicChannel(host, &mc, nullptr, std::move(options), rng) {}
 
 MicChannel::MicChannel(transport::Host& host, ControllerDirectory& directory,
                        MicChannelOptions options, Rng& rng)
+    : MicChannel(host, nullptr, &directory, std::move(options), rng) {}
+
+MicChannel::MicChannel(transport::Host& host, MimicController* mc,
+                       ControllerDirectory* directory,
+                       MicChannelOptions options, Rng& rng)
     : host_(host),
-      directory_(&directory),
+      mc_fixed_(mc),
+      directory_(directory),
       options_(std::move(options)),
       rng_(rng) {
-  MIC_ASSERT_MSG(options_.max_slice <= kMaxSliceBytes,
-                 "max_slice exceeds the slice wire limit");
   started_at_ = host_.simulator().now();
   start_establish();
 }
@@ -93,15 +98,8 @@ void MicChannel::start_establish() {
 }
 
 sim::SimTime MicChannel::backoff_for(int attempt) const {
-  const sim::SimTime base = options_.reestablish_backoff_base;
-  const int shift = std::min(attempt - 1, 20);
-  sim::SimTime backoff = base << shift;
-  if (backoff > options_.reestablish_backoff_cap ||
-      (shift > 0 && (backoff >> shift) != base)) {
-    backoff = options_.reestablish_backoff_cap;
-  }
-  const sim::SimTime jitter = base == 0 ? 0 : rng_.below(base);
-  return backoff + jitter;
+  return capped_backoff(kReestablishBackoffBase, kReestablishBackoffCap,
+                        attempt, rng_);
 }
 
 void MicChannel::arm_establish_timeout() {
@@ -222,7 +220,7 @@ void MicChannel::on_channel_event(MimicController::ChannelEvent event,
   // for a fresh one (new entry addresses, new m-flow connections).
   if (user_closed_) return;
   if (options_.auto_reestablish &&
-      reestablish_attempts_ < options_.reestablish_limit) {
+      reestablish_attempts_ < kReestablishLimit) {
     ++reestablish_attempts_;
     retire_flows();
     const std::uint64_t gen = generation_;
@@ -263,7 +261,7 @@ void MicChannel::on_established(const EstablishResult& result) {
   }
   if (!result.ok) {
     if (options_.auto_reestablish &&
-        reestablish_attempts_ < options_.reestablish_limit &&
+        reestablish_attempts_ < kReestablishLimit &&
         reestablish_attempts_ > 0) {
       // A re-establishment raced a still-unrepaired fabric; try again.
       on_channel_event(MimicController::ChannelEvent::kLost, result.error);
@@ -353,7 +351,7 @@ void MicChannel::send(transport::Chunk chunk) {
   while (offset < chunk.length) {
     const std::uint64_t slice_len = std::min<std::uint64_t>(
         chunk.length - offset,
-        rng_.range(options_.min_slice, options_.max_slice));
+        rng_.range(kMinCutSliceBytes, kMaxCutSliceBytes));
     send_slice(transport::sub_chunk(chunk, offset, slice_len));
     offset += slice_len;
   }
@@ -469,7 +467,8 @@ void MicServerChannel::send(transport::Chunk chunk) {
   std::uint64_t offset = 0;
   while (offset < chunk.length) {
     const std::uint64_t slice_len = std::min<std::uint64_t>(
-        chunk.length - offset, rng_.range(min_slice_, max_slice_));
+        chunk.length - offset,
+        rng_.range(kMinCutSliceBytes, kMaxCutSliceBytes));
     const std::size_t flow_index = rng_.below(streams_.size());
     SliceHeader header;
     header.channel = wire_id_;
@@ -521,8 +520,8 @@ void MicServer::on_flow_data(FlowCtx& flow, const transport::ChunkView& view) {
     if (flow.channel == nullptr) {
       auto it = channels_.find(header.channel);
       if (it == channels_.end()) {
-        auto channel = std::make_unique<MicServerChannel>(
-            header.channel, rng_, 8 * 1024, 32 * 1024);
+        auto channel =
+            std::make_unique<MicServerChannel>(header.channel, rng_);
         it = channels_.emplace(header.channel, std::move(channel)).first;
         if (on_channel_) on_channel_(*it->second);
       }

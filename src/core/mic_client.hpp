@@ -32,22 +32,13 @@ struct MicChannelOptions {
   int multicast_decoys = 0; // partial multicast replicas at the first MN
   bool use_ssl = false;     // MIC-SSL: SSL inside each m-flow
 
-  /// Slice sizing for the striping (uniform in [min, max]); max_slice may
-  /// not exceed kMaxSliceBytes.
-  std::uint32_t min_slice = 8 * 1024;
-  std::uint32_t max_slice = 32 * 1024;
-
   // --- failure handling ------------------------------------------------------
   /// When the MC reports the channel lost (unrepairable failure, idle
   /// reclamation), automatically request a fresh establishment instead of
   /// failing: new m-flow connections, new entry addresses, same responder.
   /// Buffered data survives; in-flight slices on the dead flows do not.
+  /// Attempts back off exponentially and stop after a fixed limit.
   bool auto_reestablish = false;
-  /// Capped exponential backoff (plus seeded jitter) between automatic
-  /// re-establishment attempts, and how many to try before giving up.
-  sim::SimTime reestablish_backoff_base = sim::milliseconds(2);
-  sim::SimTime reestablish_backoff_cap = sim::milliseconds(50);
-  int reestablish_limit = 4;
 
   // --- controller-silence survival -------------------------------------------
   /// Detect a silent MC (crashed, not merely slow): if the establishment
@@ -137,10 +128,14 @@ class MicChannel : public transport::ByteStream {
     std::uint64_t bytes_sent = 0;
   };
 
+  /// Both public constructors land here; exactly one of `mc` and
+  /// `directory` is set.
+  MicChannel(transport::Host& host, MimicController* mc,
+             ControllerDirectory* directory, MicChannelOptions options,
+             Rng& rng);
   void start_establish();
   void on_established(const EstablishResult& result);
-  /// Backoff before retry `attempt` (1-based): base * 2^(attempt-1),
-  /// clamped to the cap, plus seeded jitter in [0, base).
+  /// Backoff before re-establishment or silence retry `attempt` (1-based).
   sim::SimTime backoff_for(int attempt) const;
   /// Watchdog armed alongside every establishment request when
   /// `control_timeout` is set; fires the silence-retry path if the ack
@@ -203,12 +198,8 @@ class MicChannel : public transport::ByteStream {
 /// initiator's address: its peer addresses are the presented m-addresses.
 class MicServerChannel : public transport::ByteStream {
  public:
-  explicit MicServerChannel(std::uint32_t wire_id, Rng& rng,
-                            std::uint32_t min_slice, std::uint32_t max_slice)
-      : wire_id_(wire_id),
-        rng_(rng),
-        min_slice_(min_slice),
-        max_slice_(max_slice) {}
+  explicit MicServerChannel(std::uint32_t wire_id, Rng& rng)
+      : wire_id_(wire_id), rng_(rng) {}
 
   void send(transport::Chunk chunk) override;
   void close() override;
@@ -225,8 +216,6 @@ class MicServerChannel : public transport::ByteStream {
 
   std::uint32_t wire_id_;
   Rng& rng_;
-  std::uint32_t min_slice_;
-  std::uint32_t max_slice_;
   std::vector<transport::ByteStream*> streams_;
   SliceReorderer reorderer_;
   std::uint32_t send_seq_ = 0;

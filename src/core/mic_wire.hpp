@@ -19,9 +19,13 @@ namespace mic::core {
 
 inline constexpr std::uint16_t kSliceMagic = 0x4D43;  // "MC"
 inline constexpr std::uint32_t kSliceHeaderBytes = 16;
-/// Largest slice payload a receiver accepts: twice the largest slice that
-/// MicChannel and MicServer cut (32 KiB).
-inline constexpr std::uint32_t kMaxSliceBytes = 64 * 1024;
+/// MicChannel and MicServer cut application data into slices of a uniform
+/// random size in [kMinCutSliceBytes, kMaxCutSliceBytes].
+inline constexpr std::uint32_t kMinCutSliceBytes = 8 * 1024;
+inline constexpr std::uint32_t kMaxCutSliceBytes = 32 * 1024;
+/// Largest slice payload a receiver accepts: twice the largest slice an
+/// endpoint cuts.
+inline constexpr std::uint32_t kMaxSliceBytes = 2 * kMaxCutSliceBytes;
 
 struct SliceHeader {
   std::uint32_t channel = 0;

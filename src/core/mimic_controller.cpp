@@ -1,6 +1,7 @@
 #include "core/mimic_controller.hpp"
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <memory>
 
@@ -11,6 +12,64 @@ namespace mic::core {
 namespace {
 constexpr int kMaxEndpointTries = 4096;
 constexpr int kMaxRouteTries = 64;
+
+/// Establishment and repair install rules transactionally: a rejected or
+/// lost flow-mod rolls the partial install back and the whole rule set is
+/// retried, up to this many attempts, before the channel is abandoned.
+constexpr int kInstallRetryLimit = 5;
+/// Capped exponential backoff between install attempts (plus seeded
+/// jitter): attempt k waits base * 2^(k-1), clamped to the cap.
+constexpr sim::SimTime kInstallBackoffBase = sim::microseconds(500);
+constexpr sim::SimTime kInstallBackoffCap = sim::milliseconds(8);
+
+std::uint64_t endpoint_key(net::Ipv4 a, net::L4Port pa, net::Ipv4 b,
+                           net::L4Port pb) {
+  std::uint64_t state = (static_cast<std::uint64_t>(a.value) << 32) | b.value;
+  state ^= (static_cast<std::uint64_t>(pa) << 16) ^ pb;
+  return splitmix64(state);
+}
+
+/// A plan's two endpoint reservations: the entry address the initiator
+/// sends to, and the presented address the responder sees.
+std::array<std::uint64_t, 2> endpoint_keys(const MFlowPlan& plan) {
+  const HopAddresses& entry = plan.forward.front();
+  const HopAddresses& presented = plan.forward.back();
+  return {endpoint_key(entry.src, 0, entry.dst, entry.dport),
+          endpoint_key(presented.src, presented.sport, presented.dst,
+                       presented.dport)};
+}
+
+/// The reverse direction of a plan: its path walked backwards, and the MN
+/// positions on that reversed path, ascending.
+struct ReversedRoute {
+  topo::Path path;
+  std::vector<std::size_t> mn_positions;
+};
+
+ReversedRoute reversed(const MFlowPlan& plan) {
+  ReversedRoute route{topo::Path(plan.path.rbegin(), plan.path.rend()), {}};
+  route.mn_positions.reserve(plan.mn_positions.size());
+  for (const std::size_t pos : plan.mn_positions) {
+    route.mn_positions.push_back(plan.path.size() - 1 - pos);
+  }
+  std::sort(route.mn_positions.begin(), route.mn_positions.end());
+  return route;
+}
+
+MTuple tuple_of(const HopAddresses& hop) {
+  return MTuple{hop.src, hop.dst, hop.sport, hop.dport, hop.mpls};
+}
+
+/// Calls fn(mn, tuple) for every middle m-tuple of the plan -- hops
+/// 1..N-1 of both directions -- with the MN that generated it.
+template <typename Fn>
+void for_each_middle_tuple(const MFlowPlan& plan, Fn fn) {
+  const ReversedRoute back = reversed(plan);
+  for (std::size_t j = 1; j < plan.mn_positions.size(); ++j) {
+    fn(plan.path[plan.mn_positions[j - 1]], tuple_of(plan.forward[j]));
+    fn(back.path[back.mn_positions[j - 1]], tuple_of(plan.reverse[j]));
+  }
+}
 }  // namespace
 
 MimicController::MimicController(net::Network& network,
@@ -166,17 +225,11 @@ void MimicController::generate_middle_tuples(const PlanContext& ctx,
                        tuple.mpls};
   }
 
-  topo::Path rpath(plan.path.rbegin(), plan.path.rend());
-  std::vector<std::size_t> rpositions;
-  rpositions.reserve(n);
-  for (const std::size_t pos : plan.mn_positions) {
-    rpositions.push_back(plan.path.size() - 1 - pos);
-  }
-  std::sort(rpositions.begin(), rpositions.end());
+  const ReversedRoute back = reversed(plan);
   for (std::size_t j = 1; j < n; ++j) {
-    const std::size_t pos = rpositions[j - 1];
-    const topo::NodeId mn = rpath[pos];
-    const topo::PortId egress = g.port_towards(mn, rpath[pos + 1]);
+    const std::size_t pos = back.mn_positions[j - 1];
+    const topo::NodeId mn = back.path[pos];
+    const topo::PortId egress = g.port_towards(mn, back.path[pos + 1]);
     const MTuple tuple = registry_.generate(
         mn, plan.flow_id,
         hide_endpoints(restrictions_.allowed_src(mn, egress)),
@@ -287,8 +340,6 @@ bool MimicController::plan_mflow(const PlanContext& ctx, int mn_count,
     }
   }
 
-  const std::size_t sw_count = out.path.size() - 2;
-  (void)sw_count;
   out.forward.resize(n + 1);
   out.reverse.resize(n + 1);
   out.forward[0] = {ctx.initiator_ip, entry_ip, initiator_sport, entry_port,
@@ -357,27 +408,13 @@ bool MimicController::replan_flow(const PlanContext& ctx, MFlowPlan& plan,
   // Release the middle tuples and decoys of the old route; the endpoint
   // addresses, ports and flow ID stay -- the transport connection must not
   // notice the migration.
-  auto tuple_of = [](const HopAddresses& hop) {
-    return MTuple{hop.src, hop.dst, hop.sport, hop.dport, hop.mpls};
-  };
-  {
-    topo::Path rpath(plan.path.rbegin(), plan.path.rend());
-    std::vector<std::size_t> rpositions;
-    for (const std::size_t pos : plan.mn_positions) {
-      rpositions.push_back(plan.path.size() - 1 - pos);
-    }
-    std::sort(rpositions.begin(), rpositions.end());
-    for (std::size_t j = 1; j < n; ++j) {
-      registry_.release_tuples(plan.path[plan.mn_positions[j - 1]],
-                               {tuple_of(plan.forward[j])});
-      registry_.release_tuples(rpath[rpositions[j - 1]],
-                               {tuple_of(plan.reverse[j])});
-    }
-    const topo::NodeId first_mn = plan.path[plan.mn_positions[0]];
-    for (const DecoyPlan& decoy : plan.decoys) {
-      registry_.release_flow_id(decoy.flow_id);
-      registry_.release_tuples(first_mn, {decoy.tuple});
-    }
+  for_each_middle_tuple(plan, [this](topo::NodeId mn, const MTuple& tuple) {
+    registry_.release_tuples(mn, {tuple});
+  });
+  const topo::NodeId first_mn = plan.path[plan.mn_positions[0]];
+  for (const DecoyPlan& decoy : plan.decoys) {
+    registry_.release_flow_id(decoy.flow_id);
+    registry_.release_tuples(first_mn, {decoy.tuple});
   }
   const int decoy_count = static_cast<int>(plan.decoys.size());
   plan.decoys.clear();
@@ -388,7 +425,7 @@ bool MimicController::replan_flow(const PlanContext& ctx, MFlowPlan& plan,
 }
 
 void MimicController::install_direction(
-    ChannelId id, const MFlowPlan& plan, const topo::Path& path,
+    ChannelId id, const topo::Path& path,
     const std::vector<std::size_t>& mn_positions,
     const std::vector<HopAddresses>& hops,
     const std::vector<DecoyPlan>& decoys, std::vector<InstallOp>& ops,
@@ -486,21 +523,15 @@ void MimicController::install_direction(
     }
     ops.push_back({sw, std::move(rule)});
   }
-  (void)plan;
 }
 
 void MimicController::install_flow(ChannelId id, const MFlowPlan& plan,
                                    std::vector<InstallOp>& ops,
                                    std::uint32_t& group_alloc) const {
-  install_direction(id, plan, plan.path, plan.mn_positions, plan.forward,
+  install_direction(id, plan.path, plan.mn_positions, plan.forward,
                     plan.decoys, ops, group_alloc);
-  topo::Path rpath(plan.path.rbegin(), plan.path.rend());
-  std::vector<std::size_t> rpositions;
-  for (const std::size_t pos : plan.mn_positions) {
-    rpositions.push_back(plan.path.size() - 1 - pos);
-  }
-  std::sort(rpositions.begin(), rpositions.end());
-  install_direction(id, plan, rpath, rpositions, plan.reverse, {}, ops,
+  const ReversedRoute back = reversed(plan);
+  install_direction(id, back.path, back.mn_positions, plan.reverse, {}, ops,
                     group_alloc);
 }
 
@@ -533,15 +564,9 @@ bool MimicController::commit_now(std::uint64_t cookie,
 }
 
 sim::SimTime MimicController::retry_delay(int attempt) {
-  const sim::SimTime base = mic_config_.install_backoff_base;
-  const sim::SimTime cap = mic_config_.install_backoff_cap;
-  const int shift = std::min(attempt - 1, 20);
-  sim::SimTime backoff = base << shift;
-  if (backoff > cap || (shift > 0 && (backoff >> shift) != base)) {
-    backoff = cap;
-  }
-  const sim::SimTime jitter = base == 0 ? 0 : rng_.below(base);
-  return config().southbound_latency + backoff + jitter;
+  return ctrl::kSouthboundLatency +
+         capped_backoff(kInstallBackoffBase, kInstallBackoffCap, attempt,
+                        rng_);
 }
 
 void MimicController::commit_async(ChannelId id, std::uint64_t txn,
@@ -591,7 +616,7 @@ void MimicController::commit_async(ChannelId id, std::uint64_t txn,
     for (const topo::NodeId sw : touched_switches(txn_state->ops)) {
       remove_cookie(sw, id, /*immediate=*/false);
     }
-    if (attempt >= mic_config_.install_retry_limit) {
+    if (attempt >= kInstallRetryLimit) {
       txn_state->on_done(false);
       return;
     }
@@ -822,7 +847,7 @@ void MimicController::service_establish(
     if (!result.ok) {
       admission_.finish(client, admit_epoch);
       network().simulator().schedule_in(
-          config().southbound_latency + mic_config_.control_latency,
+          ctrl::kSouthboundLatency + mic_config_.control_latency,
           [cb = std::move(cb), result = std::move(result)] {
             cb(result);
           });
@@ -869,55 +894,11 @@ void MimicController::service_establish(
   });
 }
 
-MimicController::ControlSessionId MimicController::open_control_session(
-    net::Ipv4 client) {
-  if (crashed_) return 0;  // silent, like every control entry point
-  return admission_.open_session(client);
-}
-
-bool MimicController::touch_control_session(ControlSessionId id) {
-  if (crashed_) return false;
-  return admission_.touch_session(id);
-}
-
-bool MimicController::complete_control_session(
-    ControlSessionId id, net::Ipv4 client,
-    std::vector<std::uint8_t> encrypted_request,
-    std::uint64_t message_counter,
-    std::function<void(EstablishResult)> on_result,
-    ctrl::AdmitPriority priority) {
-  if (crashed_) return false;
-  // A reaped (or pre-crash) session is gone: the late completion is
-  // dropped, which is exactly how the tracker keeps a slow client from
-  // pinning state -- it has to start over.
-  if (!admission_.complete_session(id)) return false;
-  async_establish(client, std::move(encrypted_request), message_counter,
-                  std::move(on_result), priority);
-  return true;
-}
-
 void MimicController::release_plan_resources(const MFlowPlan& plan) {
   registry_.release_flow_id(plan.flow_id);
-  const std::size_t n = plan.mn_positions.size();
-
-  auto tuple_of = [](const HopAddresses& hop) {
-    return MTuple{hop.src, hop.dst, hop.sport, hop.dport, hop.mpls};
-  };
-
-  for (std::size_t j = 1; j < n; ++j) {
-    const topo::NodeId mn = plan.path[plan.mn_positions[j - 1]];
-    registry_.release_tuples(mn, {tuple_of(plan.forward[j])});
-  }
-  topo::Path rpath(plan.path.rbegin(), plan.path.rend());
-  std::vector<std::size_t> rpositions;
-  for (const std::size_t pos : plan.mn_positions) {
-    rpositions.push_back(plan.path.size() - 1 - pos);
-  }
-  std::sort(rpositions.begin(), rpositions.end());
-  for (std::size_t j = 1; j < n; ++j) {
-    const topo::NodeId mn = rpath[rpositions[j - 1]];
-    registry_.release_tuples(mn, {tuple_of(plan.reverse[j])});
-  }
+  for_each_middle_tuple(plan, [this](topo::NodeId mn, const MTuple& tuple) {
+    registry_.release_tuples(mn, {tuple});
+  });
   if (!plan.mn_positions.empty()) {
     const topo::NodeId first_mn = plan.path[plan.mn_positions[0]];
     for (const DecoyPlan& decoy : plan.decoys) {
@@ -926,14 +907,9 @@ void MimicController::release_plan_resources(const MFlowPlan& plan) {
     }
   }
 
-  // Release the entry / presented endpoint reservations.
-  reserved_endpoints_.erase(endpoint_key(plan.forward[0].src, 0,
-                                         plan.forward[0].dst,
-                                         plan.forward[0].dport));
-  reserved_endpoints_.erase(endpoint_key(plan.forward[n].src,
-                                         plan.forward[n].sport,
-                                         plan.forward[n].dst,
-                                         plan.forward[n].dport));
+  for (const std::uint64_t key : endpoint_keys(plan)) {
+    reserved_endpoints_.erase(key);
+  }
 }
 
 void MimicController::teardown(ChannelId id, bool immediate) {
@@ -1247,8 +1223,8 @@ void MimicController::crash() {
   listeners_.clear();
   reserved_endpoints_.clear();
   registry_.reset_allocations();
-  // Admission state (queued requests, half-open sessions, buckets) is soft
-  // too: queued work dies silently and the reaper timers are cancelled.
+  // Admission state (queued requests, buckets) is soft too: queued work
+  // dies silently and the drain timer is cancelled.
   admission_.reset();
   next_channel_ =
       (static_cast<ChannelId>(mic_config_.instance_id) << 32) + 1;
@@ -1256,26 +1232,11 @@ void MimicController::crash() {
 }
 
 void MimicController::adopt_channel_resources(const ChannelState& state) {
-  auto tuple_of = [](const HopAddresses& hop) {
-    return MTuple{hop.src, hop.dst, hop.sport, hop.dport, hop.mpls};
-  };
   for (const MFlowPlan& plan : state.flows) {
     registry_.adopt_flow_id(plan.flow_id);
-    const std::size_t n = plan.mn_positions.size();
-    for (std::size_t j = 1; j < n; ++j) {
-      registry_.adopt_tuples(plan.path[plan.mn_positions[j - 1]],
-                             {tuple_of(plan.forward[j])});
-    }
-    topo::Path rpath(plan.path.rbegin(), plan.path.rend());
-    std::vector<std::size_t> rpositions;
-    for (const std::size_t pos : plan.mn_positions) {
-      rpositions.push_back(plan.path.size() - 1 - pos);
-    }
-    std::sort(rpositions.begin(), rpositions.end());
-    for (std::size_t j = 1; j < n; ++j) {
-      registry_.adopt_tuples(rpath[rpositions[j - 1]],
-                             {tuple_of(plan.reverse[j])});
-    }
+    for_each_middle_tuple(plan, [this](topo::NodeId mn, const MTuple& tuple) {
+      registry_.adopt_tuples(mn, {tuple});
+    });
     if (!plan.mn_positions.empty()) {
       const topo::NodeId first_mn = plan.path[plan.mn_positions[0]];
       for (const DecoyPlan& decoy : plan.decoys) {
@@ -1283,13 +1244,9 @@ void MimicController::adopt_channel_resources(const ChannelState& state) {
         registry_.adopt_tuples(first_mn, {decoy.tuple});
       }
     }
-    reserved_endpoints_.insert(endpoint_key(plan.forward[0].src, 0,
-                                            plan.forward[0].dst,
-                                            plan.forward[0].dport));
-    reserved_endpoints_.insert(endpoint_key(plan.forward[n].src,
-                                            plan.forward[n].sport,
-                                            plan.forward[n].dst,
-                                            plan.forward[n].dport));
+    for (const std::uint64_t key : endpoint_keys(plan)) {
+      reserved_endpoints_.insert(key);
+    }
   }
 }
 

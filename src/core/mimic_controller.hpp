@@ -26,18 +26,6 @@ namespace mic::core {
 struct MicConfig {
   /// One-way latency between a client and the MC (dedicated control net).
   sim::SimTime control_latency = sim::microseconds(150);
-  /// Default privacy level ("the path length is set to default 3").
-  int default_mn_count = 3;
-
-  // --- rule-install robustness ----------------------------------------------
-  /// Establishment and repair install rules transactionally: a rejected or
-  /// lost flow-mod rolls the partial install back and the whole rule set is
-  /// retried, up to this many attempts, before the channel is abandoned.
-  int install_retry_limit = 5;
-  /// Capped exponential backoff between install attempts (plus seeded
-  /// jitter): attempt k waits base * 2^(k-1), clamped to the cap.
-  sim::SimTime install_backoff_base = sim::microseconds(500);
-  sim::SimTime install_backoff_cap = sim::milliseconds(8);
 
   // --- crash recovery ---------------------------------------------------------
   /// Compact the write-ahead channel journal whenever it grows past this
@@ -45,8 +33,8 @@ struct MicConfig {
   std::size_t journal_compaction_threshold = 1024;
 
   // --- control-plane admission control ----------------------------------------
-  /// Per-tenant token buckets, the bounded priority establish queue and the
-  /// half-open-session reaper in front of every establishment entry point.
+  /// Per-tenant token buckets and the bounded priority establish queue in
+  /// front of every establishment entry point.
   /// The defaults are generous enough that ordinary workloads never
   /// saturate, which keeps every existing run bit-identical (SIM-1);
   /// tighten them to defend a real deployment (see DESIGN.md Sec 3h).
@@ -125,32 +113,6 @@ class MimicController : public ctrl::Controller {
                        std::function<void(EstablishResult)> on_result,
                        ctrl::AdmitPriority priority =
                            ctrl::AdmitPriority::kFresh);
-
-  // --- half-open control sessions ----------------------------------------------
-  //
-  // A client that cannot deliver its whole encrypted request in one
-  // message opens a control session and completes it later.  The admission
-  // controller tracks the half-open exchange and reaps it after
-  // `admission.half_open_timeout` of inactivity, so a slowloris-style
-  // trickle cannot pin MC state.  All three calls are silently dropped
-  // while crashed (like every control entry point).
-
-  using ControlSessionId = ctrl::AdmissionController::ControlSessionId;
-  /// Returns 0 when rejected (crashed, or over the half-open quotas).
-  ControlSessionId open_control_session(net::Ipv4 client);
-  /// A trickled fragment arrived: extends the idle deadline.  False if the
-  /// session was already reaped.
-  bool touch_control_session(ControlSessionId id);
-  /// The full request arrived: the session closes and the request enters
-  /// the ordinary async_establish path.  False if the session was already
-  /// reaped or the MC restarted -- the request is dropped (the client's
-  /// watchdog handles it like any other silence).
-  bool complete_control_session(ControlSessionId id, net::Ipv4 client,
-                                std::vector<std::uint8_t> encrypted_request,
-                                std::uint64_t message_counter,
-                                std::function<void(EstablishResult)> on_result,
-                                ctrl::AdmitPriority priority =
-                                    ctrl::AdmitPriority::kFresh);
 
   void teardown(ChannelId id, bool immediate = true);
 
@@ -378,7 +340,7 @@ class MimicController : public ctrl::Controller {
   // emit the ops a plan needs, and a commit applies them all-or-nothing.  On
   // any rejection the partial install is rolled back by cookie and retried
   // (capped exponential backoff with seeded jitter), up to
-  // mic_config_.install_retry_limit attempts.
+  // kInstallRetryLimit attempts.
   struct InstallOp {
     topo::NodeId sw;
     std::variant<switchd::FlowRule, switchd::GroupEntry> payload;
@@ -390,8 +352,7 @@ class MimicController : public ctrl::Controller {
                     std::vector<InstallOp>& ops,
                     std::uint32_t& group_alloc) const;
   PlanContext context_of(const ChannelState& state) const;
-  void install_direction(ChannelId id, const MFlowPlan& plan,
-                         const topo::Path& path,
+  void install_direction(ChannelId id, const topo::Path& path,
                          const std::vector<std::size_t>& mn_positions,
                          const std::vector<HopAddresses>& hops,
                          const std::vector<DecoyPlan>& decoys,
@@ -458,14 +419,6 @@ class MimicController : public ctrl::Controller {
   /// Run the L3 selective reroute and fold its counters into
   /// reroute_stats_.
   void reroute_default_routing();
-
-  static std::uint64_t endpoint_key(net::Ipv4 a, net::L4Port pa, net::Ipv4 b,
-                                    net::L4Port pb) {
-    std::uint64_t state = (static_cast<std::uint64_t>(a.value) << 32) |
-                          b.value;
-    state ^= (static_cast<std::uint64_t>(pa) << 16) ^ pb;
-    return splitmix64(state);
-  }
 
   MicConfig mic_config_;
   std::uint64_t seed_;

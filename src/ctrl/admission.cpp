@@ -50,7 +50,7 @@ sim::SimTime AdmissionController::token_wait(const Bucket& bucket) const {
 }
 
 sim::SimTime AdmissionController::retry_hint(const Bucket& bucket) const {
-  return std::max(config_.retry_after_floor, token_wait(bucket));
+  return std::max(kRetryAfterFloor, token_wait(bucket));
 }
 
 void AdmissionController::offer(net::Ipv4 tenant, AdmitPriority priority,
@@ -192,61 +192,6 @@ void AdmissionController::arm_drain_timer(sim::SimTime at) {
   });
 }
 
-// --- half-open control sessions ------------------------------------------------
-
-AdmissionController::ControlSessionId AdmissionController::open_session(
-    net::Ipv4 tenant) {
-  Bucket& bucket = bucket_of(tenant);
-  if (config_.enabled &&
-      (sessions_.size() >= config_.max_half_open_sessions ||
-       bucket.half_open >= config_.tenant_half_open_quota)) {
-    ++stats_.sessions_rejected;
-    return 0;
-  }
-  const ControlSessionId id = next_session_++;
-  Session session;
-  session.tenant = tenant;
-  session.deadline = sim_.now() + config_.half_open_timeout;
-  session.reaper =
-      sim_.schedule_at(session.deadline, [this, id] { reap_session(id); });
-  sessions_.emplace(id, session);
-  ++bucket.half_open;
-  ++stats_.sessions_opened;
-  return id;
-}
-
-bool AdmissionController::touch_session(ControlSessionId id) {
-  const auto it = sessions_.find(id);
-  if (it == sessions_.end()) return false;
-  sim_.cancel(it->second.reaper);
-  it->second.deadline = sim_.now() + config_.half_open_timeout;
-  it->second.reaper = sim_.schedule_at(it->second.deadline,
-                                       [this, id] { reap_session(id); });
-  return true;
-}
-
-bool AdmissionController::complete_session(ControlSessionId id) {
-  const auto it = sessions_.find(id);
-  if (it == sessions_.end()) return false;
-  sim_.cancel(it->second.reaper);
-  Bucket& bucket = bucket_of(it->second.tenant);
-  MIC_ASSERT(bucket.half_open > 0);
-  --bucket.half_open;
-  sessions_.erase(it);
-  ++stats_.sessions_completed;
-  return true;
-}
-
-void AdmissionController::reap_session(ControlSessionId id) {
-  const auto it = sessions_.find(id);
-  MIC_ASSERT_MSG(it != sessions_.end(), "reaper fired for an erased session");
-  Bucket& bucket = bucket_of(it->second.tenant);
-  MIC_ASSERT(bucket.half_open > 0);
-  --bucket.half_open;
-  sessions_.erase(it);
-  ++stats_.sessions_reaped;
-}
-
 // --- crash semantics -------------------------------------------------------------
 
 void AdmissionController::reset() {
@@ -255,10 +200,6 @@ void AdmissionController::reset() {
     sim_.cancel(drain_timer_);
     drain_timer_ = 0;
   }
-  for (auto& [id, session] : sessions_) {
-    if (session.reaper != 0) sim_.cancel(session.reaper);
-  }
-  sessions_.clear();
   // Queued requests die silently: a crashed MC answers nothing, which is
   // exactly what the client-side watchdog machinery detects.
   repair_queue_.clear();
@@ -266,8 +207,6 @@ void AdmissionController::reset() {
   tenants_.clear();
   in_service_ = 0;
   stats_ = Stats{};
-  // next_session_ keeps counting: a pre-crash session id can never
-  // complete a post-recovery session.
 }
 
 // --- introspection ---------------------------------------------------------------
@@ -277,24 +216,12 @@ AdmissionController::tenant_snapshot() const {
   std::vector<TenantSnapshot> out;
   out.reserve(tenants_.size());
   for (const auto& [tenant, bucket] : tenants_) {
-    out.push_back(
-        TenantSnapshot{tenant, bucket.pending, bucket.half_open,
-                       bucket.tokens});
+    out.push_back(TenantSnapshot{tenant, bucket.pending, bucket.tokens});
   }
   return out;
 }
 
-std::vector<AdmissionController::ControlSessionId>
-AdmissionController::zombie_sessions() const {
-  std::vector<ControlSessionId> out;
-  const sim::SimTime now = sim_.now();
-  for (const auto& [id, session] : sessions_) {
-    if (session.deadline < now) out.push_back(id);
-  }
-  return out;
-}
-
-// --- AC-1 negative-test hooks ------------------------------------------------------
+// --- AC-1 negative-test hook -------------------------------------------------------
 
 void AdmissionController::debug_force_admit(net::Ipv4 tenant) {
   Bucket& bucket = bucket_of(tenant);
@@ -303,21 +230,6 @@ void AdmissionController::debug_force_admit(net::Ipv4 tenant) {
   in_service_ += excess;
   stats_.offered += excess;
   stats_.admitted += excess;
-}
-
-AdmissionController::ControlSessionId AdmissionController::debug_leak_session(
-    net::Ipv4 tenant) {
-  const ControlSessionId id = next_session_++;
-  Session session;
-  session.tenant = tenant;
-  // Expired already (or at time zero: expired as soon as the clock moves),
-  // with no reaper armed -- the way a lost timer would leak it.
-  session.deadline = sim_.now() == 0 ? 0 : sim_.now() - 1;
-  session.reaper = 0;
-  sessions_.emplace(id, session);
-  ++bucket_of(tenant).half_open;
-  ++stats_.sessions_opened;
-  return id;
 }
 
 }  // namespace mic::ctrl

@@ -1,13 +1,12 @@
 // Control-plane admission control (the server half of the PR-5 survival
 // story): at millions of users the Mimic Controller is the obvious DoS
 // target -- every establishment funnels through one control channel, so a
-// burst of establish requests, or a slowloris-style trickle of half-open
-// control sessions, starves honest channels long before the data plane
-// saturates (HORNET treats control-plane DoS as a first-class constraint
-// for network-layer anonymity; see PAPERS.md).
+// burst of establish requests starves honest channels long before the data
+// plane saturates (HORNET treats control-plane DoS as a first-class
+// constraint for network-layer anonymity; see PAPERS.md).
 //
 // AdmissionController sits in front of every MimicController establishment
-// entry point and provides three defenses:
+// entry point and provides two defenses:
 //
 //   1. Per-tenant token buckets (tenant = client IPv4): each tenant earns
 //      `tenant_rate` establishments/sec up to a burst of `tenant_burst`,
@@ -18,17 +17,13 @@
 //      establishes (kFresh) -- and explicit load-shedding: a rejected
 //      request is answered with Busy{retry_after} instead of silence, so
 //      honest clients back off for exactly as long as the server asks.
-//   3. A half-open control-session tracker with an idle reaper riding the
-//      timing-wheel timers: a client that opens a control exchange and then
-//      trickles (or goes quiet) is reaped after `half_open_timeout`, so
-//      slow-client attacks cannot pin MC state.
 //
 // Determinism contract (SIM-1): when enabled but unsaturated -- tokens
 // available, queue empty, service slots free -- offer() admits the request
 // synchronously on the caller's event, draws no randomness and arms no
 // timers, so every existing chaos-soak trace hash replays bit-identical
-// with admission control on.  Only saturated paths (queueing, shedding,
-// reaping) schedule anything.
+// with admission control on.  Only saturated paths (queueing, shedding)
+// schedule anything.
 #pragma once
 
 #include <cstdint>
@@ -52,6 +47,9 @@ enum class AdmitPriority : std::uint8_t {
   kFresh = 1,   // first-time establishment
 };
 
+/// Floor for the retry_after hint a shed request carries back.
+inline constexpr sim::SimTime kRetryAfterFloor = sim::milliseconds(2);
+
 struct AdmissionConfig {
   /// Master switch.  Disabled short-circuits every limit (pure accounting
   /// pass-through); the defaults below are generous enough that ordinary
@@ -72,21 +70,10 @@ struct AdmissionConfig {
   std::size_t queue_capacity = 4096;
   /// Establishments concurrently in the plan/install pipeline.
   std::size_t max_in_service = 1024;
-  /// Floor for the retry_after hint a shed request carries back.
-  sim::SimTime retry_after_floor = sim::milliseconds(2);
-
-  // --- half-open control sessions --------------------------------------------
-  std::size_t max_half_open_sessions = 4096;
-  std::size_t tenant_half_open_quota = 64;
-  /// Idle deadline: a session neither completed nor touched for this long
-  /// is reaped.
-  sim::SimTime half_open_timeout = sim::milliseconds(20);
 };
 
 class AdmissionController {
  public:
-  using ControlSessionId = std::uint64_t;
-
   AdmissionController(sim::Simulator& simulator, AdmissionConfig config);
 
   AdmissionController(const AdmissionController&) = delete;
@@ -125,27 +112,12 @@ class AdmissionController {
   /// Counted so AC-1 can report the exemption is exercised.
   void note_exempt() { ++stats_.exempt; }
 
-  // --- half-open control sessions ---------------------------------------------
-
-  /// A client opened a control exchange but has not delivered the full
-  /// request yet.  Returns 0 (rejected) when the global or per-tenant
-  /// half-open quota is exhausted; otherwise the session id, with the idle
-  /// reaper armed.
-  ControlSessionId open_session(net::Ipv4 tenant);
-  /// Activity on a half-open session (a trickled fragment): pushes the
-  /// idle deadline out.  False if the session was already reaped.
-  bool touch_session(ControlSessionId id);
-  /// The full request arrived: the session leaves the tracker and the
-  /// reaper is disarmed.  False if the session was already reaped -- the
-  /// caller must then drop the request (the MC forgot the exchange).
-  bool complete_session(ControlSessionId id);
-
   // --- crash semantics ----------------------------------------------------------
   /// MC crash: all admission state is soft.  Queued requests are dropped
   /// silently (the dead MC answers nothing -- clients detect via their
-  /// watchdogs), sessions and reaper timers die, buckets and counters are
-  /// wiped, and the epoch is bumped so in-flight finish() calls from the
-  /// previous life cannot corrupt the new one.
+  /// watchdogs), the drain timer dies, buckets and counters are wiped, and
+  /// the epoch is bumped so in-flight finish() calls from the previous life
+  /// cannot corrupt the new one.
   void reset();
 
   // --- introspection (AC-1's ground truth) -------------------------------------
@@ -155,10 +127,6 @@ class AdmissionController {
     std::uint64_t admitted = 0;  // entered service (inline or via drain)
     std::uint64_t shed = 0;      // answered Busy{retry_after}
     std::uint64_t exempt = 0;    // probe/heartbeat fast-path passes
-    std::uint64_t sessions_opened = 0;
-    std::uint64_t sessions_completed = 0;
-    std::uint64_t sessions_reaped = 0;
-    std::uint64_t sessions_rejected = 0;  // over half-open quota
   };
   const Stats& stats() const noexcept { return stats_; }
   const AdmissionConfig& config() const noexcept { return config_; }
@@ -166,38 +134,26 @@ class AdmissionController {
   std::size_t queued_count() const noexcept {
     return repair_queue_.size() + fresh_queue_.size();
   }
-  std::size_t half_open_count() const noexcept { return sessions_.size(); }
 
   /// Per-tenant view, sorted by tenant address (deterministic order for
   /// audit messages).
   struct TenantSnapshot {
     std::uint32_t tenant = 0;
     std::size_t pending = 0;    // queued + in service
-    std::size_t half_open = 0;
     double tokens = 0.0;        // balance at the last refill
   };
   std::vector<TenantSnapshot> tenant_snapshot() const;
 
-  /// Session ids whose idle deadline lies strictly in the past -- at
-  /// quiescence the reaper has fired for every expired session, so any
-  /// survivor here is a leak (AC-1 violation).  Sorted ascending.
-  std::vector<ControlSessionId> zombie_sessions() const;
-
-  // --- AC-1 negative-test hooks -------------------------------------------------
+  // --- AC-1 negative-test hook --------------------------------------------------
   /// Corrupt the books the way a quota-bypass bug would: record an
   /// admission driving `tenant` past its pending quota.  AC-1 must flag it.
   void debug_force_admit(net::Ipv4 tenant);
-  /// Leak a half-open session the way a lost reaper timer would: the
-  /// session is tracked, expired, and no timer will ever reap it.  AC-1
-  /// must flag it.
-  ControlSessionId debug_leak_session(net::Ipv4 tenant);
 
  private:
   struct Bucket {
     double tokens = 0.0;
     sim::SimTime refilled_at = 0;
     std::size_t pending = 0;  // queued + in service
-    std::size_t half_open = 0;
     bool primed = false;  // first sighting starts with a full bucket
   };
   struct QueuedRequest {
@@ -205,11 +161,6 @@ class AdmissionController {
     AdmitPriority priority = AdmitPriority::kFresh;
     std::function<void()> run;
     std::function<void(sim::SimTime)> shed;
-  };
-  struct Session {
-    net::Ipv4 tenant;
-    sim::SimTime deadline = 0;
-    sim::EventId reaper = 0;
   };
 
   Bucket& bucket_of(net::Ipv4 tenant);
@@ -223,7 +174,6 @@ class AdmissionController {
   /// drain timer for the earliest token if anything is still waiting.
   void drain_queue();
   void arm_drain_timer(sim::SimTime at);
-  void reap_session(ControlSessionId id);
 
   sim::Simulator& sim_;
   AdmissionConfig config_;
@@ -237,9 +187,6 @@ class AdmissionController {
   std::size_t in_service_ = 0;
   sim::EventId drain_timer_ = 0;
   sim::SimTime drain_at_ = 0;
-
-  std::map<ControlSessionId, Session> sessions_;
-  ControlSessionId next_session_ = 1;
 };
 
 }  // namespace mic::ctrl

@@ -60,7 +60,7 @@ void Controller::remove_cookie(topo::NodeId sw, std::uint64_t cookie,
   if (immediate) {
     do_remove();
   } else {
-    network_.simulator().schedule_in(config_.southbound_latency, do_remove);
+    network_.simulator().schedule_in(kSouthboundLatency, do_remove);
   }
 }
 
@@ -79,12 +79,12 @@ void Controller::install_rule_checked(topo::NodeId sw, switchd::FlowRule rule,
                                       std::function<void(bool)> on_result) {
   count_rule_install();
   if (roll_control_drop()) {
-    network_.simulator().schedule_in(config_.southbound_timeout,
+    network_.simulator().schedule_in(kSouthboundTimeout,
                                      [cb = std::move(on_result)] { cb(false); });
     return;
   }
   network_.simulator().schedule_in(
-      config_.southbound_latency,
+      kSouthboundLatency,
       [this, sw, epoch = fence_epoch_, r = std::move(rule),
        cb = std::move(on_result)]() mutable {
         const bool ok =
@@ -94,10 +94,10 @@ void Controller::install_rule_checked(topo::NodeId sw, switchd::FlowRule rule,
           // timeout reports failure and the caller's rollback-by-cookie
           // keeps the table consistent.
           network_.simulator().schedule_in(
-              remaining_timeout(), [cb = std::move(cb)] { cb(false); });
+              kRemainingTimeout, [cb = std::move(cb)] { cb(false); });
           return;
         }
-        network_.simulator().schedule_in(config_.southbound_latency,
+        network_.simulator().schedule_in(kSouthboundLatency,
                                          [cb = std::move(cb), ok] { cb(ok); });
       });
 }
@@ -106,40 +106,24 @@ void Controller::install_group_checked(topo::NodeId sw,
                                        switchd::GroupEntry group,
                                        std::function<void(bool)> on_result) {
   if (roll_control_drop()) {
-    network_.simulator().schedule_in(config_.southbound_timeout,
+    network_.simulator().schedule_in(kSouthboundTimeout,
                                      [cb = std::move(on_result)] { cb(false); });
     return;
   }
   network_.simulator().schedule_in(
-      config_.southbound_latency,
+      kSouthboundLatency,
       [this, sw, epoch = fence_epoch_, g = std::move(group),
        cb = std::move(on_result)]() mutable {
         const bool ok = op_admitted(sw, epoch) &&
                         switch_at(sw)->try_install_group(std::move(g));
         if (roll_control_drop()) {
           network_.simulator().schedule_in(
-              remaining_timeout(), [cb = std::move(cb)] { cb(false); });
+              kRemainingTimeout, [cb = std::move(cb)] { cb(false); });
           return;
         }
-        network_.simulator().schedule_in(config_.southbound_latency,
+        network_.simulator().schedule_in(kSouthboundLatency,
                                          [cb = std::move(cb), ok] { cb(ok); });
       });
-}
-
-void Controller::subscribe_packet_in() {
-  for (const topo::NodeId sw : graph().switches()) {
-    switch_at(sw)->set_packet_in_handler(
-        [this](topo::NodeId node, const net::Packet& packet,
-               topo::PortId in_port) {
-          // Deliver after the control-channel latency; copy the packet so
-          // the callback outlives the data-plane buffer.
-          network_.simulator().schedule_in(
-              config_.southbound_latency,
-              [this, node, pkt = packet, in_port] {
-                on_packet_in(node, pkt, in_port);
-              });
-        });
-  }
 }
 
 switchd::TableStats Controller::aggregate_table_stats() {
@@ -156,16 +140,10 @@ void Controller::subscribe_port_status() {
     switch_at(sw)->add_port_status_handler(
         [this](topo::NodeId node, topo::PortId port, bool up) {
           network_.simulator().schedule_in(
-              config_.southbound_latency,
+              kSouthboundLatency,
               [this, node, port, up] { on_port_status(node, port, up); });
         });
   }
-}
-
-void Controller::on_packet_in(topo::NodeId sw, const net::Packet& packet,
-                              topo::PortId in_port) {
-  log_debug("packet-in from switch %u port %u (%s -> %s), dropped", sw,
-            in_port, packet.src.str().c_str(), packet.dst.str().c_str());
 }
 
 void Controller::on_port_status(topo::NodeId sw, topo::PortId port, bool up) {

@@ -5,9 +5,9 @@
 // calculates all-pairs equal-cost shortest paths when initiation" -- we
 // keep the same query surface but compute per-destination rows on demand,
 // so start-up cost no longer scales with the full all-pairs table).
-// Southbound operations (flow-mod, group-mod) are charged a configurable
-// control-channel latency; proactive installs at simulation start are
-// immediate.
+// Southbound operations (flow-mod, group-mod) are charged a fixed
+// control-channel latency (kSouthboundLatency); proactive installs at
+// simulation start are immediate.
 #pragma once
 
 #include <cstdint>
@@ -41,17 +41,18 @@ struct HostAddressing {
   }
 };
 
+/// One-way latency of the out-of-band control channel (flow-mod install,
+/// port-status delivery).  Mininet's localhost control channel is fast but
+/// not free.
+inline constexpr sim::SimTime kSouthboundLatency = sim::microseconds(200);
+
+/// How long a checked install waits for the switch's reply before
+/// declaring the flow-mod lost (the barrier-reply timeout).
+inline constexpr sim::SimTime kSouthboundTimeout = sim::milliseconds(2);
+static_assert(kSouthboundTimeout > 2 * kSouthboundLatency,
+              "healthy checked installs would time out");
+
 struct ControllerConfig {
-  /// One-way latency of the out-of-band control channel (flow-mod install,
-  /// packet-in delivery).  Mininet's localhost control channel is fast but
-  /// not free.
-  sim::SimTime southbound_latency = sim::microseconds(200);
-
-  /// How long a checked install waits for the switch's reply before
-  /// declaring the flow-mod lost (the barrier-reply timeout).  Must exceed
-  /// 2x southbound_latency or healthy installs would time out.
-  sim::SimTime southbound_timeout = sim::milliseconds(2);
-
   /// PHY loss-of-signal debounce configured on every switch by
   /// subscribe_port_status(): how long a port must stay down before the
   /// switch raises the async notification.
@@ -90,7 +91,7 @@ class Controller {
   // The flow-mod travels the control channel, the switch may reject it
   // (table full, injected fault), and the outcome travels back.  Either
   // message can be dropped (set_control_drop_probability); a drop surfaces
-  // as failure after southbound_timeout.  `on_result(true)` means the rule
+  // as failure after kSouthboundTimeout.  `on_result(true)` means the rule
   // is in the table; `on_result(false)` means it may or may not be -- the
   // caller must roll back by cookie before retrying.
   void install_rule_checked(topo::NodeId sw, switchd::FlowRule rule,
@@ -132,9 +133,6 @@ class Controller {
 
   std::uint64_t fenced_ops() const noexcept { return fenced_ops_; }
 
-  /// Route packet-ins from every switch to on_packet_in().
-  void subscribe_packet_in();
-
   /// Route async port-status notifications from every switch to
   /// on_port_status(), after the switch-side detection latency (configured
   /// here from config().detection_latency) plus the control-channel
@@ -145,11 +143,6 @@ class Controller {
   /// how much data-plane traffic the exact-match index absorbs vs how much
   /// falls back to the wildcard scan.
   switchd::TableStats aggregate_table_stats();
-
-  /// Called (after the southbound latency) when a switch reports a table
-  /// miss or executes a ToController action.
-  virtual void on_packet_in(topo::NodeId sw, const net::Packet& packet,
-                            topo::PortId in_port);
 
   /// Called (after detection + southbound latency) when a switch reports a
   /// port going down or coming back up.  Default ignores it.
@@ -171,11 +164,8 @@ class Controller {
 
   /// Barrier timeout remaining after the request leg already spent one
   /// southbound latency.
-  sim::SimTime remaining_timeout() const noexcept {
-    return config_.southbound_timeout > config_.southbound_latency
-               ? config_.southbound_timeout - config_.southbound_latency
-               : sim::SimTime{0};
-  }
+  static constexpr sim::SimTime kRemainingTimeout =
+      kSouthboundTimeout - kSouthboundLatency;
 
   void count_rule_install() noexcept { ++rules_installed_; }
 

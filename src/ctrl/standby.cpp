@@ -4,6 +4,15 @@
 
 namespace mic::ctrl {
 
+namespace {
+/// How long one probe waits for the primary's reply before counting as
+/// missed.  Must exceed two control-channel round trips.
+constexpr sim::SimTime kHeartbeatTimeout = sim::milliseconds(1);
+/// Consecutive missed probes before the standby declares the primary dead
+/// and takes over.
+constexpr int kMissedHeartbeatBudget = 3;
+}  // namespace
+
 StandbyController::StandbyController(core::MimicController& primary,
                                      core::ControllerDirectory& directory,
                                      StandbyOptions options)
@@ -54,7 +63,7 @@ void StandbyController::schedule_probe() {
       if (seq == probe_seq_) probe_answered_ = true;
     });
     mc_->network().simulator().schedule_in(
-        options_.heartbeat_timeout, [this, seq] { on_probe_timeout(seq); });
+        kHeartbeatTimeout, [this, seq] { on_probe_timeout(seq); });
   });
 }
 
@@ -64,7 +73,7 @@ void StandbyController::on_probe_timeout(std::uint64_t seq) {
     missed_ = 0;
   } else {
     ++probes_missed_;
-    if (++missed_ >= options_.missed_heartbeat_budget) {
+    if (++missed_ >= kMissedHeartbeatBudget) {
       take_over("missed-heartbeat budget exhausted");
       return;
     }

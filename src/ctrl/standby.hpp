@@ -34,14 +34,6 @@ struct StandbyOptions {
   /// bit-identical replay harness runs in this mode; take_over() can still
   /// be invoked explicitly).
   sim::SimTime heartbeat_interval = sim::milliseconds(2);
-
-  /// How long one probe waits for the primary's reply before counting as
-  /// missed.  Must exceed two control-channel round trips.
-  sim::SimTime heartbeat_timeout = sim::milliseconds(1);
-
-  /// Consecutive missed probes before the standby declares the primary
-  /// dead and takes over.
-  int missed_heartbeat_budget = 3;
 };
 
 class StandbyController {

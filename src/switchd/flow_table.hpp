@@ -85,14 +85,12 @@ struct SetMpls { net::MplsLabel label; bool operator==(const SetMpls&) const = d
 struct PopMpls { bool operator==(const PopMpls&) const = default; };
 struct Output { topo::PortId port; bool operator==(const Output&) const = default; };
 struct GroupAction { std::uint32_t group_id; bool operator==(const GroupAction&) const = default; };
-struct ToController { bool operator==(const ToController&) const = default; };
 struct DropAction { bool operator==(const DropAction&) const = default; };
 
 /// The six header-rewriting set-field actions lead the variant, so
 /// `index() <= kLastSetField` tells them apart from the rest.
 using Action = std::variant<SetSrc, SetDst, SetSport, SetDport, SetMpls,
-                            PopMpls, Output, GroupAction, ToController,
-                            DropAction>;
+                            PopMpls, Output, GroupAction, DropAction>;
 inline constexpr std::size_t kLastSetField = 5;
 static_assert(std::is_same_v<std::variant_alternative_t<0, Action>, SetSrc> &&
               std::is_same_v<std::variant_alternative_t<1, Action>, SetDst> &&
@@ -208,7 +206,7 @@ class FlowTable {
   const FlowRule* reference_lookup(const net::Packet& packet,
                                    topo::PortId in_port) const noexcept;
 
-  /// Runtime audit of FT-1 (registered as "FT-1" in audit::Registry).
+  /// Runtime audit of FT-1 (run as "FT-1" by audit::run_all).
   /// Structural half: every live rule is reachable from exactly one bucket
   /// by probing its own key (never-matching rules from none), each chain is
   /// in precedence order, each subtable's key count and maximum priority

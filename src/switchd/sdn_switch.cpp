@@ -19,11 +19,7 @@ void SdnSwitch::receive(const net::Packet& packet, topo::PortId in_port) {
     ingress_fifo_.pop_front();
     FlowRule* rule = table_.lookup(pkt, port, pkt.wire_bytes());
     if (rule == nullptr) {
-      if (packet_in_) {
-        packet_in_(node_, pkt, port);
-      } else {
-        ++dropped_;
-      }
+      ++dropped_;
       return;
     }
     apply_actions(rule->actions, std::move(pkt), port, /*allow_group=*/true);
@@ -163,10 +159,6 @@ void SdnSwitch::apply_actions(const std::vector<Action>& actions,
                           /*allow_group=*/false);
           }
         }
-      }
-    } else if (std::get_if<ToController>(&action)) {
-      if (packet_in_) {
-        packet_in_(node_, packet, in_port);
       }
     } else if (std::get_if<DropAction>(&action)) {
       ++dropped_;

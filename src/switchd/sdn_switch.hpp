@@ -3,8 +3,8 @@
 // CPU, apply the matched rule's actions (each set-field charged separately,
 // each group-bucket copy charged separately), and transmit.
 //
-// Table misses invoke the packet-in hook (the controller's southbound
-// channel) or drop when no hook is installed.
+// MIC installs every rule proactively, so a table miss drops the packet
+// and counts it.
 #pragma once
 
 #include <deque>
@@ -41,8 +41,6 @@ struct FlowDump {
 
 class SdnSwitch : public net::Device {
  public:
-  using PacketInHandler =
-      std::function<void(topo::NodeId sw, const net::Packet&, topo::PortId)>;
   /// Async OFPT_PORT_STATUS equivalent: (switch, port, up).
   using PortStatusHandler =
       std::function<void(topo::NodeId sw, topo::PortId, bool up)>;
@@ -53,10 +51,6 @@ class SdnSwitch : public net::Device {
 
   FlowTable& table() noexcept { return table_; }
   const FlowTable& table() const noexcept { return table_; }
-
-  void set_packet_in_handler(PacketInHandler handler) {
-    packet_in_ = std::move(handler);
-  }
 
   /// Subscribe to async port-status notifications.  The switch raises them
   /// `detection_latency` after the PHY event (loss-of-signal debounce); the
@@ -157,7 +151,6 @@ class SdnSwitch : public net::Device {
 
   const crypto::CostModel& costs_;
   FlowTable table_;
-  PacketInHandler packet_in_;
   std::vector<PortStatusHandler> port_status_;
   /// PHY loss-of-signal debounce before the notification leaves the switch.
   sim::SimTime detection_latency_ = sim::microseconds(500);

@@ -28,7 +28,7 @@
 // are a pure function of its destination -- independent of query order --
 // so sampling with a fixed-seed Rng is deterministic regardless of how the
 // cache was populated.  self_check() is the runtime
-// audit of PE-1 (registered as "PE-1" in audit::Registry).
+// audit of PE-1 (run as "PE-1" by audit::run_all).
 //
 // The engine is single-threaded, like the event loop that owns it.  Rows
 // live by value in the cache, which holds every row queried since the last

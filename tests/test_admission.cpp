@@ -1,10 +1,10 @@
 // Control-plane admission control (src/ctrl/admission.hpp): per-tenant
 // token buckets, the bounded two-class establish queue with explicit
-// Busy{retry_after} shedding, the half-open control-session reaper, the
-// client-side shed backoff, and the AC-1 conservation audit -- positive
-// and negative.  The flood soak at the bottom drives the whole pipeline
-// with the FaultInjector's establishment-flood + slow-client schedule and
-// pins determinism: same seed, same decisions, same trace hash.
+// Busy{retry_after} shedding, the client-side shed backoff, and the AC-1
+// conservation audit -- positive and negative.  The flood soak at the
+// bottom drives the whole pipeline with the FaultInjector's
+// establishment-flood schedule and pins determinism: same seed, same
+// decisions, same trace hash.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -32,6 +32,7 @@ using core::MicServer;
 using ctrl::AdmissionConfig;
 using ctrl::AdmissionController;
 using ctrl::AdmitPriority;
+using ctrl::kRetryAfterFloor;
 
 net::Ipv4 tenant_a() { return net::Ipv4(10, 0, 0, 2); }
 net::Ipv4 tenant_b() { return net::Ipv4(10, 0, 0, 3); }
@@ -52,7 +53,7 @@ TEST(Admission, TokenBucketShedsWhenDrainedAndRefillsWithTime) {
   }
   const AdmissionController::Ticket shed = ac.offer_sync(tenant_a());
   EXPECT_FALSE(shed.admitted);
-  EXPECT_GE(shed.retry_after, config.retry_after_floor);
+  EXPECT_GE(shed.retry_after, kRetryAfterFloor);
 
   // Tenants are isolated: B's budget is untouched by A's drain.
   EXPECT_TRUE(ac.offer_sync(tenant_b()).admitted);
@@ -139,13 +140,13 @@ TEST(Admission, FullQueueShedsAndRepairEvictsYoungestFresh) {
   sim::SimTime fresh_hint = 0;
   ac.offer(tenant_b(), AdmitPriority::kFresh, [] { FAIL() << "admitted"; },
            [&fresh_hint](sim::SimTime t) { fresh_hint = t; });
-  EXPECT_GE(fresh_hint, config.retry_after_floor);
+  EXPECT_GE(fresh_hint, kRetryAfterFloor);
   EXPECT_EQ(evicted_hint, 0);  // still queued
 
   // A repair arrival instead evicts the youngest queued fresh request and
   // takes its place; the victim gets the Busy reply.
   ac.offer(tenant_b(), AdmitPriority::kRepair, nop, no_shed);
-  EXPECT_GE(evicted_hint, config.retry_after_floor);
+  EXPECT_GE(evicted_hint, kRetryAfterFloor);
   EXPECT_EQ(ac.queued_count(), 2u);
   EXPECT_EQ(ac.stats().shed, 2u);
   EXPECT_EQ(ac.stats().offered,
@@ -174,55 +175,6 @@ TEST(Admission, QueuedRequestDrainsWhenTokensRefill) {
   sim.run_until(sim.now() + sim::milliseconds(2));
   EXPECT_TRUE(second);
   EXPECT_EQ(ac.queued_count(), 0u);
-}
-
-// --- half-open control sessions --------------------------------------------------
-
-TEST(Admission, HalfOpenSessionsAreReapedTouchedAndCompleted) {
-  sim::Simulator sim;
-  AdmissionConfig config;
-  config.half_open_timeout = sim::milliseconds(20);
-  AdmissionController ac(sim, config);
-
-  // Abandoned: the reaper collects it at the idle deadline.
-  const auto abandoned = ac.open_session(tenant_a());
-  ASSERT_NE(abandoned, 0u);
-  sim.run_until(sim.now() + sim::milliseconds(25));
-  EXPECT_FALSE(ac.touch_session(abandoned));
-  EXPECT_FALSE(ac.complete_session(abandoned));
-  EXPECT_EQ(ac.stats().sessions_reaped, 1u);
-
-  // Touched: each touch pushes the deadline out; completion disarms it.
-  const auto nursed = ac.open_session(tenant_a());
-  ASSERT_NE(nursed, 0u);
-  sim.run_until(sim.now() + sim::milliseconds(15));
-  EXPECT_TRUE(ac.touch_session(nursed));
-  sim.run_until(sim.now() + sim::milliseconds(15));  // past the original
-  EXPECT_TRUE(ac.complete_session(nursed));
-  sim.run_until();
-  EXPECT_EQ(ac.stats().sessions_reaped, 1u);
-  EXPECT_EQ(ac.stats().sessions_completed, 1u);
-  EXPECT_EQ(ac.half_open_count(), 0u);
-  EXPECT_TRUE(ac.zombie_sessions().empty());
-}
-
-TEST(Admission, HalfOpenQuotaRejectsTheSlowlorisTenant) {
-  sim::Simulator sim;
-  AdmissionConfig config;
-  config.tenant_half_open_quota = 4;
-  AdmissionController ac(sim, config);
-
-  for (std::size_t i = 0; i < config.tenant_half_open_quota; ++i) {
-    EXPECT_NE(ac.open_session(tenant_a()), 0u);
-  }
-  EXPECT_EQ(ac.open_session(tenant_a()), 0u);  // over quota: rejected
-  EXPECT_NE(ac.open_session(tenant_b()), 0u);  // other tenants unaffected
-  EXPECT_EQ(ac.stats().sessions_rejected, 1u);
-
-  // Every abandoned session is eventually reaped; nothing leaks.
-  sim.run_until();
-  EXPECT_EQ(ac.half_open_count(), 0u);
-  EXPECT_EQ(ac.stats().sessions_reaped, 5u);
 }
 
 // --- through the MimicController ------------------------------------------------
@@ -292,7 +244,7 @@ TEST(Admission, BatchCannotBypassPerTenantQuota) {
     if (r.ok) ++ok;
     if (r.busy) {
       ++busy;
-      EXPECT_GE(r.retry_after, fo.mic.admission.retry_after_floor);
+      EXPECT_GE(r.retry_after, kRetryAfterFloor);
       EXPECT_FALSE(r.ok);
     }
   }
@@ -332,52 +284,6 @@ TEST(Admission, ProbesStayExemptWhileTenantIsDrained) {
   EXPECT_TRUE(answered);
   EXPECT_TRUE(alive);
   EXPECT_GE(fabric.mc().admission().stats().exempt, 1u);
-  EXPECT_TRUE(audit::run_all(fabric.mc()).ok);
-}
-
-TEST(Admission, CompletedControlSessionEstablishesReapedOneIsDropped) {
-  FabricOptions fo;
-  fo.mic.admission.half_open_timeout = sim::milliseconds(20);
-  Fabric fabric(fo);
-  const net::Ipv4 client = fabric.ip(0);
-  const auto& key = fabric.mc().register_client(client);
-
-  core::EstablishRequest request;
-  request.initiator_ip = client;
-  request.responder_ip = fabric.ip(12);
-  request.responder_port = 7000;
-  request.initiator_sports = {40001};
-  std::vector<std::uint8_t> bytes = core::serialize_request(request);
-  core::crypt_control_message(key, 7, bytes);
-
-  // Nursed to completion: the session turns into a normal establishment.
-  const auto id = fabric.mc().open_control_session(client);
-  ASSERT_NE(id, 0u);
-  fabric.simulator().run_until(fabric.simulator().now() +
-                               sim::milliseconds(15));
-  ASSERT_TRUE(fabric.mc().touch_control_session(id));
-  core::EstablishResult result;
-  bool answered = false;
-  ASSERT_TRUE(fabric.mc().complete_control_session(
-      id, client, bytes, 7,
-      [&](const core::EstablishResult& r) {
-        answered = true;
-        result = r;
-      }));
-  fabric.simulator().run_until();
-  EXPECT_TRUE(answered);
-  EXPECT_TRUE(result.ok) << result.error;
-  EXPECT_NE(fabric.mc().channel(result.channel), nullptr);
-
-  // Abandoned: the reaper got there first; the late completion is dropped.
-  const auto late = fabric.mc().open_control_session(client);
-  ASSERT_NE(late, 0u);
-  fabric.simulator().run_until();  // quiescence is past the idle deadline
-  EXPECT_FALSE(fabric.mc().complete_control_session(
-      late, client, bytes, 8, [](const core::EstablishResult&) {
-        FAIL() << "reaped session must not establish";
-      }));
-  EXPECT_EQ(fabric.mc().admission().stats().sessions_reaped, 1u);
   EXPECT_TRUE(audit::run_all(fabric.mc()).ok);
 }
 
@@ -477,20 +383,6 @@ TEST(Admission, AuditCatchesOverQuotaAdmission) {
   EXPECT_TRUE(report.check("RC-1").ok);
 }
 
-TEST(Admission, AuditCatchesLeakedHalfOpenSession) {
-  Fabric fabric;
-  fabric.simulator().run_until(sim::milliseconds(1));
-  const auto id = fabric.mc().admission().debug_leak_session(fabric.ip(3));
-  ASSERT_NE(id, 0u);
-
-  const audit::RunReport report = audit::run_all(fabric.mc());
-  EXPECT_FALSE(report.ok);
-  EXPECT_FALSE(report.check("AC-1").ok);
-  ASSERT_FALSE(report.check("AC-1").violations.empty());
-  EXPECT_NE(report.check("AC-1").violations.front().find("no reaper"),
-            std::string::npos);
-}
-
 // --- flood soak: the whole pipeline under attack, deterministically ---------------
 
 struct FloodOutcome {
@@ -500,8 +392,6 @@ struct FloodOutcome {
   std::uint64_t flood_sent = 0;
   std::uint64_t flood_answered = 0;
   std::uint64_t flood_shed = 0;
-  std::uint64_t slow_sessions = 0;
-  std::uint64_t sessions_reaped = 0;
   std::uint64_t admitted = 0;
   std::uint64_t shed = 0;
   std::uint64_t trace_hash = 0;  // see ChaosOutcome::trace_hash
@@ -510,11 +400,10 @@ struct FloodOutcome {
   bool operator==(const FloodOutcome&) const = default;
 };
 
-/// One seeded establishment-flood + slow-client schedule against a fabric
-/// with a deliberately tight admission config: honest clients (with shed
-/// backoff) must all come up and deliver, every attack request must be
-/// answered or provably dropped, every abandoned session reaped, and the
-/// books must balance (AC-1) at quiescence.
+/// One seeded establishment-flood schedule against a fabric with a
+/// deliberately tight admission config: honest clients (with shed backoff)
+/// must all come up and deliver, every attack request must be answered or
+/// provably dropped, and the books must balance (AC-1) at quiescence.
 FloodOutcome run_flood(Fabric& fabric, std::uint64_t seed) {
   net::TraceHash trace(fabric.network());
   MicServer server(fabric.host(12), 7000, fabric.rng());
@@ -547,8 +436,6 @@ FloodOutcome run_flood(Fabric& fabric, std::uint64_t seed) {
   fo.flood_attackers = 3;
   fo.flood_requests = 60;
   fo.flood_duration = sim::milliseconds(4);
-  fo.slow_client_sessions = 6;
-  fo.slow_client_touches = 2;
   FaultInjector injector(fabric.network(), fabric.mc(), fo);
   injector.arm();
   fabric.simulator().run_until();
@@ -557,21 +444,17 @@ FloodOutcome run_flood(Fabric& fabric, std::uint64_t seed) {
   out.flood_sent = injector.flood_sent();
   out.flood_answered = injector.flood_answered();
   out.flood_shed = injector.flood_shed();
-  out.slow_sessions = injector.slow_sessions_opened();
   EXPECT_EQ(out.flood_sent,
             static_cast<std::uint64_t>(fo.establish_floods) *
                 fo.flood_attackers * fo.flood_requests);
   EXPECT_EQ(out.flood_answered, out.flood_sent);  // no silent drops: no crash
   EXPECT_GT(out.flood_shed, 0u);  // the tight config actually shed attackers
 
-  // Quiescence: the reaper collected every abandoned session and the
-  // books balance -- AC-1 runs as part of the registry sweep.
+  // Quiescence: the books balance -- AC-1 runs as part of the audit sweep.
   EXPECT_TRUE(fabric.simulator().idle());
   const audit::RunReport report = audit::run_all(fabric.mc());
   EXPECT_TRUE(report.ok) << report.first_violation();
   const auto& stats = fabric.mc().admission().stats();
-  EXPECT_EQ(stats.sessions_reaped, out.slow_sessions);  // all abandoned
-  EXPECT_EQ(fabric.mc().admission().half_open_count(), 0u);
 
   // No starvation: every honest client established despite the flood and
   // still delivers, byte for byte.
@@ -592,7 +475,6 @@ FloodOutcome run_flood(Fabric& fabric, std::uint64_t seed) {
   out.received = received;
   out.admitted = stats.admitted;
   out.shed = stats.shed;
-  out.sessions_reaped = stats.sessions_reaped;
   out.trace_hash = trace.value();
   out.trace_packets = trace.packets();
   return out;
@@ -607,7 +489,6 @@ FabricOptions flood_fabric_options() {
   fo.mic.admission.tenant_burst = 8.0;
   fo.mic.admission.queue_capacity = 16;
   fo.mic.admission.max_in_service = 8;
-  fo.mic.admission.half_open_timeout = sim::milliseconds(10);
   return fo;
 }
 
@@ -620,8 +501,8 @@ TEST(FloodSoak, AttackIsShedHonestClientsSurvive) {
 }
 
 TEST(FloodSoak, SameSeedSameDecisionsSameTrace) {
-  // SIM-1 under attack: shed/admit decisions, reap counts and the packet
-  // trace fingerprint replay bit-identically for an identical seed.
+  // SIM-1 under attack: shed/admit decisions and the packet trace
+  // fingerprint replay bit-identically for an identical seed.
   auto once = [] {
     Fabric fabric(flood_fabric_options());
     return run_flood(fabric, 3);

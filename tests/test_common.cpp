@@ -82,6 +82,22 @@ TEST(Rng, ForkIndependentStreams) {
   EXPECT_LT(equal, 3);
 }
 
+TEST(Rng, CappedBackoffDoublesToTheCapPlusOneJitterDraw) {
+  constexpr std::uint64_t kBase = 500;
+  constexpr std::uint64_t kCap = 8000;
+  Rng rng(23);
+  Rng twin(23);  // draws in parallel: one below(base) per backoff
+  const std::uint64_t doubling[] = {500, 1000, 2000, 4000, 8000, 8000};
+  for (int attempt = 1; attempt <= 6; ++attempt) {
+    const std::uint64_t want = doubling[attempt - 1] + twin.below(kBase);
+    EXPECT_EQ(capped_backoff(kBase, kCap, attempt, rng), want) << attempt;
+  }
+  // The doubling stops after 20 steps, so a huge attempt cannot shift the
+  // base out of range.
+  EXPECT_EQ(capped_backoff(1, ~0ULL, 1000, rng), (1ULL << 20) + twin.below(1));
+  EXPECT_EQ(rng.next(), twin.next());  // exactly one draw per call
+}
+
 TEST(Bits, RotlRotrInverse) {
   for (unsigned r = 0; r < 32; ++r) {
     const std::uint32_t v = 0xdeadbeef;

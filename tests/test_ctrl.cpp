@@ -1,6 +1,5 @@
 // Tests for the controller framework and the proactive L3 routing app:
-// rule coverage, CF tagging, ECMP via SELECT groups, southbound latency,
-// packet-in subscription.
+// rule coverage, CF tagging, ECMP via SELECT groups, southbound latency.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -14,7 +13,6 @@ namespace mic::ctrl {
 namespace {
 
 using core::Fabric;
-using core::FabricOptions;
 
 TEST(L3Routing, EveryHostPairConnected) {
   Fabric fabric;
@@ -123,7 +121,7 @@ TEST(Controller, SouthboundLatencyDelaysInstall) {
                                    [&](bool ok) { confirmed = ok; });
 
   // Not yet installed...
-  const sim::SimTime latency = fabric.mc().config().southbound_latency;
+  const sim::SimTime latency = kSouthboundLatency;
   EXPECT_EQ(fabric.mc().switch_at(sw)->table().rule_count(), before);
   fabric.simulator().run_until(latency / 2);
   EXPECT_EQ(fabric.mc().switch_at(sw)->table().rule_count(), before);
@@ -135,23 +133,6 @@ TEST(Controller, SouthboundLatencyDelaysInstall) {
   fabric.simulator().run_until();
   EXPECT_TRUE(confirmed);
   fabric.mc().remove_cookie(sw, 777, /*immediate=*/true);
-}
-
-TEST(Controller, PacketInDeliveredAfterLatency) {
-  // A bare fabric without routing: the first packet misses and reaches the
-  // controller via packet-in.
-  FabricOptions options;
-  options.install_default_routing = false;
-  Fabric fabric(options);
-  fabric.mc().subscribe_packet_in();  // default handler logs + drops
-
-  fabric.host(0).connect(fabric.ip(12), 80);  // SYN will miss everywhere
-  fabric.simulator().run_until(sim::milliseconds(5));
-  std::uint64_t misses = 0;
-  for (const topo::NodeId sw : fabric.network().graph().switches()) {
-    misses += fabric.mc().switch_at(sw)->table().miss_count();
-  }
-  EXPECT_GT(misses, 0u);
 }
 
 TEST(Controller, IdleChannelsReclaimed) {

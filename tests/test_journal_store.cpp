@@ -331,20 +331,6 @@ TEST(SimBackend, FsyncLapsesSilentlySkipSyncs) {
   EXPECT_EQ(backend.durable_bytes("seg-a"), 4u);  // honest again
 }
 
-TEST(SimBackend, FlipBitCorruptsOnlyDurableBytes) {
-  SimBackend backend;
-  backend.create("seg-a");
-  const std::uint8_t bytes[] = {0x00, 0x00};
-  backend.append("seg-a", bytes, 2);
-  backend.flip_bit(7);  // nothing durable yet: no-op
-  EXPECT_EQ(backend.bits_flipped(), 0u);
-  backend.sync("seg-a");
-  backend.flip_bit(3);
-  EXPECT_EQ(backend.bits_flipped(), 1u);
-  const auto after = backend.read("seg-a");
-  EXPECT_NE((after[0] | after[1]), 0);
-}
-
 TEST(SimBackend, RenameIsAtomicReplaceAndListSorts) {
   SimBackend backend;
   backend.create("b");

@@ -279,12 +279,12 @@ TEST(MicEndToEnd, CollisionAuditCleanWithManyChannels) {
     ASSERT_TRUE(result.ok) << result.error;
     ids.push_back(result.channel);
   }
-  const AuditReport report = audit_collisions(bed.fabric.mc());
+  const audit::CheckResult report = audit_collisions(bed.fabric.mc());
   for (const auto& violation : report.violations) {
     ADD_FAILURE() << violation;
   }
   EXPECT_TRUE(report.ok);
-  EXPECT_GT(report.mflow_rules, 0u);
+  EXPECT_GT(report.metric("mflow_rules"), 0u);
 
   // Tear half down; audit stays clean.
   for (std::size_t i = 0; i < ids.size(); i += 2) {
@@ -601,7 +601,7 @@ TEST(CollisionAudit, DetectsForeignMFlowRule) {
   const topo::NodeId sw = bed.fabric.fattree().core_switches()[0];
   bed.fabric.mc().install_rule(sw, rogue);
 
-  const AuditReport report = audit_collisions(bed.fabric.mc());
+  const audit::CheckResult report = audit_collisions(bed.fabric.mc());
   EXPECT_FALSE(report.ok);
   ASSERT_FALSE(report.violations.empty());
 }

@@ -1,5 +1,5 @@
 // Tests for the SDN switch data plane: match semantics, priorities,
-// rewrite actions, ALL groups, packet-in, cookies.
+// rewrite actions, ALL groups, table misses, cookies.
 #include <gtest/gtest.h>
 
 #include "net/network.hpp"
@@ -424,20 +424,6 @@ TEST(SdnSwitch, DropActionDiscards) {
   fix.simulator.run_until();
   EXPECT_EQ(fix.b_dev->received.size(), 0u);
   EXPECT_EQ(fix.sw_dev->dropped(), 1u);
-}
-
-TEST(SdnSwitch, MissInvokesPacketIn) {
-  SwitchFixture fix;
-  int packet_ins = 0;
-  fix.sw_dev->set_packet_in_handler(
-      [&](topo::NodeId sw, const net::Packet&, topo::PortId in_port) {
-        EXPECT_EQ(sw, fix.sw);
-        EXPECT_EQ(in_port, 0);
-        ++packet_ins;
-      });
-  fix.network.transmit(fix.a, 0, make_packet({1, 1, 1, 1}, {2, 2, 2, 2}));
-  fix.simulator.run_until();
-  EXPECT_EQ(packet_ins, 1);
 }
 
 TEST(SdnSwitch, MissWithoutHandlerDrops) {
