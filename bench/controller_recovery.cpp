@@ -19,15 +19,20 @@
 // crash, so the replica recovers fewer channels -- the sweep makes the
 // durability/latency trade-off measurable.
 //
-//   controller_recovery           # full sweep: N in {1, 4, 16, 64}
+//   controller_recovery           # full sweep: N in {1, 4, 16, 64, 2048}
 //   controller_recovery --smoke   # CI-sized: N in {1, 4}, single rep
 //
-// Prints a table on stdout and writes BENCH_recovery.json in the CWD.
+// 2,048 channels is twice the default journal compaction floor (1,024
+// records), so the full sweep also times recover()'s journal rebuild
+// above the floor.  Prints a table on stdout and writes
+// BENCH_recovery.json, with the build type, compiler and core count it
+// ran on, in the CWD.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "core/audit_registry.hpp"
@@ -214,7 +219,7 @@ FailoverPoint measure_failover(int channels, core::FsyncPolicy policy,
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
   const std::vector<int> channel_counts =
-      smoke ? std::vector<int>{1, 4} : std::vector<int>{1, 4, 16, 64};
+      smoke ? std::vector<int>{1, 4} : std::vector<int>{1, 4, 16, 64, 2048};
   const int reps = smoke ? 1 : 3;
 
   std::printf("# Controller recovery latency vs channel count (k=4 fat-tree;\n"
@@ -332,7 +337,11 @@ int main(int argc, char** argv) {
         p.report.channels_replanned, p.report.channels_lost,
         p.report.orphan_rules_removed, p.audit_ok ? "true" : "false");
   }
-  std::fprintf(out, "]}\n");
+  std::fprintf(out,
+               "],\"build\":{\"type\":\"%s\",\"compiler\":\"%s\","
+               "\"hardware_concurrency\":%u}}\n",
+               BENCH_BUILD_TYPE, BENCH_COMPILER,
+               std::thread::hardware_concurrency());
   std::fclose(out);
   std::printf("# wrote BENCH_recovery.json\n");
   return 0;

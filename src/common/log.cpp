@@ -1,5 +1,6 @@
 #include "common/log.hpp"
 
+#include <cstdarg>
 #include <cstdio>
 
 namespace mic {
@@ -23,25 +24,14 @@ void set_log_level(LogLevel level) { g_level = level; }
 LogLevel log_level() { return g_level; }
 
 namespace detail {
-void vlog(LogLevel level, const char* fmt, std::va_list args) {
-  if (level < g_level) return;
+void log_message(LogLevel level, const char* fmt, ...) {
+  std::va_list args;
+  va_start(args, fmt);
   std::fprintf(stderr, "[%s] ", level_tag(level));
   std::vfprintf(stderr, fmt, args);
   std::fputc('\n', stderr);
+  va_end(args);
 }
 }  // namespace detail
-
-#define MIC_DEFINE_LOG_FN(name, level)          \
-  void name(const char* fmt, ...) {             \
-    std::va_list args;                          \
-    va_start(args, fmt);                        \
-    detail::vlog(level, fmt, args);             \
-    va_end(args);                               \
-  }
-
-MIC_DEFINE_LOG_FN(log_debug, LogLevel::kDebug)
-MIC_DEFINE_LOG_FN(log_warn, LogLevel::kWarn)
-
-#undef MIC_DEFINE_LOG_FN
 
 }  // namespace mic

@@ -5,7 +5,6 @@
 // silenced globally (benchmarks) or per-level.
 #pragma once
 
-#include <cstdarg>
 #include <cstdint>
 
 namespace mic {
@@ -17,11 +16,21 @@ void set_log_level(LogLevel level);
 LogLevel log_level();
 
 namespace detail {
-void vlog(LogLevel level, const char* fmt, std::va_list args);
+/// Print one message; the MIC_LOG_* macros have already checked its level.
+void log_message(LogLevel level, const char* fmt, ...)
+    __attribute__((format(printf, 2, 3)));
 }  // namespace detail
 
-// printf-style logging entry points.
-void log_debug(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-void log_warn(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-
 }  // namespace mic
+
+/// printf-style logging entry points.  The level is tested before the
+/// arguments are evaluated, so a filtered-out message costs one comparison
+/// and builds none of its arguments.
+#define MIC_LOG(level, ...)                             \
+  do {                                                  \
+    if (::mic::log_level() <= (level)) {                \
+      ::mic::detail::log_message((level), __VA_ARGS__); \
+    }                                                   \
+  } while (false)
+#define MIC_LOG_DEBUG(...) MIC_LOG(::mic::LogLevel::kDebug, __VA_ARGS__)
+#define MIC_LOG_WARN(...) MIC_LOG(::mic::LogLevel::kWarn, __VA_ARGS__)

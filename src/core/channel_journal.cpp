@@ -20,6 +20,7 @@ ChannelJournal::ChannelJournal(const ChannelJournal& other)
     : records_(other.records_),
       next_seq_(other.next_seq_),
       compaction_threshold_(other.compaction_threshold_),
+      compacted_size_(other.compacted_size_),
       compactions_(other.compactions_),
       epoch_(other.epoch_) {}
 
@@ -28,6 +29,7 @@ ChannelJournal& ChannelJournal::operator=(const ChannelJournal& other) {
   records_ = other.records_;
   next_seq_ = other.next_seq_;
   compaction_threshold_ = other.compaction_threshold_;
+  compacted_size_ = other.compacted_size_;
   compactions_ = other.compactions_;
   epoch_ = other.epoch_;
   // store_/listener_/unshipped_ deliberately untouched: the plumbing stays
@@ -70,9 +72,7 @@ void ChannelJournal::adopt_record(JournalRecord record) {
   next_seq_ = std::max(next_seq_, record.seq + 1);
   epoch_ = std::max(epoch_, record.epoch);
   records_.push_back(std::move(record));
-  if (compaction_threshold_ != 0 && records_.size() > compaction_threshold_) {
-    compact();
-  }
+  maybe_compact();
 }
 
 JournalImage ChannelJournal::replay() const {
@@ -147,6 +147,7 @@ void ChannelJournal::compact() {
     snapshots.push_back(std::move(latest));
   }
   records_ = std::move(snapshots);
+  compacted_size_ = records_.size();
   ++compactions_;
   if (store_ != nullptr) {
     store_->compact(records_);
@@ -161,6 +162,7 @@ void ChannelJournal::truncate_tail(std::size_t n) {
 
 void ChannelJournal::clear() {
   records_.clear();
+  compacted_size_ = 0;
   // Records that never reached the commit frontier die with the crash:
   // they must not ship to a standby after the fact.
   unshipped_.clear();
@@ -221,7 +223,12 @@ void ChannelJournal::append(JournalRecord record) {
       listener_(records_.back());
     }
   }
-  if (compaction_threshold_ != 0 && records_.size() > compaction_threshold_) {
+  maybe_compact();
+}
+
+void ChannelJournal::maybe_compact() {
+  if (compaction_threshold_ != 0 &&
+      records_.size() > std::max(compaction_threshold_, 2 * compacted_size_)) {
     compact();
   }
 }

@@ -108,7 +108,12 @@ class ChannelJournal {
 
   void clear();
 
-  /// Auto-compact whenever the log exceeds `records` entries (0 = never).
+  /// Auto-compact once the log exceeds both `records` entries and twice the
+  /// live set the last compaction kept (0 = never).  The threshold is a
+  /// floor, not a cap: a compaction's O(live) fold runs only after at
+  /// least as many appends as it keeps, so an append costs O(1) amortized,
+  /// and an append returns with at most max(records, 2 x that live set)
+  /// records in the log.
   void set_compaction_threshold(std::size_t records) {
     compaction_threshold_ = records;
   }
@@ -139,7 +144,8 @@ class ChannelJournal {
   }
   std::size_t size() const noexcept { return records_.size(); }
   bool empty() const noexcept { return records_.empty(); }
-  /// Total records ever appended (monotone; survives compaction).
+  /// Sequence numbers stamped so far: every append, plus every snapshot a
+  /// compaction re-stamped (monotone; survives compaction).
   std::uint64_t appends() const noexcept { return next_seq_ - 1; }
   std::uint64_t compactions() const noexcept { return compactions_; }
   /// Committed records delivered to the commit listener so far.
@@ -147,6 +153,8 @@ class ChannelJournal {
 
  private:
   void append(JournalRecord record);
+  /// Compact if the log has outgrown the floor and twice compacted_size_.
+  void maybe_compact();
   /// Deliver queued records whose bytes the store has made durable.
   void maybe_ship();
   std::uint64_t durable_frontier() const;
@@ -154,6 +162,9 @@ class ChannelJournal {
   std::vector<JournalRecord> records_;
   std::uint64_t next_seq_ = 1;
   std::size_t compaction_threshold_ = 0;
+  /// Log length the last compaction left (its live snapshot count); 0
+  /// after construction and clear().
+  std::size_t compacted_size_ = 0;
   std::uint64_t compactions_ = 0;
   std::uint64_t epoch_ = 0;
 

@@ -111,9 +111,10 @@ void MicChannel::arm_establish_timeout() {
     // establishment gets an error ack); only a crashed one says nothing.
     ++silences_;
     ++silence_streak_;
-    log_warn("MIC channel: no establish ack after %llu us (silence %d)",
-             static_cast<unsigned long long>(options_.control_timeout / 1000),
-             silence_streak_);
+    MIC_LOG_WARN(
+        "MIC channel: no establish ack after %llu us (silence %d)",
+        static_cast<unsigned long long>(options_.control_timeout / 1000),
+        silence_streak_);
     retire_flows();  // bumps the generation; a late ack hits the stale path
     if (silence_streak_ > options_.control_retry_limit) {
       fail_with("controller unreachable: establishment unacknowledged");
@@ -183,7 +184,7 @@ void MicChannel::fail_with(const std::string& reason) {
   failed_ = true;
   error_ = reason;
   ready_ = false;
-  log_warn("MIC channel failed: %s", reason.c_str());
+  MIC_LOG_WARN("MIC channel failed: %s", reason.c_str());
   if (on_lost_) on_lost_(reason);
   if (!closed_notified_) {
     closed_notified_ = true;

@@ -11,7 +11,6 @@
 #include <map>
 #include <optional>
 
-#include "common/assert.hpp"
 #include "common/bits.hpp"
 #include "transport/stream.hpp"
 
@@ -59,11 +58,11 @@ inline transport::Chunk slice_header_chunk(const SliceHeader& header) {
   return transport::Chunk::copy(scratch);
 }
 
-/// nullopt for a header no MIC endpoint writes: a wrong magic, or a length
-/// above kMaxSliceBytes.
+/// nullopt for bytes no MIC endpoint writes as a header: not exactly
+/// kSliceHeaderBytes long, a wrong magic, or a length above kMaxSliceBytes.
 inline std::optional<SliceHeader> parse_slice_header(
     const std::vector<std::uint8_t>& bytes) {
-  MIC_ASSERT(bytes.size() == kSliceHeaderBytes);
+  if (bytes.size() != kSliceHeaderBytes) return std::nullopt;
   SliceHeader header;
   header.channel = load_be32(bytes.data());
   header.seq = load_be32(bytes.data() + 4);

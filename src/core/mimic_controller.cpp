@@ -258,8 +258,8 @@ bool MimicController::generate_decoys(int count, MFlowPlan& plan,
     }
   }
   if (decoy_ports.empty()) {
-    log_warn("channel: first MN %u has no spare switch ports for decoys",
-             first_mn);
+    MIC_LOG_WARN("channel: first MN %u has no spare switch ports for decoys",
+                 first_mn);
     return true;
   }
   for (int d = 0; d < count; ++d) {
@@ -995,8 +995,8 @@ void MimicController::notify_channel_event(ChannelId id, ChannelEvent event,
 void MimicController::lose_channel(ChannelId id, const std::string& reason) {
   const auto it = channels_.find(id);
   if (it == channels_.end()) return;
-  log_warn("channel %llu lost: %s", static_cast<unsigned long long>(id),
-           reason.c_str());
+  MIC_LOG_WARN("channel %llu lost: %s", static_cast<unsigned long long>(id),
+               reason.c_str());
   journal_.record_teardown(id);
   for (const topo::NodeId sw : it->second.touched_switches) {
     remove_cookie(sw, id, /*immediate=*/false);
@@ -1642,8 +1642,8 @@ void MimicController::mirror_directory_from(const MimicController& other) {
 void MimicController::on_fenced_out(topo::NodeId sw) {
   if (crashed_ || deposed_) return;
   deposed_ = true;
-  log_warn("MC deposed: switch %u holds a newer fence epoch (ours %llu)", sw,
-           static_cast<unsigned long long>(fence_epoch()));
+  MIC_LOG_WARN("MC deposed: switch %u holds a newer fence epoch (ours %llu)",
+               sw, static_cast<unsigned long long>(fence_epoch()));
   // Step down by self-crashing, but deferred: the refusal surfaces inside
   // an install path that may still be iterating controller state, and
   // crash() wipes it all.

@@ -28,8 +28,10 @@ struct MicConfig {
   sim::SimTime control_latency = sim::microseconds(150);
 
   // --- crash recovery ---------------------------------------------------------
-  /// Compact the write-ahead channel journal whenever it grows past this
-  /// many records (0 = never compact).
+  /// Compact the write-ahead channel journal once it grows past this many
+  /// records and past twice the live set its last compaction kept (0 =
+  /// never compact).  A floor, not a cap: see
+  /// ChannelJournal::set_compaction_threshold.
   std::size_t journal_compaction_threshold = 1024;
 
   // --- control-plane admission control ----------------------------------------

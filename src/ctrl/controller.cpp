@@ -34,7 +34,7 @@ bool Controller::op_admitted(topo::NodeId sw, std::uint64_t epoch) {
 }
 
 void Controller::on_fenced_out(topo::NodeId sw) {
-  log_debug("switch %u refused a stale-epoch op", sw);
+  MIC_LOG_DEBUG("switch %u refused a stale-epoch op", sw);
 }
 
 void Controller::install_rule(topo::NodeId sw, switchd::FlowRule rule) {
@@ -147,8 +147,8 @@ void Controller::subscribe_port_status() {
 }
 
 void Controller::on_port_status(topo::NodeId sw, topo::PortId port, bool up) {
-  log_debug("port-status from switch %u port %u: %s", sw, port,
-            up ? "up" : "down");
+  MIC_LOG_DEBUG("port-status from switch %u port %u: %s", sw, port,
+                up ? "up" : "down");
 }
 
 }  // namespace mic::ctrl

@@ -84,8 +84,8 @@ void StandbyController::on_probe_timeout(std::uint64_t seq) {
 bool StandbyController::take_over(const std::string& reason) {
   if (active_) return false;
   active_ = true;
-  log_warn("standby takeover (%s): replica holds %zu records",
-           reason.c_str(), replica_.size());
+  MIC_LOG_WARN("standby takeover (%s): replica holds %zu records",
+               reason.c_str(), replica_.size());
 
   // Detach from the old primary first: whatever it commits from here on
   // belongs to a deposed generation and must not leak into the replica.

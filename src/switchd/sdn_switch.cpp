@@ -127,7 +127,7 @@ void SdnSwitch::apply_actions(const std::vector<Action>& actions,
       MIC_ASSERT_MSG(allow_group, "group chaining is not allowed");
       const GroupEntry* group = table_.group(grp->group_id);
       if (group == nullptr) {
-        log_warn("switch %u: group %u not found", node_, grp->group_id);
+        MIC_LOG_WARN("switch %u: group %u not found", node_, grp->group_id);
         ++dropped_;
         return;
       }

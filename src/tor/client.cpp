@@ -189,8 +189,8 @@ void TorClient::on_cell(const CellHeader& header,
       break;
     }
     default:
-      log_warn("tor client: unexpected subcmd %d",
-               static_cast<int>(payload.subcmd));
+      MIC_LOG_WARN("tor client: unexpected subcmd %d",
+                   static_cast<int>(payload.subcmd));
   }
 }
 

@@ -74,8 +74,8 @@ void TorRelay::on_cell(Link& link, const CellHeader& header,
     if (header.cmd == CellCmd::kCreate) {
       handle_create(link, header, std::move(body));
     } else {
-      log_warn("tor relay %s: cell for unknown circuit %u",
-               host_.ip().str().c_str(), header.circuit);
+      MIC_LOG_WARN("tor relay %s: cell for unknown circuit %u",
+                   host_.ip().str().c_str(), header.circuit);
     }
     return;
   }
@@ -218,8 +218,8 @@ void TorRelay::handle_recognized(Circuit& circuit,
       break;
     }
     default:
-      log_warn("tor relay: unexpected recognized subcmd %d",
-               static_cast<int>(payload.subcmd));
+      MIC_LOG_WARN("tor relay: unexpected recognized subcmd %d",
+                   static_cast<int>(payload.subcmd));
   }
 }
 

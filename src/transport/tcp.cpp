@@ -64,8 +64,8 @@ void Host::receive(const net::Packet& packet, topo::PortId /*in_port*/) {
   if (packet.dst != ip_) {
     // A decoy from the partially-multicast mechanism that escaped its drop
     // rule, or a misrouted packet.  A real NIC discards it.
-    log_debug("host %s: dropping packet addressed to %s", ip_.str().c_str(),
-              packet.dst.str().c_str());
+    MIC_LOG_DEBUG("host %s: dropping packet addressed to %s",
+                  ip_.str().c_str(), packet.dst.str().c_str());
     return;
   }
 
@@ -104,8 +104,8 @@ void Host::process_segment(const net::Packet& pkt) {
       return;
     }
   }
-  log_debug("host %s: no socket for %s:%u -> :%u", ip_.str().c_str(),
-            pkt.src.str().c_str(), pkt.sport, pkt.dport);
+  MIC_LOG_DEBUG("host %s: no socket for %s:%u -> :%u", ip_.str().c_str(),
+                pkt.src.str().c_str(), pkt.sport, pkt.dport);
 }
 
 void Host::stage_transmit(net::Packet packet) {
@@ -456,9 +456,9 @@ void TcpConnection::disarm_rto() {
 void TcpConnection::on_rto() {
   if (++consecutive_rtos_ > kMaxConsecutiveRtos) {
     // The peer (or the path) is gone: abort, as a real stack would.
-    log_warn("tcp %s:%u -> %s:%u aborted after %d consecutive RTOs",
-             local_ip_.str().c_str(), local_port_, remote_ip_.str().c_str(),
-             remote_port_, kMaxConsecutiveRtos);
+    MIC_LOG_WARN("tcp %s:%u -> %s:%u aborted after %d consecutive RTOs",
+                 local_ip_.str().c_str(), local_port_,
+                 remote_ip_.str().c_str(), remote_port_, kMaxConsecutiveRtos);
     state_ = State::kClosed;
     notify_closed();
     return;

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -47,13 +49,15 @@ std::vector<JournalRecord> reference_compaction(
 }
 
 /// The journal's append / adopt / truncate semantics over a plain vector,
-/// compacting with reference_compaction() whenever the log outgrows the
-/// threshold.  Mirrors every store call the real journal makes.
+/// compacting with reference_compaction() whenever the log outgrows both
+/// the threshold and twice the live set the last compaction kept.  Mirrors
+/// every store call the real journal makes.
 struct ReferenceJournal {
   std::vector<JournalRecord> log;
   std::uint64_t next_seq = 1;
   std::uint64_t epoch = 0;
   std::size_t threshold = 0;
+  std::size_t compacted_size = 0;
   std::uint64_t compactions = 0;
   JournalStore* store = nullptr;
 
@@ -74,8 +78,12 @@ struct ReferenceJournal {
     log.resize(log.size() - std::min(n, log.size()));
   }
   void maybe_compact() {
-    if (threshold == 0 || log.size() <= threshold) return;
+    if (threshold == 0 ||
+        log.size() <= std::max(threshold, 2 * compacted_size)) {
+      return;
+    }
     log = reference_compaction(log, next_seq, epoch);
+    compacted_size = log.size();
     ++compactions;
     if (store != nullptr) store->compact(log);
   }
@@ -264,7 +272,11 @@ std::uint64_t run_program(std::uint64_t seed, std::size_t threshold,
 }
 
 TEST(ChannelJournalCompaction, FoldEqualsTheReplayReference) {
-  for (const std::size_t threshold : {1u, 4u, 64u}) {
+  // Every threshold runs both kinds of compaction moment.  At 1 and 4 the
+  // live set soon outgrows half the floor and doubling sets most of them;
+  // at 32 and 64 the floor sets the early ones and doubling takes over
+  // once the live set (adopted records included) passes half the floor.
+  for (const std::size_t threshold : {1u, 4u, 32u, 64u}) {
     std::uint64_t compactions = 0;
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
       compactions += run_program(seed * 0x9e3779b9ULL + threshold, threshold,
@@ -283,6 +295,51 @@ TEST(ChannelJournalCompaction, StoreBytesEqualTheReplayReference) {
                                  /*with_store=*/true, 400);
     }
     EXPECT_GE(compactions, 6u) << "threshold " << threshold;
+  }
+}
+
+TEST(ChannelJournalCompaction, SteadyChurnCompactsOncePerLiveSet) {
+  // A live set four times the floor, churned one teardown + establish at
+  // a time: the log stays within twice the live set, and a compaction
+  // runs once per live set's worth of appends, not on every append.
+  constexpr std::size_t kFloor = 64;
+  constexpr std::size_t kLive = 256;
+  constexpr std::size_t kCycles = 2560;
+  Rng rng(19);
+  ChannelJournal journal;
+  journal.set_compaction_threshold(kFloor);
+  std::map<ChannelId, ChannelState> live;
+  ChannelId next_id = 1;
+  const auto establish = [&] {
+    const ChannelState state = random_state(rng, next_id++);
+    journal.record_establish(state, next_id, 0);
+    live.emplace(state.id, state);
+  };
+  constexpr std::size_t kBound = std::max(kFloor, 2 * kLive) + 1;
+  for (std::size_t i = 0; i < kLive; ++i) {
+    establish();
+    ASSERT_LE(journal.size(), kBound);
+  }
+  for (std::size_t cycle = 0; cycle < kCycles; ++cycle) {
+    auto victim = live.begin();
+    std::advance(victim, static_cast<std::ptrdiff_t>(rng.below(live.size())));
+    journal.record_teardown(victim->first);
+    live.erase(victim);
+    ASSERT_LE(journal.size(), kBound) << "cycle " << cycle;
+    establish();
+    ASSERT_LE(journal.size(), kBound) << "cycle " << cycle;
+  }
+
+  // appends() also counts the seqs compaction stamps on its snapshots;
+  // the cadence is measured against the records the workload wrote.
+  const std::size_t written = kLive + 2 * kCycles;
+  EXPECT_LE(journal.compactions(), written / kLive + 2);
+  const JournalImage image = journal.replay();
+  ASSERT_EQ(image.channels.size(), live.size());
+  for (const auto& [id, state] : live) {
+    ASSERT_TRUE(image.channels.contains(id)) << "channel " << id;
+    EXPECT_TRUE(structurally_equal(image.channels.at(id), state))
+        << "channel " << id;
   }
 }
 

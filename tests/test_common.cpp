@@ -1,9 +1,11 @@
-// Unit tests for the common substrate: deterministic RNG and bit helpers.
+// Unit tests for the common substrate: deterministic RNG, bit helpers and
+// the leveled logger.
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "common/bits.hpp"
+#include "common/log.hpp"
 #include "common/rng.hpp"
 
 namespace mic {
@@ -140,6 +142,28 @@ TEST(Bits, Splitmix64KnownSequence) {
   EXPECT_EQ(splitmix64(state), 0xe220a8397b1dcdafULL);
   EXPECT_EQ(splitmix64(state), 0x6e789e6aa1b965f4ULL);
   EXPECT_EQ(splitmix64(state), 0x06c45d188009454fULL);
+}
+
+TEST(Log, FilteredMessagesDoNotEvaluateTheirArguments) {
+  const LogLevel saved = log_level();
+  int evaluated = 0;
+  const auto argument = [&evaluated] {
+    ++evaluated;
+    return "argument";
+  };
+
+  set_log_level(LogLevel::kWarn);
+  MIC_LOG_DEBUG("filtered: %s", argument());
+  EXPECT_EQ(evaluated, 0);
+  set_log_level(LogLevel::kOff);
+  MIC_LOG_WARN("filtered: %s", argument());
+  EXPECT_EQ(evaluated, 0);
+
+  // A message that passes the level evaluates its arguments exactly once.
+  set_log_level(LogLevel::kWarn);
+  MIC_LOG_WARN("logger self-test, expected on stderr: %s", argument());
+  EXPECT_EQ(evaluated, 1);
+  set_log_level(saved);
 }
 
 }  // namespace

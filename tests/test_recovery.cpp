@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/audit_registry.hpp"
 #include "core/channel_journal.hpp"
@@ -100,7 +101,8 @@ TEST(ChannelJournal, AutoCompactionBoundsTheLog) {
 
   const ChannelJournal& journal = bed.fabric.mc().journal();
   EXPECT_GT(journal.compactions(), 0u);
-  EXPECT_LE(journal.size(), 4u + 1u);  // threshold + the latest append
+  // max(floor 4, 2 x the one live channel) + the latest append.
+  EXPECT_LE(journal.size(), 4u + 1u);
   const JournalImage image = journal.replay();
   ASSERT_EQ(image.channels.size(), 1u);
   EXPECT_TRUE(image.channels.contains(keeper->id()));
@@ -192,6 +194,39 @@ TEST(CrashRecovery, CleanJournalRecoversEverythingInPlace) {
   bed.run();
   EXPECT_EQ(bed.received, 2 * kBytes);
   EXPECT_EQ(bed.fabric.mc().crashes(), 1u);
+}
+
+TEST(CrashRecovery, RecoverRebuildsALargeJournalInFewCompactions) {
+  // recover() clears the journal and re-records every live channel.  With
+  // four times the floor live, that rebuild must compact once per doubling
+  // of the log, not once per re-recorded channel.
+  FabricOptions fo;
+  fo.mic.journal_compaction_threshold = 4;
+  RecoveryBed bed(fo);
+  std::vector<std::unique_ptr<MicChannel>> clients;
+  for (std::size_t i = 0; i < 16; ++i) {
+    clients.push_back(bed.client(i % 8, bed.options()));
+  }
+  bed.run();
+  for (const auto& client : clients) ASSERT_TRUE(client->ready());
+
+  MimicController& mc = bed.fabric.mc();
+  mc.crash();
+  const std::uint64_t compactions_before = mc.journal().compactions();
+  const auto report = mc.recover(mc.journal());
+  bed.run();
+  EXPECT_EQ(report.channels_recovered, 16u);
+  EXPECT_LE(mc.journal().compactions() - compactions_before, 2u);
+
+  const audit::RunReport audit = audit::run_all(bed.fabric);
+  EXPECT_TRUE(audit.ok) << audit.first_violation();
+  const JournalImage image = mc.journal().replay();
+  ASSERT_EQ(image.channels.size(), mc.active_channel_count());
+  for (const ChannelId id : mc.channel_ids()) {
+    ASSERT_TRUE(image.channels.contains(id)) << "channel " << id;
+    EXPECT_TRUE(structurally_equal(image.channels.at(id), *mc.channel(id)))
+        << "channel " << id;
+  }
 }
 
 TEST(CrashRecovery, TruncatedJournalSweepsTheUnexplainedChannel) {
