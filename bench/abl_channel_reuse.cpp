@@ -5,6 +5,7 @@
 // bench compares the MC request load and total session-setup latency for a
 // burst of short sessions between one pair, with and without reuse.
 #include <cstdio>
+#include <string>
 
 #include "common.hpp"
 
@@ -17,15 +18,20 @@ int main() {
   std::printf("%-10s %14s %16s %14s\n", "mode", "mc_requests",
               "total_setup_ms", "mc_cpu_ms");
 
+  Runs runs;
   for (const bool reuse : {false, true}) {
+    const std::string mode = reuse ? "reuse" : "fresh";
     FabricOptions options;
     options.seed = 21;
     Fabric fabric(options);
     auto& simulator = fabric.simulator();
 
+    std::uint64_t received = 0;
     MicServer server(fabric.host(kServerHost), 7000, fabric.rng());
-    server.set_on_channel([](mic::core::MicServerChannel& channel) {
-      channel.set_on_data([](const mic::transport::ChunkView&) {});
+    server.set_on_channel([&received](mic::core::MicServerChannel& channel) {
+      channel.set_on_data([&received](const mic::transport::ChunkView& view) {
+        received += view.length;
+      });
     });
 
     double total_setup_ms = 0.0;
@@ -42,13 +48,19 @@ int main() {
         channel = std::make_unique<MicChannel>(
             fabric.host(kClientHost), fabric.mc(), mic_options, fabric.rng());
         simulator.run_until();
+        runs.expect(channel->ready(), mode + " session " + std::to_string(s) +
+                                          ": channel never came up");
         total_setup_ms += mic::sim::to_millis(channel->setup_time());
       } else {
         channel->reacquire();  // periodic notification instead of a request
       }
+      const std::uint64_t before = received;
       channel->send(mic::transport::Chunk::real(
           std::vector<std::uint8_t>(512, 0x42)));
       simulator.run_until();
+      runs.expect(received - before == 512,
+                  mode + " session " + std::to_string(s) +
+                      ": the 512 request bytes did not arrive");
       if (reuse) channel->release_for_reuse();
       simulator.run_until();
     }
@@ -59,5 +71,5 @@ int main() {
                 total_setup_ms,
                 mic::sim::to_millis(fabric.mc().mc_cpu().busy_time()));
   }
-  return 0;
+  return runs.exit_code();
 }

@@ -5,6 +5,7 @@
 // as the channel size.  With striping, the observed fraction tends to 1/F.
 // Also reports the goodput cost of splitting the channel.
 #include <cstdio>
+#include <string>
 
 #include "anonymity/attacks.hpp"
 #include "common.hpp"
@@ -18,6 +19,7 @@ int main() {
   std::printf("%-8s %14s %12s %12s\n", "F", "observed_frac", "size_err",
               "goodput_Mb");
 
+  Runs runs;
   for (const int flows : {1, 2, 4, 8}) {
     FabricOptions options;
     options.seed = 11;
@@ -56,10 +58,12 @@ int main() {
         observer.ingress(), plan.forward[1].src, plan.forward[1].dst);
     const double fraction =
         static_cast<double>(seen) / static_cast<double>(kBytes);
-    const double goodput =
-        sink != nullptr && sink->finished() ? sink->goodput_bps() / 1e6 : 0.0;
+    const bool finished = runs.expect(
+        sink != nullptr && sink->finished(),
+        "F=" + std::to_string(flows) + ": the sink never finished");
+    const double goodput = finished ? sink->goodput_bps() / 1e6 : 0.0;
     std::printf("%-8d %14.3f %12.3f %12.1f\n", flows, fraction,
                 std::abs(1.0 - fraction), goodput);
   }
-  return 0;
+  return runs.exit_code();
 }

@@ -9,6 +9,7 @@
 // first MN and after the last), so success stays near zero until coverage
 // is nearly total -- the quantitative version of the paper's argument.
 #include <cstdio>
+#include <string>
 
 #include "anonymity/attacks.hpp"
 #include "common.hpp"
@@ -23,6 +24,8 @@ int main() {
   std::printf("# %d trials per row, one mimic channel each (N=3)\n", kTrials);
   std::printf("%-12s %10s\n", "compromised", "link_rate");
 
+  constexpr std::uint64_t kBytes = 64 * 1024;
+  Runs runs;
   for (const int percent : {10, 25, 50, 75, 90, 100}) {
     int linked = 0;
     for (int trial = 0; trial < kTrials; ++trial) {
@@ -31,9 +34,12 @@ int main() {
       Fabric fabric(options);
       Rng pick(500 + static_cast<std::uint64_t>(trial));
 
+      std::uint64_t received = 0;
       MicServer server(fabric.host(kServerHost), 7000, fabric.rng());
-      server.set_on_channel([](core::MicServerChannel& channel) {
-        channel.set_on_data([](const transport::ChunkView&) {});
+      server.set_on_channel([&received](core::MicServerChannel& channel) {
+        channel.set_on_data([&received](const transport::ChunkView& view) {
+          received += view.length;
+        });
       });
 
       // Compromise `percent` of the switches (taps on their links).
@@ -51,8 +57,11 @@ int main() {
       channel_options.responder_port = 7000;
       MicChannel channel(fabric.host(kClientHost), fabric.mc(),
                          channel_options, fabric.rng());
-      channel.send(transport::Chunk::virtual_bytes(64 * 1024));
+      channel.send(transport::Chunk::virtual_bytes(kBytes));
       fabric.simulator().run_until();
+      runs.expect(received == kBytes,
+                  std::to_string(percent) + "% compromised, trial " +
+                      std::to_string(trial) + ": the 64 KiB did not arrive");
 
       // The adversary tries every payload fingerprint it captured.
       bool trial_linked = false;
@@ -74,5 +83,5 @@ int main() {
     std::printf("%10d%% %10.2f\n", percent,
                 static_cast<double>(linked) / kTrials);
   }
-  return 0;
+  return runs.exit_code();
 }

@@ -5,6 +5,7 @@
 // which should fall toward 1/(k+1) -- and (b) the bandwidth and goodput
 // cost of carrying the decoys.
 #include <cstdio>
+#include <string>
 
 #include "anonymity/attacks.hpp"
 #include "common.hpp"
@@ -22,6 +23,7 @@ int main() {
   std::printf("%-8s %12s %12s %12s %12s\n", "decoys", "succ_rate",
               "candidates", "goodput_Mb", "fabric_MB");
 
+  Runs runs;
   for (const int decoys : {0, 1, 2, 3}) {
     FabricOptions options;
     options.seed = 7;
@@ -64,11 +66,13 @@ int main() {
 
     const CorrelationReport report = mic::anonymity::correlate_at_switch(
         observer, mic::sim::milliseconds(10));
-    const double goodput =
-        sink != nullptr && sink->finished() ? sink->goodput_bps() / 1e6 : 0.0;
+    const bool finished = runs.expect(
+        sink != nullptr && sink->finished(),
+        "decoys=" + std::to_string(decoys) + ": the sink never finished");
+    const double goodput = finished ? sink->goodput_bps() / 1e6 : 0.0;
     std::printf("%-8d %12.3f %12.2f %12.1f %12.1f\n", decoys,
                 report.expected_success, report.mean_candidates, goodput,
                 static_cast<double>(fabric_bytes) / 1e6);
   }
-  return 0;
+  return runs.exit_code();
 }

@@ -6,6 +6,7 @@
 //   MIC fresh    - a fresh mimic channel per RPC (worst case)
 //   MIC reuse    - one mimic channel reused across RPCs via the pool
 #include <cstdio>
+#include <string>
 
 #include "common.hpp"
 
@@ -20,8 +21,9 @@ std::vector<std::uint8_t> request_bytes() {
   return std::vector<std::uint8_t>(1024, 0x3f);
 }
 
-/// Runs `kSessions` sequential RPCs; returns total time in ms.
-double run_tcp() {
+/// Runs `kSessions` sequential RPCs; returns total time in ms, or 0 after
+/// reporting an incomplete RPC to `runs`.
+double run_tcp(Runs& runs) {
   Fabric fabric;
   auto& simulator = fabric.simulator();
   fabric.host(kServerHost).listen(5000, [&](transport::TcpConnection& conn) {
@@ -47,8 +49,7 @@ double run_tcp() {
       if (received >= 4096) done = true;
     });
     simulator.run_until();
-    if (!done) {
-      std::fprintf(stderr, "tcp rpc %d incomplete\n", s);
+    if (!runs.expect(done, "TCP rpc " + std::to_string(s) + " incomplete")) {
       return 0;
     }
     conn.close();
@@ -57,7 +58,7 @@ double run_tcp() {
   return sim::to_millis(simulator.now() - start);
 }
 
-double run_mic(bool reuse) {
+double run_mic(Runs& runs, bool reuse) {
   Fabric fabric;
   auto& simulator = fabric.simulator();
   fabric.mc().register_client(fabric.ip(kClientHost));
@@ -93,8 +94,8 @@ double run_mic(bool reuse) {
     });
     channel.send(transport::Chunk::real(request_bytes()));
     simulator.run_until();
-    if (!done) {
-      std::fprintf(stderr, "mic rpc %d incomplete\n", s);
+    if (!runs.expect(done, std::string(reuse ? "MIC-reuse" : "MIC-fresh") +
+                               " rpc " + std::to_string(s) + " incomplete")) {
       return 0;
     }
     if (reuse) {
@@ -114,14 +115,15 @@ int main() {
   std::printf("# Ablation: %d sequential short RPCs (1 KB -> 4 KB)\n",
               kSessions);
   std::printf("%-10s %14s %16s\n", "mode", "total_ms", "per_session_ms");
-  const double tcp = run_tcp();
-  const double fresh = run_mic(/*reuse=*/false);
-  const double reused = run_mic(/*reuse=*/true);
+  Runs runs;
+  const double tcp = run_tcp(runs);
+  const double fresh = run_mic(runs, /*reuse=*/false);
+  const double reused = run_mic(runs, /*reuse=*/true);
   std::printf("%-10s %14.2f %16.3f\n", "TCP", tcp, tcp / kSessions);
   std::printf("%-10s %14.2f %16.3f\n", "MIC-fresh", fresh, fresh / kSessions);
   std::printf("%-10s %14.2f %16.3f\n", "MIC-reuse", reused,
               reused / kSessions);
   std::printf("# reuse removes the per-session MC round trip + rule "
               "install,\n# closing most of the gap to plain TCP.\n");
-  return 0;
+  return runs.exit_code();
 }

@@ -406,8 +406,16 @@ inline RunResult run_multi_flow(const MultiFlowConfig& config) {
 /// The runners the figure benches call, counting failures.  A failed run
 /// returns zeros, which print like data, so each failure is named on
 /// stderr and exit_code() turns non-zero; stdout is left to the bench.
+/// Benches that drive their own scenario report each session through
+/// expect().
 class Runs {
  public:
+  /// Counts `what` as failed unless `ok`; returns `ok`.
+  bool expect(bool ok, const std::string& what) {
+    if (!ok) fail(what);
+    return ok;
+  }
+
   RunResult session(const SessionConfig& config) {
     RunResult result = run_session(config);
     if (!result.ok) {

@@ -25,6 +25,7 @@
 #include "core/fabric.hpp"
 #include "core/fault_injector.hpp"
 #include "core/mic_client.hpp"
+#include "provenance.hpp"
 
 namespace {
 
@@ -281,8 +282,10 @@ int main(int argc, char** argv) {
   write_series("flooded", flooded, flood_p50, flood_p99);
   std::fprintf(out,
                ",\"guard\":{\"p99_multiple\":%.3f,\"limit\":%.1f,"
-               "\"ok\":%s}}\n",
+               "\"ok\":%s},",
                multiple, kP99Multiple, ok ? "true" : "false");
+  mic::bench::write_provenance(out);
+  std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("# wrote BENCH_flood.json\n");
   return ok ? 0 : 1;

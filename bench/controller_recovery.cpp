@@ -11,13 +11,10 @@
 // latency numbers only count if the recovery was actually correct.
 //
 // A second sweep measures warm-standby failover end to end: primary +
-// durable journal store + standby, kill the primary, and record the
-// *simulated* takeover latency (kill -> standby active; dominated by the
-// missed-heartbeat budget) plus how much of the channel population the
-// replica still knew, across channel count x fsync policy x replication
-// lag.  Lazier fsync policies ship fewer durable records before the
-// crash, so the replica recovers fewer channels -- the sweep makes the
-// durability/latency trade-off measurable.
+// standby, kill the primary, and record the *simulated* takeover latency
+// (kill -> standby active; dominated by the missed-heartbeat budget) plus
+// how much of the channel population the replica still knew, across
+// channel count x replication lag.
 //
 //   controller_recovery           # full sweep: N in {1, 4, 16, 64, 2048}
 //   controller_recovery --smoke   # CI-sized: N in {1, 4}, single rep
@@ -25,21 +22,20 @@
 // 2,048 channels is twice the default journal compaction floor (1,024
 // records), so the full sweep also times recover()'s journal rebuild
 // above the floor.  Prints a table on stdout and writes
-// BENCH_recovery.json, with the build type, compiler and core count it
-// ran on, in the CWD.
+// BENCH_recovery.json, with the provenance of the build it ran on
+// (bench/provenance.hpp), in the CWD.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "core/audit_registry.hpp"
 #include "core/channel_journal.hpp"
 #include "core/fabric.hpp"
-#include "core/journal_store.hpp"
 #include "ctrl/standby.hpp"
+#include "provenance.hpp"
 
 namespace {
 
@@ -136,7 +132,6 @@ Point measure(int channels, bool truncated, int reps) {
 
 struct FailoverPoint {
   int channels = 0;
-  core::FsyncPolicy policy = core::FsyncPolicy::kEveryRecord;
   sim::SimTime replication_lag = 0;
   double takeover_sim_ms = 0.0;   // kill -> standby active, simulated
   double takeover_wall_ms = 0.0;  // wall time of driving that interval
@@ -145,32 +140,14 @@ struct FailoverPoint {
   bool audit_ok = false;
 };
 
-const char* policy_name(core::FsyncPolicy policy) {
-  switch (policy) {
-    case core::FsyncPolicy::kEveryRecord: return "every-record";
-    case core::FsyncPolicy::kEveryN: return "every-8";
-    case core::FsyncPolicy::kCommitBoundary: return "commit-bound";
-  }
-  return "?";
-}
-
-FailoverPoint measure_failover(int channels, core::FsyncPolicy policy,
-                               sim::SimTime replication_lag) {
+FailoverPoint measure_failover(int channels, sim::SimTime replication_lag) {
   FailoverPoint point;
   point.channels = channels;
-  point.policy = policy;
   point.replication_lag = replication_lag;
 
   FabricOptions fabric_options;
   fabric_options.seed = 11;
   Fabric fabric(fabric_options);
-  core::SimBackend backend;
-  core::JournalStoreOptions store_options;
-  store_options.fsync_policy = policy;
-  core::JournalStore store(backend, store_options);
-  // Wire durability and the standby *before* any channel exists: what the
-  // replica knows at the crash is exactly what the fsync policy shipped.
-  fabric.mc().journal().attach_store(&store);
   core::ControllerDirectory directory(fabric.mc());
   ctrl::StandbyOptions standby_options;
   standby_options.replication_lag = replication_lag;
@@ -183,9 +160,6 @@ FailoverPoint measure_failover(int channels, core::FsyncPolicy policy,
   fabric.simulator().run_until(fabric.simulator().now() +
                                sim::milliseconds(50));
 
-  // Kill: volatile page cache of the store is lost with the primary, so
-  // whatever the fsync policy left unsynced never reached the replica.
-  backend.crash();
   fabric.mc().crash();
   const sim::SimTime t_kill = fabric.simulator().now();
   const auto t0 = std::chrono::steady_clock::now();
@@ -200,9 +174,8 @@ FailoverPoint measure_failover(int channels, core::FsyncPolicy policy,
                                std::chrono::steady_clock::now() - t0)
                                .count();
   if (!standby.active()) {
-    std::fprintf(stderr, "standby never took over (n=%d %s lag=%lldus)\n",
-                 channels, policy_name(policy),
-                 static_cast<long long>(replication_lag / 1000));
+    std::fprintf(stderr, "standby never took over (n=%d lag=%lldus)\n",
+                 channels, static_cast<long long>(replication_lag / 1000));
     std::exit(1);
   }
   point.takeover_sim_ms =
@@ -250,12 +223,6 @@ int main(int argc, char** argv) {
   }
 
   // --- failover sweep: takeover latency + replica completeness ---------------
-  const std::vector<core::FsyncPolicy> policies =
-      smoke ? std::vector<core::FsyncPolicy>{core::FsyncPolicy::kEveryRecord,
-                                             core::FsyncPolicy::kCommitBoundary}
-            : std::vector<core::FsyncPolicy>{core::FsyncPolicy::kEveryRecord,
-                                             core::FsyncPolicy::kEveryN,
-                                             core::FsyncPolicy::kCommitBoundary};
   const std::vector<sim::SimTime> lags =
       smoke ? std::vector<sim::SimTime>{sim::microseconds(300)}
             : std::vector<sim::SimTime>{sim::microseconds(100),
@@ -264,31 +231,29 @@ int main(int argc, char** argv) {
 
   std::printf("\n# Warm-standby failover: simulated takeover latency (primary\n"
               "# kill -> standby active; missed-heartbeat budget dominates)\n"
-              "# and replica completeness vs fsync policy / replication lag\n");
-  std::printf("%-9s %-13s %7s %12s %9s %9s %5s %5s %8s %6s\n",
-              "channels", "fsync", "lag_us", "takeover_ms", "replicated",
-              "recovered", "kept", "lost", "orphans", "audit");
+              "# and replica completeness vs replication lag\n");
+  std::printf("%-9s %7s %12s %9s %9s %5s %5s %8s %6s\n", "channels",
+              "lag_us", "takeover_ms", "replicated", "recovered", "kept",
+              "lost", "orphans", "audit");
 
   std::vector<FailoverPoint> failover_points;
   for (const int n : channel_counts) {
-    for (const core::FsyncPolicy policy : policies) {
-      for (const sim::SimTime lag : lags) {
-        const FailoverPoint p = measure_failover(n, policy, lag);
-        failover_points.push_back(p);
-        std::printf(
-            "%-9d %-13s %7lld %12.3f %9llu %9zu %5zu %5zu %8zu %6s\n",
-            p.channels, policy_name(p.policy),
-            static_cast<long long>(p.replication_lag / 1000),
-            p.takeover_sim_ms,
-            static_cast<unsigned long long>(p.records_replicated),
-            p.report.channels_recovered, p.report.channels_kept,
-            p.report.channels_lost, p.report.orphan_rules_removed,
-            p.audit_ok ? "ok" : "FAIL");
-        if (!p.audit_ok) {
-          std::fprintf(stderr, "audit failed after failover (n=%d %s)\n",
-                       p.channels, policy_name(p.policy));
-          return 1;
-        }
+    for (const sim::SimTime lag : lags) {
+      const FailoverPoint p = measure_failover(n, lag);
+      failover_points.push_back(p);
+      std::printf("%-9d %7lld %12.3f %9llu %9zu %5zu %5zu %8zu %6s\n",
+                  p.channels,
+                  static_cast<long long>(p.replication_lag / 1000),
+                  p.takeover_sim_ms,
+                  static_cast<unsigned long long>(p.records_replicated),
+                  p.report.channels_recovered, p.report.channels_kept,
+                  p.report.channels_lost, p.report.orphan_rules_removed,
+                  p.audit_ok ? "ok" : "FAIL");
+      if (!p.audit_ok) {
+        std::fprintf(stderr, "audit failed after failover (n=%d lag=%lldus)\n",
+                     p.channels,
+                     static_cast<long long>(p.replication_lag / 1000));
+        return 1;
       }
     }
   }
@@ -323,13 +288,13 @@ int main(int argc, char** argv) {
     const FailoverPoint& p = failover_points[i];
     std::fprintf(
         out,
-        "%s{\"channels\":%d,\"fsync_policy\":\"%s\","
+        "%s{\"channels\":%d,"
         "\"replication_lag_us\":%lld,\"takeover_sim_ms\":%.3f,"
         "\"takeover_wall_ms\":%.3f,\"records_replicated\":%llu,"
         "\"channels_recovered\":%zu,\"channels_kept\":%zu,"
         "\"channels_replanned\":%zu,\"channels_lost\":%zu,"
         "\"orphan_rules_removed\":%zu,\"audit_ok\":%s}",
-        i == 0 ? "" : ",", p.channels, policy_name(p.policy),
+        i == 0 ? "" : ",", p.channels,
         static_cast<long long>(p.replication_lag / 1000), p.takeover_sim_ms,
         p.takeover_wall_ms,
         static_cast<unsigned long long>(p.records_replicated),
@@ -337,11 +302,9 @@ int main(int argc, char** argv) {
         p.report.channels_replanned, p.report.channels_lost,
         p.report.orphan_rules_removed, p.audit_ok ? "true" : "false");
   }
-  std::fprintf(out,
-               "],\"build\":{\"type\":\"%s\",\"compiler\":\"%s\","
-               "\"hardware_concurrency\":%u}}\n",
-               BENCH_BUILD_TYPE, BENCH_COMPILER,
-               std::thread::hardware_concurrency());
+  std::fprintf(out, "],");
+  mic::bench::write_provenance(out);
+  std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("# wrote BENCH_recovery.json\n");
   return 0;

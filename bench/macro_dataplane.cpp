@@ -20,10 +20,9 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "core/fabric.hpp"
 #include "core/mic_client.hpp"
+#include "provenance.hpp"
 
 namespace {
 
@@ -226,8 +225,9 @@ int main(int argc, char** argv) {
                  config.flows);
     std::fprintf(f, "  \"bytes_per_flow\": %llu,\n",
                  static_cast<unsigned long long>(config.bytes_per_flow));
-    std::fprintf(f, "  \"hardware_concurrency\": %ld,\n",
-                 sysconf(_SC_NPROCESSORS_ONLN));
+    std::fprintf(f, "  ");
+    mic::bench::write_provenance(f);
+    std::fprintf(f, ",\n");
     std::fprintf(f, "  \"runs\": [\n");
     for (std::size_t i = 0; i < runs.size(); ++i) {
       const RunResult& run = runs[i];

@@ -24,6 +24,7 @@
 #include <cstring>
 
 #include "common/rng.hpp"
+#include "provenance.hpp"
 #include "sim/simulator.hpp"
 #include "support/reference_simulator.hpp"
 
@@ -238,7 +239,9 @@ int run_sweep_json() {
                 wheel_cps / heap_cps);
     first = false;
   }
-  std::printf("]}\n");
+  std::printf("],");
+  mic::bench::write_provenance(stdout);
+  std::printf("}\n");
   return 0;
 }
 

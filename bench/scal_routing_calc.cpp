@@ -19,9 +19,8 @@
 #include <unordered_set>
 #include <vector>
 
-#include <unistd.h>
-
 #include "core/fabric.hpp"
+#include "provenance.hpp"
 #include "support/paths.hpp"
 #include "topology/fattree.hpp"
 #include "topology/path_engine.hpp"
@@ -272,9 +271,7 @@ int run_sweep_json() {
         .count();
   };
 
-  std::printf("{\"bench\":\"scal_routing_calc\",\"hardware_concurrency\":%ld,"
-              "\"series\":[",
-              sysconf(_SC_NPROCESSORS_ONLN));
+  std::printf("{\"bench\":\"scal_routing_calc\",\"series\":[");
   bool first = true;
   for (const int k : {4, 8, 16}) {
     const topo::FatTree ft(k);
@@ -378,7 +375,9 @@ int run_sweep_json() {
             static_cast<double>(local_invalidated + local_retained));
     first = false;
   }
-  std::printf("]}\n");
+  std::printf("],");
+  mic::bench::write_provenance(stdout);
+  std::printf("}\n");
   return 0;
 }
 

@@ -37,6 +37,16 @@ echo "== admission flood guard =="
 # time, so this is exact, not a wall-clock threshold).
 ./build/bench/control_flood --smoke
 
+echo "== ablation + fast figure benches =="
+# Each exits non-zero when one of its sessions fails (a failed session
+# would otherwise print zeros like data).  fig9b (~45 s) stays out.
+for b in abl_channel_reuse abl_multi_mflow abl_observer_sweep \
+         abl_partial_multicast abl_privacy_level abl_short_sessions \
+         fig7_route_setup fig8_latency fig9a_throughput_pathlen \
+         fig9c_cpu_usage; do
+  ./build/bench/$b > /dev/null
+done
+
 echo "== recovery + failover smoke (audit-gated) =="
 # The crash/recover sweep plus the warm-standby failover leg; each point
 # re-checks audit::run_all, so a reconciliation bug fails the run even if

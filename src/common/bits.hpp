@@ -67,11 +67,6 @@ constexpr void store_be64(std::uint8_t* p, std::uint64_t v) noexcept {
   store_be32(p + 4, static_cast<std::uint32_t>(v));
 }
 
-constexpr std::uint64_t load_le64(const std::uint8_t* p) noexcept {
-  return static_cast<std::uint64_t>(load_le32(p)) |
-         (static_cast<std::uint64_t>(load_le32(p + 4)) << 32);
-}
-
 constexpr void store_le64(std::uint8_t* p, std::uint64_t v) noexcept {
   store_le32(p, static_cast<std::uint32_t>(v));
   store_le32(p + 4, static_cast<std::uint32_t>(v >> 32));

@@ -4,9 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/assert.hpp"
-#include "core/journal_store.hpp"
-
 namespace mic::core {
 
 bool structurally_equal(const ChannelState& a, const ChannelState& b) {
@@ -32,8 +29,8 @@ ChannelJournal& ChannelJournal::operator=(const ChannelJournal& other) {
   compacted_size_ = other.compacted_size_;
   compactions_ = other.compactions_;
   epoch_ = other.epoch_;
-  // store_/listener_/unshipped_ deliberately untouched: the plumbing stays
-  // with whatever this journal was wired to (see header).
+  // listener_ deliberately untouched: it stays with whatever this journal
+  // was wired to (see header).
   return *this;
 }
 
@@ -149,11 +146,6 @@ void ChannelJournal::compact() {
   records_ = std::move(snapshots);
   compacted_size_ = records_.size();
   ++compactions_;
-  if (store_ != nullptr) {
-    store_->compact(records_);
-    // A compaction syncs everything: whatever was pending is durable now.
-    maybe_ship();
-  }
 }
 
 void ChannelJournal::truncate_tail(std::size_t n) {
@@ -163,66 +155,22 @@ void ChannelJournal::truncate_tail(std::size_t n) {
 void ChannelJournal::clear() {
   records_.clear();
   compacted_size_ = 0;
-  // Records that never reached the commit frontier die with the crash:
-  // they must not ship to a standby after the fact.
-  unshipped_.clear();
-  if (store_ != nullptr) store_->compact({});
-}
-
-void ChannelJournal::attach_store(JournalStore* store) {
-  if (store != nullptr) {
-    MIC_ASSERT_MSG(records_.empty() && next_seq_ == 1,
-                   "attach_store after records were written");
-  }
-  store_ = store;
 }
 
 void ChannelJournal::set_commit_listener(
     std::function<void(const JournalRecord&)> listener) {
   listener_ = std::move(listener);
   if (!listener_) return;
-  // Catch-up: everything already committed (= in the log minus the
-  // still-unshipped tail) is the follower's starting history.
-  MIC_ASSERT(unshipped_.size() <= records_.size());
-  const std::size_t committed = records_.size() - unshipped_.size();
-  for (std::size_t i = 0; i < committed; ++i) listener_(records_[i]);
-}
-
-void ChannelJournal::commit_boundary() {
-  if (store_ != nullptr) store_->commit_boundary();
-  maybe_ship();
-}
-
-std::uint64_t ChannelJournal::durable_frontier() const {
-  return store_ != nullptr ? store_->records_durable() : real_appends_;
-}
-
-void ChannelJournal::maybe_ship() {
-  while (!unshipped_.empty() &&
-         real_appends_ - unshipped_.size() < durable_frontier()) {
-    JournalRecord record = std::move(unshipped_.front());
-    unshipped_.pop_front();
-    ++shipped_;
-    if (listener_) listener_(record);
-  }
+  // Catch-up: the whole log is the follower's starting history.
+  for (const JournalRecord& record : records_) listener_(record);
 }
 
 void ChannelJournal::append(JournalRecord record) {
   record.seq = next_seq_++;
   record.epoch = epoch_;
-  ++real_appends_;
-  if (store_ != nullptr) {
-    store_->append(record);
-    unshipped_.push_back(record);
-    records_.push_back(std::move(record));
-    maybe_ship();
-  } else {
-    records_.push_back(std::move(record));
-    if (listener_) {
-      ++shipped_;
-      listener_(records_.back());
-    }
-  }
+  records_.push_back(std::move(record));
+  ++shipped_;
+  if (listener_) listener_(records_.back());
   maybe_compact();
 }
 

@@ -8,17 +8,14 @@
 // channel, and `truncate_tail()` models a crash mid-commit (the tail
 // record never made it to stable storage).
 //
-// The in-memory log can be backed by a JournalStore (journal_store.hpp):
-// every append is mirrored into the store's CRC-framed segment log, and the
-// store's fsync policy decides when a record becomes *committed* (durable).
-// Committed records are what the journal ships to a subscribed follower
-// (the warm standby's replica stream): a record lost to a crash before its
-// fsync is, by construction, also a record the standby never saw.
+// The journal is the model's stable storage: it survives
+// MimicController::crash() by definition.  Every record ships to a
+// subscribed follower (the warm standby's replica stream) as it is
+// appended.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <vector>
@@ -26,8 +23,6 @@
 #include "core/channel.hpp"
 
 namespace mic::core {
-
-class JournalStore;
 
 enum class JournalRecordType : std::uint8_t {
   kEstablish,  // full ChannelState at plan time
@@ -73,10 +68,9 @@ bool structurally_equal(const ChannelState& a, const ChannelState& b);
 class ChannelJournal {
  public:
   ChannelJournal() = default;
-  /// Copies carry the log, not the plumbing: an attached store, commit
-  /// listener, and unshipped queue stay with the original (the chaos
-  /// harness copies journals to model torn tails; a copy must never write
-  /// to the primary's disk or ship to its standby).
+  /// Copies carry the log, not the commit listener: it stays with the
+  /// original (the chaos harness copies journals to model torn tails; a
+  /// copy must never ship to the primary's standby).
   ChannelJournal(const ChannelJournal& other);
   ChannelJournal& operator=(const ChannelJournal& other);
 
@@ -87,8 +81,7 @@ class ChannelJournal {
   void record_teardown(ChannelId channel);
 
   /// Append a record verbatim, preserving its seq/epoch stamps: how a
-  /// standby's replica ingests shipped records, and how a log loaded from
-  /// a JournalStore is rebuilt.
+  /// standby's replica ingests shipped records.
   void adopt_record(JournalRecord record);
 
   /// Fold the log into the image a recovering MC adopts.
@@ -118,23 +111,12 @@ class ChannelJournal {
     compaction_threshold_ = records;
   }
 
-  // --- durability + replication plumbing -------------------------------------
+  // --- replication -----------------------------------------------------------
 
-  /// Mirror every subsequent append into `store` (nullptr detaches).  Must
-  /// be attached before the first record is written: the store is the
-  /// journal's stable storage, not a partial backup.
-  void attach_store(JournalStore* store);
-  JournalStore* store() const noexcept { return store_; }
-
-  /// Subscribe to committed records (the standby's replication stream).
-  /// Records already committed are delivered immediately, then every
-  /// record as soon as its bytes are durable under the store's fsync
-  /// policy (instantly when no store is attached).
+  /// Subscribe a follower (the warm standby's replication stream): the
+  /// whole log is delivered immediately, then every record as it is
+  /// appended.
   void set_commit_listener(std::function<void(const JournalRecord&)> listener);
-
-  /// Transaction boundary: under FsyncPolicy::kCommitBoundary this is
-  /// where the store syncs and pending records become committed/shipped.
-  void commit_boundary();
 
   std::uint64_t epoch() const noexcept { return epoch_; }
   void set_epoch(std::uint64_t epoch) noexcept { epoch_ = epoch; }
@@ -148,16 +130,14 @@ class ChannelJournal {
   /// compaction re-stamped (monotone; survives compaction).
   std::uint64_t appends() const noexcept { return next_seq_ - 1; }
   std::uint64_t compactions() const noexcept { return compactions_; }
-  /// Committed records delivered to the commit listener so far.
+  /// Records appended through record_*() so far, counted whether or not
+  /// a commit listener was subscribed to receive them.
   std::uint64_t records_shipped() const noexcept { return shipped_; }
 
  private:
   void append(JournalRecord record);
   /// Compact if the log has outgrown the floor and twice compacted_size_.
   void maybe_compact();
-  /// Deliver queued records whose bytes the store has made durable.
-  void maybe_ship();
-  std::uint64_t durable_frontier() const;
 
   std::vector<JournalRecord> records_;
   std::uint64_t next_seq_ = 1;
@@ -168,11 +148,7 @@ class ChannelJournal {
   std::uint64_t compactions_ = 0;
   std::uint64_t epoch_ = 0;
 
-  JournalStore* store_ = nullptr;
   std::function<void(const JournalRecord&)> listener_;
-  /// Appended but not yet known-durable records, pending shipment.
-  std::deque<JournalRecord> unshipped_;
-  std::uint64_t real_appends_ = 0;  // via append(); excludes snapshots
   std::uint64_t shipped_ = 0;
 };
 

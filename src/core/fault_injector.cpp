@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_set>
 
-#include "core/journal_store.hpp"
 #include "ctrl/standby.hpp"
 
 namespace mic::core {
@@ -21,10 +20,6 @@ constexpr sim::SimTime kInstallFaultDuration = sim::milliseconds(3);
 /// probability, for this long.
 constexpr double kControlDropProbability = 0.25;
 constexpr sim::SimTime kControlDropDuration = sim::milliseconds(3);
-/// kFsyncLapse kill: the next this-many fsyncs lapse, starting this long
-/// before the kill.
-constexpr int kFsyncLapseCount = 4;
-constexpr sim::SimTime kFsyncLapseLead = sim::milliseconds(3);
 /// kTornTail kill: replica records dropped at the kill (in-flight
 /// replication lost with the primary).
 constexpr std::size_t kKillTruncateRecords = 2;
@@ -202,20 +197,7 @@ void FaultInjector::arm() {
   }
   for (int i = 0; i < options_.primary_kills; ++i) {
     const sim::SimTime kill_at = fault_time();
-    // Drawn unconditionally so every mode shares one draw sequence: the
-    // same seed produces kills at the same instants in all four modes.
-    const std::uint64_t torn_bytes = 1 + rng_.below(48);
-    if (options_.primary_kill_mode == KillMode::kFsyncLapse) {
-      // Open the lapse window shortly before the kill: the final commits
-      // look durable to the primary but never ship to the standby.
-      const sim::SimTime lapse_at =
-          kill_at > kFsyncLapseLead ? kill_at - kFsyncLapseLead
-                                    : sim::SimTime{0};
-      sim.schedule_in(lapse_at, [this] {
-        if (backend_ != nullptr) backend_->lapse_fsyncs(kFsyncLapseCount);
-      });
-    }
-    sim.schedule_in(kill_at, [this, torn_bytes] {
+    sim.schedule_in(kill_at, [this] {
       ++primary_kills_fired_;
       if (options_.primary_kill_mode == KillMode::kZombie) {
         // The primary is healthy; only the standby's view of it dies.
@@ -225,10 +207,8 @@ void FaultInjector::arm() {
         return;
       }
       if (options_.primary_kill_mode == KillMode::kTornTail) {
-        if (backend_ != nullptr) backend_->arm_torn_tail(torn_bytes);
         standby_->drop_replica_tail(kKillTruncateRecords);
       }
-      if (backend_ != nullptr) backend_->crash();
       if (!mc_.crashed()) mc_.crash();
     });
   }

@@ -25,8 +25,6 @@ class StandbyController;
 
 namespace mic::core {
 
-class SimBackend;
-
 struct FaultInjectorOptions {
   std::uint64_t seed = 1;
   /// Faults fire at uniformly random offsets in [start, start + window),
@@ -85,13 +83,11 @@ struct FaultInjectorOptions {
   /// draws (append-only, like every extension before them), so enabling
   /// kills never perturbs an existing seed's schedule.
   enum class PrimaryKillMode : std::uint8_t {
-    kClean,       // crash the primary, nothing else
-    kTornTail,    // partial sector write + replica lag at the kill
-    kFsyncLapse,  // fsyncs lapse shortly before the kill: the MC believes
-                  // the final records committed, but the primary's own
-                  // disk drops them at the power cut
-    kZombie,      // partition the standby instead: the primary keeps
-                  // running until a fenced op forces it to step down
+    kClean,     // crash the primary, nothing else
+    kTornTail,  // crash the primary; the standby loses the records still
+                // in flight to it at the kill
+    kZombie,    // partition the standby instead: the primary keeps
+                // running until a fenced op forces it to step down
   };
   int primary_kills = 0;
   PrimaryKillMode primary_kill_mode = PrimaryKillMode::kClean;
@@ -106,11 +102,6 @@ class FaultInjector {
   /// the simulator.  Call once, before (or while) traffic runs.
   void arm();
 
-  /// The SimBackend under the MC's JournalStore, if any: a primary kill
-  /// power-cuts it, after kTornTail / kFsyncLapse corrupt it.
-  void attach_journal_backend(SimBackend* backend) noexcept {
-    backend_ = backend;
-  }
   /// Target of the primary-kill schedule.  Must be attached before arm()
   /// when primary_kills > 0.
   void attach_standby(ctrl::StandbyController* standby) noexcept {
@@ -144,7 +135,6 @@ class FaultInjector {
   FaultInjectorOptions options_;
   Rng rng_;
   bool armed_ = false;
-  SimBackend* backend_ = nullptr;
   ctrl::StandbyController* standby_ = nullptr;
   /// Switches currently down, as the *injector* sequenced them (the MC has
   /// its own view that lags by the detection pipeline).

@@ -746,15 +746,11 @@ EstablishResult MimicController::establish(const EstablishRequest& request) {
       release_plan_resources(plan);
     }
     journal_.record_teardown(result.channel);
-    journal_.commit_boundary();
     channels_.erase(it);
     EstablishResult failed;
     failed.error = "rule install rejected; channel rolled back";
     return failed;
   }
-  // The ack is the commit boundary: under FsyncPolicy::kCommitBoundary the
-  // establish record must be durable before the client hears "ok".
-  journal_.commit_boundary();
   return result;
 }
 
@@ -880,8 +876,6 @@ void MimicController::service_establish(
             result = EstablishResult{};
             result.error = "channel lost during establishment";
           }
-          // Ack time is the commit boundary for the async path too.
-          journal_.commit_boundary();
           // committed, or superseded by a repair with the channel
           // still alive: the entry addresses are stable across
           // re-planning, so the original acknowledgement stands.
@@ -917,7 +911,6 @@ void MimicController::teardown(ChannelId id, bool immediate) {
   const auto it = channels_.find(id);
   if (it == channels_.end()) return;
   journal_.record_teardown(id);
-  journal_.commit_boundary();
   for (const topo::NodeId sw : it->second.touched_switches) {
     remove_cookie(sw, id, immediate);
   }
@@ -1006,7 +999,6 @@ void MimicController::lose_channel(ChannelId id, const std::string& reason) {
   }
   channels_.erase(it);
   ++channels_lost_;
-  journal_.commit_boundary();
   notify_channel_event(id, ChannelEvent::kLost, reason);
 }
 
@@ -1062,9 +1054,6 @@ MimicController::RepairOutcome MimicController::repair_channels(
                  });
     ++outcome.repaired;
   }
-  // One boundary per repair fan-out: a failure storm's repair records sync
-  // together instead of once per channel (the kCommitBoundary win).
-  journal_.commit_boundary();
   return outcome;
 }
 
@@ -1457,9 +1446,11 @@ MimicController::RecoveryReport MimicController::recover(
 
   // New controller generation: every record and southbound op from here on
   // carries an epoch above anything the previous life (or a deposed
-  // ex-primary still running somewhere) ever stamped.
+  // ex-primary still running somewhere) ever stamped.  The journal's own
+  // epoch counts too: a log compacted down to no live channel keeps no
+  // record to carry it.
   const std::uint64_t new_epoch =
-      std::max(journal_.epoch(), image.epoch) + 1;
+      std::max({journal_.epoch(), journal.epoch(), image.epoch}) + 1;
   journal_.set_epoch(new_epoch);
   set_fence_epoch(new_epoch);
   deposed_ = false;
@@ -1626,9 +1617,6 @@ MimicController::RecoveryReport MimicController::recover(
   }
 
   report.channels_lost = channels_lost_ - lost_before;
-  // One boundary covers the whole rebuilt journal (re-records plus any
-  // repair records): recovery is a single durable transaction.
-  journal_.commit_boundary();
   last_recovery_ = report;
   return report;
 }

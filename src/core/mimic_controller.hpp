@@ -217,8 +217,8 @@ class MimicController : public ctrl::Controller {
   RecoveryReport recover(const ChannelJournal& journal);
 
   const ChannelJournal& journal() const noexcept { return journal_; }
-  /// Mutable journal access: the durability/replication plumbing
-  /// (attach_store, set_commit_listener) is wired through here.
+  /// Mutable journal access: the standby's replication stream
+  /// (set_commit_listener) is wired through here.
   ChannelJournal& journal() noexcept { return journal_; }
   std::uint64_t crashes() const noexcept { return crashes_; }
   const RecoveryReport& last_recovery() const noexcept {

@@ -21,7 +21,10 @@ StandbyController::StandbyController(core::MimicController& primary,
       options_(options),
       mc_(std::make_unique<core::MimicController>(
           primary.network(), primary.addressing(), primary.seed(),
-          primary.mic_config(), primary.config())) {}
+          primary.mic_config(), primary.config())) {
+  replica_.set_compaction_threshold(
+      primary.mic_config().journal_compaction_threshold);
+}
 
 StandbyController::~StandbyController() {
   // take_over() already detached; a follower that dies first must too, or
@@ -32,9 +35,9 @@ StandbyController::~StandbyController() {
 void StandbyController::start() {
   if (started_) return;
   started_ = true;
-  // Tail the committed stream.  The listener fires at the primary, so the
+  // Tail the record stream.  The listener fires at the primary, so the
   // record crosses the replication channel before the replica adopts it;
-  // records committed before start() are caught up through the same path.
+  // records appended before start() are caught up through the same path.
   primary_.journal().set_commit_listener(
       [this](const core::JournalRecord& record) {
         // Deposed generations don't replicate, and a partition drops the

@@ -4,16 +4,15 @@
 // The standby owns a second MimicController instance built with the
 // primary's seed and config (equal-seeded MAGA registries derive identical
 // deployment secrets, so adopted channels decrypt and verify unchanged).
-// It tails the primary's *committed* journal records -- the primary ships a
-// record only once the attached JournalStore has made its bytes durable,
-// so the replica can never know a channel the primary's disk forgot -- and
-// probes the primary's liveness over the control channel.  When the
-// missed-heartbeat budget is exhausted it takes over: the replica is
-// replayed through the ordinary recover() path (switch dumps reconcile the
-// possibly-stale image against what is actually installed), every switch
-// is fenced under the new journal epoch so a zombie ex-primary's ops are
-// refused, and the ControllerDirectory repoints clients at the new
-// primary.
+// It tails the primary's journal -- each record ships as the primary
+// appends it and is adopted into the replica `replication_lag` later, and
+// the replica compacts on the primary's cadence -- and probes the
+// primary's liveness over the control channel.  When the missed-heartbeat
+// budget is exhausted it takes over: the replica is replayed through the
+// ordinary recover() path (switch dumps reconcile the possibly-stale image
+// against what is actually installed), every switch is fenced under the
+// new journal epoch so a zombie ex-primary's ops are refused, and the
+// ControllerDirectory repoints clients at the new primary.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +24,7 @@
 namespace mic::ctrl {
 
 struct StandbyOptions {
-  /// One-way latency of the replication stream (primary commit -> record
+  /// One-way latency of the replication stream (primary append -> record
   /// adopted into the standby's replica).
   sim::SimTime replication_lag = sim::microseconds(300);
 
@@ -49,9 +48,9 @@ class StandbyController {
   /// primary that outlives its standby never invokes a dangling callback.
   ~StandbyController();
 
-  /// Subscribe to the primary's commit stream (already-committed records
-  /// are caught up immediately, lagged by replication_lag) and begin the
-  /// heartbeat probe loop (unless heartbeat_interval is 0).
+  /// Subscribe to the primary's record stream (records already in its
+  /// journal are caught up immediately, lagged by replication_lag) and
+  /// begin the heartbeat probe loop (unless heartbeat_interval is 0).
   void start();
 
   /// Promote the standby now: mirror the directory, fence + recover from

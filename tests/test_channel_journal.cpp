@@ -5,10 +5,9 @@
 // surviving states into re-stamped kSnapshot records.  It must produce the
 // log that replaying into a JournalImage and writing one snapshot per live
 // channel produces, record for record and at the same moments: standby
-// shipping, the store bytes and the golden soak hashes all depend on it.
-// The reference below is that replay()-based compaction, driving a plain
-// record vector (and, optionally, a second JournalStore) through the same
-// fuzzed operations as the real journal.
+// shipping and the golden soak hashes depend on it.  The reference below
+// is that replay()-based compaction, driving a plain record vector through
+// the same fuzzed operations as the real journal.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,7 +18,6 @@
 
 #include "common/rng.hpp"
 #include "core/channel_journal.hpp"
-#include "core/journal_store.hpp"
 
 namespace mic::core {
 namespace {
@@ -50,8 +48,7 @@ std::vector<JournalRecord> reference_compaction(
 
 /// The journal's append / adopt / truncate semantics over a plain vector,
 /// compacting with reference_compaction() whenever the log outgrows both
-/// the threshold and twice the live set the last compaction kept.  Mirrors
-/// every store call the real journal makes.
+/// the threshold and twice the live set the last compaction kept.
 struct ReferenceJournal {
   std::vector<JournalRecord> log;
   std::uint64_t next_seq = 1;
@@ -59,13 +56,11 @@ struct ReferenceJournal {
   std::size_t threshold = 0;
   std::size_t compacted_size = 0;
   std::uint64_t compactions = 0;
-  JournalStore* store = nullptr;
 
   void append(JournalRecord record) {
     record.seq = next_seq++;
     record.epoch = epoch;
-    log.push_back(record);
-    if (store != nullptr) store->append(record);
+    log.push_back(std::move(record));
     maybe_compact();
   }
   void adopt(JournalRecord record) {
@@ -85,7 +80,6 @@ struct ReferenceJournal {
     log = reference_compaction(log, next_seq, epoch);
     compacted_size = log.size();
     ++compactions;
-    if (store != nullptr) store->compact(log);
   }
 };
 
@@ -155,15 +149,6 @@ void expect_same_log(const std::vector<JournalRecord>& actual,
   }
 }
 
-void expect_same_bytes(const SimBackend& actual, const SimBackend& expected,
-                       const std::string& where) {
-  const std::vector<std::string> names = actual.list();
-  ASSERT_EQ(names, expected.list()) << where;
-  for (const std::string& name : names) {
-    EXPECT_EQ(actual.read(name), expected.read(name)) << where << ", " << name;
-  }
-}
-
 /// Live channels a program keeps at most: enough for multi-record folds,
 /// few enough that the reference's full replay stays cheap.
 constexpr std::size_t kMaxLive = 24;
@@ -173,21 +158,12 @@ constexpr std::size_t kMaxLive = 24;
 /// bumps, comparing the logs after every operation.  Returns the number
 /// of auto-compactions the program triggered.
 std::uint64_t run_program(std::uint64_t seed, std::size_t threshold,
-                          bool with_store, int ops) {
+                          int ops) {
   Rng rng(seed);
-  SimBackend backend;
-  SimBackend reference_backend;
-  JournalStore store(backend);
-  JournalStore reference_store(reference_backend);
-
   ChannelJournal journal;
   journal.set_compaction_threshold(threshold);
   ReferenceJournal reference;
   reference.threshold = threshold;
-  if (with_store) {
-    journal.attach_store(&store);
-    reference.store = &reference_store;
-  }
 
   std::vector<ChannelId> live;  // the workload's view, not the journal's
   ChannelId next_id = 1;
@@ -265,7 +241,6 @@ std::uint64_t run_program(std::uint64_t seed, std::size_t threshold,
     expect_same_log(journal.records(), reference.log, where);
     EXPECT_EQ(journal.compactions(), reference.compactions) << where;
     EXPECT_EQ(journal.appends() + 1, reference.next_seq) << where;
-    if (with_store) expect_same_bytes(backend, reference_backend, where);
     if (::testing::Test::HasFailure()) break;  // one divergence is enough
   }
   return journal.compactions();
@@ -279,22 +254,11 @@ TEST(ChannelJournalCompaction, FoldEqualsTheReplayReference) {
   for (const std::size_t threshold : {1u, 4u, 32u, 64u}) {
     std::uint64_t compactions = 0;
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-      compactions += run_program(seed * 0x9e3779b9ULL + threshold, threshold,
-                                 /*with_store=*/false, 600);
+      compactions +=
+          run_program(seed * 0x9e3779b9ULL + threshold, threshold, 600);
     }
     // Every threshold must actually exercise the fold, many times over.
     EXPECT_GE(compactions, 12u) << "threshold " << threshold;
-  }
-}
-
-TEST(ChannelJournalCompaction, StoreBytesEqualTheReplayReference) {
-  for (const std::size_t threshold : {1u, 4u, 64u}) {
-    std::uint64_t compactions = 0;
-    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      compactions += run_program(seed * 0x51ed2701ULL + threshold, threshold,
-                                 /*with_store=*/true, 400);
-    }
-    EXPECT_GE(compactions, 6u) << "threshold " << threshold;
   }
 }
 

@@ -129,7 +129,8 @@ TEST(Bits, LoadStoreRoundTrip) {
   EXPECT_EQ(load_be32(buf), 0x01020304u);
   EXPECT_EQ(buf[0], 0x01);
   store_le64(buf, 0x0102030405060708ull);
-  EXPECT_EQ(load_le64(buf), 0x0102030405060708ull);
+  EXPECT_EQ(buf[0], 0x08);
+  EXPECT_EQ(buf[7], 0x01);
   store_be64(buf, 0x0102030405060708ull);
   EXPECT_EQ(buf[0], 0x01);
   EXPECT_EQ(buf[7], 0x08);

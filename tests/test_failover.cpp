@@ -3,7 +3,7 @@
 // ControllerDirectory repointing live clients, id-safety across a chain of
 // failovers, stale-replica takeovers that sweep and re-establish, zombie
 // ex-primary fencing (RC-2), and the seeded failover chaos soak across all
-// four primary-kill modes -- bit-reproducible.
+// three primary-kill modes -- bit-reproducible.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,7 +15,6 @@
 #include "core/audit_registry.hpp"
 #include "core/fabric.hpp"
 #include "core/fault_injector.hpp"
-#include "core/journal_store.hpp"
 #include "core/mic_client.hpp"
 #include "ctrl/standby.hpp"
 #include "net/trace.hpp"
@@ -29,28 +28,20 @@ using core::Fabric;
 using core::FabricOptions;
 using core::FaultInjector;
 using core::FaultInjectorOptions;
-using core::FsyncPolicy;
-using core::JournalStore;
-using core::JournalStoreOptions;
 using core::MicChannel;
 using core::MicChannelOptions;
 using core::MicServer;
-using core::SimBackend;
 using ctrl::StandbyController;
 using ctrl::StandbyOptions;
 
-/// Primary + durable store + directory + warm standby + a responder, the
-/// way a deployment would wire them.  Clients resolve the MC through the
-/// directory, so they survive the failover without reconfiguration.
+/// Primary + directory + warm standby + a responder, the way a deployment
+/// would wire them.  Clients resolve the MC through the directory, so they
+/// survive the failover without reconfiguration.
 struct FailoverBed {
-  explicit FailoverBed(FabricOptions fo = {},
-                       StandbyOptions so = {},
-                       FsyncPolicy policy = FsyncPolicy::kEveryRecord)
+  explicit FailoverBed(FabricOptions fo = {}, StandbyOptions so = {})
       : fabric(fo),
-        store(backend, store_options(policy)),
         directory(fabric.mc()),
         standby(fabric.mc(), directory, so) {
-    fabric.mc().journal().attach_store(&store);
     standby.start();
     server = std::make_unique<MicServer>(fabric.host(12), 7000, fabric.rng());
     server->set_on_channel([this](core::MicServerChannel& channel) {
@@ -58,12 +49,6 @@ struct FailoverBed {
         received += view.length;
       });
     });
-  }
-
-  static JournalStoreOptions store_options(FsyncPolicy policy) {
-    JournalStoreOptions o;
-    o.fsync_policy = policy;
-    return o;
   }
 
   MicChannelOptions options() {
@@ -83,18 +68,13 @@ struct FailoverBed {
                                         fabric.rng());
   }
 
-  void kill_primary() {
-    backend.crash();
-    fabric.mc().crash();
-  }
+  void kill_primary() { fabric.mc().crash(); }
 
   void run_for(sim::SimTime dt) {
     fabric.simulator().run_until(fabric.simulator().now() + dt);
   }
 
   Fabric fabric;
-  SimBackend backend;
-  JournalStore store;
   ControllerDirectory directory;
   StandbyController standby;
   std::unique_ptr<MicServer> server;
@@ -107,6 +87,22 @@ StandbyOptions follow_only() {
   return so;
 }
 
+/// The replica replays to the primary's image: the same channels, each
+/// structurally equal, and the same allocator marks.
+void expect_same_image(const core::ChannelJournal& replica,
+                       const core::ChannelJournal& primary) {
+  const core::JournalImage ours = replica.replay();
+  const core::JournalImage theirs = primary.replay();
+  ASSERT_EQ(ours.channels.size(), theirs.channels.size());
+  for (const auto& [id, state] : theirs.channels) {
+    ASSERT_TRUE(ours.channels.contains(id)) << "channel " << id;
+    EXPECT_TRUE(core::structurally_equal(ours.channels.at(id), state))
+        << "channel " << id;
+  }
+  EXPECT_EQ(ours.next_channel, theirs.next_channel);
+  EXPECT_EQ(ours.next_group, theirs.next_group);
+}
+
 // --- replication -------------------------------------------------------------
 
 TEST(StandbyReplication, FollowerMirrorsTheCommittedJournal) {
@@ -116,20 +112,12 @@ TEST(StandbyReplication, FollowerMirrorsTheCommittedJournal) {
   bed.run_for(sim::milliseconds(30));
   ASSERT_TRUE(c1->ready() && c2->ready());
 
-  // Every committed record crossed, after the replication lag, into the
+  // Every appended record crossed, after the replication lag, into the
   // standby's replica -- and the replica replays to the primary's image.
   EXPECT_EQ(bed.standby.records_replicated(),
             bed.fabric.mc().journal().records_shipped());
   EXPECT_GE(bed.standby.records_replicated(), 2u);
-  const core::JournalImage ours = bed.standby.replica().replay();
-  const core::JournalImage theirs = bed.fabric.mc().journal().replay();
-  ASSERT_EQ(ours.channels.size(), theirs.channels.size());
-  for (const auto& [id, state] : theirs.channels) {
-    ASSERT_TRUE(ours.channels.contains(id));
-    EXPECT_TRUE(core::structurally_equal(ours.channels.at(id), state));
-  }
-  EXPECT_EQ(ours.next_channel, theirs.next_channel);
-  EXPECT_EQ(ours.next_group, theirs.next_group);
+  expect_same_image(bed.standby.replica(), bed.fabric.mc().journal());
 
   c1->close();
   c2->close();
@@ -140,44 +128,51 @@ TEST(StandbyReplication, FollowerMirrorsTheCommittedJournal) {
   EXPECT_TRUE(bed.standby.replica().replay().channels.empty());
 }
 
-TEST(StandbyReplication, CommitBoundaryGatesShippingAndLapsesSkewTheDisk) {
-  // kCommitBoundary store: records wait for the boundary before shipping,
-  // and the MC commits at client-visible acks -- so a *ready* channel is
-  // always replicated.  An fsync lapse is the undetectable betrayal: the
-  // record still ships (the MC was told the bytes are durable), but the
-  // primary's own disk forgets it at the next power cut, leaving the disk
-  // *behind* the replica -- which is why takeover recovers from the
-  // replica, never from the dead primary's storage.
-  FailoverBed bed({}, follow_only(), FsyncPolicy::kCommitBoundary);
-  auto c1 = bed.client(0, bed.options());
-  bed.run_for(sim::milliseconds(30));
-  ASSERT_TRUE(c1->ready());
-  const std::uint64_t replicated_before = bed.standby.records_replicated();
-  EXPECT_GE(replicated_before, 1u);
+TEST(StandbyReplication, ReplicaCompactsLikeThePrimary) {
+  // The replica compacts on the primary's cadence: under steady churn it
+  // stays within the primary's log bound instead of keeping every record
+  // ever shipped (which a takeover would then replay in full).
+  constexpr std::size_t kFloor = 16;
+  constexpr std::size_t kLive = 8;
+  constexpr std::size_t kCycles = 200;
+  FabricOptions fo;
+  fo.mic.journal_compaction_threshold = kFloor;
+  FailoverBed bed(fo, follow_only());
+  core::MimicController& mc = bed.fabric.mc();
+  // Slot i: host i (pods 0/1) to host 8 + i (pods 2/3), one m-flow.
+  const auto establish = [&](std::size_t slot) {
+    core::EstablishRequest r;
+    r.initiator_ip = bed.fabric.ip(slot);
+    r.responder_ip = bed.fabric.ip(8 + slot);
+    r.responder_port = static_cast<net::L4Port>(7100 + slot);
+    r.initiator_sports = {static_cast<net::L4Port>(30000 + slot)};
+    const core::EstablishResult result = mc.establish(r);
+    EXPECT_TRUE(result.ok) << result.error;
+    return result.channel;
+  };
+  std::vector<ChannelId> live;
+  for (std::size_t slot = 0; slot < kLive; ++slot) {
+    live.push_back(establish(slot));
+  }
+  for (std::size_t cycle = 0; cycle < kCycles; ++cycle) {
+    const std::size_t slot = cycle % kLive;
+    mc.teardown(live[slot]);
+    live[slot] = establish(slot);
+  }
+  bed.run_for(sim::milliseconds(5));  // well past the replication lag
 
-  bed.backend.lapse_fsyncs(1000);
-  auto c2 = bed.client(3, bed.options());
-  bed.run_for(sim::milliseconds(30));
-  ASSERT_TRUE(c2->ready());
-  EXPECT_GT(bed.standby.records_replicated(), replicated_before);
-  EXPECT_GT(bed.backend.syncs_lapsed(), 0u);
-
-  bed.backend.crash();
-  const core::JournalLoadResult reloaded = bed.store.load();
-  EXPECT_LT(reloaded.records.size(),
-            static_cast<std::size_t>(bed.standby.records_replicated()));
-  EXPECT_EQ(bed.standby.replica().size(),
-            bed.fabric.mc().journal().size());
+  const core::ChannelJournal& replica = bed.standby.replica();
+  EXPECT_EQ(bed.standby.records_replicated(), mc.journal().records_shipped());
+  EXPECT_GT(replica.compactions(), 0u);
+  EXPECT_LE(replica.size(), std::max(kFloor, 2 * kLive) + 1);
+  expect_same_image(replica, mc.journal());
 }
 
 TEST(StandbyReplication, DestroyedFollowerDetachesFromThePrimaryStream) {
   // A follower that dies while the primary lives must unhook its commit
-  // listener: the primary's next committed record would otherwise call
+  // listener: the primary's next appended record would otherwise call
   // into freed memory (the ASan tier enforces the "freed" part).
   Fabric fabric;
-  SimBackend backend;
-  JournalStore store(backend);
-  fabric.mc().journal().attach_store(&store);
   ControllerDirectory directory(fabric.mc());
   MicServer server(fabric.host(12), 7000, fabric.rng());
   server.set_on_channel([](core::MicServerChannel&) {});
@@ -191,7 +186,7 @@ TEST(StandbyReplication, DestroyedFollowerDetachesFromThePrimaryStream) {
   MicChannel c(fabric.host(0), directory, o, fabric.rng());
   fabric.simulator().run_until();
   EXPECT_TRUE(c.ready());
-  // The journal still commits and counts shipments; there is simply no
+  // The journal still appends and counts shipments; there is simply no
   // listener left to deliver them to.
   EXPECT_GE(fabric.mc().journal().records_shipped(), 1u);
 }
@@ -322,6 +317,40 @@ TEST(Failover, DoubleFailoverNeverReusesIds) {
   c1.reset();
 }
 
+TEST(Failover, TakeoverOutranksAPrimaryWhoseReplicaCompactedToEmpty) {
+  // A replica compacted while no channel was live holds no record, so its
+  // replayed image carries no epoch.  The takeover must still fence above
+  // the primary's generation, or the zombie's ops would keep passing.
+  FabricOptions fo;
+  fo.mic.journal_compaction_threshold = 4;
+  FailoverBed bed(fo, follow_only());
+  core::MimicController& mc = bed.fabric.mc();
+  const auto establish = [&] {
+    core::EstablishRequest r;
+    r.initiator_ip = bed.fabric.ip(0);
+    r.responder_ip = bed.fabric.ip(8);
+    r.responder_port = 7100;
+    r.initiator_sports = {30000};
+    const core::EstablishResult result = mc.establish(r);
+    EXPECT_TRUE(result.ok) << result.error;
+    return result.channel;
+  };
+  const ChannelId first = establish();
+  mc.crash();
+  mc.recover(mc.journal());  // the primary's second generation
+  const std::uint64_t primary_epoch = mc.journal().epoch();
+  ASSERT_GT(primary_epoch, 1u);
+  mc.teardown(first);
+  mc.teardown(establish());
+  bed.run_for(sim::milliseconds(5));
+  ASSERT_GT(bed.standby.replica().compactions(), 0u);
+  ASSERT_TRUE(bed.standby.replica().empty());
+
+  bed.kill_primary();
+  ASSERT_TRUE(bed.standby.take_over("test: empty replica"));
+  EXPECT_GT(bed.standby.mc().journal().epoch(), primary_epoch);
+}
+
 TEST(Failover, StaleReplicaSweepsAndClientsReestablish) {
   // Negative test: the replication stream lagged behind the failure.  The
   // standby takes over from a truncated replica; the unexplained channel's
@@ -444,9 +473,6 @@ FailoverOutcome run_failover_chaos(
     Fabric& fabric, std::uint64_t seed,
     FaultInjectorOptions::PrimaryKillMode mode) {
   net::TraceHash trace(fabric.network());
-  SimBackend backend;
-  JournalStore store(backend);
-  fabric.mc().journal().attach_store(&store);
   ControllerDirectory directory(fabric.mc());
   StandbyController standby(fabric.mc(), directory, {});
   standby.start();
@@ -490,7 +516,6 @@ FailoverOutcome run_failover_chaos(
   fo.primary_kills = 1;
   fo.primary_kill_mode = mode;
   FaultInjector injector(fabric.network(), fabric.mc(), fo);
-  injector.attach_journal_backend(&backend);
   injector.attach_standby(&standby);
   injector.arm();
   run_for(sim::milliseconds(400));
@@ -578,8 +603,6 @@ FailoverOutcome run_failover_chaos(
         mode_name = "clean"; break;
       case FaultInjectorOptions::PrimaryKillMode::kTornTail:
         mode_name = "torn-tail"; break;
-      case FaultInjectorOptions::PrimaryKillMode::kFsyncLapse:
-        mode_name = "fsync-lapse"; break;
       case FaultInjectorOptions::PrimaryKillMode::kZombie:
         mode_name = "zombie"; break;
     }
@@ -610,8 +633,6 @@ TEST(FailoverSoak, CleanKill) { soak(KillMode::kClean, 600); }
 
 TEST(FailoverSoak, TornTail) { soak(KillMode::kTornTail, 610); }
 
-TEST(FailoverSoak, FsyncLapse) { soak(KillMode::kFsyncLapse, 620); }
-
 TEST(FailoverSoak, ZombieExPrimary) { soak(KillMode::kZombie, 630); }
 
 TEST(FailoverSoak, SameSeedSameOutcome) {
@@ -630,22 +651,18 @@ TEST(FailoverSoak, SameSeedSameOutcome) {
 // --- non-invasiveness ---------------------------------------------------------
 
 TEST(FailoverSoak, FollowOnlyStandbyIsTraceInvisible) {
-  // The acceptance bar for enabling the storage engine + standby by
-  // default: with the standby in follow-only mode (no probes, no
-  // takeover), a seeded chaos run's packet trace is bit-identical to the
-  // same run without either -- replication and fsync bookkeeping are pure
-  // simulator events and never touch a link.
+  // The acceptance bar for enabling the standby by default: with the
+  // standby in follow-only mode (no probes, no takeover), a seeded chaos
+  // run's packet trace is bit-identical to the same run without it --
+  // replication is pure simulator events and never touches a link.
   auto once = [](bool with_standby) {
     FabricOptions fo;
     fo.seed = 650;
     Fabric fabric(fo);
     net::TraceHash trace(fabric.network());
-    SimBackend backend;
-    JournalStore store(backend);
     ControllerDirectory directory(fabric.mc());
     std::unique_ptr<StandbyController> standby;
     if (with_standby) {
-      fabric.mc().journal().attach_store(&store);
       standby = std::make_unique<StandbyController>(fabric.mc(), directory,
                                                     follow_only());
       standby->start();
@@ -676,7 +693,6 @@ TEST(FailoverSoak, FollowOnlyStandbyIsTraceInvisible) {
     fabric.simulator().run_until();
     if (with_standby) {
       EXPECT_GT(standby->records_replicated(), 0u);
-      EXPECT_GT(store.records_durable(), 0u);
     }
     return std::pair<std::uint64_t, std::uint64_t>{trace.value(),
                                                    trace.packets()};
