@@ -38,14 +38,10 @@ echo "== admission flood guard =="
 ./build/bench/control_flood --smoke
 
 echo "== ablation + fast figure benches =="
-# Each exits non-zero when one of its sessions fails (a failed session
-# would otherwise print zeros like data).  fig9b (~45 s) stays out.
-for b in abl_channel_reuse abl_multi_mflow abl_observer_sweep \
-         abl_partial_multicast abl_privacy_level abl_short_sessions \
-         fig7_route_setup fig8_latency fig9a_throughput_pathlen \
-         fig9c_cpu_usage; do
-  ./build/bench/$b > /dev/null
-done
+# Each must print its committed golden stdout (bench/golden/) byte for
+# byte and exit zero (a failed session exits non-zero rather than print
+# zeros like data).  fig9b (~36 s) stays out.
+scripts/record_bench_outputs.sh verify build
 
 echo "== recovery + failover smoke (audit-gated) =="
 # The crash/recover sweep plus the warm-standby failover leg; each point

@@ -102,6 +102,14 @@ sim::SimTime MicChannel::backoff_for(int attempt) const {
                         attempt, rng_);
 }
 
+void MicChannel::establish_after(sim::SimTime delay) {
+  const std::uint64_t gen = generation_;
+  host_.simulator().schedule_in(delay, [this, gen] {
+    if (gen != generation_ || user_closed_) return;
+    start_establish();
+  });
+}
+
 void MicChannel::arm_establish_timeout() {
   const std::uint64_t gen = generation_;
   host_.simulator().schedule_in(options_.control_timeout, [this, gen] {
@@ -120,14 +128,7 @@ void MicChannel::arm_establish_timeout() {
       fail_with("controller unreachable: establishment unacknowledged");
       return;
     }
-    const std::uint64_t next = generation_;
-    host_.simulator().schedule_in(backoff_for(silence_streak_),
-                                  [this, next] {
-                                    if (next != generation_ || user_closed_) {
-                                      return;
-                                    }
-                                    start_establish();
-                                  });
+    establish_after(backoff_for(silence_streak_));
   });
 }
 
@@ -224,14 +225,7 @@ void MicChannel::on_channel_event(MimicController::ChannelEvent event,
       reestablish_attempts_ < kReestablishLimit) {
     ++reestablish_attempts_;
     retire_flows();
-    const std::uint64_t gen = generation_;
-    host_.simulator().schedule_in(backoff_for(reestablish_attempts_),
-                                  [this, gen] {
-                                    if (gen != generation_ || user_closed_) {
-                                      return;
-                                    }
-                                    start_establish();
-                                  });
+    establish_after(backoff_for(reestablish_attempts_));
     return;
   }
   retire_flows();
@@ -252,12 +246,7 @@ void MicChannel::on_established(const EstablishResult& result) {
       return;
     }
     const sim::SimTime base = std::max<sim::SimTime>(result.retry_after, 1);
-    const sim::SimTime wait = base + rng_.below(base / 2 + 1);
-    const std::uint64_t gen = generation_;
-    host_.simulator().schedule_in(wait, [this, gen] {
-      if (gen != generation_ || user_closed_) return;
-      start_establish();
-    });
+    establish_after(base + rng_.below(base / 2 + 1));
     return;
   }
   if (!result.ok) {
@@ -348,27 +337,14 @@ void MicChannel::send(transport::Chunk chunk) {
     pending_.push_back(std::move(chunk));
     return;
   }
-  std::uint64_t offset = 0;
-  while (offset < chunk.length) {
-    const std::uint64_t slice_len = std::min<std::uint64_t>(
-        chunk.length - offset,
-        rng_.range(kMinCutSliceBytes, kMaxCutSliceBytes));
-    send_slice(transport::sub_chunk(chunk, offset, slice_len));
-    offset += slice_len;
-  }
-}
-
-void MicChannel::send_slice(transport::Chunk payload) {
-  const std::size_t flow_index = rng_.below(flows_.size());
-  Flow& flow = flows_[flow_index];
-  SliceHeader header;
-  header.channel = static_cast<std::uint32_t>(channel_id_);
-  header.seq = send_seq_++;
-  header.length = static_cast<std::uint32_t>(payload.length);
-  header.flow = static_cast<std::uint16_t>(flow_index);
-  flow.bytes_sent += kSliceHeaderBytes + payload.length;
-  flow.stream->send(slice_header_chunk(header));
-  if (payload.length > 0) flow.stream->send(std::move(payload));
+  stripe_slices(chunk, static_cast<std::uint32_t>(channel_id_), flows_.size(),
+                send_seq_, rng_,
+                [this](const SliceHeader& header, transport::Chunk payload) {
+                  Flow& flow = flows_[header.flow];
+                  flow.bytes_sent += kSliceHeaderBytes + payload.length;
+                  flow.stream->send(slice_header_chunk(header));
+                  flow.stream->send(std::move(payload));
+                });
 }
 
 void MicChannel::flush_pending() {
@@ -465,22 +441,12 @@ void MicServerChannel::deliver(std::uint32_t seq, transport::Chunk payload) {
 
 void MicServerChannel::send(transport::Chunk chunk) {
   MIC_ASSERT_MSG(!streams_.empty(), "no m-flow connections known yet");
-  std::uint64_t offset = 0;
-  while (offset < chunk.length) {
-    const std::uint64_t slice_len = std::min<std::uint64_t>(
-        chunk.length - offset,
-        rng_.range(kMinCutSliceBytes, kMaxCutSliceBytes));
-    const std::size_t flow_index = rng_.below(streams_.size());
-    SliceHeader header;
-    header.channel = wire_id_;
-    header.seq = send_seq_++;
-    header.length = static_cast<std::uint32_t>(slice_len);
-    header.flow = static_cast<std::uint16_t>(flow_index);
-    streams_[flow_index]->send(
-        slice_header_chunk(header));
-    streams_[flow_index]->send(transport::sub_chunk(chunk, offset, slice_len));
-    offset += slice_len;
-  }
+  stripe_slices(chunk, wire_id_, streams_.size(), send_seq_, rng_,
+                [this](const SliceHeader& header, transport::Chunk payload) {
+                  transport::ByteStream* stream = streams_[header.flow];
+                  stream->send(slice_header_chunk(header));
+                  stream->send(std::move(payload));
+                });
 }
 
 void MicServerChannel::close() {

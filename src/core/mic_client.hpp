@@ -137,6 +137,9 @@ class MicChannel : public transport::ByteStream {
   void on_established(const EstablishResult& result);
   /// Backoff before re-establishment or silence retry `attempt` (1-based).
   sim::SimTime backoff_for(int attempt) const;
+  /// Request a fresh establishment after `delay`, unless the generation
+  /// moved on or the user closed the channel meanwhile.
+  void establish_after(sim::SimTime delay);
   /// Watchdog armed alongside every establishment request when
   /// `control_timeout` is set; fires the silence-retry path if the ack
   /// never lands.
@@ -149,7 +152,6 @@ class MicChannel : public transport::ByteStream {
   /// streams closed) and reset the wire state for a fresh establishment.
   void retire_flows();
   void fail_with(const std::string& reason);
-  void send_slice(transport::Chunk payload);
   void flush_pending();
 
   /// The control-plane endpoint, resolved per interaction: through the

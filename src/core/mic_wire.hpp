@@ -6,12 +6,14 @@
 // order across m-flows that raced each other through different paths.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <map>
 #include <optional>
 
 #include "common/bits.hpp"
+#include "common/rng.hpp"
 #include "transport/stream.hpp"
 
 namespace mic::core {
@@ -56,6 +58,30 @@ inline transport::Chunk slice_header_chunk(const SliceHeader& header) {
   std::array<std::uint8_t, kSliceHeaderBytes> scratch;
   write_slice_header(scratch.data(), header);
   return transport::Chunk::copy(scratch);
+}
+
+/// Cut `chunk` into slices of a uniform random size in
+/// [kMinCutSliceBytes, kMaxCutSliceBytes] and stripe them over `flows`
+/// m-flows, each to a uniformly drawn flow: `send(header, payload)` per
+/// slice, with `next_seq` numbering them.  Each slice draws its size before
+/// its flow.
+template <typename Send>
+void stripe_slices(const transport::Chunk& chunk, std::uint32_t channel,
+                   std::size_t flows, std::uint32_t& next_seq, Rng& rng,
+                   Send&& send) {
+  std::uint64_t offset = 0;
+  while (offset < chunk.length) {
+    const std::uint64_t slice_len = std::min<std::uint64_t>(
+        chunk.length - offset,
+        rng.range(kMinCutSliceBytes, kMaxCutSliceBytes));
+    SliceHeader header;
+    header.channel = channel;
+    header.seq = next_seq++;
+    header.length = static_cast<std::uint32_t>(slice_len);
+    header.flow = static_cast<std::uint16_t>(rng.below(flows));
+    send(header, transport::sub_chunk(chunk, offset, slice_len));
+    offset += slice_len;
+  }
 }
 
 /// nullopt for bytes no MIC endpoint writes as a header: not exactly

@@ -60,15 +60,23 @@ MTuple tuple_of(const HopAddresses& hop) {
   return MTuple{hop.src, hop.dst, hop.sport, hop.dport, hop.mpls};
 }
 
-/// Calls fn(mn, tuple) for every middle m-tuple of the plan -- hops
-/// 1..N-1 of both directions -- with the MN that generated it.
-template <typename Fn>
-void for_each_middle_tuple(const MFlowPlan& plan, Fn fn) {
-  const ReversedRoute back = reversed(plan);
-  for (std::size_t j = 1; j < plan.mn_positions.size(); ++j) {
-    fn(plan.path[plan.mn_positions[j - 1]], tuple_of(plan.forward[j]));
-    fn(back.path[back.mn_positions[j - 1]], tuple_of(plan.reverse[j]));
+HopAddresses hop_of(const MTuple& tuple) {
+  return HopAddresses{tuple.src, tuple.dst, tuple.sport, tuple.dport,
+                      tuple.mpls};
+}
+
+/// The live channels with at least one m-flow for which `hit(plan)` holds,
+/// in ID order: channels_ is unordered, and repairing in ID order keeps the
+/// rng_ draws -- and with them the whole run -- deterministic (SIM-1).
+template <typename Hit>
+std::vector<ChannelId> channels_hit(
+    const std::unordered_map<ChannelId, ChannelState>& channels, Hit hit) {
+  std::vector<ChannelId> ids;
+  for (const auto& [id, state] : channels) {
+    if (std::ranges::any_of(state.flows, hit)) ids.push_back(id);
   }
+  std::sort(ids.begin(), ids.end());
+  return ids;
 }
 }  // namespace
 
@@ -105,14 +113,10 @@ MimicController::MimicController(net::Network& network,
 }
 
 void MimicController::install_default_routing() {
-  ctrl::L3RoutingApp::install(
-      *this, [this](topo::NodeId host) { return cf_label_for(host); });
+  // With no recorded signature, the reroute reinstalls every switch.
+  l3_signatures().clear();
   default_routing_installed_ = true;
-}
-
-void MimicController::adopt_default_routing() {
-  ctrl::L3RoutingApp::adopt(*this);
-  default_routing_installed_ = true;
+  reroute_default_routing();
 }
 
 net::MplsLabel MimicController::cf_label_for(topo::NodeId host) {
@@ -199,9 +203,6 @@ bool MimicController::sample_route_and_positions(const PlanContext& ctx,
 
 void MimicController::generate_middle_tuples(const PlanContext& ctx,
                                              MFlowPlan& plan) {
-  const auto& g = graph();
-  const std::size_t n = plan.mn_positions.size();
-
   // Intermediate m-addresses never display the real endpoints: a middle
   // vantage must see *neither* participant (Sec V).  Falls back to the raw
   // restriction set only if filtering would empty it.
@@ -213,30 +214,23 @@ void MimicController::generate_middle_tuples(const PlanContext& ctx,
     return out.empty() ? in : out;
   };
 
-  for (std::size_t j = 1; j < n; ++j) {
-    const std::size_t pos = plan.mn_positions[j - 1];
-    const topo::NodeId mn = plan.path[pos];
-    const topo::PortId egress = g.port_towards(mn, plan.path[pos + 1]);
-    const MTuple tuple = registry_.generate(
-        mn, plan.flow_id,
-        hide_endpoints(restrictions_.allowed_src(mn, egress)),
-        hide_endpoints(restrictions_.allowed_dst(mn, egress)));
-    plan.forward[j] = {tuple.src, tuple.dst, tuple.sport, tuple.dport,
-                       tuple.mpls};
-  }
-
+  // Hops 1..N-1 of one direction, each drawn at the MN that rewrites to it.
+  const auto fill = [&](const topo::Path& path,
+                        const std::vector<std::size_t>& mn_positions,
+                        std::vector<HopAddresses>& hops) {
+    for (std::size_t j = 1; j < mn_positions.size(); ++j) {
+      const std::size_t pos = mn_positions[j - 1];
+      const topo::NodeId mn = path[pos];
+      const topo::PortId egress = graph().port_towards(mn, path[pos + 1]);
+      hops[j] = hop_of(registry_.generate(
+          mn, plan.flow_id,
+          hide_endpoints(restrictions_.allowed_src(mn, egress)),
+          hide_endpoints(restrictions_.allowed_dst(mn, egress))));
+    }
+  };
+  fill(plan.path, plan.mn_positions, plan.forward);
   const ReversedRoute back = reversed(plan);
-  for (std::size_t j = 1; j < n; ++j) {
-    const std::size_t pos = back.mn_positions[j - 1];
-    const topo::NodeId mn = back.path[pos];
-    const topo::PortId egress = g.port_towards(mn, back.path[pos + 1]);
-    const MTuple tuple = registry_.generate(
-        mn, plan.flow_id,
-        hide_endpoints(restrictions_.allowed_src(mn, egress)),
-        hide_endpoints(restrictions_.allowed_dst(mn, egress)));
-    plan.reverse[j] = {tuple.src, tuple.dst, tuple.sport, tuple.dport,
-                       tuple.mpls};
-  }
+  fill(back.path, back.mn_positions, plan.reverse);
 }
 
 bool MimicController::generate_decoys(int count, MFlowPlan& plan,
@@ -283,6 +277,34 @@ bool MimicController::generate_decoys(int count, MFlowPlan& plan,
   return true;
 }
 
+template <typename Key>
+std::optional<std::pair<net::Ipv4, net::L4Port>>
+MimicController::draw_endpoint(const PlanContext& ctx,
+                               const std::vector<net::Ipv4>& plausible,
+                               net::Ipv4 owner, Key key) {
+  std::vector<net::Ipv4> candidates;
+  for (const net::Ipv4 ip : plausible) {
+    if (ip != ctx.initiator_ip && ip != ctx.responder_ip) {
+      candidates.push_back(ip);
+    }
+  }
+  if (candidates.empty()) {
+    for (const topo::NodeId h : graph().hosts()) {
+      const net::Ipv4 ip = addressing().ip_of(h);
+      if (ip != owner) candidates.push_back(ip);
+    }
+  }
+  MIC_ASSERT_MSG(!candidates.empty(), "no endpoint-address candidates");
+  for (int attempt = 0; attempt < kMaxEndpointTries; ++attempt) {
+    const net::Ipv4 ip = candidates[rng_.below(candidates.size())];
+    const auto port = static_cast<net::L4Port>(rng_.range(1024, 65535));
+    if (reserved_endpoints_.insert(key(ip, port)).second) {
+      return std::pair{ip, port};
+    }
+  }
+  return std::nullopt;
+}
+
 bool MimicController::plan_mflow(const PlanContext& ctx, int mn_count,
                                  net::L4Port initiator_sport, int decoys,
                                  MFlowPlan& out, std::string& error) {
@@ -299,95 +321,46 @@ bool MimicController::plan_mflow(const PlanContext& ctx, int mn_count,
     return false;
   }
 
-  const auto all_host_ips = [this, &g] {
-    std::vector<net::Ipv4> ips;
-    for (const topo::NodeId h : g.hosts()) ips.push_back(addressing().ip_of(h));
-    return ips;
-  };
-
-  // --- entry address ----------------------------------------------------------
-  // Plausible at the first link the packet takes out of the edge switch.
-  std::vector<net::Ipv4> entry_candidates;
-  {
-    const topo::NodeId first_sw = out.path[1];
-    const topo::PortId egress = g.port_towards(first_sw, out.path[2]);
-    for (const net::Ipv4 ip : restrictions_.allowed_dst(first_sw, egress)) {
-      if (ip != ctx.initiator_ip && ip != ctx.responder_ip) {
-        entry_candidates.push_back(ip);
-      }
-    }
-    if (entry_candidates.empty()) {
-      for (const net::Ipv4 ip : all_host_ips()) {
-        if (ip != ctx.initiator_ip) entry_candidates.push_back(ip);
-      }
-    }
-    MIC_ASSERT_MSG(!entry_candidates.empty(), "no entry-address candidates");
+  // Entry address: plausible at the first link the packet takes out of the
+  // edge switch.
+  const topo::NodeId first_sw = out.path[1];
+  const topo::PortId first_egress = g.port_towards(first_sw, out.path[2]);
+  const auto entry = draw_endpoint(
+      ctx, restrictions_.allowed_dst(first_sw, first_egress), ctx.initiator_ip,
+      [&ctx](net::Ipv4 ip, net::L4Port port) {
+        return endpoint_key(ctx.initiator_ip, 0, ip, port);
+      });
+  if (!entry) {
+    registry_.release_flow_id(out.flow_id);
+    error = "entry address space exhausted";
+    return false;
   }
-  net::Ipv4 entry_ip;
-  net::L4Port entry_port = 0;
-  for (int attempt = 0;; ++attempt) {
-    if (attempt == kMaxEndpointTries) {
-      registry_.release_flow_id(out.flow_id);
-      error = "entry address space exhausted";
-      return false;
-    }
-    entry_ip = entry_candidates[rng_.below(entry_candidates.size())];
-    entry_port = static_cast<net::L4Port>(rng_.range(1024, 65535));
-    if (reserved_endpoints_
-            .insert(endpoint_key(ctx.initiator_ip, 0, entry_ip, entry_port))
-            .second) {
-      break;
-    }
+  const auto [entry_ip, entry_port] = *entry;
+
+  // Presented (final) address: plausible at the last MN's egress.
+  const std::size_t last_pos = out.mn_positions[n - 1];
+  const topo::NodeId last_mn = out.path[last_pos];
+  const topo::PortId last_egress =
+      g.port_towards(last_mn, out.path[last_pos + 1]);
+  const auto presented = draw_endpoint(
+      ctx, restrictions_.allowed_src(last_mn, last_egress), ctx.responder_ip,
+      [&ctx](net::Ipv4 ip, net::L4Port port) {
+        return endpoint_key(ip, port, ctx.responder_ip, ctx.responder_port);
+      });
+  if (!presented) {
+    registry_.release_flow_id(out.flow_id);
+    reserved_endpoints_.erase(
+        endpoint_key(ctx.initiator_ip, 0, entry_ip, entry_port));
+    error = "presented address space exhausted";
+    return false;
   }
 
   out.forward.resize(n + 1);
   out.reverse.resize(n + 1);
   out.forward[0] = {ctx.initiator_ip, entry_ip, initiator_sport, entry_port,
                     net::kNoMpls};
-
-  // --- presented (final) address ------------------------------------------------
-  {
-    const std::size_t last_pos = out.mn_positions[n - 1];
-    const topo::NodeId last_mn = out.path[last_pos];
-    const topo::PortId egress =
-        g.port_towards(last_mn, out.path[last_pos + 1]);
-    std::vector<net::Ipv4> presented_candidates;
-    for (const net::Ipv4 ip : restrictions_.allowed_src(last_mn, egress)) {
-      if (ip != ctx.responder_ip && ip != ctx.initiator_ip) {
-        presented_candidates.push_back(ip);
-      }
-    }
-    if (presented_candidates.empty()) {
-      for (const net::Ipv4 ip : all_host_ips()) {
-        if (ip != ctx.responder_ip) presented_candidates.push_back(ip);
-      }
-    }
-    MIC_ASSERT_MSG(!presented_candidates.empty(),
-                   "no presented-address candidates");
-    net::Ipv4 presented_ip;
-    net::L4Port presented_port = 0;
-    for (int attempt = 0;; ++attempt) {
-      if (attempt == kMaxEndpointTries) {
-        registry_.release_flow_id(out.flow_id);
-        reserved_endpoints_.erase(
-            endpoint_key(ctx.initiator_ip, 0, entry_ip, entry_port));
-        error = "presented address space exhausted";
-        return false;
-      }
-      presented_ip =
-          presented_candidates[rng_.below(presented_candidates.size())];
-      presented_port = static_cast<net::L4Port>(rng_.range(1024, 65535));
-      if (reserved_endpoints_
-              .insert(endpoint_key(presented_ip, presented_port,
-                                   ctx.responder_ip, ctx.responder_port))
-              .second) {
-        break;
-      }
-    }
-    out.forward[n] = {presented_ip, ctx.responder_ip, presented_port,
-                      ctx.responder_port, net::kNoMpls};
-  }
-
+  out.forward[n] = {presented->first, ctx.responder_ip, presented->second,
+                    ctx.responder_port, net::kNoMpls};
   out.reverse[0] = {ctx.responder_ip, out.forward[n].src, ctx.responder_port,
                     out.forward[n].sport, net::kNoMpls};
   out.reverse[n] = {entry_ip, ctx.initiator_ip, entry_port, initiator_sport,
@@ -395,7 +368,7 @@ bool MimicController::plan_mflow(const PlanContext& ctx, int mn_count,
 
   generate_middle_tuples(ctx, out);
   if (!generate_decoys(decoys, out, error)) {
-    release_plan_resources(out);
+    walk_holdings(out, Holdings::kRelease);
     return false;
   }
   return true;
@@ -408,14 +381,7 @@ bool MimicController::replan_flow(const PlanContext& ctx, MFlowPlan& plan,
   // Release the middle tuples and decoys of the old route; the endpoint
   // addresses, ports and flow ID stay -- the transport connection must not
   // notice the migration.
-  for_each_middle_tuple(plan, [this](topo::NodeId mn, const MTuple& tuple) {
-    registry_.release_tuples(mn, {tuple});
-  });
-  const topo::NodeId first_mn = plan.path[plan.mn_positions[0]];
-  for (const DecoyPlan& decoy : plan.decoys) {
-    registry_.release_flow_id(decoy.flow_id);
-    registry_.release_tuples(first_mn, {decoy.tuple});
-  }
+  walk_holdings(plan, Holdings::kReleaseRoute);
   const int decoy_count = static_cast<int>(plan.decoys.size());
   plan.decoys.clear();
 
@@ -445,8 +411,8 @@ void MimicController::install_direction(
     } else {
       match.mpls = hop.mpls;
     }
-    // Every m-flow rule must stay fully specified so it is served by the
-    // switches' exact-match index -- per-packet cost must not grow with
+    // Every m-flow rule must stay fully specified so it lands in the
+    // switches' all-fields subtable -- per-packet cost must not grow with
     // the number of channels (the Fig. 9 scaling argument).
     MIC_ASSERT_MSG(match.is_exact(), "m-flow match left a wildcard field");
     return match;
@@ -499,9 +465,7 @@ void MimicController::install_direction(
       group.cookie = id;
       group.buckets.push_back(std::move(actions));
       for (const DecoyPlan& decoy : decoys) {
-        const HopAddresses decoy_hop{decoy.tuple.src, decoy.tuple.dst,
-                                     decoy.tuple.sport, decoy.tuple.dport,
-                                     decoy.tuple.mpls};
+        const HopAddresses decoy_hop = hop_of(decoy.tuple);
         auto bucket = rewrite_actions(decoy_hop);
         bucket.push_back(switchd::Output{decoy.out_port});
         group.buckets.push_back(std::move(bucket));
@@ -548,12 +512,7 @@ std::vector<topo::NodeId> MimicController::touched_switches(
 bool MimicController::commit_now(std::uint64_t cookie,
                                  const std::vector<InstallOp>& ops) {
   for (const InstallOp& op : ops) {
-    const bool ok =
-        std::holds_alternative<switchd::FlowRule>(op.payload)
-            ? install_rule_now(op.sw, std::get<switchd::FlowRule>(op.payload))
-            : install_group_now(op.sw,
-                                std::get<switchd::GroupEntry>(op.payload));
-    if (!ok) {
+    if (!install_now(op.sw, op.payload)) {
       for (const topo::NodeId sw : touched_switches(ops)) {
         remove_cookie(sw, cookie, /*immediate=*/true);
       }
@@ -629,12 +588,7 @@ void MimicController::commit_async(ChannelId id, std::uint64_t txn,
   };
 
   for (const InstallOp& op : txn_state->ops) {
-    if (const auto* rule = std::get_if<switchd::FlowRule>(&op.payload)) {
-      install_rule_checked(op.sw, *rule, settle);
-    } else {
-      install_group_checked(op.sw, std::get<switchd::GroupEntry>(op.payload),
-                            settle);
-    }
+    install_checked(op.sw, op.payload, settle);
   }
 }
 
@@ -699,7 +653,7 @@ EstablishResult MimicController::plan_channel(const EstablishRequest& request,
                     request.initiator_sports[static_cast<std::size_t>(f)],
                     request.multicast_decoys, plan, error)) {
       for (const MFlowPlan& planned : state.flows) {
-        release_plan_resources(planned);
+        walk_holdings(planned, Holdings::kRelease);
       }
       result.error = error;
       return result;
@@ -741,12 +695,8 @@ EstablishResult MimicController::establish(const EstablishRequest& request) {
   EstablishResult result = plan_channel(request, ops);
   if (!result.ok) return result;
   if (!commit_now(result.channel, ops)) {
-    const auto it = channels_.find(result.channel);
-    for (const MFlowPlan& plan : it->second.flows) {
-      release_plan_resources(plan);
-    }
-    journal_.record_teardown(result.channel);
-    channels_.erase(it);
+    // commit_now already pulled the partial install.
+    drop_channel(result.channel, RuleRemoval::kSkip);
     EstablishResult failed;
     failed.error = "rule install rejected; channel rolled back";
     return failed;
@@ -864,11 +814,8 @@ void MimicController::service_establish(
           const bool current =
               alive && it->second.install_txn == 1;
           if (!committed && current) {
-            for (const MFlowPlan& plan : it->second.flows) {
-              release_plan_resources(plan);
-            }
-            journal_.record_teardown(id);
-            channels_.erase(it);
+            // The failed commit already pulled its rules.
+            drop_channel(id, RuleRemoval::kSkip);
             listeners_.erase(id);
             result = EstablishResult{};
             result.error = "rule install failed after retries";
@@ -888,37 +835,70 @@ void MimicController::service_establish(
   });
 }
 
-void MimicController::release_plan_resources(const MFlowPlan& plan) {
-  registry_.release_flow_id(plan.flow_id);
-  for_each_middle_tuple(plan, [this](topo::NodeId mn, const MTuple& tuple) {
-    registry_.release_tuples(mn, {tuple});
-  });
+void MimicController::walk_holdings(const MFlowPlan& plan, Holdings action) {
+  const bool adopt = action == Holdings::kAdopt;
+  const bool whole = action != Holdings::kReleaseRoute;
+  const auto id = [this, adopt](FlowId flow_id) {
+    if (adopt) {
+      registry_.adopt_flow_id(flow_id);
+    } else {
+      registry_.release_flow_id(flow_id);
+    }
+  };
+  const auto tuple = [this, adopt](topo::NodeId mn, const MTuple& held) {
+    if (adopt) {
+      registry_.adopt_tuples(mn, {held});
+    } else {
+      registry_.release_tuples(mn, {held});
+    }
+  };
+  if (whole) id(plan.flow_id);
+  // The middle tuples -- hops 1..N-1 of both directions -- each at the MN
+  // that generated it.
+  const ReversedRoute back = reversed(plan);
+  for (std::size_t j = 1; j < plan.mn_positions.size(); ++j) {
+    tuple(plan.path[plan.mn_positions[j - 1]], tuple_of(plan.forward[j]));
+    tuple(back.path[back.mn_positions[j - 1]], tuple_of(plan.reverse[j]));
+  }
   if (!plan.mn_positions.empty()) {
     const topo::NodeId first_mn = plan.path[plan.mn_positions[0]];
     for (const DecoyPlan& decoy : plan.decoys) {
-      registry_.release_flow_id(decoy.flow_id);
-      registry_.release_tuples(first_mn, {decoy.tuple});
+      id(decoy.flow_id);
+      tuple(first_mn, decoy.tuple);
     }
   }
-
+  if (!whole) return;
   for (const std::uint64_t key : endpoint_keys(plan)) {
-    reserved_endpoints_.erase(key);
+    if (adopt) {
+      reserved_endpoints_.insert(key);
+    } else {
+      reserved_endpoints_.erase(key);
+    }
   }
+}
+
+bool MimicController::drop_channel(ChannelId id, RuleRemoval removal) {
+  const auto it = channels_.find(id);
+  if (it == channels_.end()) return false;
+  journal_.record_teardown(id);
+  if (removal != RuleRemoval::kSkip) {
+    for (const topo::NodeId sw : it->second.touched_switches) {
+      remove_cookie(sw, id, removal == RuleRemoval::kImmediate);
+    }
+  }
+  for (const MFlowPlan& plan : it->second.flows) {
+    walk_holdings(plan, Holdings::kRelease);
+  }
+  channels_.erase(it);
+  return true;
 }
 
 void MimicController::teardown(ChannelId id, bool immediate) {
   if (crashed_) return;
-  const auto it = channels_.find(id);
-  if (it == channels_.end()) return;
-  journal_.record_teardown(id);
-  for (const topo::NodeId sw : it->second.touched_switches) {
-    remove_cookie(sw, id, immediate);
+  if (drop_channel(id, immediate ? RuleRemoval::kImmediate
+                                 : RuleRemoval::kDeferred)) {
+    listeners_.erase(id);
   }
-  for (const MFlowPlan& plan : it->second.flows) {
-    release_plan_resources(plan);
-  }
-  channels_.erase(it);
-  listeners_.erase(id);
 }
 
 // --- failure handling ---------------------------------------------------------
@@ -986,20 +966,37 @@ void MimicController::notify_channel_event(ChannelId id, ChannelEvent event,
 }
 
 void MimicController::lose_channel(ChannelId id, const std::string& reason) {
-  const auto it = channels_.find(id);
-  if (it == channels_.end()) return;
+  if (!drop_channel(id, RuleRemoval::kDeferred)) return;
   MIC_LOG_WARN("channel %llu lost: %s", static_cast<unsigned long long>(id),
                reason.c_str());
-  journal_.record_teardown(id);
-  for (const topo::NodeId sw : it->second.touched_switches) {
-    remove_cookie(sw, id, /*immediate=*/false);
-  }
-  for (const MFlowPlan& plan : it->second.flows) {
-    release_plan_resources(plan);
-  }
-  channels_.erase(it);
   ++channels_lost_;
   notify_channel_event(id, ChannelEvent::kLost, reason);
+}
+
+void MimicController::reissue_rules(ChannelState& state, std::string cause,
+                                    bool repair) {
+  const ChannelId id = state.id;
+  std::vector<InstallOp> ops;
+  for (const MFlowPlan& plan : state.flows) {
+    install_flow(id, plan, ops, next_group_);
+  }
+  state.touched_switches = touched_switches(ops);
+  const std::uint64_t txn = ++state.install_txn;
+  journal_.record_repair(state, next_channel_, next_group_);
+  commit_async(
+      id, txn, std::move(ops),
+      [this, id, txn, cause = std::move(cause), repair](bool committed) {
+        const auto it = channels_.find(id);
+        if (it == channels_.end() || it->second.install_txn != txn) {
+          return;  // superseded by a later repair or teardown
+        }
+        if (!committed) {
+          lose_channel(id, cause + ": rule re-install failed after retries");
+        } else if (repair) {
+          ++channels_repaired_;
+          notify_channel_event(id, ChannelEvent::kRepaired, cause);
+        }
+      });
 }
 
 MimicController::RepairOutcome MimicController::repair_channels(
@@ -1029,29 +1026,7 @@ MimicController::RepairOutcome MimicController::repair_channels(
       continue;
     }
 
-    std::vector<InstallOp> ops;
-    for (const MFlowPlan& plan : state.flows) {
-      install_flow(id, plan, ops, next_group_);
-    }
-    state.touched_switches = touched_switches(ops);
-    const std::uint64_t txn = ++state.install_txn;
-    journal_.record_repair(state, next_channel_, next_group_);
-    commit_async(id, txn, std::move(ops),
-                 [this, id, txn, cause](bool committed) {
-                   const auto it = channels_.find(id);
-                   if (it == channels_.end() ||
-                       it->second.install_txn != txn) {
-                     return;  // superseded by a later repair or teardown
-                   }
-                   if (committed) {
-                     ++channels_repaired_;
-                     notify_channel_event(id, ChannelEvent::kRepaired, cause);
-                   } else {
-                     lose_channel(id,
-                                  cause + ": rule re-install failed after "
-                                          "retries");
-                   }
-                 });
+    reissue_rules(state, cause, /*repair=*/true);
     ++outcome.repaired;
   }
   return outcome;
@@ -1072,26 +1047,15 @@ MimicController::RepairOutcome MimicController::fail_link(topo::LinkId link) {
 
   // Which channels cross the failed link?  (Forward and reverse use the
   // same physical links, so checking the forward path suffices.)
-  std::vector<ChannelId> affected;
-  for (const auto& [id, state] : channels_) {
-    for (const MFlowPlan& plan : state.flows) {
-      bool uses = false;
-      for (std::size_t i = 0; i + 1 < plan.path.size(); ++i) {
-        if (graph().link_between(plan.path[i], plan.path[i + 1]) == link) {
-          uses = true;
-          break;
-        }
-      }
-      if (uses) {
-        affected.push_back(id);
-        break;
+  const auto crosses = [this, link](const MFlowPlan& plan) {
+    for (std::size_t i = 0; i + 1 < plan.path.size(); ++i) {
+      if (graph().link_between(plan.path[i], plan.path[i + 1]) == link) {
+        return true;
       }
     }
-  }
-  // channels_ is unordered; repair in ID order so the rng_ draws (and with
-  // them the whole run) stay deterministic (SIM-1).
-  std::sort(affected.begin(), affected.end());
-  return repair_channels(affected, "link failure");
+    return false;
+  };
+  return repair_channels(channels_hit(channels_, crosses), "link failure");
 }
 
 void MimicController::restore_link(topo::LinkId link) {
@@ -1128,33 +1092,16 @@ MimicController::RepairOutcome MimicController::fail_switch(topo::NodeId sw) {
 
   // Re-plan every channel that traversed the dead switch (as relay or MN;
   // incident-link checks would miss none, but the node check is direct) or
-  // parked a decoy drop rule on it.
-  std::vector<ChannelId> affected;
-  for (const auto& [id, state] : channels_) {
-    bool uses = false;
-    for (const MFlowPlan& plan : state.flows) {
-      for (const topo::NodeId node : plan.path) {
-        if (node == sw) {
-          uses = true;
-          break;
-        }
-      }
-      if (!uses) {
-        for (const DecoyPlan& decoy : plan.decoys) {
-          if (decoy.next_switch == sw) {
-            uses = true;
-            break;
-          }
-        }
-      }
-      if (uses) break;
-    }
-    if (uses) affected.push_back(id);
-  }
-  std::sort(affected.begin(), affected.end());
-  // MN re-selection avoiding the node falls out of replan_flow: every path
-  // through `sw` crosses a failed incident link, so sampling excludes it.
-  return repair_channels(affected, "switch failure");
+  // parked a decoy drop rule on it.  MN re-selection avoiding the node
+  // falls out of replan_flow: every path through `sw` crosses a failed
+  // incident link, so sampling excludes it.
+  const auto visits = [sw](const MFlowPlan& plan) {
+    return std::ranges::find(plan.path, sw) != plan.path.end() ||
+           std::ranges::any_of(plan.decoys, [sw](const DecoyPlan& decoy) {
+             return decoy.next_switch == sw;
+           });
+  };
+  return repair_channels(channels_hit(channels_, visits), "switch failure");
 }
 
 void MimicController::restore_switch(topo::NodeId sw) {
@@ -1218,25 +1165,6 @@ void MimicController::crash() {
   next_channel_ =
       (static_cast<ChannelId>(mic_config_.instance_id) << 32) + 1;
   next_group_ = (mic_config_.instance_id << 24) + 1;
-}
-
-void MimicController::adopt_channel_resources(const ChannelState& state) {
-  for (const MFlowPlan& plan : state.flows) {
-    registry_.adopt_flow_id(plan.flow_id);
-    for_each_middle_tuple(plan, [this](topo::NodeId mn, const MTuple& tuple) {
-      registry_.adopt_tuples(mn, {tuple});
-    });
-    if (!plan.mn_positions.empty()) {
-      const topo::NodeId first_mn = plan.path[plan.mn_positions[0]];
-      for (const DecoyPlan& decoy : plan.decoys) {
-        registry_.adopt_flow_id(decoy.flow_id);
-        registry_.adopt_tuples(first_mn, {decoy.tuple});
-      }
-    }
-    for (const std::uint64_t key : endpoint_keys(plan)) {
-      reserved_endpoints_.insert(key);
-    }
-  }
 }
 
 std::size_t MimicController::resync_failure_view() {
@@ -1464,7 +1392,9 @@ MimicController::RecoveryReport MimicController::recover(
   for (const auto& [id, state] : image.channels) {
     ChannelState adopted = state;
     ++adopted.install_txn;
-    adopt_channel_resources(adopted);
+    for (const MFlowPlan& plan : adopted.flows) {
+      walk_holdings(plan, Holdings::kAdopt);
+    }
     adopted_txn.emplace(id, adopted.install_txn);
     channels_.emplace(id, std::move(adopted));
     ++report.channels_recovered;
@@ -1594,25 +1524,7 @@ MimicController::RecoveryReport MimicController::recover(
     for (const topo::NodeId sw : scope) {
       remove_cookie(sw, id, /*immediate=*/true);
     }
-    std::vector<InstallOp> ops;
-    for (const MFlowPlan& plan : state.flows) {
-      install_flow(id, plan, ops, next_group_);
-    }
-    state.touched_switches = touched_switches(ops);
-    const std::uint64_t new_txn = ++state.install_txn;
-    journal_.record_repair(state, next_channel_, next_group_);
-    commit_async(id, new_txn, std::move(ops),
-                 [this, id, new_txn](bool committed) {
-                   const auto cit = channels_.find(id);
-                   if (cit == channels_.end() ||
-                       cit->second.install_txn != new_txn) {
-                     return;  // superseded by a later repair or teardown
-                   }
-                   if (!committed) {
-                     lose_channel(
-                         id, "recovery: rule re-install failed after retries");
-                   }
-                 });
+    reissue_rules(state, "recovery", /*repair=*/false);
     ++report.channels_reinstalled;
   }
 

@@ -8,8 +8,9 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <string>
-#include <variant>
+#include <utility>
 #include <vector>
 
 #include "core/address_restrictions.hpp"
@@ -63,14 +64,11 @@ class MimicController : public ctrl::Controller {
 
   // --- bootstrap ------------------------------------------------------------
 
-  /// Install the CF-tagged proactive routing for common flows.
+  /// (Re)install the CF-tagged proactive routing for common flows on every
+  /// switch, derived for the current failure view, and arm the selective
+  /// reroute that keeps it in step with later failures.  A warm standby
+  /// calls this at takeover to replace its predecessor's rules.
   void install_default_routing();
-
-  /// Adopt the proactive routing a predecessor already installed (the
-  /// fabric keeps its rules across a controller failover): record the
-  /// next-hop signatures without reinstalling anything, and arm the
-  /// selective-reroute machinery.  A warm standby calls this at takeover.
-  void adopt_default_routing();
 
   /// Hidden-service registration (paper Sec IV-D): the responder publishes
   /// a nickname; initiators never learn its address.
@@ -327,10 +325,18 @@ class MimicController : public ctrl::Controller {
   bool sample_route_and_positions(const PlanContext& ctx, std::size_t n,
                                   MFlowPlan& out, std::string& error);
   bool path_avoids_failures(const topo::Path& path) const;
+  /// Draw an endpoint address and port nobody holds and reserve it under
+  /// `key(ip, port)`.  Candidates are the `plausible` addresses minus both
+  /// participants, or every host but `owner` when that leaves none.
+  /// nullopt once kMaxEndpointTries draws all collided.
+  template <typename Key>
+  std::optional<std::pair<net::Ipv4, net::L4Port>> draw_endpoint(
+      const PlanContext& ctx, const std::vector<net::Ipv4>& plausible,
+      net::Ipv4 owner, Key key);
   /// Fill forward[1..n-1] and reverse[1..n-1] from the current route.
   void generate_middle_tuples(const PlanContext& ctx, MFlowPlan& plan);
   /// Fails, with `error` set, when the m-flow ID range runs out; the
-  /// decoys allocated so far stay in `plan` for release_plan_resources.
+  /// decoys allocated so far stay in `plan` for the caller to release.
   bool generate_decoys(int count, MFlowPlan& plan, std::string& error);
   /// Re-route one m-flow around failures, keeping endpoints and flow ID.
   bool replan_flow(const PlanContext& ctx, MFlowPlan& plan,
@@ -345,7 +351,7 @@ class MimicController : public ctrl::Controller {
   // kInstallRetryLimit attempts.
   struct InstallOp {
     topo::NodeId sw;
-    std::variant<switchd::FlowRule, switchd::GroupEntry> payload;
+    switchd::TableEntry payload;
   };
   /// `group_alloc` is the group-id allocator: the live install paths pass
   /// next_group_, verification passes a scratch counter (group identity is
@@ -395,9 +401,26 @@ class MimicController : public ctrl::Controller {
   /// the rollback flow-mods land before identical rules are re-sent.
   sim::SimTime retry_delay(int attempt);
 
-  void release_plan_resources(const MFlowPlan& plan);
-  /// Tear down a live channel as failed: remove its rules, release its
-  /// resources, erase it, and notify the endpoint kLost with `reason`.
+  /// What a plan holds: its flow ID, its middle tuples, each decoy's ID and
+  /// tuple, and its two endpoint reservations.  walk_holdings visits them
+  /// in that order -- the registry's free list is LIFO, so the release
+  /// order decides every later ID.
+  enum class Holdings : std::uint8_t {
+    kRelease,       // give everything back
+    kReleaseRoute,  // only the middle tuples and decoys (a replan keeps
+                    // the flow ID and endpoints)
+    kAdopt,         // take everything again (recovery)
+  };
+  void walk_holdings(const MFlowPlan& plan, Holdings action);
+
+  /// How drop_channel pulls the channel's rules.
+  enum class RuleRemoval : std::uint8_t { kImmediate, kDeferred, kSkip };
+  /// Drop a live channel: journal its teardown, pull its rules as
+  /// `removal` says, release its holdings and erase it.  Listener cleanup
+  /// is the caller's.  False when `id` is not live.
+  bool drop_channel(ChannelId id, RuleRemoval removal);
+  /// Tear down a live channel as failed: drop it, and notify the endpoint
+  /// kLost with `reason`.
   void lose_channel(ChannelId id, const std::string& reason);
   /// Deliver `event` to the channel's listener after the control latency.
   void notify_channel_event(ChannelId id, ChannelEvent event,
@@ -406,10 +429,12 @@ class MimicController : public ctrl::Controller {
   /// channel in `affected`, committing new rules asynchronously.
   RepairOutcome repair_channels(const std::vector<ChannelId>& affected,
                                 const std::string& cause);
-
-  /// Re-adopt one replayed channel's allocator state: flow ids, tuple
-  /// fingerprints at every MN, decoys, and the two endpoint reservations.
-  void adopt_channel_resources(const ChannelState& state);
+  /// Reissue a live channel's rules from its current plans under a fresh
+  /// install generation (journaled as a repair), committed
+  /// asynchronously.  A commit that fails after retries loses the channel
+  /// with `cause`; with `repair` set, success counts a repair and notifies
+  /// kRepaired.
+  void reissue_rules(ChannelState& state, std::string cause, bool repair);
   /// Align the MC's failure view with the current PHY state plus failed-
   /// switch incidence (port-status events missed while crashed); returns
   /// the number of link transitions learned.

@@ -37,17 +37,11 @@ void Controller::on_fenced_out(topo::NodeId sw) {
   MIC_LOG_DEBUG("switch %u refused a stale-epoch op", sw);
 }
 
-void Controller::install_rule(topo::NodeId sw, switchd::FlowRule rule) {
-  count_rule_install();
+void Controller::install(topo::NodeId sw, switchd::TableEntry entry) {
+  count_install(entry);
   if (!op_admitted(sw, fence_epoch_)) return;
-  const bool ok = switch_at(sw)->table().add_rule(std::move(rule));
-  MIC_ASSERT_MSG(ok, "duplicate rule rejected by flow table");
-}
-
-void Controller::install_group(topo::NodeId sw, switchd::GroupEntry group) {
-  if (!op_admitted(sw, fence_epoch_)) return;
-  const bool ok = switch_at(sw)->table().add_group(std::move(group));
-  MIC_ASSERT_MSG(ok, "duplicate group rejected by flow table");
+  const bool ok = switch_at(sw)->table().add(std::move(entry));
+  MIC_ASSERT_MSG(ok, "duplicate entry rejected by flow table");
 }
 
 void Controller::remove_cookie(topo::NodeId sw, std::uint64_t cookie,
@@ -64,20 +58,15 @@ void Controller::remove_cookie(topo::NodeId sw, std::uint64_t cookie,
   }
 }
 
-bool Controller::install_rule_now(topo::NodeId sw, switchd::FlowRule rule) {
-  count_rule_install();
+bool Controller::install_now(topo::NodeId sw, switchd::TableEntry entry) {
+  count_install(entry);
   if (!op_admitted(sw, fence_epoch_)) return false;
-  return switch_at(sw)->try_install(std::move(rule));
+  return switch_at(sw)->try_install(std::move(entry));
 }
 
-bool Controller::install_group_now(topo::NodeId sw, switchd::GroupEntry group) {
-  if (!op_admitted(sw, fence_epoch_)) return false;
-  return switch_at(sw)->try_install_group(std::move(group));
-}
-
-void Controller::install_rule_checked(topo::NodeId sw, switchd::FlowRule rule,
-                                      std::function<void(bool)> on_result) {
-  count_rule_install();
+void Controller::install_checked(topo::NodeId sw, switchd::TableEntry entry,
+                                 std::function<void(bool)> on_result) {
+  count_install(entry);
   if (roll_control_drop()) {
     network_.simulator().schedule_in(kSouthboundTimeout,
                                      [cb = std::move(on_result)] { cb(false); });
@@ -85,38 +74,14 @@ void Controller::install_rule_checked(topo::NodeId sw, switchd::FlowRule rule,
   }
   network_.simulator().schedule_in(
       kSouthboundLatency,
-      [this, sw, epoch = fence_epoch_, r = std::move(rule),
+      [this, sw, epoch = fence_epoch_, e = std::move(entry),
        cb = std::move(on_result)]() mutable {
         const bool ok =
-            op_admitted(sw, epoch) && switch_at(sw)->try_install(std::move(r));
+            op_admitted(sw, epoch) && switch_at(sw)->try_install(std::move(e));
         if (roll_control_drop()) {
-          // The rule may be installed but the controller never learns; the
+          // The entry may be installed but the controller never learns; the
           // timeout reports failure and the caller's rollback-by-cookie
           // keeps the table consistent.
-          network_.simulator().schedule_in(
-              kRemainingTimeout, [cb = std::move(cb)] { cb(false); });
-          return;
-        }
-        network_.simulator().schedule_in(kSouthboundLatency,
-                                         [cb = std::move(cb), ok] { cb(ok); });
-      });
-}
-
-void Controller::install_group_checked(topo::NodeId sw,
-                                       switchd::GroupEntry group,
-                                       std::function<void(bool)> on_result) {
-  if (roll_control_drop()) {
-    network_.simulator().schedule_in(kSouthboundTimeout,
-                                     [cb = std::move(on_result)] { cb(false); });
-    return;
-  }
-  network_.simulator().schedule_in(
-      kSouthboundLatency,
-      [this, sw, epoch = fence_epoch_, g = std::move(group),
-       cb = std::move(on_result)]() mutable {
-        const bool ok = op_admitted(sw, epoch) &&
-                        switch_at(sw)->try_install_group(std::move(g));
-        if (roll_control_drop()) {
           network_.simulator().schedule_in(
               kRemainingTimeout, [cb = std::move(cb)] { cb(false); });
           return;

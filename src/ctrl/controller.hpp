@@ -77,33 +77,30 @@ class Controller {
 
   switchd::SdnSwitch* switch_at(topo::NodeId node);
 
-  /// Install a rule or group now, bypassing the southbound latency (the
-  /// proactive routing installs at startup).  Asserts the switch accepted
-  /// it.
-  void install_rule(topo::NodeId sw, switchd::FlowRule rule);
-  void install_group(topo::NodeId sw, switchd::GroupEntry group);
+  // --- southbound installs ---------------------------------------------------
+  //
+  // Each takes a rule or a group; rules_installed() counts the rules.
+
+  /// Install now, bypassing the southbound latency and the switch's
+  /// injected faults (the proactive routing).  Asserts the switch accepted
+  /// the entry.
+  void install(topo::NodeId sw, switchd::TableEntry entry);
+  /// Immediate checked install (no latency, no drops): apply the entry now
+  /// and report whether the switch accepted it.  The synchronous
+  /// transaction path in the MC builds on this.
+  bool install_now(topo::NodeId sw, switchd::TableEntry entry);
+  /// Checked install: the flow-mod travels the control channel, the switch
+  /// may reject it (table full, injected fault), and the outcome travels
+  /// back.  Either message can be dropped (set_control_drop_probability);
+  /// a drop surfaces as failure after kSouthboundTimeout.
+  /// `on_result(true)` means the entry is in the table; `on_result(false)`
+  /// means it may or may not be -- the caller must roll back by cookie
+  /// before retrying.
+  void install_checked(topo::NodeId sw, switchd::TableEntry entry,
+                       std::function<void(bool)> on_result);
   /// Remove every rule and group tagged with `cookie` on `sw`.
   void remove_cookie(topo::NodeId sw, std::uint64_t cookie,
                      bool immediate = false);
-
-  // --- checked (fallible) installs ------------------------------------------
-  //
-  // The flow-mod travels the control channel, the switch may reject it
-  // (table full, injected fault), and the outcome travels back.  Either
-  // message can be dropped (set_control_drop_probability); a drop surfaces
-  // as failure after kSouthboundTimeout.  `on_result(true)` means the rule
-  // is in the table; `on_result(false)` means it may or may not be -- the
-  // caller must roll back by cookie before retrying.
-  void install_rule_checked(topo::NodeId sw, switchd::FlowRule rule,
-                            std::function<void(bool)> on_result);
-  void install_group_checked(topo::NodeId sw, switchd::GroupEntry group,
-                             std::function<void(bool)> on_result);
-
-  /// Immediate checked installs (no latency, no drops): apply the change
-  /// now and report whether the switch accepted it.  The synchronous
-  /// transaction path in the MC builds on these.
-  bool install_rule_now(topo::NodeId sw, switchd::FlowRule rule);
-  bool install_group_now(topo::NodeId sw, switchd::GroupEntry group);
 
   /// Drop this fraction of checked-install control messages (request and
   /// reply legs independently).  Chaos-harness knob; 0 disables.
@@ -139,9 +136,7 @@ class Controller {
   /// latency.  This is what replaces hand-fed failure reports.
   void subscribe_port_status();
 
-  /// Sum of every switch's lookup-tier counters: the controller's view of
-  /// how much data-plane traffic the exact-match index absorbs vs how much
-  /// falls back to the wildcard scan.
+  /// Sum of every switch's lookup counters (see SdnSwitch::table_stats).
   switchd::TableStats aggregate_table_stats();
 
   /// Called (after detection + southbound latency) when a switch reports a
@@ -151,8 +146,9 @@ class Controller {
   std::uint64_t rules_installed() const noexcept { return rules_installed_; }
 
   /// Per-switch signatures of the last installed L3 rule set.  Owned by
-  /// L3RoutingApp: install() fills it, reroute_around() diffs against it
-  /// to reinstall only the switches whose next-hop sets changed.
+  /// L3RoutingApp: reroute_around() diffs against it to reinstall only the
+  /// switches whose next-hop sets changed, and fills in every switch it
+  /// reinstalls.  Clearing it makes the next reroute reinstall them all.
   std::unordered_map<topo::NodeId, std::uint64_t>& l3_signatures() noexcept {
     return l3_signatures_;
   }
@@ -167,7 +163,9 @@ class Controller {
   static constexpr sim::SimTime kRemainingTimeout =
       kSouthboundTimeout - kSouthboundLatency;
 
-  void count_rule_install() noexcept { ++rules_installed_; }
+  void count_install(const switchd::TableEntry& entry) noexcept {
+    if (std::holds_alternative<switchd::FlowRule>(entry)) ++rules_installed_;
+  }
 
   /// One chaos-knob dice roll for a checked-install control message;
   /// counts the drop when it happens.

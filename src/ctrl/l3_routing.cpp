@@ -1,10 +1,10 @@
 #include "ctrl/l3_routing.hpp"
 
+#include <algorithm>
+
 namespace mic::ctrl {
 
 namespace {
-
-const std::unordered_set<topo::LinkId> kNoFailures;
 
 /// Scratch buffers reused across every (switch, host) pair of an install
 /// sweep, so the inner loop stays allocation-free.
@@ -61,76 +61,74 @@ void collect_local_hosts(const Controller& controller, topo::NodeId sw,
   }
 }
 
-/// Signature of the rule set `sw` would receive under `failed`: hashes the
-/// live local-host attachments and the per-destination next-hop port sets
-/// (everything install_switch_rules derives rules from, label policy and
-/// addressing being stable).  Equal signatures => identical rule sets.
-std::uint64_t switch_signature(const Controller& controller, topo::NodeId sw,
-                               const std::vector<topo::NodeId>& hosts,
-                               const std::unordered_set<topo::LinkId>& failed,
-                               NextHopScratch& scratch) {
+/// One derivation of `sw`'s L3 rule set under `failed`.
+struct Derivation {
+  /// Hash of the live local-host attachments and the per-destination
+  /// next-hop port sets: everything the rules are derived from, label
+  /// policy and addressing being stable.  Equal signatures => identical
+  /// rule sets.
+  std::uint64_t signature = 0xa7c15ULL;
+  std::uint64_t installed = 0;  // rules + groups issued
+};
+
+/// Derive `sw`'s signature and, when `install_with` is set, install the
+/// rules it stands for -- one pass, so the two cannot disagree:
+///  - egress edge: per attached host, pop + deliver;
+///  - transit: per-dst forwarding (an ECMP SELECT group when several
+///    next hops tie);
+///  - ingress edge: per (host port, dst) rule tagging with a CF label and
+///    forwarding.
+Derivation derive(Controller& controller,
+                  const L3RoutingApp::CfLabelPolicy* install_with,
+                  const std::unordered_set<topo::LinkId>& failed,
+                  topo::NodeId sw, const std::vector<topo::NodeId>& hosts,
+                  NextHopScratch& scratch) {
   const topo::PathEngine& paths = controller.paths();
   collect_local_hosts(controller, sw, failed, scratch);
+  Derivation out;
+  std::uint64_t& h = out.signature;
+  const auto issue = [&](switchd::TableEntry entry) {
+    controller.install(sw, std::move(entry));
+    ++out.installed;
+  };
+  const auto l3_rule = [](std::uint16_t priority, net::Ipv4 dst_ip,
+                          std::vector<switchd::Action> actions) {
+    switchd::FlowRule rule;
+    rule.priority = priority;
+    rule.match.dst = dst_ip;
+    rule.actions = std::move(actions);
+    rule.cookie = kL3Cookie;
+    return rule;
+  };
 
-  std::uint64_t h = 0xa7c15ULL;
   for (const auto& [host, port] : scratch.local_hosts) {
     h = mix(h, (static_cast<std::uint64_t>(host) << 32) | port);
   }
   for (std::size_t dst_index = 0; dst_index < hosts.size(); ++dst_index) {
     const topo::NodeId dst = hosts[dst_index];
-    bool is_local = false;
-    for (const auto& [host, port] : scratch.local_hosts) {
-      if (host == dst) {
-        h = mix(h, (static_cast<std::uint64_t>(dst_index) << 32) | 0x10000u |
-                       port);
-        is_local = true;
-        break;
-      }
-    }
-    if (is_local) continue;
-    next_hop_ports(controller, paths, sw, dst, failed, scratch);
-    if (scratch.ports.empty()) continue;  // unreachable: no rules, no hash
-    h = mix(h, (static_cast<std::uint64_t>(dst_index) << 32) |
-                   scratch.ports.size());
-    for (const topo::PortId port : scratch.ports) h = mix(h, port);
-  }
-  return h;
-}
-
-/// Install `sw`'s complete L3 rule set; returns rules + groups issued.
-std::uint64_t install_switch_rules(
-    Controller& controller, const L3RoutingApp::CfLabelPolicy& policy,
-    const std::unordered_set<topo::LinkId>& failed, topo::NodeId sw,
-    const std::vector<topo::NodeId>& hosts, NextHopScratch& scratch) {
-  const topo::PathEngine& paths = controller.paths();
-  collect_local_hosts(controller, sw, failed, scratch);
-  std::uint64_t installed = 0;
-
-  for (std::size_t dst_index = 0; dst_index < hosts.size(); ++dst_index) {
-    const topo::NodeId dst = hosts[dst_index];
-    const net::Ipv4 dst_ip = controller.addressing().ip_of(dst);
 
     // Egress: deliver to an attached host, stripping the CF tag.
-    bool is_local = false;
-    for (const auto& [host, port] : scratch.local_hosts) {
-      if (host == dst) {
-        switchd::FlowRule rule;
-        rule.priority = kPriorityEgress;
-        rule.match.dst = dst_ip;
-        rule.actions = {switchd::PopMpls{}, switchd::Output{port}};
-        rule.cookie = kL3Cookie;
-        controller.install_rule(sw, std::move(rule));
-        ++installed;
-        is_local = true;
-        break;
+    const auto local = std::ranges::find(
+        scratch.local_hosts, dst,
+        &std::pair<topo::NodeId, topo::PortId>::first);
+    if (local != scratch.local_hosts.end()) {
+      h = mix(h, (static_cast<std::uint64_t>(dst_index) << 32) | 0x10000u |
+                     local->second);
+      if (install_with != nullptr) {
+        issue(l3_rule(kPriorityEgress, controller.addressing().ip_of(dst),
+                      {switchd::PopMpls{}, switchd::Output{local->second}}));
       }
+      continue;
     }
-    if (is_local) continue;
 
     next_hop_ports(controller, paths, sw, dst, failed, scratch);
     const auto& ports = scratch.ports;
-    if (ports.empty()) continue;  // unreachable after failures
+    if (ports.empty()) continue;  // unreachable: no rules, no hash
+    h = mix(h, (static_cast<std::uint64_t>(dst_index) << 32) | ports.size());
+    for (const topo::PortId port : ports) h = mix(h, port);
+    if (install_with == nullptr) continue;
 
+    const net::Ipv4 dst_ip = controller.addressing().ip_of(dst);
     // With multiple equal-cost next hops install a SELECT group (ECMP,
     // hashing the 5-tuple), otherwise plain output.
     switchd::Action forward_action = switchd::Output{ports[0]};
@@ -144,40 +142,27 @@ std::uint64_t install_switch_rules(
       for (const topo::PortId port : ports) {
         group.buckets.push_back({switchd::Output{port}});
       }
-      const std::uint32_t group_id = group.group_id;
-      controller.install_group(sw, std::move(group));
-      ++installed;
-      forward_action = switchd::GroupAction{group_id};
+      forward_action = switchd::GroupAction{group.group_id};
+      issue(std::move(group));
     }
 
     // Transit: forward on destination alone, any label state.
-    {
-      switchd::FlowRule rule;
-      rule.priority = kPriorityTransit;
-      rule.match.dst = dst_ip;
-      rule.actions = {forward_action};
-      rule.cookie = kL3Cookie;
-      controller.install_rule(sw, std::move(rule));
-      ++installed;
-    }
+    issue(l3_rule(kPriorityTransit, dst_ip, {forward_action}));
 
     // Ingress tagging: traffic entering fresh from an attached host gets
     // a CF label before leaving the edge.
     for (const auto& [src_host, host_port] : scratch.local_hosts) {
-      const net::MplsLabel label = policy(src_host);
+      const net::MplsLabel label = (*install_with)(src_host);
       MIC_ASSERT_MSG(label != net::kNoMpls, "CF label must be non-zero");
-      switchd::FlowRule rule;
-      rule.priority = kPriorityIngressTag;
+      switchd::FlowRule rule =
+          l3_rule(kPriorityIngressTag, dst_ip,
+                  {switchd::SetMpls{label}, forward_action});
       rule.match.in_port = host_port;
-      rule.match.dst = dst_ip;
       rule.match.require_no_mpls = true;
-      rule.actions = {switchd::SetMpls{label}, forward_action};
-      rule.cookie = kL3Cookie;
-      controller.install_rule(sw, std::move(rule));
-      ++installed;
+      issue(std::move(rule));
     }
   }
-  return installed;
+  return out;
 }
 
 /// True when `sw` holds at least one L3-cookie rule (a rebooted switch's
@@ -187,29 +172,6 @@ bool has_l3_rules(Controller& controller, topo::NodeId sw) {
 }
 
 }  // namespace
-
-void L3RoutingApp::install(Controller& controller, CfLabelPolicy policy) {
-  const auto hosts = controller.graph().hosts();
-  NextHopScratch scratch;
-  auto& signatures = controller.l3_signatures();
-  signatures.clear();
-  for (const topo::NodeId sw : controller.graph().switches()) {
-    signatures[sw] =
-        switch_signature(controller, sw, hosts, kNoFailures, scratch);
-    install_switch_rules(controller, policy, kNoFailures, sw, hosts, scratch);
-  }
-}
-
-void L3RoutingApp::adopt(Controller& controller) {
-  const auto hosts = controller.graph().hosts();
-  NextHopScratch scratch;
-  auto& signatures = controller.l3_signatures();
-  signatures.clear();
-  for (const topo::NodeId sw : controller.graph().switches()) {
-    signatures[sw] =
-        switch_signature(controller, sw, hosts, kNoFailures, scratch);
-  }
-}
 
 RerouteStats L3RoutingApp::reroute_around(
     Controller& controller, CfLabelPolicy policy,
@@ -227,18 +189,20 @@ RerouteStats L3RoutingApp::reroute_around(
 
   for (const topo::NodeId sw : controller.graph().switches()) {
     ++stats.switches_scanned;
-    const std::uint64_t sig =
-        switch_signature(controller, sw, hosts, failed, scratch);
+    // A switch with a recorded signature and L3 rules in its table keeps
+    // them while its signature holds; any other switch is reinstalled.
     const auto it = signatures.find(sw);
-    if (it != signatures.end() && it->second == sig &&
-        has_l3_rules(controller, sw)) {
+    if (it != signatures.end() && has_l3_rules(controller, sw) &&
+        derive(controller, nullptr, failed, sw, hosts, scratch).signature ==
+            it->second) {
       ++stats.switches_skipped;
       continue;
     }
     controller.remove_cookie(sw, kL3Cookie, /*immediate=*/true);
-    stats.rules_installed +=
-        install_switch_rules(controller, policy, failed, sw, hosts, scratch);
-    signatures[sw] = sig;
+    const Derivation derived =
+        derive(controller, &policy, failed, sw, hosts, scratch);
+    signatures[sw] = derived.signature;
+    stats.rules_installed += derived.installed;
     ++stats.switches_reinstalled;
   }
   return stats;

@@ -52,28 +52,18 @@ class L3RoutingApp {
   /// backed by its MPLS space partitioning.
   using CfLabelPolicy = std::function<net::MplsLabel(topo::NodeId ingress_host)>;
 
-  /// Install the full proactive rule set on every switch:
-  ///  - ingress edge: per (host port, dst) rule tagging with a CF label and
-  ///    forwarding,
-  ///  - transit: per-dst forwarding,
-  ///  - egress edge: per attached host, pop + deliver.
-  static void install(Controller& controller, CfLabelPolicy policy);
-
-  /// Adopt rules already installed by a predecessor: fill the controller's
-  /// signature map (no-failure next hops) without touching any switch.  A
-  /// standby taking over uses this -- the fabric still holds the old
-  /// primary's L3 rules, and reinstalling identical rules would collide;
-  /// the first reroute_around after a real failure diffs against these
-  /// signatures and churns only what changed.
-  static void adopt(Controller& controller);
-
-  /// Fast failover for common flows: recompute every switch's next-hop
-  /// signature under the new failure set and reinstall rules *only* on the
-  /// switches whose signature changed (or whose table lost its L3 rules,
-  /// e.g. after a switch reboot) -- data-plane churn tracks the failure's
-  /// blast radius, not the fabric size.  Multi-hop avoidance is not
-  /// attempted (equal-cost multipath absorbs single-link failures in Clos
-  /// fabrics); destinations that become locally unreachable are skipped.
+  /// The one entry point, for the initial install and every failure or
+  /// repair after it: sync every switch's proactive rules (CF tagging at
+  /// the ingress edge, per-destination forwarding, pop + deliver at the
+  /// egress edge) to the failure set `failed`.  A switch is reinstalled
+  /// when it has no recorded next-hop signature (see
+  /// Controller::l3_signatures; an empty map reinstalls the whole fabric),
+  /// when its table lost its L3 rules (a switch reboot), or when its
+  /// signature under `failed` changed.  Every other switch is left
+  /// untouched, so data-plane churn tracks the failure's blast radius, not
+  /// the fabric size.  Multi-hop avoidance is not attempted (equal-cost
+  /// multipath absorbs single-link failures in Clos fabrics); destinations
+  /// that become locally unreachable are skipped.
   static RerouteStats reroute_around(
       Controller& controller, CfLabelPolicy policy,
       const std::unordered_set<topo::LinkId>& failed);

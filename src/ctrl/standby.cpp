@@ -98,16 +98,18 @@ bool StandbyController::take_over(const std::string& reason) {
   // labels) is shared deployment config, not soft state.
   mc_->mirror_directory_from(primary_);
 
-  // The fabric still holds the old primary's proactive L3 rules; adopt
-  // their signatures rather than reinstalling duplicates.
-  mc_->adopt_default_routing();
-
   // Replay the replica through the ordinary crash-recovery path: switch
   // dumps reconcile a stale replica against reality, the journal epoch is
   // bumped, and every resynced switch is fenced under it (so a zombie
   // ex-primary's next op is refused and it steps down).
   if (!mc_->crashed()) mc_->crash();
   takeover_report_ = mc_->recover(replica_);
+
+  // The fabric still holds the old primary's proactive L3 rules, derived
+  // for the failure view it last saw.  Reinstall them for the view
+  // recover() just resynced from the PHY, so no detour outlives a failure
+  // that healed during the outage.
+  mc_->install_default_routing();
 
   if (primary_.failure_detection_enabled()) mc_->enable_failure_detection();
   if (directory_ != nullptr) directory_->fail_over_to(*mc_);

@@ -53,10 +53,11 @@ class StandbyController {
   /// begin the heartbeat probe loop (unless heartbeat_interval is 0).
   void start();
 
-  /// Promote the standby now: mirror the directory, fence + recover from
-  /// the replica, adopt the proactive routing, repoint the directory and
-  /// detach from the old primary's stream.  Idempotent; returns false if
-  /// this standby already took over.
+  /// Promote the standby now: detach from the old primary's stream, mirror
+  /// the directory, fence + recover from the replica, reinstall the
+  /// proactive routing for the resynced failure view and repoint the
+  /// directory.  Idempotent; returns false if this standby already took
+  /// over.
   bool take_over(const std::string& reason);
 
   /// Simulate a control-network partition between standby and primary:

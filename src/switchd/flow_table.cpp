@@ -524,6 +524,13 @@ bool FlowTable::add_group(GroupEntry group) {
   return true;
 }
 
+bool FlowTable::add(TableEntry entry) {
+  if (auto* rule = std::get_if<FlowRule>(&entry)) {
+    return add_rule(std::move(*rule));
+  }
+  return add_group(std::move(std::get<GroupEntry>(entry)));
+}
+
 std::size_t FlowTable::remove_groups_by_cookie(std::uint64_t cookie) {
   // Compact in place, keeping install order; only the groups that move
   // get their map entry rewritten.

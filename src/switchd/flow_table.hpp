@@ -138,6 +138,9 @@ struct GroupEntry {
   std::uint64_t cookie = 0;
 };
 
+/// One southbound install: a flow rule or a group.
+using TableEntry = std::variant<FlowRule, GroupEntry>;
+
 /// The SELECT-group bucket index for a packet: a stable 5-tuple hash
 /// (labels excluded so tagging does not re-path a flow).  `salt`
 /// decorrelates decisions across group instances -- without it every
@@ -220,6 +223,8 @@ class FlowTable {
   std::size_t self_check(std::vector<std::string>& violations) const;
 
   bool add_group(GroupEntry group);
+  /// add_rule or add_group, whichever `entry` holds.
+  bool add(TableEntry entry);
   std::size_t remove_groups_by_cookie(std::uint64_t cookie);
   const GroupEntry* group(std::uint32_t group_id) const noexcept {
     const auto at = group_at_.find(group_id);

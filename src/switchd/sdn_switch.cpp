@@ -40,26 +40,10 @@ void SdnSwitch::on_port_status(topo::PortId port, bool up) {
   });
 }
 
-bool SdnSwitch::try_install(FlowRule rule) {
-  if (install_fault_probability_ > 0.0 &&
-      install_fault_rng_.chance(install_fault_probability_)) {
-    ++installs_rejected_;
-    return false;
-  }
-  if (!table_.add_rule(std::move(rule))) {
-    ++installs_rejected_;
-    return false;
-  }
-  return true;
-}
-
-bool SdnSwitch::try_install_group(GroupEntry group) {
-  if (install_fault_probability_ > 0.0 &&
-      install_fault_rng_.chance(install_fault_probability_)) {
-    ++installs_rejected_;
-    return false;
-  }
-  if (!table_.add_group(std::move(group))) {
+bool SdnSwitch::try_install(TableEntry entry) {
+  const bool faulted = install_fault_probability_ > 0.0 &&
+                       install_fault_rng_.chance(install_fault_probability_);
+  if (faulted || !table_.add(std::move(entry))) {
     ++installs_rejected_;
     return false;
   }

@@ -75,8 +75,9 @@ class SdnSwitch : public net::Device {
   //
   // A real switch can reject a flow-mod (table full) or lose it entirely;
   // the fault hook lets the chaos harness inject rejection bursts.  The
-  // controller's *checked* install path consults try_install; the legacy
-  // fire-and-forget path keeps the old add_rule semantics.
+  // controller's checked and immediate-checked installs go through
+  // try_install; its proactive installs (the default routing) write the
+  // table directly and never see an injected fault.
 
   /// Reject a fraction of try_install calls while active (0 disables).
   /// Seeded independently so fault schedules replay deterministically.
@@ -86,11 +87,10 @@ class SdnSwitch : public net::Device {
   }
   void clear_install_faults() noexcept { install_fault_probability_ = 0.0; }
 
-  /// Install honouring capacity, duplicates and injected faults.  Returns
-  /// false when the switch rejects (the flow-mod error the checked path
-  /// reports back to the controller).
-  bool try_install(FlowRule rule);
-  bool try_install_group(GroupEntry group);
+  /// Install a rule or group honouring capacity, duplicates and injected
+  /// faults.  Returns false when the switch rejects (the flow-mod error
+  /// the checked path reports back to the controller).
+  bool try_install(TableEntry entry);
 
   std::uint64_t installs_rejected() const noexcept {
     return installs_rejected_;
@@ -138,9 +138,10 @@ class SdnSwitch : public net::Device {
   std::uint64_t forwarded() const noexcept { return forwarded_; }
   std::uint64_t dropped() const noexcept { return dropped_; }
 
-  /// Lookup-tier counters of this switch's table (index hits vs wildcard
-  /// scan fallbacks vs misses) -- the observable the benches and the
-  /// controller use to confirm m-flow rules ride the fast path.
+  /// Lookup counters of this switch's table: lookups won by a rule that
+  /// pins every field (`index_hits`), by a rule of any other shape
+  /// (`scan_fallbacks`), and misses.  The benches use them to confirm that
+  /// m-flow rules stay exact.
   const TableStats& table_stats() const noexcept { return table_.stats(); }
 
  private:

@@ -207,29 +207,50 @@ TEST(SwitchFailure, CrashRepairsChannelsAndRestoreRefillsTable) {
 // --- transactional installs ---------------------------------------------------
 
 TEST(InstallFailure, EstablishmentRollsBackAndRetries) {
-  // Every switch rejects every flow-mod: establishment must fail after the
-  // retry budget and leave zero rules behind (all-or-nothing).
+  // Every switch rejects every flow-mod: establishment must fail -- at
+  // once on the synchronous path, after the retry budget on the async
+  // one -- and leave nothing behind (all-or-nothing).
   Bed bed;
+  auto& mc = bed.fabric.mc();
+  const auto expect_rolled_back = [&bed, &mc] {
+    EXPECT_EQ(mc.active_channel_count(), 0u);
+    EXPECT_EQ(mc.registry().active_flow_count(), 0u);
+    EXPECT_TRUE(mc.journal().replay().channels.empty());
+    const auto report = audit::run_all(bed.fabric);
+    EXPECT_TRUE(report.ok) << report.first_violation();
+    // literally no channel rules anywhere
+    EXPECT_EQ(report.check("FD-1").metric("mflow_rules"), 0u);
+  };
   for (const topo::NodeId sw : bed.fabric.network().graph().switches()) {
-    bed.fabric.mc().switch_at(sw)->inject_install_faults(1.0, 99);
+    mc.switch_at(sw)->inject_install_faults(1.0, 99);
   }
+
+  core::EstablishRequest request;
+  request.initiator_ip = bed.fabric.ip(0);
+  request.responder_ip = bed.fabric.ip(12);
+  request.responder_port = 7000;
+  request.initiator_sports = {40001};
+  const core::EstablishResult rejected = mc.establish(request);
+  EXPECT_FALSE(rejected.ok);
+  EXPECT_EQ(rejected.error, "rule install rejected; channel rolled back");
+  expect_rolled_back();
+
   auto doomed = std::make_unique<MicChannel>(
-      bed.fabric.host(0), bed.fabric.mc(), bed.options(), bed.fabric.rng());
+      bed.fabric.host(0), mc, bed.options(), bed.fabric.rng());
   bed.fabric.simulator().run_until();
   EXPECT_TRUE(doomed->failed());
   EXPECT_FALSE(doomed->ready());
-  EXPECT_EQ(bed.fabric.mc().active_channel_count(), 0u);
-  EXPECT_GE(bed.fabric.mc().install_retries(), 1u);
-  const auto report = audit::run_all(bed.fabric);
-  EXPECT_TRUE(report.ok) << report.first_violation();
-  // literally no channel rules anywhere
-  EXPECT_EQ(report.check("FD-1").metric("mflow_rules"), 0u);
+  EXPECT_GE(mc.install_retries(), 1u);
+  expect_rolled_back();
   doomed.reset();
 
-  // Once the faults clear, the same request succeeds.
+  // Once the faults clear, the same requests succeed.
   for (const topo::NodeId sw : bed.fabric.network().graph().switches()) {
-    bed.fabric.mc().switch_at(sw)->clear_install_faults();
+    mc.switch_at(sw)->clear_install_faults();
   }
+  const core::EstablishResult accepted = mc.establish(request);
+  EXPECT_TRUE(accepted.ok) << accepted.error;
+  mc.teardown(accepted.channel);
   MicChannel channel(bed.fabric.host(0), bed.fabric.mc(), bed.options(),
                      bed.fabric.rng());
   bed.fabric.simulator().run_until();

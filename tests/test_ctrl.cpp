@@ -117,8 +117,7 @@ TEST(Controller, SouthboundLatencyDelaysInstall) {
   rule.match.src = net::Ipv4(1, 2, 3, 4);
   rule.cookie = 777;
   bool confirmed = false;
-  fabric.mc().install_rule_checked(sw, rule,
-                                   [&](bool ok) { confirmed = ok; });
+  fabric.mc().install_checked(sw, rule, [&](bool ok) { confirmed = ok; });
 
   // Not yet installed...
   const sim::SimTime latency = kSouthboundLatency;

@@ -18,6 +18,7 @@
 #include "core/mic_client.hpp"
 #include "ctrl/standby.hpp"
 #include "net/trace.hpp"
+#include "support/l3_tables.hpp"
 
 namespace mic {
 namespace {
@@ -349,6 +350,47 @@ TEST(Failover, TakeoverOutranksAPrimaryWhoseReplicaCompactedToEmpty) {
   bed.kill_primary();
   ASSERT_TRUE(bed.standby.take_over("test: empty replica"));
   EXPECT_GT(bed.standby.mc().journal().epoch(), primary_epoch);
+}
+
+/// The first link of the `index`-th core switch: a core-aggregation link.
+topo::LinkId core_link(Fabric& fabric, std::size_t index) {
+  const topo::NodeId core = fabric.fattree().core_switches().at(index);
+  return fabric.network().graph().neighbors(core).front().link;
+}
+
+TEST(Failover, TakeoverDropsDetoursOfAFailureThatHealedDuringTheOutage) {
+  // The primary reroutes the default routing around a core link cut, then
+  // dies; the link heals while no controller is up.  The standby's view,
+  // resynced from the PHY, has no failure -- so the detour rules the dead
+  // primary left must not survive the takeover, nor any later reroute.
+  FailoverBed bed({}, follow_only());
+  const ctrl::L3Snapshot healthy = ctrl::l3_tables(bed.fabric.mc());
+  const topo::LinkId cut = core_link(bed.fabric, 0);
+  bed.fabric.network().set_link_up(cut, false);
+  bed.run_for(sim::milliseconds(5));
+  ASSERT_FALSE(
+      ctrl::differing_switches(healthy, ctrl::l3_tables(bed.fabric.mc()))
+          .empty());  // the primary did detour
+
+  bed.kill_primary();
+  bed.fabric.network().set_link_up(cut, true);
+  bed.run_for(sim::milliseconds(5));
+  ASSERT_TRUE(bed.standby.take_over("test: failure healed during outage"));
+  EXPECT_TRUE(bed.standby.mc().failed_links().empty());
+  EXPECT_EQ(ctrl::differing_switches(healthy,
+                                     ctrl::l3_tables(bed.standby.mc())),
+            std::vector<topo::NodeId>{});
+
+  // A later failure elsewhere and its repair leave the healthy tables.
+  const topo::LinkId other = core_link(bed.fabric, 1);
+  bed.fabric.network().set_link_up(other, false);
+  bed.run_for(sim::milliseconds(5));
+  bed.fabric.network().set_link_up(other, true);
+  bed.run_for(sim::milliseconds(5));
+  EXPECT_TRUE(bed.standby.mc().failed_links().empty());
+  EXPECT_EQ(ctrl::differing_switches(healthy,
+                                     ctrl::l3_tables(bed.standby.mc())),
+            std::vector<topo::NodeId>{});
 }
 
 TEST(Failover, StaleReplicaSweepsAndClientsReestablish) {

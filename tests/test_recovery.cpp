@@ -12,6 +12,7 @@
 #include "core/channel_journal.hpp"
 #include "core/fabric.hpp"
 #include "core/mic_client.hpp"
+#include "support/l3_tables.hpp"
 
 namespace mic::core {
 namespace {
@@ -445,6 +446,35 @@ TEST(SelectiveReroute, OnlySwitchesWithChangedNextHopsReinstall) {
   bed.run();
   EXPECT_TRUE(bed.fabric.mc().failed_links().empty());
   EXPECT_TRUE(audit::run_all(bed.fabric).ok);
+}
+
+TEST(SelectiveReroute, LeavesTheTablesAFullReinstallWould) {
+  // Skipping a switch is only sound if its signature covers everything its
+  // rules are derived from: under a core-aggregation cut, every switch's
+  // L3 table after the selective reroute must equal what reinstalling the
+  // whole fabric for the same failure view gives, and the restore must
+  // bring back the healthy tables exactly.
+  RecoveryBed bed;
+  MimicController& mc = bed.fabric.mc();
+  const ctrl::L3Snapshot healthy = ctrl::l3_tables(mc);
+  const topo::NodeId core = bed.fabric.fattree().core_switches().front();
+  const topo::LinkId victim =
+      bed.fabric.network().graph().neighbors(core).front().link;
+  bed.fabric.network().set_link_up(victim, false);
+  bed.run();
+  ASSERT_EQ(mc.failed_links().size(), 1u);
+
+  const ctrl::L3Snapshot selective = ctrl::l3_tables(mc);
+  ASSERT_FALSE(ctrl::differing_switches(healthy, selective).empty());
+  mc.install_default_routing();
+  EXPECT_EQ(ctrl::differing_switches(selective, ctrl::l3_tables(mc)),
+            std::vector<topo::NodeId>{});
+
+  bed.fabric.network().set_link_up(victim, true);
+  bed.run();
+  EXPECT_TRUE(mc.failed_links().empty());
+  EXPECT_EQ(ctrl::differing_switches(healthy, ctrl::l3_tables(mc)),
+            std::vector<topo::NodeId>{});
 }
 
 }  // namespace
