@@ -34,8 +34,10 @@ echo "== perf-regression guards =="
 echo "== admission flood guard =="
 # Honest establishment p99 under a 10x establishment flood must stay
 # within a fixed multiple of the unloaded p99 (latencies are simulated
-# time, so this is exact, not a wall-clock threshold).
-./build/bench/control_flood --smoke
+# time, so this is exact, not a wall-clock threshold).  It writes its
+# ledger to the working directory, so it runs inside build/ and leaves the
+# committed BENCH_flood.json alone.
+(cd build && ./bench/control_flood --smoke)
 
 echo "== ablation + fast figure benches =="
 # Each must print its committed golden stdout (bench/golden/) byte for

@@ -95,7 +95,11 @@ MimicController::MimicController(net::Network& network,
       restrictions_(network.graph(), paths(), Controller::addressing()),
       admission_(network.simulator(), mic_config.admission) {
   // Namespacing for co-deployed controllers: channel IDs (and therefore
-  // rule cookies) and group IDs never collide across instances.
+  // rule cookies) and group IDs never collide across instances, nor with
+  // the default routing's groups.
+  MIC_ASSERT_MSG(mic_config_.instance_id < (ctrl::kL3GroupBase >> 24),
+                 "instance_id must be below 128: its group IDs would "
+                 "overlap the L3 ECMP groups");
   next_channel_ =
       (static_cast<ChannelId>(mic_config_.instance_id) << 32) + 1;
   next_group_ = (mic_config_.instance_id << 24) + 1;

@@ -46,6 +46,8 @@ struct MicConfig {
   // --- distributed-controller deployment (paper Sec VI-C) --------------------
   /// Distinguishes this controller instance: channel IDs, rule cookies and
   /// group IDs are derived from it so co-deployed MCs never collide.
+  /// Instance i owns the group IDs [i << 24, (i + 1) << 24), so i must be
+  /// below 128: the default routing owns ctrl::kL3GroupBase and up.
   std::uint32_t instance_id = 0;
   /// This instance's slice of the m-flow ID space; slices of co-deployed
   /// MCs must be disjoint.

@@ -9,7 +9,14 @@ Controller::Controller(net::Network& network, HostAddressing addressing,
     : network_(network),
       addressing_(std::move(addressing)),
       config_(config),
-      paths_(network.graph()) {}
+      paths_(network.graph()),
+      switches_(network.graph().size(), nullptr) {
+  // The fabric sets every device before its controller exists and never
+  // replaces one.
+  for (const topo::NodeId sw : graph().switches()) {
+    switches_[sw] = dynamic_cast<switchd::SdnSwitch*>(network_.device(sw));
+  }
+}
 
 bool Controller::roll_control_drop() {
   if (control_drop_probability_ <= 0.0 ||
@@ -18,12 +25,6 @@ bool Controller::roll_control_drop() {
   }
   ++control_drops_;
   return true;
-}
-
-switchd::SdnSwitch* Controller::switch_at(topo::NodeId node) {
-  auto* device = dynamic_cast<switchd::SdnSwitch*>(network_.device(node));
-  MIC_ASSERT_MSG(device != nullptr, "node is not an SDN switch");
-  return device;
 }
 
 bool Controller::op_admitted(topo::NodeId sw, std::uint64_t epoch) {

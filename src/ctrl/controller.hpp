@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "net/network.hpp"
 #include "switchd/sdn_switch.hpp"
@@ -75,7 +76,12 @@ class Controller {
   const HostAddressing& addressing() const noexcept { return addressing_; }
   const ControllerConfig& config() const noexcept { return config_; }
 
-  switchd::SdnSwitch* switch_at(topo::NodeId node);
+  /// The SDN switch serving `node`; asserts that there is one.
+  switchd::SdnSwitch* switch_at(topo::NodeId node) {
+    MIC_ASSERT_MSG(node < switches_.size() && switches_[node] != nullptr,
+                   "node is not an SDN switch");
+    return switches_[node];
+  }
 
   // --- southbound installs ---------------------------------------------------
   //
@@ -175,6 +181,8 @@ class Controller {
   HostAddressing addressing_;
   ControllerConfig config_;
   topo::PathEngine paths_;
+  // Node -> its SDN switch, nullptr for hosts; filled once at construction.
+  std::vector<switchd::SdnSwitch*> switches_;
   std::unordered_map<topo::NodeId, std::uint64_t> l3_signatures_;
   std::uint64_t fence_epoch_ = 0;
   std::uint64_t fenced_ops_ = 0;

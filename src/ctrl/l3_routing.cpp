@@ -12,6 +12,8 @@ struct NextHopScratch {
   std::vector<std::pair<topo::NodeId, topo::PortId>> candidates;
   std::vector<topo::PortId> ports;
   std::vector<std::pair<topo::NodeId, topo::PortId>> local_hosts;
+  /// CF label per local host, kNoMpls until its first ingress rule asks.
+  std::vector<net::MplsLabel> local_labels;
 };
 
 std::uint64_t mix(std::uint64_t h, std::uint64_t v) noexcept {
@@ -31,14 +33,15 @@ void next_hop_ports(const Controller& controller,
   scratch.candidates.clear();
   scratch.ports.clear();
   const auto& graph = controller.graph();
-  const std::uint32_t d = paths.distance(sw, dst);
+  const auto dist = paths.distances_to(dst);
+  const std::uint32_t d = dist[sw];
   if (d == topo::PathEngine::kUnreachable) return;
 
   for (const auto& adj : graph.neighbors(sw)) {
-    if (failed.contains(adj.link)) continue;
+    if (!failed.empty() && failed.contains(adj.link)) continue;
     const bool on_shortest =
         adj.peer == dst ||
-        (graph.is_switch(adj.peer) && paths.distance(adj.peer, dst) == d - 1);
+        (graph.is_switch(adj.peer) && dist[adj.peer] == d - 1);
     if (on_shortest) scratch.candidates.push_back({adj.peer, adj.local_port});
   }
   std::sort(scratch.candidates.begin(), scratch.candidates.end());
@@ -48,17 +51,19 @@ void next_hop_ports(const Controller& controller,
 }
 
 /// Hosts attached directly to `sw` over live links (it is their edge
-/// switch); fills scratch.local_hosts.
+/// switch); fills scratch.local_hosts and resets their labels.
 void collect_local_hosts(const Controller& controller, topo::NodeId sw,
                          const std::unordered_set<topo::LinkId>& failed,
                          NextHopScratch& scratch) {
   scratch.local_hosts.clear();
   const auto& graph = controller.graph();
   for (const auto& adj : graph.neighbors(sw)) {
-    if (graph.is_host(adj.peer) && !failed.contains(adj.link)) {
+    if (graph.is_host(adj.peer) &&
+        (failed.empty() || !failed.contains(adj.link))) {
       scratch.local_hosts.push_back({adj.peer, adj.local_port});
     }
   }
+  scratch.local_labels.assign(scratch.local_hosts.size(), net::kNoMpls);
 }
 
 /// One derivation of `sw`'s L3 rule set under `failed`.
@@ -134,11 +139,10 @@ Derivation derive(Controller& controller,
     switchd::Action forward_action = switchd::Output{ports[0]};
     if (ports.size() > 1) {
       switchd::GroupEntry group;
-      // L3 group ids live in the high range so they can never collide
-      // with the Mimic Controller's multicast groups.
-      group.group_id = 0x80000000u | static_cast<std::uint32_t>(dst_index);
+      group.group_id = kL3GroupBase | static_cast<std::uint32_t>(dst_index);
       group.type = switchd::GroupType::kSelect;
       group.cookie = kL3Cookie;
+      group.buckets.reserve(ports.size());
       for (const topo::PortId port : ports) {
         group.buckets.push_back({switchd::Output{port}});
       }
@@ -151,9 +155,13 @@ Derivation derive(Controller& controller,
 
     // Ingress tagging: traffic entering fresh from an attached host gets
     // a CF label before leaving the edge.
-    for (const auto& [src_host, host_port] : scratch.local_hosts) {
-      const net::MplsLabel label = (*install_with)(src_host);
-      MIC_ASSERT_MSG(label != net::kNoMpls, "CF label must be non-zero");
+    for (std::size_t i = 0; i < scratch.local_hosts.size(); ++i) {
+      const auto& [src_host, host_port] = scratch.local_hosts[i];
+      net::MplsLabel& label = scratch.local_labels[i];
+      if (label == net::kNoMpls) {
+        label = (*install_with)(src_host);
+        MIC_ASSERT_MSG(label != net::kNoMpls, "CF label must be non-zero");
+      }
       switchd::FlowRule rule =
           l3_rule(kPriorityIngressTag, dst_ip,
                   {switchd::SetMpls{label}, forward_action});

@@ -25,6 +25,10 @@ inline constexpr std::uint16_t kPriorityTransit = 20;
 
 inline constexpr std::uint64_t kL3Cookie = 0x4c335254ULL;  // "L3RT"
 
+/// The default routing's ECMP groups take the ids from here up, one per
+/// destination index; the Mimic Controller's multicast groups stay below.
+inline constexpr std::uint32_t kL3GroupBase = 0x80000000u;
+
 /// TableStats-style counters for selective reroute: how many switches a
 /// reroute scanned vs how many actually had their rules churned.
 struct RerouteStats {
@@ -48,8 +52,9 @@ struct RerouteStats {
 class L3RoutingApp {
  public:
   /// Supplies the CF label to tag a common flow entering at `ingress_host`.
-  /// Must never return kNoMpls.  The Mimic Controller supplies a policy
-  /// backed by its MPLS space partitioning.
+  /// Must never return kNoMpls.  Asked once per (switch, attached host)
+  /// that a reinstall tags for, at its first ingress rule.  The Mimic
+  /// Controller supplies a policy backed by its MPLS space partitioning.
   using CfLabelPolicy = std::function<net::MplsLabel(topo::NodeId ingress_host)>;
 
   /// The one entry point, for the initial install and every failure or

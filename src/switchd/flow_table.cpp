@@ -181,7 +181,7 @@ void FlowTable::clear() {
   cookie_heads_.clear();
 }
 
-std::uint32_t FlowTable::place(FlowRule rule) {
+std::uint32_t FlowTable::place(FlowRule&& rule) {
   MIC_ASSERT_MSG(next_seq_ != std::numeric_limits<std::uint32_t>::max(),
                  "install sequence exhausted");
   std::uint32_t slot;
@@ -524,7 +524,7 @@ bool FlowTable::add_group(GroupEntry group) {
   return true;
 }
 
-bool FlowTable::add(TableEntry entry) {
+bool FlowTable::add(TableEntry&& entry) {
   if (auto* rule = std::get_if<FlowRule>(&entry)) {
     return add_rule(std::move(*rule));
   }

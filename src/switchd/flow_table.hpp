@@ -224,7 +224,7 @@ class FlowTable {
 
   bool add_group(GroupEntry group);
   /// add_rule or add_group, whichever `entry` holds.
-  bool add(TableEntry entry);
+  bool add(TableEntry&& entry);
   std::size_t remove_groups_by_cookie(std::uint64_t cookie);
   const GroupEntry* group(std::uint32_t group_id) const noexcept {
     const auto at = group_at_.find(group_id);
@@ -360,7 +360,7 @@ class FlowTable {
 
   /// Move `rule` into a free slot, stamp its install seq and link it onto
   /// its cookie's list.  Chain placement is the caller's job.
-  std::uint32_t place(FlowRule rule);
+  std::uint32_t place(FlowRule&& rule);
   /// Detach a rule from its key's chain, and its chain from the subtable
   /// when it was the last rule with that key.
   void unlink(std::uint32_t slot);

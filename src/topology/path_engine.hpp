@@ -5,9 +5,11 @@
 // hostile to fat-trees with thousands of hosts.  The graph is undirected
 // (and the host-no-transit rule is symmetric), so a single reverse BFS from
 // a destination yields distance(x, dst) for *every* x -- exactly the shape
-// every consumer needs: next-hop selection asks distance(sw, dst) for all
-// switches, address restrictions ask distance(sw, host) for all hosts, and
-// path sampling walks one row's shortest-path DAG.
+// every consumer needs: next-hop selection reads distance(x, dst) for a
+// switch and its neighbours, address restrictions read distance(x, host)
+// for every switch and its neighbours, and path sampling walks one row's
+// shortest-path DAG.  The first two take the whole row at once through
+// distances_to().
 //
 // Rows are therefore computed on demand, one BFS per destination, and
 // cached.  Each row stores its successor DAG in a flat CSR layout (one
@@ -69,6 +71,13 @@ class PathEngine {
   /// unreachable.  Computes and caches the dst row on first use.
   std::uint32_t distance(NodeId src, NodeId dst) const {
     return row(dst).dist[src];
+  }
+
+  /// Hop distance from every node to dst, indexed by NodeId (kUnreachable
+  /// where unreachable): one row query serves every source.  The span is
+  /// valid until the next failure-set change.
+  std::span<const std::uint32_t> distances_to(NodeId dst) const {
+    return row(dst).dist;
   }
 
   bool reachable(NodeId src, NodeId dst) const {

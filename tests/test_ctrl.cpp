@@ -3,16 +3,153 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
 
 #include "core/fabric.hpp"
 #include "core/mic_client.hpp"
 #include "ctrl/l3_routing.hpp"
+#include "support/l3_tables.hpp"
 #include "transport/apps.hpp"
 
 namespace mic::ctrl {
 namespace {
 
 using core::Fabric;
+using core::FabricOptions;
+
+/// Order-sensitive 64-bit fold of a stream of words.
+struct Digest {
+  std::uint64_t value = 0x4c33524f55544553ULL;
+
+  void add(std::uint64_t word) noexcept {
+    std::uint64_t state = value ^ word;
+    value = splitmix64(state);
+  }
+  template <typename T>
+  void add(const std::optional<T>& field) noexcept {
+    add(field.has_value());
+    add(field ? static_cast<std::uint64_t>(*field) : 0);
+  }
+  void add(const std::optional<net::Ipv4>& field) noexcept {
+    add(field.has_value());
+    add(field ? field->value : 0);
+  }
+  void add(const std::vector<switchd::Action>& actions) {
+    add(actions.size());
+    for (const switchd::Action& action : actions) {
+      add(action.index());
+      std::visit(
+          [this](const auto& a) {
+            using A = std::decay_t<decltype(a)>;
+            if constexpr (std::is_same_v<A, switchd::SetSrc> ||
+                          std::is_same_v<A, switchd::SetDst>) {
+              add(a.ip.value);
+            } else if constexpr (std::is_same_v<A, switchd::SetSport> ||
+                                 std::is_same_v<A, switchd::SetDport> ||
+                                 std::is_same_v<A, switchd::Output>) {
+              add(a.port);
+            } else if constexpr (std::is_same_v<A, switchd::SetMpls>) {
+              add(a.label);
+            } else if constexpr (std::is_same_v<A, switchd::GroupAction>) {
+              add(a.group_id);
+            }
+          },
+          action);
+    }
+  }
+};
+
+/// Every switch's L3 rules and groups, then every egress port's
+/// plausibility sets, folded in dump and graph order.
+std::uint64_t l3_and_restrictions_digest(core::MimicController& mc) {
+  Digest digest;
+  for (const auto& [sw, table] : l3_tables(mc)) {
+    digest.add(sw);
+    digest.add(table.rules.size());
+    for (const L3Table::Rule& rule : table.rules) {
+      digest.add(rule.priority);
+      digest.add(rule.match.in_port);
+      digest.add(rule.match.src);
+      digest.add(rule.match.dst);
+      digest.add(rule.match.sport);
+      digest.add(rule.match.dport);
+      digest.add(rule.match.mpls);
+      digest.add(rule.match.require_no_mpls);
+      digest.add(rule.actions);
+    }
+    digest.add(table.groups.size());
+    for (const L3Table::Group& group : table.groups) {
+      digest.add(group.group_id);
+      digest.add(static_cast<std::uint64_t>(group.type));
+      digest.add(group.buckets.size());
+      for (const auto& bucket : group.buckets) digest.add(bucket);
+    }
+  }
+  const auto& restrictions = mc.restrictions();
+  for (const topo::NodeId sw : mc.graph().switches()) {
+    for (const auto& adj : mc.graph().neighbors(sw)) {
+      for (const auto* set : {&restrictions.allowed_src(sw, adj.local_port),
+                              &restrictions.allowed_dst(sw, adj.local_port)}) {
+        digest.add(set->size());
+        for (const net::Ipv4 ip : *set) digest.add(ip.value);
+      }
+    }
+  }
+  return digest.value;
+}
+
+TEST(L3Routing, TablesAndRestrictionsMatchRecordedDigest) {
+  // Pins the default routing and the m-address plausibility sets byte for
+  // byte, on the benchmark's k=8 fabric and on the paper's k=4 testbed.  A
+  // change that moves L3 routing on purpose re-records both constants.
+  FabricOptions bench_options;
+  bench_options.k = 8;
+  bench_options.seed = 7;
+  bench_options.install_default_routing = false;
+  Fabric bench(bench_options);
+  bench.mc().install_default_routing();
+  EXPECT_EQ(l3_and_restrictions_digest(bench.mc()), 0x892a0dc94e3ba4f7ULL);
+
+  Fabric paper;
+  EXPECT_EQ(l3_and_restrictions_digest(paper.mc()), 0x79d90daa52cb1172ULL);
+}
+
+std::uint64_t path_queries(const core::MimicController& mc) {
+  const topo::PathEngineStats stats = mc.paths().stats();
+  return stats.rows_computed + stats.row_hits;
+}
+
+TEST(L3Routing, ConstructionReadsOneDistanceRowPerHost) {
+  // The MC derives every port's plausibility sets from one row per host;
+  // default routing then reads at most one row per (switch, host).
+  FabricOptions options;
+  options.install_default_routing = false;
+  Fabric fabric(options);
+  const auto& graph = fabric.mc().graph();
+  const std::uint64_t hosts = graph.hosts().size();
+  const std::uint64_t construction = path_queries(fabric.mc());
+  EXPECT_LE(construction, hosts);
+
+  fabric.mc().install_default_routing();
+  EXPECT_LE(path_queries(fabric.mc()) - construction,
+            graph.switches().size() * hosts);
+}
+
+TEST(L3Routing, ReinstallAsksTheLabelPolicyOncePerAttachedHost) {
+  Fabric fabric;
+  auto& mc = fabric.mc();
+  std::size_t asked = 0;
+  mc.l3_signatures().clear();
+  L3RoutingApp::reroute_around(
+      mc,
+      [&](topo::NodeId host) {
+        ++asked;
+        return mc.cf_label_for(host);
+      },
+      {});
+  // In a fat-tree every host hangs off exactly one edge switch.
+  EXPECT_EQ(asked, fabric.host_count());
+}
 
 TEST(L3Routing, EveryHostPairConnected) {
   Fabric fabric;

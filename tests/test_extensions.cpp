@@ -341,6 +341,37 @@ TEST(DistributedControllers, DisjointIdSpacesStayCollisionFree) {
   }
 }
 
+/// Establishes 20 partially multicast channels (F=1, N=3, 2 decoys) on a
+/// k=4 fabric whose MC runs as `instance_id`; returns how many succeed.
+int establish_decoy_channels(std::uint32_t instance_id) {
+  FabricOptions options;
+  options.seed = 3;
+  options.mic.instance_id = instance_id;
+  Fabric fabric(options);
+  int established = 0;
+  for (int i = 0; i < 20; ++i) {
+    core::EstablishRequest request;
+    request.initiator_ip = fabric.ip(static_cast<std::size_t>(i % 16));
+    request.responder_ip = fabric.ip(static_cast<std::size_t>((i + 7) % 16));
+    request.responder_port = 7000;
+    request.initiator_sports = {static_cast<net::L4Port>(41000 + i)};
+    request.multicast_decoys = 2;
+    if (fabric.mc().establish(request).ok) ++established;
+  }
+  return established;
+}
+
+TEST(DistributedControllers, HighestInstanceIdKeepsItsGroupsClearOfL3) {
+  // Instance 127's multicast groups end just below the default routing's
+  // ECMP group range, so every decoy group installs.
+  EXPECT_EQ(establish_decoy_channels(127), 20);
+}
+
+TEST(DistributedControllers, InstanceIdPastTheGroupRangeDies) {
+  // Instance 128's group IDs would start inside the L3 app's range.
+  EXPECT_DEATH(establish_decoy_channels(128), "instance_id");
+}
+
 TEST(DistributedControllers, RangeExhaustionDies) {
   core::MagaRegistry registry{Rng(1), core::FlowIdRange{10, 3}};
   EXPECT_EQ(registry.allocate_flow_id(), 10);
