@@ -84,7 +84,7 @@ void BM_FlowTableLookupIndexed(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     const auto& p = bench.packets[i++ % bench.packets.size()];
-    benchmark::DoNotOptimize(bench.table.lookup(p, 0, p.wire_bytes()));
+    benchmark::DoNotOptimize(bench.table.lookup(p, 0));
   }
   state.counters["index_hits"] =
       static_cast<double>(bench.table.stats().index_hits);
@@ -114,8 +114,7 @@ void BM_FlowTableLookupMissToWildcard(benchmark::State& state) {
   packet.dst = mic::net::Ipv4(10, 0, 0, 2);
   packet.tcp.payload_len = 64;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bench.table.lookup(packet, 0,
-                                                packet.wire_bytes()));
+    benchmark::DoNotOptimize(bench.table.lookup(packet, 0));
   }
 }
 BENCHMARK(BM_FlowTableLookupMissToWildcard)->Arg(16)->Arg(256)->Arg(4096);
@@ -360,8 +359,7 @@ void BM_FlowTableLookupL3(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     const auto& [packet, in_port] = bench.packets[i++ % bench.packets.size()];
-    benchmark::DoNotOptimize(
-        bench.table.lookup(packet, in_port, packet.wire_bytes()));
+    benchmark::DoNotOptimize(bench.table.lookup(packet, in_port));
   }
   state.counters["misses"] =
       static_cast<double>(bench.table.stats().misses);
@@ -383,8 +381,7 @@ double measure_l3_lookup(L3Bench& bench, int lookups, int trials,
         benchmark::DoNotOptimize(
             bench.table.reference_lookup(packet, in_port));
       } else {
-        benchmark::DoNotOptimize(
-            bench.table.lookup(packet, in_port, packet.wire_bytes()));
+        benchmark::DoNotOptimize(bench.table.lookup(packet, in_port));
       }
       if (++next == bench.packets.size()) next = 0;
     }
@@ -469,7 +466,7 @@ int run_sweep_json() {
     for (int i = 0; i < kLookups; ++i) {
       const auto& p = bench.packets[static_cast<std::size_t>(i) %
                                     bench.packets.size()];
-      sink = bench.table.lookup(p, 0, p.wire_bytes());
+      sink = bench.table.lookup(p, 0);
       benchmark::DoNotOptimize(sink);
     }
     const double idx_ns =

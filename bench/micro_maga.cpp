@@ -1,5 +1,5 @@
-// Micro-benchmarks for MAGA: hash evaluation, inversion, full tuple
-// generation, and the label classifier (google-benchmark).
+// Micro-benchmarks for MAGA: F's inversion, full tuple generation, and the
+// label classifier (google-benchmark).
 #include <benchmark/benchmark.h>
 
 #include "core/maga.hpp"
@@ -10,28 +10,7 @@ namespace {
 using mic::Rng;
 using mic::core::MagaF;
 using mic::core::MagaRegistry;
-using mic::core::Maga3;
 using mic::core::MplsClassifier;
-
-void BM_Maga3Value(benchmark::State& state) {
-  Rng rng(1);
-  const Maga3 f = Maga3::sample(rng);
-  std::uint32_t x = 1, y = 2, z = 3;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.value(x++, y++, z++));
-  }
-}
-BENCHMARK(BM_Maga3Value);
-
-void BM_Maga3Invert(benchmark::State& state) {
-  Rng rng(2);
-  const Maga3 f = Maga3::sample(rng);
-  std::uint32_t v = 1, x = 2, y = 3;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(f.invert_z(v++, x++, y++));
-  }
-}
-BENCHMARK(BM_Maga3Invert);
 
 void BM_MagaFInvert(benchmark::State& state) {
   Rng rng(3);

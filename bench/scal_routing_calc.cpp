@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -35,13 +36,14 @@ using core::FabricOptions;
 
 /// The establish benches call MimicController::establish back to back in
 /// zero simulated time, so the per-tenant token buckets never refill: with
-/// admission on, all but the first burst would be shed as Busy and the
-/// bench would time the shedding fast path.  Admission is switched off,
-/// which cannot saturate, and every iteration must establish.
+/// the default burst, all but the first burst would be shed as Busy and
+/// the bench would time the shedding fast path.  No run can drain an
+/// unbounded bucket, and every iteration must establish.
 FabricOptions establish_options(int k) {
   FabricOptions options;
   options.k = k;
-  options.mic.admission.enabled = false;
+  options.mic.admission.tenant_burst =
+      std::numeric_limits<double>::infinity();
   return options;
 }
 
@@ -284,6 +286,45 @@ int run_sweep_json() {
   std::printf("{\"bench\":\"scal_routing_calc\",\"series\":[");
   bool first = true;
   for (const int k : {4, 8, 16}) {
+    // Full MC construction (default routing queries every host row), and
+    // the default routing alone, each the median of kMcBuilds builds after
+    // one untimed warm-up build.  They run before this k's eager table and
+    // engines below exist, so no other structure of the sweep shares the
+    // heap with them, and the fabrics are destroyed outside the timer.
+    // Gated to k <= 8: a k=16 fabric has 320 switches, past MAGA's 255
+    // S_ID limit, so no full MC exists at that scale (only bare engines).
+    std::string mc_fields;
+    if (k <= 8) {
+      constexpr int kMcBuilds = 11;
+      FabricOptions options;
+      options.k = k;
+      {
+        const Fabric warm_up(options);
+      }
+      std::vector<double> construct_ms, routing_ms;
+      std::size_t rows_cached = 0;
+      for (int build = 0; build < kMcBuilds; ++build) {
+        const auto t0 = clock::now();
+        auto fabric = std::make_unique<Fabric>(options);
+        construct_ms.push_back(ms_since(t0));
+        rows_cached = fabric->mc().paths().cached_rows();
+      }
+      FabricOptions bare = options;
+      bare.install_default_routing = false;
+      for (int build = 0; build < kMcBuilds; ++build) {
+        auto fabric = std::make_unique<Fabric>(bare);
+        const auto t0 = clock::now();
+        fabric->mc().install_default_routing();
+        routing_ms.push_back(ms_since(t0));
+      }
+      char buf[160];
+      std::snprintf(buf, sizeof(buf),
+                    "\"mc_construct_ms\":%.3f,\"mc_default_routing_ms\":%.3f,"
+                    "\"mc_rows_cached\":%zu,",
+                    median(construct_ms), median(routing_ms), rows_cached);
+      mc_fields = buf;
+    }
+
     const topo::FatTree ft(k);
     const auto& hosts = ft.hosts();
 
@@ -305,40 +346,6 @@ int run_sweep_json() {
     }
     const double lazy_setup_ms = ms_since(t0);
     benchmark::DoNotOptimize(sink);
-
-    // Full MC construction (default routing queries every host row), and
-    // the default routing alone, each the median of kMcBuilds builds; the
-    // fabrics are destroyed outside the timer.  Gated to k <= 8: a k=16
-    // fabric has 320 switches, past MAGA's 255 S_ID limit, so no full MC
-    // exists at that scale (only bare engines).
-    std::string mc_fields;
-    if (k <= 8) {
-      constexpr int kMcBuilds = 5;
-      FabricOptions options;
-      options.k = k;
-      std::vector<double> construct_ms, routing_ms;
-      std::size_t rows_cached = 0;
-      for (int build = 0; build < kMcBuilds; ++build) {
-        t0 = clock::now();
-        auto fabric = std::make_unique<Fabric>(options);
-        construct_ms.push_back(ms_since(t0));
-        rows_cached = fabric->mc().paths().cached_rows();
-      }
-      FabricOptions bare = options;
-      bare.install_default_routing = false;
-      for (int build = 0; build < kMcBuilds; ++build) {
-        auto fabric = std::make_unique<Fabric>(bare);
-        t0 = clock::now();
-        fabric->mc().install_default_routing();
-        routing_ms.push_back(ms_since(t0));
-      }
-      char buf[160];
-      std::snprintf(buf, sizeof(buf),
-                    "\"mc_construct_ms\":%.3f,\"mc_default_routing_ms\":%.3f,"
-                    "\"mc_rows_cached\":%zu,",
-                    median(construct_ms), median(routing_ms), rows_cached);
-      mc_fields = buf;
-    }
 
     // Failure reroute with a warm cache: epoch bump + requery of 32 active
     // flows' rows (demand-driven: at most 32 BFS runs) versus the seed's

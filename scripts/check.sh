@@ -42,7 +42,7 @@ echo "== admission flood guard =="
 echo "== ablation + fast figure benches =="
 # Each must print its committed golden stdout (bench/golden/) byte for
 # byte and exit zero (a failed session exits non-zero rather than print
-# zeros like data).  fig9b (~36 s) stays out.
+# zeros like data).  fig9b (~25 s) stays out.
 scripts/record_bench_outputs.sh verify build
 
 echo "== recovery + failover smoke (audit-gated) =="

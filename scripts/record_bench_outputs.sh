@@ -18,7 +18,7 @@
 #       non-zero (each does after a failed session).  scripts/check.sh and
 #       CI run this.
 #
-# fig9b takes ~36 s and is not covered.  controller_recovery prints
+# fig9b takes ~25 s and is not covered.  controller_recovery prints
 # wall-clock columns and is gated by its own --smoke audit instead.
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -29,11 +29,6 @@ constexpr std::uint16_t fold16(std::uint32_t v) noexcept {
   return static_cast<std::uint16_t>(v ^ (v >> 16));
 }
 
-/// Fold a 16-bit value to 8 bits by XORing the halves.
-constexpr std::uint8_t fold8(std::uint16_t v) noexcept {
-  return static_cast<std::uint8_t>(v ^ (v >> 8));
-}
-
 constexpr std::uint32_t load_le32(const std::uint8_t* p) noexcept {
   return static_cast<std::uint32_t>(p[0]) |
          (static_cast<std::uint32_t>(p[1]) << 8) |

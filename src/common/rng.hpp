@@ -83,16 +83,6 @@ class Rng {
   /// Bernoulli trial with success probability p.
   bool chance(double p) noexcept { return uniform01() < p; }
 
-  /// Exponentially distributed sample with the given mean (> 0).
-  double exponential(double mean) noexcept;
-
-  /// Uniformly pick one element of a non-empty vector.
-  template <typename T>
-  const T& pick(const std::vector<T>& v) noexcept {
-    MIC_ASSERT(!v.empty());
-    return v[below(v.size())];
-  }
-
   /// Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) noexcept {

@@ -159,7 +159,7 @@ CheckResult check_admission_conservation(core::MimicController& mc) {
 
   for (const auto& tenant : ac.tenant_snapshot()) {
     const std::string who = "tenant " + std::to_string(tenant.tenant);
-    if (config.enabled && tenant.pending > config.tenant_pending_quota) {
+    if (tenant.pending > config.tenant_pending_quota) {
       result.violations.push_back(
           who + " exceeds pending quota: " + std::to_string(tenant.pending) +
           " > " + std::to_string(config.tenant_pending_quota));

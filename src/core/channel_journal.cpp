@@ -21,19 +21,6 @@ ChannelJournal::ChannelJournal(const ChannelJournal& other)
       compactions_(other.compactions_),
       epoch_(other.epoch_) {}
 
-ChannelJournal& ChannelJournal::operator=(const ChannelJournal& other) {
-  if (this == &other) return *this;
-  records_ = other.records_;
-  next_seq_ = other.next_seq_;
-  compaction_threshold_ = other.compaction_threshold_;
-  compacted_size_ = other.compacted_size_;
-  compactions_ = other.compactions_;
-  epoch_ = other.epoch_;
-  // listener_ deliberately untouched: it stays with whatever this journal
-  // was wired to (see header).
-  return *this;
-}
-
 void ChannelJournal::record_establish(const ChannelState& state,
                                       ChannelId next_channel,
                                       std::uint32_t next_group) {

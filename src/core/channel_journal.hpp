@@ -72,7 +72,7 @@ class ChannelJournal {
   /// original (the chaos harness copies journals to model torn tails; a
   /// copy must never ship to the primary's standby).
   ChannelJournal(const ChannelJournal& other);
-  ChannelJournal& operator=(const ChannelJournal& other);
+  ChannelJournal& operator=(const ChannelJournal&) = delete;
 
   void record_establish(const ChannelState& state, ChannelId next_channel,
                         std::uint32_t next_group);

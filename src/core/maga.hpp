@@ -47,39 +47,6 @@ struct MixKey {
   }
 };
 
-/// The paper's three-variable f(x, y, z): used when m-addresses are only
-/// constrained by the flow ID (didactic form; the deployed path uses MagaF
-/// below).  Invertible in z.
-class Maga3 {
- public:
-  static Maga3 sample(Rng& rng) {
-    Maga3 f;
-    f.a_ = MixKey<std::uint32_t>::sample(rng);
-    f.b_ = MixKey<std::uint32_t>::sample(rng);
-    f.c0_ = static_cast<std::uint32_t>(rng.next());
-    f.c1_ = static_cast<unsigned>(rng.range(1, 31));
-    return f;
-  }
-
-  std::uint32_t value(std::uint32_t x, std::uint32_t y,
-                      std::uint32_t z) const noexcept {
-    return a_.mix(x) ^ b_.mix(y) ^ rotl(static_cast<std::uint32_t>(z ^ c0_), c1_);
-  }
-
-  /// The z that makes value(x, y, z) == v.
-  std::uint32_t invert_z(std::uint32_t v, std::uint32_t x,
-                         std::uint32_t y) const noexcept {
-    return rotr(static_cast<std::uint32_t>(v ^ a_.mix(x) ^ b_.mix(y)), c1_) ^
-           c0_;
-  }
-
- private:
-  MixKey<std::uint32_t> a_;
-  MixKey<std::uint32_t> b_;
-  std::uint32_t c0_ = 0;
-  unsigned c1_ = 1;
-};
-
 /// The four-variable F(alpha, beta, gamma, delta) used by the deployed
 /// generation path (paper: "getting a satisfied three-tuple <m_src, m_dst,
 /// mpls> is equivalent to getting a four-tuple <m_src, m_dst, mpls1,

@@ -152,10 +152,11 @@ const crypto::Aes128::Key& MimicController::register_client(net::Ipv4 client) {
 // --- planning helpers ---------------------------------------------------------
 
 bool MimicController::path_avoids_failures(const topo::Path& path) const {
-  if (failed_links_.empty()) return true;
+  const auto& failed = failed_links();
+  if (failed.empty()) return true;
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
     const topo::LinkId link = graph().link_between(path[i], path[i + 1]);
-    if (failed_links_.contains(link)) return false;
+    if (failed.contains(link)) return false;
   }
   return true;
 }
@@ -916,8 +917,7 @@ void MimicController::enable_failure_detection() {
 void MimicController::reroute_default_routing() {
   if (!default_routing_installed_) return;
   reroute_stats_ += ctrl::L3RoutingApp::reroute_around(
-      *this, [this](topo::NodeId host) { return cf_label_for(host); },
-      failed_links_);
+      *this, [this](topo::NodeId host) { return cf_label_for(host); });
 }
 
 void MimicController::on_port_status(topo::NodeId sw, topo::PortId port,
@@ -937,9 +937,9 @@ void MimicController::on_port_status(topo::NodeId sw, topo::PortId port,
   // Both ends of a switch-switch link report the same failure, and the
   // harness may have reported it by hand already: only the first report
   // per transition acts.
-  if (!up && !failed_links_.contains(link)) {
+  if (!up && !failed_links().contains(link)) {
     fail_link(link);
-  } else if (up && failed_links_.contains(link)) {
+  } else if (up && failed_links().contains(link)) {
     restore_link(link);
   }
 }
@@ -1038,12 +1038,11 @@ MimicController::RepairOutcome MimicController::repair_channels(
 
 MimicController::RepairOutcome MimicController::fail_link(topo::LinkId link) {
   if (crashed_) return {};  // learned from the PHY at recovery
-  if (!failed_links_.insert(link).second) return {};  // already known
   // Bump the path engine's failure epoch first: only the cached BFS rows
   // whose shortest-path DAG used the link are dropped, so both the L3
   // reroute and the m-flow re-planning below see failure-aware distances
   // without a full-table rebuild.
-  path_engine().link_failed(link);
+  if (!path_engine().link_failed(link)) return {};  // already known
 
   // Common flows first: re-install the default routing around the failure
   // (fast failover; ECMP absorbs single-link failures in Clos fabrics).
@@ -1064,8 +1063,7 @@ MimicController::RepairOutcome MimicController::fail_link(topo::LinkId link) {
 
 void MimicController::restore_link(topo::LinkId link) {
   if (crashed_) return;
-  if (failed_links_.erase(link) == 0) return;
-  path_engine().link_restored(link);
+  if (!path_engine().link_restored(link)) return;
   // The failure detours must not outlive the failure: re-optimize the
   // common-flow routing against the shrunken failure set, or every future
   // CF keeps paying the detour forever.
@@ -1083,9 +1081,7 @@ MimicController::RepairOutcome MimicController::fail_switch(topo::NodeId sw) {
   if (!failed_switches_.insert(sw).second) return {};
   // Every incident link goes down with the switch.
   for (const auto& adj : graph().neighbors(sw)) {
-    if (failed_links_.insert(adj.link).second) {
-      path_engine().link_failed(adj.link);
-    }
+    path_engine().link_failed(adj.link);
   }
   // The crash loses all soft state; purging mirrors what the re-connected
   // switch would report (an empty table), and keeps the orphan-rule audit
@@ -1114,9 +1110,7 @@ void MimicController::restore_switch(topo::NodeId sw) {
   for (const auto& adj : graph().neighbors(sw)) {
     // A link is only usable when both of its endpoints are alive.
     if (failed_switches_.contains(adj.peer)) continue;
-    if (failed_links_.erase(adj.link) != 0) {
-      path_engine().link_restored(adj.link);
-    }
+    path_engine().link_restored(adj.link);
   }
   // The rebooted switch comes back with an empty table; the reroute
   // re-installs the default routing everywhere, which both repopulates it
@@ -1201,10 +1195,10 @@ std::size_t MimicController::resync_failure_view() {
     const bool want_failed = !network().link_up(link) ||
                              failed_switches_.contains(a) ||
                              failed_switches_.contains(b);
-    if (want_failed && !failed_links_.contains(link)) {
+    if (want_failed && !failed_links().contains(link)) {
       fail_link(link);
       ++transitions;
-    } else if (!want_failed && failed_links_.contains(link)) {
+    } else if (!want_failed && failed_links().contains(link)) {
       restore_link(link);
       ++transitions;
     }
@@ -1215,7 +1209,7 @@ std::size_t MimicController::resync_failure_view() {
 bool MimicController::channel_path_dead(const ChannelState& state) const {
   for (const MFlowPlan& plan : state.flows) {
     for (std::size_t i = 0; i + 1 < plan.path.size(); ++i) {
-      if (failed_links_.contains(
+      if (failed_links().contains(
               graph().link_between(plan.path[i], plan.path[i + 1]))) {
         return true;
       }

@@ -162,8 +162,10 @@ class MimicController : public ctrl::Controller {
   /// routing is re-installed (the rebooted switch's table starts empty).
   void restore_switch(topo::NodeId sw);
 
+  /// The links the control plane treats as down: the path engine's
+  /// failure set, the one failure view every planner and the L3 app read.
   const std::unordered_set<topo::LinkId>& failed_links() const noexcept {
-    return failed_links_;
+    return paths().failed_links();
   }
   const std::unordered_set<topo::NodeId>& failed_switches() const noexcept {
     return failed_switches_;
@@ -467,7 +469,6 @@ class MimicController : public ctrl::Controller {
   /// Reserved (src endpoint, dst endpoint) pairs: entry addresses and
   /// presented addresses, so two channels can never share one.
   std::unordered_set<std::uint64_t> reserved_endpoints_;
-  std::unordered_set<topo::LinkId> failed_links_;
   std::unordered_set<topo::NodeId> failed_switches_;
   std::unordered_map<ChannelId, ChannelListener> listeners_;
   bool default_routing_installed_ = false;

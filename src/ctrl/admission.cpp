@@ -59,9 +59,8 @@ void AdmissionController::offer(net::Ipv4 tenant, AdmitPriority priority,
   ++stats_.offered;
   Bucket& bucket = bucket_of(tenant);
   refill(bucket);
-  const bool limits = config_.enabled;
 
-  if (limits && bucket.pending >= config_.tenant_pending_quota) {
+  if (bucket.pending >= config_.tenant_pending_quota) {
     ++stats_.shed;
     shed(retry_hint(bucket));
     return;
@@ -70,9 +69,8 @@ void AdmissionController::offer(net::Ipv4 tenant, AdmitPriority priority,
   // Unsaturated fast path: nothing queued ahead, a service slot free, a
   // token available.  Runs on the caller's event with no timers and no
   // randomness -- the SIM-1 bit-identity regime.
-  if (queued_count() == 0 &&
-      (!limits ||
-       (in_service_ < config_.max_in_service && take_token(bucket)))) {
+  if (queued_count() == 0 && in_service_ < config_.max_in_service &&
+      take_token(bucket)) {
     ++stats_.admitted;
     ++in_service_;
     ++bucket.pending;
@@ -113,11 +111,10 @@ AdmissionController::Ticket AdmissionController::offer_sync(net::Ipv4 tenant) {
   ++stats_.offered;
   Bucket& bucket = bucket_of(tenant);
   refill(bucket);
-  if (config_.enabled && !take_token(bucket)) {
+  if (!take_token(bucket)) {
     ++stats_.shed;
     return Ticket{false, retry_hint(bucket)};
   }
-  if (!config_.enabled) take_token(bucket);  // best-effort accounting
   ++stats_.admitted;
   return Ticket{true, 0};
 }

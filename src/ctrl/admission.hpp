@@ -18,7 +18,7 @@
 //      request is answered with Busy{retry_after} instead of silence, so
 //      honest clients back off for exactly as long as the server asks.
 //
-// Determinism contract (SIM-1): when enabled but unsaturated -- tokens
+// Determinism contract (SIM-1): when unsaturated -- tokens
 // available, queue empty, service slots free -- offer() admits the request
 // synchronously on the caller's event, draws no randomness and arms no
 // timers, so every existing chaos-soak trace hash replays bit-identical
@@ -50,12 +50,9 @@ enum class AdmitPriority : std::uint8_t {
 /// Floor for the retry_after hint a shed request carries back.
 inline constexpr sim::SimTime kRetryAfterFloor = sim::milliseconds(2);
 
+/// The defaults are generous enough that ordinary workloads never
+/// saturate, which is the SIM-1 bit-identity regime.
 struct AdmissionConfig {
-  /// Master switch.  Disabled short-circuits every limit (pure accounting
-  /// pass-through); the defaults below are generous enough that ordinary
-  /// workloads never saturate, which is the SIM-1 bit-identity regime.
-  bool enabled = true;
-
   // --- per-tenant token bucket -----------------------------------------------
   /// Establishment tokens earned per second per tenant.
   double tenant_rate = 50'000.0;

@@ -1,7 +1,5 @@
 #include "ctrl/controller.hpp"
 
-#include "common/log.hpp"
-
 namespace mic::ctrl {
 
 Controller::Controller(net::Network& network, HostAddressing addressing,
@@ -32,10 +30,6 @@ bool Controller::op_admitted(topo::NodeId sw, std::uint64_t epoch) {
   ++fenced_ops_;
   on_fenced_out(sw);
   return false;
-}
-
-void Controller::on_fenced_out(topo::NodeId sw) {
-  MIC_LOG_DEBUG("switch %u refused a stale-epoch op", sw);
 }
 
 void Controller::install(topo::NodeId sw, switchd::TableEntry entry) {
@@ -110,11 +104,6 @@ void Controller::subscribe_port_status() {
               [this, node, port, up] { on_port_status(node, port, up); });
         });
   }
-}
-
-void Controller::on_port_status(topo::NodeId sw, topo::PortId port, bool up) {
-  MIC_LOG_DEBUG("port-status from switch %u port %u: %s", sw, port,
-                up ? "up" : "down");
 }
 
 }  // namespace mic::ctrl

@@ -130,9 +130,9 @@ class Controller {
   void set_fence_epoch(std::uint64_t epoch) noexcept { fence_epoch_ = epoch; }
 
   /// A switch refused one of our ops as stale: another controller with a
-  /// newer epoch owns the tables now.  Default ignores it; the MC steps
-  /// down (see MimicController::on_fenced_out).
-  virtual void on_fenced_out(topo::NodeId sw);
+  /// newer epoch owns the tables now (the MC steps down; see
+  /// MimicController::on_fenced_out).
+  virtual void on_fenced_out(topo::NodeId sw) = 0;
 
   std::uint64_t fenced_ops() const noexcept { return fenced_ops_; }
 
@@ -146,8 +146,9 @@ class Controller {
   switchd::TableStats aggregate_table_stats();
 
   /// Called (after detection + southbound latency) when a switch reports a
-  /// port going down or coming back up.  Default ignores it.
-  virtual void on_port_status(topo::NodeId sw, topo::PortId port, bool up);
+  /// port going down or coming back up.
+  virtual void on_port_status(topo::NodeId sw, topo::PortId port,
+                              bool up) = 0;
 
   std::uint64_t rules_installed() const noexcept { return rules_installed_; }
 

@@ -1,6 +1,7 @@
 #include "ctrl/l3_routing.hpp"
 
 #include <algorithm>
+#include <unordered_set>
 
 namespace mic::ctrl {
 
@@ -181,14 +182,10 @@ bool has_l3_rules(Controller& controller, topo::NodeId sw) {
 
 }  // namespace
 
-RerouteStats L3RoutingApp::reroute_around(
-    Controller& controller, CfLabelPolicy policy,
-    const std::unordered_set<topo::LinkId>& failed) {
-  // Sync the engine's failure epochs with the caller's failure set: newly
-  // failed links invalidate only the rows whose shortest-path DAG used
-  // them (sub-linear), instead of rebuilding the whole table.
-  controller.path_engine().set_failed_links(failed);
-
+RerouteStats L3RoutingApp::reroute_around(Controller& controller,
+                                          CfLabelPolicy policy) {
+  const std::unordered_set<topo::LinkId>& failed =
+      controller.paths().failed_links();
   RerouteStats stats;
   stats.reroutes = 1;
   const auto hosts = controller.graph().hosts();

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <functional>
-#include <unordered_set>
 
 #include "ctrl/controller.hpp"
 
@@ -60,18 +59,17 @@ class L3RoutingApp {
   /// The one entry point, for the initial install and every failure or
   /// repair after it: sync every switch's proactive rules (CF tagging at
   /// the ingress edge, per-destination forwarding, pop + deliver at the
-  /// egress edge) to the failure set `failed`.  A switch is reinstalled
-  /// when it has no recorded next-hop signature (see
+  /// egress edge) to the path engine's failure set.  A switch is
+  /// reinstalled when it has no recorded next-hop signature (see
   /// Controller::l3_signatures; an empty map reinstalls the whole fabric),
   /// when its table lost its L3 rules (a switch reboot), or when its
-  /// signature under `failed` changed.  Every other switch is left
+  /// signature under that failure set changed.  Every other switch is left
   /// untouched, so data-plane churn tracks the failure's blast radius, not
   /// the fabric size.  Multi-hop avoidance is not attempted (equal-cost
   /// multipath absorbs single-link failures in Clos fabrics); destinations
   /// that become locally unreachable are skipped.
-  static RerouteStats reroute_around(
-      Controller& controller, CfLabelPolicy policy,
-      const std::unordered_set<topo::LinkId>& failed);
+  static RerouteStats reroute_around(Controller& controller,
+                                     CfLabelPolicy policy);
 };
 
 }  // namespace mic::ctrl

@@ -1,7 +1,6 @@
 #include "net/trace.hpp"
 
 #include <cinttypes>
-#include <cstring>
 
 #include "common/assert.hpp"
 
@@ -13,6 +12,25 @@ constexpr const char* kHeaderLine =
     "time_ns\tlink\tfrom\tto\tsrc\tdst\tsport\tdport\tmpls\tseq\tack\t"
     "flags\tbytes\tpayload\ttag";
 
+/// What the taps see of one packet on one link.
+struct TraceEntry {
+  sim::SimTime time = 0;
+  topo::LinkId link = 0;
+  topo::NodeId from = 0;
+  topo::NodeId to = 0;
+  Ipv4 src;
+  Ipv4 dst;
+  L4Port sport = 0;
+  L4Port dport = 0;
+  MplsLabel mpls = kNoMpls;
+  std::uint64_t tcp_seq = 0;
+  std::uint64_t tcp_ack = 0;
+  std::uint8_t tcp_flag_bits = 0;  // syn<<3 | ack<<2 | fin<<1 | rst
+  std::uint32_t wire_bytes = 0;
+  std::uint32_t payload_bytes = 0;
+  std::uint64_t content_tag = 0;
+};
+
 std::uint8_t flag_bits_of(const Packet& packet) {
   return static_cast<std::uint8_t>(
       (static_cast<unsigned>(packet.tcp.flags.syn) << 3) |
@@ -20,8 +38,6 @@ std::uint8_t flag_bits_of(const Packet& packet) {
       (static_cast<unsigned>(packet.tcp.flags.fin) << 1) |
       static_cast<unsigned>(packet.tcp.flags.rst));
 }
-
-}  // namespace
 
 TraceEntry make_trace_entry(topo::LinkId link, topo::NodeId from,
                             topo::NodeId to, const Packet& packet,
@@ -45,6 +61,7 @@ TraceEntry make_trace_entry(topo::LinkId link, topo::NodeId from,
   return entry;
 }
 
+/// Folds `entry` into a running FNV-1a state.
 void fold_trace_entry(std::uint64_t& hash, const TraceEntry& entry) {
   auto fold = [&hash](std::uint64_t v) {
     // FNV-1a, one byte at a time so zero-heavy fields still diffuse.
@@ -67,11 +84,7 @@ void fold_trace_entry(std::uint64_t& hash, const TraceEntry& entry) {
   fold(entry.content_tag);
 }
 
-std::uint64_t trace_hash_of(const std::vector<TraceEntry>& entries) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const TraceEntry& entry : entries) fold_trace_entry(hash, entry);
-  return hash;
-}
+}  // namespace
 
 TraceWriter::TraceWriter(Network& network, const std::string& path) {
   file_ = std::fopen(path.c_str(), "w");
@@ -109,133 +122,6 @@ TraceHash::TraceHash(Network& network) : state_(std::make_shared<State>()) {
                      make_trace_entry(link, from, to, packet, time));
     ++state->packets;
   });
-}
-
-namespace {
-
-/// Strict dotted-quad parse: exactly four octets, each 0-255, nothing
-/// trailing.  Returns false on anything else (sscanf alone would accept
-/// "1.2.3.4junk" and octet overflow).
-bool parse_ip_checked(const char* s, Ipv4* out) {
-  unsigned a = 0, b = 0, c = 0, d = 0;
-  int consumed = 0;
-  if (std::sscanf(s, "%3u.%3u.%3u.%3u%n", &a, &b, &c, &d, &consumed) != 4) {
-    return false;
-  }
-  if (s[consumed] != '\0') return false;
-  if (a > 255 || b > 255 || c > 255 || d > 255) return false;
-  *out = Ipv4(static_cast<int>(a), static_cast<int>(b), static_cast<int>(c),
-              static_cast<int>(d));
-  return true;
-}
-
-TraceParseResult fail(TraceParseResult result, std::size_t line,
-                      std::string error) {
-  result.ok = false;
-  result.error_line = line;
-  result.error = std::move(error);
-  return result;
-}
-
-}  // namespace
-
-TraceParseResult load_trace_checked(const std::string& path) {
-  TraceParseResult result;
-  std::FILE* file = std::fopen(path.c_str(), "r");
-  if (file == nullptr) {
-    return fail(std::move(result), 0, "cannot open trace file for reading");
-  }
-  char line[512];
-  std::size_t line_no = 0;
-  while (std::fgets(line, sizeof(line), file) != nullptr) {
-    ++line_no;
-    std::size_t len = std::strlen(line);
-    if (len > 0 && line[len - 1] == '\n') {
-      line[--len] = '\0';
-    } else if (len + 1 == sizeof(line)) {
-      std::fclose(file);
-      return fail(std::move(result), line_no, "line too long");
-    }
-    // A record that lost its newline to truncation still parses below if
-    // all 15 fields survived; a partial final line fails the field count.
-    if (line_no == 1) {
-      if (std::strcmp(line, kHeaderLine) != 0) {
-        std::fclose(file);
-        return fail(std::move(result), 1,
-                    "unrecognized trace header (format mismatch?)");
-      }
-      continue;
-    }
-    if (len == 0) {
-      std::fclose(file);
-      return fail(std::move(result), line_no, "blank line inside trace");
-    }
-    char src[64] = {0};
-    char dst[64] = {0};
-    unsigned link, from, to, sport, dport, mpls, flags, bytes, payload;
-    std::uint64_t time_ns, seq, ack, tag;
-    int consumed = 0;
-    const int fields = std::sscanf(
-        line,
-        "%" SCNu64 "\t%u\t%u\t%u\t%63s\t%63s\t%u\t%u\t%u\t%" SCNu64
-        "\t%" SCNu64 "\t%u\t%u\t%u\t%" SCNx64 "%n",
-        &time_ns, &link, &from, &to, src, dst, &sport, &dport, &mpls, &seq,
-        &ack, &flags, &bytes, &payload, &tag, &consumed);
-    if (fields != 15) {
-      std::fclose(file);
-      return fail(std::move(result), line_no,
-                  "malformed record: expected 15 fields, parsed " +
-                      std::to_string(fields < 0 ? 0 : fields));
-    }
-    if (line[consumed] != '\0') {
-      std::fclose(file);
-      return fail(std::move(result), line_no,
-                  "trailing garbage after record");
-    }
-    TraceEntry entry;
-    if (!parse_ip_checked(src, &entry.src)) {
-      std::fclose(file);
-      return fail(std::move(result), line_no, "malformed source address");
-    }
-    if (!parse_ip_checked(dst, &entry.dst)) {
-      std::fclose(file);
-      return fail(std::move(result), line_no,
-                  "malformed destination address");
-    }
-    if (sport > 0xffff || dport > 0xffff) {
-      std::fclose(file);
-      return fail(std::move(result), line_no, "port out of range");
-    }
-    if (flags > 0xf) {
-      std::fclose(file);
-      return fail(std::move(result), line_no, "flag bits out of range");
-    }
-    entry.time = time_ns;
-    entry.link = link;
-    entry.from = from;
-    entry.to = to;
-    entry.sport = static_cast<L4Port>(sport);
-    entry.dport = static_cast<L4Port>(dport);
-    entry.mpls = mpls;
-    entry.tcp_seq = seq;
-    entry.tcp_ack = ack;
-    entry.tcp_flag_bits = static_cast<std::uint8_t>(flags);
-    entry.wire_bytes = bytes;
-    entry.payload_bytes = payload;
-    entry.content_tag = tag;
-    result.entries.push_back(entry);
-  }
-  std::fclose(file);
-  if (line_no == 0) {
-    return fail(std::move(result), 0, "empty trace file (missing header)");
-  }
-  return result;
-}
-
-std::vector<TraceEntry> load_trace(const std::string& path) {
-  TraceParseResult result = load_trace_checked(path);
-  MIC_ASSERT_MSG(result.ok, "malformed trace file");
-  return std::move(result.entries);
 }
 
 }  // namespace mic::net

@@ -1,48 +1,24 @@
-// Packet trace recording: a network tap that writes one TSV line per
-// packet-on-a-link, plus a loader for offline analysis.  The format is
-// deliberately trivial (tab-separated, one header line) so traces can be
-// grepped, diffed across seeds (determinism!), or pulled into any tooling.
+// Packet trace taps: a writer that streams one TSV line per
+// packet-on-a-link, and a rolling fingerprint of the same observations.
+// The file format is deliberately trivial (tab-separated, one header line)
+// so traces can be grepped, diffed across seeds (determinism!), or pulled
+// into any tooling:
 //
 //   time_ns link from to src dst sport dport mpls seq ack flags bytes
 //   payload tag
 //
 // `flags` packs the TCP flag bits as syn<<3 | ack<<2 | fin<<1 | rst -- the
-// same encoding TraceHash folds, so a written trace carries everything the
-// fingerprint covers and `trace_hash_of(load_trace(path))` reproduces the
-// live tap's value exactly.
+// same encoding TraceHash folds, so a written trace carries every field
+// the fingerprint covers.
 #pragma once
 
 #include <cstdio>
+#include <memory>
 #include <string>
-#include <vector>
 
 #include "net/network.hpp"
 
 namespace mic::net {
-
-struct TraceEntry {
-  sim::SimTime time = 0;
-  topo::LinkId link = 0;
-  topo::NodeId from = 0;
-  topo::NodeId to = 0;
-  Ipv4 src;
-  Ipv4 dst;
-  L4Port sport = 0;
-  L4Port dport = 0;
-  MplsLabel mpls = kNoMpls;
-  std::uint64_t tcp_seq = 0;
-  std::uint64_t tcp_ack = 0;
-  std::uint8_t tcp_flag_bits = 0;  // syn<<3 | ack<<2 | fin<<1 | rst
-  std::uint32_t wire_bytes = 0;
-  std::uint32_t payload_bytes = 0;
-  std::uint64_t content_tag = 0;
-};
-
-/// The observation TraceHash and TraceWriter share: everything the taps see
-/// about one packet on one link, as a TraceEntry.
-TraceEntry make_trace_entry(topo::LinkId link, topo::NodeId from,
-                            topo::NodeId to, const Packet& packet,
-                            sim::SimTime time);
 
 /// Streams every packet on every link to a TSV file.  RAII: the file is
 /// flushed and closed on destruction.  Attach exactly once per network.
@@ -60,37 +36,6 @@ class TraceWriter {
   std::FILE* file_ = nullptr;
   std::uint64_t entries_ = 0;
 };
-
-/// Outcome of parsing a trace file.  On failure `error_line` is the
-/// 1-based number of the first offending line (0 = the file itself could
-/// not be read) and `error` says what was wrong with it; `entries` holds
-/// everything successfully parsed before that point.
-struct TraceParseResult {
-  std::vector<TraceEntry> entries;
-  bool ok = true;
-  std::size_t error_line = 0;
-  std::string error;
-};
-
-/// Parses a TSV trace written by TraceWriter, validating as it goes: the
-/// header line must match the current format, every record needs all 15
-/// fields, addresses must be well-formed dotted quads, flag bits must fit.
-/// Malformed or truncated input is reported with its line number instead
-/// of being silently folded into garbage entries.
-TraceParseResult load_trace_checked(const std::string& path);
-
-/// Loads a TSV trace written by TraceWriter; asserts on malformed input
-/// (use load_trace_checked to handle bad files gracefully).
-std::vector<TraceEntry> load_trace(const std::string& path);
-
-/// Folds `entry` into a running FNV-1a state exactly as the live TraceHash
-/// tap would have.
-void fold_trace_entry(std::uint64_t& hash, const TraceEntry& entry);
-
-/// The TraceHash fingerprint the live tap would have produced for this
-/// sequence of observations -- `trace_hash_of(load_trace(path))` of a
-/// written trace equals the TraceHash::value() recorded during the run.
-std::uint64_t trace_hash_of(const std::vector<TraceEntry>& entries);
 
 /// Rolling FNV-1a fingerprint of every packet observed on every link, in
 /// event order: header fields the MIC data plane rewrites, the transport

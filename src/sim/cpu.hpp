@@ -40,16 +40,6 @@ class CpuMeter {
   /// Total busy nanoseconds since construction.
   SimTime busy_time() const noexcept { return busy_time_; }
 
-  /// Utilization over [window_start, window_end], based on busy time
-  /// accumulated since `busy_at_window_start`.
-  static double utilization(SimTime busy_at_window_start,
-                            SimTime busy_at_window_end, SimTime window_start,
-                            SimTime window_end) noexcept {
-    if (window_end <= window_start) return 0.0;
-    return static_cast<double>(busy_at_window_end - busy_at_window_start) /
-           static_cast<double>(window_end - window_start);
-  }
-
   double frequency_hz() const noexcept { return frequency_hz_; }
 
  private:

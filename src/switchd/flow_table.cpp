@@ -31,9 +31,6 @@ std::size_t select_bucket(const net::Packet& packet, std::size_t bucket_count,
 }
 
 FlowTable::Shape FlowTable::shape_of(const Match& m) noexcept {
-  if (m.require_no_mpls && m.mpls.value_or(net::kNoMpls) != net::kNoMpls) {
-    return kNeverMatches;
-  }
   return static_cast<Shape>((m.in_port ? kPinsInPort : 0) |
                             (m.src ? kPinsSrc : 0) | (m.dst ? kPinsDst : 0) |
                             (m.sport ? kPinsSport : 0) |
@@ -177,7 +174,6 @@ void FlowTable::clear() {
   groups_.clear();
   group_at_.clear();
   subtables_.clear();
-  never_matching_ = kNoSlot;
   cookie_heads_.clear();
 }
 
@@ -203,22 +199,16 @@ std::uint32_t FlowTable::place(FlowRule&& rule) {
 }
 
 bool FlowTable::add_rule(FlowRule rule) {
-  if (capacity_ != 0 && rule_count_ >= capacity_) return false;
+  if (rule.match.contradictory()) return false;
 
-  // One probe finds the chain of the rule's shape and key (a never-matching
-  // rule's chain has no subtable).
+  // One probe finds the chain of the rule's shape and key.
   const Shape shape = shape_of(rule.match);
-  const bool matchable = shape != kNeverMatches;
-  std::size_t index = subtables_.size();
+  const std::size_t index = subtable_index(shape);
   std::size_t cell = 0;
-  std::uint32_t head = never_matching_;
-  if (matchable) {
-    index = subtable_index(shape);
-    head = kNoSlot;
-    if (index != subtables_.size()) {
-      cell = probe(subtables_[index], key_of(rule.match));
-      head = subtables_[index].cells[cell];
-    }
+  std::uint32_t head = kNoSlot;
+  if (index != subtables_.size()) {
+    cell = probe(subtables_[index], key_of(rule.match));
+    head = subtables_[index].cells[cell];
   }
   // A duplicate (priority, match) can only sit on this chain, and the
   // newcomer, the latest install, goes behind every rule of equal or
@@ -235,8 +225,6 @@ bool FlowTable::add_rule(FlowRule rule) {
   const std::uint32_t slot = place(std::move(rule));
   if (before != kNoSlot) {
     slots_[slot].next_in_key = std::exchange(slots_[before].next_in_key, slot);
-  } else if (!matchable) {
-    slots_[slot].next_in_key = std::exchange(never_matching_, slot);
   } else if (head != kNoSlot) {
     slots_[slot].next_in_key =
         std::exchange(subtables_[index].cells[cell], slot);
@@ -248,24 +236,17 @@ bool FlowTable::add_rule(FlowRule rule) {
     }
     insert_head(subtables_[index], cell, slot);
   }
-  if (matchable) count_priority(index, priority, +1);
+  count_priority(index, priority, +1);
   return true;
 }
 
 void FlowTable::unlink(std::uint32_t slot) {
   const FlowRule& rule = slots_[slot].rule;
-  const Shape shape = shape_of(rule.match);
-  const bool matchable = shape != kNeverMatches;
-  std::size_t index = subtables_.size();
-  std::size_t cell = 0;
-  std::uint32_t* link = &never_matching_;
-  if (matchable) {
-    index = subtable_index(shape);
-    MIC_ASSERT(index != subtables_.size());
-    cell = probe(subtables_[index], key_of(rule.match));
-    link = &subtables_[index].cells[cell];
-  }
-  if (matchable && *link == slot && slots_[slot].next_in_key == kNoSlot) {
+  const std::size_t index = subtable_index(shape_of(rule.match));
+  MIC_ASSERT(index != subtables_.size());
+  const std::size_t cell = probe(subtables_[index], key_of(rule.match));
+  std::uint32_t* link = &subtables_[index].cells[cell];
+  if (*link == slot && slots_[slot].next_in_key == kNoSlot) {
     erase_cell(subtables_[index], cell);  // the key's last rule
   } else {
     while (*link != slot) {
@@ -274,7 +255,7 @@ void FlowTable::unlink(std::uint32_t slot) {
     }
     *link = slots_[slot].next_in_key;
   }
-  if (matchable) count_priority(index, rule.priority, -1);
+  count_priority(index, rule.priority, -1);
 }
 
 std::size_t FlowTable::remove_by_cookie(std::uint64_t cookie) {
@@ -320,8 +301,8 @@ FlowTable::Hit FlowTable::find(const net::Packet& packet,
   return best;
 }
 
-FlowRule* FlowTable::lookup(const net::Packet& packet, topo::PortId in_port,
-                            std::uint32_t wire_bytes) {
+const FlowRule* FlowTable::lookup(const net::Packet& packet,
+                                  topo::PortId in_port) {
   ++stats_.lookups;
   const Hit hit = find(packet, in_port);
   if (hit.slot == kNoSlot) {
@@ -329,10 +310,8 @@ FlowRule* FlowTable::lookup(const net::Packet& packet, topo::PortId in_port,
     return nullptr;
   }
   hit.exact ? ++stats_.index_hits : ++stats_.scan_fallbacks;
-  FlowRule& rule = slots_[hit.slot].rule;
+  const FlowRule& rule = slots_[hit.slot].rule;
   MIC_ASSERT(rule.match.matches(packet, in_port));
-  ++rule.packet_count;
-  rule.byte_count += wire_bytes;
   return &rule;
 }
 
@@ -385,11 +364,10 @@ std::size_t FlowTable::self_check(std::vector<std::string>& violations) const {
     return slot < slots_.size() && slots_[slot].seq != 0;
   };
 
-  // Structural: the subtables' chains and the never-matching chain name
-  // every live rule exactly once, each rule under its own shape and (in a
-  // subtable) its chain head's key, in rank order.  walk() returns false
-  // when a chain leaves the live slots or loops: probing would then read
-  // garbage.
+  // Structural: the subtables' chains name every live rule exactly once,
+  // each rule under its own shape and its chain head's key, in rank order.
+  // walk() returns false when a chain leaves the live slots or loops:
+  // probing would then read garbage.
   std::vector<std::uint8_t> named(slots_.size(), 0);
   using Counts = std::map<std::uint16_t, std::uint32_t, std::greater<>>;
   const auto walk = [&](std::uint32_t head, Shape shape, Counts& counts) {
@@ -404,8 +382,7 @@ std::size_t FlowTable::self_check(std::vector<std::string>& violations) const {
       ++counts[s.rule.priority];
       if (shape_of(s.rule.match) != shape) {
         complain(slot, "rule filed under a foreign shape");
-      } else if (shape != kNeverMatches &&
-                 !(key_of(s.rule.match) == key_of(slots_[head].rule.match))) {
+      } else if (!(key_of(s.rule.match) == key_of(slots_[head].rule.match))) {
         complain(slot, "rule chained under a foreign key");
       }
       if (prev != kNoSlot && rank_of(s) <= rank_of(slots_[prev])) {
@@ -414,8 +391,6 @@ std::size_t FlowTable::self_check(std::vector<std::string>& violations) const {
     }
     return true;
   };
-  Counts never_counts;
-  if (!walk(never_matching_, kNeverMatches, never_counts)) return 0;
 
   for (std::size_t i = 0; i < subtables_.size(); ++i) {
     const Subtable& table = subtables_[i];
@@ -426,10 +401,9 @@ std::size_t FlowTable::self_check(std::vector<std::string>& violations) const {
                                   "full");
       return 0;
     }
-    if (table.shape == kNeverMatches || subtable_index(table.shape) != i ||
+    if (subtable_index(table.shape) != i ||
         !(table.mask == mask_of(table.shape))) {
-      violations.push_back(name + ": shape never matches, repeats or has a "
-                                  "stale mask");
+      violations.push_back(name + ": shape repeats or has a stale mask");
     }
     if (i > 0 && table.max_priority > subtables_[i - 1].max_priority) {
       violations.push_back(name + ": out of max-priority order");

@@ -62,16 +62,19 @@ struct Match {
 
   bool operator==(const Match&) const noexcept = default;
 
+  /// True for `require_no_mpls` with a non-zero label: such a match can
+  /// match no packet, and FlowTable::add_rule rejects it.
+  bool contradictory() const noexcept {
+    return require_no_mpls && mpls.value_or(net::kNoMpls) != net::kNoMpls;
+  }
+
   /// True when the match pins every field the lookup key covers: all five
   /// header fields plus the label state (an explicit label value or
   /// `require_no_mpls`).  Such a rule matches exactly one packet header and
-  /// lives in the all-fields subtable.  A contradictory match
-  /// (`require_no_mpls` with a non-zero label) is not exact -- it matches
-  /// nothing and sits in no subtable.
+  /// lives in the all-fields subtable.  A contradictory match is not exact.
   bool is_exact() const noexcept {
     if (!in_port || !src || !dst || !sport || !dport) return false;
-    if (mpls) return !require_no_mpls || *mpls == net::kNoMpls;
-    return require_no_mpls;
+    return (mpls || require_no_mpls) && !contradictory();
   }
 };
 
@@ -115,10 +118,6 @@ struct FlowRule {
   Match match;
   std::vector<Action> actions;
   std::uint64_t cookie = 0;  // owner tag; channels delete rules by cookie
-
-  // Counters (mutable through the table).
-  std::uint64_t packet_count = 0;
-  std::uint64_t byte_count = 0;
 };
 
 enum class GroupType : std::uint8_t {
@@ -149,8 +148,7 @@ using TableEntry = std::variant<FlowRule, GroupEntry>;
 std::size_t select_bucket(const net::Packet& packet, std::size_t bucket_count,
                           std::uint64_t salt) noexcept;
 
-/// Lookup counters.  `lookups == index_hits + scan_fallbacks + misses`;
-/// per-rule hit counts are the rules' own `packet_count` fields.
+/// Lookup counters.  `lookups == index_hits + scan_fallbacks + misses`.
 struct TableStats {
   std::uint64_t lookups = 0;          // total lookup() calls
   std::uint64_t index_hits = 0;       // won by a rule pinning every field
@@ -173,15 +171,9 @@ class FlowTable {
   /// priority.  Duplicate (priority, match) pairs are rejected -- this is
   /// the data-plane half of the collision avoidance story, and the
   /// collision audit in mic/collision_audit.hpp checks it globally.
-  /// Returns false (and installs nothing) on duplicates or when the table
-  /// is at capacity (OFPFMFC_TABLE_FULL).
+  /// Returns false (and installs nothing) on a duplicate or a
+  /// contradictory match.
   bool add_rule(FlowRule rule);
-
-  /// Bound the rule count (hardware TCAMs are finite); 0 = unlimited.
-  void set_capacity(std::size_t max_rules) noexcept {
-    capacity_ = max_rules;
-  }
-  std::size_t capacity() const noexcept { return capacity_; }
 
   /// Drop every rule and group (a switch crash loses all soft state).
   /// Stats survive: they describe the device's history, not its table.
@@ -197,10 +189,9 @@ class FlowTable {
     return cookie_heads_.contains(cookie);
   }
 
-  /// Highest-precedence matching rule, or nullptr on table miss.  Counters
-  /// (per-rule and table stats, including misses) are updated.
-  FlowRule* lookup(const net::Packet& packet, topo::PortId in_port,
-                   std::uint32_t wire_bytes);
+  /// Highest-precedence matching rule, or nullptr on table miss.  The
+  /// table stats (misses included) are updated.
+  const FlowRule* lookup(const net::Packet& packet, topo::PortId in_port);
 
   /// A linear scan over every rule that keeps the highest-precedence
   /// match, retained as the differential-testing oracle: it consults no
@@ -211,7 +202,7 @@ class FlowTable {
 
   /// Runtime audit of FT-1 (run as "FT-1" by audit::run_all).
   /// Structural half: every live rule is reachable from exactly one bucket
-  /// by probing its own key (never-matching rules from none), each chain is
+  /// by probing its own key, each chain is
   /// in precedence order, each subtable's key count and maximum priority
   /// are fresh, its array is at most half full and no subtable is empty,
   /// the subtables are sorted by maximum priority, and every rule sits on
@@ -232,7 +223,6 @@ class FlowTable {
   }
 
   std::size_t rule_count() const noexcept { return rule_count_; }
-  std::uint64_t miss_count() const noexcept { return stats_.misses; }
 
   const TableStats& stats() const noexcept { return stats_; }
   /// Distinct keys among the rules that pin every field: one per chain of
@@ -291,10 +281,6 @@ class FlowTable {
   static constexpr Shape kPinsDport = 1 << 4;
   static constexpr Shape kPinsLabel = 1 << 5;
   static constexpr Shape kAllFields = (1 << 6) - 1;
-  /// The shape of a rule that can never match (`require_no_mpls` with a
-  /// non-zero label).  Such rules sit in no subtable, only on the
-  /// never_matching_ chain.
-  static constexpr Shape kNeverMatches = 0xFF;
   static Shape shape_of(const Match& m) noexcept;
 
   /// Header values packed into three words.  A rule's key holds its pinned
@@ -380,16 +366,11 @@ class FlowTable {
   std::vector<std::uint32_t> free_slots_;
   std::size_t rule_count_ = 0;
   std::uint32_t next_seq_ = 1;
-  std::size_t capacity_ = 0;  // 0 = unlimited
   std::vector<GroupEntry> groups_;
   // group id -> position in groups_.
   std::unordered_map<std::uint32_t, std::uint32_t> group_at_;
   // One subtable per shape in use, sorted by max_priority, highest first.
   std::vector<Subtable> subtables_;
-  // Head of the chain of rules that can never match, in rank order.  A
-  // lookup never reads it; it exists so duplicate detection and removal
-  // treat these rules like any other.
-  std::uint32_t never_matching_ = kNoSlot;
   // cookie -> first slot of that cookie's list (linked via next_in_cookie).
   std::unordered_map<std::uint64_t, std::uint32_t> cookie_heads_;
   TableStats stats_;

@@ -17,7 +17,7 @@ void SdnSwitch::receive(const net::Packet& packet, topo::PortId in_port) {
     net::Packet pkt = std::move(ingress_fifo_.front().first);
     const topo::PortId port = ingress_fifo_.front().second;
     ingress_fifo_.pop_front();
-    FlowRule* rule = table_.lookup(pkt, port, pkt.wire_bytes());
+    const FlowRule* rule = table_.lookup(pkt, port);
     if (rule == nullptr) {
       ++dropped_;
       return;

@@ -62,11 +62,4 @@ std::uint32_t BCube::server_ip(NodeId server) const {
   MIC_ASSERT_MSG(false, "not a BCube server node");
 }
 
-NodeId BCube::server_by_ip(std::uint32_t ip) const {
-  for (std::size_t i = 0; i < servers_.size(); ++i) {
-    if (server_ip(servers_[i]) == ip) return servers_[i];
-  }
-  return kInvalidNode;
-}
-
 }  // namespace mic::topo

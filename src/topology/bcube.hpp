@@ -34,7 +34,6 @@ class BCube {
 
   /// 10.level-free flat addressing: server index i -> 10.1.(i/250).(i%250+1).
   std::uint32_t server_ip(NodeId server) const;
-  NodeId server_by_ip(std::uint32_t ip) const;
 
  private:
   int n_;

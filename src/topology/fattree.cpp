@@ -77,20 +77,6 @@ std::uint32_t FatTree::host_ip(NodeId host) const {
   return node_ip_[host];
 }
 
-NodeId FatTree::host_by_ip(std::uint32_t ip) const {
-  for (const NodeId h : hosts_) {
-    if (node_ip_[h] == ip) return h;
-  }
-  return kInvalidNode;
-}
-
 int FatTree::pod_of(NodeId node) const { return node_pod_[node]; }
-
-bool FatTree::is_edge_switch(NodeId node) const {
-  for (const NodeId e : edge_) {
-    if (e == node) return true;
-  }
-  return false;
-}
 
 }  // namespace mic::topo

@@ -29,14 +29,9 @@ class FatTree {
 
   /// 10.x.y.z address of a host, as a host-order uint32.
   std::uint32_t host_ip(NodeId host) const;
-  /// Reverse lookup; kInvalidNode when the IP is not a host address.
-  NodeId host_by_ip(std::uint32_t ip) const;
 
   /// Pod index of a host or pod switch; -1 for core switches.
   int pod_of(NodeId node) const;
-
-  /// True if `node` is an edge switch (directly attached to hosts).
-  bool is_edge_switch(NodeId node) const;
 
  private:
   int k_;

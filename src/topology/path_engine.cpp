@@ -168,25 +168,18 @@ void PathEngine::invalidate_rows_touching(LinkId link) {
   }
 }
 
-void PathEngine::link_failed(LinkId link) {
-  if (!failed_.insert(link).second) return;  // already down
+bool PathEngine::link_failed(LinkId link) {
+  if (!failed_.insert(link).second) return false;  // already down
   ++epoch_;
   invalidate_rows_touching(link);
+  return true;
 }
 
-void PathEngine::link_restored(LinkId link) {
-  if (failed_.erase(link) == 0) return;  // was not down
+bool PathEngine::link_restored(LinkId link) {
+  if (failed_.erase(link) == 0) return false;  // was not down
   ++epoch_;
   invalidate_rows_touching(link);
-}
-
-void PathEngine::set_failed_links(const std::unordered_set<LinkId>& failed) {
-  std::vector<LinkId> to_restore;
-  for (const LinkId link : failed_) {
-    if (!failed.contains(link)) to_restore.push_back(link);
-  }
-  for (const LinkId link : to_restore) link_restored(link);
-  for (const LinkId link : failed) link_failed(link);
+  return true;
 }
 
 std::size_t PathEngine::self_check(std::vector<std::string>& violations) const {

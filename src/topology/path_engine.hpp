@@ -109,17 +109,15 @@ class PathEngine {
 
   /// Treat `link` as absent from now on.  Bumps the failure epoch and
   /// invalidates only the cached rows whose BFS tree used the link.
-  void link_failed(LinkId link);
+  /// Returns false, changing nothing, when the link is already down.
+  bool link_failed(LinkId link);
 
   /// Bring `link` back.  A restored link can create shorter paths for any
   /// row where its endpoints' distances differ, so those rows are dropped.
-  void link_restored(LinkId link);
+  /// Returns false, changing nothing, when the link is not down.
+  bool link_restored(LinkId link);
 
-  /// Diff the engine's excluded set against `failed`: newly failed links
-  /// go through link_failed(), newly restored ones through
-  /// link_restored().  Used to sync with an externally-owned failure set.
-  void set_failed_links(const std::unordered_set<LinkId>& failed);
-
+  /// The failed links: the control plane's one failure view.
   const std::unordered_set<LinkId>& failed_links() const noexcept {
     return failed_;
   }

@@ -9,6 +9,7 @@
 //    transfers stay cheap.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -151,12 +152,6 @@ class ByteReader {
     return true;
   }
 
-  /// Whether the next buffered byte is real.  Requires available() > 0.
-  bool next_is_real() const noexcept {
-    MIC_ASSERT(!pending_.empty());
-    return !pending_.front().bytes.empty();
-  }
-
   /// Consume up to n bytes of a single kind from the front of the buffer.
   /// Returns the consumed run as a Chunk (possibly shorter than n).
   Chunk take_up_to(std::uint64_t n) {
@@ -226,29 +221,33 @@ class SendBuffer {
   std::uint64_t end_offset() const noexcept { return end_; }
   std::uint64_t base_offset() const noexcept { return base_; }
 
-  /// Extract [offset, offset+len) for (re)transmission.  Mixed ranges are
-  /// materialized with zeros standing in for virtual bytes.
+  /// Extract [offset, offset+len) for (re)transmission; TCP never asks
+  /// for an empty range.  Mixed ranges are materialized with zeros
+  /// standing in for virtual bytes.
   Chunk range(std::uint64_t offset, std::uint64_t len) const {
     MIC_ASSERT(offset >= base_ && offset + len <= end_);
-    // Fast path: the range falls inside a single chunk.
-    for (const auto& entry : chunks_) {
-      if (offset >= entry.offset &&
-          offset + len <= entry.offset + entry.chunk.length) {
-        if (!entry.chunk.is_real()) return Chunk::virtual_bytes(len);
-        const auto& bytes = *entry.chunk.data;
-        const std::uint64_t local = offset - entry.offset;
-        return Chunk::copy(
-            std::span(bytes.data() + local, static_cast<std::size_t>(len)));
-      }
+    // The chunks abut in offset order, so the one holding `offset` is the
+    // last that starts at or before it.
+    auto first = std::ranges::upper_bound(chunks_, offset, {}, &Entry::offset);
+    if (first != chunks_.begin()) --first;
+    // Fast path: the range falls inside that chunk.
+    if (first != chunks_.end() &&
+        offset + len <= first->offset + first->chunk.length) {
+      if (!first->chunk.is_real()) return Chunk::virtual_bytes(len);
+      const auto& bytes = *first->chunk.data;
+      const std::uint64_t local = offset - first->offset;
+      return Chunk::copy(
+          std::span(bytes.data() + local, static_cast<std::size_t>(len)));
     }
-    // Slow path: stitch across chunks.
+    // Slow path: stitch across the chunks the range covers.
     std::vector<std::uint8_t> out(len, 0);
     bool any_real = false;
-    for (const auto& entry : chunks_) {
+    for (auto it = first; it != chunks_.end() && it->offset < offset + len;
+         ++it) {
+      const auto& entry = *it;
       const std::uint64_t lo = std::max(offset, entry.offset);
       const std::uint64_t hi =
           std::min(offset + len, entry.offset + entry.chunk.length);
-      if (lo >= hi) continue;
       if (entry.chunk.is_real()) {
         any_real = true;
         const auto& bytes = *entry.chunk.data;

@@ -7,6 +7,7 @@
 // decisions, same trace hash.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -66,22 +67,6 @@ TEST(Admission, TokenBucketShedsWhenDrainedAndRefillsWithTime) {
   EXPECT_EQ(ac.stats().offered, 7u);
   EXPECT_EQ(ac.stats().admitted, 5u);
   EXPECT_EQ(ac.stats().shed, 2u);
-}
-
-TEST(Admission, DisabledPassesEverythingButStillAccounts) {
-  sim::Simulator sim;
-  AdmissionConfig config;
-  config.enabled = false;
-  config.tenant_burst = 1.0;
-  config.tenant_rate = 1.0;
-  AdmissionController ac(sim, config);
-
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_TRUE(ac.offer_sync(tenant_a()).admitted);
-  }
-  EXPECT_EQ(ac.stats().offered, 50u);
-  EXPECT_EQ(ac.stats().admitted, 50u);
-  EXPECT_EQ(ac.stats().shed, 0u);
 }
 
 // --- bounded queue, priority classes --------------------------------------------
@@ -292,10 +277,10 @@ TEST(Admission, MalformedAndUnregisteredRequestsGetErrorReplies) {
   // host as its initiator, or one from an address that never registered a
   // key, is answered with an error through the normal reply path: the MC
   // must not abort, leak its admission slot or install anything.
-  // Admission is off so every request reaches the decoder instead of some
-  // being shed as Busy.
+  // No run can drain an unbounded token bucket, so every request reaches
+  // the decoder instead of some being shed as Busy.
   FabricOptions fo;
-  fo.mic.admission.enabled = false;
+  fo.mic.admission.tenant_burst = std::numeric_limits<double>::infinity();
   Fabric fabric(fo);
   const net::Ipv4 client = fabric.ip(0);
   const auto& key = fabric.mc().register_client(client);

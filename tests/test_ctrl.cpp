@@ -140,13 +140,10 @@ TEST(L3Routing, ReinstallAsksTheLabelPolicyOncePerAttachedHost) {
   auto& mc = fabric.mc();
   std::size_t asked = 0;
   mc.l3_signatures().clear();
-  L3RoutingApp::reroute_around(
-      mc,
-      [&](topo::NodeId host) {
-        ++asked;
-        return mc.cf_label_for(host);
-      },
-      {});
+  L3RoutingApp::reroute_around(mc, [&](topo::NodeId host) {
+    ++asked;
+    return mc.cf_label_for(host);
+  });
   // In a fat-tree every host hangs off exactly one edge switch.
   EXPECT_EQ(asked, fabric.host_count());
 }

@@ -12,10 +12,10 @@
 // The table is maintained incrementally (stable slots, rank order, one
 // rank-ordered chain per shape and key), so the second half of this file
 // also checks it from outside against a naive model that knows only
-// install order: duplicate rejection, the rules() order, every lookup's
-// winner, slot reuse after mass removal, promotion of same-key rules,
-// clear() and capacity rejection -- on random tables and on tables shaped
-// like the ones the default routing and the Mimic Controller install.
+// install order: duplicate and contradictory-match rejection, the rules()
+// order, every lookup's winner, slot reuse after mass removal, promotion of
+// same-key rules and clear() -- on random tables and on tables shaped like
+// the ones the default routing and the Mimic Controller install.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -69,7 +69,8 @@ Match random_wildcard_match(Rng& rng) {
   if (rng.chance(0.3)) m.sport = pick(rng, kPorts);
   if (rng.chance(0.3)) m.dport = pick(rng, kPorts);
   if (rng.chance(0.25)) m.mpls = pick(rng, kLabels);
-  if (rng.chance(0.2)) m.require_no_mpls = true;  // may contradict mpls
+  // May contradict mpls; add_rule rejects such a match.
+  if (rng.chance(0.2)) m.require_no_mpls = true;
   return m;
 }
 
@@ -112,7 +113,7 @@ std::size_t check_one(FlowTable& table, Rng& rng) {
   const net::Packet packet = random_packet(rng);
   const topo::PortId in_port = pick(rng, kInPorts);
   const FlowRule* expected = table.reference_lookup(packet, in_port);
-  FlowRule* actual = table.lookup(packet, in_port, packet.wire_bytes());
+  const FlowRule* actual = table.lookup(packet, in_port);
   EXPECT_EQ(actual, expected)
       << "two-tier lookup diverged from the reference scan (rules="
       << table.rule_count() << ", indexed=" << table.indexed_rule_count()
@@ -203,13 +204,13 @@ TEST(FlowTableDifferential, SameKeyDifferentPriorityKeepsBestIndexed) {
   p.mpls = low.match.mpls.value_or(net::kNoMpls);
   const topo::PortId in = *low.match.in_port;
 
-  FlowRule* hit = table.lookup(p, in, p.wire_bytes());
+  const FlowRule* hit = table.lookup(p, in);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->cookie, 2u);
   EXPECT_EQ(hit, table.reference_lookup(p, in));
 
   table.remove_by_cookie(2);
-  hit = table.lookup(p, in, p.wire_bytes());
+  hit = table.lookup(p, in);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->cookie, 1u);
   EXPECT_EQ(hit, table.reference_lookup(p, in));
@@ -228,10 +229,10 @@ struct NaiveTable {
     std::uint32_t tag;
   };
   std::vector<Entry> installed;
-  std::size_t capacity = 0;
 
   bool accepts(const FlowRule& rule) const {
-    if (capacity != 0 && installed.size() >= capacity) return false;
+    const Match& m = rule.match;
+    if (m.require_no_mpls && m.mpls && *m.mpls != net::kNoMpls) return false;
     return std::ranges::none_of(installed, [&rule](const Entry& e) {
       return e.priority == rule.priority && e.match == rule.match;
     });
@@ -290,11 +291,6 @@ struct ModelBed {
     EXPECT_FALSE(table.has_cookie(cookie));
   }
 
-  void set_capacity(std::size_t n) {
-    table.set_capacity(n);
-    model.capacity = n;
-  }
-
   void clear() {
     table.clear();
     model.installed.clear();
@@ -312,7 +308,7 @@ struct ModelBed {
   /// Each lookup equals both the reference scan and the model's winner.
   void check_lookup(const net::Packet& packet, topo::PortId in_port) {
     const FlowRule* expected = table.reference_lookup(packet, in_port);
-    FlowRule* actual = table.lookup(packet, in_port, packet.wire_bytes());
+    const FlowRule* actual = table.lookup(packet, in_port);
     EXPECT_EQ(actual, expected);
     EXPECT_EQ(tag_of(actual), model.winner(packet, in_port));
   }
@@ -504,21 +500,13 @@ TEST(FlowTableIncremental, RemovingTheWinnerPromotesAShadowedRule) {
   bed.check_structure();
 }
 
-TEST(FlowTableIncremental, ClearAndCapacityRejection) {
+TEST(FlowTableIncremental, ClearEmptiesTheTableAndItFillsAgain) {
   Rng rng(23);
   ModelBed bed;
-  bed.set_capacity(48);
   for (int i = 0; i < 200; ++i) bed.add(wide_rule(rng));
-  EXPECT_EQ(bed.table.rule_count(), 48u);
-  FlowRule extra = wide_rule(rng);
-  EXPECT_FALSE(bed.add(extra));  // full, whatever the rule
   bed.check_order();
   check_lookups(bed, rng, 64);
-
-  // Room frees up by cookie and is used again, up to the same bound.
   bed.remove(3);
-  for (int i = 0; i < 200; ++i) bed.add(wide_rule(rng));
-  EXPECT_EQ(bed.table.rule_count(), 48u);
   bed.check_structure();
 
   bed.clear();
@@ -532,9 +520,9 @@ TEST(FlowTableIncremental, ClearAndCapacityRejection) {
     const net::Packet p = random_packet(rng);
     bed.check_lookup(p, pick(rng, kInPorts));
   }
-  // The cleared table takes rules again, still capped.
+  // The cleared table takes rules again.
   for (int i = 0; i < 200; ++i) bed.add(wide_rule(rng));
-  EXPECT_EQ(bed.table.rule_count(), 48u);
+  EXPECT_GT(bed.table.rule_count(), 0u);
   bed.check_order();
   check_lookups(bed, rng, 64);
   bed.check_structure();
@@ -573,7 +561,6 @@ net::Ipv4 l3_host(std::uint32_t host) {
 
 constexpr std::uint64_t kL3Cookie = 1;
 constexpr std::uint64_t kCatchAllCookie = 2;
-constexpr std::uint64_t kNeverCookie = 3;
 constexpr std::uint64_t kFirstChannelCookie = 10;
 constexpr topo::PortId kHostPorts = 4;  // 0-3 face hosts, 4-7 uplinks
 constexpr net::MplsLabel kCfLabel = 0x00070001;
@@ -625,20 +612,21 @@ void add_channel(ModelBed& bed, Rng& rng, std::uint64_t cookie) {
   }
 }
 
-/// A catch-all punt under everything, and a rule that can never match
-/// (untagged *and* labelled) that would otherwise beat every L3 rule.
-void add_catch_all_and_never(ModelBed& bed) {
+/// A catch-all punt under everything.  A rule that can never match
+/// (untagged *and* labelled), which would otherwise beat every L3 rule, is
+/// refused.
+void add_catch_all(ModelBed& bed) {
   FlowRule punt;
   punt.cookie = kCatchAllCookie;
   punt.priority = 0;
   ASSERT_TRUE(bed.add(punt));
   FlowRule never;
-  never.cookie = kNeverCookie;
+  never.cookie = kCatchAllCookie;
   never.priority = 40;
   never.match.dst = l3_host(9);
   never.match.require_no_mpls = true;
   never.match.mpls = kCfLabel;
-  ASSERT_TRUE(bed.add(never));
+  EXPECT_FALSE(bed.add(never));
 }
 
 /// Common-flow and m-flow traffic as an edge switch sees it: untagged
@@ -682,7 +670,7 @@ TEST(FlowTableL3Shapes, EdgeSwitchTablesAgreeWithTheModel) {
     Rng rng(seed * 0x1b873593ULL + 5);
     ModelBed bed;
     fill_l3_edge(bed);
-    add_catch_all_and_never(bed);
+    add_catch_all(bed);
     std::uint64_t next_channel = kFirstChannelCookie;
     for (int c = 0; c < 200; ++c) add_channel(bed, rng, next_channel++);
     bed.check_order();
@@ -713,7 +701,7 @@ TEST(FlowTableL3Shapes, RemovingTheLastRuleOfAShape) {
   Rng rng(31);
   ModelBed bed;
   fill_l3_edge(bed);
-  add_catch_all_and_never(bed);
+  add_catch_all(bed);
   for (std::uint64_t cookie = kFirstChannelCookie;
        cookie < kFirstChannelCookie + 16; ++cookie) {
     add_channel(bed, rng, cookie);
@@ -727,9 +715,8 @@ TEST(FlowTableL3Shapes, RemovingTheLastRuleOfAShape) {
   check_l3_traffic(bed, rng, 256);
   EXPECT_GT(bed.table.stats().misses, misses);
 
-  // The never-matching rule and every channel leave: the all-fields
-  // subtable empties and lookups fall to the L3 shapes alone.
-  bed.remove(kNeverCookie);
+  // Every channel leaves: the all-fields subtable empties and lookups
+  // fall to the L3 shapes alone.
   for (std::uint64_t cookie = kFirstChannelCookie;
        cookie < kFirstChannelCookie + 16; ++cookie) {
     bed.remove(cookie);

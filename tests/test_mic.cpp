@@ -431,14 +431,19 @@ TEST(MicEndToEnd, PartialMulticastDeliversExactlyOneCopy) {
   // Exactly the sent bytes arrive -- decoys died at their drop rules.
   EXPECT_EQ(received, 64u * 1024u);
 
-  // The decoy drop rules saw traffic.
-  std::uint64_t decoy_drops = 0;
-  for (const topo::NodeId sw : bed.fabric.network().graph().switches()) {
-    for (const auto& rule : bed.fabric.mc().switch_at(sw)->table().rules()) {
-      if (rule.priority == ctrl::kPriorityDecoyDrop) {
-        decoy_drops += rule.packet_count;
-      }
+  // The decoys were dropped at their next switches.
+  const ChannelState* state = bed.fabric.mc().channel(channel.id());
+  ASSERT_NE(state, nullptr);
+  std::set<topo::NodeId> decoy_switches;
+  for (const MFlowPlan& plan : state->flows) {
+    for (const DecoyPlan& decoy : plan.decoys) {
+      decoy_switches.insert(decoy.next_switch);
     }
+  }
+  EXPECT_FALSE(decoy_switches.empty());
+  std::uint64_t decoy_drops = 0;
+  for (const topo::NodeId sw : decoy_switches) {
+    decoy_drops += bed.fabric.mc().switch_at(sw)->dropped();
   }
   EXPECT_GT(decoy_drops, 0u);
 }

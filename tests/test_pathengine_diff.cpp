@@ -4,9 +4,10 @@
 // For any topology and failed-link set, the engine must agree with a
 // freshly-built oracle on every distance, produce only valid shortest
 // paths when sampling, and enumerate exactly the oracle's equal-cost path
-// set.  Failure epochs are exercised both wholesale (set_failed_links) and
-// incrementally (link_failed / link_restored on warm caches, where row
-// retention does the interesting work).  PE-1: how the row cache was
+// set.  Failure epochs are exercised both on cold caches (every link of a
+// failure set failed before any query) and incrementally (link_failed /
+// link_restored on warm caches, where row retention does the interesting
+// work).  PE-1: how the row cache was
 // populated must not change anything observable.
 #include <gtest/gtest.h>
 
@@ -103,7 +104,7 @@ TEST(PathEngineDiff, RandomizedAgainstOracle) {
       const AllPairsPaths oracle(graph,
                                  failed.empty() ? nullptr : &failed);
       PathEngine engine(graph);
-      engine.set_failed_links(failed);
+      for (const LinkId link : failed) engine.link_failed(link);
 
       for (int trial = 0; trial < 120; ++trial) {
         // Mostly endpoint pairs (the product's query mix), sometimes any
@@ -202,7 +203,7 @@ TEST(PathEngineDiff, ClusteredFailuresRetainUnaffectedRows) {
   for (const auto& adj : graph.neighbors(edge)) {
     if (graph.is_switch(adj.peer)) failed.insert(adj.link);
   }
-  engine.set_failed_links(failed);
+  for (const LinkId link : failed) engine.link_failed(link);
   query_rows(engine, ft.hosts());  // cache all host rows post-partition
 
   // Now fail a host link inside the partition.
@@ -241,7 +242,7 @@ TEST(PathEngineDiff, FailedAccessLinkMatchesOracleUnreachability) {
       ft.graph().neighbors(victim_host)[0].link};
   const AllPairsPaths oracle(ft.graph(), &failed);
   PathEngine engine(ft.graph());
-  engine.set_failed_links(failed);
+  for (const LinkId link : failed) engine.link_failed(link);
   for (const NodeId h : ft.hosts()) {
     EXPECT_EQ(engine.reachable(h, victim_host),
               oracle.reachable(h, victim_host));

@@ -1,10 +1,12 @@
 // Controller crash-recovery: the write-ahead channel journal (round-trip,
 // compaction, truncation), crash()/recover() with switch resync and
-// orphan-rule reconciliation (RC-1), client-side survival of controller
-// silence (establishment timeout, heartbeat re-attach), and the selective
-// L3 reinstall counters.
+// orphan-rule reconciliation (RC-1), the recovery and failure branches
+// that decoy channels, rebooted switches and lost repair records reach,
+// client-side survival of controller silence (establishment timeout,
+// heartbeat re-attach), and the selective L3 reinstall counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -292,6 +294,170 @@ TEST(CrashRecovery, RecoveryRepairsChannelsWhoseLinksDiedMeanwhile) {
   bed.run();
   EXPECT_TRUE(bed.fabric.mc().failed_links().empty());
   EXPECT_TRUE(audit::run_all(bed.fabric).ok);
+}
+
+// --- recovery and failure branches --------------------------------------------
+
+/// Cut every link of `sw` in the PHY and report the switch dead, as the
+/// fault injector's switch crash does.
+void crash_switch(RecoveryBed& bed, topo::NodeId sw) {
+  for (const auto& adj : bed.fabric.network().graph().neighbors(sw)) {
+    bed.fabric.network().set_link_up(adj.link, false);
+  }
+  bed.fabric.mc().fail_switch(sw);
+}
+
+TEST(CrashRecovery, DecoyChannelsPassRc1BeforeAndAfterRecovery) {
+  // RC-1 compares a partially-multicast channel's ALL groups through their
+  // buckets.  Eight two-decoy channels pass it before and after a crash
+  // (each kept in place), and again once half of them have closed, which
+  // compacts the group lists they shared switches with.
+  RecoveryBed bed;
+  MicChannelOptions o = bed.options();
+  o.multicast_decoys = 2;
+  std::vector<std::unique_ptr<MicChannel>> channels;
+  for (std::size_t host = 0; host < 8; ++host) {
+    channels.push_back(bed.client(host, o));
+  }
+  bed.run();
+  MimicController& mc = bed.fabric.mc();
+  for (const auto& channel : channels) {
+    ASSERT_TRUE(channel->ready());
+    ASSERT_FALSE(mc.channel(channel->id())->flows[0].decoys.empty());
+  }
+  audit::RunReport audit = audit::run_all(bed.fabric);
+  EXPECT_TRUE(audit.ok) << audit.first_violation();
+
+  mc.crash();
+  const auto report = mc.recover(mc.journal());
+  bed.run();
+  EXPECT_EQ(report.channels_recovered, 8u);
+  EXPECT_EQ(report.channels_kept, 8u);
+  EXPECT_EQ(report.channels_reinstalled, 0u);
+  audit = audit::run_all(bed.fabric);
+  EXPECT_TRUE(audit.ok) << audit.first_violation();
+
+  for (std::size_t i = 0; i < 4; ++i) channels[i]->close();
+  bed.run();
+  EXPECT_EQ(mc.active_channel_count(), 4u);
+  audit = audit::run_all(bed.fabric);
+  EXPECT_TRUE(audit.ok) << audit.first_violation();
+
+  constexpr std::uint64_t kBytes = 64 * 1024;
+  for (std::size_t i = 4; i < 8; ++i) {
+    channels[i]->send(transport::Chunk::virtual_bytes(kBytes));
+  }
+  bed.run();
+  EXPECT_EQ(bed.received, 4 * kBytes);
+}
+
+TEST(SwitchFailure, LosingOnlyADecoyDropRuleReplansTheChannel) {
+  // A switch off the channel's path that holds nothing of it but a decoy's
+  // drop rule still carries the channel: without that rule the decoy copy
+  // would leak on as live-looking traffic, so its failure replans.
+  RecoveryBed bed;
+  MicChannelOptions o = bed.options();
+  o.multicast_decoys = 2;
+  auto client = bed.client(0, o);
+  bed.run();
+  ASSERT_TRUE(client->ready());
+  MimicController& mc = bed.fabric.mc();
+  const MFlowPlan& plan = mc.channel(client->id())->flows[0];
+  topo::NodeId victim = topo::kInvalidNode;
+  for (const DecoyPlan& decoy : plan.decoys) {
+    if (std::ranges::find(plan.path, decoy.next_switch) == plan.path.end()) {
+      victim = decoy.next_switch;
+      break;
+    }
+  }
+  ASSERT_NE(victim, topo::kInvalidNode);
+
+  const std::uint64_t repaired_before = mc.channels_repaired();
+  crash_switch(bed, victim);
+  bed.run();
+  EXPECT_EQ(mc.channels_repaired(), repaired_before + 1);
+  const MFlowPlan& replanned = mc.channel(client->id())->flows[0];
+  EXPECT_EQ(std::ranges::find(replanned.path, victim), replanned.path.end());
+  for (const DecoyPlan& decoy : replanned.decoys) {
+    EXPECT_NE(decoy.next_switch, victim);
+  }
+  const audit::RunReport audit = audit::run_all(bed.fabric);
+  EXPECT_TRUE(audit.ok) << audit.first_violation();
+
+  constexpr std::uint64_t kBytes = 64 * 1024;
+  client->send(transport::Chunk::virtual_bytes(kBytes));
+  bed.run();
+  EXPECT_EQ(bed.received, kBytes);
+}
+
+TEST(CrashRecovery, SwitchThatRebootedDuringTheOutageIsRestored) {
+  // The switch dies while the MC is up and comes back while it is down:
+  // the resync finds every link of a "failed" switch up again, restores
+  // the switch and refills its table.
+  RecoveryBed bed;
+  auto client = bed.client(0, bed.options());
+  bed.run();
+  ASSERT_TRUE(client->ready());
+  MimicController& mc = bed.fabric.mc();
+  const topo::NodeId victim = bed.fabric.fattree().core_switches().front();
+  crash_switch(bed, victim);
+  bed.run();
+  ASSERT_TRUE(mc.failed_switches().contains(victim));
+
+  mc.crash();
+  for (const auto& adj : bed.fabric.network().graph().neighbors(victim)) {
+    bed.fabric.network().set_link_up(adj.link, true);
+  }
+  bed.run();  // the port-status reports fall on deaf ears
+  const auto report = mc.recover(mc.journal());
+  bed.run();
+  EXPECT_EQ(report.links_resynced, 1u);  // the reboot, links included
+  EXPECT_TRUE(mc.failed_switches().empty());
+  EXPECT_TRUE(mc.failed_links().empty());
+  EXPECT_TRUE(mc.switch_at(victim)->table().has_cookie(ctrl::kL3Cookie));
+  const audit::RunReport audit = audit::run_all(bed.fabric);
+  EXPECT_TRUE(audit.ok) << audit.first_violation();
+
+  constexpr std::uint64_t kBytes = 64 * 1024;
+  client->send(transport::Chunk::virtual_bytes(kBytes));
+  bed.run();
+  EXPECT_EQ(bed.received, kBytes);
+}
+
+TEST(CrashRecovery, TruncatedRepairRecordReplansTheDeadPath) {
+  // The channel was rerouted around a cut that is still down, but the
+  // repair record never reached stable storage: recovery replays the old
+  // route across the dead link, sweeps the repaired rules the journal no
+  // longer explains and replans.
+  RecoveryBed bed;
+  auto client = bed.client(0, bed.options());
+  bed.run();
+  ASSERT_TRUE(client->ready());
+  MimicController& mc = bed.fabric.mc();
+  const auto& plan = mc.channel(client->id())->flows[0];
+  const topo::LinkId victim = bed.fabric.network().graph().link_between(
+      plan.path[plan.path.size() / 2], plan.path[plan.path.size() / 2 + 1]);
+  bed.fabric.network().set_link_up(victim, false);
+  bed.run();
+  ASSERT_EQ(mc.channels_repaired(), 1u);
+  ASSERT_EQ(mc.journal().records().back().type, JournalRecordType::kRepair);
+
+  mc.crash();
+  ChannelJournal damaged = mc.journal();
+  damaged.truncate_tail(1);
+  const auto report = mc.recover(damaged);
+  bed.run();
+  EXPECT_EQ(report.links_resynced, 0u);  // the failure view outlived it
+  EXPECT_EQ(report.channels_replanned, 1u);
+  EXPECT_EQ(report.channels_lost, 0u);
+  EXPECT_TRUE(mc.failed_links().contains(victim));
+  const audit::RunReport audit = audit::run_all(bed.fabric);
+  EXPECT_TRUE(audit.ok) << audit.first_violation();
+
+  constexpr std::uint64_t kBytes = 64 * 1024;
+  client->send(transport::Chunk::virtual_bytes(kBytes));
+  bed.run();
+  EXPECT_EQ(bed.received, kBytes);
 }
 
 // --- client-side survival ----------------------------------------------------

@@ -169,13 +169,15 @@ TEST(CpuMeter, SerializesWork) {
 }
 
 TEST(CpuMeter, UtilizationWindow) {
+  // Fig. 9(c)'s utilization: the busy time accrued inside a window over
+  // the window's length.
   CpuMeter cpu(1e9);
   cpu.charge(0, 500);
   const SimTime busy_start = cpu.busy_time();
   cpu.charge(1000, 300);
-  const double util = CpuMeter::utilization(busy_start, cpu.busy_time(),
-                                            nanoseconds(1000),
-                                            nanoseconds(2000));
+  const double util = static_cast<double>(cpu.busy_time() - busy_start) /
+                      static_cast<double>(nanoseconds(2000) -
+                                          nanoseconds(1000));
   EXPECT_DOUBLE_EQ(util, 0.3);
 }
 

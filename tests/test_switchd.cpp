@@ -76,12 +76,12 @@ TEST(FlowTable, PriorityOrderAndFirstInstalledWins) {
   ASSERT_TRUE(table.add_rule(high));
 
   auto p = make_packet({10, 0, 0, 1}, {10, 0, 0, 2});
-  FlowRule* hit = table.lookup(p, 0, p.wire_bytes());
+  const FlowRule* hit = table.lookup(p, 0);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->cookie, 2u);
 
   auto other = make_packet({10, 0, 0, 9}, {10, 0, 0, 2});
-  hit = table.lookup(other, 0, other.wire_bytes());
+  hit = table.lookup(other, 0);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->cookie, 1u);
 }
@@ -105,10 +105,13 @@ TEST(FlowTable, CountersUpdateOnHit) {
   rule.priority = 1;
   ASSERT_TRUE(table.add_rule(rule));
   auto p = make_packet({1, 1, 1, 1}, {2, 2, 2, 2});
-  table.lookup(p, 0, p.wire_bytes());
-  table.lookup(p, 0, p.wire_bytes());
-  EXPECT_EQ(table.rules()[0].packet_count, 2u);
-  EXPECT_EQ(table.rules()[0].byte_count, 2ull * p.wire_bytes());
+  EXPECT_EQ(table.lookup(p, 0), &table.rules()[0]);
+  table.lookup(p, 0);
+  // A catch-all pins no field, so both hits go to the wildcard counter.
+  EXPECT_EQ(table.stats().lookups, 2u);
+  EXPECT_EQ(table.stats().scan_fallbacks, 2u);
+  EXPECT_EQ(table.stats().index_hits, 0u);
+  EXPECT_EQ(table.stats().misses, 0u);
 }
 
 TEST(FlowTable, RemoveByCookie) {
@@ -138,8 +141,7 @@ TEST(FlowTable, GroupsByCookie) {
 TEST(FlowTable, MissCounter) {
   FlowTable table;
   auto p = make_packet({1, 1, 1, 1}, {2, 2, 2, 2});
-  EXPECT_EQ(table.lookup(p, 0, p.wire_bytes()), nullptr);
-  EXPECT_EQ(table.miss_count(), 1u);
+  EXPECT_EQ(table.lookup(p, 0), nullptr);
   EXPECT_EQ(table.stats().lookups, 1u);
   EXPECT_EQ(table.stats().misses, 1u);
 }
@@ -177,14 +179,14 @@ TEST(FlowTable, ExactRulesAreIndexed) {
   EXPECT_EQ(table.indexed_rule_count(), 1u);
 
   auto hit = make_packet({10, 0, 0, 1}, {10, 0, 0, 2}, 100, 200, 7);
-  FlowRule* rule = table.lookup(hit, 0, hit.wire_bytes());
+  const FlowRule* rule = table.lookup(hit, 0);
   ASSERT_NE(rule, nullptr);
   EXPECT_EQ(rule->cookie, 1u);
   EXPECT_EQ(table.stats().index_hits, 1u);
   EXPECT_EQ(table.stats().scan_fallbacks, 0u);
 
   auto other = make_packet({10, 0, 0, 9}, {10, 0, 0, 2});
-  rule = table.lookup(other, 0, other.wire_bytes());
+  rule = table.lookup(other, 0);
   ASSERT_NE(rule, nullptr);
   EXPECT_EQ(rule->cookie, 2u);
   EXPECT_EQ(table.stats().scan_fallbacks, 1u);
@@ -205,7 +207,7 @@ TEST(FlowTable, IndexedHitLosesToHigherPriorityWildcard) {
   ASSERT_TRUE(table.add_rule(punt));
 
   auto p = make_packet({10, 0, 0, 1}, {10, 0, 0, 2}, 100, 200, 7);
-  FlowRule* rule = table.lookup(p, 0, p.wire_bytes());
+  const FlowRule* rule = table.lookup(p, 0);
   ASSERT_NE(rule, nullptr);
   EXPECT_EQ(rule->cookie, 2u);
   EXPECT_EQ(table.stats().scan_fallbacks, 1u);
@@ -228,7 +230,7 @@ TEST(FlowTable, IndexSurvivesCookieRemoval) {
   EXPECT_EQ(table.indexed_rule_count(), 2u);
 
   auto p = make_packet({10, 0, 0, 1}, {10, 0, 0, 2}, 100, 201, 7);
-  FlowRule* rule = table.lookup(p, 0, p.wire_bytes());
+  const FlowRule* rule = table.lookup(p, 0);
   ASSERT_NE(rule, nullptr);
   EXPECT_EQ(rule->cookie, 6u);
   EXPECT_EQ(rule, table.reference_lookup(p, 0));
@@ -242,7 +244,8 @@ TEST(Match, ExactnessClassification) {
   m.require_no_mpls = true;
   EXPECT_TRUE(m.is_exact());   // pinned to "untagged"
   m.mpls = 9;
-  EXPECT_FALSE(m.is_exact());  // contradictory: matches nothing, scans
+  EXPECT_TRUE(m.contradictory());
+  EXPECT_FALSE(m.is_exact());  // contradictory: matches nothing
   m = exact_match({1, 1, 1, 1}, {2, 2, 2, 2}, 1, 2, 7);
   m.in_port.reset();
   EXPECT_FALSE(m.is_exact());
@@ -431,7 +434,7 @@ TEST(SdnSwitch, MissWithoutHandlerDrops) {
   fix.network.transmit(fix.a, 0, make_packet({1, 1, 1, 1}, {2, 2, 2, 2}));
   fix.simulator.run_until();
   EXPECT_EQ(fix.sw_dev->dropped(), 1u);
-  EXPECT_EQ(fix.sw_dev->table().miss_count(), 1u);
+  EXPECT_EQ(fix.sw_dev->table().stats().misses, 1u);
 }
 
 TEST(SdnSwitch, TableStatsSurfaced) {

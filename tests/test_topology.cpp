@@ -38,14 +38,17 @@ TEST(FatTree, K6Counts) {
 }
 
 TEST(FatTree, HostIpsUniqueAndReversible) {
+  // 10.pod.switch.(position + 2): distinct per host, and the pod reads
+  // back out of the address.
   const FatTree ft(4);
   std::set<std::uint32_t> ips;
   for (const NodeId h : ft.hosts()) {
     const auto ip = ft.host_ip(h);
     EXPECT_TRUE(ips.insert(ip).second);
-    EXPECT_EQ(ft.host_by_ip(ip), h);
+    EXPECT_EQ(ip >> 24, 10u);
+    EXPECT_EQ(static_cast<int>((ip >> 16) & 0xff), ft.pod_of(h));
+    EXPECT_GE(ip & 0xff, 2u);
   }
-  EXPECT_EQ(ft.host_by_ip(0x7f000001), kInvalidNode);
 }
 
 TEST(FatTree, PodAssignment) {
@@ -59,10 +62,19 @@ TEST(FatTree, PodAssignment) {
 }
 
 TEST(FatTree, EdgeSwitchDetection) {
+  // The edge switches are exactly the switches with hosts attached.
   const FatTree ft(4);
-  for (const NodeId e : ft.edge_switches()) EXPECT_TRUE(ft.is_edge_switch(e));
-  for (const NodeId a : ft.agg_switches()) EXPECT_FALSE(ft.is_edge_switch(a));
-  for (const NodeId c : ft.core_switches()) EXPECT_FALSE(ft.is_edge_switch(c));
+  const Graph& graph = ft.graph();
+  std::set<NodeId> attached;
+  for (const NodeId sw : graph.switches()) {
+    for (const auto& adj : graph.neighbors(sw)) {
+      if (graph.is_host(adj.peer)) attached.insert(sw);
+    }
+  }
+  const std::set<NodeId> edge(ft.edge_switches().begin(),
+                              ft.edge_switches().end());
+  EXPECT_EQ(attached, edge);
+  EXPECT_EQ(edge.size(), 8u);
 }
 
 TEST(Paths, FatTreeDistances) {
