@@ -39,17 +39,14 @@ echo "== admission flood guard =="
 # committed BENCH_flood.json alone.
 (cd build && ./bench/control_flood --smoke)
 
-echo "== ablation + fast figure benches =="
+echo "== ablation, fast figure and recovery benches =="
 # Each must print its committed golden stdout (bench/golden/) byte for
 # byte and exit zero (a failed session exits non-zero rather than print
-# zeros like data).  fig9b (~25 s) stays out.
+# zeros like data).  fig9b (~25 s) stays out.  controller_recovery --smoke
+# runs the crash/recover sweep and the warm-standby failover leg inside
+# build/; each point re-checks audit::run_all and a failed audit exits
+# non-zero.
 scripts/record_bench_outputs.sh verify build
-
-echo "== recovery + failover smoke (audit-gated) =="
-# The crash/recover sweep plus the warm-standby failover leg; each point
-# re-checks audit::run_all, so a reconciliation bug fails the run even if
-# the latency numbers look fine.
-(cd build && ./bench/controller_recovery --smoke)
 
 echo "== soak trace-hash replay =="
 # Every seeded chaos / MC-crash / failover soak fingerprint must replay

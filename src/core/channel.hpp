@@ -18,17 +18,6 @@ namespace mic::core {
 
 using ChannelId = std::uint64_t;
 
-/// The addresses a packet carries on one path segment.  mpls == kNoMpls on
-/// the first segment (host cannot tag) and the last (the last MN pops).
-struct HopAddresses {
-  net::Ipv4 src;
-  net::Ipv4 dst;
-  net::L4Port sport = 0;
-  net::L4Port dport = 0;
-  net::MplsLabel mpls = net::kNoMpls;
-  bool operator==(const HopAddresses&) const noexcept = default;
-};
-
 /// One decoy replica emitted by the partially-multicast mechanism.
 struct DecoyPlan {
   MTuple tuple;
@@ -40,13 +29,16 @@ struct DecoyPlan {
 };
 
 /// Complete routing plan of one m-flow (paper Sec IV-B2): a path, the MN
-/// positions on it, and the address sequence in both directions.
+/// positions on it, and the address sequence in both directions: the
+/// m-address a packet carries on each path segment, with mpls == kNoMpls
+/// on the first segment (the host cannot tag) and the last (the last MN
+/// pops).
 struct MFlowPlan {
   FlowId flow_id = kInvalidFlowId;
   topo::Path path;                        // forward, hosts at both ends
   std::vector<std::size_t> mn_positions;  // ascending indices into `path`
-  std::vector<HopAddresses> forward;      // size N+1; [0]=initial, [N]=final
-  std::vector<HopAddresses> reverse;      // same, along the reversed path
+  std::vector<MTuple> forward;            // size N+1; [0]=initial, [N]=final
+  std::vector<MTuple> reverse;            // same, along the reversed path
   std::vector<DecoyPlan> decoys;          // at the first forward MN
   bool operator==(const MFlowPlan&) const noexcept = default;
 };

@@ -25,24 +25,24 @@ audit::CheckResult audit_collisions(MimicController& mc) {
   for (const topo::NodeId sw : mc.graph().switches()) {
     const auto& rules = mc.switch_at(sw)->table().rules();
 
-    // 1. No duplicate (priority, match).
+    // 1. No two rules share a match, at any priority.
     for (std::size_t i = 0; i < rules.size(); ++i) {
       ++report.items_checked;
       for (std::size_t j = i + 1; j < rules.size(); ++j) {
-        if (rules[i].priority == rules[j].priority &&
-            rules[i].match == rules[j].match) {
+        if (rules[i].match == rules[j].match) {
           report.violations.push_back(
-              describe(sw, rules[i], "duplicate (priority, match) pair"));
+              describe(sw, rules[i], "two rules share one match"));
         }
       }
     }
 
     for (const auto& rule : rules) {
       // 2. Matched MF tuples must belong to an active flow of the MN that
-      //    generated them (identified through the label class).
-      if (rule.priority >= ctrl::kPriorityMFlow && rule.match.mpls) {
+      //    generated them (identified through the label class).  A first-
+      //    segment rule matches the untagged host packet: no label, no MN.
+      const net::MplsLabel label = rule.match.mpls.value_or(net::kNoMpls);
+      if (rule.priority >= ctrl::kPriorityMFlow && label != net::kNoMpls) {
         ++mflow_rules;
-        const net::MplsLabel label = *rule.match.mpls;
         const std::uint8_t cls = registry.class_of_label(label);
         if (cls == registry.c_id()) {
           report.violations.push_back(

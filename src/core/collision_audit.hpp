@@ -2,8 +2,9 @@
 // Mechanism's invariants (DESIGN.md CA-1, MAGA-1..3).
 //
 // Walks every switch's flow table and verifies that
-//  1. no two rules share (priority, match) -- the data-plane precondition
-//     for deterministic forwarding,
+//  1. no two rules on a switch share a match, at any priority -- the
+//     data-plane precondition for deterministic forwarding, which
+//     FlowTable::add_rule also enforces per table,
 //  2. every m-flow rule's matched three-tuple hashes to an *active* flow ID
 //     under the owning switch's MAGA function,
 //  3. every MF label's class equals the switch's S_ID, every CF label's

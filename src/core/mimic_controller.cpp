@@ -32,8 +32,8 @@ std::uint64_t endpoint_key(net::Ipv4 a, net::L4Port pa, net::Ipv4 b,
 /// A plan's two endpoint reservations: the entry address the initiator
 /// sends to, and the presented address the responder sees.
 std::array<std::uint64_t, 2> endpoint_keys(const MFlowPlan& plan) {
-  const HopAddresses& entry = plan.forward.front();
-  const HopAddresses& presented = plan.forward.back();
+  const MTuple& entry = plan.forward.front();
+  const MTuple& presented = plan.forward.back();
   return {endpoint_key(entry.src, 0, entry.dst, entry.dport),
           endpoint_key(presented.src, presented.sport, presented.dst,
                        presented.dport)};
@@ -54,15 +54,6 @@ ReversedRoute reversed(const MFlowPlan& plan) {
   }
   std::sort(route.mn_positions.begin(), route.mn_positions.end());
   return route;
-}
-
-MTuple tuple_of(const HopAddresses& hop) {
-  return MTuple{hop.src, hop.dst, hop.sport, hop.dport, hop.mpls};
-}
-
-HopAddresses hop_of(const MTuple& tuple) {
-  return HopAddresses{tuple.src, tuple.dst, tuple.sport, tuple.dport,
-                      tuple.mpls};
 }
 
 /// The live channels with at least one m-flow for which `hit(plan)` holds,
@@ -222,15 +213,15 @@ void MimicController::generate_middle_tuples(const PlanContext& ctx,
   // Hops 1..N-1 of one direction, each drawn at the MN that rewrites to it.
   const auto fill = [&](const topo::Path& path,
                         const std::vector<std::size_t>& mn_positions,
-                        std::vector<HopAddresses>& hops) {
+                        std::vector<MTuple>& hops) {
     for (std::size_t j = 1; j < mn_positions.size(); ++j) {
       const std::size_t pos = mn_positions[j - 1];
       const topo::NodeId mn = path[pos];
       const topo::PortId egress = graph().port_towards(mn, path[pos + 1]);
-      hops[j] = hop_of(registry_.generate(
+      hops[j] = registry_.generate(
           mn, plan.flow_id,
           hide_endpoints(restrictions_.allowed_src(mn, egress)),
-          hide_endpoints(restrictions_.allowed_dst(mn, egress))));
+          hide_endpoints(restrictions_.allowed_dst(mn, egress)));
     }
   };
   fill(plan.path, plan.mn_positions, plan.forward);
@@ -398,31 +389,27 @@ bool MimicController::replan_flow(const PlanContext& ctx, MFlowPlan& plan,
 void MimicController::install_direction(
     ChannelId id, const topo::Path& path,
     const std::vector<std::size_t>& mn_positions,
-    const std::vector<HopAddresses>& hops,
+    const std::vector<MTuple>& hops,
     const std::vector<DecoyPlan>& decoys, std::vector<InstallOp>& ops,
     std::uint32_t& group_alloc) const {
   const auto& g = graph();
   const std::size_t n = mn_positions.size();
 
-  auto make_match = [&](const HopAddresses& hop, topo::PortId in_port) {
+  auto make_match = [&](const MTuple& hop, topo::PortId in_port) {
     switchd::Match match;
     match.in_port = in_port;
     match.src = hop.src;
     match.dst = hop.dst;
     match.sport = hop.sport;
     match.dport = hop.dport;
-    if (hop.mpls == net::kNoMpls) {
-      match.require_no_mpls = true;
-    } else {
-      match.mpls = hop.mpls;
-    }
+    match.mpls = hop.mpls;  // kNoMpls on the first segment: untagged
     // Every m-flow rule must stay fully specified so it lands in the
     // switches' all-fields subtable -- per-packet cost must not grow with
     // the number of channels (the Fig. 9 scaling argument).
     MIC_ASSERT_MSG(match.is_exact(), "m-flow match left a wildcard field");
     return match;
   };
-  auto rewrite_actions = [&](const HopAddresses& to) {
+  auto rewrite_actions = [&](const MTuple& to) {
     std::vector<switchd::Action> actions;
     actions.push_back(switchd::SetSrc{to.src});
     actions.push_back(switchd::SetDst{to.dst});
@@ -470,8 +457,7 @@ void MimicController::install_direction(
       group.cookie = id;
       group.buckets.push_back(std::move(actions));
       for (const DecoyPlan& decoy : decoys) {
-        const HopAddresses decoy_hop = hop_of(decoy.tuple);
-        auto bucket = rewrite_actions(decoy_hop);
+        auto bucket = rewrite_actions(decoy.tuple);
         bucket.push_back(switchd::Output{decoy.out_port});
         group.buckets.push_back(std::move(bucket));
 
@@ -479,7 +465,7 @@ void MimicController::install_direction(
         switchd::FlowRule drop;
         drop.priority = ctrl::kPriorityDecoyDrop;
         drop.cookie = id;
-        drop.match = make_match(decoy_hop, decoy.next_in_port);
+        drop.match = make_match(decoy.tuple, decoy.next_in_port);
         drop.actions = {switchd::DropAction{}};
         ops.push_back({decoy.next_switch, std::move(drop)});
       }
@@ -862,8 +848,8 @@ void MimicController::walk_holdings(const MFlowPlan& plan, Holdings action) {
   // that generated it.
   const ReversedRoute back = reversed(plan);
   for (std::size_t j = 1; j < plan.mn_positions.size(); ++j) {
-    tuple(plan.path[plan.mn_positions[j - 1]], tuple_of(plan.forward[j]));
-    tuple(back.path[back.mn_positions[j - 1]], tuple_of(plan.reverse[j]));
+    tuple(plan.path[plan.mn_positions[j - 1]], plan.forward[j]);
+    tuple(back.path[back.mn_positions[j - 1]], plan.reverse[j]);
   }
   if (!plan.mn_positions.empty()) {
     const topo::NodeId first_mn = plan.path[plan.mn_positions[0]];
@@ -1104,18 +1090,20 @@ MimicController::RepairOutcome MimicController::fail_switch(topo::NodeId sw) {
   return repair_channels(channels_hit(channels_, visits), "switch failure");
 }
 
-void MimicController::restore_switch(topo::NodeId sw) {
-  if (crashed_) return;  // resync_failure_view re-learns the reboot
-  if (failed_switches_.erase(sw) == 0) return;
+std::size_t MimicController::restore_switch(topo::NodeId sw) {
+  if (crashed_) return 0;  // resync_failure_view re-learns the reboot
+  if (failed_switches_.erase(sw) == 0) return 0;
+  std::size_t restored = 0;
   for (const auto& adj : graph().neighbors(sw)) {
     // A link is only usable when both of its endpoints are alive.
     if (failed_switches_.contains(adj.peer)) continue;
-    path_engine().link_restored(adj.link);
+    if (path_engine().link_restored(adj.link)) ++restored;
   }
   // The rebooted switch comes back with an empty table; the reroute
   // re-installs the default routing everywhere, which both repopulates it
   // and drops the detours the failure forced elsewhere.
   reroute_default_routing();
+  return restored;
 }
 
 void MimicController::mark_idle(ChannelId id, bool idle) {
@@ -1182,10 +1170,7 @@ std::size_t MimicController::resync_failure_view() {
     if (all_up) rebooted.push_back(sw);
   }
   std::sort(rebooted.begin(), rebooted.end());
-  for (const topo::NodeId sw : rebooted) {
-    restore_switch(sw);
-    ++transitions;
-  }
+  for (const topo::NodeId sw : rebooted) transitions += restore_switch(sw);
 
   // Links: the PHY is the truth, plus failed-switch incidence (a dead
   // switch's links are unusable even while their PHY reports up).

@@ -160,7 +160,8 @@ class MimicController : public ctrl::Controller {
 
   /// Bring a switch back: incident links are restored and the default
   /// routing is re-installed (the rebooted switch's table starts empty).
-  void restore_switch(topo::NodeId sw);
+  /// Returns how many links came back.
+  std::size_t restore_switch(topo::NodeId sw);
 
   /// The links the control plane treats as down: the path engine's
   /// failure set, the one failure view every planner and the L3 app read.
@@ -203,7 +204,7 @@ class MimicController : public ctrl::Controller {
     std::size_t channels_lost = 0;         // replan failed; torn down
     std::size_t orphan_rules_removed = 0;  // entries with unknown cookies
     std::size_t switches_resynced = 0;     // dump RPCs issued
-    std::size_t links_resynced = 0;        // PHY transitions missed while down
+    std::size_t links_resynced = 0;        // link transitions missed while down
   };
 
   /// Simulate an MC process crash: all soft state is lost, the journal
@@ -366,7 +367,7 @@ class MimicController : public ctrl::Controller {
   PlanContext context_of(const ChannelState& state) const;
   void install_direction(ChannelId id, const topo::Path& path,
                          const std::vector<std::size_t>& mn_positions,
-                         const std::vector<HopAddresses>& hops,
+                         const std::vector<MTuple>& hops,
                          const std::vector<DecoyPlan>& decoys,
                          std::vector<InstallOp>& ops,
                          std::uint32_t& group_alloc) const;

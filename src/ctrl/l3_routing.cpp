@@ -167,7 +167,7 @@ Derivation derive(Controller& controller,
           l3_rule(kPriorityIngressTag, dst_ip,
                   {switchd::SetMpls{label}, forward_action});
       rule.match.in_port = host_port;
-      rule.match.require_no_mpls = true;
+      rule.match.mpls = net::kNoMpls;
       issue(std::move(rule));
     }
   }

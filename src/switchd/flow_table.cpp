@@ -35,7 +35,7 @@ FlowTable::Shape FlowTable::shape_of(const Match& m) noexcept {
                             (m.src ? kPinsSrc : 0) | (m.dst ? kPinsDst : 0) |
                             (m.sport ? kPinsSport : 0) |
                             (m.dport ? kPinsDport : 0) |
-                            (m.mpls || m.require_no_mpls ? kPinsLabel : 0));
+                            (m.mpls ? kPinsLabel : 0));
 }
 
 FlowTable::Key FlowTable::key_of(const net::Packet& packet,
@@ -85,15 +85,15 @@ std::size_t FlowTable::probe(const Subtable& table,
   return cell;
 }
 
-void FlowTable::insert_head(Subtable& table, std::size_t cell,
+void FlowTable::insert_cell(Subtable& table, std::size_t cell,
                             std::uint32_t slot) {
   if ((table.keys + 1) * 2 > table.cells.size()) {
     std::vector<std::uint32_t> old(
         std::max<std::size_t>(8, 2 * table.cells.size()), kNoSlot);
     old.swap(table.cells);
-    for (const std::uint32_t head : old) {
-      if (head != kNoSlot) {
-        table.cells[probe(table, key_of(slots_[head].rule.match))] = head;
+    for (const std::uint32_t held : old) {
+      if (held != kNoSlot) {
+        table.cells[probe(table, key_of(slots_[held].rule.match))] = held;
       }
     }
     cell = probe(table, key_of(slots_[slot].rule.match));
@@ -199,43 +199,21 @@ std::uint32_t FlowTable::place(FlowRule&& rule) {
 }
 
 bool FlowTable::add_rule(FlowRule rule) {
-  if (rule.match.contradictory()) return false;
-
-  // One probe finds the chain of the rule's shape and key.
+  // One probe finds the rule's shape and key.  A shape and a key spell one
+  // match, so an occupied cell holds a rule with this match.
   const Shape shape = shape_of(rule.match);
   const std::size_t index = subtable_index(shape);
   std::size_t cell = 0;
-  std::uint32_t head = kNoSlot;
-  if (index != subtables_.size()) {
-    cell = probe(subtables_[index], key_of(rule.match));
-    head = subtables_[index].cells[cell];
-  }
-  // A duplicate (priority, match) can only sit on this chain, and the
-  // newcomer, the latest install, goes behind every rule of equal or
-  // higher priority.
-  std::uint32_t before = kNoSlot;
-  for (std::uint32_t at = head; at != kNoSlot; at = slots_[at].next_in_key) {
-    const FlowRule& r = slots_[at].rule;
-    if (r.priority < rule.priority) break;
-    if (r.priority == rule.priority && r.match == rule.match) return false;
-    before = at;
-  }
-
-  const std::uint16_t priority = rule.priority;
-  const std::uint32_t slot = place(std::move(rule));
-  if (before != kNoSlot) {
-    slots_[slot].next_in_key = std::exchange(slots_[before].next_in_key, slot);
-  } else if (head != kNoSlot) {
-    slots_[slot].next_in_key =
-        std::exchange(subtables_[index].cells[cell], slot);
+  if (index == subtables_.size()) {
+    Subtable& fresh = subtables_.emplace_back();
+    fresh.shape = shape;
+    fresh.mask = mask_of(shape);
   } else {
-    if (index == subtables_.size()) {
-      Subtable& fresh = subtables_.emplace_back();
-      fresh.shape = shape;
-      fresh.mask = mask_of(shape);
-    }
-    insert_head(subtables_[index], cell, slot);
+    cell = probe(subtables_[index], key_of(rule.match));
+    if (subtables_[index].cells[cell] != kNoSlot) return false;
   }
+  const std::uint16_t priority = rule.priority;
+  insert_cell(subtables_[index], cell, place(std::move(rule)));
   count_priority(index, priority, +1);
   return true;
 }
@@ -245,16 +223,8 @@ void FlowTable::unlink(std::uint32_t slot) {
   const std::size_t index = subtable_index(shape_of(rule.match));
   MIC_ASSERT(index != subtables_.size());
   const std::size_t cell = probe(subtables_[index], key_of(rule.match));
-  std::uint32_t* link = &subtables_[index].cells[cell];
-  if (*link == slot && slots_[slot].next_in_key == kNoSlot) {
-    erase_cell(subtables_[index], cell);  // the key's last rule
-  } else {
-    while (*link != slot) {
-      MIC_ASSERT(*link != kNoSlot);
-      link = &slots_[*link].next_in_key;
-    }
-    *link = slots_[slot].next_in_key;
-  }
+  MIC_ASSERT(subtables_[index].cells[cell] == slot);
+  erase_cell(subtables_[index], cell);
   count_priority(index, rule.priority, -1);
 }
 
@@ -287,13 +257,11 @@ FlowTable::Hit FlowTable::find(const net::Packet& packet,
     // best match's priority, no later one can.  An equal maximum can still
     // win on install order.
     if (table.max_priority < best_priority) break;
-    const std::uint32_t head = table.cells[probe(table, key & table.mask)];
-    if (head == kNoSlot) continue;
-    // The head is its chain's best rule, and every rule of the chain
-    // matches the packet.
-    const Slot& s = slots_[head];
+    const std::uint32_t slot = table.cells[probe(table, key & table.mask)];
+    if (slot == kNoSlot) continue;
+    const Slot& s = slots_[slot];
     if (rank_of(s) < best_rank) {
-      best = {head, table.shape == kAllFields};
+      best = {slot, table.shape == kAllFields};
       best_rank = rank_of(s);
       best_priority = s.rule.priority;
     }
@@ -364,34 +332,9 @@ std::size_t FlowTable::self_check(std::vector<std::string>& violations) const {
     return slot < slots_.size() && slots_[slot].seq != 0;
   };
 
-  // Structural: the subtables' chains name every live rule exactly once,
-  // each rule under its own shape and its chain head's key, in rank order.
-  // walk() returns false when a chain leaves the live slots or loops:
-  // probing would then read garbage.
+  // Structural: the subtables' cells name every live rule exactly once,
+  // each rule under its own shape, in the cell its own key probes to.
   std::vector<std::uint8_t> named(slots_.size(), 0);
-  using Counts = std::map<std::uint16_t, std::uint32_t, std::greater<>>;
-  const auto walk = [&](std::uint32_t head, Shape shape, Counts& counts) {
-    for (std::uint32_t slot = head, prev = kNoSlot; slot != kNoSlot;
-         prev = slot, slot = slots_[slot].next_in_key) {
-      if (!live(slot) || named[slot] != 0) {
-        complain(slot, "chain names a free, missing or already named slot");
-        return false;
-      }
-      ++named[slot];
-      const Slot& s = slots_[slot];
-      ++counts[s.rule.priority];
-      if (shape_of(s.rule.match) != shape) {
-        complain(slot, "rule filed under a foreign shape");
-      } else if (!(key_of(s.rule.match) == key_of(slots_[head].rule.match))) {
-        complain(slot, "rule chained under a foreign key");
-      }
-      if (prev != kNoSlot && rank_of(s) <= rank_of(slots_[prev])) {
-        complain(slot, "chain out of precedence order");
-      }
-    }
-    return true;
-  };
-
   for (std::size_t i = 0; i < subtables_.size(); ++i) {
     const Subtable& table = subtables_[i];
     const std::string name = "subtable of shape " + std::to_string(table.shape);
@@ -408,22 +351,28 @@ std::size_t FlowTable::self_check(std::vector<std::string>& violations) const {
     if (i > 0 && table.max_priority > subtables_[i - 1].max_priority) {
       violations.push_back(name + ": out of max-priority order");
     }
-    for (const std::uint32_t head : table.cells) {
-      if (head != kNoSlot && !live(head)) {
-        complain(head, "subtable names a free or missing slot");
+    // Probing reads the rule of every cell it passes, so every cell must
+    // name a live slot before any probe.
+    for (const std::uint32_t slot : table.cells) {
+      if (slot != kNoSlot && !live(slot)) {
+        complain(slot, "subtable names a free or missing slot");
         return 0;
       }
     }
     std::uint32_t keys = 0;
-    Counts counts;
+    std::map<std::uint16_t, std::uint32_t, std::greater<>> counts;
     for (std::size_t cell = 0; cell < size; ++cell) {
-      const std::uint32_t head = table.cells[cell];
-      if (head == kNoSlot) continue;
+      const std::uint32_t slot = table.cells[cell];
+      if (slot == kNoSlot) continue;
       ++keys;
-      if (probe(table, key_of(slots_[head].rule.match)) != cell) {
-        complain(head, "chain head unreachable by probing its own key");
+      if (named[slot]++ != 0) complain(slot, "rule named by a second cell");
+      const FlowRule& rule = slots_[slot].rule;
+      ++counts[rule.priority];
+      if (shape_of(rule.match) != table.shape) {
+        complain(slot, "rule filed under a foreign shape");
+      } else if (probe(table, key_of(rule.match)) != cell) {
+        complain(slot, "rule unreachable by probing its own key");
       }
-      if (!walk(head, table.shape, counts)) return 0;
     }
     if (keys != table.keys) violations.push_back(name + ": stale key count");
     if (keys == 0) violations.push_back(name + ": empty subtable left behind");
@@ -475,8 +424,7 @@ std::size_t FlowTable::self_check(std::vector<std::string>& violations) const {
     probe.dst = m.dst.value_or(net::Ipv4(203, 0, 113, 2));
     probe.sport = m.sport.value_or(64999);
     probe.dport = m.dport.value_or(64998);
-    probe.mpls = m.require_no_mpls ? net::kNoMpls
-                                   : m.mpls.value_or(net::kNoMpls);
+    probe.mpls = m.mpls.value_or(net::kNoMpls);
     const topo::PortId in_port = m.in_port.value_or(0);
     const FlowRule* expected = reference_lookup(probe, in_port);
     const Hit hit = find(probe, in_port);

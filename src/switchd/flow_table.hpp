@@ -5,19 +5,19 @@
 //
 // Lookup is tuple space search, the classifier of Open vSwitch.  A rule's
 // shape is the set of fields it pins among in_port, src, dst, sport, dport
-// and the label (`require_no_mpls` pins label 0).  Each distinct shape owns
-// one subtable, a hash table keyed by the pinned values.  Rules that share
-// a shape and a key match exactly the same packets; they form one chain in
-// precedence order and the subtable names the chain's head.  A rule's
-// precedence is its rank, (priority desc, install order).  A lookup probes
-// the subtables in order of their highest priority and stops once no
+// and the label (label 0, net::kNoMpls, pins "untagged").  Each distinct
+// shape owns one subtable, a hash table keyed by the pinned values.  A
+// shape and a key spell exactly one match, and a table holds at most one
+// rule per match, so a subtable cell names one rule.  A rule's precedence
+// is its rank, (priority desc, install order).  A lookup probes the
+// subtables in order of their highest priority and stops once no
 // remaining subtable can beat the best match found, so the handful of
 // shapes MIC installs (exact m-flow rewrites and decoy drops, dst-only L3
 // routes, in_port+dst+untagged ingress tagging) cost a few hash probes per
-// packet.  Rules sit in stable slots; an install is one probe plus a walk
-// of its key's chain, and a cookie removal touches only that cookie's
-// rules.  `reference_lookup()` keeps a linear scan over every rule alive as
-// the oracle for the differential tests (invariant FT-1 in DESIGN.md).
+// packet.  Rules sit in stable slots; an install or a removal is one
+// probe, and a cookie removal touches only that cookie's rules.
+// `reference_lookup()` keeps a linear scan over every rule alive as the
+// oracle for the differential tests (invariant FT-1 in DESIGN.md).
 #pragma once
 
 #include <algorithm>
@@ -37,9 +37,8 @@
 namespace mic::switchd {
 
 /// Match on any subset of fields; an unset optional is a wildcard.
-/// `mpls` matches the label value; `require_no_mpls` matches only untagged
-/// packets (an unset `mpls` with require_no_mpls=false matches any label
-/// state).
+/// `mpls` matches the label value, so `mpls = net::kNoMpls` matches only
+/// untagged packets and an unset `mpls` matches any label state.
 struct Match {
   std::optional<topo::PortId> in_port;
   std::optional<net::Ipv4> src;
@@ -47,7 +46,6 @@ struct Match {
   std::optional<net::L4Port> sport;
   std::optional<net::L4Port> dport;
   std::optional<net::MplsLabel> mpls;
-  bool require_no_mpls = false;
 
   bool matches(const net::Packet& packet, topo::PortId in) const noexcept {
     if (in_port && *in_port != in) return false;
@@ -55,26 +53,17 @@ struct Match {
     if (dst && *dst != packet.dst) return false;
     if (sport && *sport != packet.sport) return false;
     if (dport && *dport != packet.dport) return false;
-    if (require_no_mpls && packet.mpls != net::kNoMpls) return false;
     if (mpls && *mpls != packet.mpls) return false;
     return true;
   }
 
   bool operator==(const Match&) const noexcept = default;
 
-  /// True for `require_no_mpls` with a non-zero label: such a match can
-  /// match no packet, and FlowTable::add_rule rejects it.
-  bool contradictory() const noexcept {
-    return require_no_mpls && mpls.value_or(net::kNoMpls) != net::kNoMpls;
-  }
-
-  /// True when the match pins every field the lookup key covers: all five
-  /// header fields plus the label state (an explicit label value or
-  /// `require_no_mpls`).  Such a rule matches exactly one packet header and
-  /// lives in the all-fields subtable.  A contradictory match is not exact.
+  /// True when the match pins all six fields the lookup key covers.  Such
+  /// a rule matches exactly one packet header and lives in the all-fields
+  /// subtable.
   bool is_exact() const noexcept {
-    if (!in_port || !src || !dst || !sport || !dport) return false;
-    return (mpls || require_no_mpls) && !contradictory();
+    return in_port && src && dst && sport && dport && mpls;
   }
 };
 
@@ -167,12 +156,11 @@ struct TableStats {
 
 class FlowTable {
  public:
-  /// Insert a rule behind every installed rule of equal or higher
-  /// priority.  Duplicate (priority, match) pairs are rejected -- this is
-  /// the data-plane half of the collision avoidance story, and the
-  /// collision audit in mic/collision_audit.hpp checks it globally.
-  /// Returns false (and installs nothing) on a duplicate or a
-  /// contradictory match.
+  /// Insert a rule.  A table holds at most one rule per match: a rule
+  /// whose match an installed rule already has, at any priority, is
+  /// rejected -- this is the data-plane half of the collision avoidance
+  /// story, and the collision audit in core/collision_audit.hpp checks it
+  /// globally.  Returns false (and installs nothing) on such a duplicate.
   bool add_rule(FlowRule rule);
 
   /// Drop every rule and group (a switch crash loses all soft state).
@@ -180,8 +168,7 @@ class FlowTable {
   void clear();
 
   /// Remove all rules with the given cookie; returns how many were removed.
-  /// Touches only that cookie's rules: each leaves its key's chain, and a
-  /// removed chain head hands its cell to the next rule of the chain.
+  /// Touches only that cookie's rules: each empties its subtable cell.
   std::size_t remove_by_cookie(std::uint64_t cookie);
 
   /// True when at least one rule carries `cookie`.
@@ -201,16 +188,15 @@ class FlowTable {
                                    topo::PortId in_port) const noexcept;
 
   /// Runtime audit of FT-1 (run as "FT-1" by audit::run_all).
-  /// Structural half: every live rule is reachable from exactly one bucket
-  /// by probing its own key, each chain is
-  /// in precedence order, each subtable's key count and maximum priority
-  /// are fresh, its array is at most half full and no subtable is empty,
-  /// the subtables are sorted by maximum priority, and every rule sits on
-  /// its cookie's removal list.  Behavioural half: for a probe packet
-  /// synthesized from each rule's match (wildcards filled with fixed
-  /// off-path values), the counter-free tuple-space winner equals
-  /// reference_lookup()'s.  Appends one message per violation to
-  /// `violations`; returns the number of probes checked.
+  /// Structural half: every live rule sits, once, in its own shape's
+  /// subtable, in the cell its own key probes to; each subtable's key
+  /// count and maximum priority are fresh, its array is at most half full
+  /// and no subtable is empty, the subtables are sorted by maximum
+  /// priority, and every rule sits on its cookie's removal list.
+  /// Behavioural half: for a probe packet synthesized from each rule's
+  /// match (wildcards filled with fixed off-path values), the counter-free
+  /// tuple-space winner equals reference_lookup()'s.  Appends one message
+  /// per violation to `violations`; returns the number of probes checked.
   std::size_t self_check(std::vector<std::string>& violations) const;
 
   bool add_group(GroupEntry group);
@@ -225,8 +211,7 @@ class FlowTable {
   std::size_t rule_count() const noexcept { return rule_count_; }
 
   const TableStats& stats() const noexcept { return stats_; }
-  /// Distinct keys among the rules that pin every field: one per chain of
-  /// the all-fields subtable (same-key rules and other shapes excluded).
+  /// Rules that pin every field: the all-fields subtable's.
   std::size_t indexed_rule_count() const noexcept;
 
   /// Every rule in precedence order (priority desc, then install order) --
@@ -258,9 +243,6 @@ class FlowTable {
     std::uint32_t seq = 0;
     /// Next slot holding a rule with the same cookie (kNoSlot ends it).
     std::uint32_t next_in_cookie = kNoSlot;
-    /// Next slot of the same shape and key, in rank order (kNoSlot ends
-    /// it).
-    std::uint32_t next_in_key = kNoSlot;
     FlowRule rule;
   };
 
@@ -303,10 +285,9 @@ class FlowTable {
   static std::uint64_t hash_of(const Key& key) noexcept;
 
   /// The rules of one shape.  `cells` is a power-of-two open-addressing
-  /// array (linear probing, at most half full) of chain-head slots; a
-  /// cell's key is read from its head rule.  `priorities` counts the rules
-  /// per distinct priority, highest first, so the maximum stays fresh as
-  /// rules leave.
+  /// array (linear probing, at most half full) of rule slots; a cell's key
+  /// is read from its rule.  `priorities` counts the rules per distinct
+  /// priority, highest first, so the maximum stays fresh as rules leave.
   struct Subtable {
     struct PriorityCount {
       std::uint16_t priority;
@@ -320,13 +301,12 @@ class FlowTable {
     std::vector<PriorityCount> priorities;
   };
 
-  /// The cell holding `key`'s chain head, or the empty cell that ends its
-  /// probe run.
+  /// The cell holding `key`'s rule, or the empty cell that ends its probe
+  /// run.
   std::size_t probe(const Subtable& table, const Key& key) const noexcept;
-  /// Put a new chain head into `cell`, the empty cell that ended its key's
-  /// probe; when the array would pass half full, double it first and probe
-  /// again.
-  void insert_head(Subtable& table, std::size_t cell, std::uint32_t slot);
+  /// Put a rule into `cell`, the empty cell that ended its key's probe;
+  /// when the array would pass half full, double it first and probe again.
+  void insert_cell(Subtable& table, std::size_t cell, std::uint32_t slot);
   /// Empty `cell` by backward shift, so no tombstones are left.
   void erase_cell(Subtable& table, std::size_t cell) noexcept;
   /// Account one rule of `priority` in subtable `index` (delta +1 or -1),
@@ -345,10 +325,9 @@ class FlowTable {
   Hit find(const net::Packet& packet, topo::PortId in_port) const noexcept;
 
   /// Move `rule` into a free slot, stamp its install seq and link it onto
-  /// its cookie's list.  Chain placement is the caller's job.
+  /// its cookie's list.  Filing it in its subtable is the caller's job.
   std::uint32_t place(FlowRule&& rule);
-  /// Detach a rule from its key's chain, and its chain from the subtable
-  /// when it was the last rule with that key.
+  /// Empty a rule's cell in its subtable.
   void unlink(std::uint32_t slot);
   /// Every live slot / the slots on `cookie`'s list, sorted by rank.
   std::vector<std::uint32_t> live_slots() const;

@@ -87,8 +87,8 @@ class SdnSwitch : public net::Device {
   }
   void clear_install_faults() noexcept { install_fault_probability_ = 0.0; }
 
-  /// Install a rule or group, honouring the table's rejections
-  /// (duplicates, contradictory matches) and injected faults.  Returns
+  /// Install a rule or group, honouring the table's rejections (a match
+  /// or group id already installed) and injected faults.  Returns
   /// false when the switch rejects (the flow-mod error the checked path
   /// reports back to the controller).
   bool try_install(TableEntry entry);

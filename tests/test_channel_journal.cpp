@@ -101,7 +101,7 @@ ChannelState random_state(Rng& rng, ChannelId id) {
                  static_cast<topo::NodeId>(128 + rng.below(80)),
                  state.responder};
     plan.mn_positions = {1, 2};
-    HopAddresses hop;
+    MTuple hop;
     hop.src = net::Ipv4{static_cast<std::uint32_t>(rng.next())};
     hop.dst = net::Ipv4{static_cast<std::uint32_t>(rng.next())};
     hop.sport = static_cast<net::L4Port>(rng.next());

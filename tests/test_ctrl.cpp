@@ -73,8 +73,11 @@ std::uint64_t l3_and_restrictions_digest(core::MimicController& mc) {
       digest.add(rule.match.dst);
       digest.add(rule.match.sport);
       digest.add(rule.match.dport);
-      digest.add(rule.match.mpls);
-      digest.add(rule.match.require_no_mpls);
+      // Label 0 folds as the two words the recorded constants were
+      // taken with: an unset label, then an "untagged" flag.
+      const bool untagged = rule.match.mpls == net::kNoMpls;
+      digest.add(untagged ? std::nullopt : rule.match.mpls);
+      digest.add(untagged);
       digest.add(rule.actions);
     }
     digest.add(table.groups.size());

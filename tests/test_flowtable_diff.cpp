@@ -6,16 +6,16 @@
 // crash -- it would silently re-route m-flows and corrupt every anonymity
 // measurement downstream -- so we fuzz it: thousands of seeded random (rule
 // set, packet stream) pairs mixing exact rules, partial wildcards,
-// overlapping priorities, duplicate match keys at different priorities, and
+// overlapping priorities, repeated matches (which the table refuses), and
 // mid-stream rule removal, asserting pointer-identical results throughout.
 //
-// The table is maintained incrementally (stable slots, rank order, one
-// rank-ordered chain per shape and key), so the second half of this file
-// also checks it from outside against a naive model that knows only
-// install order: duplicate and contradictory-match rejection, the rules()
-// order, every lookup's winner, slot reuse after mass removal, promotion of
-// same-key rules and clear() -- on random tables and on tables shaped like
-// the ones the default routing and the Mimic Controller install.
+// The table is maintained incrementally (stable slots, rank order, one rule
+// per shape and key), so the second half of this file also checks it from
+// outside against a naive model that knows only install order:
+// duplicate-match rejection, the rules() order, every lookup's winner, slot
+// reuse after mass removal, promotion across shapes and clear() -- on
+// random tables and on tables shaped like the ones the default routing and
+// the Mimic Controller install.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -53,11 +53,8 @@ Match random_exact_match(Rng& rng) {
   m.dst = pick(rng, kIps);
   m.sport = pick(rng, kPorts);
   m.dport = pick(rng, kPorts);
-  if (rng.chance(0.3)) {
-    m.require_no_mpls = true;  // pinned to "untagged", like a first-MN rule
-  } else {
-    m.mpls = pick(rng, kLabels);
-  }
+  // Pinned to "untagged" (label 0) like a first-segment rule, or labelled.
+  m.mpls = rng.chance(0.3) ? net::kNoMpls : pick(rng, kLabels);
   return m;
 }
 
@@ -69,8 +66,7 @@ Match random_wildcard_match(Rng& rng) {
   if (rng.chance(0.3)) m.sport = pick(rng, kPorts);
   if (rng.chance(0.3)) m.dport = pick(rng, kPorts);
   if (rng.chance(0.25)) m.mpls = pick(rng, kLabels);
-  // May contradict mpls; add_rule rejects such a match.
-  if (rng.chance(0.2)) m.require_no_mpls = true;
+  if (rng.chance(0.2)) m.mpls = net::kNoMpls;  // untagged only
   return m;
 }
 
@@ -85,7 +81,7 @@ FlowTable random_table(Rng& rng, std::size_t rule_target) {
                                  : random_wildcard_match(rng);
     rule.actions = {Output{static_cast<topo::PortId>(rng.below(4))}};
     rule.cookie = rng.range(1, 4);
-    table.add_rule(std::move(rule));  // duplicate (priority, match) rejected
+    table.add_rule(std::move(rule));  // a repeated match is rejected
   }
   return table;
 }
@@ -137,7 +133,7 @@ TEST(FlowTableDifferential, IndexedLookupEqualsReferenceScan) {
 TEST(FlowTableDifferential, AgreementSurvivesRuleChurn) {
   // Install / lookup / remove-by-cookie cycles: the index must be rebuilt
   // consistently after every mutation, including ones that remove rules
-  // shadowing same-key rules at lower priority.
+  // shadowing lower-priority rules of other shapes.
   std::size_t cases = 0;
   for (std::uint64_t seed = 1; seed <= 24; ++seed) {
     Rng rng(seed * 0x51ed2701ULL + 3);
@@ -179,48 +175,56 @@ TEST(FlowTableDifferential, EmptyAndWildcardOnlyTables) {
   EXPECT_EQ(wildcards.stats().index_hits, 0u);
 }
 
-TEST(FlowTableDifferential, SameKeyDifferentPriorityKeepsBestIndexed) {
-  // Two exact rules with one match key at different priorities: the index
-  // must serve the higher-priority one, and keep doing so after the winner
-  // is removed.
+TEST(FlowTableDifferential, SameMatchAtAnotherPriorityIsRejected) {
+  // A table holds one rule per match: a second exact rule with an installed
+  // match is refused at a higher priority and at a lower one, and the
+  // installed rule keeps serving.  Once it leaves, the match is free again.
   FlowTable table;
   Rng rng(1);
-  FlowRule low;
-  low.priority = 50;
-  low.cookie = 1;
-  low.match = random_exact_match(rng);
-  FlowRule high = low;
-  high.priority = 120;
-  high.cookie = 2;
-  ASSERT_TRUE(table.add_rule(low));
-  ASSERT_TRUE(table.add_rule(high));
-  EXPECT_EQ(table.indexed_rule_count(), 1u);
+  FlowRule installed;
+  installed.priority = 100;
+  installed.cookie = 1;
+  installed.match = random_exact_match(rng);
+  ASSERT_TRUE(table.add_rule(installed));
 
   net::Packet p;
-  p.src = *low.match.src;
-  p.dst = *low.match.dst;
-  p.sport = *low.match.sport;
-  p.dport = *low.match.dport;
-  p.mpls = low.match.mpls.value_or(net::kNoMpls);
-  const topo::PortId in = *low.match.in_port;
+  p.src = *installed.match.src;
+  p.dst = *installed.match.dst;
+  p.sport = *installed.match.sport;
+  p.dport = *installed.match.dport;
+  p.mpls = *installed.match.mpls;
+  const topo::PortId in = *installed.match.in_port;
 
+  for (const int priority : {120, 50}) {
+    FlowRule again = installed;
+    again.priority = static_cast<std::uint16_t>(priority);
+    again.cookie = 2;
+    EXPECT_FALSE(table.add_rule(again)) << "priority " << priority;
+  }
+  EXPECT_EQ(table.rule_count(), 1u);
+  EXPECT_FALSE(table.has_cookie(2));
   const FlowRule* hit = table.lookup(p, in);
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->cookie, 2u);
+  EXPECT_EQ(hit->cookie, 1u);
   EXPECT_EQ(hit, table.reference_lookup(p, in));
 
-  table.remove_by_cookie(2);
+  table.remove_by_cookie(1);
+  FlowRule high = installed;
+  high.priority = 120;
+  high.cookie = 2;
+  ASSERT_TRUE(table.add_rule(high));
   hit = table.lookup(p, in);
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->cookie, 1u);
+  EXPECT_EQ(hit->cookie, 2u);
   EXPECT_EQ(hit, table.reference_lookup(p, in));
 }
 
 // --- the incremental structure, checked against a naive model -------------
 
 /// Every accepted rule in install order, with the identity tag its single
-/// GroupAction carries.  Duplicate detection and lookup are plain scans
-/// over (priority, match); the model has no ranks, slots or index.
+/// GroupAction carries.  Duplicate detection (an equal match, at any
+/// priority) and lookup are plain scans; the model has no ranks, slots or
+/// index.
 struct NaiveTable {
   struct Entry {
     std::uint16_t priority;
@@ -231,10 +235,8 @@ struct NaiveTable {
   std::vector<Entry> installed;
 
   bool accepts(const FlowRule& rule) const {
-    const Match& m = rule.match;
-    if (m.require_no_mpls && m.mpls && *m.mpls != net::kNoMpls) return false;
     return std::ranges::none_of(installed, [&rule](const Entry& e) {
-      return e.priority == rule.priority && e.match == rule.match;
+      return e.match == rule.match;
     });
   }
   /// Precedence order: a stable sort by priority, highest first, so equal
@@ -274,7 +276,7 @@ struct ModelBed {
     const bool expected = model.accepts(rule);
     const bool installed = table.add_rule(rule);
     EXPECT_EQ(installed, expected)
-        << "add_rule disagrees with a naive (priority, match) scan";
+        << "add_rule disagrees with a naive match scan";
     if (installed) {
       model.installed.push_back(
           {rule.priority, rule.match, rule.cookie, next_tag});
@@ -321,9 +323,7 @@ struct ModelBed {
 };
 
 /// Exact matches over wider pools than random_exact_match(), so tables
-/// reach thousands of rules, with every label-state spelling: explicit
-/// label 0, require_no_mpls, both, or a real label.  The first three share
-/// one index key, so equal-priority same-key ties occur.
+/// reach thousands of rules; three in four are untagged (label 0).
 Match wide_exact_match(Rng& rng) {
   Match m;
   m.in_port = static_cast<topo::PortId>(rng.below(4));
@@ -333,12 +333,7 @@ Match wide_exact_match(Rng& rng) {
                     static_cast<std::uint8_t>(rng.below(8)));
   m.sport = pick(rng, kPorts);
   m.dport = pick(rng, kPorts);
-  switch (rng.below(4)) {
-    case 0: m.mpls = net::kNoMpls; break;
-    case 1: m.require_no_mpls = true; break;
-    case 2: m.mpls = net::kNoMpls; m.require_no_mpls = true; break;
-    default: m.mpls = pick(rng, kLabels); break;
-  }
+  m.mpls = rng.below(4) < 3 ? net::kNoMpls : pick(rng, kLabels);
   return m;
 }
 
@@ -360,7 +355,6 @@ net::Packet probe_for(const Match& m, Rng& rng, topo::PortId* in_port) {
   if (m.sport) p.sport = *m.sport;
   if (m.dport) p.dport = *m.dport;
   if (m.mpls) p.mpls = *m.mpls;
-  if (m.require_no_mpls) p.mpls = net::kNoMpls;
   *in_port = m.in_port.value_or(pick(rng, kInPorts));
   if (rng.chance(0.1)) p.dport = static_cast<net::L4Port>(p.dport + 1);
   return p;
@@ -409,78 +403,38 @@ TEST(FlowTableIncremental, LargeTablesReuseSlotsAfterMassRemoval) {
   }
 }
 
-TEST(FlowTableIncremental, EqualPrioritySameKeyTiesGoToTheFirstInstall) {
-  // Three spellings of "label 0" share one index key at one priority; none
-  // is a duplicate of another, and install order decides the winner.
-  Rng rng(21);
-  Match base = wide_exact_match(rng);
-  base.mpls.reset();
-  base.require_no_mpls = false;
-  Match explicit_zero = base;
-  explicit_zero.mpls = net::kNoMpls;
-  Match untagged = base;
-  untagged.require_no_mpls = true;
-  Match both = explicit_zero;
-  both.require_no_mpls = true;
-
-  net::Packet p;
-  p.src = *base.src;
-  p.dst = *base.dst;
-  p.sport = *base.sport;
-  p.dport = *base.dport;
-  const topo::PortId in = *base.in_port;
-
-  ModelBed bed;
-  const std::vector<Match> spellings = {untagged, both, explicit_zero};
-  for (std::size_t i = 0; i < spellings.size(); ++i) {
-    FlowRule rule;
-    rule.priority = 100;
-    rule.match = spellings[i];
-    rule.cookie = 10 + i;
-    ASSERT_TRUE(bed.add(rule));
-  }
-  EXPECT_EQ(bed.table.indexed_rule_count(), 1u);
-  bed.check_lookup(p, in);
-  EXPECT_EQ(tag_of(bed.table.reference_lookup(p, in)), 1u);  // untagged
-
-  // Removing the winner promotes the next install, not the last.
-  bed.remove(10);
-  bed.check_lookup(p, in);
-  EXPECT_EQ(tag_of(bed.table.reference_lookup(p, in)), 2u);  // both
-  // A re-added spelling is the newest install and stays behind.
-  FlowRule again;
-  again.priority = 100;
-  again.match = untagged;
-  again.cookie = 10;
-  ASSERT_TRUE(bed.add(again));
-  bed.check_lookup(p, in);
-  EXPECT_EQ(tag_of(bed.table.reference_lookup(p, in)), 2u);
-  bed.check_order();
-  bed.check_structure();
-}
-
 TEST(FlowTableIncremental, RemovingTheWinnerPromotesAShadowedRule) {
+  // Three shapes match one packet: an exact rule at 120, a dst-only rule
+  // at 80 and a catch-all at 50.  Each removal promotes the next.
   Rng rng(22);
-  const Match key = wide_exact_match(rng);
+  const Match exact = wide_exact_match(rng);
+  Match dst_only;
+  dst_only.dst = exact.dst;
   net::Packet p;
-  p.src = *key.src;
-  p.dst = *key.dst;
-  p.sport = *key.sport;
-  p.dport = *key.dport;
-  p.mpls = key.mpls.value_or(net::kNoMpls);
-  const topo::PortId in = *key.in_port;
+  p.src = *exact.src;
+  p.dst = *exact.dst;
+  p.sport = *exact.sport;
+  p.dport = *exact.dport;
+  p.mpls = *exact.mpls;
+  const topo::PortId in = *exact.in_port;
 
+  struct Install {
+    std::uint16_t priority;
+    Match match;
+    std::uint64_t cookie;
+  };
   ModelBed bed;
   // Installed out of priority order, each under its own cookie.
-  for (const auto& [priority, cookie] :
-       std::vector<std::pair<std::uint16_t, std::uint64_t>>{
-           {50, 1}, {120, 2}, {80, 3}, {80, 4}}) {
+  for (const Install& install : {Install{50, Match{}, 1},
+                                 Install{120, exact, 2},
+                                 Install{80, dst_only, 3},
+                                 Install{90, dst_only, 4}}) {
     FlowRule rule;
-    rule.priority = priority;
-    rule.match = key;
-    rule.cookie = cookie;
-    // {80, 4} repeats {80, 3}'s (priority, match): rejected.
-    EXPECT_EQ(bed.add(rule), cookie != 4);
+    rule.priority = install.priority;
+    rule.match = install.match;
+    rule.cookie = install.cookie;
+    // Cookie 4 repeats cookie 3's match at another priority: rejected.
+    EXPECT_EQ(bed.add(rule), install.cookie != 4);
   }
   EXPECT_EQ(bed.table.indexed_rule_count(), 1u);
   const auto winner_cookie = [&bed, &p, in] {
@@ -529,7 +483,8 @@ TEST(FlowTableIncremental, ClearEmptiesTheTableAndItFillsAgain) {
 }
 
 TEST(FlowTableIncremental, DuplicateRejectionMatchesANaiveScan) {
-  // Small pools make (priority, match) repeats common in both tiers.
+  // Small pools make repeated matches common, at equal and at other
+  // priorities, among exact and wildcard rules alike.
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     Rng rng(seed * 0x7f4a7c15ULL);
     ModelBed bed;
@@ -583,7 +538,7 @@ void fill_l3_edge(ModelBed& bed) {
       ingress.priority = 25;
       ingress.match.in_port = port;
       ingress.match.dst = l3_host(host);
-      ingress.match.require_no_mpls = true;
+      ingress.match.mpls = net::kNoMpls;
       ASSERT_TRUE(bed.add(ingress));
     }
   }
@@ -602,31 +557,19 @@ void add_channel(ModelBed& bed, Rng& rng, std::uint64_t cookie) {
     rule.match.dst = l3_host(static_cast<std::uint32_t>(rng.below(128)));
     rule.match.sport = static_cast<net::L4Port>(40000 + rng.below(64));
     rule.match.dport = pick(rng, kPorts);
-    if (i == 0) {
-      rule.match.require_no_mpls = true;
-    } else {
-      rule.match.mpls =
-          static_cast<net::MplsLabel>(0x00100000 + rng.below(4096));
-    }
+    rule.match.mpls =
+        i == 0 ? net::kNoMpls
+               : static_cast<net::MplsLabel>(0x00100000 + rng.below(4096));
     bed.add(rule);
   }
 }
 
-/// A catch-all punt under everything.  A rule that can never match
-/// (untagged *and* labelled), which would otherwise beat every L3 rule, is
-/// refused.
+/// A catch-all punt under everything.
 void add_catch_all(ModelBed& bed) {
   FlowRule punt;
   punt.cookie = kCatchAllCookie;
   punt.priority = 0;
   ASSERT_TRUE(bed.add(punt));
-  FlowRule never;
-  never.cookie = kCatchAllCookie;
-  never.priority = 40;
-  never.match.dst = l3_host(9);
-  never.match.require_no_mpls = true;
-  never.match.mpls = kCfLabel;
-  EXPECT_FALSE(bed.add(never));
 }
 
 /// Common-flow and m-flow traffic as an edge switch sees it: untagged
@@ -752,7 +695,7 @@ TEST(FlowTableL3Shapes, EqualPriorityTiesAcrossShapesGoToTheFirstInstall) {
   ingress.cookie = 1;
   ingress.match.in_port = 1;
   ingress.match.dst = dst;
-  ingress.match.require_no_mpls = true;
+  ingress.match.mpls = net::kNoMpls;
   FlowRule transit;  // dst only
   transit.priority = 25;
   transit.cookie = 1;
@@ -771,7 +714,7 @@ TEST(FlowTableL3Shapes, EqualPriorityTiesAcrossShapesGoToTheFirstInstall) {
       FlowRule above = raise;
       if (!raise_dst_shape) {
         above.match.in_port = 2;
-        above.match.require_no_mpls = true;
+        above.match.mpls = net::kNoMpls;
       }
       FlowRule later = ingress_first ? transit : ingress;
       later.cookie = 3;

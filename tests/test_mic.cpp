@@ -622,8 +622,9 @@ TEST(CollisionAudit, DetectsRewriteToInactiveFlow) {
   const auto result = bed.fabric.mc().establish(request);
   ASSERT_TRUE(result.ok);
 
-  // Clone one MN rewrite rule under a different cookie, then tear the
-  // channel down: the clone's target flow ID is no longer active.
+  // Copy one MN rewrite rule, tear the channel down, then install the copy
+  // under a different cookie at its own priority: its target flow ID is no
+  // longer active.
   const auto* state = bed.fabric.mc().channel(result.channel);
   const auto& plan = state->flows[0];
   const topo::NodeId mn = plan.path[plan.mn_positions[0]];
@@ -636,9 +637,8 @@ TEST(CollisionAudit, DetectsRewriteToInactiveFlow) {
     }
   }
   clone.cookie = 0xC10E;
-  clone.priority = static_cast<std::uint16_t>(clone.priority + 1);
-  bed.fabric.mc().install(mn, clone);
   bed.fabric.mc().teardown(result.channel);
+  bed.fabric.mc().install(mn, clone);
 
   EXPECT_FALSE(audit_collisions(bed.fabric.mc()).ok);
 }

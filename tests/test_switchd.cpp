@@ -56,8 +56,8 @@ TEST(Match, MplsSemantics) {
       labeled.matches(make_packet({1, 1, 1, 1}, {2, 2, 2, 2}, 1, 2, 78), 0));
   EXPECT_FALSE(labeled.matches(make_packet({1, 1, 1, 1}, {2, 2, 2, 2}), 0));
 
-  Match untagged;
-  untagged.require_no_mpls = true;
+  Match untagged;  // label 0: only packets that carry no label
+  untagged.mpls = net::kNoMpls;
   EXPECT_TRUE(untagged.matches(make_packet({1, 1, 1, 1}, {2, 2, 2, 2}), 0));
   EXPECT_FALSE(
       untagged.matches(make_packet({1, 1, 1, 1}, {2, 2, 2, 2}, 1, 2, 77), 0));
@@ -94,9 +94,11 @@ TEST(FlowTable, DuplicateMatchRejected) {
   EXPECT_TRUE(table.add_rule(rule));
   EXPECT_FALSE(table.add_rule(rule));
   EXPECT_EQ(table.rule_count(), 1u);
-  // Same match at another priority is allowed.
+  // A table holds one rule per match: another priority does not make it
+  // a second rule.
   rule.priority = 20;
-  EXPECT_TRUE(table.add_rule(rule));
+  EXPECT_FALSE(table.add_rule(rule));
+  EXPECT_EQ(table.rule_count(), 1u);
 }
 
 TEST(FlowTable, CountersUpdateOnHit) {
@@ -119,6 +121,7 @@ TEST(FlowTable, RemoveByCookie) {
   for (int i = 0; i < 5; ++i) {
     FlowRule rule;
     rule.priority = static_cast<std::uint16_t>(i);
+    rule.match.dport = static_cast<net::L4Port>(80 + i);
     rule.cookie = i % 2 == 0 ? 42 : 7;
     ASSERT_TRUE(table.add_rule(rule));
   }
@@ -157,11 +160,7 @@ Match exact_match(net::Ipv4 src, net::Ipv4 dst, net::L4Port sport,
   m.dst = dst;
   m.sport = sport;
   m.dport = dport;
-  if (mpls == net::kNoMpls) {
-    m.require_no_mpls = true;
-  } else {
-    m.mpls = mpls;
-  }
+  m.mpls = mpls;
   return m;
 }
 
@@ -241,11 +240,8 @@ TEST(Match, ExactnessClassification) {
   EXPECT_TRUE(m.is_exact());
   m.mpls.reset();
   EXPECT_FALSE(m.is_exact());  // label state unconstrained
-  m.require_no_mpls = true;
+  m.mpls = net::kNoMpls;
   EXPECT_TRUE(m.is_exact());   // pinned to "untagged"
-  m.mpls = 9;
-  EXPECT_TRUE(m.contradictory());
-  EXPECT_FALSE(m.is_exact());  // contradictory: matches nothing
   m = exact_match({1, 1, 1, 1}, {2, 2, 2, 2}, 1, 2, 7);
   m.in_port.reset();
   EXPECT_FALSE(m.is_exact());
