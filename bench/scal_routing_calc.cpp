@@ -200,7 +200,7 @@ topo::LinkId interior_link(const topo::FatTree& ft) {
 }
 
 /// Destinations of the flows a reroute actually has to re-answer: the
-/// epoch bump is O(cached rows), after which only these rows are
+/// invalidation pass is O(cached rows), after which only these rows are
 /// recomputed on demand -- never all n sources like the eager rebuild.
 std::vector<topo::NodeId> active_flow_dsts(const topo::FatTree& ft,
                                            std::size_t flows) {
@@ -347,7 +347,7 @@ int run_sweep_json() {
     const double lazy_setup_ms = ms_since(t0);
     benchmark::DoNotOptimize(sink);
 
-    // Failure reroute with a warm cache: epoch bump + requery of 32 active
+    // Failure reroute with a warm cache: invalidation + requery of 32 active
     // flows' rows (demand-driven: at most 32 BFS runs) versus the seed's
     // full rebuild (one BFS per node plus the O(n^2) matrix).
     const topo::LinkId victim = interior_link(ft);

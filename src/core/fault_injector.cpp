@@ -42,8 +42,10 @@ void FaultInjector::arm() {
     return kMinOutage + rng_.below(kMaxOutage - kMinOutage + 1);
   };
 
-  // Crash victims first; flap victims then avoid their incident links, so a
-  // flap's restore can never half-revive a switch the schedule crashed.
+  // Crash victims first; flap victims then avoid their incident links.  The
+  // MC refuses to half-revive a failed switch on its own (its links stay
+  // down until all are up), but this draw order feeds every seed's
+  // schedule, so it stays.
   std::vector<topo::NodeId> switches = graph.switches();
   rng_.shuffle(switches);
   const std::size_t crash_count =

@@ -39,8 +39,10 @@ struct FaultInjectorOptions {
   int link_flaps = 4;
 
   /// Whole-switch crash/recover cycles (same outage distribution).  Crash
-  /// victims and flap victims are kept disjoint so a flap's restore cannot
-  /// half-revive a crashed switch.
+  /// victims and flap victims are drawn disjoint, which every seed's
+  /// schedule depends on; a flap could not half-revive a crashed switch
+  /// anyway, since the MC keeps a failed switch's links down until all of
+  /// them are up.
   int switch_crashes = 1;
 
   /// Rule-install fault bursts: for 3 ms, one random switch rejects each

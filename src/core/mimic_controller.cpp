@@ -142,14 +142,21 @@ const crypto::Aes128::Key& MimicController::register_client(net::Ipv4 client) {
 
 // --- planning helpers ---------------------------------------------------------
 
-bool MimicController::path_avoids_failures(const topo::Path& path) const {
-  const auto& failed = failed_links();
-  if (failed.empty()) return true;
+bool MimicController::failure_hits(
+    const topo::Path& path, std::span<const DecoyPlan> decoys,
+    const std::unordered_set<topo::LinkId>& links,
+    const std::unordered_set<topo::NodeId>& switches) const {
+  if (links.empty() && switches.empty()) return false;
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    const topo::LinkId link = graph().link_between(path[i], path[i + 1]);
-    if (failed.contains(link)) return false;
+    if (links.contains(graph().link_between(path[i], path[i + 1]))) {
+      return true;
+    }
   }
-  return true;
+  const auto dead = [&switches](topo::NodeId sw) {
+    return switches.contains(sw);
+  };
+  return std::ranges::any_of(path, dead) ||
+         std::ranges::any_of(decoys, dead, &DecoyPlan::next_switch);
 }
 
 bool MimicController::sample_route_and_positions(const PlanContext& ctx,
@@ -176,7 +183,9 @@ bool MimicController::sample_route_and_positions(const PlanContext& ctx,
       if (!longer) continue;
       candidate = std::move(*longer);
     }
-    if (!path_avoids_failures(candidate)) continue;
+    if (failure_hits(candidate, {}, failed_links(), failed_switches_)) {
+      continue;
+    }
     route = std::move(candidate);
     break;
   }
@@ -911,22 +920,14 @@ void MimicController::on_port_status(topo::NodeId sw, topo::PortId port,
   // A crashed MC hears nothing; resync_failure_view() re-derives the
   // missed transitions from the PHY at recovery.
   if (crashed_) return;
-  // Map the reporting port back to its link.
-  topo::LinkId link = topo::kInvalidLink;
-  for (const auto& adj : graph().neighbors(sw)) {
-    if (adj.local_port == port) {
-      link = adj.link;
-      break;
-    }
-  }
-  if (link == topo::kInvalidLink) return;
   // Both ends of a switch-switch link report the same failure, and the
-  // harness may have reported it by hand already: only the first report
-  // per transition acts.
-  if (!up && !failed_links().contains(link)) {
-    fail_link(link);
-  } else if (up && failed_links().contains(link)) {
+  // harness may have reported it by hand already: fail_link and
+  // restore_link ignore a transition the failure view already holds.
+  const topo::LinkId link = graph().out_port(sw, port).link;
+  if (up) {
     restore_link(link);
+  } else {
+    fail_link(link);
   }
 }
 
@@ -1022,38 +1023,53 @@ MimicController::RepairOutcome MimicController::repair_channels(
   return outcome;
 }
 
+MimicController::RepairOutcome MimicController::failure_transition(
+    const std::unordered_set<topo::LinkId>& dead_links,
+    const std::unordered_set<topo::NodeId>& dead_switches,
+    const std::string& cause) {
+  // Common flows first: re-derive the default routing for the new view
+  // (fast failover; ECMP absorbs single-link failures in Clos fabrics).
+  // After a restore this drops the detours the failure forced, or every
+  // future CF keeps paying them forever.
+  reroute_default_routing();
+  if (dead_links.empty() && dead_switches.empty()) return {};
+  return repair_channels(
+      channels_hit(channels_,
+                   [&](const MFlowPlan& plan) {
+                     return failure_hits(plan.path, plan.decoys, dead_links,
+                                         dead_switches);
+                   }),
+      cause);
+}
+
+bool MimicController::all_links_up(topo::NodeId sw) {
+  return std::ranges::all_of(graph().neighbors(sw),
+                             [this](const topo::Adjacency& adj) {
+                               return network().link_up(adj.link);
+                             });
+}
+
 MimicController::RepairOutcome MimicController::fail_link(topo::LinkId link) {
   if (crashed_) return {};  // learned from the PHY at recovery
-  // Bump the path engine's failure epoch first: only the cached BFS rows
-  // whose shortest-path DAG used the link are dropped, so both the L3
-  // reroute and the m-flow re-planning below see failure-aware distances
-  // without a full-table rebuild.
   if (!path_engine().link_failed(link)) return {};  // already known
-
-  // Common flows first: re-install the default routing around the failure
-  // (fast failover; ECMP absorbs single-link failures in Clos fabrics).
-  reroute_default_routing();
-
-  // Which channels cross the failed link?  (Forward and reverse use the
-  // same physical links, so checking the forward path suffices.)
-  const auto crosses = [this, link](const MFlowPlan& plan) {
-    for (std::size_t i = 0; i + 1 < plan.path.size(); ++i) {
-      if (graph().link_between(plan.path[i], plan.path[i + 1]) == link) {
-        return true;
-      }
-    }
-    return false;
-  };
-  return repair_channels(channels_hit(channels_, crosses), "link failure");
+  return failure_transition({link}, {}, "link failure");
 }
 
 void MimicController::restore_link(topo::LinkId link) {
-  if (crashed_) return;
-  if (!path_engine().link_restored(link)) return;
-  // The failure detours must not outlive the failure: re-optimize the
-  // common-flow routing against the shrunken failure set, or every future
-  // CF keeps paying the detour forever.
-  reroute_default_routing();
+  if (crashed_ || !failed_links().contains(link)) return;
+  const auto [a, b] = graph().link_endpoints(link);
+  if (!failed_switches_.contains(a) && !failed_switches_.contains(b)) {
+    path_engine().link_restored(link);
+    failure_transition();
+    return;
+  }
+  // A dead switch's link stays down until every link of the switch is up:
+  // that is the switch rebooting, and it restores the switch whole.
+  for (const topo::NodeId end : {a, b}) {
+    if (failed_switches_.contains(end) && all_links_up(end)) {
+      restore_switch(end);
+    }
+  }
 }
 
 MimicController::RepairOutcome MimicController::fail_switch(topo::NodeId sw) {
@@ -1073,37 +1089,25 @@ MimicController::RepairOutcome MimicController::fail_switch(topo::NodeId sw) {
   // switch would report (an empty table), and keeps the orphan-rule audit
   // honest about rules that no longer exist anywhere.
   switch_at(sw)->table().clear();
-
-  reroute_default_routing();
-
-  // Re-plan every channel that traversed the dead switch (as relay or MN;
-  // incident-link checks would miss none, but the node check is direct) or
-  // parked a decoy drop rule on it.  MN re-selection avoiding the node
-  // falls out of replan_flow: every path through `sw` crosses a failed
-  // incident link, so sampling excludes it.
-  const auto visits = [sw](const MFlowPlan& plan) {
-    return std::ranges::find(plan.path, sw) != plan.path.end() ||
-           std::ranges::any_of(plan.decoys, [sw](const DecoyPlan& decoy) {
-             return decoy.next_switch == sw;
-           });
-  };
-  return repair_channels(channels_hit(channels_, visits), "switch failure");
+  // A path crossing an incident link passes `sw`, so the switch alone
+  // names what died.  The replans avoid it: route sampling skips every
+  // route failure_hits flags against the whole failure view.
+  return failure_transition({}, {sw}, "switch failure");
 }
 
-std::size_t MimicController::restore_switch(topo::NodeId sw) {
-  if (crashed_) return 0;  // resync_failure_view re-learns the reboot
-  if (failed_switches_.erase(sw) == 0) return 0;
-  std::size_t restored = 0;
+void MimicController::restore_switch(topo::NodeId sw) {
+  if (crashed_) return;  // resync_failure_view re-learns the reboot
+  if (failed_switches_.erase(sw) == 0) return;
   for (const auto& adj : graph().neighbors(sw)) {
     // A link is only usable when both of its endpoints are alive.
-    if (failed_switches_.contains(adj.peer)) continue;
-    if (path_engine().link_restored(adj.link)) ++restored;
+    if (!failed_switches_.contains(adj.peer)) {
+      path_engine().link_restored(adj.link);
+    }
   }
   // The rebooted switch comes back with an empty table; the reroute
   // re-installs the default routing everywhere, which both repopulates it
   // and drops the detours the failure forced elsewhere.
-  reroute_default_routing();
-  return restored;
+  failure_transition();
 }
 
 void MimicController::mark_idle(ChannelId id, bool idle) {
@@ -1154,59 +1158,33 @@ void MimicController::crash() {
 }
 
 std::size_t MimicController::resync_failure_view() {
+  // Switches first: a dead switch whose every link is up in the PHY
+  // rebooted while the MC was down.
+  const std::size_t rebooted = std::erase_if(
+      failed_switches_, [this](topo::NodeId sw) { return all_links_up(sw); });
+
+  // Then every link: the PHY is the truth, plus failed-switch incidence (a
+  // dead switch's links are unusable even while their PHY reports up).
+  std::unordered_set<topo::LinkId> dead;
   std::size_t transitions = 0;
-
-  // Switches first: a "failed" switch whose every incident link came back
-  // up in the PHY rebooted while the MC was down.
-  std::vector<topo::NodeId> rebooted;
-  for (const topo::NodeId sw : failed_switches_) {
-    bool all_up = true;
-    for (const auto& adj : graph().neighbors(sw)) {
-      if (!network().link_up(adj.link)) {
-        all_up = false;
-        break;
-      }
-    }
-    if (all_up) rebooted.push_back(sw);
-  }
-  std::sort(rebooted.begin(), rebooted.end());
-  for (const topo::NodeId sw : rebooted) transitions += restore_switch(sw);
-
-  // Links: the PHY is the truth, plus failed-switch incidence (a dead
-  // switch's links are unusable even while their PHY reports up).
   for (topo::LinkId link = 0;
        link < static_cast<topo::LinkId>(graph().link_count()); ++link) {
     const auto [a, b] = graph().link_endpoints(link);
-    const bool want_failed = !network().link_up(link) ||
-                             failed_switches_.contains(a) ||
-                             failed_switches_.contains(b);
-    if (want_failed && !failed_links().contains(link)) {
-      fail_link(link);
-      ++transitions;
-    } else if (!want_failed && failed_links().contains(link)) {
-      restore_link(link);
+    if (!network().link_up(link) || failed_switches_.contains(a) ||
+        failed_switches_.contains(b)) {
+      if (path_engine().link_failed(link)) {
+        dead.insert(link);
+        ++transitions;
+      }
+    } else if (path_engine().link_restored(link)) {
       ++transitions;
     }
+  }
+  // Every missed transition is recorded: one step reacts to all of them.
+  if (rebooted + transitions > 0) {
+    failure_transition(dead, {}, "link failure");
   }
   return transitions;
-}
-
-bool MimicController::channel_path_dead(const ChannelState& state) const {
-  for (const MFlowPlan& plan : state.flows) {
-    for (std::size_t i = 0; i + 1 < plan.path.size(); ++i) {
-      if (failed_links().contains(
-              graph().link_between(plan.path[i], plan.path[i + 1]))) {
-        return true;
-      }
-    }
-    for (const topo::NodeId node : plan.path) {
-      if (failed_switches_.contains(node)) return true;
-    }
-    for (const DecoyPlan& decoy : plan.decoys) {
-      if (failed_switches_.contains(decoy.next_switch)) return true;
-    }
-  }
-  return false;
 }
 
 std::size_t MimicController::verify_channel_rules(
@@ -1393,9 +1371,10 @@ MimicController::RecoveryReport MimicController::recover(
     journal_.record_establish(channels_.at(id), next_channel_, next_group_);
   }
 
-  // 3. Re-learn PHY transitions missed while down.  This runs the ordinary
-  // failure path, so channels crossing newly-dead links are replanned (or
-  // lost) before the rule diff below looks at them.
+  // 3. Re-learn PHY transitions missed while down.  All of them are
+  // recorded first; then one failure transition re-derives the default
+  // routing and replans (or loses) the channels crossing newly dead links
+  // before the rule diff below looks at them.
   report.links_resynced = resync_failure_view();
 
   // 4. Dump every live switch and collect which switches actually hold
@@ -1453,7 +1432,12 @@ MimicController::RecoveryReport MimicController::recover(
       continue;
     }
     ChannelState& state = it->second;
-    if (channel_path_dead(state)) {
+    const bool path_dead =
+        std::ranges::any_of(state.flows, [this](const MFlowPlan& plan) {
+          return failure_hits(plan.path, plan.decoys, failed_links(),
+                              failed_switches_);
+        });
+    if (path_dead) {
       // The dumps may have seen this cookie on switches the (possibly
       // truncated) journal never recorded -- a pre-crash repair whose
       // record was lost.  repair_channels only sweeps the journaled scope,

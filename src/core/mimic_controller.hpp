@@ -9,6 +9,7 @@
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -127,9 +128,10 @@ class MimicController : public ctrl::Controller {
   void enable_failure_detection();
   bool failure_detection_enabled() const noexcept { return detection_enabled_; }
 
-  /// Port-status handler behind enable_failure_detection().  Duplicate
-  /// reports (both ends of a switch-switch link report the same failure)
-  /// and reports for links the MC already knows about are ignored.
+  /// Port-status handler behind enable_failure_detection(): a down report
+  /// is fail_link, an up report restore_link.  Duplicate reports (both
+  /// ends of a switch-switch link report the same failure) and reports for
+  /// links the MC already knows about are ignored.
   void on_port_status(topo::NodeId sw, topo::PortId port, bool up) override;
 
   /// Report a failed link.  Every mimic channel whose path crosses it is
@@ -150,7 +152,10 @@ class MimicController : public ctrl::Controller {
 
   /// Restore a previously failed link: new channels may use it again,
   /// existing channels keep their repaired routes, and the common-flow
-  /// routing is re-optimized (the failure detours do not persist).
+  /// routing is re-optimized (the failure detours do not persist).  A link
+  /// of a failed switch stays down until every link of that switch is up
+  /// in the PHY; the last one restores the switch (restore_switch), so one
+  /// link coming back never half-revives it.
   void restore_link(topo::LinkId link);
 
   /// Whole-switch failure: all incident links fail, the dead switch's
@@ -160,8 +165,7 @@ class MimicController : public ctrl::Controller {
 
   /// Bring a switch back: incident links are restored and the default
   /// routing is re-installed (the rebooted switch's table starts empty).
-  /// Returns how many links came back.
-  std::size_t restore_switch(topo::NodeId sw);
+  void restore_switch(topo::NodeId sw);
 
   /// The links the control plane treats as down: the path engine's
   /// failure set, the one failure view every planner and the L3 app read.
@@ -326,10 +330,17 @@ class MimicController : public ctrl::Controller {
   bool plan_mflow(const PlanContext& ctx, int mn_count,
                   net::L4Port initiator_sport, int decoys, MFlowPlan& out,
                   std::string& error);
-  /// Route + MN-position sampling, avoiding failed links.
+  /// Route + MN-position sampling, avoiding failed links and switches.
   bool sample_route_and_positions(const PlanContext& ctx, std::size_t n,
                                   MFlowPlan& out, std::string& error);
-  bool path_avoids_failures(const topo::Path& path) const;
+  /// The one failure predicate: true when `path` crosses a link in
+  /// `links`, passes a switch in `switches`, or one of `decoys` parks its
+  /// drop rule on such a switch (a plan's reverse direction walks the same
+  /// links).  Route sampling and recovery ask it about the whole failure
+  /// view, failure_transition about what just died.
+  bool failure_hits(const topo::Path& path, std::span<const DecoyPlan> decoys,
+                    const std::unordered_set<topo::LinkId>& links,
+                    const std::unordered_set<topo::NodeId>& switches) const;
   /// Draw an endpoint address and port nobody holds and reserve it under
   /// `key(ip, port)`.  Candidates are the `plausible` addresses minus both
   /// participants, or every host but `owner` when that leaves none.
@@ -430,7 +441,7 @@ class MimicController : public ctrl::Controller {
   /// Deliver `event` to the channel's listener after the control latency.
   void notify_channel_event(ChannelId id, ChannelEvent event,
                             std::string reason);
-  /// Common re-plan driver for fail_link/fail_switch: re-routes every
+  /// Re-plan driver for failure_transition and recovery: re-routes every
   /// channel in `affected`, committing new rules asynchronously.
   RepairOutcome repair_channels(const std::vector<ChannelId>& affected,
                                 const std::string& cause);
@@ -440,14 +451,24 @@ class MimicController : public ctrl::Controller {
   /// with `cause`; with `repair` set, success counts a repair and notifies
   /// kRepaired.
   void reissue_rules(ChannelState& state, std::string cause, bool repair);
+  /// The one failure-view transition.  fail_link, restore_link,
+  /// fail_switch, restore_switch and resync_failure_view each record their
+  /// change in the failure view (the path engine's failed-link set and
+  /// failed_switches_) and then call this once with what newly died: it
+  /// runs the L3 reroute for the new view, then repairs, in channel-ID
+  /// order, every channel failure_hits says those links or switches hit.
+  RepairOutcome failure_transition(
+      const std::unordered_set<topo::LinkId>& dead_links = {},
+      const std::unordered_set<topo::NodeId>& dead_switches = {},
+      const std::string& cause = {});
+  /// True when every link of `sw` is up in the PHY: a failed switch in
+  /// that state has rebooted.
+  bool all_links_up(topo::NodeId sw);
   /// Align the MC's failure view with the current PHY state plus failed-
-  /// switch incidence (port-status events missed while crashed); returns
-  /// the number of link transitions learned.
+  /// switch incidence (port-status events missed while crashed), then
+  /// take one failure_transition for all of it; returns the number of
+  /// link transitions learned.
   std::size_t resync_failure_view();
-  /// True when any flow path crosses a failed link/switch (including the
-  /// decoy next hops) -- such a recovered channel must be replanned, not
-  /// merely reinstalled.
-  bool channel_path_dead(const ChannelState& state) const;
   /// Run the L3 selective reroute and fold its counters into
   /// reroute_stats_.
   void reroute_default_routing();

@@ -70,7 +70,7 @@ class Controller {
   net::Network& network() noexcept { return network_; }
   const topo::Graph& graph() const noexcept { return network_.graph(); }
   const topo::PathEngine& paths() const noexcept { return paths_; }
-  /// Mutable engine access for failure-epoch maintenance (link_failed /
+  /// Mutable engine access for failure-set changes (link_failed /
   /// link_restored).
   topo::PathEngine& path_engine() noexcept { return paths_; }
   const HostAddressing& addressing() const noexcept { return addressing_; }

@@ -1,7 +1,6 @@
 #include "topology/path_engine.hpp"
 
 #include <deque>
-#include <sstream>
 
 namespace mic::topo {
 
@@ -10,7 +9,6 @@ PathEngine::PathEngine(const Graph& graph)
 
 PathEngine::Row PathEngine::compute_row(NodeId dst) const {
   Row row;
-  row.epoch = epoch_;
   row.dist.assign(n_, kUnreachable);
 
   // Reverse BFS from the destination.  Hosts are leaves: they may start or
@@ -161,7 +159,6 @@ void PathEngine::invalidate_rows_touching(LinkId link) {
       ++stats_.rows_invalidated;
       it = rows_.erase(it);
     } else {
-      it->second.epoch = epoch_;
       ++stats_.rows_retained;
       ++it;
     }
@@ -170,14 +167,12 @@ void PathEngine::invalidate_rows_touching(LinkId link) {
 
 bool PathEngine::link_failed(LinkId link) {
   if (!failed_.insert(link).second) return false;  // already down
-  ++epoch_;
   invalidate_rows_touching(link);
   return true;
 }
 
 bool PathEngine::link_restored(LinkId link) {
   if (failed_.erase(link) == 0) return false;  // was not down
-  ++epoch_;
   invalidate_rows_touching(link);
   return true;
 }
@@ -189,10 +184,8 @@ std::size_t PathEngine::self_check(std::vector<std::string>& violations) const {
         cached.nexts == fresh.nexts) {
       continue;
     }
-    std::ostringstream out;
-    out << "row " << dst << ": cached contents differ from a fresh BFS"
-        << " (epoch " << cached.epoch << ", engine epoch " << epoch_ << ")";
-    violations.push_back(out.str());
+    violations.push_back("row " + std::to_string(dst) +
+                         ": cached contents differ from a fresh BFS");
   }
   return rows_.size();
 }

@@ -14,10 +14,9 @@
 // Rows are therefore computed on demand, one BFS per destination, and
 // cached.  Each row stores its successor DAG in a flat CSR layout (one
 // offsets array plus one flat buffer -- no per-cell heap vectors).  On a
-// link failure the engine bumps a failure epoch and drops only the rows
-// whose shortest-path DAG could have used the failed link (see
-// row_uses_link); retained rows stay byte-identical and are merely
-// re-tagged.  In a pristine fat-tree every interior link lies on a
+// link failure the engine drops only the rows whose shortest-path DAG
+// could have used the failed link (see row_uses_link); retained rows stay
+// byte-identical.  In a pristine fat-tree every interior link lies on a
 // shortest path to every destination, so a first interior failure
 // invalidates broadly -- the structural win there is that *recomputation*
 // is demand-driven: a reroute only re-runs BFS for the destinations it
@@ -57,8 +56,8 @@ namespace mic::topo {
 struct PathEngineStats {
   std::uint64_t rows_computed = 0;    // BFS runs (cache misses)
   std::uint64_t row_hits = 0;         // queries served from the cache
-  std::uint64_t rows_invalidated = 0; // rows dropped by failure epochs
-  std::uint64_t rows_retained = 0;    // rows that survived an epoch bump
+  std::uint64_t rows_invalidated = 0; // rows dropped by a failure-set change
+  std::uint64_t rows_retained = 0;    // rows that survived one
 };
 
 class PathEngine {
@@ -105,10 +104,10 @@ class PathEngine {
                                        std::uint32_t min_switches, Rng& rng,
                                        int attempts = 64) const;
 
-  // --- failure epochs ---------------------------------------------------------
+  // --- failure set ------------------------------------------------------------
 
-  /// Treat `link` as absent from now on.  Bumps the failure epoch and
-  /// invalidates only the cached rows whose BFS tree used the link.
+  /// Treat `link` as absent from now on.  Invalidates only the cached rows
+  /// whose BFS tree used the link.
   /// Returns false, changing nothing, when the link is already down.
   bool link_failed(LinkId link);
 
@@ -145,7 +144,6 @@ class PathEngine {
   /// toward dst (y is dst itself or a transit-capable switch), in the
   /// graph's deterministic adjacency order.
   struct Row {
-    std::uint32_t epoch = 0;
     std::vector<std::uint32_t> dist;     // dist[x] = hops x -> dst
     std::vector<std::uint32_t> offsets;  // CSR offsets, size n + 1
     std::vector<NodeId> nexts;           // flat successor buffer
@@ -186,7 +184,6 @@ class PathEngine {
   std::vector<NodeId> switches_;  // cached for sample_long_path waypoints
 
   std::unordered_set<LinkId> failed_;
-  std::uint32_t epoch_ = 0;
 
   // Row cache + stats; mutable so const queries can memoize.
   mutable std::unordered_map<NodeId, Row> rows_;

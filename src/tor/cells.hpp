@@ -12,6 +12,7 @@
 
 #include "common/assert.hpp"
 #include "common/bits.hpp"
+#include "crypto/chacha20.hpp"
 #include "transport/stream.hpp"
 
 namespace mic::tor {
@@ -65,6 +66,23 @@ inline CellHeader parse_cell_header(const std::vector<std::uint8_t>& bytes) {
   header.cmd = static_cast<CellCmd>(bytes[4]);
   header.length = static_cast<std::uint16_t>((bytes[5] << 8) | bytes[6]);
   return header;
+}
+
+/// The ChaCha20 nonce of one onion layer: the cell counter little-endian in
+/// bytes 0-7, the direction in byte 11.  Client and relay must agree on it.
+inline crypto::ChaCha20::Nonce nonce_for(std::uint64_t counter,
+                                         bool backward) {
+  crypto::ChaCha20::Nonce nonce{};
+  store_le64(nonce.data(), counter);
+  nonce[11] = backward ? 0xBB : 0xFF;
+  return nonce;
+}
+
+/// Zero-pad a real cell body to the full body size.
+inline std::vector<std::uint8_t> pad_body(std::vector<std::uint8_t> data) {
+  MIC_ASSERT(data.size() <= kCellBodyBytes);
+  data.resize(kCellBodyBytes, 0);
+  return data;
 }
 
 /// Build a recognized relay body: magic + subcmd + len + data, zero-padded

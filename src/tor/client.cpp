@@ -5,23 +5,6 @@
 
 namespace mic::tor {
 
-namespace {
-
-crypto::ChaCha20::Nonce nonce_for(std::uint64_t counter, bool backward) {
-  crypto::ChaCha20::Nonce nonce{};
-  store_le64(nonce.data(), counter);
-  nonce[11] = backward ? 0xBB : 0xFF;
-  return nonce;
-}
-
-std::vector<std::uint8_t> pad_body(std::vector<std::uint8_t> data) {
-  MIC_ASSERT(data.size() <= kCellBodyBytes);
-  data.resize(kCellBodyBytes, 0);
-  return data;
-}
-
-}  // namespace
-
 TorClient::TorClient(transport::Host& host, std::vector<RelayAddr> path,
                      net::Ipv4 target, net::L4Port target_port, Rng& rng)
     : host_(host),

@@ -5,23 +5,6 @@
 
 namespace mic::tor {
 
-namespace {
-
-crypto::ChaCha20::Nonce nonce_for(std::uint64_t counter, bool backward) {
-  crypto::ChaCha20::Nonce nonce{};
-  store_le64(nonce.data(), counter);
-  nonce[11] = backward ? 0xBB : 0xFF;
-  return nonce;
-}
-
-std::vector<std::uint8_t> pad_body(std::vector<std::uint8_t> data) {
-  MIC_ASSERT(data.size() <= kCellBodyBytes);
-  data.resize(kCellBodyBytes, 0);
-  return data;
-}
-
-}  // namespace
-
 TorRelay::TorRelay(transport::Host& host, net::L4Port port, Rng& rng)
     : host_(host), rng_(rng) {
   host_.listen(port, [this](transport::TcpConnection& conn) {

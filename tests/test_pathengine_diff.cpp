@@ -4,8 +4,8 @@
 // For any topology and failed-link set, the engine must agree with a
 // freshly-built oracle on every distance, produce only valid shortest
 // paths when sampling, and enumerate exactly the oracle's equal-cost path
-// set.  Failure epochs are exercised both on cold caches (every link of a
-// failure set failed before any query) and incrementally (link_failed /
+// set.  Failure-set changes are exercised both on cold caches (every link
+// of a failure set failed before any query) and incrementally (link_failed /
 // link_restored on warm caches, where row retention does the interesting
 // work).  PE-1: how the row cache was
 // populated must not change anything observable.

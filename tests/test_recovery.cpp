@@ -424,6 +424,96 @@ TEST(CrashRecovery, SwitchThatRebootedDuringTheOutageIsRestored) {
   EXPECT_EQ(bed.received, kBytes);
 }
 
+TEST(CrashRecovery, MissedTransitionsCostOneReroute) {
+  // Four core links go down while the MC is crashed.  The resync records
+  // all four transitions before it reacts, so the default routing is
+  // re-derived once for the final view, not once per link.
+  RecoveryBed bed;
+  auto client = bed.client(0, bed.options());
+  bed.run();
+  ASSERT_TRUE(client->ready());
+  MimicController& mc = bed.fabric.mc();
+  const topo::NodeId core = bed.fabric.fattree().core_switches().front();
+
+  mc.crash();
+  for (const auto& adj : bed.fabric.network().graph().neighbors(core)) {
+    bed.fabric.network().set_link_up(adj.link, false);
+  }
+  bed.run();  // the port-status reports fall on deaf ears
+  const std::uint64_t reroutes_before = mc.reroute_stats().reroutes;
+  const auto report = mc.recover(mc.journal());
+  bed.run();
+  EXPECT_EQ(report.links_resynced, 4u);
+  EXPECT_EQ(mc.reroute_stats().reroutes, reroutes_before + 1);
+  const audit::RunReport audit = audit::run_all(bed.fabric);
+  EXPECT_TRUE(audit.ok) << audit.first_violation();
+
+  constexpr std::uint64_t kBytes = 64 * 1024;
+  client->send(transport::Chunk::virtual_bytes(kBytes));
+  bed.run();
+  EXPECT_EQ(bed.received, kBytes);
+}
+
+TEST(SwitchFailure, PhyUpOfADeadSwitchLinkWaitsForTheWholeSwitch) {
+  // A failed switch comes back whole or not at all: one of its links
+  // coming up in the PHY leaves that link down in the failure view, and
+  // the last one restores the switch and refills its default routing.
+  RecoveryBed bed;
+  MimicController& mc = bed.fabric.mc();
+  const topo::NodeId core = bed.fabric.fattree().core_switches().front();
+  const auto links = bed.fabric.network().graph().neighbors(core);
+  crash_switch(bed, core);
+  bed.run();
+  ASSERT_TRUE(mc.failed_switches().contains(core));
+
+  bed.fabric.network().set_link_up(links.front().link, true);
+  bed.run();
+  EXPECT_TRUE(mc.failed_links().contains(links.front().link));
+  EXPECT_TRUE(mc.failed_switches().contains(core));
+  EXPECT_FALSE(mc.switch_at(core)->table().has_cookie(ctrl::kL3Cookie));
+
+  for (const auto& adj : links.subspan(1)) {
+    bed.fabric.network().set_link_up(adj.link, true);
+  }
+  bed.run();
+  EXPECT_TRUE(mc.failed_switches().empty());
+  EXPECT_TRUE(mc.failed_links().empty());
+  EXPECT_TRUE(mc.switch_at(core)->table().has_cookie(ctrl::kL3Cookie));
+  const audit::RunReport audit = audit::run_all(bed.fabric);
+  EXPECT_TRUE(audit.ok) << audit.first_violation();
+}
+
+TEST(SwitchFailure, RebootSeenOnlyThroughThePhyKeepsAuditsClean) {
+  // Nobody calls restore_switch: the MC learns of the reboot from the
+  // port-status reports alone, and channels planned afterwards may route
+  // through the switch again.
+  RecoveryBed bed;
+  MimicController& mc = bed.fabric.mc();
+  const topo::NodeId core = bed.fabric.fattree().core_switches().front();
+  crash_switch(bed, core);
+  bed.run();
+  for (const auto& adj : bed.fabric.network().graph().neighbors(core)) {
+    bed.fabric.network().set_link_up(adj.link, true);
+  }
+  bed.run();
+  EXPECT_TRUE(mc.failed_switches().empty());
+
+  std::vector<std::unique_ptr<MicChannel>> channels;
+  for (std::size_t host = 0; host < 8; ++host) {
+    channels.push_back(bed.client(host, bed.options()));
+  }
+  bed.run();
+  std::size_t through_core = 0;
+  for (const auto& channel : channels) {
+    ASSERT_TRUE(channel->ready());
+    const MFlowPlan& plan = mc.channel(channel->id())->flows[0];
+    if (std::ranges::find(plan.path, core) != plan.path.end()) ++through_core;
+  }
+  EXPECT_GE(through_core, 1u);
+  const audit::RunReport audit = audit::run_all(bed.fabric);
+  EXPECT_TRUE(audit.ok) << audit.first_violation();
+}
+
 TEST(CrashRecovery, TruncatedRepairRecordReplansTheDeadPath) {
   // The channel was rerouted around a cut that is still down, but the
   // repair record never reached stable storage: recovery replays the old
