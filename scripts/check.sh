@@ -53,6 +53,13 @@ echo "== soak trace-hash replay =="
 # bit-identically against the recorded golden file.
 scripts/record_trace_hashes.sh verify build
 
+echo "== failure-view explorer, depth 4 =="
+# Every sequence of up to four switch, link and MC faults on k=4 (16,104
+# of them, ~20 s) must end with the failure view on the PHY; ctest runs
+# the depth-3 half.
+./build/tests/mic_tests --gtest_also_run_disabled_tests \
+  --gtest_filter='FailureExplorer.DISABLED_*'
+
 if [[ "${1:-}" != "--fast" ]]; then
   echo "== sanitized (address,undefined) =="
   run_suite build-asan -DMIC_SANITIZE=address

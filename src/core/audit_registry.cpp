@@ -137,6 +137,28 @@ CheckResult check_path_rows(core::MimicController& mc) {
   return result;
 }
 
+CheckResult check_failure_view(core::MimicController& mc) {
+  // FV-1: the failure view follows the PHY.  A link is in failed_links()
+  // iff its PHY is down or an end is in failed_switches().
+  CheckResult result;
+  const auto& dead = mc.failed_switches();
+  for (topo::LinkId link = 0;
+       link < static_cast<topo::LinkId>(mc.graph().link_count()); ++link) {
+    const auto [a, b] = mc.graph().link_endpoints(link);
+    const bool down = !mc.network().link_up(link) || dead.contains(a) ||
+                      dead.contains(b);
+    if (down != mc.failed_links().contains(link)) {
+      result.violations.push_back(
+          "link " + std::to_string(link) + " (" + std::to_string(a) + "-" +
+          std::to_string(b) + ") is " + (down ? "down" : "up") +
+          " but the failure view holds it " + (down ? "up" : "failed"));
+    }
+    ++result.items_checked;
+  }
+  result.ok = result.violations.empty();
+  return result;
+}
+
 CheckResult check_admission_conservation(core::MimicController& mc) {
   // AC-1: queued + admitted + shed == offered, and no tenant exceeds its
   // quota.  Concretely: (a) every offered establish is accounted exactly
@@ -226,6 +248,7 @@ RunReport run_all(core::MimicController& mc) {
        check_failover_consistency},
       {"AC-1", "control-plane admission conservation",
        check_admission_conservation},
+      {"FV-1", "failure view follows the PHY", check_failure_view},
   };
   RunReport report;
   report.checks.reserve(std::size(kChecks));

@@ -1,13 +1,13 @@
 // The invariant-audit checkpoint (DESIGN.md "Invariant catalog").
 //
-// The seven executable runtime invariants -- FT-1 (flow-table lookup
+// The eight executable runtime invariants -- FT-1 (flow-table lookup
 // equivalence), CA-1 (collision audit), PE-1 (path-row determinism), FD-1
 // (orphan-rule audit), RC-1 (journal / switch-resync consistency), RC-2
-// (failover consistency) and AC-1 (admission conservation) -- run from one
-// fixed table behind run_all().  Every checkpoint -- a test's quiescence
-// assertion, the chaos soak, an example's exit status -- invokes one
-// run_all(fabric) and gets all seven; a new invariant is one more row in
-// that table.
+// (failover consistency), AC-1 (admission conservation) and FV-1 (the
+// failure view follows the PHY) -- run from one fixed table behind
+// run_all().  Every checkpoint -- a test's quiescence assertion, the chaos
+// soak, an example's exit status -- invokes one run_all(fabric) and gets
+// all eight; a new invariant is one more row in that table.
 //
 // Checks run on the single-threaded event loop between simulator runs
 // (they walk flow tables and the path-row cache).

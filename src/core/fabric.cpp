@@ -30,7 +30,7 @@ GenericFabric::GenericFabric(
   }
   // Loss of signal anywhere in the fabric reaches the MC by itself; the
   // harness only has to flip links, never to report them.
-  mc_->enable_failure_detection();
+  mc_->subscribe_port_status();
 }
 
 namespace {

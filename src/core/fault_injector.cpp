@@ -42,10 +42,9 @@ void FaultInjector::arm() {
     return kMinOutage + rng_.below(kMaxOutage - kMinOutage + 1);
   };
 
-  // Crash victims first; flap victims then avoid their incident links.  The
-  // MC refuses to half-revive a failed switch on its own (its links stay
-  // down until all are up), but this draw order feeds every seed's
-  // schedule, so it stays.
+  // Crash victims first; flap victims then avoid their incident links.
+  // Every golden fingerprint depends on this draw, so it stays; the
+  // small-scope explorer covers the crash/flap overlaps it avoids.
   std::vector<topo::NodeId> switches = graph.switches();
   rng_.shuffle(switches);
   const std::size_t crash_count =

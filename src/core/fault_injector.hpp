@@ -39,10 +39,9 @@ struct FaultInjectorOptions {
   int link_flaps = 4;
 
   /// Whole-switch crash/recover cycles (same outage distribution).  Crash
-  /// victims and flap victims are drawn disjoint, which every seed's
-  /// schedule depends on; a flap could not half-revive a crashed switch
-  /// anyway, since the MC keeps a failed switch's links down until all of
-  /// them are up.
+  /// victims and flap victims are drawn disjoint: every golden fingerprint
+  /// depends on that draw, so it stays.  The small-scope explorer
+  /// (tests/test_failure_explorer.cpp) covers the overlaps it avoids.
   int switch_crashes = 1;
 
   /// Rule-install fault bursts: for 3 ms, one random switch rejects each

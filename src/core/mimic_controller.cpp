@@ -4,6 +4,7 @@
 #include <array>
 #include <map>
 #include <memory>
+#include <numeric>
 
 #include "common/log.hpp"
 
@@ -903,32 +904,14 @@ void MimicController::teardown(ChannelId id, bool immediate) {
 
 // --- failure handling ---------------------------------------------------------
 
-void MimicController::enable_failure_detection() {
-  if (detection_enabled_) return;
-  detection_enabled_ = true;
-  subscribe_port_status();
-}
-
 void MimicController::reroute_default_routing() {
   if (!default_routing_installed_) return;
   reroute_stats_ += ctrl::L3RoutingApp::reroute_around(
       *this, [this](topo::NodeId host) { return cf_label_for(host); });
 }
 
-void MimicController::on_port_status(topo::NodeId sw, topo::PortId port,
-                                     bool up) {
-  // A crashed MC hears nothing; resync_failure_view() re-derives the
-  // missed transitions from the PHY at recovery.
-  if (crashed_) return;
-  // Both ends of a switch-switch link report the same failure, and the
-  // harness may have reported it by hand already: fail_link and
-  // restore_link ignore a transition the failure view already holds.
-  const topo::LinkId link = graph().out_port(sw, port).link;
-  if (up) {
-    restore_link(link);
-  } else {
-    fail_link(link);
-  }
+void MimicController::on_port_status(topo::NodeId sw, topo::PortId port) {
+  apply_failure_rule({graph().out_port(sw, port).link});
 }
 
 void MimicController::set_channel_listener(ChannelId id,
@@ -1042,41 +1025,67 @@ MimicController::RepairOutcome MimicController::failure_transition(
       cause);
 }
 
-bool MimicController::all_links_up(topo::NodeId sw) {
-  return std::ranges::all_of(graph().neighbors(sw),
-                             [this](const topo::Adjacency& adj) {
-                               return network().link_up(adj.link);
-                             });
+MimicController::RepairOutcome MimicController::apply_failure_rule(
+    std::vector<topo::LinkId> links, std::size_t* changed) {
+  // A crashed MC hears nothing; recovery applies the rule to every link.
+  if (crashed_) return {};
+  // "One of its links up" keeps a switch whose peers are all dead from
+  // reviving vacuously.  Every candidate is judged before any revives, so
+  // two rebooted neighbours with a cut between them both come back.
+  std::unordered_set<topo::NodeId> candidates;
+  for (const topo::LinkId link : links) {
+    const auto [a, b] = graph().link_endpoints(link);
+    for (const topo::NodeId end : {a, b}) {
+      if (failed_switches_.contains(end)) candidates.insert(end);
+    }
+  }
+  const auto up = [this](const topo::Adjacency& adj) {
+    return network().link_up(adj.link);
+  };
+  std::vector<topo::NodeId> rebooted;
+  for (const topo::NodeId sw : candidates) {
+    const auto& adjacent = graph().neighbors(sw);
+    if (std::ranges::any_of(adjacent, up) &&
+        std::ranges::all_of(adjacent, [&](const topo::Adjacency& adj) {
+          return up(adj) || failed_switches_.contains(adj.peer);
+        })) {
+      rebooted.push_back(sw);
+    }
+  }
+  for (const topo::NodeId sw : rebooted) {
+    failed_switches_.erase(sw);
+    for (const auto& adj : graph().neighbors(sw)) links.push_back(adj.link);
+  }
+
+  std::unordered_set<topo::LinkId> dead;
+  std::size_t transitions = 0;
+  for (const topo::LinkId link : links) {
+    const auto [a, b] = graph().link_endpoints(link);
+    const bool down = !network().link_up(link) ||
+                      failed_switches_.contains(a) ||
+                      failed_switches_.contains(b);
+    if (down ? path_engine().link_failed(link)
+             : path_engine().link_restored(link)) {
+      ++transitions;
+      if (down) dead.insert(link);
+    }
+  }
+  if (changed != nullptr) *changed = transitions;
+  if (transitions == 0) return {};
+  // A rebooted switch comes back with an empty table: the reroute refills
+  // it and drops the detours the failure forced elsewhere.
+  return failure_transition(dead, {}, "link failure");
 }
 
 MimicController::RepairOutcome MimicController::fail_link(topo::LinkId link) {
-  if (crashed_) return {};  // learned from the PHY at recovery
-  if (!path_engine().link_failed(link)) return {};  // already known
-  return failure_transition({link}, {}, "link failure");
-}
-
-void MimicController::restore_link(topo::LinkId link) {
-  if (crashed_ || !failed_links().contains(link)) return;
-  const auto [a, b] = graph().link_endpoints(link);
-  if (!failed_switches_.contains(a) && !failed_switches_.contains(b)) {
-    path_engine().link_restored(link);
-    failure_transition();
-    return;
-  }
-  // A dead switch's link stays down until every link of the switch is up:
-  // that is the switch rebooting, and it restores the switch whole.
-  for (const topo::NodeId end : {a, b}) {
-    if (failed_switches_.contains(end) && all_links_up(end)) {
-      restore_switch(end);
-    }
-  }
+  return apply_failure_rule({link});
 }
 
 MimicController::RepairOutcome MimicController::fail_switch(topo::NodeId sw) {
   if (crashed_) {
-    // The switch dies whether or not the MC is up: its soft state is gone.
-    // The control-plane reaction waits for recovery (the injector lowered
-    // the incident links in the PHY, so resync_failure_view sees them).
+    // The switch dies whether or not the MC is up: it is failed and its
+    // soft state is gone.  The reaction waits for recovery.
+    failed_switches_.insert(sw);
     switch_at(sw)->table().clear();
     return {};
   }
@@ -1096,18 +1105,10 @@ MimicController::RepairOutcome MimicController::fail_switch(topo::NodeId sw) {
 }
 
 void MimicController::restore_switch(topo::NodeId sw) {
-  if (crashed_) return;  // resync_failure_view re-learns the reboot
   if (failed_switches_.erase(sw) == 0) return;
-  for (const auto& adj : graph().neighbors(sw)) {
-    // A link is only usable when both of its endpoints are alive.
-    if (!failed_switches_.contains(adj.peer)) {
-      path_engine().link_restored(adj.link);
-    }
-  }
-  // The rebooted switch comes back with an empty table; the reroute
-  // re-installs the default routing everywhere, which both repopulates it
-  // and drops the detours the failure forced elsewhere.
-  failure_transition();
+  std::vector<topo::LinkId> links;
+  for (const auto& adj : graph().neighbors(sw)) links.push_back(adj.link);
+  apply_failure_rule(std::move(links));
 }
 
 void MimicController::mark_idle(ChannelId id, bool idle) {
@@ -1155,36 +1156,6 @@ void MimicController::crash() {
   next_channel_ =
       (static_cast<ChannelId>(mic_config_.instance_id) << 32) + 1;
   next_group_ = (mic_config_.instance_id << 24) + 1;
-}
-
-std::size_t MimicController::resync_failure_view() {
-  // Switches first: a dead switch whose every link is up in the PHY
-  // rebooted while the MC was down.
-  const std::size_t rebooted = std::erase_if(
-      failed_switches_, [this](topo::NodeId sw) { return all_links_up(sw); });
-
-  // Then every link: the PHY is the truth, plus failed-switch incidence (a
-  // dead switch's links are unusable even while their PHY reports up).
-  std::unordered_set<topo::LinkId> dead;
-  std::size_t transitions = 0;
-  for (topo::LinkId link = 0;
-       link < static_cast<topo::LinkId>(graph().link_count()); ++link) {
-    const auto [a, b] = graph().link_endpoints(link);
-    if (!network().link_up(link) || failed_switches_.contains(a) ||
-        failed_switches_.contains(b)) {
-      if (path_engine().link_failed(link)) {
-        dead.insert(link);
-        ++transitions;
-      }
-    } else if (path_engine().link_restored(link)) {
-      ++transitions;
-    }
-  }
-  // Every missed transition is recorded: one step reacts to all of them.
-  if (rebooted + transitions > 0) {
-    failure_transition(dead, {}, "link failure");
-  }
-  return transitions;
 }
 
 std::size_t MimicController::verify_channel_rules(
@@ -1371,11 +1342,13 @@ MimicController::RecoveryReport MimicController::recover(
     journal_.record_establish(channels_.at(id), next_channel_, next_group_);
   }
 
-  // 3. Re-learn PHY transitions missed while down.  All of them are
-  // recorded first; then one failure transition re-derives the default
-  // routing and replans (or loses) the channels crossing newly dead links
-  // before the rule diff below looks at them.
-  report.links_resynced = resync_failure_view();
+  // 3. Re-learn PHY transitions missed while down: the failure rule over
+  // every link records all of them, then one failure transition re-derives
+  // the default routing and replans (or loses) the channels crossing newly
+  // dead links before the rule diff below looks at them.
+  std::vector<topo::LinkId> every_link(graph().link_count());
+  std::iota(every_link.begin(), every_link.end(), topo::LinkId{0});
+  apply_failure_rule(std::move(every_link), &report.links_resynced);
 
   // 4. Dump every live switch and collect which switches actually hold
   // entries for which cookie; entries no journaled channel explains --

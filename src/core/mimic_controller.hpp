@@ -120,51 +120,43 @@ class MimicController : public ctrl::Controller {
   void teardown(ChannelId id, bool immediate = true);
 
   // --- failure handling (extension; the SDN controller's natural job) --------
+  //
+  // One rule keeps the failure view on the PHY: a link is failed iff its
+  // PHY is down or an end is a failed switch, and a failed switch has
+  // rebooted once the PHY shows one of its links up and every link to a
+  // peer outside failed_switches() up.
 
-  /// Wire the detection pipeline: every switch's async PortDown/PortUp
-  /// notifications (raised by the fabric on loss of signal, after the
-  /// switch-side detection latency) drive fail_link / restore_link without
-  /// anyone feeding the MC by hand.  Idempotent.
-  void enable_failure_detection();
-  bool failure_detection_enabled() const noexcept { return detection_enabled_; }
+  /// Port-status handler: the reported link takes the failure rule, so
+  /// duplicate reports and reports the view already holds change nothing.
+  void on_port_status(topo::NodeId sw, topo::PortId port) override;
 
-  /// Port-status handler behind enable_failure_detection(): a down report
-  /// is fail_link, an up report restore_link.  Duplicate reports (both
-  /// ends of a switch-switch link report the same failure) and reports for
-  /// links the MC already knows about are ignored.
-  void on_port_status(topo::NodeId sw, topo::PortId port, bool up) override;
-
-  /// Report a failed link.  Every mimic channel whose path crosses it is
-  /// re-routed around the failure: paths and m-addresses of the affected
-  /// m-flows are re-planned while the endpoint addresses (entry address,
-  /// presented address, initiator ports) stay fixed, so the transport
-  /// connections survive the migration transparently.  Channels that
-  /// cannot be re-routed (e.g. a dead access link) are torn down and their
-  /// endpoints notified.  Returns {repaired channels, lost channels};
-  /// `repaired` counts successful re-plans whose rule installs are still
-  /// confirming asynchronously -- an install that ultimately fails after
-  /// retries demotes the channel to lost (with notification) later.
+  /// Report a failed link whose PHY the caller has already lowered: the
+  /// link takes the failure rule, which reads the PHY.  Every mimic channel
+  /// whose path crosses it is re-routed around the failure: paths and
+  /// m-addresses of the affected m-flows are re-planned while the endpoint
+  /// addresses (entry address, presented address, initiator ports) stay
+  /// fixed, so the transport connections survive the migration
+  /// transparently.  Channels that cannot be re-routed (e.g. a dead access
+  /// link) are torn down and their endpoints notified.  Returns {repaired
+  /// channels, lost channels}; `repaired` counts successful re-plans whose
+  /// rule installs are still confirming asynchronously -- an install that
+  /// ultimately fails after retries demotes the channel to lost (with
+  /// notification) later.
   struct RepairOutcome {
     std::size_t repaired = 0;
     std::size_t lost = 0;
   };
   RepairOutcome fail_link(topo::LinkId link);
 
-  /// Restore a previously failed link: new channels may use it again,
-  /// existing channels keep their repaired routes, and the common-flow
-  /// routing is re-optimized (the failure detours do not persist).  A link
-  /// of a failed switch stays down until every link of that switch is up
-  /// in the PHY; the last one restores the switch (restore_switch), so one
-  /// link coming back never half-revives it.
-  void restore_link(topo::LinkId link);
-
   /// Whole-switch failure: all incident links fail, the dead switch's
   /// soft state (its entire flow table) is purged, and every channel it
-  /// carried is re-planned with MN re-selection avoiding the node.
+  /// carried is re-planned with MN re-selection avoiding the node.  A
+  /// crashed MC still records the switch; the reaction waits for recovery.
   RepairOutcome fail_switch(topo::NodeId sw);
 
-  /// Bring a switch back: incident links are restored and the default
-  /// routing is re-installed (the rebooted switch's table starts empty).
+  /// Bring a switch back, recorded also while crashed: its links take the
+  /// failure rule and the default routing is re-installed (the rebooted
+  /// switch's table starts empty).
   void restore_switch(topo::NodeId sw);
 
   /// The links the control plane treats as down: the path engine's
@@ -172,6 +164,7 @@ class MimicController : public ctrl::Controller {
   const std::unordered_set<topo::LinkId>& failed_links() const noexcept {
     return paths().failed_links();
   }
+  /// Switches reported dead and not yet rebooted (a standby's starts empty).
   const std::unordered_set<topo::NodeId>& failed_switches() const noexcept {
     return failed_switches_;
   }
@@ -451,24 +444,22 @@ class MimicController : public ctrl::Controller {
   /// with `cause`; with `repair` set, success counts a repair and notifies
   /// kRepaired.
   void reissue_rules(ChannelState& state, std::string cause, bool repair);
-  /// The one failure-view transition.  fail_link, restore_link,
-  /// fail_switch, restore_switch and resync_failure_view each record their
-  /// change in the failure view (the path engine's failed-link set and
-  /// failed_switches_) and then call this once with what newly died: it
-  /// runs the L3 reroute for the new view, then repairs, in channel-ID
-  /// order, every channel failure_hits says those links or switches hit.
+  /// The one failure-view transition.  fail_switch and apply_failure_rule
+  /// record their change in the failure view (the path engine's
+  /// failed-link set and failed_switches_) and then call this once with
+  /// what newly died: it runs the L3 reroute for the new view, then
+  /// repairs, in channel-ID order, every channel failure_hits says those
+  /// links or switches hit.
   RepairOutcome failure_transition(
-      const std::unordered_set<topo::LinkId>& dead_links = {},
-      const std::unordered_set<topo::NodeId>& dead_switches = {},
-      const std::string& cause = {});
-  /// True when every link of `sw` is up in the PHY: a failed switch in
-  /// that state has rebooted.
-  bool all_links_up(topo::NodeId sw);
-  /// Align the MC's failure view with the current PHY state plus failed-
-  /// switch incidence (port-status events missed while crashed), then
-  /// take one failure_transition for all of it; returns the number of
-  /// link transitions learned.
-  std::size_t resync_failure_view();
+      const std::unordered_set<topo::LinkId>& dead_links,
+      const std::unordered_set<topo::NodeId>& dead_switches,
+      const std::string& cause);
+  /// Apply the failure rule to `links` and to every link of a failed
+  /// switch at their ends that has rebooted (silent while crashed).  Takes
+  /// one failure_transition if any link changed state, and stores how many
+  /// did in `changed`.
+  RepairOutcome apply_failure_rule(std::vector<topo::LinkId> links,
+                                   std::size_t* changed = nullptr);
   /// Run the L3 selective reroute and fold its counters into
   /// reroute_stats_.
   void reroute_default_routing();
@@ -494,7 +485,6 @@ class MimicController : public ctrl::Controller {
   std::unordered_set<topo::NodeId> failed_switches_;
   std::unordered_map<ChannelId, ChannelListener> listeners_;
   bool default_routing_installed_ = false;
-  bool detection_enabled_ = false;
   std::uint64_t requests_ = 0;
   std::uint64_t install_retries_ = 0;
   std::uint64_t channels_lost_ = 0;

@@ -146,9 +146,8 @@ class Controller {
   switchd::TableStats aggregate_table_stats();
 
   /// Called (after detection + southbound latency) when a switch reports a
-  /// port going down or coming back up.
-  virtual void on_port_status(topo::NodeId sw, topo::PortId port,
-                              bool up) = 0;
+  /// port going down or coming back up; the PHY tells which.
+  virtual void on_port_status(topo::NodeId sw, topo::PortId port) = 0;
 
   std::uint64_t rules_installed() const noexcept { return rules_installed_; }
 

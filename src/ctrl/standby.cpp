@@ -111,7 +111,7 @@ bool StandbyController::take_over(const std::string& reason) {
   // that healed during the outage.
   mc_->install_default_routing();
 
-  if (primary_.failure_detection_enabled()) mc_->enable_failure_detection();
+  mc_->subscribe_port_status();
   if (directory_ != nullptr) directory_->fail_over_to(*mc_);
   return true;
 }

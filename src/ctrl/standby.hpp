@@ -55,9 +55,9 @@ class StandbyController {
 
   /// Promote the standby now: detach from the old primary's stream, mirror
   /// the directory, fence + recover from the replica, reinstall the
-  /// proactive routing for the resynced failure view and repoint the
-  /// directory.  Idempotent; returns false if this standby already took
-  /// over.
+  /// proactive routing for the resynced failure view, subscribe to
+  /// port-status reports and repoint the directory.  Idempotent; returns
+  /// false if this standby already took over.
   bool take_over(const std::string& reason);
 
   /// Simulate a control-network partition between standby and primary:

@@ -1,5 +1,6 @@
 // The invariant-audit checkpoint (src/core/audit_registry.hpp): one
-// run_all(fabric) covering FT-1, CA-1, PE-1, FD-1, RC-1, RC-2 and AC-1.
+// run_all(fabric) covering FT-1, CA-1, PE-1, FD-1, RC-1, RC-2, AC-1 and
+// FV-1.
 // The negative tests deliberately violate each invariant and assert the
 // report attributes the failure to the *right* identifier -- an audit that
 // fires on the wrong check (or on none) is worse than no audit.
@@ -40,7 +41,7 @@ TEST(AuditRegistry, RunsAllChecksCleanOnHealthyFabric) {
   EXPECT_EQ(report.first_violation(), "");
 
   const auto& checks = report.checks;
-  ASSERT_EQ(checks.size(), 7u);
+  ASSERT_EQ(checks.size(), 8u);
   EXPECT_EQ(checks[0].id, "FT-1");
   EXPECT_EQ(checks[1].id, "CA-1");
   EXPECT_EQ(checks[2].id, "PE-1");
@@ -48,6 +49,7 @@ TEST(AuditRegistry, RunsAllChecksCleanOnHealthyFabric) {
   EXPECT_EQ(checks[4].id, "RC-1");
   EXPECT_EQ(checks[5].id, "RC-2");
   EXPECT_EQ(checks[6].id, "AC-1");
+  EXPECT_EQ(checks[7].id, "FV-1");
 
   // Every check walked real state.
   EXPECT_GT(report.check("FT-1").items_checked, 0u);
@@ -156,6 +158,29 @@ TEST(AuditRegistry, CatchesPoisonedPathRow) {
   EXPECT_TRUE(report.check("FT-1").ok);
   EXPECT_TRUE(report.check("CA-1").ok);
   EXPECT_TRUE(report.check("FD-1").ok);
+}
+
+TEST(AuditRegistry, CatchesAFailureViewOffThePhy) {
+  // FV-1 negative: a link lowered in the PHY is down, but until its
+  // port-status report lands the MC's failure view still holds it up.
+  AuditBed bed;
+  const topo::NodeId core = bed.fabric.fattree().core_switches()[0];
+  const topo::LinkId link =
+      bed.fabric.network().graph().neighbors(core).front().link;
+  bed.fabric.network().set_link_up(link, false);
+
+  const audit::RunReport report = audit::run_all(bed.fabric);
+  EXPECT_FALSE(report.ok);
+  EXPECT_FALSE(report.check("FV-1").ok);
+  ASSERT_EQ(report.check("FV-1").violations.size(), 1u);
+  EXPECT_EQ(report.check("FV-1").violations.front().rfind(
+                "link " + std::to_string(link) + " ", 0),
+            0u);
+  EXPECT_EQ(report.first_violation().rfind("FV-1:", 0), 0u);
+
+  // Once the report lands, the view is back on the PHY.
+  bed.fabric.simulator().run_until();
+  EXPECT_TRUE(audit::run_all(bed.fabric).check("FV-1").ok);
 }
 
 }  // namespace

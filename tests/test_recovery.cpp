@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/audit_registry.hpp"
@@ -452,6 +454,106 @@ TEST(CrashRecovery, MissedTransitionsCostOneReroute) {
   client->send(transport::Chunk::virtual_bytes(kBytes));
   bed.run();
   EXPECT_EQ(bed.received, kBytes);
+}
+
+/// Raise every link of `sw` but the one to `crashed_peer`, then report the
+/// reboot, as the fault injector's switch recovery does.
+void reboot_switch(RecoveryBed& bed, topo::NodeId sw,
+                   topo::NodeId crashed_peer = topo::kInvalidNode) {
+  for (const auto& adj : bed.fabric.network().graph().neighbors(sw)) {
+    if (adj.peer != crashed_peer) {
+      bed.fabric.network().set_link_up(adj.link, true);
+    }
+  }
+  bed.fabric.mc().restore_switch(sw);
+}
+
+/// The first aggregation switch and the first core switch adjacent to it.
+std::pair<topo::NodeId, topo::NodeId> agg_and_its_core(RecoveryBed& bed) {
+  const topo::NodeId agg = bed.fabric.fattree().agg_switches().front();
+  for (const auto& adj : bed.fabric.network().graph().neighbors(agg)) {
+    if (bed.fabric.fattree().pod_of(adj.peer) < 0) return {agg, adj.peer};
+  }
+  ADD_FAILURE() << "aggregation switch without a core";
+  return {agg, topo::kInvalidNode};
+}
+
+TEST(CrashRecovery, LinkToASwitchThatCrashedDuringTheOutageStaysDown) {
+  // Aggregation switch A fails with the MC up, and its core C crashes
+  // while the MC is down.  After recovery A reboots with A-C still down in
+  // the PHY: the link stays failed, and C stays dead until it reboots.
+  RecoveryBed bed;
+  MimicController& mc = bed.fabric.mc();
+  const auto [agg, core] = agg_and_its_core(bed);
+  const topo::LinkId agg_core =
+      bed.fabric.network().graph().link_between(agg, core);
+  crash_switch(bed, agg);
+  bed.run();
+  mc.crash();
+  crash_switch(bed, core);
+  bed.run();
+  mc.recover(mc.journal());
+  bed.run();
+  reboot_switch(bed, agg, core);
+  bed.run();
+  EXPECT_TRUE(mc.failed_links().contains(agg_core));
+  EXPECT_FALSE(bed.fabric.network().link_up(agg_core));
+  EXPECT_EQ(mc.failed_switches(), std::unordered_set<topo::NodeId>{core});
+  audit::RunReport audit = audit::run_all(bed.fabric);
+  EXPECT_TRUE(audit.ok) << audit.first_violation();
+
+  reboot_switch(bed, core);
+  bed.run();
+  EXPECT_TRUE(mc.failed_links().empty());
+  EXPECT_TRUE(mc.failed_switches().empty());
+  auto client = bed.client(0, bed.options());
+  bed.run();
+  ASSERT_TRUE(client->ready());
+  constexpr std::uint64_t kBytes = 64 * 1024;
+  client->send(transport::Chunk::virtual_bytes(kBytes));
+  bed.run();
+  EXPECT_EQ(bed.received, kBytes);
+  audit = audit::run_all(bed.fabric);
+  EXPECT_TRUE(audit.ok) << audit.first_violation();
+}
+
+TEST(CrashRecovery, SwitchThatRebootedBeforeItsNeighbourCrashedIsRestored) {
+  // Aggregation switch A fails with the MC up, reboots while the MC is
+  // down, and then its core C crashes.  Recovery brings A back with only
+  // C's links failed, so new channels may route through A again.
+  RecoveryBed bed;
+  MimicController& mc = bed.fabric.mc();
+  const auto [agg, core] = agg_and_its_core(bed);
+  crash_switch(bed, agg);
+  bed.run();
+  mc.crash();
+  reboot_switch(bed, agg);
+  crash_switch(bed, core);
+  bed.run();
+  mc.recover(mc.journal());
+  bed.run();
+  EXPECT_EQ(mc.failed_switches(), std::unordered_set<topo::NodeId>{core});
+  std::unordered_set<topo::LinkId> core_links;
+  for (const auto& adj : bed.fabric.network().graph().neighbors(core)) {
+    core_links.insert(adj.link);
+  }
+  EXPECT_EQ(core_links.size(), 4u);
+  EXPECT_EQ(mc.failed_links(), core_links);
+
+  std::vector<std::unique_ptr<MicChannel>> channels;
+  for (std::size_t host = 0; host < 4; ++host) {
+    channels.push_back(bed.client(host, bed.options()));
+  }
+  bed.run();
+  std::size_t through_agg = 0;
+  for (const auto& channel : channels) {
+    ASSERT_TRUE(channel->ready());
+    const MFlowPlan& plan = mc.channel(channel->id())->flows[0];
+    if (std::ranges::find(plan.path, agg) != plan.path.end()) ++through_agg;
+  }
+  EXPECT_GE(through_agg, 1u);
+  const audit::RunReport audit = audit::run_all(bed.fabric);
+  EXPECT_TRUE(audit.ok) << audit.first_violation();
 }
 
 TEST(SwitchFailure, PhyUpOfADeadSwitchLinkWaitsForTheWholeSwitch) {
