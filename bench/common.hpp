@@ -8,8 +8,10 @@
 #pragma once
 
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/fabric.hpp"
@@ -53,12 +55,14 @@ inline sim::SimTime total_busy(Fabric& fabric) {
   return busy;
 }
 
+/// Starts `count` Tor relays on port 9001 of consecutive hosts from
+/// `first_host` on and returns them as a circuit path.
 inline std::vector<tor::RelayAddr> make_relays(
     Fabric& fabric, std::vector<std::unique_ptr<tor::TorRelay>>& storage,
-    int count) {
+    int count, std::size_t first_host) {
   std::vector<tor::RelayAddr> path;
   for (int i = 0; i < count; ++i) {
-    const std::size_t host = kFirstRelayHost + static_cast<std::size_t>(i);
+    const std::size_t host = first_host + static_cast<std::size_t>(i);
     storage.push_back(
         std::make_unique<tor::TorRelay>(fabric.host(host), 9001, fabric.rng()));
     path.push_back({fabric.ip(host), 9001});
@@ -79,6 +83,70 @@ inline const char* system_name(System system) {
   return "?";
 }
 
+inline bool is_mic(System system) {
+  return system == System::kMicTcp || system == System::kMicSsl;
+}
+
+/// What open_session creates, kept alive for as long as the scenario runs.
+struct Sessions {
+  std::vector<std::unique_ptr<MicServer>> mic_servers;
+  std::vector<std::unique_ptr<MicChannel>> mic_channels;
+  std::vector<std::unique_ptr<tor::TorClient>> tor_clients;
+  std::vector<std::unique_ptr<transport::SslSession>> ssl_sessions;
+};
+
+/// Opens one session of `system` from host `client` to host `server` on
+/// `port` and returns the client's stream.  The server's stream goes to
+/// `on_server` once it exists: at accept for TCP, SSL and Tor, at the
+/// channel's first slice for MIC.  `mic` gives a MIC channel's N, F and
+/// decoys, `relays` a Tor circuit's path.  A MIC client must already be
+/// registered with the MC, and the relays must be running.
+inline transport::ByteStream& open_session(
+    Fabric& fabric, Sessions& sessions, System system, std::size_t client,
+    std::size_t server, net::L4Port port, MicChannelOptions mic,
+    const std::vector<tor::RelayAddr>& relays,
+    std::function<void(transport::ByteStream&)> on_server) {
+  auto& client_host = fabric.host(client);
+  auto& server_host = fabric.host(server);
+  const bool use_ssl = system == System::kSsl || system == System::kMicSsl;
+
+  if (is_mic(system)) {
+    sessions.mic_servers.push_back(
+        std::make_unique<MicServer>(server_host, port, fabric.rng(), use_ssl));
+    sessions.mic_servers.back()->set_on_channel(std::move(on_server));
+    mic.responder_ip = fabric.ip(server);
+    mic.responder_port = port;
+    mic.use_ssl = use_ssl;
+    sessions.mic_channels.push_back(std::make_unique<MicChannel>(
+        client_host, fabric.mc(), mic, fabric.rng()));
+    return *sessions.mic_channels.back();
+  }
+  if (system == System::kTor) {
+    server_host.listen(port, std::move(on_server));
+    sessions.tor_clients.push_back(std::make_unique<tor::TorClient>(
+        client_host, relays, fabric.ip(server), port, fabric.rng()));
+    return *sessions.tor_clients.back();
+  }
+
+  // TCP, or SSL on top of it.
+  using Role = transport::SslSession::Role;
+  auto wrap = [&fabric, &sessions, use_ssl](
+                  transport::TcpConnection& conn, transport::Host& host,
+                  Role role) -> transport::ByteStream& {
+    if (!use_ssl) return conn;
+    sessions.ssl_sessions.push_back(std::make_unique<transport::SslSession>(
+        conn, role, host, fabric.rng()));
+    return *sessions.ssl_sessions.back();
+  };
+  server_host.listen(port, [wrap, &server_host,
+                            on_server = std::move(on_server)](
+                               transport::TcpConnection& conn) {
+    on_server(wrap(conn, server_host, Role::kServer));
+  });
+  return wrap(client_host.connect(fabric.ip(server), port), client_host,
+              Role::kClient);
+}
+
 /// One end-to-end session of `system` with `route_len` rewriting/relay
 /// stages, optionally followed by a ping-pong latency test and/or a bulk
 /// transfer.  This is the engine behind Figures 7, 8 and 9(a).
@@ -95,101 +163,51 @@ inline RunResult run_session(const SessionConfig& config) {
   FabricOptions options;
   options.seed = config.seed;
   Fabric fabric(options);
+  auto& simulator = fabric.simulator();
   RunResult result;
 
   std::vector<std::unique_ptr<tor::TorRelay>> relays;
-  std::unique_ptr<MicServer> mic_server;
-  std::unique_ptr<MicChannel> mic_channel;
-  std::unique_ptr<tor::TorClient> tor_client;
-  std::unique_ptr<transport::SslSession> client_ssl;
-  std::unique_ptr<transport::SslSession> server_ssl;
-  transport::TcpConnection* plain_conn = nullptr;
-  transport::ByteStream* client_stream = nullptr;
-  transport::ByteStream* server_stream = nullptr;
-
-  const net::Ipv4 server_ip = fabric.ip(kServerHost);
-  auto& client_host = fabric.host(kClientHost);
-  auto& server_host = fabric.host(kServerHost);
-  auto& simulator = fabric.simulator();
-
-  const bool use_ssl = config.system == System::kSsl ||
-                       config.system == System::kMicSsl;
-
-  switch (config.system) {
-    case System::kTcp:
-    case System::kSsl: {
-      server_host.listen(5000, [&](transport::TcpConnection& conn) {
-        if (use_ssl) {
-          server_ssl = std::make_unique<transport::SslSession>(
-              conn, transport::SslSession::Role::kServer, server_host,
-              fabric.rng());
-          server_stream = server_ssl.get();
-        } else {
-          server_stream = &conn;
-        }
-      });
-      plain_conn = &client_host.connect(server_ip, 5000);
-      if (use_ssl) {
-        client_ssl = std::make_unique<transport::SslSession>(
-            *plain_conn, transport::SslSession::Role::kClient, client_host,
-            fabric.rng());
-        client_stream = client_ssl.get();
-      } else {
-        client_stream = plain_conn;
-      }
-      break;
-    }
-    case System::kMicTcp:
-    case System::kMicSsl: {
-      // The one-time client<->MC key exchange happens "in advance using
-      // asymmetric encryption algorithms" (Sec VI) -- it is not part of
-      // the measured connect time.  Let idle time pass so the MC CPU is
-      // free again before the connect request arrives.
-      fabric.mc().register_client(fabric.ip(kClientHost));
-      simulator.run_until(simulator.now() + sim::milliseconds(50));
-      mic_server = std::make_unique<MicServer>(server_host, 7000,
-                                               fabric.rng(), use_ssl);
-      mic_server->set_on_channel([&](core::MicServerChannel& channel) {
-        server_stream = &channel;
-      });
-      MicChannelOptions mic_options;
-      mic_options.responder_ip = server_ip;
-      mic_options.responder_port = 7000;
-      mic_options.mn_count = config.route_len;
-      mic_options.flow_count = config.flows;
-      mic_options.use_ssl = use_ssl;
-      mic_channel = std::make_unique<MicChannel>(client_host, fabric.mc(),
-                                                 mic_options, fabric.rng());
-      client_stream = mic_channel.get();
-      break;
-    }
-    case System::kTor: {
-      const auto path = make_relays(fabric, relays, config.route_len);
-      server_host.listen(5000, [&](transport::TcpConnection& conn) {
-        server_stream = &conn;
-      });
-      tor_client = std::make_unique<tor::TorClient>(
-          client_host, path, server_ip, 5000, fabric.rng());
-      client_stream = tor_client.get();
-      break;
-    }
+  std::vector<tor::RelayAddr> relay_path;
+  if (config.system == System::kTor) {
+    relay_path = make_relays(fabric, relays, config.route_len, kFirstRelayHost);
   }
+  if (is_mic(config.system)) {
+    // The one-time client<->MC key exchange happens "in advance using
+    // asymmetric encryption algorithms" (Sec VI) -- it is not part of
+    // the measured connect time.  Let idle time pass so the MC CPU is
+    // free again before the connect request arrives.
+    fabric.mc().register_client(fabric.ip(kClientHost));
+    simulator.run_until(simulator.now() + sim::milliseconds(50));
+  }
+  MicChannelOptions mic;
+  mic.mn_count = config.route_len;
+  mic.flow_count = config.flows;
+  Sessions sessions;
+  transport::ByteStream* server_stream = nullptr;
+  transport::ByteStream& client_stream = open_session(
+      fabric, sessions, config.system, kClientHost, kServerHost,
+      is_mic(config.system) ? 7000 : 5000, mic, relay_path,
+      [&server_stream](transport::ByteStream& stream) {
+        server_stream = &stream;
+      });
 
   // --- setup phase ------------------------------------------------------------
   const sim::SimTime start = simulator.now();
   const sim::SimTime busy_at_start = total_busy(fabric);
   bool ready = false;
   sim::SimTime ready_at = 0;
-  client_stream->set_on_ready([&] {
+  client_stream.set_on_ready([&] {
     ready = true;
     ready_at = simulator.now();
   });
-  if (client_stream->ready()) {
+  if (client_stream.ready()) {
     ready = true;
     ready_at = simulator.now();
   }
   simulator.run_until();
-  if (!ready) {
+  // The server's stream exists by now: TCP, SSL and Tor accept before the
+  // client is ready, and a MIC channel's hello slices follow its ready.
+  if (!ready || server_stream == nullptr) {
     std::fprintf(stderr, "session setup failed for %s\n",
                  system_name(config.system));
     return result;
@@ -198,53 +216,24 @@ inline RunResult run_session(const SessionConfig& config) {
 
   // --- latency phase (Figure 8) --------------------------------------------------
   if (config.ping_rounds > 0) {
-    // The server side stream exists once the first bytes arrive for MIC;
-    // for TCP/SSL/Tor it exists after accept.  Attach an echo when ready.
-    std::unique_ptr<transport::PingPongServer> echo;
-    std::unique_ptr<transport::PingPongClient> ping;
-    auto attach_echo = [&] {
-      if (server_stream != nullptr && echo == nullptr) {
-        echo = std::make_unique<transport::PingPongServer>(*server_stream);
-      }
-    };
-    attach_echo();
-    if (echo == nullptr && mic_server != nullptr) {
-      mic_server->set_on_channel([&](core::MicServerChannel& channel) {
-        server_stream = &channel;
-        attach_echo();
-      });
-    }
-    ping = std::make_unique<transport::PingPongClient>(
-        *client_stream, simulator, config.ping_rounds);
+    transport::PingPongServer echo(*server_stream);
+    transport::PingPongClient ping(client_stream, simulator,
+                                   config.ping_rounds);
     simulator.run_until();
-    result.latency_us = ping->mean_rtt_us();
+    result.latency_us = ping.mean_rtt_us();
   }
 
   // --- bulk phase (Figure 9a) ------------------------------------------------------
   if (config.bulk_bytes > 0) {
-    std::unique_ptr<transport::BulkSink> sink;
-    auto attach_sink = [&] {
-      if (server_stream != nullptr && sink == nullptr) {
-        sink = std::make_unique<transport::BulkSink>(*server_stream, simulator,
-                                                     config.bulk_bytes);
-      }
-    };
-    attach_sink();
-    if (sink == nullptr && mic_server != nullptr) {
-      mic_server->set_on_channel([&](core::MicServerChannel& channel) {
-        server_stream = &channel;
-        attach_sink();
-      });
-    }
-    client_stream->send(transport::Chunk::virtual_bytes(config.bulk_bytes));
+    transport::BulkSink sink(*server_stream, simulator, config.bulk_bytes);
+    client_stream.send(transport::Chunk::virtual_bytes(config.bulk_bytes));
     simulator.run_until();
-    attach_sink();
-    if (sink == nullptr || !sink->finished()) {
+    if (!sink.finished()) {
       std::fprintf(stderr, "bulk transfer incomplete for %s\n",
                    system_name(config.system));
       return result;
     }
-    result.mbps = sink->goodput_bps() / 1e6;
+    result.mbps = sink.goodput_bps() / 1e6;
   }
 
   result.duration = simulator.now() - start;
@@ -273,17 +262,12 @@ inline RunResult run_multi_flow(const MultiFlowConfig& config) {
   auto& simulator = fabric.simulator();
   RunResult result;
 
-  const bool is_mic = config.system == System::kMicTcp ||
-                      config.system == System::kMicSsl;
-  const bool use_ssl = config.system == System::kSsl ||
-                       config.system == System::kMicSsl;
-
   std::vector<std::unique_ptr<tor::TorRelay>> relays;
   std::vector<tor::RelayAddr> relay_path;
   if (config.system == System::kTor) {
-    relay_path = make_relays(fabric, relays, 3);
+    relay_path = make_relays(fabric, relays, 3, kFirstRelayHost);
   }
-  if (is_mic) {
+  if (is_mic(config.system)) {
     for (int i = 0; i < 8; ++i) {
       fabric.mc().register_client(fabric.ip(static_cast<std::size_t>(i)));
     }
@@ -292,10 +276,7 @@ inline RunResult run_multi_flow(const MultiFlowConfig& config) {
   const sim::SimTime start = simulator.now();
   const sim::SimTime busy_at_start = total_busy(fabric);
 
-  std::vector<std::unique_ptr<MicServer>> mic_servers;
-  std::vector<std::unique_ptr<MicChannel>> mic_channels;
-  std::vector<std::unique_ptr<tor::TorClient>> tor_clients;
-  std::vector<std::unique_ptr<transport::SslSession>> ssl_sessions;
+  Sessions sessions;
   std::vector<std::unique_ptr<transport::BulkSink>> sinks;
   std::vector<std::unique_ptr<transport::BulkSender>> senders;
 
@@ -304,77 +285,19 @@ inline RunResult run_multi_flow(const MultiFlowConfig& config) {
   // staggered by a few ms (iperf runs are never perfectly synchronized;
   // lock-step starts synchronize slow-start overshoot unrealistically).
   for (int i = 0; i < config.flows; ++i) {
-    auto setup_flow = [&config, &fabric, &simulator, &relay_path,
-                       &mic_servers, &mic_channels, &tor_clients,
-                       &ssl_sessions, &sinks, &senders, use_ssl, i] {
-    const std::size_t client_index = static_cast<std::size_t>(i % 8);
-    const std::size_t server_index = 8 + static_cast<std::size_t>(i % 8);
-    auto& client_host = fabric.host(client_index);
-    auto& server_host = fabric.host(server_index);
-    const net::L4Port port = static_cast<net::L4Port>(5000 + i);
-
-    switch (config.system) {
-      case System::kTcp:
-      case System::kSsl: {
-        server_host.listen(port, [&, use_ssl](transport::TcpConnection& conn) {
-          transport::ByteStream* stream = &conn;
-          if (use_ssl) {
-            ssl_sessions.push_back(std::make_unique<transport::SslSession>(
-                conn, transport::SslSession::Role::kServer, server_host,
-                fabric.rng()));
-            stream = ssl_sessions.back().get();
-          }
-          sinks.push_back(std::make_unique<transport::BulkSink>(
-              *stream, simulator, config.bytes_per_flow));
+    simulator.schedule_in(
+        sim::milliseconds(static_cast<std::uint64_t>(5 * i)), [&, i] {
+          transport::ByteStream& stream = open_session(
+              fabric, sessions, config.system, static_cast<std::size_t>(i % 8),
+              8 + static_cast<std::size_t>(i % 8),
+              static_cast<net::L4Port>(5000 + i), MicChannelOptions{},
+              relay_path, [&](transport::ByteStream& server_stream) {
+                sinks.push_back(std::make_unique<transport::BulkSink>(
+                    server_stream, simulator, config.bytes_per_flow));
+              });
+          senders.push_back(std::make_unique<transport::BulkSender>(
+              stream, config.bytes_per_flow));
         });
-        auto& conn = client_host.connect(fabric.ip(server_index), port);
-        transport::ByteStream* stream = &conn;
-        if (use_ssl) {
-          ssl_sessions.push_back(std::make_unique<transport::SslSession>(
-              conn, transport::SslSession::Role::kClient, client_host,
-              fabric.rng()));
-          stream = ssl_sessions.back().get();
-        }
-        senders.push_back(std::make_unique<transport::BulkSender>(
-            *stream, config.bytes_per_flow));
-        break;
-      }
-      case System::kMicTcp:
-      case System::kMicSsl: {
-        mic_servers.push_back(std::make_unique<MicServer>(
-            server_host, port, fabric.rng(), use_ssl));
-        mic_servers.back()->set_on_channel(
-            [&](core::MicServerChannel& channel) {
-              sinks.push_back(std::make_unique<transport::BulkSink>(
-                  channel, simulator, config.bytes_per_flow));
-            });
-        MicChannelOptions mic_options;
-        mic_options.responder_ip = fabric.ip(server_index);
-        mic_options.responder_port = port;
-        mic_options.mn_count = 3;
-        mic_options.use_ssl = use_ssl;
-        mic_channels.push_back(std::make_unique<MicChannel>(
-            client_host, fabric.mc(), mic_options, fabric.rng()));
-        senders.push_back(std::make_unique<transport::BulkSender>(
-            *mic_channels.back(), config.bytes_per_flow));
-        break;
-      }
-      case System::kTor: {
-        server_host.listen(port, [&](transport::TcpConnection& conn) {
-          sinks.push_back(std::make_unique<transport::BulkSink>(
-              conn, simulator, config.bytes_per_flow));
-        });
-        tor_clients.push_back(std::make_unique<tor::TorClient>(
-            client_host, relay_path, fabric.ip(server_index), port,
-            fabric.rng()));
-        senders.push_back(std::make_unique<transport::BulkSender>(
-            *tor_clients.back(), config.bytes_per_flow));
-        break;
-      }
-    }
-    };
-    simulator.schedule_in(sim::milliseconds(static_cast<std::uint64_t>(5 * i)),
-                          setup_flow);
   }
 
   simulator.run_until();

@@ -2,7 +2,7 @@
 //
 // Two series.  First, repair latency: time from a mid-transfer PHY link
 // cut to the MC's transparent repair of the affected mimic channel, as a
-// function of the switch-side detection latency (the debounce before the
+// function of the switch-side detection latency (the delay before the
 // async port-status message).  Second, availability: goodput under the
 // standard chaos schedule (link flaps, a switch crash, install-fault and
 // control-drop bursts) relative to an undisturbed run over the same

@@ -8,22 +8,21 @@
 // goodput, latency and CPU cost -- the same metrics as the paper's
 // evaluation, but for any parameter combination.  `--fail-link` cuts a
 // link on the (first) channel's path mid-transfer and lets the MC repair
-// it; `--loss` injects random loss on every link.
+// it; `--loss` injects random loss on every link.  Exits non-zero unless
+// every session runs to completion and, for MIC, the invariant audit is
+// clean.
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <string>
+#include <utility>
 
+#include "common.hpp"
 #include "common/log.hpp"
 #include "core/audit_registry.hpp"
-#include "core/fabric.hpp"
-#include "core/mic_client.hpp"
 #include "net/trace.hpp"
-#include "tor/client.hpp"
-#include "tor/relay.hpp"
-#include "transport/apps.hpp"
-#include "transport/ssl.hpp"
 
 using namespace mic;
+using bench::System;
 
 namespace {
 
@@ -122,6 +121,22 @@ bool parse_args(int argc, char** argv, Args& args) {
   return true;
 }
 
+bool parse_system(const std::string& name, System& system) {
+  static constexpr std::pair<const char*, System> kSystems[] = {
+      {"tcp", System::kTcp},
+      {"ssl", System::kSsl},
+      {"mic", System::kMicTcp},
+      {"mic-ssl", System::kMicSsl},
+      {"tor", System::kTor}};
+  for (const auto& [flag, value] : kSystems) {
+    if (name == flag) {
+      system = value;
+      return true;
+    }
+  }
+  return false;
+}
+
 void usage() {
   std::fprintf(
       stderr,
@@ -135,15 +150,15 @@ void usage() {
 
 int main(int argc, char** argv) {
   Args args;
-  if (!parse_args(argc, argv, args)) {
+  System system = System::kMicTcp;
+  if (!parse_args(argc, argv, args) || !parse_system(args.system, system)) {
     usage();
     return 2;
   }
-  const bool is_mic = args.system == "mic" || args.system == "mic-ssl";
-  const bool is_tor = args.system == "tor";
-  const bool use_ssl = args.system == "ssl" || args.system == "mic-ssl";
-  if (!is_mic && !is_tor && args.system != "tcp" && args.system != "ssl") {
-    usage();
+  const bool is_mic = bench::is_mic(system);
+  const bool is_tor = system == System::kTor;
+  if (args.fail_link && !is_mic) {
+    std::fprintf(stderr, "--fail-link requires --system mic|mic-ssl\n");
     return 2;
   }
 
@@ -167,121 +182,62 @@ int main(int argc, char** argv) {
   if (is_tor) {
     // Relays live on the upper first-half hosts, clients on the lower ones
     // and servers in the second half, so roles never share a machine.
-    for (int i = 0; i < args.mns; ++i) {
-      const std::size_t host = n_hosts / 4 + static_cast<std::size_t>(i);
-      relays.push_back(std::make_unique<tor::TorRelay>(fabric.host(host),
-                                                       9001, fabric.rng()));
-      relay_path.push_back({fabric.ip(host), 9001});
-    }
+    relay_path = bench::make_relays(fabric, relays, args.mns, n_hosts / 4);
   }
 
-  std::vector<std::unique_ptr<core::MicServer>> mic_servers;
-  std::vector<std::unique_ptr<core::MicChannel>> mic_channels;
-  std::vector<std::unique_ptr<tor::TorClient>> tor_clients;
-  std::vector<std::unique_ptr<transport::SslSession>> ssl_sessions;
+  bench::Sessions sessions;
+  std::vector<transport::ByteStream*> clients;
   std::vector<std::unique_ptr<transport::BulkSink>> sinks;
   std::vector<std::unique_ptr<transport::BulkSender>> senders;
   std::vector<std::unique_ptr<transport::PingPongServer>> echo_servers;
   std::vector<std::unique_ptr<transport::PingPongClient>> pingers;
+  auto attach_server = [&](transport::ByteStream& stream) {
+    if (args.ping > 0) {
+      echo_servers.push_back(
+          std::make_unique<transport::PingPongServer>(stream));
+    } else {
+      sinks.push_back(
+          std::make_unique<transport::BulkSink>(stream, simulator, args.bytes));
+    }
+  };
+  auto attach_client = [&](transport::ByteStream& stream) {
+    if (args.ping > 0) {
+      pingers.push_back(std::make_unique<transport::PingPongClient>(
+          stream, simulator, args.ping));
+    } else {
+      senders.push_back(
+          std::make_unique<transport::BulkSender>(stream, args.bytes));
+    }
+  };
 
+  core::MicChannelOptions mic;
+  mic.mn_count = args.mns;
+  mic.flow_count = args.stripe;
+  mic.multicast_decoys = args.decoys;
   const std::size_t half = n_hosts / 2;
   // With Tor, relays occupy the upper quarter of the first half; keep
   // clients below them.
   const std::size_t client_pool = is_tor ? n_hosts / 4 : half;
+  // A MIC or Tor client starts its app once the server sees the session; a
+  // TCP or SSL client starts it at once.
+  const bool client_waits = is_mic || is_tor;
   for (int i = 0; i < args.flows; ++i) {
-    const std::size_t ci = static_cast<std::size_t>(i) % client_pool;
-    const std::size_t si = half + (static_cast<std::size_t>(i) % half);
-    auto& client = fabric.host(ci);
-    auto& server = fabric.host(si);
-    const net::L4Port port = static_cast<net::L4Port>(5000 + i);
-
-    // Captures main-scope objects only: the callback may fire long after
-    // this loop iteration ends.
-    auto attach_apps = [&sinks, &senders, &echo_servers, &pingers,
-                        &simulator, ping = args.ping, bytes = args.bytes](
-                           transport::ByteStream& server_stream,
-                           transport::ByteStream& client_stream) {
-      if (ping > 0) {
-        echo_servers.push_back(
-            std::make_unique<transport::PingPongServer>(server_stream));
-        pingers.push_back(std::make_unique<transport::PingPongClient>(
-            client_stream, simulator, ping));
-      } else {
-        sinks.push_back(std::make_unique<transport::BulkSink>(
-            server_stream, simulator, bytes));
-        senders.push_back(std::make_unique<transport::BulkSender>(
-            client_stream, bytes));
-      }
-    };
-
-    if (is_mic) {
-      mic_servers.push_back(std::make_unique<core::MicServer>(
-          server, port, fabric.rng(), use_ssl));
-      core::MicChannelOptions mic_options;
-      mic_options.responder_ip = fabric.ip(si);
-      mic_options.responder_port = port;
-      mic_options.mn_count = args.mns;
-      mic_options.flow_count = args.stripe;
-      mic_options.multicast_decoys = args.decoys;
-      mic_options.use_ssl = use_ssl;
-      mic_channels.push_back(std::make_unique<core::MicChannel>(
-          client, fabric.mc(), mic_options, fabric.rng()));
-      auto* channel = mic_channels.back().get();
-      mic_servers.back()->set_on_channel(
-          [attach_apps, channel](core::MicServerChannel& sc) {
-            attach_apps(sc, *channel);
-          });
-    } else if (is_tor) {
-      tor_clients.push_back(std::make_unique<tor::TorClient>(
-          client, relay_path, fabric.ip(si), port, fabric.rng()));
-      tor::TorClient* tor_client = tor_clients.back().get();
-      server.listen(port,
-                    [attach_apps, tor_client](transport::TcpConnection& conn) {
-                      attach_apps(conn, *tor_client);
-                    });
-    } else {
-      server.listen(port, [&, use_ssl, srv = &server](
-                              transport::TcpConnection& conn) {
-        transport::ByteStream* server_stream = &conn;
-        if (use_ssl) {
-          ssl_sessions.push_back(std::make_unique<transport::SslSession>(
-              conn, transport::SslSession::Role::kServer, *srv, fabric.rng()));
-          server_stream = ssl_sessions.back().get();
-        }
-        // Client stream created below; bulk/ping attach on it directly.
-        if (args.ping > 0) {
-          echo_servers.push_back(
-              std::make_unique<transport::PingPongServer>(*server_stream));
-        } else {
-          sinks.push_back(std::make_unique<transport::BulkSink>(
-              *server_stream, simulator, args.bytes));
-        }
-      });
-      auto& conn = client.connect(fabric.ip(si), port);
-      transport::ByteStream* client_stream = &conn;
-      if (use_ssl) {
-        ssl_sessions.push_back(std::make_unique<transport::SslSession>(
-            conn, transport::SslSession::Role::kClient, client, fabric.rng()));
-        client_stream = ssl_sessions.back().get();
-      }
-      if (args.ping > 0) {
-        pingers.push_back(std::make_unique<transport::PingPongClient>(
-            *client_stream, simulator, args.ping));
-      } else {
-        senders.push_back(std::make_unique<transport::BulkSender>(
-            *client_stream, args.bytes));
-      }
-    }
+    const std::size_t flow = static_cast<std::size_t>(i);
+    clients.push_back(&bench::open_session(
+        fabric, sessions, system, flow % client_pool, half + flow % half,
+        static_cast<net::L4Port>(5000 + i), mic, relay_path,
+        [&, flow](transport::ByteStream& server_stream) {
+          attach_server(server_stream);
+          if (client_waits) attach_client(*clients[flow]);
+        }));
+    if (!client_waits) attach_client(*clients.back());
   }
 
   // Optional mid-transfer failure on the first MIC channel's path.
   if (args.fail_link) {
-    if (!is_mic) {
-      std::fprintf(stderr, "--fail-link requires --system mic|mic-ssl\n");
-      return 2;
-    }
     simulator.run_until(simulator.now() + sim::milliseconds(10));
-    const auto* state = fabric.mc().channel(mic_channels.front()->id());
+    const auto* state =
+        fabric.mc().channel(sessions.mic_channels.front()->id());
     if (state != nullptr) {
       const auto& path = state->flows[0].path;
       const topo::LinkId victim = fabric.network().graph().link_between(
@@ -307,14 +263,17 @@ int main(int argc, char** argv) {
   if (args.loss > 0) std::printf(" loss=%.3f", args.loss);
   std::printf("\n");
 
+  int done = 0;  // sessions that ran to completion
   if (args.ping > 0) {
     double sum = 0;
-    for (const auto& ping : pingers) sum += ping->mean_rtt_us();
+    for (const auto& ping : pingers) {
+      sum += ping->mean_rtt_us();
+      if (ping->rtts().size() == static_cast<std::size_t>(args.ping)) ++done;
+    }
     std::printf("mean RTT: %.1f us over %d rounds x %d flows\n",
                 sum / static_cast<double>(pingers.size()), args.ping,
                 args.flows);
   } else {
-    int done = 0;
     double mbps = 0;
     for (const auto& sink : sinks) {
       if (sink->finished()) {
@@ -325,7 +284,7 @@ int main(int argc, char** argv) {
     std::printf("%d/%d transfers finished; mean goodput %.1f Mb/s\n", done,
                 args.flows, done > 0 ? mbps / done : 0.0);
   }
-  for (const auto& channel : mic_channels) {
+  for (const auto& channel : sessions.mic_channels) {
     if (channel->failed()) {
       std::printf("channel error: %s\n", channel->error().c_str());
     }
@@ -346,5 +305,5 @@ int main(int argc, char** argv) {
                 report.summary().c_str());
     if (!report.ok) return 1;
   }
-  return 0;
+  return done == args.flows ? 0 : 1;
 }

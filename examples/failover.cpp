@@ -66,7 +66,7 @@ int main() {
               "report is sent -- detection is on its own\n",
               victim, plan_before.path[mid], plan_before.path[mid + 1]);
 
-  // Give the detection pipeline (PHY debounce + async port-status message)
+  // Give the detection pipeline (PHY delay + async port-status message)
   // a moment, then show what the MC worked out by itself.
   simulator.run_until(simulator.now() + sim::milliseconds(2));
   std::printf("MC's failure view: link %u %s, %llu channel(s) repaired\n",

@@ -1,5 +1,7 @@
 #include "core/mic_client.hpp"
 
+#include <algorithm>
+
 #include "common/log.hpp"
 
 namespace mic::core {
@@ -324,7 +326,13 @@ void MicChannel::on_established(const EstablishResult& result) {
     });
     flow.stream->set_on_closed([this, gen] {
       if (gen != generation_) return;
-      if (!closed_notified_) {
+      const bool rejected =
+          std::any_of(flows_.begin(), flows_.end(), [](const Flow& f) {
+            return f.ssl != nullptr && f.ssl->rejected();
+          });
+      if (rejected && !failed_) {
+        fail_with("malformed SSL record from the responder");
+      } else if (!closed_notified_) {
         closed_notified_ = true;
         notify_closed();
       }
@@ -466,14 +474,19 @@ MicServer::MicServer(transport::Host& host, net::L4Port port, Rng& rng,
 void MicServer::on_accept(transport::TcpConnection& conn) {
   auto flow = std::make_unique<FlowCtx>();
   flow->tcp = &conn;
+  FlowCtx* raw = flow.get();
   if (use_ssl_) {
     flow->ssl = std::make_unique<transport::SslSession>(
         conn, transport::SslSession::Role::kServer, host_, rng_);
     flow->stream = flow->ssl.get();
+    // The SSL layer closes a connection whose records no MIC-SSL client
+    // wrote; count it beside the malformed slice headers.
+    flow->ssl->set_on_closed([this, raw] {
+      if (raw->ssl->rejected()) ++malformed_flows_;
+    });
   } else {
     flow->stream = &conn;
   }
-  FlowCtx* raw = flow.get();
   raw->stream->set_on_data([this, raw](const transport::ChunkView& view) {
     on_flow_data(*raw, view);
   });

@@ -289,7 +289,8 @@ class MicServer {
   }
 
   std::size_t channel_count() const noexcept { return channels_.size(); }
-  /// Connections closed because they sent a malformed slice header.
+  /// Connections closed because they sent a malformed slice header or,
+  /// with use_ssl, a record the SSL layer rejected.
   std::uint64_t malformed_flows() const noexcept { return malformed_flows_; }
 
  private:

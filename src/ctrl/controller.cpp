@@ -98,7 +98,7 @@ void Controller::subscribe_port_status() {
   for (const topo::NodeId sw : graph().switches()) {
     switch_at(sw)->set_detection_latency(config_.detection_latency);
     switch_at(sw)->add_port_status_handler(
-        [this](topo::NodeId node, topo::PortId port, bool /*up*/) {
+        [this](topo::NodeId node, topo::PortId port) {
           network_.simulator().schedule_in(
               kSouthboundLatency,
               [this, node, port] { on_port_status(node, port); });

@@ -54,9 +54,10 @@ static_assert(kSouthboundTimeout > 2 * kSouthboundLatency,
               "healthy checked installs would time out");
 
 struct ControllerConfig {
-  /// PHY loss-of-signal debounce configured on every switch by
-  /// subscribe_port_status(): how long a port must stay down before the
-  /// switch raises the async notification.
+  /// PHY loss-of-signal delay configured on every switch by
+  /// subscribe_port_status(): how long after a port changes state the
+  /// switch raises the async notification.  Every change is raised, however
+  /// soon the port changes back.
   sim::SimTime detection_latency = sim::microseconds(500);
 };
 

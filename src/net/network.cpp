@@ -48,7 +48,7 @@ void Network::set_link_up(topo::LinkId link, bool up) {
   for (const std::size_t slot : {2 * link, 2 * link + 1}) {
     const Direction& dir = directions_[slot];
     if (Device* device = devices_[dir.to].get()) {
-      device->on_port_status(dir.to_port, up);
+      device->on_port_status(dir.to_port);
     }
   }
 }

@@ -33,12 +33,10 @@ class Device {
   virtual void receive(const Packet& packet, topo::PortId in_port) = 0;
 
   /// The link attached to `port` changed state (loss of signal / signal
-  /// restored).  The default ignores it; SDN switches forward it to the
-  /// controller as an async port-status notification.
-  virtual void on_port_status(topo::PortId port, bool up) {
-    (void)port;
-    (void)up;
-  }
+  /// restored; Network::link_up tells which).  The default ignores it; SDN
+  /// switches forward it to the controller as an async port-status
+  /// notification.
+  virtual void on_port_status(topo::PortId /*port*/) {}
 
   void attach(Network* network, topo::NodeId node);
 

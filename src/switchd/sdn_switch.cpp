@@ -26,16 +26,16 @@ void SdnSwitch::receive(const net::Packet& packet, topo::PortId in_port) {
   });
 }
 
-void SdnSwitch::on_port_status(topo::PortId port, bool up) {
+void SdnSwitch::on_port_status(topo::PortId port) {
   if (port_status_.empty()) return;
-  // The PHY event is debounced for detection_latency_ before the async
-  // notification leaves the switch; the subscriber adds the control-channel
-  // latency on top.  One debounce event fans out to every subscriber, in
-  // subscription order, so adding a standby never perturbs the primary's
-  // event sequence.
-  simulator().schedule_in(detection_latency_, [this, port, up] {
+  // Every PHY event leaves the switch as an async notification
+  // detection_latency_ later, whatever the port did in between (a delay,
+  // not a debounce); the subscriber adds the control-channel latency on
+  // top.  One delayed event fans out to every subscriber, in subscription
+  // order, so adding a standby never perturbs the primary's event sequence.
+  simulator().schedule_in(detection_latency_, [this, port] {
     for (const auto& handler : port_status_) {
-      if (handler) handler(node_, port, up);
+      if (handler) handler(node_, port);
     }
   });
 }

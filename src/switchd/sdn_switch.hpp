@@ -41,9 +41,9 @@ struct FlowDump {
 
 class SdnSwitch : public net::Device {
  public:
-  /// Async OFPT_PORT_STATUS equivalent: (switch, port, up).
-  using PortStatusHandler =
-      std::function<void(topo::NodeId sw, topo::PortId, bool up)>;
+  /// Async OFPT_PORT_STATUS equivalent: (switch, port).  The subscriber
+  /// reads the port's state from the PHY.
+  using PortStatusHandler = std::function<void(topo::NodeId sw, topo::PortId)>;
 
   explicit SdnSwitch(const crypto::CostModel& costs =
                          crypto::default_cost_model())
@@ -52,8 +52,9 @@ class SdnSwitch : public net::Device {
   FlowTable& table() noexcept { return table_; }
   const FlowTable& table() const noexcept { return table_; }
 
-  /// Subscribe to async port-status notifications.  The switch raises them
-  /// `detection_latency` after the PHY event (loss-of-signal debounce); the
+  /// Subscribe to async port-status notifications.  The switch raises each
+  /// one `detection_latency` after its PHY event (a loss-of-signal delay,
+  /// not a debounce: a flap shorter than it still raises both events); the
   /// control-channel latency on top is the subscriber's business.  Like an
   /// OpenFlow switch with several controller connections, every subscriber
   /// hears every event -- a warm standby that took over still shares the
@@ -64,12 +65,9 @@ class SdnSwitch : public net::Device {
   void set_detection_latency(sim::SimTime latency) noexcept {
     detection_latency_ = latency;
   }
-  sim::SimTime detection_latency() const noexcept {
-    return detection_latency_;
-  }
 
   void receive(const net::Packet& packet, topo::PortId in_port) override;
-  void on_port_status(topo::PortId port, bool up) override;
+  void on_port_status(topo::PortId port) override;
 
   // --- fallible rule installation -------------------------------------------
   //
@@ -154,7 +152,7 @@ class SdnSwitch : public net::Device {
   const crypto::CostModel& costs_;
   FlowTable table_;
   std::vector<PortStatusHandler> port_status_;
-  /// PHY loss-of-signal debounce before the notification leaves the switch.
+  /// PHY loss-of-signal delay before the notification leaves the switch.
   sim::SimTime detection_latency_ = sim::microseconds(500);
   double install_fault_probability_ = 0.0;
   Rng install_fault_rng_{0};

@@ -1,21 +1,32 @@
 #include "transport/ssl.hpp"
 
+#include <algorithm>
+
 #include "common/bits.hpp"
 #include "crypto/sha256.hpp"
 
 namespace mic::transport {
 
 namespace {
-constexpr std::size_t kDhPubBytes = crypto::Uint2048::kBytes;  // 256
+constexpr std::uint32_t kDhPubBytes = crypto::Uint2048::kBytes;  // 256
+constexpr std::uint32_t kRandomBytes = 32;
+constexpr std::uint32_t kFinishedBytes = 32;  // HMAC-SHA256
 }  // namespace
 
 SslSession::SslSession(ByteStream& underlying, Role role, Host& host,
                        Rng& rng)
-    : underlying_(underlying), role_(role), host_(host), rng_(rng) {
+    : underlying_(underlying),
+      role_(role),
+      host_(host),
+      rng_(rng),
+      expect_(role == Role::kClient ? MsgType::kServerHello
+                                    : MsgType::kClientHello) {
   underlying_.set_on_data([this](const ChunkView& view) {
     on_underlying_data(view);
   });
-  underlying_.set_on_closed([this] { notify_closed(); });
+  underlying_.set_on_closed([this] {
+    if (!rejected_) notify_closed();
+  });
   if (underlying_.ready()) {
     start_handshake();
   } else {
@@ -25,7 +36,7 @@ SslSession::SslSession(ByteStream& underlying, Role role, Host& host,
 
 void SslSession::start_handshake() {
   if (role_ == Role::kClient) {
-    client_random_.resize(32);
+    client_random_.resize(kRandomBytes);
     for (auto& b : client_random_) b = static_cast<std::uint8_t>(rng_.next());
     send_message(MsgType::kClientHello, client_random_);
   }
@@ -44,22 +55,27 @@ void SslSession::send_message(MsgType type, std::vector<std::uint8_t> body) {
 }
 
 void SslSession::on_underlying_data(const ChunkView& view) {
+  if (rejected_) return;
   reader_.append(view);
   parse();
 }
 
 void SslSession::parse() {
-  for (;;) {
-    if (reader_.available() < kHeaderBytes) return;
-    // Peek the header by reading it; headers are always real bytes.
-    // We must only consume when the whole record is available, so stash the
-    // header fields and re-check.
+  while (!rejected_) {
+    // Screen the header as soon as it is in, then stash its fields and
+    // wait for the whole record before consuming the body.
     if (!header_valid_) {
-      const auto header = reader_.read_real(kHeaderBytes);
-      MIC_ASSERT(header.has_value());
-      pending_type_ = static_cast<MsgType>((*header)[0]);
-      pending_len_ = load_be32(header->data() + 1);
-      header_valid_ = true;
+      if (reader_.available() < kHeaderBytes) return;
+      if (reader_.real_prefix(kHeaderBytes)) {
+        const auto header = *reader_.read_real(kHeaderBytes);
+        pending_type_ = static_cast<MsgType>(header[0]);
+        pending_len_ = load_be32(header.data() + 1);
+        header_valid_ = expects(pending_type_, pending_len_);
+      }
+      if (!header_valid_) {
+        reject();
+        return;
+      }
     }
 
     const bool is_data = pending_type_ == MsgType::kDataReal ||
@@ -67,20 +83,24 @@ void SslSession::parse() {
     const std::uint64_t body_len =
         is_data ? pending_len_ + kMacBytes : pending_len_;
     if (reader_.available() < body_len) return;
+    if (pending_type_ != MsgType::kDataVirtual &&
+        !reader_.real_prefix(body_len)) {
+      reject();
+      return;
+    }
     header_valid_ = false;
 
     if (pending_type_ == MsgType::kDataReal) {
-      auto body = reader_.read_real(body_len);
-      MIC_ASSERT(body.has_value());
+      const auto body = *reader_.read_real(body_len);
       host_.charge(host_.costs().ssl_record_fixed_cycles +
                    host_.costs().stream_crypt_cycles(pending_len_));
-      // Decrypt in place and verify the MAC over the ciphertext.
+      // Verify the MAC over the ciphertext, then decrypt in place.
       std::vector<std::uint8_t> ciphertext(
-          body->begin(), body->begin() + static_cast<long>(pending_len_));
+          body.begin(), body.begin() + static_cast<long>(pending_len_));
       const auto mac = crypto::hmac_sha256(recv_key_, ciphertext);
-      for (std::uint32_t i = 0; i < kMacBytes; ++i) {
-        MIC_ASSERT_MSG(mac[i] == (*body)[pending_len_ + i],
-                       "SSL record MAC mismatch");
+      if (!std::equal(mac.begin(), mac.end(), body.begin() + pending_len_)) {
+        reject();
+        return;
       }
       crypto::ChaCha20::Key key;
       std::copy(recv_key_.begin(), recv_key_.end(), key.begin());
@@ -93,23 +113,46 @@ void SslSession::parse() {
       ++recv_counter_;
       notify_data(ChunkView{pending_len_, {}});
     } else {
-      auto body = reader_.read_real(body_len);
-      MIC_ASSERT(body.has_value());
-      handle_handshake(pending_type_, *body);
+      handle_handshake(pending_type_, *reader_.read_real(body_len));
     }
   }
 }
 
+bool SslSession::expects(MsgType type, std::uint32_t len) const {
+  if (type == MsgType::kDataReal || type == MsgType::kDataVirtual) {
+    return established_ && len <= kMaxRecord;
+  }
+  // expect_ is always a handshake type, so an unknown type fails here.
+  if (established_ || type != expect_) return false;
+  switch (type) {
+    case MsgType::kClientHello:
+      return len == kRandomBytes;
+    case MsgType::kServerHello:
+      return len == kRandomBytes + kDhPubBytes;
+    case MsgType::kClientKexFinished:
+      return len == kDhPubBytes + kFinishedBytes;
+    default:  // kServerFinished
+      return len == kFinishedBytes;
+  }
+}
+
+void SslSession::reject() {
+  rejected_ = true;
+  reader_ = ByteReader();
+  underlying_.close();
+  notify_closed();
+}
+
 void SslSession::handle_handshake(MsgType type,
                                   const std::vector<std::uint8_t>& body) {
+  // parse() hands over only the message expect_ names, at its size.
   const auto& group = crypto::dh_group_14();
   const auto& costs = host_.costs();
 
   switch (type) {
     case MsgType::kClientHello: {
-      MIC_ASSERT(role_ == Role::kServer);
       client_random_ = body;
-      server_random_.resize(32);
+      server_random_.resize(kRandomBytes);
       for (auto& b : server_random_) {
         b = static_cast<std::uint8_t>(rng_.next());
       }
@@ -121,14 +164,13 @@ void SslSession::handle_handshake(MsgType type,
       const auto pub_bytes = pub.to_bytes_be();
       hello.insert(hello.end(), pub_bytes.begin(), pub_bytes.end());
       send_message(MsgType::kServerHello, std::move(hello));
+      expect_ = MsgType::kClientKexFinished;
       break;
     }
     case MsgType::kServerHello: {
-      MIC_ASSERT(role_ == Role::kClient);
-      MIC_ASSERT(body.size() == 32 + kDhPubBytes);
-      server_random_.assign(body.begin(), body.begin() + 32);
+      server_random_.assign(body.begin(), body.begin() + kRandomBytes);
       const auto server_pub = crypto::Uint2048::from_bytes_be(
-          {body.data() + 32, kDhPubBytes});
+          {body.data() + kRandomBytes, kDhPubBytes});
 
       dh_private_ = group.sample_private_key(rng_);
       const auto pub = group.public_key(dh_private_);
@@ -143,11 +185,10 @@ void SslSession::handle_handshake(MsgType type,
       const auto mac = finished_mac("client-finished");
       kex.insert(kex.end(), mac.begin(), mac.end());
       send_message(MsgType::kClientKexFinished, std::move(kex));
+      expect_ = MsgType::kServerFinished;
       break;
     }
     case MsgType::kClientKexFinished: {
-      MIC_ASSERT(role_ == Role::kServer);
-      MIC_ASSERT(body.size() == kDhPubBytes + 32);
       const auto client_pub =
           crypto::Uint2048::from_bytes_be({body.data(), kDhPubBytes});
       const auto shared = group.shared_secret(dh_private_, client_pub);
@@ -156,9 +197,10 @@ void SslSession::handle_handshake(MsgType type,
       derive_keys();
 
       const auto expected = finished_mac("client-finished");
-      for (std::size_t i = 0; i < 32; ++i) {
-        MIC_ASSERT_MSG(expected[i] == body[kDhPubBytes + i],
-                       "SSL client Finished MAC mismatch");
+      if (!std::equal(expected.begin(), expected.end(),
+                      body.begin() + kDhPubBytes)) {
+        reject();
+        return;
       }
       const auto mac = finished_mac("server-finished");
       send_message(MsgType::kServerFinished,
@@ -167,18 +209,16 @@ void SslSession::handle_handshake(MsgType type,
       break;
     }
     case MsgType::kServerFinished: {
-      MIC_ASSERT(role_ == Role::kClient);
       const auto expected = finished_mac("server-finished");
-      MIC_ASSERT(body.size() == 32);
-      for (std::size_t i = 0; i < 32; ++i) {
-        MIC_ASSERT_MSG(expected[i] == body[i],
-                       "SSL server Finished MAC mismatch");
+      if (!std::equal(expected.begin(), expected.end(), body.begin())) {
+        reject();
+        return;
       }
       become_ready();
       break;
     }
     default:
-      MIC_ASSERT_MSG(false, "unexpected SSL handshake message");
+      MIC_ASSERT_MSG(false, "data record passed to handle_handshake");
   }
 }
 
@@ -227,6 +267,7 @@ void SslSession::become_ready() {
 }
 
 void SslSession::send(Chunk chunk) {
+  if (rejected_) return;
   if (!established_) {
     pending_app_data_.push_back(std::move(chunk));
     return;

@@ -34,6 +34,14 @@ class SslSession : public ByteStream {
   void close() override { underlying_.close(); }
   bool ready() const override { return established_; }
 
+  /// Whether this side dropped the connection over a record no peer of
+  /// this protocol writes: header bytes that are not real, an unknown
+  /// type, a length above kMaxRecord, a MAC that does not match, data
+  /// before the handshake ends, or a handshake message this role does not
+  /// expect next or of the wrong size.  The session closes the connection,
+  /// reports itself closed and ignores whatever arrives after.
+  bool rejected() const noexcept { return rejected_; }
+
  private:
   enum class MsgType : std::uint8_t {
     kClientHello = 1,
@@ -47,7 +55,9 @@ class SslSession : public ByteStream {
   void start_handshake();
   void on_underlying_data(const ChunkView& view);
   void parse();
+  bool expects(MsgType type, std::uint32_t len) const;
   void handle_handshake(MsgType type, const std::vector<std::uint8_t>& body);
+  void reject();
   void send_message(MsgType type, std::vector<std::uint8_t> body);
   void send_data_record(Chunk chunk);
   void become_ready();
@@ -62,6 +72,7 @@ class SslSession : public ByteStream {
   Rng& rng_;
 
   bool established_ = false;
+  bool rejected_ = false;
   ByteReader reader_;
   std::deque<Chunk> pending_app_data_;
 
@@ -70,7 +81,9 @@ class SslSession : public ByteStream {
   MsgType pending_type_ = MsgType::kClientHello;
   std::uint32_t pending_len_ = 0;
 
-  // Handshake state.
+  // Handshake state.  `expect_` is the one handshake message this side
+  // accepts next.
+  MsgType expect_;
   std::vector<std::uint8_t> client_random_;
   std::vector<std::uint8_t> server_random_;
   crypto::Uint2048 dh_private_;

@@ -196,10 +196,25 @@ TEST(Integration, ManyMimicChannelsConcurrently) {
   }
   fabric.simulator().run_until();
 
-  for (int s = 0; s < 4; ++s) {
-    EXPECT_EQ(received[static_cast<std::size_t>(s)], 256u * 1024u)
-        << "server " << s;
+  // Every channel is up and each server has received every byte of
+  // `rounds` rounds.
+  auto expect_delivered = [&](std::uint64_t rounds) {
+    for (std::size_t c = 0; c < 4; ++c) {
+      EXPECT_TRUE(channels[c]->ready()) << "channel " << c;
+      EXPECT_FALSE(channels[c]->failed())
+          << "channel " << c << ": " << channels[c]->error();
+      EXPECT_EQ(servers[c]->channel_count(), 1u) << "server " << c;
+      EXPECT_EQ(received[c], rounds * 256u * 1024u)
+          << "server " << c << " after round " << rounds;
+    }
+  };
+  expect_delivered(1);
+  // A second round, sent once the first has drained.
+  for (const auto& channel : channels) {
+    channel->send(transport::Chunk::virtual_bytes(256 * 1024));
   }
+  fabric.simulator().run_until();
+  expect_delivered(2);
   EXPECT_TRUE(core::audit_collisions(fabric.mc()).ok);
 }
 

@@ -149,58 +149,80 @@ TEST(MicEndToEnd, DataRoundTripsThroughMimicChannel) {
 }
 
 TEST(MicEndToEnd, MalformedSliceHeaderFailsOnlyItsConnection) {
-  MicBed bed;
-  MicServer& server = bed.serve(12);
-  std::uint64_t at_server = 0;
-  server.set_on_channel([&](MicServerChannel& channel) {
-    channel.set_on_data(
-        [&](const transport::ChunkView& view) { at_server += view.length; });
-  });
-
-  // Raw TCP clients skip the MC and open with a header no MIC endpoint
-  // writes: a bad magic, an oversized length, and header bytes held as
-  // virtual.
+  // Raw TCP clients skip the MC and open with bytes no MIC endpoint
+  // writes.  A MIC responder gets a slice header with a bad magic, one with
+  // an oversized length, and header bytes held as virtual.  A MIC-SSL
+  // responder gets 4 KiB of virtual bytes, a record of unknown type 0x7f,
+  // and a ClientHello header that claims 2^32-1 bytes.
   SliceHeader bad_magic;
   bad_magic.magic = 0xBAD0;
   SliceHeader too_long;
   too_long.length = kMaxSliceBytes + 1;
-  const std::vector<transport::Chunk> headers = {
-      slice_header_chunk(bad_magic), slice_header_chunk(too_long),
-      transport::Chunk::virtual_bytes(kSliceHeaderBytes)};
-  int closed = 0;
-  for (std::size_t i = 0; i < headers.size(); ++i) {
-    transport::TcpConnection& conn =
-        bed.fabric.host(1 + i).connect(bed.fabric.ip(12), 7000);
-    conn.set_on_ready([&conn, header = headers[i]] { conn.send(header); });
-    conn.set_on_closed([&closed] { ++closed; });
+  struct Responder {
+    bool use_ssl;
+    std::vector<transport::Chunk> probes;
+    std::string reason;  // why the initiator of a rogue responder fails
+  };
+  const Responder responders[] = {
+      {false,
+       {slice_header_chunk(bad_magic), slice_header_chunk(too_long),
+        transport::Chunk::virtual_bytes(kSliceHeaderBytes)},
+       "malformed slice header"},
+      {true,
+       {transport::Chunk::virtual_bytes(4096),
+        transport::Chunk::real({0x7f, 0, 0, 0, 4, 0, 0, 0, 0}),
+        transport::Chunk::real({1, 0xff, 0xff, 0xff, 0xff})},
+       "malformed SSL record"},
+  };
+  for (const Responder& responder : responders) {
+    SCOPED_TRACE(responder.use_ssl ? "MIC-SSL responder" : "MIC responder");
+    MicBed bed;
+    MicServer& server = bed.serve(12, responder.use_ssl);
+    std::uint64_t at_server = 0;
+    server.set_on_channel([&](MicServerChannel& channel) {
+      channel.set_on_data(
+          [&](const transport::ChunkView& view) { at_server += view.length; });
+    });
+
+    int closed = 0;
+    for (std::size_t i = 0; i < responder.probes.size(); ++i) {
+      transport::TcpConnection& conn =
+          bed.fabric.host(1 + i).connect(bed.fabric.ip(12), 7000);
+      conn.set_on_ready(
+          [&conn, probe = responder.probes[i]] { conn.send(probe); });
+      conn.set_on_closed([&closed] { ++closed; });
+    }
+    bed.fabric.simulator().run_until();
+    EXPECT_EQ(closed, 3);
+    EXPECT_EQ(server.malformed_flows(), 3u);
+    EXPECT_EQ(server.channel_count(), 0u);
+
+    // The server still serves a real channel.
+    MicChannelOptions options = bed.options_to(12);
+    options.use_ssl = responder.use_ssl;
+    MicChannel channel(bed.fabric.host(0), bed.fabric.mc(), options,
+                       bed.fabric.rng());
+    channel.send(transport::Chunk::virtual_bytes(100 * 1024));
+    bed.fabric.simulator().run_until();
+    EXPECT_FALSE(channel.failed());
+    EXPECT_EQ(at_server, 100u * 1024);
+
+    // A responder that answers with the first probe fails the initiator's
+    // channel with a reason.
+    bed.fabric.host(12).listen(
+        7001, [probe = responder.probes[0]](transport::TcpConnection& conn) {
+          conn.send(probe);
+        });
+    MicChannelOptions to_rogue = options;
+    to_rogue.responder_port = 7001;
+    MicChannel victim(bed.fabric.host(1), bed.fabric.mc(), to_rogue,
+                      bed.fabric.rng());
+    bed.fabric.simulator().run_until();
+    EXPECT_TRUE(victim.failed());
+    EXPECT_NE(victim.error().find(responder.reason), std::string::npos)
+        << victim.error();
+    EXPECT_FALSE(channel.failed());
   }
-  bed.fabric.simulator().run_until();
-  EXPECT_EQ(closed, 3);
-  EXPECT_EQ(server.malformed_flows(), 3u);
-  EXPECT_EQ(server.channel_count(), 0u);
-
-  // The server still serves a real channel.
-  MicChannel channel(bed.fabric.host(0), bed.fabric.mc(), bed.options_to(12),
-                     bed.fabric.rng());
-  channel.send(transport::Chunk::virtual_bytes(100 * 1024));
-  bed.fabric.simulator().run_until();
-  EXPECT_FALSE(channel.failed());
-  EXPECT_EQ(at_server, 100u * 1024);
-
-  // A responder that answers with a bad header fails the initiator's
-  // channel with a reason.
-  bed.fabric.host(12).listen(
-      7001, [bad_magic](transport::TcpConnection& conn) {
-        conn.send(slice_header_chunk(bad_magic));
-      });
-  MicChannelOptions to_rogue = bed.options_to(12);
-  to_rogue.responder_port = 7001;
-  MicChannel victim(bed.fabric.host(1), bed.fabric.mc(), to_rogue,
-                    bed.fabric.rng());
-  bed.fabric.simulator().run_until();
-  EXPECT_TRUE(victim.failed());
-  EXPECT_NE(victim.error().find("malformed slice header"), std::string::npos);
-  EXPECT_FALSE(channel.failed());
 }
 
 TEST(MicEndToEnd, NoWirePacketLinksInitiatorAndResponder) {

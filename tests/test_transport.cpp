@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/bits.hpp"
 #include "common/rng.hpp"
 #include "core/fabric.hpp"
 #include "transport/apps.hpp"
@@ -443,6 +444,53 @@ TEST(Ssl, QueuedSendsFlushAfterHandshake) {
   ssl.client_ssl->send(Chunk::real(bytes_of("+late")));
   ssl.pair.fabric.simulator().run_until();
   EXPECT_NE(received.find("+late"), std::string::npos);
+}
+
+TEST(Ssl, RejectsRecordsNoPeerWrites) {
+  // Each record goes raw onto the client's connection once the handshake is
+  // done.  The server's session closes the connection, reports it closed
+  // once (the client closing its side in turn is not a second report) and
+  // hands nothing to the application, then or after.
+  auto record = [](std::uint8_t type, std::uint32_t len, std::size_t body) {
+    std::vector<std::uint8_t> bytes(SslSession::kHeaderBytes + body, 0);
+    bytes[0] = type;
+    store_be32(bytes.data() + 1, len);
+    return Chunk::real(std::move(bytes));
+  };
+  const std::pair<const char*, Chunk> records[] = {
+      {"data with a bad MAC", record(5, 4, 4 + SslSession::kMacBytes)},
+      {"data above kMaxRecord", record(6, SslSession::kMaxRecord + 1, 0)},
+      {"a second ClientHello", record(1, 32, 32)},
+      {"a ServerHello sent to the server", record(2, 32 + 256, 32 + 256)},
+  };
+  for (const auto& [what, chunk] : records) {
+    SCOPED_TRACE(what);
+    TcpPair pair;
+    Rng rng(99);
+    std::unique_ptr<SslSession> server;
+    pair.server->listen(5000, [&](TcpConnection& conn) {
+      server = std::make_unique<SslSession>(conn, SslSession::Role::kServer,
+                                            *pair.server, rng);
+    });
+    TcpConnection& conn = pair.client->connect(pair.fabric.ip(15), 5000);
+    SslSession client(conn, SslSession::Role::kClient, *pair.client, rng);
+    client.set_on_closed([&client] { client.close(); });
+    pair.fabric.simulator().run_until();
+    ASSERT_TRUE(server != nullptr && server->ready());
+
+    int closed = 0;
+    std::uint64_t delivered = 0;
+    server->set_on_closed([&closed] { ++closed; });
+    server->set_on_data(
+        [&delivered](const ChunkView& view) { delivered += view.length; });
+    conn.send(chunk);
+    conn.send(Chunk::virtual_bytes(1024));
+    pair.fabric.simulator().run_until();
+    EXPECT_TRUE(server->rejected());
+    EXPECT_EQ(closed, 1);
+    EXPECT_EQ(delivered, 0u);
+    EXPECT_FALSE(client.rejected());
+  }
 }
 
 // --- apps --------------------------------------------------------------------------
