@@ -51,8 +51,6 @@ int main() {
         runs.expect(channel->ready(), mode + " session " + std::to_string(s) +
                                           ": channel never came up");
         total_setup_ms += mic::sim::to_millis(channel->setup_time());
-      } else {
-        channel->reacquire();  // periodic notification instead of a request
       }
       const std::uint64_t before = received;
       channel->send(mic::transport::Chunk::real(
@@ -61,8 +59,6 @@ int main() {
       runs.expect(received - before == 512,
                   mode + " session " + std::to_string(s) +
                       ": the 512 request bytes did not arrive");
-      if (reuse) channel->release_for_reuse();
-      simulator.run_until();
     }
 
     std::printf("%-10s %14llu %16.3f %14.3f\n", reuse ? "reuse" : "fresh",

@@ -124,6 +124,7 @@ int main() {
   std::printf("%-10s %14.2f %16.3f\n", "MIC-reuse", reused,
               reused / kSessions);
   std::printf("# reuse removes the per-session MC round trip + rule "
-              "install,\n# closing most of the gap to plain TCP.\n");
+              "install,\n# and a reused channel skips the handshake TCP "
+              "pays per RPC.\n");
   return runs.exit_code();
 }

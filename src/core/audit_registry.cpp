@@ -49,7 +49,7 @@ CheckResult check_recovery_consistency(core::MimicController& mc) {
     if (it == image.channels.end()) {
       result.violations.push_back("channel " + std::to_string(id) +
                                   " is live but absent from the journal");
-    } else if (!core::structurally_equal(it->second, *mc.channel(id))) {
+    } else if (it->second != *mc.channel(id)) {
       result.violations.push_back("channel " + std::to_string(id) +
                                   " diverges from its journaled state");
     }

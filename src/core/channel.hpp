@@ -49,12 +49,11 @@ struct ChannelState {
   topo::NodeId responder = topo::kInvalidNode;
   std::vector<MFlowPlan> flows;
   std::vector<topo::NodeId> touched_switches;
-  bool idle = false;
-  std::uint64_t idle_since = 0;  // sim time of the last idle notification
   /// Install-transaction generation.  Bumped whenever the channel's rules
   /// are (re-)issued; in-flight commits from an older generation must not
   /// retry, roll back, or otherwise touch the cookie they no longer own.
   std::uint64_t install_txn = 0;
+  bool operator==(const ChannelState&) const noexcept = default;
 };
 
 struct EstablishRequest {

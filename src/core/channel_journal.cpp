@@ -6,13 +6,6 @@
 
 namespace mic::core {
 
-bool structurally_equal(const ChannelState& a, const ChannelState& b) {
-  return a.id == b.id && a.initiator == b.initiator &&
-         a.responder == b.responder && a.flows == b.flows &&
-         a.touched_switches == b.touched_switches &&
-         a.install_txn == b.install_txn;
-}
-
 ChannelJournal::ChannelJournal(const ChannelJournal& other)
     : records_(other.records_),
       next_seq_(other.next_seq_),
@@ -66,17 +59,11 @@ JournalImage ChannelJournal::replay() const {
     switch (record.type) {
       case JournalRecordType::kEstablish:
       case JournalRecordType::kRepair:
-      case JournalRecordType::kSnapshot: {
-        ChannelState state = record.state;
-        // Idle bookkeeping is soft state: a recovered channel restarts
-        // its idle clock rather than inheriting a stale timestamp.
-        state.idle = false;
-        state.idle_since = 0;
-        image.channels.insert_or_assign(record.channel, std::move(state));
+      case JournalRecordType::kSnapshot:
+        image.channels.insert_or_assign(record.channel, record.state);
         image.next_channel = std::max(image.next_channel, record.next_channel);
         image.next_group = std::max(image.next_group, record.next_group);
         break;
-      }
       case JournalRecordType::kTeardown:
         image.channels.erase(record.channel);
         break;
@@ -125,9 +112,6 @@ void ChannelJournal::compact() {
     latest.epoch = epoch_;
     latest.next_channel = next_channel;
     latest.next_group = next_group;
-    // Idle bookkeeping is soft state, reset as replay() resets it.
-    latest.state.idle = false;
-    latest.state.idle_since = 0;
     snapshots.push_back(std::move(latest));
   }
   records_ = std::move(snapshots);

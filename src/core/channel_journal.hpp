@@ -59,12 +59,6 @@ struct JournalImage {
   std::uint64_t epoch = 0;
 };
 
-/// Structural identity of two channel states: everything the data plane
-/// and the allocators depend on.  Soft liveness state (`idle`,
-/// `idle_since`) is deliberately excluded — it is not journaled and a
-/// recovered channel restarts its idle clock.
-bool structurally_equal(const ChannelState& a, const ChannelState& b);
-
 class ChannelJournal {
  public:
   ChannelJournal() = default;

@@ -377,21 +377,6 @@ void MicChannel::close() {
                                 [&target, id] { target.teardown(id, false); });
 }
 
-void MicChannel::release_for_reuse() {
-  const ChannelId id = channel_id_;
-  auto& target = mc();
-  host_.simulator().schedule_in(target.mic_config().control_latency,
-                                [&target, id] { target.mark_idle(id, true); });
-}
-
-void MicChannel::reacquire() {
-  const ChannelId id = channel_id_;
-  auto& target = mc();
-  host_.simulator().schedule_in(
-      target.mic_config().control_latency,
-      [&target, id] { target.mark_idle(id, false); });
-}
-
 // --- MicChannelPool --------------------------------------------------------------
 
 MicChannel& MicChannelPool::acquire(const MicChannelOptions& options) {
@@ -399,7 +384,6 @@ MicChannel& MicChannelPool::acquire(const MicChannelOptions& options) {
     if (entry.idle && same_target(entry.options, options) &&
         !entry.channel->failed()) {
       entry.idle = false;
-      entry.channel->reacquire();
       return *entry.channel;
     }
   }
@@ -417,7 +401,6 @@ void MicChannelPool::release(MicChannel& channel) {
   for (Entry& entry : entries_) {
     if (entry.channel.get() == &channel) {
       entry.idle = true;
-      channel.release_for_reuse();
       return;
     }
   }

@@ -33,9 +33,9 @@ struct MicChannelOptions {
   bool use_ssl = false;     // MIC-SSL: SSL inside each m-flow
 
   // --- failure handling ------------------------------------------------------
-  /// When the MC reports the channel lost (unrepairable failure, idle
-  /// reclamation), automatically request a fresh establishment instead of
-  /// failing: new m-flow connections, new entry addresses, same responder.
+  /// When the MC reports the channel lost (an unrepairable failure),
+  /// automatically request a fresh establishment instead of failing: new
+  /// m-flow connections, new entry addresses, same responder.
   /// Buffered data survives; in-flight slices on the dead flows do not.
   /// Attempts back off exponentially and stop after a fixed limit.
   bool auto_reestablish = false;
@@ -71,7 +71,7 @@ class MicChannel : public transport::ByteStream {
   MicChannel(transport::Host& host, MimicController& mc,
              MicChannelOptions options, Rng& rng);
   /// Directory-resolved variant: every control interaction (establish,
-  /// probe, teardown, idle marking) is addressed to the directory's
+  /// probe, teardown) is addressed to the directory's
   /// *current* primary at send time, so a standby takeover transparently
   /// redirects this channel -- the watchdog/heartbeat machinery notices
   /// the old primary's silence and the retry lands at the new one.
@@ -86,16 +86,10 @@ class MicChannel : public transport::ByteStream {
   /// Channel-loss callback: fires when the MC declares this channel lost
   /// (after any automatic re-establishment attempts are exhausted).  The
   /// reason string is the MC's (e.g. "link failure: responder
-  /// unreachable", "idle channel reclaimed").
+  /// unreachable").
   void set_on_lost(std::function<void(const std::string&)> handler) {
     on_lost_ = std::move(handler);
   }
-
-  /// Mark the channel idle at the MC instead of tearing it down
-  /// (Sec IV-B1 channel reuse).
-  void release_for_reuse();
-  /// Reactivate a released channel for another session.
-  void reacquire();
 
   ChannelId id() const noexcept { return channel_id_; }
   bool failed() const noexcept { return failed_; }
@@ -228,8 +222,7 @@ class MicServerChannel : public transport::ByteStream {
 /// between the same participants ... the sender does not send shutdown
 /// request to the MC immediately when the communication is finished".
 /// acquire() hands back an idle channel with matching options when one
-/// exists; release() parks it (notifying the MC it is idle) instead of
-/// tearing it down.
+/// exists; release() parks it instead of tearing it down.
 class MicChannelPool {
  public:
   MicChannelPool(transport::Host& host, MimicController& mc, Rng& rng)

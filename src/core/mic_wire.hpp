@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 
 #include "common/bits.hpp"
 #include "common/rng.hpp"
@@ -87,7 +88,7 @@ void stripe_slices(const transport::Chunk& chunk, std::uint32_t channel,
 /// nullopt for bytes no MIC endpoint writes as a header: not exactly
 /// kSliceHeaderBytes long, a wrong magic, or a length above kMaxSliceBytes.
 inline std::optional<SliceHeader> parse_slice_header(
-    const std::vector<std::uint8_t>& bytes) {
+    std::span<const std::uint8_t> bytes) {
   if (bytes.size() != kSliceHeaderBytes) return std::nullopt;
   SliceHeader header;
   header.channel = load_be32(bytes.data());
@@ -101,69 +102,37 @@ inline std::optional<SliceHeader> parse_slice_header(
   return header;
 }
 
-/// Incremental slice parser for one m-flow connection.
+/// Reads the slices of one m-flow connection.
 class SliceParser {
  public:
-  /// Feed stream data; `on_slice(header, payload)` fires per whole slice.
-  /// A malformed header (see parse_slice_header), or header bytes the
-  /// stream holds as virtual, fails the parser for good: it drops what it
-  /// buffered and everything fed after.
+  /// Feed stream data; `on_slice(header, payload)` fires per whole slice,
+  /// the payload virtual unless some byte of it was real.  A header
+  /// parse_slice_header refuses, or header bytes the stream holds as
+  /// virtual, fail the parser for good (see transport::FrameReader).
   template <typename OnSlice>
   void feed(const transport::ChunkView& view, OnSlice&& on_slice) {
-    if (failed_) return;
-    reader_.append(view);
-    for (;;) {
-      if (!have_header_) {
-        if (reader_.available() < kSliceHeaderBytes) return;
-        std::optional<SliceHeader> header;
-        if (reader_.real_prefix(kSliceHeaderBytes)) {
-          header = parse_slice_header(*reader_.read_real(kSliceHeaderBytes));
-        }
-        if (!header) {
-          failed_ = true;
-          reader_ = {};
-          return;
-        }
-        header_ = *header;
-        have_header_ = true;
-        consumed_ = 0;
-        real_bytes_.clear();
-        any_real_ = false;
-      }
-      while (consumed_ < header_.length && reader_.available() > 0) {
-        transport::Chunk piece =
-            reader_.take_up_to(header_.length - consumed_);
-        if (piece.is_real()) {
-          if (!any_real_) {
-            any_real_ = true;
-            real_bytes_.assign(header_.length, 0);
-          }
-          std::copy(piece.data->begin(), piece.data->end(),
-                    real_bytes_.begin() + static_cast<long>(consumed_));
-        }
-        consumed_ += piece.length;
-      }
-      if (consumed_ < header_.length) return;
-
-      transport::Chunk payload =
-          any_real_ ? transport::Chunk::real(std::move(real_bytes_))
-                    : transport::Chunk::virtual_bytes(header_.length);
-      real_bytes_ = {};
-      have_header_ = false;
-      on_slice(header_, std::move(payload));
-    }
+    reader_.feed(
+        view,
+        [](std::span<const std::uint8_t> bytes)
+            -> std::optional<transport::FrameSpec<SliceHeader>> {
+          const std::optional<SliceHeader> header = parse_slice_header(bytes);
+          if (!header) return std::nullopt;
+          return {{*header, header->length, transport::BodyKind::kZeroed}};
+        },
+        [&on_slice](const SliceHeader& header,
+                    std::vector<std::uint8_t> body) {
+          on_slice(header,
+                   body.empty()
+                       ? transport::Chunk::virtual_bytes(header.length)
+                       : transport::Chunk::real(std::move(body)));
+          return true;
+        });
   }
 
-  bool failed() const noexcept { return failed_; }
+  bool failed() const noexcept { return reader_.failed(); }
 
  private:
-  transport::ByteReader reader_;
-  bool failed_ = false;
-  bool have_header_ = false;
-  SliceHeader header_{};
-  std::uint64_t consumed_ = 0;
-  std::vector<std::uint8_t> real_bytes_;
-  bool any_real_ = false;
+  transport::FrameReader<SliceHeader, kSliceHeaderBytes> reader_;
 };
 
 /// Restores channel order across m-flows: slices are delivered strictly by

@@ -1111,32 +1111,6 @@ void MimicController::restore_switch(topo::NodeId sw) {
   apply_failure_rule(std::move(links));
 }
 
-void MimicController::mark_idle(ChannelId id, bool idle) {
-  const auto it = channels_.find(id);
-  if (it == channels_.end()) return;
-  it->second.idle = idle;
-  if (idle) it->second.idle_since = network().simulator().now();
-}
-
-std::size_t MimicController::reclaim_idle(sim::SimTime max_idle) {
-  const sim::SimTime now = network().simulator().now();
-  std::vector<ChannelId> stale;
-  for (const auto& [id, state] : channels_) {
-    if (state.idle && now - state.idle_since >= max_idle) {
-      stale.push_back(id);
-    }
-  }
-  std::sort(stale.begin(), stale.end());
-  for (const ChannelId id : stale) {
-    // Notify before teardown: the endpoint learns its idle channel is gone
-    // rather than discovering a black hole on the next send.
-    ++channels_lost_;
-    notify_channel_event(id, ChannelEvent::kLost, "idle channel reclaimed");
-    teardown(id, /*immediate=*/false);
-  }
-  return stale.size();
-}
-
 // --- crash recovery -----------------------------------------------------------
 
 void MimicController::crash() {

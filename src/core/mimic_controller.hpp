@@ -266,17 +266,6 @@ class MimicController : public ctrl::Controller {
   void set_channel_listener(ChannelId id, ChannelListener listener);
   void clear_channel_listener(ChannelId id);
 
-  /// Channel reuse support (paper Sec IV-B1): clients mark finished
-  /// channels idle instead of tearing them down; a periodic notification
-  /// keeps the MC's view fresh.
-  void mark_idle(ChannelId id, bool idle);
-
-  /// Reclaim channels that have been idle longer than `max_idle` --
-  /// the MC-side half of the channel-management story: reuse keeps hot
-  /// channels alive, reclamation bounds the rule-table footprint.
-  /// Returns the number of channels torn down.
-  std::size_t reclaim_idle(sim::SimTime max_idle);
-
   // --- introspection ----------------------------------------------------------
 
   const ChannelState* channel(ChannelId id) const;

@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -59,12 +61,22 @@ inline std::vector<std::uint8_t> serialize_cell_header(
   return out;
 }
 
-inline CellHeader parse_cell_header(const std::vector<std::uint8_t>& bytes) {
-  MIC_ASSERT(bytes.size() == kCellHeaderBytes);
+/// nullopt for a header no Tor endpoint writes: not kCellHeaderBytes long,
+/// an unknown command, or a kRelayVirtual cell claiming more than
+/// kRelayDataBytes.
+inline std::optional<CellHeader> parse_cell_header(
+    std::span<const std::uint8_t> bytes) {
+  if (bytes.size() != kCellHeaderBytes) return std::nullopt;
   CellHeader header;
   header.circuit = load_be32(bytes.data());
   header.cmd = static_cast<CellCmd>(bytes[4]);
   header.length = static_cast<std::uint16_t>((bytes[5] << 8) | bytes[6]);
+  const bool known = header.cmd >= CellCmd::kCreate &&
+                     header.cmd <= CellCmd::kRelayVirtual;
+  if (!known || (header.cmd == CellCmd::kRelayVirtual &&
+                 header.length > kRelayDataBytes)) {
+    return std::nullopt;
+  }
   return header;
 }
 
@@ -106,55 +118,53 @@ struct RecognizedPayload {
   std::vector<std::uint8_t> data;
 };
 
+/// Recognized only with the magic and a length of at most kRelayDataBytes:
+/// a still-encrypted body that happens to start with the magic claims a
+/// random length.
 inline RecognizedPayload parse_recognized_body(
     const std::vector<std::uint8_t>& body) {
   MIC_ASSERT(body.size() == kCellBodyBytes);
   RecognizedPayload out;
   const std::uint16_t magic =
       static_cast<std::uint16_t>((body[0] << 8) | body[1]);
-  if (magic != kRecognizedMagic) return out;
-  out.recognized = true;
-  out.subcmd = static_cast<RelaySubCmd>(body[2]);
   const std::uint16_t len =
       static_cast<std::uint16_t>((body[3] << 8) | body[4]);
-  MIC_ASSERT(len <= kRelayDataBytes);
+  if (magic != kRecognizedMagic || len > kRelayDataBytes) return out;
+  out.recognized = true;
+  out.subcmd = static_cast<RelaySubCmd>(body[2]);
   out.data.assign(body.begin() + kRelaySubHeader,
                   body.begin() + kRelaySubHeader + len);
   return out;
 }
 
-/// Incremental cell parser over a ByteStream.
+/// Reads the cells of one link.
 class CellParser {
  public:
-  /// on_cell(header, body) -- body is a real vector for real-bodied cells,
-  /// empty for kRelayVirtual.
+  /// Feed stream data; `on_cell(header, body)` fires per whole cell, with
+  /// the body's bytes, or none for kRelayVirtual, and returns false to
+  /// reject the cell.  A header parse_cell_header refuses, a virtual byte
+  /// in any other body, or a rejected cell fail the parser for good (see
+  /// transport::FrameReader).
   template <typename OnCell>
   void feed(const transport::ChunkView& view, OnCell&& on_cell) {
-    reader_.append(view);
-    for (;;) {
-      if (!have_header_) {
-        auto raw = reader_.read_real(kCellHeaderBytes);
-        if (!raw) return;
-        header_ = parse_cell_header(*raw);
-        have_header_ = true;
-      }
-      if (reader_.available() < kCellBodyBytes) return;
-      have_header_ = false;
-      if (header_.cmd == CellCmd::kRelayVirtual) {
-        reader_.skip(kCellBodyBytes);
-        on_cell(header_, std::vector<std::uint8_t>{});
-      } else {
-        auto body = reader_.read_real(kCellBodyBytes);
-        MIC_ASSERT(body.has_value());
-        on_cell(header_, std::move(*body));
-      }
-    }
+    reader_.feed(
+        view,
+        [](std::span<const std::uint8_t> bytes)
+            -> std::optional<transport::FrameSpec<CellHeader>> {
+          const std::optional<CellHeader> header = parse_cell_header(bytes);
+          if (!header) return std::nullopt;
+          return {{*header, kCellBodyBytes,
+                   header->cmd == CellCmd::kRelayVirtual
+                       ? transport::BodyKind::kCounted
+                       : transport::BodyKind::kReal}};
+        },
+        on_cell);
   }
 
+  bool failed() const noexcept { return reader_.failed(); }
+
  private:
-  transport::ByteReader reader_;
-  bool have_header_ = false;
-  CellHeader header_{};
+  transport::FrameReader<CellHeader, kCellHeaderBytes> reader_;
 };
 
 }  // namespace mic::tor

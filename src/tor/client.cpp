@@ -17,10 +17,15 @@ TorClient::TorClient(transport::Host& host, std::vector<RelayAddr> path,
 
   conn_ = &host_.connect(path_[0].ip, path_[0].port);
   conn_->set_on_data([this](const transport::ChunkView& view) {
+    if (parser_.failed()) return;
     parser_.feed(view, [this](const CellHeader& header,
                               std::vector<std::uint8_t> body) {
-      on_cell(header, std::move(body));
+      return on_cell(header, std::move(body));
     });
+    if (parser_.failed()) {
+      conn_->close();
+      notify_closed();
+    }
   });
   conn_->set_on_ready([this] {
     // CREATE to the first hop: a real DH exchange.
@@ -121,21 +126,21 @@ void TorClient::send_virtual_data(std::uint64_t length) {
   conn_->send(transport::Chunk::virtual_bytes(kCellBodyBytes));
 }
 
-void TorClient::on_cell(const CellHeader& header,
+bool TorClient::on_cell(const CellHeader& header,
                         std::vector<std::uint8_t> body) {
   if (header.cmd == CellCmd::kCreated) {
     host_.charge(host_.costs().tor_cell_fixed_cycles);
     on_created_or_extended(body);
-    return;
+    return true;
   }
   if (header.cmd == CellCmd::kRelayVirtual) {
     host_.charge(host_.costs().tor_cell_fixed_cycles +
                  static_cast<double>(hops_.size()) *
                      host_.costs().stream_crypt_cycles(kCellBodyBytes));
     notify_data(transport::ChunkView{header.length, {}});
-    return;
+    return true;
   }
-  MIC_ASSERT(header.cmd == CellCmd::kRelay);
+  if (header.cmd != CellCmd::kRelay) return false;
 
   // Peel backward layers until the payload is recognized; only the
   // counters of the hops the cell actually traversed advance.
@@ -151,10 +156,11 @@ void TorClient::on_cell(const CellHeader& header,
   host_.charge(host_.costs().tor_cell_fixed_cycles +
                static_cast<double>(layers) *
                    host_.costs().stream_crypt_cycles(kCellBodyBytes));
-  MIC_ASSERT_MSG(payload.recognized, "backward cell never recognized");
+  if (!payload.recognized) return false;
 
   switch (payload.subcmd) {
     case RelaySubCmd::kExtended:
+      if (payload.data.size() != crypto::Uint2048::kBytes) return false;
       on_created_or_extended(payload.data);
       break;
     case RelaySubCmd::kConnected:
@@ -175,6 +181,7 @@ void TorClient::on_cell(const CellHeader& header,
       MIC_LOG_WARN("tor client: unexpected subcmd %d",
                    static_cast<int>(payload.subcmd));
   }
+  return true;
 }
 
 void TorClient::send(transport::Chunk chunk) {

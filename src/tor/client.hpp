@@ -40,7 +40,9 @@ class TorClient : public transport::ByteStream {
     bool established = false;
   };
 
-  void on_cell(const CellHeader& header, std::vector<std::uint8_t> body);
+  /// False for a cell no honest relay sends; the client then closes its
+  /// link and reports itself closed.
+  bool on_cell(const CellHeader& header, std::vector<std::uint8_t> body);
   void on_created_or_extended(const std::vector<std::uint8_t>& pub_bytes);
   void extend_or_begin();
   void send_forward_recognized(std::size_t dest_hop, RelaySubCmd subcmd,

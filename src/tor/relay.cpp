@@ -8,21 +8,25 @@ namespace mic::tor {
 TorRelay::TorRelay(transport::Host& host, net::L4Port port, Rng& rng)
     : host_(host), rng_(rng) {
   host_.listen(port, [this](transport::TcpConnection& conn) {
-    on_accept(conn);
+    add_link(conn);
   });
 }
 
-void TorRelay::on_accept(transport::TcpConnection& conn) {
+TorRelay::Link& TorRelay::add_link(transport::TcpConnection& conn) {
   auto link = std::make_unique<Link>();
   link->conn = &conn;
   Link* raw = link.get();
   conn.set_on_data([this, raw](const transport::ChunkView& view) {
+    if (raw->parser.failed()) return;
     raw->parser.feed(view, [this, raw](const CellHeader& header,
                                        std::vector<std::uint8_t> body) {
-      on_cell(*raw, header, std::move(body));
+      return on_cell(*raw, header, std::move(body));
     });
+    // A peer that writes what no Tor endpoint writes loses its link.
+    if (raw->parser.failed()) raw->conn->close();
   });
   links_.push_back(std::move(link));
+  return *raw;
 }
 
 void TorRelay::send_cell(Link& link, const CellHeader& header,
@@ -50,7 +54,7 @@ void TorRelay::crypt_layer(Circuit& circuit, std::uint64_t nonce,
                           body);
 }
 
-void TorRelay::on_cell(Link& link, const CellHeader& header,
+bool TorRelay::on_cell(Link& link, const CellHeader& header,
                        std::vector<std::uint8_t> body) {
   const auto it = circuits_.find(circuit_key(&link, header.circuit));
   if (it == circuits_.end()) {
@@ -60,16 +64,16 @@ void TorRelay::on_cell(Link& link, const CellHeader& header,
       MIC_LOG_WARN("tor relay %s: cell for unknown circuit %u",
                    host_.ip().str().c_str(), header.circuit);
     }
-    return;
+    return true;
   }
   Circuit& circuit = *it->second;
 
   if (&link == circuit.client_side && header.circuit == circuit.client_circ) {
     if (header.cmd == CellCmd::kRelay ||
         header.cmd == CellCmd::kRelayVirtual) {
-      handle_forward_relay(circuit, header, std::move(body));
+      return handle_forward_relay(circuit, header, std::move(body));
     }
-    return;
+    return true;
   }
 
   // From the next-relay side: CREATED (extension completing) or backward
@@ -79,9 +83,10 @@ void TorRelay::on_cell(Link& link, const CellHeader& header,
     std::vector<std::uint8_t> pub(body.begin(),
                                   body.begin() + crypto::Uint2048::kBytes);
     send_backward_recognized(circuit, RelaySubCmd::kExtended, std::move(pub));
-    return;
+    return true;
   }
   handle_backward_relay(circuit, header, std::move(body));
+  return true;
 }
 
 void TorRelay::handle_create(Link& link, const CellHeader& header,
@@ -110,7 +115,7 @@ void TorRelay::handle_create(Link& link, const CellHeader& header,
                 pub_bytes.begin(), pub_bytes.end()))));
 }
 
-void TorRelay::handle_forward_relay(Circuit& circuit, const CellHeader& header,
+bool TorRelay::handle_forward_relay(Circuit& circuit, const CellHeader& header,
                                     std::vector<std::uint8_t> body) {
   host_.charge(host_.costs().tor_cell_fixed_cycles +
                host_.costs().stream_crypt_cycles(kCellBodyBytes));
@@ -130,41 +135,29 @@ void TorRelay::handle_forward_relay(Circuit& circuit, const CellHeader& header,
         circuit.exit_pending.push_back(std::move(data));
       }
     }
-    return;
+    return true;
   }
 
   crypt_layer(circuit, circuit.fwd_nonce++, body);
   RecognizedPayload payload = parse_recognized_body(body);
-  if (payload.recognized) {
-    handle_recognized(circuit, std::move(payload));
-    return;
-  }
-  MIC_ASSERT_MSG(circuit.next_side != nullptr,
-                 "unrecognized relay cell at the last hop");
+  if (payload.recognized) return handle_recognized(circuit, std::move(payload));
+  // No hop after the last can recognize it.
+  if (circuit.next_side == nullptr) return false;
   CellHeader fwd{circuit.next_circ, CellCmd::kRelay, 0};
   send_cell(*circuit.next_side, fwd, transport::Chunk::real(std::move(body)));
+  return true;
 }
 
-void TorRelay::handle_recognized(Circuit& circuit,
+bool TorRelay::handle_recognized(Circuit& circuit,
                                  RecognizedPayload payload) {
   switch (payload.subcmd) {
     case RelaySubCmd::kExtend: {
-      MIC_ASSERT(payload.data.size() == 6 + crypto::Uint2048::kBytes);
+      if (payload.data.size() != 6 + crypto::Uint2048::kBytes) return false;
       const net::Ipv4 next_ip{load_be32(payload.data.data())};
       const net::L4Port next_port = static_cast<net::L4Port>(
           (payload.data[4] << 8) | payload.data[5]);
 
-      auto link = std::make_unique<Link>();
-      link->conn = &host_.connect(next_ip, next_port);
-      Link* raw = link.get();
-      link->conn->set_on_data([this, raw](const transport::ChunkView& view) {
-        raw->parser.feed(view, [this, raw](const CellHeader& header,
-                                           std::vector<std::uint8_t> body) {
-          on_cell(*raw, header, std::move(body));
-        });
-      });
-      links_.push_back(std::move(link));
-
+      Link* raw = &add_link(host_.connect(next_ip, next_port));
       circuit.next_side = raw;
       circuit.next_circ = next_circ_id_++;
       // Register the next-side key so backward cells find the circuit.
@@ -184,7 +177,7 @@ void TorRelay::handle_recognized(Circuit& circuit,
       break;
     }
     case RelaySubCmd::kBegin: {
-      MIC_ASSERT(payload.data.size() == 6);
+      if (payload.data.size() != 6) return false;
       const net::Ipv4 target{load_be32(payload.data.data())};
       const net::L4Port port = static_cast<net::L4Port>(
           (payload.data[4] << 8) | payload.data[5]);
@@ -204,6 +197,7 @@ void TorRelay::handle_recognized(Circuit& circuit,
       MIC_LOG_WARN("tor relay: unexpected recognized subcmd %d",
                    static_cast<int>(payload.subcmd));
   }
+  return true;
 }
 
 void TorRelay::begin_exit(Circuit& circuit, net::Ipv4 target,

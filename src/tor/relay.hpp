@@ -54,16 +54,19 @@ class TorRelay {
     std::deque<transport::Chunk> exit_pending;
   };
 
-  void on_accept(transport::TcpConnection& conn);
-  void on_cell(Link& link, const CellHeader& header,
+  /// Reads cells off `conn`; closes it on anything that is not a cell or
+  /// on a cell on_cell rejects.
+  Link& add_link(transport::TcpConnection& conn);
+  /// False for a cell no honest peer sends here.
+  bool on_cell(Link& link, const CellHeader& header,
                std::vector<std::uint8_t> body);
   void handle_create(Link& link, const CellHeader& header,
                      std::vector<std::uint8_t> body);
-  void handle_forward_relay(Circuit& circuit, const CellHeader& header,
+  bool handle_forward_relay(Circuit& circuit, const CellHeader& header,
                             std::vector<std::uint8_t> body);
   void handle_backward_relay(Circuit& circuit, const CellHeader& header,
                              std::vector<std::uint8_t> body);
-  void handle_recognized(Circuit& circuit, RecognizedPayload payload);
+  bool handle_recognized(Circuit& circuit, RecognizedPayload payload);
   void begin_exit(Circuit& circuit, net::Ipv4 target, net::L4Port port);
   void send_backward_recognized(Circuit& circuit, RelaySubCmd subcmd,
                                 std::vector<std::uint8_t> data);

@@ -11,6 +11,20 @@ namespace {
 constexpr std::uint32_t kDhPubBytes = crypto::Uint2048::kBytes;  // 256
 constexpr std::uint32_t kRandomBytes = 32;
 constexpr std::uint32_t kFinishedBytes = 32;  // HMAC-SHA256
+
+/// The body size of each handshake message.
+std::uint32_t handshake_bytes(SslSession::MsgType type) {
+  switch (type) {
+    case SslSession::MsgType::kClientHello:
+      return kRandomBytes;
+    case SslSession::MsgType::kServerHello:
+      return kRandomBytes + kDhPubBytes;
+    case SslSession::MsgType::kClientKexFinished:
+      return kDhPubBytes + kFinishedBytes;
+    default:  // kServerFinished
+      return kFinishedBytes;
+  }
+}
 }  // namespace
 
 SslSession::SslSession(ByteStream& underlying, Role role, Host& host,
@@ -25,7 +39,7 @@ SslSession::SslSession(ByteStream& underlying, Role role, Host& host,
     on_underlying_data(view);
   });
   underlying_.set_on_closed([this] {
-    if (!rejected_) notify_closed();
+    if (!rejected()) notify_closed();
   });
   if (underlying_.ready()) {
     start_handshake();
@@ -55,103 +69,71 @@ void SslSession::send_message(MsgType type, std::vector<std::uint8_t> body) {
 }
 
 void SslSession::on_underlying_data(const ChunkView& view) {
-  if (rejected_) return;
-  reader_.append(view);
-  parse();
+  if (reader_.failed()) return;
+  reader_.feed(
+      view,
+      [this](std::span<const std::uint8_t> header) { return expects(header); },
+      [this](const RecordHeader& header, std::vector<std::uint8_t> body) {
+        return on_record(header, std::move(body));
+      });
+  if (reader_.failed()) {
+    underlying_.close();
+    notify_closed();
+  }
 }
 
-void SslSession::parse() {
-  while (!rejected_) {
-    // Screen the header as soon as it is in, then stash its fields and
-    // wait for the whole record before consuming the body.
-    if (!header_valid_) {
-      if (reader_.available() < kHeaderBytes) return;
-      if (reader_.real_prefix(kHeaderBytes)) {
-        const auto header = *reader_.read_real(kHeaderBytes);
-        pending_type_ = static_cast<MsgType>(header[0]);
-        pending_len_ = load_be32(header.data() + 1);
-        header_valid_ = expects(pending_type_, pending_len_);
-      }
-      if (!header_valid_) {
-        reject();
-        return;
-      }
-    }
+std::optional<FrameSpec<SslSession::RecordHeader>> SslSession::expects(
+    std::span<const std::uint8_t> bytes) const {
+  if (bytes.size() != kHeaderBytes) return std::nullopt;
+  const RecordHeader header{static_cast<MsgType>(bytes[0]),
+                            load_be32(bytes.data() + 1)};
+  if (header.type == MsgType::kDataReal ||
+      header.type == MsgType::kDataVirtual) {
+    if (!established_ || header.length > kMaxRecord) return std::nullopt;
+    return {{header, header.length + kMacBytes,
+             header.type == MsgType::kDataVirtual ? BodyKind::kCounted
+                                                  : BodyKind::kReal}};
+  }
+  // expect_ is always a handshake type, so an unknown type fails here.
+  if (established_ || header.type != expect_ ||
+      header.length != handshake_bytes(header.type)) {
+    return std::nullopt;
+  }
+  return {{header, header.length, BodyKind::kReal}};
+}
 
-    const bool is_data = pending_type_ == MsgType::kDataReal ||
-                         pending_type_ == MsgType::kDataVirtual;
-    const std::uint64_t body_len =
-        is_data ? pending_len_ + kMacBytes : pending_len_;
-    if (reader_.available() < body_len) return;
-    if (pending_type_ != MsgType::kDataVirtual &&
-        !reader_.real_prefix(body_len)) {
-      reject();
-      return;
-    }
-    header_valid_ = false;
+bool SslSession::on_record(const RecordHeader& header,
+                           std::vector<std::uint8_t> body) {
+  // expects() lets through only data once established, and before that
+  // only the handshake message expect_ names, at its size.
+  const auto& group = crypto::dh_group_14();
+  const auto& costs = host_.costs();
 
-    if (pending_type_ == MsgType::kDataReal) {
-      const auto body = *reader_.read_real(body_len);
-      host_.charge(host_.costs().ssl_record_fixed_cycles +
-                   host_.costs().stream_crypt_cycles(pending_len_));
+  switch (header.type) {
+    case MsgType::kDataReal: {
+      host_.charge(costs.ssl_record_fixed_cycles +
+                   costs.stream_crypt_cycles(header.length));
       // Verify the MAC over the ciphertext, then decrypt in place.
       std::vector<std::uint8_t> ciphertext(
-          body.begin(), body.begin() + static_cast<long>(pending_len_));
+          body.begin(), body.begin() + static_cast<long>(header.length));
       const auto mac = crypto::hmac_sha256(recv_key_, ciphertext);
-      if (!std::equal(mac.begin(), mac.end(), body.begin() + pending_len_)) {
-        reject();
-        return;
+      if (!std::equal(mac.begin(), mac.end(), body.begin() + header.length)) {
+        return false;
       }
       crypto::ChaCha20::Key key;
       std::copy(recv_key_.begin(), recv_key_.end(), key.begin());
       crypto::ChaCha20::crypt(key, nonce_for(recv_counter_++), ciphertext);
       notify_data(ChunkView{ciphertext.size(), ciphertext});
-    } else if (pending_type_ == MsgType::kDataVirtual) {
-      reader_.skip(body_len);
-      host_.charge(host_.costs().ssl_record_fixed_cycles +
-                   host_.costs().stream_crypt_cycles(pending_len_));
-      ++recv_counter_;
-      notify_data(ChunkView{pending_len_, {}});
-    } else {
-      handle_handshake(pending_type_, *reader_.read_real(body_len));
+      return true;
     }
-  }
-}
-
-bool SslSession::expects(MsgType type, std::uint32_t len) const {
-  if (type == MsgType::kDataReal || type == MsgType::kDataVirtual) {
-    return established_ && len <= kMaxRecord;
-  }
-  // expect_ is always a handshake type, so an unknown type fails here.
-  if (established_ || type != expect_) return false;
-  switch (type) {
-    case MsgType::kClientHello:
-      return len == kRandomBytes;
-    case MsgType::kServerHello:
-      return len == kRandomBytes + kDhPubBytes;
-    case MsgType::kClientKexFinished:
-      return len == kDhPubBytes + kFinishedBytes;
-    default:  // kServerFinished
-      return len == kFinishedBytes;
-  }
-}
-
-void SslSession::reject() {
-  rejected_ = true;
-  reader_ = ByteReader();
-  underlying_.close();
-  notify_closed();
-}
-
-void SslSession::handle_handshake(MsgType type,
-                                  const std::vector<std::uint8_t>& body) {
-  // parse() hands over only the message expect_ names, at its size.
-  const auto& group = crypto::dh_group_14();
-  const auto& costs = host_.costs();
-
-  switch (type) {
+    case MsgType::kDataVirtual:
+      host_.charge(costs.ssl_record_fixed_cycles +
+                   costs.stream_crypt_cycles(header.length));
+      ++recv_counter_;
+      notify_data(ChunkView{header.length, {}});
+      return true;
     case MsgType::kClientHello: {
-      client_random_ = body;
+      client_random_ = std::move(body);
       server_random_.resize(kRandomBytes);
       for (auto& b : server_random_) {
         b = static_cast<std::uint8_t>(rng_.next());
@@ -165,7 +147,7 @@ void SslSession::handle_handshake(MsgType type,
       hello.insert(hello.end(), pub_bytes.begin(), pub_bytes.end());
       send_message(MsgType::kServerHello, std::move(hello));
       expect_ = MsgType::kClientKexFinished;
-      break;
+      return true;
     }
     case MsgType::kServerHello: {
       server_random_.assign(body.begin(), body.begin() + kRandomBytes);
@@ -186,7 +168,7 @@ void SslSession::handle_handshake(MsgType type,
       kex.insert(kex.end(), mac.begin(), mac.end());
       send_message(MsgType::kClientKexFinished, std::move(kex));
       expect_ = MsgType::kServerFinished;
-      break;
+      return true;
     }
     case MsgType::kClientKexFinished: {
       const auto client_pub =
@@ -199,27 +181,24 @@ void SslSession::handle_handshake(MsgType type,
       const auto expected = finished_mac("client-finished");
       if (!std::equal(expected.begin(), expected.end(),
                       body.begin() + kDhPubBytes)) {
-        reject();
-        return;
+        return false;
       }
       const auto mac = finished_mac("server-finished");
       send_message(MsgType::kServerFinished,
                    std::vector<std::uint8_t>(mac.begin(), mac.end()));
       become_ready();
-      break;
+      return true;
     }
     case MsgType::kServerFinished: {
       const auto expected = finished_mac("server-finished");
       if (!std::equal(expected.begin(), expected.end(), body.begin())) {
-        reject();
-        return;
+        return false;
       }
       become_ready();
-      break;
+      return true;
     }
-    default:
-      MIC_ASSERT_MSG(false, "data record passed to handle_handshake");
   }
+  return false;
 }
 
 void SslSession::derive_keys() {
@@ -267,7 +246,7 @@ void SslSession::become_ready() {
 }
 
 void SslSession::send(Chunk chunk) {
-  if (rejected_) return;
+  if (rejected()) return;
   if (!established_) {
     pending_app_data_.push_back(std::move(chunk));
     return;

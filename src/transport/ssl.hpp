@@ -10,6 +10,8 @@
 
 #include <cstdint>
 #include <deque>
+#include <optional>
+#include <span>
 
 #include "common/rng.hpp"
 #include "crypto/chacha20.hpp"
@@ -35,14 +37,12 @@ class SslSession : public ByteStream {
   bool ready() const override { return established_; }
 
   /// Whether this side dropped the connection over a record no peer of
-  /// this protocol writes: header bytes that are not real, an unknown
-  /// type, a length above kMaxRecord, a MAC that does not match, data
-  /// before the handshake ends, or a handshake message this role does not
-  /// expect next or of the wrong size.  The session closes the connection,
-  /// reports itself closed and ignores whatever arrives after.
-  bool rejected() const noexcept { return rejected_; }
+  /// this protocol writes: header bytes that are not real, a header
+  /// expects() refuses, a virtual byte in a real body, a MAC that does not
+  /// match, or a Finished message that does not.  The session closes the
+  /// connection, reports itself closed and ignores whatever arrives after.
+  bool rejected() const noexcept { return reader_.failed(); }
 
- private:
   enum class MsgType : std::uint8_t {
     kClientHello = 1,
     kServerHello = 2,
@@ -51,13 +51,23 @@ class SslSession : public ByteStream {
     kDataReal = 5,
     kDataVirtual = 6,
   };
+  /// A record header: [type u8][length u32, big-endian].
+  struct RecordHeader {
+    MsgType type = MsgType::kClientHello;
+    std::uint32_t length = 0;
+  };
 
+  /// The record this side accepts next from a header's bytes, nullopt for
+  /// any other: data of at most kMaxRecord bytes once established, else
+  /// exactly the handshake message this role expects next, at its size.
+  std::optional<FrameSpec<RecordHeader>> expects(
+      std::span<const std::uint8_t> header) const;
+
+ private:
   void start_handshake();
   void on_underlying_data(const ChunkView& view);
-  void parse();
-  bool expects(MsgType type, std::uint32_t len) const;
-  void handle_handshake(MsgType type, const std::vector<std::uint8_t>& body);
-  void reject();
+  /// False for a record whose MAC or Finished message does not match.
+  bool on_record(const RecordHeader& header, std::vector<std::uint8_t> body);
   void send_message(MsgType type, std::vector<std::uint8_t> body);
   void send_data_record(Chunk chunk);
   void become_ready();
@@ -72,14 +82,8 @@ class SslSession : public ByteStream {
   Rng& rng_;
 
   bool established_ = false;
-  bool rejected_ = false;
-  ByteReader reader_;
+  FrameReader<RecordHeader, kHeaderBytes> reader_;
   std::deque<Chunk> pending_app_data_;
-
-  // Record parsing state: header consumed but body not yet complete.
-  bool header_valid_ = false;
-  MsgType pending_type_ = MsgType::kClientHello;
-  std::uint32_t pending_len_ = 0;
 
   // Handshake state.  `expect_` is the one handshake message this side
   // accepts next.

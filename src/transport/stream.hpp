@@ -10,12 +10,14 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -102,110 +104,89 @@ class ByteStream {
   ClosedHandler on_closed_;
 };
 
-/// Reassembly helper for protocol parsers sitting on a ByteStream: buffers
-/// incoming chunks and supports "read exactly n real bytes" (for headers)
-/// and "consume n bytes of any kind" (for payloads).
-class ByteReader {
+/// How a frame's body may arrive, as its header announces it.
+enum class BodyKind : std::uint8_t {
+  kReal,     // every byte real: a virtual one fails the reader
+  kZeroed,   // either kind, virtual bytes read as zeros; comes back empty
+             // when no byte of it was real
+  kCounted,  // either kind, only counted: comes back empty
+};
+
+/// What a screened header announces: the protocol's fields, then the length
+/// and kind of the body that follows them.
+template <typename Header>
+struct FrameSpec {
+  Header header;
+  std::uint64_t body_bytes = 0;
+  BodyKind kind = BodyKind::kReal;
+};
+
+/// Reads one protocol's frames off a ByteStream: a header of kHeaderBytes
+/// real bytes, then the body that header announces.  No byte a peer sends
+/// can abort it, and it holds at most one header and one body, whose length
+/// the protocol's screen bounds.  It fails for good, dropping what it holds
+/// and ignoring everything fed after, on header bytes that are virtual or
+/// that the screen refuses, on a virtual byte in a kReal body, and on a
+/// frame the protocol rejects.
+template <typename Header, std::size_t kHeaderBytes>
+class FrameReader {
  public:
-  void append(const ChunkView& view) {
-    if (view.length == 0) return;
-    if (view.is_real() && view.length > 0 && !view.bytes.empty()) {
-      pending_.push_back({std::vector<std::uint8_t>(view.bytes.begin(),
-                                                    view.bytes.end()),
-                          view.length});
-    } else {
-      pending_.push_back({{}, view.length});
-    }
-    available_ += view.length;
-  }
-
-  std::uint64_t available() const noexcept { return available_; }
-
-  /// Read exactly n bytes that must all be real (protocol headers).
-  /// Returns nullopt if fewer than n bytes are buffered; asserts if the
-  /// buffered bytes are virtual (a framing bug).
-  std::optional<std::vector<std::uint8_t>> read_real(std::uint64_t n) {
-    if (available_ < n) return std::nullopt;
-    std::vector<std::uint8_t> out;
-    out.reserve(n);
-    while (out.size() < n) {
-      auto& front = pending_.front();
-      MIC_ASSERT_MSG(!front.bytes.empty(),
-                     "parser expected real bytes but found virtual payload");
+  /// Feed stream data.  Once a header's last byte is in,
+  /// `screen(std::span<const std::uint8_t>)` returns the
+  /// std::optional<FrameSpec<Header>> it announces, nullopt for a header
+  /// the protocol never writes.  Once the body's last byte is in,
+  /// `on_frame(header, body)` gets the body's bytes (empty where BodyKind
+  /// says so) and returns false to reject the frame.
+  template <typename Screen, typename OnFrame>
+  void feed(const ChunkView& view, Screen&& screen, OnFrame&& on_frame) {
+    const bool real = view.is_real();
+    std::uint64_t at = 0;
+    while (!failed_ && at < view.length) {
+      if (!spec_) {
+        if (!real) return fail();
+        const auto take = static_cast<std::size_t>(std::min<std::uint64_t>(
+            kHeaderBytes - header_fill_, view.length - at));
+        std::copy_n(view.bytes.begin() + static_cast<long>(at), take,
+                    header_.begin() + static_cast<long>(header_fill_));
+        header_fill_ += take;
+        at += take;
+        if (header_fill_ < kHeaderBytes) return;
+        header_fill_ = 0;
+        spec_ = screen(std::span<const std::uint8_t>(header_));
+        if (!spec_) return fail();
+      }
       const std::uint64_t take =
-          std::min<std::uint64_t>(n - out.size(), front.length);
-      out.insert(out.end(), front.bytes.begin(),
-                 front.bytes.begin() + static_cast<long>(take));
-      consume_front(take);
+          std::min(spec_->body_bytes - body_fill_, view.length - at);
+      if (take > 0 && !real && spec_->kind == BodyKind::kReal) return fail();
+      if (take > 0 && real && spec_->kind != BodyKind::kCounted) {
+        if (body_.empty()) body_.assign(spec_->body_bytes, 0);
+        std::copy_n(view.bytes.begin() + static_cast<long>(at), take,
+                    body_.begin() + static_cast<long>(body_fill_));
+      }
+      body_fill_ += take;
+      at += take;
+      if (body_fill_ < spec_->body_bytes) return;
+      body_fill_ = 0;
+      const Header header = std::exchange(spec_, std::nullopt)->header;
+      if (!on_frame(header, std::exchange(body_, {}))) return fail();
     }
-    available_ -= n;
-    return out;
   }
 
-  /// Whether the first n buffered bytes are all real.  Requires
-  /// available() >= n.
-  bool real_prefix(std::uint64_t n) const noexcept {
-    for (auto it = pending_.begin(); n > 0; ++it) {
-      if (it->bytes.empty()) return false;
-      n -= std::min(n, it->length);
-    }
-    return true;
-  }
-
-  /// Consume up to n bytes of a single kind from the front of the buffer.
-  /// Returns the consumed run as a Chunk (possibly shorter than n).
-  Chunk take_up_to(std::uint64_t n) {
-    MIC_ASSERT(available_ > 0 && n > 0);
-    auto& front = pending_.front();
-    const std::uint64_t take = std::min(n, front.length);
-    Chunk out;
-    if (!front.bytes.empty()) {
-      out = Chunk::copy(
-          std::span(front.bytes.data(), static_cast<std::size_t>(take)));
-    } else {
-      out = Chunk::virtual_bytes(take);
-    }
-    consume_front(take);
-    available_ -= take;
-    return out;
-  }
-
-  /// Consume n bytes of any kind (payload body).  Returns how many of them
-  /// were real.  Asserts if fewer than n are buffered.
-  std::uint64_t skip(std::uint64_t n) {
-    MIC_ASSERT(available_ >= n);
-    std::uint64_t real = 0;
-    std::uint64_t left = n;
-    while (left > 0) {
-      auto& front = pending_.front();
-      const std::uint64_t take = std::min(left, front.length);
-      if (!front.bytes.empty()) real += take;
-      consume_front(take);
-      left -= take;
-    }
-    available_ -= n;
-    return real;
-  }
+  bool failed() const noexcept { return failed_; }
 
  private:
-  struct Buffered {
-    std::vector<std::uint8_t> bytes;  // empty when virtual
-    std::uint64_t length;
-  };
-
-  void consume_front(std::uint64_t n) {
-    auto& front = pending_.front();
-    MIC_ASSERT(front.length >= n);
-    if (!front.bytes.empty()) {
-      front.bytes.erase(front.bytes.begin(),
-                        front.bytes.begin() + static_cast<long>(n));
-    }
-    front.length -= n;
-    if (front.length == 0) pending_.pop_front();
+  void fail() {
+    failed_ = true;
+    spec_.reset();
+    body_ = {};
   }
 
-  std::deque<Buffered> pending_;
-  std::uint64_t available_ = 0;
+  std::array<std::uint8_t, kHeaderBytes> header_{};
+  std::size_t header_fill_ = 0;
+  std::optional<FrameSpec<Header>> spec_;  // screened, body incomplete
+  std::vector<std::uint8_t> body_;
+  std::uint64_t body_fill_ = 0;
+  bool failed_ = false;
 };
 
 /// Outbound stream buffer with real/virtual chunks addressed by stream

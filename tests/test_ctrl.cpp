@@ -271,34 +271,6 @@ TEST(Controller, SouthboundLatencyDelaysInstall) {
   fabric.mc().remove_cookie(sw, 777, /*immediate=*/true);
 }
 
-TEST(Controller, IdleChannelsReclaimed) {
-  Fabric fabric;
-  core::MicServer server(fabric.host(12), 7000, fabric.rng());
-  core::MicChannelOptions options;
-  options.responder_ip = fabric.ip(12);
-  options.responder_port = 7000;
-  core::MicChannel channel(fabric.host(0), fabric.mc(), options,
-                           fabric.rng());
-  fabric.simulator().run_until();
-  ASSERT_TRUE(channel.ready());
-
-  channel.release_for_reuse();
-  fabric.simulator().run_until();
-  ASSERT_TRUE(fabric.mc().channel(channel.id())->idle);
-
-  // Not yet stale.
-  fabric.simulator().run_until(fabric.simulator().now() + sim::seconds(1));
-  EXPECT_EQ(fabric.mc().reclaim_idle(sim::seconds(10)), 0u);
-  EXPECT_EQ(fabric.mc().active_channel_count(), 1u);
-
-  // Stale after the timeout.
-  fabric.simulator().run_until(fabric.simulator().now() + sim::seconds(10));
-  EXPECT_EQ(fabric.mc().reclaim_idle(sim::seconds(10)), 1u);
-  fabric.simulator().run_until();
-  EXPECT_EQ(fabric.mc().active_channel_count(), 0u);
-  EXPECT_EQ(fabric.mc().registry().active_flow_count(), 0u);
-}
-
 TEST(Controller, HostAddressingLookups) {
   Fabric fabric;
   const auto& addressing = fabric.mc().addressing();

@@ -441,14 +441,13 @@ TEST(ChannelPool, ReusesIdleMatchingChannel) {
   pool.release(first);
   bed.fabric.simulator().run_until();
   EXPECT_EQ(pool.idle_count(), 1u);
-  EXPECT_TRUE(bed.fabric.mc().channel(id)->idle);
 
   MicChannel& second = pool.acquire(bed.options());
   bed.fabric.simulator().run_until();
   EXPECT_EQ(&second, &first);                       // same channel object
   EXPECT_EQ(second.id(), id);                       // same mimic channel
   EXPECT_EQ(bed.fabric.mc().requests_handled(), requests_before);  // no new request
-  EXPECT_FALSE(bed.fabric.mc().channel(id)->idle);
+  EXPECT_EQ(pool.idle_count(), 0u);
 }
 
 TEST(ChannelPool, DifferentOptionsGetDifferentChannels) {

@@ -470,25 +470,6 @@ TEST(MicEndToEnd, PartialMulticastDeliversExactlyOneCopy) {
   EXPECT_GT(decoy_drops, 0u);
 }
 
-TEST(MicEndToEnd, ChannelReuseMarksIdle) {
-  MicBed bed;
-  bed.serve(12);
-  MicChannel channel(bed.fabric.host(0), bed.fabric.mc(), bed.options_to(12),
-                     bed.fabric.rng());
-  bed.fabric.simulator().run_until();
-  ASSERT_FALSE(channel.failed());
-
-  channel.release_for_reuse();
-  bed.fabric.simulator().run_until();
-  const ChannelState* state = bed.fabric.mc().channel(channel.id());
-  ASSERT_NE(state, nullptr);
-  EXPECT_TRUE(state->idle);
-
-  channel.reacquire();
-  bed.fabric.simulator().run_until();
-  EXPECT_FALSE(bed.fabric.mc().channel(channel.id())->idle);
-}
-
 TEST(MicEndToEnd, CommonFlowsCoexistWithMimicFlows) {
   // A common (non-anonymous) TCP flow and an m-flow share the fabric; both
   // deliver correctly (the CF/MF label split prevents rule capture).

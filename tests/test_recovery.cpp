@@ -70,8 +70,7 @@ TEST(ChannelJournal, ReplayMatchesLiveChannelsAcrossTeardown) {
   ASSERT_EQ(image.channels.size(), 2u);
   for (const ChannelId id : bed.fabric.mc().channel_ids()) {
     ASSERT_TRUE(image.channels.contains(id));
-    EXPECT_TRUE(
-        structurally_equal(image.channels.at(id), *bed.fabric.mc().channel(id)));
+    EXPECT_TRUE(image.channels.at(id) == *bed.fabric.mc().channel(id));
   }
   // The high-water marks cover every id that may be wired into a switch.
   EXPECT_GT(image.next_channel, c2->id());
@@ -229,8 +228,7 @@ TEST(CrashRecovery, RecoverRebuildsALargeJournalInFewCompactions) {
   ASSERT_EQ(image.channels.size(), mc.active_channel_count());
   for (const ChannelId id : mc.channel_ids()) {
     ASSERT_TRUE(image.channels.contains(id)) << "channel " << id;
-    EXPECT_TRUE(structurally_equal(image.channels.at(id), *mc.channel(id)))
-        << "channel " << id;
+    EXPECT_TRUE(image.channels.at(id) == *mc.channel(id)) << "channel " << id;
   }
 }
 

@@ -206,13 +206,74 @@ TEST(Tor, SingleHopCircuitWorks) {
   EXPECT_EQ(at_server, "one-hop");
 }
 
+TEST(Tor, RelayClosesALinkThatWritesNoCellAndServesTheNext) {
+  // Each probe writes to the relay of a one-relay bed what no Tor endpoint
+  // writes.  The relay closes that link, and an honest circuit through it
+  // still becomes ready afterwards.
+  auto header = [](std::uint8_t cmd, std::uint16_t length) {
+    std::vector<std::uint8_t> bytes =
+        serialize_cell_header({7, CellCmd::kCreate, length});
+    bytes[4] = cmd;
+    return transport::Chunk::real(std::move(bytes));
+  };
+  const transport::Chunk garbage =
+      transport::Chunk::real(std::vector<std::uint8_t>(kCellBodyBytes, 0xEE));
+  const std::pair<const char*, std::vector<transport::Chunk>> probes[] = {
+      {"4 KiB of virtual bytes", {transport::Chunk::virtual_bytes(4096)}},
+      {"a cell with command 0x7f", {header(0x7f, 0), garbage}},
+      {"CREATE, then a garbage RELAY cell on that one-hop circuit",
+       {header(1, 0), garbage, header(3, 0), garbage}},
+      {"a kRelayVirtual cell claiming 0xffff bytes",
+       {header(4, 0xffff), transport::Chunk::virtual_bytes(kCellBodyBytes)}},
+  };
+  TorBed bed(1);
+  bed.fabric.host(15).listen(5000, [](transport::TcpConnection&) {});
+  std::vector<std::unique_ptr<TorClient>> clients;
+  for (const auto& [what, chunks] : probes) {
+    SCOPED_TRACE(what);
+    transport::TcpConnection& probe =
+        bed.fabric.host(1).connect(bed.path[0].ip, bed.path[0].port);
+    probe.set_on_ready([&probe, &chunks] {
+      for (const transport::Chunk& chunk : chunks) probe.send(chunk);
+    });
+    bed.fabric.simulator().run_until();
+    // The relay's FIN arrived.
+    EXPECT_EQ(probe.state(), transport::TcpConnection::State::kCloseWait);
+
+    clients.push_back(std::make_unique<TorClient>(
+        bed.fabric.host(0), bed.path, bed.fabric.ip(15), 5000,
+        bed.fabric.rng()));
+    bed.fabric.simulator().run_until();
+    EXPECT_TRUE(clients.back()->ready());
+  }
+}
+
+TEST(Tor, ClientClosesOnBytesNoRelayWrites) {
+  // A "relay" answers the client's CREATE with virtual bytes: the client
+  // closes its link and reports itself closed.
+  Fabric fabric;
+  fabric.host(8).listen(9001, [](transport::TcpConnection& conn) {
+    conn.set_on_data([&conn](const transport::ChunkView&) {
+      conn.send(transport::Chunk::virtual_bytes(4096));
+    });
+  });
+  TorClient client(fabric.host(0), {{fabric.ip(8), 9001}}, fabric.ip(15),
+                   5000, fabric.rng());
+  int closed = 0;
+  client.set_on_closed([&closed] { ++closed; });
+  fabric.simulator().run_until();
+  EXPECT_EQ(closed, 1);
+  EXPECT_FALSE(client.ready());
+}
+
 TEST(TorCells, HeaderRoundTrip) {
   CellHeader header{0x12345678, CellCmd::kRelay, 444};
   const auto bytes = serialize_cell_header(header);
-  const CellHeader parsed = parse_cell_header(bytes);
-  EXPECT_EQ(parsed.circuit, header.circuit);
-  EXPECT_EQ(parsed.cmd, header.cmd);
-  EXPECT_EQ(parsed.length, header.length);
+  const std::optional<CellHeader> parsed = parse_cell_header(bytes);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->circuit, header.circuit);
+  EXPECT_EQ(parsed->cmd, header.cmd);
+  EXPECT_EQ(parsed->length, header.length);
 }
 
 TEST(TorCells, RecognizedBodyRoundTrip) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -24,7 +26,7 @@ std::vector<std::uint8_t> bytes_of(std::string_view s) {
   return {s.begin(), s.end()};
 }
 
-// --- SendBuffer / ByteReader ---------------------------------------------------
+// --- SendBuffer -----------------------------------------------------------------
 
 TEST(SendBuffer, RealRangeExtraction) {
   SendBuffer buffer;
@@ -141,39 +143,149 @@ TEST(SendBuffer, RangeEqualsALinearScanAfterPartialReleases) {
   }
 }
 
-TEST(ByteReader, ReadRealAcrossChunks) {
-  ByteReader reader;
-  const auto a = bytes_of("hel");
-  const auto b = bytes_of("lo!");
-  reader.append({3, a});
-  EXPECT_FALSE(reader.read_real(6).has_value());
-  reader.append({3, b});
-  const auto got = reader.read_real(6);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(std::string(got->begin(), got->end()), "hello!");
-  EXPECT_EQ(reader.available(), 0u);
+// --- FrameReader ---------------------------------------------------------------
+
+/// A two-byte test header, [body kind][body length]; kinds above kCounted
+/// are refused.
+struct TestHeader {
+  BodyKind kind = BodyKind::kReal;
+  std::uint8_t length = 0;
+};
+
+/// Feeds a FrameReader and records every frame it hands over; frames are
+/// rejected once `accept` is false.
+struct TestFrames {
+  void feed(const ChunkView& view) {
+    reader.feed(
+        view,
+        [](std::span<const std::uint8_t> bytes)
+            -> std::optional<FrameSpec<TestHeader>> {
+          if (bytes[0] > static_cast<std::uint8_t>(BodyKind::kCounted)) {
+            return std::nullopt;
+          }
+          const TestHeader header{static_cast<BodyKind>(bytes[0]), bytes[1]};
+          return {{header, header.length, header.kind}};
+        },
+        [this](const TestHeader& header, std::vector<std::uint8_t> body) {
+          frames.emplace_back(header.length, std::move(body));
+          return accept;
+        });
+  }
+  void feed_real(const std::vector<std::uint8_t>& bytes) {
+    feed({bytes.size(), bytes});
+  }
+  void feed_virtual(std::uint64_t n) { feed({n, {}}); }
+
+  FrameReader<TestHeader, 2> reader;
+  std::vector<std::pair<std::uint8_t, std::vector<std::uint8_t>>> frames;
+  bool accept = true;
+};
+
+TEST(FrameReader, HeaderAndBodySplitAcrossChunks) {
+  // Three frames, "hello", an empty one and "hi", fed one byte at a time:
+  // each is handed over the moment its last byte is in.
+  const std::vector<std::uint8_t> wire = {0, 5, 'h', 'e', 'l', 'l', 'o',
+                                          0, 0, 0, 2, 'h', 'i'};
+  const std::size_t frames_after[] = {0, 0, 0, 0, 0, 0, 1, 1, 2, 2, 2, 2, 3};
+  TestFrames frames;
+  for (std::size_t i = 0; i < wire.size(); ++i) {
+    frames.feed({1, std::span(wire).subspan(i, 1)});
+    EXPECT_EQ(frames.frames.size(), frames_after[i]) << "after byte " << i;
+  }
+  using Frame = std::pair<std::uint8_t, std::vector<std::uint8_t>>;
+  const std::vector<Frame> want = {
+      {5, bytes_of("hello")}, {0, {}}, {2, bytes_of("hi")}};
+  EXPECT_EQ(frames.frames, want);
+  EXPECT_FALSE(frames.reader.failed());
+
+  TestFrames whole;
+  whole.feed_real(wire);
+  EXPECT_EQ(whole.frames, want);
 }
 
-TEST(ByteReader, SkipCountsRealBytes) {
-  ByteReader reader;
-  const auto a = bytes_of("abcd");
-  reader.append({4, a});
-  reader.append({10, {}});  // virtual
-  EXPECT_EQ(reader.skip(8), 4u);
-  EXPECT_EQ(reader.available(), 6u);
+TEST(FrameReader, VirtualBytesOnlyWhereTheBodyKindAllowsThem) {
+  auto kind = [](BodyKind k) { return static_cast<std::uint8_t>(k); };
+  {
+    SCOPED_TRACE("a zeroed body reads virtual bytes as zeros");
+    TestFrames frames;
+    frames.feed_real({kind(BodyKind::kZeroed), 6, 'a', 'b'});
+    frames.feed_virtual(2);
+    frames.feed_real(bytes_of("cd"));
+    ASSERT_EQ(frames.frames.size(), 1u);
+    EXPECT_EQ(frames.frames[0].second,
+              (std::vector<std::uint8_t>{'a', 'b', 0, 0, 'c', 'd'}));
+  }
+  {
+    SCOPED_TRACE("a zeroed body with no real byte comes back empty");
+    TestFrames frames;
+    frames.feed_real({kind(BodyKind::kZeroed), 4});
+    frames.feed_virtual(4);
+    ASSERT_EQ(frames.frames.size(), 1u);
+    EXPECT_TRUE(frames.frames[0].second.empty());
+    EXPECT_FALSE(frames.reader.failed());
+  }
+  {
+    SCOPED_TRACE("a counted body takes virtual bytes");
+    TestFrames frames;
+    frames.feed_real({kind(BodyKind::kCounted), 3});
+    frames.feed_virtual(3);
+    ASSERT_EQ(frames.frames.size(), 1u);
+    EXPECT_FALSE(frames.reader.failed());
+  }
+  {
+    SCOPED_TRACE("a real body refuses a virtual byte");
+    TestFrames frames;
+    frames.feed_real({kind(BodyKind::kReal), 4, 'a'});
+    frames.feed_virtual(3);
+    EXPECT_TRUE(frames.reader.failed());
+    EXPECT_TRUE(frames.frames.empty());
+  }
+  {
+    SCOPED_TRACE("a header refuses a virtual byte");
+    TestFrames frames;
+    frames.feed_real({kind(BodyKind::kCounted)});
+    frames.feed_virtual(1);
+    EXPECT_TRUE(frames.reader.failed());
+  }
 }
 
-TEST(ByteReader, TakeUpToRespectsKindBoundary) {
-  ByteReader reader;
-  const auto a = bytes_of("abc");
-  reader.append({3, a});
-  reader.append({5, {}});
-  const Chunk first = reader.take_up_to(100);
-  ASSERT_TRUE(first.is_real());
-  EXPECT_EQ(first.length, 3u);
-  const Chunk second = reader.take_up_to(2);
-  EXPECT_FALSE(second.is_real());
-  EXPECT_EQ(second.length, 2u);
+TEST(FrameReader, CountedBodyCountsRealAndVirtualBytes) {
+  // An 8-byte counted body, four real bytes and four virtual, is handed over
+  // empty once its last byte is in, and the next header starts right after
+  // it, inside the same real chunk.
+  const auto counted = static_cast<std::uint8_t>(BodyKind::kCounted);
+  TestFrames frames;
+  frames.feed_real({counted, 8, 'a', 'b', 'c', 'd'});
+  frames.feed_virtual(3);
+  EXPECT_TRUE(frames.frames.empty());
+  frames.feed_virtual(1);
+  ASSERT_EQ(frames.frames.size(), 1u);
+  frames.feed_real({counted, 3, 'x', 'y', 'z', 0, 2, 'h', 'i'});
+  using Frame = std::pair<std::uint8_t, std::vector<std::uint8_t>>;
+  const std::vector<Frame> want = {{8, {}}, {3, {}}, {2, bytes_of("hi")}};
+  EXPECT_EQ(frames.frames, want);
+  EXPECT_FALSE(frames.reader.failed());
+}
+
+TEST(FrameReader, FailedReaderIgnoresAllLaterInput) {
+  {
+    SCOPED_TRACE("a header the screen refuses");
+    TestFrames frames;
+    frames.feed_real({9, 0, 0, 0});
+    EXPECT_TRUE(frames.reader.failed());
+    frames.feed_real({0, 0});
+    EXPECT_TRUE(frames.frames.empty());
+  }
+  {
+    SCOPED_TRACE("a frame the protocol rejects");
+    TestFrames frames;
+    frames.accept = false;
+    frames.feed_real({0, 1, 'a', 0, 0});  // a second frame rides behind
+    EXPECT_TRUE(frames.reader.failed());
+    frames.accept = true;
+    frames.feed_real({0, 0});
+    EXPECT_EQ(frames.frames.size(), 1u);
+  }
 }
 
 // --- TCP over the fat-tree fabric ------------------------------------------------
@@ -334,6 +446,45 @@ TEST(Tcp, CloseHandshake) {
   conn.set_on_ready([&] { conn.close(); });
   pair.fabric.simulator().run_until();
   EXPECT_TRUE(server_closed);
+}
+
+TEST(Tcp, PassiveCloserSendsItsDataAndFin) {
+  // The server closes first.  The client, on hearing that FIN, sends, and
+  // closes at once or once its data arrived: every byte arrives and both
+  // ends reach kClosed.
+  for (const bool close_at_once : {true, false}) {
+    for (const std::uint64_t bytes : {1024u, 64u * 1024}) {
+      SCOPED_TRACE(std::to_string(bytes) +
+                   (close_at_once ? " bytes, closing at once" : " bytes"));
+      TcpPair pair;
+      TcpConnection* server = nullptr;
+      std::uint64_t received = 0;
+      pair.server->listen(5000, [&](TcpConnection& conn) {
+        server = &conn;
+        conn.set_on_ready([&conn] { conn.close(); });
+        conn.set_on_data(
+            [&](const ChunkView& view) { received += view.length; });
+      });
+      auto& conn = pair.client->connect(pair.fabric.ip(15), 5000);
+      bool answered = false;
+      conn.set_on_closed([&] {
+        if (answered) return;
+        answered = true;
+        conn.send(Chunk::virtual_bytes(bytes));
+        if (close_at_once) conn.close();
+      });
+      pair.fabric.simulator().run_until();
+      if (!close_at_once) {
+        EXPECT_EQ(received, bytes);
+        conn.close();
+        pair.fabric.simulator().run_until();
+      }
+      EXPECT_EQ(received, bytes);
+      EXPECT_EQ(conn.state(), TcpConnection::State::kClosed);
+      ASSERT_NE(server, nullptr);
+      EXPECT_EQ(server->state(), TcpConnection::State::kClosed);
+    }
+  }
 }
 
 TEST(Tcp, ConnectFromUsesRequestedPort) {
