@@ -45,6 +45,7 @@ MicChannel::MicChannel(transport::Host& host, MimicController* mc,
 
 MicChannel::~MicChannel() {
   if (channel_id_ != 0) mc().clear_channel_listener(channel_id_);
+  for (Flow& flow : flows_) host_.release(*flow.tcp);
 }
 
 void MicChannel::start_establish() {
@@ -197,8 +198,7 @@ void MicChannel::fail_with(const std::string& reason) {
 
 void MicChannel::retire_flows() {
   // De-generation first: the closes below must not be mistaken for a peer
-  // shutdown, and late data/ready callbacks on the old connections are
-  // stale by definition.
+  // shutdown.  Released, the old connections call back no more.
   ++generation_;
   ready_ = false;
   flows_ready_ = 0;
@@ -206,9 +206,9 @@ void MicChannel::retire_flows() {
   reorderer_ = SliceReorderer{};
   channel_id_ = 0;
   for (Flow& flow : flows_) {
-    if (flow.stream != nullptr) flow.stream->close();
+    flow.stream->close();
+    host_.release(*flow.tcp);
   }
-  for (Flow& flow : flows_) retired_flows_.push_back(std::move(flow));
   flows_.clear();
 }
 
@@ -291,8 +291,7 @@ void MicChannel::on_established(const EstablishResult& result) {
       flow.stream = flow.tcp;
     }
 
-    flow.stream->set_on_ready([this, gen] {
-      if (gen != generation_) return;
+    flow.stream->set_on_ready([this] {
       if (++flows_ready_ == static_cast<int>(flows_.size())) {
         ready_ = true;
         ready_at_ = host_.simulator().now();
@@ -311,8 +310,8 @@ void MicChannel::on_established(const EstablishResult& result) {
         flush_pending();
       }
     });
-    flow.stream->set_on_data([this, i, gen](const transport::ChunkView& view) {
-      if (gen != generation_ || flows_[i].parser.failed()) return;
+    flow.stream->set_on_data([this, i](const transport::ChunkView& view) {
+      if (flows_[i].parser.failed()) return;
       flows_[i].parser.feed(view, [this](const SliceHeader& header,
                                          transport::Chunk payload) {
         reorderer_.push(header.seq, std::move(payload),
@@ -325,6 +324,8 @@ void MicChannel::on_established(const EstablishResult& result) {
       }
     });
     flow.stream->set_on_closed([this, gen] {
+      // retire_flows() closes a flow before releasing it, and a flow in
+      // kCloseWait reports itself closed from inside that close().
       if (gen != generation_) return;
       const bool rejected =
           std::any_of(flows_.begin(), flows_.end(), [](const Flow& f) {
@@ -448,10 +449,15 @@ void MicServerChannel::close() {
 
 MicServer::MicServer(transport::Host& host, net::L4Port port, Rng& rng,
                      bool use_ssl)
-    : host_(host), rng_(rng), use_ssl_(use_ssl) {
-  host_.listen(port, [this](transport::TcpConnection& conn) {
+    : host_(host), port_(port), rng_(rng), use_ssl_(use_ssl) {
+  host_.listen(port_, [this](transport::TcpConnection& conn) {
     on_accept(conn);
   });
+}
+
+MicServer::~MicServer() {
+  host_.unlisten(port_);
+  for (const auto& flow : flows_) host_.release(*flow->tcp);
 }
 
 void MicServer::on_accept(transport::TcpConnection& conn) {

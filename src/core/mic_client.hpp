@@ -77,7 +77,11 @@ class MicChannel : public transport::ByteStream {
   /// the old primary's silence and the retry lands at the new one.
   MicChannel(transport::Host& host, ControllerDirectory& directory,
              MicChannelOptions options, Rng& rng);
+  /// Releases the m-flows (see transport::Host::release).  It sends
+  /// nothing: close() first to end them.
   ~MicChannel() override;
+  MicChannel(const MicChannel&) = delete;
+  MicChannel& operator=(const MicChannel&) = delete;
 
   void send(transport::Chunk chunk) override;
   void close() override;
@@ -142,8 +146,8 @@ class MicChannel : public transport::ByteStream {
   void probe_once(std::uint64_t gen);
   void on_channel_event(MimicController::ChannelEvent event,
                         const std::string& reason);
-  /// Park the current m-flows (their callbacks are de-generationed, the
-  /// streams closed) and reset the wire state for a fresh establishment.
+  /// Close and release the current m-flows and reset the wire state for a
+  /// fresh establishment.
   void retire_flows();
   void fail_with(const std::string& reason);
   void flush_pending();
@@ -162,9 +166,6 @@ class MicChannel : public transport::ByteStream {
 
   ChannelId channel_id_ = 0;
   std::vector<Flow> flows_;
-  /// Flows from previous establishments: kept alive (their transport
-  /// callbacks still reference them) but ignored via the generation guard.
-  std::vector<Flow> retired_flows_;
   std::vector<net::L4Port> sports_;
   SliceReorderer reorderer_;
   std::deque<transport::Chunk> pending_;
@@ -276,6 +277,12 @@ class MicServer {
   /// runs MIC-SSL (an SSL server inside every m-flow).
   MicServer(transport::Host& host, net::L4Port port, Rng& rng,
             bool use_ssl = false);
+  /// Stops listening on `port` (so a successor there must be constructed
+  /// after this one is gone) and releases every accepted m-flow: its
+  /// channels go with it.
+  ~MicServer();
+  MicServer(const MicServer&) = delete;
+  MicServer& operator=(const MicServer&) = delete;
 
   void set_on_channel(ChannelHandler handler) {
     on_channel_ = std::move(handler);
@@ -299,6 +306,7 @@ class MicServer {
   void on_flow_data(FlowCtx& flow, const transport::ChunkView& view);
 
   transport::Host& host_;
+  net::L4Port port_;
   Rng& rng_;
   bool use_ssl_;
   std::vector<std::unique_ptr<FlowCtx>> flows_;

@@ -45,6 +45,8 @@ TorClient::TorClient(transport::Host& host, std::vector<RelayAddr> path,
   });
 }
 
+TorClient::~TorClient() { host_.release(*conn_); }
+
 void TorClient::crypt_hop(std::size_t hop, bool backward, std::uint64_t nonce,
                           std::vector<std::uint8_t>& body) {
   crypto::ChaCha20::Key key;

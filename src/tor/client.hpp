@@ -22,6 +22,11 @@ class TorClient : public transport::ByteStream {
   /// connected.
   TorClient(transport::Host& host, std::vector<RelayAddr> path,
             net::Ipv4 target, net::L4Port target_port, Rng& rng);
+  /// Releases the link to the first relay; it sends nothing, so close()
+  /// first to end it.
+  ~TorClient() override;
+  TorClient(const TorClient&) = delete;
+  TorClient& operator=(const TorClient&) = delete;
 
   void send(transport::Chunk chunk) override;
   void close() override;

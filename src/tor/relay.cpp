@@ -6,10 +6,20 @@
 namespace mic::tor {
 
 TorRelay::TorRelay(transport::Host& host, net::L4Port port, Rng& rng)
-    : host_(host), rng_(rng) {
-  host_.listen(port, [this](transport::TcpConnection& conn) {
+    : host_(host), port_(port), rng_(rng) {
+  host_.listen(port_, [this](transport::TcpConnection& conn) {
     add_link(conn);
   });
+}
+
+TorRelay::~TorRelay() {
+  host_.unlisten(port_);
+  for (const auto& link : links_) host_.release(*link->conn);
+  for (auto& [key, circuit] : circuits_) {
+    if (circuit->exit_conn == nullptr) continue;
+    host_.release(*circuit->exit_conn);
+    circuit->exit_conn = nullptr;  // an extended circuit sits under two keys
+  }
 }
 
 TorRelay::Link& TorRelay::add_link(transport::TcpConnection& conn) {
@@ -177,7 +187,11 @@ bool TorRelay::handle_recognized(Circuit& circuit,
       break;
     }
     case RelaySubCmd::kBegin: {
-      if (payload.data.size() != 6) return false;
+      // One exit stream per circuit: a second would orphan the first,
+      // which the destructor could then never release.
+      if (payload.data.size() != 6 || circuit.exit_conn != nullptr) {
+        return false;
+      }
       const net::Ipv4 target{load_be32(payload.data.data())};
       const net::L4Port port = static_cast<net::L4Port>(
           (payload.data[4] << 8) | payload.data[5]);

@@ -28,6 +28,10 @@ struct RelayAddr {
 class TorRelay {
  public:
   TorRelay(transport::Host& host, net::L4Port port, Rng& rng);
+  /// Stops listening on `port` and releases every link and exit stream.
+  ~TorRelay();
+  TorRelay(const TorRelay&) = delete;
+  TorRelay& operator=(const TorRelay&) = delete;
 
   net::Ipv4 ip() const { return host_.ip(); }
   std::uint64_t cells_relayed() const noexcept { return cells_relayed_; }
@@ -81,6 +85,7 @@ class TorRelay {
   }
 
   transport::Host& host_;
+  net::L4Port port_;
   Rng& rng_;
   std::vector<std::unique_ptr<Link>> links_;
   // Both (client_side, client_circ) and (next_side, next_circ) map to the

@@ -89,19 +89,24 @@ class ByteStream {
 
  protected:
   void notify_ready() {
-    if (on_ready_) on_ready_();
+    if (on_ready_ && !silenced_) on_ready_();
   }
   void notify_data(const ChunkView& view) {
-    if (on_data_) on_data_(view);
+    if (on_data_ && !silenced_) on_data_(view);
   }
   void notify_closed() {
-    if (on_closed_) on_closed_();
+    if (on_closed_ && !silenced_) on_closed_();
   }
+  /// No handler fires from now on.  Safe from inside a handler: the
+  /// handlers are destroyed only with the stream.
+  void silence() noexcept { silenced_ = true; }
+  bool silenced() const noexcept { return silenced_; }
 
  private:
   ReadyHandler on_ready_;
   DataHandler on_data_;
   ClosedHandler on_closed_;
+  bool silenced_ = false;
 };
 
 /// How a frame's body may arrive, as its header announces it.

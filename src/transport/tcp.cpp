@@ -42,10 +42,14 @@ TcpConnection& Host::connect(net::Ipv4 remote, net::L4Port remote_port) {
 
 TcpConnection& Host::connect_from(net::L4Port local_port, net::Ipv4 remote,
                                   net::L4Port remote_port) {
-  auto conn = std::unique_ptr<TcpConnection>(
+  const auto [it, fresh] =
+      connections_.try_emplace(key_of(remote, local_port, remote_port));
+  // Its owner still points at a live connection on this key.
+  MIC_ASSERT_MSG(fresh, "connect_from over a live connection");
+  it->second.reset(
       new TcpConnection(*this, ip_, local_port, remote, remote_port));
-  TcpConnection& ref = *conn;
-  connections_[key_of(remote, local_port, remote_port)] = std::move(conn);
+  ++local_ports_[local_port];
+  TcpConnection& ref = *it->second;
   charge(costs_.tcp_connect_cycles);
   ref.start_active_open();
   return ref;
@@ -55,9 +59,41 @@ void Host::listen(net::L4Port port, AcceptHandler handler) {
   listeners_[port] = std::move(handler);
 }
 
+void Host::unlisten(net::L4Port port) { listeners_.erase(port); }
+
+void Host::release(TcpConnection& conn) {
+  MIC_ASSERT_MSG(!conn.silenced(), "connection released twice");
+  conn.silence();
+  released_.push_back(&conn);
+}
+
+void Host::reap_released() {
+  for (std::size_t i = 0; i < released_.size();) {
+    TcpConnection* conn = released_[i];
+    if (!conn->reapable()) {
+      ++i;
+      continue;
+    }
+    released_[i] = released_.back();
+    released_.pop_back();
+    const auto held = local_ports_.find(conn->local_port_);
+    if (--held->second == 0) local_ports_.erase(held);
+    connections_.erase(
+        key_of(conn->remote_ip_, conn->local_port_, conn->remote_port_));
+  }
+}
+
 net::L4Port Host::allocate_ephemeral_port() {
-  if (next_ephemeral_ >= 65000) next_ephemeral_ = 40000;
-  return next_ephemeral_++;
+  constexpr net::L4Port kFirst = 40000;
+  constexpr net::L4Port kEnd = 65000;
+  // After the range wraps, skip the ports live connections still hold.
+  for (int tried = 0;; ++tried) {
+    MIC_ASSERT_MSG(tried < kEnd - kFirst,
+                   "every ephemeral port is held by a live connection");
+    if (next_ephemeral_ >= kEnd) next_ephemeral_ = kFirst;
+    const net::L4Port port = next_ephemeral_++;
+    if (!local_ports_.contains(port)) return port;
+  }
 }
 
 void Host::receive(const net::Packet& packet, topo::PortId /*in_port*/) {
@@ -79,7 +115,13 @@ void Host::receive(const net::Packet& packet, topo::PortId /*in_port*/) {
   simulator().schedule_at(done, [this] {
     const net::Packet pkt = std::move(ingress_fifo_.front());
     ingress_fifo_.pop_front();
+    // No connection's code is on the stack around process_segment(): reap
+    // before it, so a SYN for a released key finds the listener, and after
+    // it, so a connection its own handler released is gone when the event
+    // ends.
+    if (!released_.empty()) reap_released();
     process_segment(pkt);
+    if (!released_.empty()) reap_released();
   });
 }
 
@@ -96,7 +138,8 @@ void Host::process_segment(const net::Packet& pkt) {
       auto conn = std::unique_ptr<TcpConnection>(
           new TcpConnection(*this, ip_, pkt.dport, pkt.src, pkt.sport));
       TcpConnection& ref = *conn;
-      connections_[key] = std::move(conn);
+      connections_.emplace(key, std::move(conn));
+      ++local_ports_[pkt.dport];
       // Let the application attach stream callbacks before the handshake
       // completes.
       listener->second(ref);
@@ -206,9 +249,14 @@ void TcpConnection::emit_segment(std::uint64_t seq, std::uint32_t len,
 }
 
 void TcpConnection::pump() {
-  if (state_ != State::kEstablished && state_ != State::kCloseWait) return;
+  // In kFinWait only go-back-N after an RTO finds anything left to send.
+  if (state_ != State::kEstablished && state_ != State::kCloseWait &&
+      state_ != State::kFinWait) {
+    return;
+  }
   const double window =
       std::min(cwnd_, static_cast<double>(kReceiveWindow));
+  bool sent = false;
   while (snd_nxt_ < send_buffer_.end_offset()) {
     const std::uint64_t avail = send_buffer_.end_offset() - snd_nxt_;
     const std::uint32_t len =
@@ -221,16 +269,19 @@ void TcpConnection::pump() {
     snd_nxt_ += len;
     if (snd_nxt_ > snd_max_) snd_max_ = snd_nxt_;
     if (!rto_armed_) arm_rto();
+    sent = true;
   }
-  if (fin_requested_ && snd_nxt_ == send_buffer_.end_offset()) {
-    // The buffer is out: close()'s FIN follows it.
-    send_control({.syn = false, .ack = true, .fin = true, .rst = false});
-    if (state_ == State::kEstablished) {
-      state_ = State::kFinWait;
-    } else {
-      state_ = State::kClosed;
-      notify_closed();
-    }
+  if (!fin_requested_ || snd_nxt_ != send_buffer_.end_offset()) return;
+  // The buffer is out: close()'s FIN follows it, always at the stream's
+  // end.  In kFinWait it went out already, and a resend repeats it once,
+  // after its last byte.
+  if (state_ == State::kFinWait && !sent) return;
+  send_control({.syn = false, .ack = true, .fin = true, .rst = false});
+  if (state_ == State::kEstablished) {
+    state_ = State::kFinWait;
+  } else if (state_ == State::kCloseWait) {
+    state_ = State::kClosed;
+    notify_closed();
   }
 }
 
@@ -470,14 +521,9 @@ void TcpConnection::on_rto() {
     case State::kEstablished:
     case State::kCloseWait:
     case State::kFinWait: {
-      if (snd_una_ >= snd_nxt_) {
-        if (fin_requested_ && state_ == State::kFinWait) {
-          send_control(
-              {.syn = false, .ack = true, .fin = true, .rst = false});
-          break;
-        }
-        return;  // nothing outstanding
-      }
+      // Nothing outstanding.  A FIN takes no sequence number, so a lost
+      // one is never re-sent from here.
+      if (snd_una_ >= snd_nxt_) return;
       ssthresh_ = std::max(flight_size() / 2.0, 2.0 * kMss);
       cwnd_ = 1.0 * kMss;
       in_recovery_ = false;

@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "crypto/cost_model.hpp"
 #include "net/network.hpp"
@@ -80,6 +81,15 @@ class TcpConnection : public ByteStream {
     return static_cast<double>(snd_nxt_ - snd_una_);
   }
 
+  /// Whether the host may free this connection once released: it has
+  /// nothing left to send (every byte acknowledged, or closed for good,
+  /// when it sends nothing more and ignores what arrives) and no
+  /// retransmission timer armed.
+  bool reapable() const noexcept {
+    return !rto_armed_ && (state_ == State::kClosed ||
+                           snd_una_ == send_buffer_.end_offset());
+  }
+
   Host& host_;
   net::Ipv4 local_ip_;
   net::Ipv4 remote_ip_;
@@ -144,22 +154,41 @@ class Host : public net::Device {
   net::Ipv4 ip() const noexcept { return ip_; }
   const crypto::CostModel& costs() const noexcept { return costs_; }
 
-  /// Open a connection; the returned stream is owned by the host and stays
-  /// valid until closed.  `remote` may be a real peer or a MIC entry
-  /// address.
+  /// Open a connection.  The host owns the returned stream, and it stays
+  /// valid until the caller hands it back with release(); one nobody
+  /// releases lives as long as the host.  `remote` may be a real peer or a
+  /// MIC entry address.
   TcpConnection& connect(net::Ipv4 remote, net::L4Port remote_port);
 
   /// Open a connection from a pre-reserved local port (the MIC client
   /// registers its source ports with the MC before connecting, so the MC
-  /// can install exact reverse-path rewrites).
+  /// can install exact reverse-path rewrites).  The 4-tuple must not name
+  /// a live connection: a released one keeps it until the host frees it.
   TcpConnection& connect_from(net::L4Port local_port, net::Ipv4 remote,
                               net::L4Port remote_port);
 
-  /// Reserve a local port for a later connect_from().
+  /// Reserve a local port for a later connect_from().  No live connection
+  /// on this host holds it.
   net::L4Port reserve_port() { return allocate_ephemeral_port(); }
 
-  /// Accept connections on `port`.
+  /// Accept connections on `port`, replacing any handler there.  An
+  /// accepted connection is the handler's, to release like a connected one.
   void listen(net::L4Port port, AcceptHandler handler);
+  /// Stop accepting on `port`: a later SYN there finds no socket.  Not from
+  /// inside that port's own accept handler.
+  void unlisten(net::L4Port port);
+
+  /// Hand `conn` back to the host: its owner is done with it.  From now on
+  /// it calls no handler, and the host frees it once it has nothing left to
+  /// send (every byte it sent acknowledged, no retransmission timer armed).
+  /// Until then it exchanges segments exactly as before: release itself
+  /// sends nothing.  Safe from inside one of `conn`'s own handlers; do not
+  /// use `conn` after the event that released it ends.
+  void release(TcpConnection& conn);
+
+  /// Connections the host holds, released or not, until it frees them.
+  std::size_t connection_count() const noexcept { return connections_.size(); }
+  std::size_t listener_count() const noexcept { return listeners_.size(); }
 
   void receive(const net::Packet& packet, topo::PortId in_port) override;
 
@@ -211,11 +240,19 @@ class Host : public net::Device {
   /// listener, for a fresh SYN).
   void process_segment(const net::Packet& packet);
 
+  /// Free every released connection that is reapable().  Only called where
+  /// no connection's code is on the stack, and it schedules nothing.
+  void reap_released();
+
   net::Ipv4 ip_;
   const crypto::CostModel& costs_;
   std::unordered_map<ConnKey, std::unique_ptr<TcpConnection>, ConnKeyHash>
       connections_;
   std::unordered_map<net::L4Port, AcceptHandler> listeners_;
+  /// Released connections the host has not freed yet.
+  std::vector<TcpConnection*> released_;
+  /// How many connections hold each local port.
+  std::unordered_map<net::L4Port, std::uint32_t> local_ports_;
   net::L4Port next_ephemeral_ = 40000;
   std::uint64_t stream_uid_ = 0;
   // Packets waiting for their CPU charge to complete, in completion order

@@ -727,6 +727,99 @@ TEST(SocketApi, PartialRecvKeepsRemainder) {
   EXPECT_EQ(api.readable(fd), 5u);
 }
 
+TEST(SocketApi, ResponderClosingAfterMicCloseReachesNoFreedChannel) {
+  // mic_close() destroys the channel right after close(), and the responder
+  // closes before the MC's teardown removes the path: its FIN arrives at a
+  // connection whose owner is gone.
+  MicBed bed;
+  bed.serve(12);
+  MicServerChannel* served = nullptr;
+  bed.server->set_on_channel([&](MicServerChannel& channel) {
+    served = &channel;
+  });
+  MicSocketApi api(bed.fabric.host(0), bed.fabric.mc(), bed.fabric.rng());
+  const int fd = api.mic_connect(bed.fabric.ip(12), 7000);
+  api.mic_send(fd, std::vector<std::uint8_t>{'x'});
+  bed.fabric.simulator().run_until();
+  ASSERT_NE(served, nullptr);
+
+  api.mic_close(fd);
+  served->close();
+  bed.fabric.simulator().run_until();
+  EXPECT_EQ(bed.fabric.host(0).connection_count(), 0u);
+  EXPECT_EQ(bed.fabric.mc().active_channel_count(), 0u);
+}
+
+// --- Owner lifetime ----------------------------------------------------------
+
+TEST(MicLifetime, SynToADestroyedServerFindsNoListener) {
+  MicBed bed;
+  bed.serve(12);
+  std::uint64_t served = 0;
+  bed.server->set_on_channel([&](MicServerChannel& channel) {
+    channel.set_on_data(
+        [&](const transport::ChunkView& view) { served += view.length; });
+  });
+  {
+    MicChannel channel(bed.fabric.host(0), bed.fabric.mc(), bed.options_to(12),
+                       bed.fabric.rng());
+    channel.send(transport::Chunk::virtual_bytes(4096));
+    bed.fabric.simulator().run_until();
+    channel.close();
+    bed.fabric.simulator().run_until();
+  }
+  EXPECT_EQ(served, 4096u);
+
+  bed.server.reset();
+  EXPECT_EQ(bed.fabric.host(12).listener_count(), 0u);
+  transport::TcpConnection& probe =
+      bed.fabric.host(1).connect(bed.fabric.ip(12), 7000);
+  bed.fabric.simulator().run_until();
+  EXPECT_FALSE(probe.ready());
+  // The destroyed server's flow and the probe's SYN left nothing behind.
+  EXPECT_EQ(bed.fabric.host(12).connection_count(), 0u);
+}
+
+TEST(MicLifetime, SequentialSessionsLeaveConstantStateOnBothHosts) {
+  // Each session's owners are destroyed once it closed: the hosts free its
+  // connections, so state stays O(1) however many sessions ran.
+  constexpr int kSessions = 10000;
+  MicBed bed;
+  transport::Host& initiator = bed.fabric.host(0);
+  transport::Host& responder = bed.fabric.host(12);
+  std::size_t most_initiator = 0;
+  std::size_t most_responder = 0;
+  int completed = 0;
+  for (int i = 0; i < kSessions; ++i) {
+    MicServer server(responder, 7000, bed.fabric.rng());
+    std::uint64_t served = 0;
+    server.set_on_channel([&served](MicServerChannel& channel) {
+      channel.set_on_data([&served](const transport::ChunkView& view) {
+        served += view.length;
+      });
+    });
+    MicChannel channel(initiator, bed.fabric.mc(), bed.options_to(12),
+                       bed.fabric.rng());
+    channel.send(transport::Chunk::virtual_bytes(1024));
+    bed.fabric.simulator().run_until();
+    channel.close();
+    bed.fabric.simulator().run_until();
+    completed += served == 1024 && !channel.failed();
+    most_initiator = std::max(most_initiator, initiator.connection_count());
+    most_responder = std::max(most_responder, responder.connection_count());
+  }
+  EXPECT_EQ(completed, kSessions);
+  // A session's first segment on each host frees the previous session's
+  // flow, so each host holds one m-flow: the running session's, and after
+  // the loop the last session's, released but not yet freed.
+  EXPECT_EQ(most_initiator, 1u);
+  EXPECT_EQ(most_responder, 1u);
+  EXPECT_EQ(initiator.connection_count(), 1u);
+  EXPECT_EQ(responder.connection_count(), 1u);
+  EXPECT_EQ(responder.listener_count(), 0u);
+  EXPECT_EQ(bed.fabric.mc().active_channel_count(), 0u);
+}
+
 TEST(MicWire, SliceHeaderRoundTrip) {
   SliceHeader header;
   header.channel = 0xdeadbeef;

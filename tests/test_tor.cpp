@@ -266,6 +266,38 @@ TEST(Tor, ClientClosesOnBytesNoRelayWrites) {
   EXPECT_FALSE(client.ready());
 }
 
+TEST(Tor, SynToADestroyedRelayFindsNoListener) {
+  // A relay that carried a circuit is destroyed; a later SYN to its port
+  // reaches neither it nor its links.
+  TorBed bed(1);
+  std::uint64_t at_server = 0;
+  bed.fabric.host(15).listen(5000, [&](transport::TcpConnection& conn) {
+    conn.set_on_data(
+        [&](const transport::ChunkView& view) { at_server += view.length; });
+  });
+  {
+    TorClient client(bed.fabric.host(0), bed.path, bed.fabric.ip(15), 5000,
+                     bed.fabric.rng());
+    client.send(transport::Chunk::real(bytes_of("through the relay")));
+    bed.fabric.simulator().run_until();
+    ASSERT_TRUE(client.ready());
+    client.close();
+    bed.fabric.simulator().run_until();
+  }
+  EXPECT_EQ(at_server, 17u);
+
+  bed.relays.clear();
+  transport::Host& relay_host = bed.fabric.host(8);
+  EXPECT_EQ(relay_host.listener_count(), 0u);
+  transport::TcpConnection& probe =
+      bed.fabric.host(1).connect(bed.path[0].ip, bed.path[0].port);
+  bed.fabric.simulator().run_until();
+  EXPECT_FALSE(probe.ready());
+  // The client's link is gone; the exit stream the target never closed
+  // waits for nothing and is gone too.
+  EXPECT_EQ(relay_host.connection_count(), 0u);
+}
+
 TEST(TorCells, HeaderRoundTrip) {
   CellHeader header{0x12345678, CellCmd::kRelay, 444};
   const auto bytes = serialize_cell_header(header);

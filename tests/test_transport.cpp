@@ -487,12 +487,130 @@ TEST(Tcp, PassiveCloserSendsItsDataAndFin) {
   }
 }
 
+TEST(Tcp, LossAfterTheFinDoesNotTruncateTheStream) {
+  // Every link drops 3% of packets.  The client writes n x 7,000 bytes and
+  // closes at once, so its FIN leaves right behind the data; after an RTO,
+  // go-back-N must resend the missing bytes and then the FIN at the
+  // stream's end, or the server takes the rewound offset as the end.
+  FabricOptions options;
+  options.link.random_drop_probability = 0.03;
+  int short_streams = 0;
+  for (std::uint64_t n = 1; n <= 60; ++n) {
+    TcpPair pair(options);
+    const std::uint64_t bytes = n * 7000;
+    std::uint64_t received = 0;
+    std::optional<std::uint64_t> received_at_close;
+    pair.server->listen(5000, [&](TcpConnection& conn) {
+      conn.set_on_data([&](const ChunkView& view) { received += view.length; });
+      conn.set_on_closed([&] { received_at_close = received; });
+    });
+    auto& conn = pair.client->connect(pair.fabric.ip(15), 5000);
+    conn.set_on_ready([&conn, bytes] {
+      conn.send(Chunk::virtual_bytes(bytes));
+      conn.close();
+    });
+    pair.fabric.simulator().run_until();
+    EXPECT_EQ(received, bytes) << n;
+    short_streams +=
+        received_at_close.has_value() && *received_at_close < bytes;
+  }
+  EXPECT_EQ(short_streams, 0);
+}
+
 TEST(Tcp, ConnectFromUsesRequestedPort) {
   TcpPair pair;
   pair.server->listen(5000, [](TcpConnection&) {});
   const net::L4Port port = pair.client->reserve_port();
   auto& conn = pair.client->connect_from(port, pair.fabric.ip(15), 5000);
   EXPECT_EQ(conn.local_port(), port);
+}
+
+// --- Connection lifetime -----------------------------------------------------
+
+TEST(Tcp, ReleasedConnectionsAreFreedAndTheirFourTupleServesAgain) {
+  // Each end releases its connection from that connection's own on_closed
+  // handler.  Both hosts free them, no handler fires after release, and a
+  // second connection on the same 4-tuple completes.
+  TcpPair pair;
+  int accepted = 0;
+  std::uint64_t received = 0;
+  pair.server->listen(5000, [&](TcpConnection& conn) {
+    ++accepted;
+    conn.set_on_data([&](const ChunkView& view) { received += view.length; });
+    conn.set_on_closed([&pair, &conn] {
+      // Fires at the peer's FIN, then again as close() sends ours.
+      if (conn.state() == TcpConnection::State::kCloseWait) {
+        conn.close();
+      } else {
+        pair.server->release(conn);
+      }
+    });
+  });
+  const net::L4Port port = pair.client->reserve_port();
+  for (std::uint64_t round = 1; round <= 2; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    auto& conn = pair.client->connect_from(port, pair.fabric.ip(15), 5000);
+    conn.set_on_ready([&conn] {
+      conn.send(Chunk::virtual_bytes(10000));
+      conn.close();
+    });
+    int closed_calls = 0;
+    conn.set_on_closed([&] {
+      ++closed_calls;
+      pair.client->release(conn);
+    });
+    pair.fabric.simulator().run_until();
+    EXPECT_EQ(closed_calls, 1);
+    EXPECT_EQ(received, round * 10000);
+    EXPECT_EQ(pair.client->connection_count(), 0u);
+    EXPECT_EQ(pair.server->connection_count(), 0u);
+  }
+  EXPECT_EQ(accepted, 2);
+}
+
+TEST(Tcp, ReleasedConnectionFinishesSendingBeforeItIsFreed) {
+  // Released with data still queued, a connection keeps sending it (release
+  // sends nothing of its own) and is freed once the peer acknowledged it.
+  TcpPair pair;
+  constexpr std::uint64_t kBytes = 256 * 1024;
+  std::uint64_t received = 0;
+  pair.server->listen(5000, [&](TcpConnection& conn) {
+    conn.set_on_data([&](const ChunkView& view) { received += view.length; });
+  });
+  auto& conn = pair.client->connect(pair.fabric.ip(15), 5000);
+  int ready_calls = 0;
+  conn.set_on_ready([&] {
+    ++ready_calls;
+    conn.send(Chunk::virtual_bytes(kBytes));
+    pair.client->release(conn);
+  });
+  pair.fabric.simulator().run_until();
+  EXPECT_EQ(ready_calls, 1);
+  EXPECT_EQ(received, kBytes);
+  EXPECT_EQ(pair.client->connection_count(), 0u);
+  EXPECT_EQ(pair.server->connection_count(), 1u);  // never released
+}
+
+TEST(Tcp, EphemeralPortsSkipOnesLiveConnectionsHold) {
+  TcpPair pair;
+  pair.server->listen(5000, [](TcpConnection&) {});
+  const auto& held = pair.client->connect(pair.fabric.ip(15), 5000);
+  ASSERT_EQ(held.local_port(), 40000);
+  // 25,000 reservations wrap the 40000-64999 range once.
+  int handed_out_held_port = 0;
+  for (int i = 0; i < 25000; ++i) {
+    handed_out_held_port += pair.client->reserve_port() == 40000;
+  }
+  EXPECT_EQ(handed_out_held_port, 0);
+}
+
+TEST(TcpDeathTest, ConnectFromOverALiveConnectionAborts) {
+  TcpPair pair;
+  pair.server->listen(5000, [](TcpConnection&) {});
+  const net::L4Port port = pair.client->reserve_port();
+  pair.client->connect_from(port, pair.fabric.ip(15), 5000);
+  EXPECT_DEATH(pair.client->connect_from(port, pair.fabric.ip(15), 5000),
+               "live connection");
 }
 
 // --- SSL ---------------------------------------------------------------------------
