@@ -149,10 +149,9 @@ FailoverPoint measure_failover(int channels, sim::SimTime replication_lag) {
   FabricOptions fabric_options;
   fabric_options.seed = 11;
   Fabric fabric(fabric_options);
-  core::ControllerDirectory directory(fabric.mc());
   ctrl::StandbyOptions standby_options;
   standby_options.replication_lag = replication_lag;
-  ctrl::StandbyController standby(fabric.mc(), directory, standby_options);
+  ctrl::StandbyController standby(fabric.mc(), standby_options);
   standby.start();
   establish_channels(fabric, channels);
   // Bounded settle: the probe loop ticks forever, so an unbounded run

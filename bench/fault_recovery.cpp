@@ -8,6 +8,7 @@
 // control-drop bursts) relative to an undisturbed run over the same
 // horizon, plus the repair/loss counts behind it.
 #include <cstdio>
+#include <optional>
 
 #include "common.hpp"
 #include "core/fault_injector.hpp"
@@ -83,11 +84,13 @@ std::uint64_t delivered_over_horizon(std::uint64_t chaos_seed,
   // More data than the horizon can carry: the channel stays busy.
   rig.channel->send(transport::Chunk::virtual_bytes(64ull * 1024 * 1024));
 
+  // The injector's armed faults fire during the run, so it lives as long.
+  std::optional<core::FaultInjector> injector;
   if (chaos_seed != 0) {
     core::FaultInjectorOptions fo;
     fo.seed = chaos_seed;
-    core::FaultInjector injector(rig.fabric.network(), rig.fabric.mc(), fo);
-    injector.arm();
+    injector.emplace(rig.fabric.network(), rig.fabric.mc(), fo);
+    injector->arm();
   }
   simulator.run_until(simulator.now() + sim::milliseconds(100));
 

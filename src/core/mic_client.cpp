@@ -25,34 +25,28 @@ transport::ChunkView view_of(const transport::Chunk& chunk) {
 
 MicChannel::MicChannel(transport::Host& host, MimicController& mc,
                        MicChannelOptions options, Rng& rng)
-    : MicChannel(host, &mc, nullptr, std::move(options), rng) {}
-
-MicChannel::MicChannel(transport::Host& host, ControllerDirectory& directory,
-                       MicChannelOptions options, Rng& rng)
-    : MicChannel(host, nullptr, &directory, std::move(options), rng) {}
-
-MicChannel::MicChannel(transport::Host& host, MimicController* mc,
-                       ControllerDirectory* directory,
-                       MicChannelOptions options, Rng& rng)
     : host_(host),
-      mc_fixed_(mc),
-      directory_(directory),
+      mc_(mc),
       options_(std::move(options)),
-      rng_(rng) {
+      rng_(rng),
+      token_(std::make_shared<MicChannel*>(this)) {
   started_at_ = host_.simulator().now();
   start_establish();
 }
 
 MicChannel::~MicChannel() {
-  if (channel_id_ != 0) mc().clear_channel_listener(channel_id_);
+  *token_ = nullptr;
+  host_.simulator().cancel(timer_);
+  if (channel_id_ != 0) mc_.current().clear_channel_listener(channel_id_);
   for (Flow& flow : flows_) host_.release(*flow.tcp);
 }
 
 void MicChannel::start_establish() {
+  MimicController& mc = mc_.current();
   // First contact: run the one-time key exchange with the MC (both sides
   // pay the asymmetric cost once per client).
-  const bool known = mc().client_registered(host_.ip());
-  const crypto::Aes128::Key key = mc().register_client(host_.ip());
+  const bool known = mc.client_registered(host_.ip());
+  const crypto::Aes128::Key key = mc.register_client(host_.ip());
   if (!known) {
     host_.charge(2 * host_.costs().dh_modexp_cycles);
   }
@@ -76,27 +70,28 @@ void MicChannel::start_establish() {
   // The request really is serialized and AES-encrypted (paper Sec VI).
   std::vector<std::uint8_t> bytes = serialize_request(request);
   host_.charge(host_.costs().aes_crypt_cycles(bytes.size()));
-  control_counter_ = host_.fresh_stream_uid();
-  crypt_control_message(key, control_counter_, bytes);
+  const std::uint64_t counter = host_.fresh_stream_uid();
+  crypt_control_message(key, counter, bytes);
 
   // Re-establishments of a lost channel ride the admission controller's
   // repair class, which outranks fresh establishes in its queue.
   const ctrl::AdmitPriority priority = reestablish_attempts_ > 0
                                            ? ctrl::AdmitPriority::kRepair
                                            : ctrl::AdmitPriority::kFresh;
-  const std::uint64_t gen = generation_;
-  mc().async_establish(host_.ip(), std::move(bytes), control_counter_,
-                      [this, gen](const EstablishResult& result) {
-                        if (gen != generation_ || user_closed_) {
-                          // A stale ack for a generation we gave up on: the
-                          // MC holds a live channel nobody owns.  Release
-                          // it rather than stranding its rules.
-                          if (result.ok) mc().teardown(result.channel, false);
-                          return;
-                        }
-                        on_established(result);
-                      },
-                      priority);
+  mc.async_establish(
+      host_.ip(), std::move(bytes), counter,
+      [token = token_, &owner = mc_](const EstablishResult& result) {
+        MicChannel* self = *token;
+        if (self == nullptr || self->user_closed_) {
+          // An ack for an establishment the channel gave up on, or for a
+          // channel that is closed or gone: the MC holds a live channel
+          // nobody owns.  Release it rather than stranding its rules.
+          if (result.ok) owner.current().teardown(result.channel, false);
+          return;
+        }
+        self->on_established(result);
+      },
+      priority);
   if (options_.control_timeout > 0) arm_establish_timeout();
 }
 
@@ -106,18 +101,11 @@ sim::SimTime MicChannel::backoff_for(int attempt) const {
 }
 
 void MicChannel::establish_after(sim::SimTime delay) {
-  const std::uint64_t gen = generation_;
-  host_.simulator().schedule_in(delay, [this, gen] {
-    if (gen != generation_ || user_closed_) return;
-    start_establish();
-  });
+  timer_ = host_.simulator().schedule_in(delay, [this] { start_establish(); });
 }
 
 void MicChannel::arm_establish_timeout() {
-  const std::uint64_t gen = generation_;
-  host_.simulator().schedule_in(options_.control_timeout, [this, gen] {
-    if (gen != generation_ || user_closed_ || failed_) return;
-    if (channel_id_ != 0) return;  // the ack landed
+  timer_ = host_.simulator().schedule_in(options_.control_timeout, [this] {
     // Controller silence: a live MC always answers (even a failed
     // establishment gets an error ack); only a crashed one says nothing.
     ++silences_;
@@ -126,7 +114,7 @@ void MicChannel::arm_establish_timeout() {
         "MIC channel: no establish ack after %llu us (silence %d)",
         static_cast<unsigned long long>(options_.control_timeout / 1000),
         silence_streak_);
-    retire_flows();  // bumps the generation; a late ack hits the stale path
+    retire_flows();  // a late ack finds its token cleared
     if (silence_streak_ > options_.control_retry_limit) {
       fail_with("controller unreachable: establishment unacknowledged");
       return;
@@ -136,55 +124,56 @@ void MicChannel::arm_establish_timeout() {
 }
 
 void MicChannel::schedule_heartbeat() {
-  const std::uint64_t gen = generation_;
-  host_.simulator().schedule_in(options_.heartbeat_interval, [this, gen] {
-    if (gen != generation_ || user_closed_ || failed_) return;
-    probe_once(gen);
-  });
+  timer_ = host_.simulator().schedule_in(options_.heartbeat_interval,
+                                         [this] { probe_once(); });
 }
 
-void MicChannel::probe_once(std::uint64_t gen) {
-  auto answered = std::make_shared<bool>(false);
-  mc().probe_channel(
-      channel_id_,
-      [this, gen](MimicController::ChannelEvent event,
-                  const std::string& reason) {
-        if (gen != generation_) return;
-        on_channel_event(event, reason);
-      },
-      [this, gen, answered](bool alive) {
-        if (gen != generation_ || user_closed_ || failed_) return;
-        *answered = true;
-        silence_streak_ = 0;
-        if (!alive) {
-          // The channel died while the MC was away (or was reclaimed);
-          // take the normal lost path -- auto_reestablish still applies.
-          on_channel_event(MimicController::ChannelEvent::kLost,
-                           "channel not found after MC restart");
-          return;
-        }
-        schedule_heartbeat();
-      });
+void MicChannel::probe_once() {
+  MimicController& mc = mc_.current();
+  mc.probe_channel(channel_id_, listener(), [token = token_](bool alive) {
+    if (MicChannel* self = *token) self->on_probe_reply(alive);
+  });
   // A crashed MC drops the probe on the floor; the watchdog keeps probing
   // (data still flows -- the rules outlive the MC) until the retry budget
   // is spent.
   const sim::SimTime timeout =
       options_.control_timeout > 0
           ? options_.control_timeout
-          : 4 * mc().mic_config().control_latency + sim::milliseconds(1);
-  host_.simulator().schedule_in(timeout, [this, gen, answered] {
-    if (gen != generation_ || user_closed_ || failed_ || *answered) return;
+          : 4 * mc.mic_config().control_latency + sim::milliseconds(1);
+  timer_ = host_.simulator().schedule_in(timeout, [this] {
     ++silences_;
     ++silence_streak_;
     if (silence_streak_ > options_.control_retry_limit) {
       fail_with("controller unreachable: heartbeat unanswered");
       return;
     }
-    probe_once(gen);
+    probe_once();
   });
 }
 
+void MicChannel::on_probe_reply(bool alive) {
+  if (user_closed_ || failed_) return;
+  host_.simulator().cancel(timer_);
+  silence_streak_ = 0;
+  if (!alive) {
+    // The channel died while the MC was away (or was reclaimed); take the
+    // normal lost path -- auto_reestablish still applies.
+    on_channel_event(MimicController::ChannelEvent::kLost,
+                     "channel not found after MC restart");
+    return;
+  }
+  schedule_heartbeat();
+}
+
+MimicController::ChannelListener MicChannel::listener() const {
+  return [token = token_](MimicController::ChannelEvent event,
+                          const std::string& reason) {
+    if (MicChannel* self = *token) self->on_channel_event(event, reason);
+  };
+}
+
 void MicChannel::fail_with(const std::string& reason) {
+  host_.simulator().cancel(timer_);
   failed_ = true;
   error_ = reason;
   ready_ = false;
@@ -197,17 +186,20 @@ void MicChannel::fail_with(const std::string& reason) {
 }
 
 void MicChannel::retire_flows() {
-  // De-generation first: the closes below must not be mistaken for a peer
-  // shutdown.  Released, the old connections call back no more.
-  ++generation_;
+  // A fresh token first: the MC's replies and events for the old flows
+  // reach this channel no more.  Released, the old connections call back
+  // no more either, so closing them is not mistaken for a peer shutdown.
+  host_.simulator().cancel(timer_);
+  *token_ = nullptr;
+  token_ = std::make_shared<MicChannel*>(this);
   ready_ = false;
   flows_ready_ = 0;
   send_seq_ = 0;
   reorderer_ = SliceReorderer{};
   channel_id_ = 0;
   for (Flow& flow : flows_) {
-    flow.stream->close();
     host_.release(*flow.tcp);
+    flow.stream->close();
   }
   flows_.clear();
 }
@@ -235,6 +227,7 @@ void MicChannel::on_channel_event(MimicController::ChannelEvent event,
 }
 
 void MicChannel::on_established(const EstablishResult& result) {
+  host_.simulator().cancel(timer_);  // the MC answered: no watchdog
   if (result.busy) {
     // The MC is alive but shed the request under load: back off for the
     // server-provided interval (plus jitter so a shed herd does not
@@ -242,7 +235,7 @@ void MicChannel::on_established(const EstablishResult& result) {
     // reply itself proves the controller is up.
     ++times_shed_;
     silence_streak_ = 0;
-    retire_flows();  // bumps the generation; the watchdog goes stale
+    retire_flows();
     if (times_shed_ > static_cast<std::uint64_t>(options_.shed_retry_limit)) {
       fail_with("controller busy: shed retry budget exhausted");
       return;
@@ -266,13 +259,7 @@ void MicChannel::on_established(const EstablishResult& result) {
   failed_ = false;
   error_.clear();
   silence_streak_ = 0;  // the MC answered; silences start counting afresh
-  const std::uint64_t gen = generation_;
-  mc().set_channel_listener(
-      channel_id_, [this, gen](MimicController::ChannelEvent event,
-                               const std::string& reason) {
-        if (gen != generation_) return;
-        on_channel_event(event, reason);
-      });
+  mc_.current().set_channel_listener(channel_id_, listener());
   if (options_.heartbeat_interval > 0) schedule_heartbeat();
   // Decrypting the acknowledgement costs the client another AES pass.
   host_.charge(host_.costs().aes_crypt_cycles(
@@ -323,10 +310,7 @@ void MicChannel::on_established(const EstablishResult& result) {
         fail_with("malformed slice header on m-flow " + std::to_string(i));
       }
     });
-    flow.stream->set_on_closed([this, gen] {
-      // retire_flows() closes a flow before releasing it, and a flow in
-      // kCloseWait reports itself closed from inside that close().
-      if (gen != generation_) return;
+    flow.stream->set_on_closed([this] {
       const bool rejected =
           std::any_of(flows_.begin(), flows_.end(), [](const Flow& f) {
             return f.ssl != nullptr && f.ssl->rejected();
@@ -366,14 +350,15 @@ void MicChannel::flush_pending() {
 
 void MicChannel::close() {
   user_closed_ = true;
+  host_.simulator().cancel(timer_);
   for (Flow& flow : flows_) {
     if (flow.stream != nullptr) flow.stream->close();
   }
-  if (channel_id_ != 0) mc().clear_channel_listener(channel_id_);
+  MimicController& target = mc_.current();
+  if (channel_id_ != 0) target.clear_channel_listener(channel_id_);
   // The shutdown notification travels the control channel, addressed to
   // whoever is primary right now.
   const ChannelId id = channel_id_;
-  auto& target = mc();
   host_.simulator().schedule_in(target.mic_config().control_latency,
                                 [&target, id] { target.teardown(id, false); });
 }
@@ -390,10 +375,7 @@ MicChannel& MicChannelPool::acquire(const MicChannelOptions& options) {
   }
   Entry entry;
   entry.options = options;
-  entry.channel =
-      directory_ != nullptr
-          ? std::make_unique<MicChannel>(host_, *directory_, options, rng_)
-          : std::make_unique<MicChannel>(host_, *mc_fixed_, options, rng_);
+  entry.channel = std::make_unique<MicChannel>(host_, mc_, options, rng_);
   entries_.push_back(std::move(entry));
   return *entries_.back().channel;
 }

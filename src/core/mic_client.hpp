@@ -67,17 +67,15 @@ struct MicChannelOptions {
 class MicChannel : public transport::ByteStream {
  public:
   /// Starts establishment immediately; the stream becomes ready() once the
-  /// MC acknowledged and all F m-flow connections are up.
+  /// MC acknowledged and all F m-flow connections are up.  Every control
+  /// interaction (establish, probe, teardown) goes to `mc.current()` at
+  /// send time, so a standby takeover redirects this channel: the
+  /// watchdog/heartbeat machinery notices the old primary's silence and
+  /// the retry lands at the new one.
   MicChannel(transport::Host& host, MimicController& mc,
              MicChannelOptions options, Rng& rng);
-  /// Directory-resolved variant: every control interaction (establish,
-  /// probe, teardown) is addressed to the directory's
-  /// *current* primary at send time, so a standby takeover transparently
-  /// redirects this channel -- the watchdog/heartbeat machinery notices
-  /// the old primary's silence and the retry lands at the new one.
-  MicChannel(transport::Host& host, ControllerDirectory& directory,
-             MicChannelOptions options, Rng& rng);
-  /// Releases the m-flows (see transport::Host::release).  It sends
+  /// Cancels the control timer, leaves the MC nothing to call back and
+  /// releases the m-flows (see transport::Host::release).  It sends
   /// nothing: close() first to end them.
   ~MicChannel() override;
   MicChannel(const MicChannel&) = delete;
@@ -126,41 +124,32 @@ class MicChannel : public transport::ByteStream {
     std::uint64_t bytes_sent = 0;
   };
 
-  /// Both public constructors land here; exactly one of `mc` and
-  /// `directory` is set.
-  MicChannel(transport::Host& host, MimicController* mc,
-             ControllerDirectory* directory, MicChannelOptions options,
-             Rng& rng);
   void start_establish();
   void on_established(const EstablishResult& result);
   /// Backoff before re-establishment or silence retry `attempt` (1-based).
   sim::SimTime backoff_for(int attempt) const;
-  /// Request a fresh establishment after `delay`, unless the generation
-  /// moved on or the user closed the channel meanwhile.
+  /// Request a fresh establishment after `delay`.
   void establish_after(sim::SimTime delay);
   /// Watchdog armed alongside every establishment request when
   /// `control_timeout` is set; fires the silence-retry path if the ack
   /// never lands.
   void arm_establish_timeout();
   void schedule_heartbeat();
-  void probe_once(std::uint64_t gen);
+  void probe_once();
+  void on_probe_reply(bool alive);
+  /// The listener the MC holds for this channel's current establishment.
+  MimicController::ChannelListener listener() const;
   void on_channel_event(MimicController::ChannelEvent event,
                         const std::string& reason);
-  /// Close and release the current m-flows and reset the wire state for a
-  /// fresh establishment.
+  /// Release and close the current m-flows, cut the MC's replies and
+  /// events for them off, and reset the wire state for a fresh
+  /// establishment.
   void retire_flows();
   void fail_with(const std::string& reason);
   void flush_pending();
 
-  /// The control-plane endpoint, resolved per interaction: through the
-  /// directory when one was given (failover-aware), else the fixed MC.
-  MimicController& mc() const noexcept {
-    return directory_ != nullptr ? directory_->current() : *mc_fixed_;
-  }
-
   transport::Host& host_;
-  MimicController* mc_fixed_ = nullptr;
-  ControllerDirectory* directory_ = nullptr;
+  MimicController& mc_;
   MicChannelOptions options_;
   Rng& rng_;
 
@@ -171,9 +160,14 @@ class MicChannel : public transport::ByteStream {
   std::deque<transport::Chunk> pending_;
   std::function<void(const std::string&)> on_lost_;
   std::uint32_t send_seq_ = 0;
-  /// Establishment generation: bumped each time the flows are retired, so
-  /// callbacks wired to an older generation become no-ops.
-  std::uint64_t generation_ = 1;
+  /// What the MC's replies and channel events hold of this channel.
+  /// retire_flows replaces it and the destructor clears it, so they reach
+  /// only the live channel's current establishment.
+  std::shared_ptr<MicChannel*> token_;
+  /// The one pending control timer: the re-establishment backoff, the
+  /// establishment watchdog, the heartbeat or a probe's timeout.  Every MC
+  /// reply, retire_flows, close, fail_with and the destructor cancel it.
+  sim::EventId timer_ = 0;
   bool ready_ = false;
   bool failed_ = false;
   bool closed_notified_ = false;
@@ -188,7 +182,6 @@ class MicChannel : public transport::ByteStream {
   int silence_streak_ = 0;
   sim::SimTime started_at_ = 0;
   sim::SimTime ready_at_ = 0;
-  std::uint64_t control_counter_ = 0;
 };
 
 /// One accepted channel on the responder.  The responder never sees the
@@ -227,12 +220,7 @@ class MicServerChannel : public transport::ByteStream {
 class MicChannelPool {
  public:
   MicChannelPool(transport::Host& host, MimicController& mc, Rng& rng)
-      : host_(host), mc_fixed_(&mc), rng_(rng) {}
-  /// Failover-aware pool: channels it creates resolve the MC through the
-  /// directory (see the MicChannel directory constructor).
-  MicChannelPool(transport::Host& host, ControllerDirectory& directory,
-                 Rng& rng)
-      : host_(host), directory_(&directory), rng_(rng) {}
+      : host_(host), mc_(mc), rng_(rng) {}
 
   /// Non-copyable: entries hold raw pointers into the pool.
   MicChannelPool(const MicChannelPool&) = delete;
@@ -263,8 +251,7 @@ class MicChannelPool {
   }
 
   transport::Host& host_;
-  MimicController* mc_fixed_ = nullptr;
-  ControllerDirectory* directory_ = nullptr;
+  MimicController& mc_;
   Rng& rng_;
   std::vector<Entry> entries_;
 };

@@ -780,9 +780,11 @@ void MimicController::service_establish(
   const sim::SimTime done =
       mc_cpu_.charge(network().simulator().now(), cycles);
 
+  // Mutable, so the callback below is moved on, not copied.
   network().simulator().schedule_at(done, [this, client, reject,
                                            request = std::move(request),
-                                           admit_epoch, cb = std::move(cb)] {
+                                           admit_epoch,
+                                           cb = std::move(cb)]() mutable {
     if (crashed_) return;
     std::vector<InstallOp> ops;
     EstablishResult result;

@@ -243,6 +243,16 @@ class MimicController : public ctrl::Controller {
   /// seed so both derive identical MAGA deployment secrets).
   std::uint64_t seed() const noexcept { return seed_; }
 
+  /// The controller that serves this one's clients now: the end of its
+  /// successor chain, which a standby that takes over extends (see
+  /// ctrl::StandbyController).  Clients resolve it on every control
+  /// interaction, so a takeover redirects them without reconfiguration.
+  MimicController& current() noexcept {
+    return successor_ != nullptr ? successor_->current() : *this;
+  }
+  MimicController* successor() const noexcept { return successor_; }
+  void set_successor(MimicController* next) noexcept { successor_ = next; }
+
   /// Control-channel liveness probe: answers (after a control round trip)
   /// whether `id` is still a live channel, re-registering `listener` on
   /// the way -- how a surviving client re-attaches after an MC restart
@@ -484,31 +494,10 @@ class MimicController : public ctrl::Controller {
   ChannelJournal journal_;
   bool crashed_ = false;
   bool deposed_ = false;
+  MimicController* successor_ = nullptr;
   std::uint64_t crashes_ = 0;
   RecoveryReport last_recovery_;
   ctrl::RerouteStats reroute_stats_;
-};
-
-/// The control-plane "virtual IP": clients resolve the current primary MC
-/// through the directory on every control interaction, so a standby
-/// takeover (fail_over_to) transparently redirects every subsequent
-/// establishment, probe and teardown to the new primary -- the existing
-/// watchdog/re-attach machinery in MicChannel does the rest.
-class ControllerDirectory {
- public:
-  explicit ControllerDirectory(MimicController& initial)
-      : current_(&initial) {}
-
-  MimicController& current() const noexcept { return *current_; }
-  void fail_over_to(MimicController& mc) noexcept {
-    current_ = &mc;
-    ++failovers_;
-  }
-  std::uint64_t failovers() const noexcept { return failovers_; }
-
- private:
-  MimicController* current_;
-  std::uint64_t failovers_ = 0;
 };
 
 }  // namespace mic::core

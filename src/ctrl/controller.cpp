@@ -98,10 +98,12 @@ void Controller::subscribe_port_status() {
   for (const topo::NodeId sw : graph().switches()) {
     switch_at(sw)->set_detection_latency(config_.detection_latency);
     switch_at(sw)->add_port_status_handler(
-        [this](topo::NodeId node, topo::PortId port) {
-          network_.simulator().schedule_in(
-              kSouthboundLatency,
-              [this, node, port] { on_port_status(node, port); });
+        [token = token_](topo::NodeId node, topo::PortId port) {
+          if (*token == nullptr) return;
+          (*token)->network_.simulator().schedule_in(
+              kSouthboundLatency, [token, node, port] {
+                if (Controller* self = *token) self->on_port_status(node, port);
+              });
         });
   }
 }

@@ -66,7 +66,11 @@ class Controller {
   Controller(net::Network& network, HostAddressing addressing,
              ControllerConfig config = {});
 
-  virtual ~Controller() = default;
+  /// The switches' port-status handlers, and the events they scheduled,
+  /// outlive the controller and call nothing from then on.
+  virtual ~Controller() { *token_ = nullptr; }
+  Controller(const Controller&) = delete;
+  Controller& operator=(const Controller&) = delete;
 
   net::Network& network() noexcept { return network_; }
   const topo::Graph& graph() const noexcept { return network_.graph(); }
@@ -140,7 +144,8 @@ class Controller {
   /// Route async port-status notifications from every switch to
   /// on_port_status(), after the switch-side detection latency (configured
   /// here from config().detection_latency) plus the control-channel
-  /// latency.  This is what replaces hand-fed failure reports.
+  /// latency, for as long as this controller lives.  This is what replaces
+  /// hand-fed failure reports.
   void subscribe_port_status();
 
   /// Sum of every switch's lookup counters (see SdnSwitch::table_stats).
@@ -193,6 +198,10 @@ class Controller {
   double control_drop_probability_ = 0.0;
   std::uint64_t control_drops_ = 0;
   Rng control_drop_rng_{0xC0117801DD};
+
+  /// What the switches' port-status handlers hold of this controller; the
+  /// destructor clears it.
+  std::shared_ptr<Controller*> token_ = std::make_shared<Controller*>(this);
 };
 
 }  // namespace mic::ctrl

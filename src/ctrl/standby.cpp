@@ -14,10 +14,8 @@ constexpr int kMissedHeartbeatBudget = 3;
 }  // namespace
 
 StandbyController::StandbyController(core::MimicController& primary,
-                                     core::ControllerDirectory& directory,
                                      StandbyOptions options)
     : primary_(primary),
-      directory_(&directory),
       options_(options),
       mc_(std::make_unique<core::MimicController>(
           primary.network(), primary.addressing(), primary.seed(),
@@ -27,9 +25,12 @@ StandbyController::StandbyController(core::MimicController& primary,
 }
 
 StandbyController::~StandbyController() {
+  *token_ = nullptr;
+  mc_->network().simulator().cancel(probe_timer_);
   // take_over() already detached; a follower that dies first must too, or
   // the primary's next commit calls into freed memory.
   if (started_ && !active_) primary_.journal().set_commit_listener(nullptr);
+  if (active_) primary_.set_successor(mc_->successor());
 }
 
 void StandbyController::start() {
@@ -44,10 +45,13 @@ void StandbyController::start() {
         // record.
         if (active_ || partitioned_) return;
         mc_->network().simulator().schedule_in(
-            options_.replication_lag, [this, record] {
-              if (active_ || partitioned_) return;
-              replica_.adopt_record(record);
-              ++records_replicated_;
+            options_.replication_lag, [token = token_, record] {
+              StandbyController* self = *token;
+              if (self == nullptr || self->active_ || self->partitioned_) {
+                return;
+              }
+              self->replica_.adopt_record(record);
+              ++self->records_replicated_;
             });
       });
   if (options_.heartbeat_interval > 0) schedule_probe();
@@ -55,23 +59,25 @@ void StandbyController::start() {
 
 void StandbyController::schedule_probe() {
   if (active_) return;
-  mc_->network().simulator().schedule_in(options_.heartbeat_interval, [this] {
-    if (active_) return;
-    const std::uint64_t seq = ++probe_seq_;
-    probe_answered_ = false;
-    // probe_channel(0, ...) always answers alive=false from a live MC and
-    // stays silent from a crashed one -- any reply at all is proof of life.
-    primary_.probe_channel(0, nullptr, [this, seq](bool) {
-      if (partitioned_) return;  // the reply is lost in the partition
-      if (seq == probe_seq_) probe_answered_ = true;
-    });
-    mc_->network().simulator().schedule_in(
-        kHeartbeatTimeout, [this, seq] { on_probe_timeout(seq); });
-  });
+  probe_timer_ = mc_->network().simulator().schedule_in(
+      options_.heartbeat_interval, [this] {
+        const std::uint64_t seq = ++probe_seq_;
+        probe_answered_ = false;
+        // probe_channel(0, ...) always answers alive=false from a live MC
+        // and stays silent from a crashed one -- any reply at all is proof
+        // of life.
+        primary_.probe_channel(0, nullptr, [token = token_, seq](bool) {
+          StandbyController* self = *token;
+          // Lost in a partition, or the standby is gone.
+          if (self == nullptr || self->partitioned_) return;
+          if (seq == self->probe_seq_) self->probe_answered_ = true;
+        });
+        probe_timer_ = mc_->network().simulator().schedule_in(
+            kHeartbeatTimeout, [this] { on_probe_timeout(); });
+      });
 }
 
-void StandbyController::on_probe_timeout(std::uint64_t seq) {
-  if (active_ || seq != probe_seq_) return;
+void StandbyController::on_probe_timeout() {
   if (probe_answered_) {
     missed_ = 0;
   } else {
@@ -87,6 +93,7 @@ void StandbyController::on_probe_timeout(std::uint64_t seq) {
 bool StandbyController::take_over(const std::string& reason) {
   if (active_) return false;
   active_ = true;
+  mc_->network().simulator().cancel(probe_timer_);
   MIC_LOG_WARN("standby takeover (%s): replica holds %zu records",
                reason.c_str(), replica_.size());
 
@@ -112,7 +119,7 @@ bool StandbyController::take_over(const std::string& reason) {
   mc_->install_default_routing();
 
   mc_->subscribe_port_status();
-  if (directory_ != nullptr) directory_->fail_over_to(*mc_);
+  primary_.set_successor(mc_.get());
   return true;
 }
 

@@ -12,7 +12,8 @@
 // ordinary recover() path (switch dumps reconcile the possibly-stale image
 // against what is actually installed), every switch is fenced under the
 // new journal epoch so a zombie ex-primary's ops are refused, and the
-// ControllerDirectory repoints clients at the new primary.
+// primary records the standby's controller as its successor, so clients
+// that resolve `current()` reach the new primary.
 #pragma once
 
 #include <cstdint>
@@ -39,13 +40,12 @@ class StandbyController {
  public:
   /// Builds the standby MC from the primary's network, addressing, seed and
   /// configs.  Nothing is subscribed until start().
-  StandbyController(core::MimicController& primary,
-                    core::ControllerDirectory& directory,
-                    StandbyOptions options = {});
+  explicit StandbyController(core::MimicController& primary,
+                             StandbyOptions options = {});
 
-  /// Detaches the commit listener from the primary's journal if this
-  /// standby is still subscribed (started but never took over), so a
-  /// primary that outlives its standby never invokes a dangling callback.
+  /// Stops probing, detaches from the primary's journal and leaves its
+  /// probe replies and the replication events nothing to call.  A standby
+  /// that took over leaves the successor chain.  The primary outlives it.
   ~StandbyController();
 
   /// Subscribe to the primary's record stream (records already in its
@@ -53,11 +53,11 @@ class StandbyController {
   /// begin the heartbeat probe loop (unless heartbeat_interval is 0).
   void start();
 
-  /// Promote the standby now: detach from the old primary's stream, mirror
-  /// the directory, fence + recover from the replica, reinstall the
-  /// proactive routing for the resynced failure view, subscribe to
-  /// port-status reports and repoint the directory.  Idempotent; returns
-  /// false if this standby already took over.
+  /// Promote the standby now: stop probing, detach from the old primary's
+  /// stream, mirror the directory, fence + recover from the replica,
+  /// reinstall the proactive routing for the resynced failure view,
+  /// subscribe to port-status reports and become the primary's successor.
+  /// Idempotent; returns false if this standby already took over.
   bool take_over(const std::string& reason);
 
   /// Simulate a control-network partition between standby and primary:
@@ -89,10 +89,9 @@ class StandbyController {
 
  private:
   void schedule_probe();
-  void on_probe_timeout(std::uint64_t seq);
+  void on_probe_timeout();
 
   core::MimicController& primary_;
-  core::ControllerDirectory* directory_;
   StandbyOptions options_;
   std::unique_ptr<core::MimicController> mc_;
   core::ChannelJournal replica_;
@@ -103,6 +102,12 @@ class StandbyController {
   int missed_ = 0;
   std::uint64_t probe_seq_ = 0;
   bool probe_answered_ = false;
+  /// The probe tick or the probe timeout, whichever is pending.
+  sim::EventId probe_timer_ = 0;
+  /// What the primary's probe replies and the replication events hold of
+  /// this standby; the destructor clears it.
+  std::shared_ptr<StandbyController*> token_ =
+      std::make_shared<StandbyController*>(this);
   std::uint64_t records_replicated_ = 0;
   std::uint64_t probes_missed_ = 0;
   core::MimicController::RecoveryReport takeover_report_;

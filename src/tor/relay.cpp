@@ -14,6 +14,7 @@ TorRelay::TorRelay(transport::Host& host, net::L4Port port, Rng& rng)
 
 TorRelay::~TorRelay() {
   host_.unlisten(port_);
+  for (const auto& cell : queued_) host_.simulator().cancel(cell.departure);
   for (const auto& link : links_) host_.release(*link->conn);
   for (auto& [key, circuit] : circuits_) {
     if (circuit->exit_conn == nullptr) continue;
@@ -46,13 +47,14 @@ void TorRelay::send_cell(Link& link, const CellHeader& header,
   // not throughput -- matching the real daemon's behaviour.
   const auto delay = sim::SimTime(
       host_.costs().tor_cell_sched_delay_us * 1000.0);
-  Link* link_ptr = &link;
-  host_.simulator().schedule_in(
-      delay, [link_ptr, header, b = std::move(body)]() mutable {
-        link_ptr->conn->send(
-            transport::Chunk::real(serialize_cell_header(header)));
-        link_ptr->conn->send(std::move(b));
-      });
+  const sim::EventId departure = host_.simulator().schedule_in(delay, [this] {
+    QueuedCell cell = std::move(queued_.front());
+    queued_.pop_front();
+    cell.link->conn->send(
+        transport::Chunk::real(serialize_cell_header(cell.header)));
+    cell.link->conn->send(std::move(cell.body));
+  });
+  queued_.push_back({&link, header, std::move(body), departure});
 }
 
 void TorRelay::crypt_layer(Circuit& circuit, std::uint64_t nonce,

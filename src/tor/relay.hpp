@@ -28,7 +28,8 @@ struct RelayAddr {
 class TorRelay {
  public:
   TorRelay(transport::Host& host, net::L4Port port, Rng& rng);
-  /// Stops listening on `port` and releases every link and exit stream.
+  /// Stops listening on `port`, drops the cells still queued and releases
+  /// every link and exit stream.
   ~TorRelay();
   TorRelay(const TorRelay&) = delete;
   TorRelay& operator=(const TorRelay&) = delete;
@@ -56,6 +57,14 @@ class TorRelay {
     transport::TcpConnection* exit_conn = nullptr;
     bool exit_ready = false;
     std::deque<transport::Chunk> exit_pending;
+  };
+
+  /// A cell waiting out the relay's queueing delay.
+  struct QueuedCell {
+    Link* link = nullptr;
+    CellHeader header;
+    transport::Chunk body;
+    sim::EventId departure = 0;
   };
 
   /// Reads cells off `conn`; closes it on anything that is not a cell or
@@ -91,6 +100,9 @@ class TorRelay {
   // Both (client_side, client_circ) and (next_side, next_circ) map to the
   // circuit so cells from either direction find it.
   std::unordered_map<std::uint64_t, std::shared_ptr<Circuit>> circuits_;
+  /// Cells in the order send_cell queued them, which is the order they
+  /// leave in: the queueing delay is the same for every cell.
+  std::deque<QueuedCell> queued_;
   std::uint32_t next_circ_id_ = 0x40000000;  // relay-allocated range
   std::uint64_t cells_relayed_ = 0;
 };

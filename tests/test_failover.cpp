@@ -1,8 +1,9 @@
 // Warm-standby controller failover (src/ctrl/standby.hpp): journal
 // replication over the commit stream, missed-heartbeat takeover with the
-// ControllerDirectory repointing live clients, id-safety across a chain of
-// failovers, stale-replica takeovers that sweep and re-establish, zombie
-// ex-primary fencing (RC-2), and the seeded failover chaos soak across all
+// primary's successor chain redirecting live clients, id-safety across a
+// chain of failovers, stale-replica takeovers that sweep and re-establish,
+// zombie ex-primary fencing (RC-2), standbys destroyed while they probe or
+// after they took over, and the seeded failover chaos soak across all
 // three primary-kill modes -- bit-reproducible.
 #include <gtest/gtest.h>
 
@@ -24,7 +25,6 @@ namespace mic {
 namespace {
 
 using core::ChannelId;
-using core::ControllerDirectory;
 using core::Fabric;
 using core::FabricOptions;
 using core::FaultInjector;
@@ -35,14 +35,12 @@ using core::MicServer;
 using ctrl::StandbyController;
 using ctrl::StandbyOptions;
 
-/// Primary + directory + warm standby + a responder, the way a deployment
-/// would wire them.  Clients resolve the MC through the directory, so they
-/// survive the failover without reconfiguration.
+/// Primary + warm standby + a responder, the way a deployment would wire
+/// them.  Clients resolve the MC through the primary's successor chain, so
+/// they survive the failover without reconfiguration.
 struct FailoverBed {
   explicit FailoverBed(FabricOptions fo = {}, StandbyOptions so = {})
-      : fabric(fo),
-        directory(fabric.mc()),
-        standby(fabric.mc(), directory, so) {
+      : fabric(fo), standby(fabric.mc(), so) {
     standby.start();
     server = std::make_unique<MicServer>(fabric.host(12), 7000, fabric.rng());
     server->set_on_channel([this](core::MicServerChannel& channel) {
@@ -65,7 +63,7 @@ struct FailoverBed {
   }
 
   std::unique_ptr<MicChannel> client(std::size_t host, MicChannelOptions o) {
-    return std::make_unique<MicChannel>(fabric.host(host), directory, o,
+    return std::make_unique<MicChannel>(fabric.host(host), fabric.mc(), o,
                                         fabric.rng());
   }
 
@@ -76,7 +74,6 @@ struct FailoverBed {
   }
 
   Fabric fabric;
-  ControllerDirectory directory;
   StandbyController standby;
   std::unique_ptr<MicServer> server;
   std::uint64_t received = 0;
@@ -173,22 +170,43 @@ TEST(StandbyReplication, DestroyedFollowerDetachesFromThePrimaryStream) {
   // listener: the primary's next appended record would otherwise call
   // into freed memory (the ASan tier enforces the "freed" part).
   Fabric fabric;
-  ControllerDirectory directory(fabric.mc());
   MicServer server(fabric.host(12), 7000, fabric.rng());
   server.set_on_channel([](core::MicServerChannel&) {});
   {
-    StandbyController standby(fabric.mc(), directory, follow_only());
+    StandbyController standby(fabric.mc(), follow_only());
     standby.start();
   }
   MicChannelOptions o;
   o.responder_ip = fabric.ip(12);
   o.responder_port = 7000;
-  MicChannel c(fabric.host(0), directory, o, fabric.rng());
+  MicChannel c(fabric.host(0), fabric.mc(), o, fabric.rng());
   fabric.simulator().run_until();
   EXPECT_TRUE(c.ready());
   // The journal still appends and counts shipments; there is simply no
   // listener left to deliver them to.
   EXPECT_GE(fabric.mc().journal().records_shipped(), 1u);
+}
+
+TEST(StandbyReplication, StandbyDestroyedWhileItProbesLeavesNoEvent) {
+  // The standby dies with a probe reply on its way back from the primary,
+  // the probe's timeout pending and a record crossing the replication
+  // channel; none of them reaches it afterwards.
+  Fabric fabric;
+  sim::Simulator& simulator = fabric.simulator();
+  {
+    StandbyController standby(fabric.mc());  // probes every 2 ms
+    standby.start();
+    simulator.run_until(simulator.now() + sim::microseconds(2100));
+    core::EstablishRequest r;
+    r.initiator_ip = fabric.ip(0);
+    r.responder_ip = fabric.ip(8);
+    r.responder_port = 7100;
+    r.initiator_sports = {30000};
+    ASSERT_TRUE(fabric.mc().establish(r).ok);
+  }
+  simulator.run_until(simulator.now() + sim::milliseconds(10));
+  EXPECT_TRUE(simulator.idle());
+  EXPECT_EQ(&fabric.mc().current(), &fabric.mc());
 }
 
 // --- takeover ----------------------------------------------------------------
@@ -209,8 +227,7 @@ TEST(Failover, MissedHeartbeatsPromoteTheStandby) {
   // both channels came back without touching a single installed rule.
   ASSERT_TRUE(bed.standby.active());
   EXPECT_GE(bed.standby.probes_missed(), 3u);
-  EXPECT_EQ(bed.directory.failovers(), 1u);
-  EXPECT_EQ(&bed.directory.current(), &bed.standby.mc());
+  EXPECT_EQ(&bed.fabric.mc().current(), &bed.standby.mc());
   const auto& report = bed.standby.takeover_report();
   EXPECT_EQ(report.channels_recovered, 2u);
   EXPECT_EQ(report.channels_kept, 2u);
@@ -229,7 +246,8 @@ TEST(Failover, MissedHeartbeatsPromoteTheStandby) {
   EXPECT_TRUE(audit.ok) << audit.first_violation();
   EXPECT_GT(audit.check("RC-2").metric("journal_epoch"), epoch_before);
 
-  // A fresh establishment lands on the new primary via the directory.
+  // A fresh establishment lands on the new primary, the primary's
+  // successor.
   auto c3 = bed.client(5, bed.options());
   bed.run_for(sim::milliseconds(30));
   ASSERT_TRUE(c3->ready());
@@ -273,13 +291,13 @@ TEST(Failover, DoubleFailoverNeverReusesIds) {
 
   // Second hop of the chain: a fresh standby follows the new primary, the
   // new primary dies too.
-  StandbyController next(second, bed.directory, follow_only());
+  StandbyController next(second, follow_only());
   next.start();
   bed.run_for(sim::milliseconds(5));
   second.crash();
   ASSERT_TRUE(next.take_over("test: second failover"));
   bed.run_for(sim::milliseconds(30));
-  EXPECT_EQ(bed.directory.failovers(), 2u);
+  EXPECT_EQ(&bed.fabric.mc().current(), &next.mc());
   EXPECT_GT(next.mc().journal().epoch(), second.journal().epoch() - 1);
 
   auto c4 = bed.client(9, bed.options());
@@ -308,13 +326,8 @@ TEST(Failover, DoubleFailoverNeverReusesIds) {
   c4->close();
   bed.fabric.simulator().run_until();
   EXPECT_TRUE(bed.fabric.simulator().idle());
-  // `next` owns the chain's final controller and dies before c1-c3:
-  // destroy the channels while that controller is still alive, or their
-  // destructors resolve mc() through the directory into freed memory.
-  c4.reset();
-  c3.reset();
-  c2.reset();
-  c1.reset();
+  // `next` owns the chain's final controller and dies before c1-c3; it
+  // leaves the chain as it goes, so their destructors resolve `second`.
 }
 
 TEST(Failover, TakeoverOutranksAPrimaryWhoseReplicaCompactedToEmpty) {
@@ -390,6 +403,28 @@ TEST(Failover, TakeoverDropsDetoursOfAFailureThatHealedDuringTheOutage) {
   EXPECT_EQ(ctrl::differing_switches(healthy,
                                      ctrl::l3_tables(bed.standby.mc())),
             std::vector<topo::NodeId>{});
+}
+
+TEST(Failover, DestroyedStandbyLeavesTheChainAndHearsNoPortStatus) {
+  // A standby that took over subscribed its controller to every switch's
+  // port status and became the primary's successor.  Once it is gone the
+  // primary's clients resolve the primary again, and a link going down
+  // reaches only the controllers still alive.
+  Fabric fabric;
+  {
+    StandbyController standby(fabric.mc(), follow_only());
+    standby.start();
+    fabric.mc().crash();
+    ASSERT_TRUE(standby.take_over("test: short-lived standby"));
+    EXPECT_EQ(&fabric.mc().current(), &standby.mc());
+    fabric.simulator().run_until();
+  }
+  EXPECT_EQ(&fabric.mc().current(), &fabric.mc());
+  const topo::LinkId cut = core_link(fabric, 0);
+  fabric.network().set_link_up(cut, false);
+  fabric.simulator().run_until();
+  fabric.mc().recover(fabric.mc().journal());
+  EXPECT_TRUE(fabric.mc().failed_links().contains(cut));
 }
 
 TEST(Failover, StaleReplicaSweepsAndClientsReestablish) {
@@ -493,7 +528,7 @@ struct FailoverOutcome {
   std::uint64_t received = 0;
   std::size_t alive = 0;
   std::size_t kills = 0;
-  std::uint64_t failovers = 0;
+  bool took_over = false;  // the standby is the primary's successor
   std::uint64_t replicated = 0;
   std::uint64_t stale_ops = 0;
   std::size_t recovered = 0;
@@ -506,16 +541,15 @@ struct FailoverOutcome {
 };
 
 /// One seeded primary-kill schedule on top of the regular fault mix: the
-/// standby performs the takeover on its own (heartbeat machinery), the
-/// directory repoints the clients, and the run must end with every
-/// surviving channel delivering and a clean audit -- including RC-2 -- on
-/// whichever controller is primary at the end.
+/// standby performs the takeover on its own (heartbeat machinery) and
+/// becomes the primary's successor, which the clients resolve.  The run
+/// must end with every surviving channel delivering and a clean audit --
+/// including RC-2 -- on whichever controller is primary at the end.
 FailoverOutcome run_failover_chaos(
     Fabric& fabric, std::uint64_t seed,
     FaultInjectorOptions::PrimaryKillMode mode) {
   net::TraceHash trace(fabric.network());
-  ControllerDirectory directory(fabric.mc());
-  StandbyController standby(fabric.mc(), directory, {});
+  StandbyController standby(fabric.mc(), {});
   standby.start();
 
   MicServer server(fabric.host(12), 7000, fabric.rng());
@@ -537,7 +571,7 @@ FailoverOutcome run_failover_chaos(
     o.control_retry_limit = 20;
     o.heartbeat_interval = sim::milliseconds(2);
     clients.push_back(std::make_unique<MicChannel>(
-        fabric.host(client_idx[i]), directory, o, fabric.rng()));
+        fabric.host(client_idx[i]), fabric.mc(), o, fabric.rng()));
   }
   auto run_for = [&fabric](sim::SimTime dt) {
     fabric.simulator().run_until(fabric.simulator().now() + dt);
@@ -563,7 +597,7 @@ FailoverOutcome run_failover_chaos(
 
   EXPECT_EQ(injector.primary_kills_fired(), 1u);
   EXPECT_TRUE(standby.active());
-  core::MimicController& mc = directory.current();
+  core::MimicController& mc = fabric.mc().current();
   EXPECT_EQ(&mc, &standby.mc());
   EXPECT_FALSE(mc.crashed());
 
@@ -621,7 +655,7 @@ FailoverOutcome run_failover_chaos(
 
   out.received = received;
   out.kills = injector.primary_kills_fired();
-  out.failovers = directory.failovers();
+  out.took_over = &mc == &standby.mc();
   out.replicated = standby.records_replicated();
   out.stale_ops = report.check("RC-2").metric("stale_ops_rejected");
   out.recovered = standby.takeover_report().channels_recovered;
@@ -665,7 +699,7 @@ void soak(KillMode mode, std::uint64_t fabric_seed_base) {
     fo.seed = fabric_seed_base + seed;
     Fabric fabric(fo);
     const FailoverOutcome out = run_failover_chaos(fabric, seed, mode);
-    EXPECT_EQ(out.failovers, 1u);
+    EXPECT_TRUE(out.took_over);
     EXPECT_GT(out.replicated, 0u);
   }
 }
@@ -701,10 +735,9 @@ TEST(FailoverSoak, FollowOnlyStandbyIsTraceInvisible) {
     fo.seed = 650;
     Fabric fabric(fo);
     net::TraceHash trace(fabric.network());
-    ControllerDirectory directory(fabric.mc());
     std::unique_ptr<StandbyController> standby;
     if (with_standby) {
-      standby = std::make_unique<StandbyController>(fabric.mc(), directory,
+      standby = std::make_unique<StandbyController>(fabric.mc(),
                                                     follow_only());
       standby->start();
     }

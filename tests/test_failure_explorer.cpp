@@ -42,13 +42,13 @@ ctrl::StandbyOptions follow_only() {
 /// The bed every sequence starts from.  The actors: A is the first
 /// aggregation switch, C a core adjacent to A, E the edge switch under A
 /// that does not serve host 0, and L the A-C link.  Letters act on the
-/// directory's current MC, and switch crashes and reboots act the way the
-/// fault injector's do.
+/// current MC (the primary's, or its successor's once the standby took
+/// over), and switch crashes and reboots act the way the fault injector's
+/// do.
 class ExplorerBed {
  public:
   ExplorerBed()
-      : directory_(fabric_.mc()),
-        standby_(fabric_.mc(), directory_, follow_only()) {
+      : standby_(fabric_.mc(), follow_only()) {
     standby_.start();
     server_ = std::make_unique<MicServer>(fabric_.host(12), 7000,
                                           fabric_.rng());
@@ -79,7 +79,7 @@ class ExplorerBed {
 
   void apply(std::size_t letter) {
     const std::array<topo::NodeId, 3> switches = {c_, a_, e_};
-    MimicController& mc = directory_.current();
+    MimicController& mc = fabric_.mc().current();
     if (letter < 6) {
       if (letter % 2 == 0) {
         crash(switches[letter / 2]);
@@ -106,7 +106,7 @@ class ExplorerBed {
 
   /// The first end-state check that fails, or "" when all hold.
   std::string verdict() {
-    MimicController& mc = directory_.current();
+    MimicController& mc = fabric_.mc().current();
     if (mc.crashed()) {
       mc.recover(mc.journal());
       run();
@@ -151,7 +151,7 @@ class ExplorerBed {
     MicChannelOptions o;
     o.responder_ip = fabric_.ip(12);
     o.responder_port = 7000;
-    return std::make_unique<MicChannel>(fabric_.host(host), directory_, o,
+    return std::make_unique<MicChannel>(fabric_.host(host), fabric_.mc(), o,
                                         fabric_.rng());
   }
 
@@ -160,7 +160,7 @@ class ExplorerBed {
     for (const auto& adj : graph().neighbors(sw)) {
       fabric_.network().set_link_up(adj.link, false);
     }
-    directory_.current().fail_switch(sw);
+    fabric_.mc().current().fail_switch(sw);
   }
 
   void reboot(topo::NodeId sw) {
@@ -170,11 +170,10 @@ class ExplorerBed {
         fabric_.network().set_link_up(adj.link, true);
       }
     }
-    directory_.current().restore_switch(sw);
+    fabric_.mc().current().restore_switch(sw);
   }
 
   Fabric fabric_;
-  ControllerDirectory directory_;
   ctrl::StandbyController standby_;
   std::unique_ptr<MicServer> server_;
   std::vector<std::unique_ptr<MicChannel>> channels_;

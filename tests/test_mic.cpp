@@ -7,6 +7,7 @@
 #include <set>
 
 #include "anonymity/observer.hpp"
+#include "core/audit_registry.hpp"
 #include "core/collision_audit.hpp"
 #include "core/fabric.hpp"
 #include "core/mic_client.hpp"
@@ -818,6 +819,101 @@ TEST(MicLifetime, SequentialSessionsLeaveConstantStateOnBothHosts) {
   EXPECT_EQ(responder.connection_count(), 1u);
   EXPECT_EQ(responder.listener_count(), 0u);
   EXPECT_EQ(bed.fabric.mc().active_channel_count(), 0u);
+}
+
+// A channel can die with control work pending: the MC holds its ack, its
+// listener and its probe replies, and the simulator its one control timer.
+// Each test below destroys it at one such moment; the ASan tier is what
+// sees a use after free.
+
+TEST(MicLifetime, ClosedRightAfterConnectLeavesTheMcNoChannel) {
+  // The socket is closed, and its channel destroyed, before the MC
+  // answers: the ack finds the channel gone and tears down what the MC
+  // established for it.
+  MicBed bed;
+  bed.serve(12);
+  MicSocketApi api(bed.fabric.host(0), bed.fabric.mc(), bed.fabric.rng());
+  api.mic_close(api.mic_connect(bed.fabric.ip(12), 7000));
+  bed.fabric.simulator().run_until();
+  EXPECT_EQ(bed.fabric.mc().requests_handled(), 1u);
+  EXPECT_EQ(bed.fabric.mc().active_channel_count(), 0u);
+  const audit::RunReport audit = audit::run_all(bed.fabric);
+  EXPECT_TRUE(audit.ok) << audit.first_violation();
+}
+
+TEST(MicLifetime, PoolDrainedMidEstablishmentLeavesTheMcNoChannel) {
+  MicBed bed;
+  bed.serve(12);
+  MicChannelPool pool(bed.fabric.host(0), bed.fabric.mc(), bed.fabric.rng());
+  pool.acquire(bed.options_to(12));
+  pool.drain();
+  bed.fabric.simulator().run_until();
+  EXPECT_EQ(bed.fabric.mc().requests_handled(), 1u);
+  EXPECT_EQ(bed.fabric.mc().active_channel_count(), 0u);
+  const audit::RunReport audit = audit::run_all(bed.fabric);
+  EXPECT_TRUE(audit.ok) << audit.first_violation();
+}
+
+TEST(MicLifetime, ChannelDestroyedDuringItsWatchdogLeavesNoEvent) {
+  // A crashed MC answers nothing: the watchdog counts a silence and backs
+  // off before it asks again, and the channel dies during that backoff.
+  MicBed bed;
+  bed.fabric.mc().crash();
+  MicChannelOptions options = bed.options_to(12);
+  options.control_timeout = sim::milliseconds(1);
+  sim::Simulator& simulator = bed.fabric.simulator();
+  {
+    MicChannel channel(bed.fabric.host(0), bed.fabric.mc(), options,
+                       bed.fabric.rng());
+    simulator.run_until(simulator.now() + sim::microseconds(1500));
+    ASSERT_EQ(channel.controller_silences(), 1u);
+  }
+  EXPECT_TRUE(simulator.idle());
+  simulator.run_until();
+}
+
+TEST(MicLifetime, ChannelDestroyedWithAHeartbeatPendingLeavesNoEvent) {
+  MicBed bed;
+  bed.serve(12);
+  MicChannelOptions options = bed.options_to(12);
+  options.heartbeat_interval = sim::milliseconds(1);
+  sim::Simulator& simulator = bed.fabric.simulator();
+  {
+    MicChannel channel(bed.fabric.host(0), bed.fabric.mc(), options,
+                       bed.fabric.rng());
+    simulator.run_until(simulator.now() + sim::milliseconds(5));
+    ASSERT_TRUE(channel.ready());
+  }
+  // The probe in flight still lands at the MC; nothing probes again.
+  simulator.run_until(simulator.now() + sim::milliseconds(50));
+  EXPECT_TRUE(simulator.idle());
+}
+
+TEST(MicLifetime, ChannelDestroyedBeforeItsRepairNoticeLandsHearsNothing) {
+  // The MC repairs the channel around a cut link and sends the kRepaired
+  // notice with a copy of the channel's listener; the channel is
+  // destroyed while the notice travels.
+  MicBed bed;
+  bed.serve(12);
+  MimicController& mc = bed.fabric.mc();
+  sim::Simulator& simulator = bed.fabric.simulator();
+  auto channel = std::make_unique<MicChannel>(
+      bed.fabric.host(0), mc, bed.options_to(12), bed.fabric.rng());
+  simulator.run_until();
+  ASSERT_TRUE(channel->ready());
+  const MFlowPlan& plan = mc.channel(channel->id())->flows[0];
+  const std::size_t mid = plan.path.size() / 2;  // a core-aggregation link
+  bed.fabric.network().set_link_up(
+      bed.fabric.network().graph().link_between(plan.path[mid],
+                                                plan.path[mid + 1]),
+      false);
+  while (mc.channels_repaired() == 0 && !simulator.idle()) {
+    simulator.run_until(simulator.now() + sim::microseconds(10));
+  }
+  ASSERT_EQ(mc.channels_repaired(), 1u);
+  channel.reset();
+  simulator.run_until();
+  EXPECT_EQ(mc.active_channel_count(), 1u);  // destroyed, never closed
 }
 
 TEST(MicWire, SliceHeaderRoundTrip) {

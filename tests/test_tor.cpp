@@ -298,6 +298,26 @@ TEST(Tor, SynToADestroyedRelayFindsNoListener) {
   EXPECT_EQ(relay_host.connection_count(), 0u);
 }
 
+TEST(Tor, RelayDestroyedWithACellQueuedSendsNothing) {
+  // The relay of a one-relay circuit is destroyed while its CREATED cell
+  // waits out the queueing delay: the cell goes with the relay.
+  TorBed bed(1);
+  bed.fabric.host(15).listen(5000, [](transport::TcpConnection&) {});
+  TorClient client(bed.fabric.host(0), bed.path, bed.fabric.ip(15), 5000,
+                   bed.fabric.rng());
+  sim::Simulator& simulator = bed.fabric.simulator();
+  const sim::CpuMeter& relay_cpu = bed.fabric.host(8).cpu();
+  // The CREATE's Diffie-Hellman (two modexps) keeps the relay's CPU busy
+  // for 4 ms; once it is charged, the CREATED cell is queued.
+  while (relay_cpu.busy_time() < sim::milliseconds(4) && !simulator.idle()) {
+    simulator.run_until(simulator.now() + sim::microseconds(10));
+  }
+  ASSERT_GE(relay_cpu.busy_time(), sim::milliseconds(4));
+  bed.relays.clear();
+  simulator.run_until();
+  EXPECT_FALSE(client.ready());
+}
+
 TEST(TorCells, HeaderRoundTrip) {
   CellHeader header{0x12345678, CellCmd::kRelay, 444};
   const auto bytes = serialize_cell_header(header);
